@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check lint bench bench-json benchstat loadtest fuzz-smoke
+.PHONY: all build test race check lint bench bench-json benchstat loadtest perf perf-compare fuzz-smoke
 
 all: build
 
@@ -66,6 +66,20 @@ benchstat:
 # window (see ci.yml); widen locally with e.g. -duration 10s -c 8.
 loadtest:
 	$(GO) run ./cmd/gcxload -duration 2s -warmup 500ms -json BENCH_gcxd.json
+
+# perf runs the repository's benchmark (BENCHMARK.json, gcxperf/README.md):
+# all seven workloads end to end with tracing off, results in
+# gcxperf/out/results.json. perf-compare is its gate: it exits 1 when any
+# end-to-end metric of NEW is worse than BASE by more than its bound.
+# Produce the two files with `go run -C gcxperf . run -n 3 -out out/a.json`
+# on each commit (that -out is relative to gcxperf/; BASE and NEW are
+# relative to this directory).
+perf:
+	$(GO) run -C gcxperf . run
+
+perf-compare:
+	@test -n "$(BASE)" -a -n "$(NEW)" || { echo "usage: make perf-compare BASE=a.json NEW=b.json" >&2; exit 2; }
+	$(GO) run -C gcxperf . compare $(abspath $(BASE)) $(abspath $(NEW))
 
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzTokenizer -fuzztime 10s ./internal/xmltok

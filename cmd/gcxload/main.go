@@ -48,6 +48,11 @@ type cellResult struct {
 	Format    string `json:"format,omitempty"`
 	Shards    int    `json:"shards"`
 	SizeBytes int    `json:"size_bytes"`
+	// InputPath is the path the server reported taking for this cell's
+	// requests, read from its gcx_request_duration_seconds input_path
+	// label: "bytes" (small body buffered once, zero-copy run), "stream"
+	// (read through the refilling cursor), or "mixed".
+	InputPath string `json:"input_path,omitempty"`
 	// Concurrency and RateRPS echo the load shape: closed loop reports
 	// workers and 0, open loop reports 0 and the arrival rate.
 	Concurrency int     `json:"concurrency,omitempty"`
@@ -72,6 +77,12 @@ type benchFile struct {
 	Entries []cellResult `json:"entries"`
 }
 
+// defaultSize is the default generator target. The generators overshoot
+// (a 1 MiB target yields 1 094 441 B of XML and 1 139 390 B of NDJSON),
+// so the target sits far enough under gcxd.DefaultBytesBodyLimit for
+// both default bodies to fit it and ride the zero-copy path.
+const defaultSize = 896 << 10
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -86,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rate        = fs.Float64("rate", 0, "open-loop arrival rate in requests/s (0 = closed loop)")
 		duration    = fs.Duration("duration", 5*time.Second, "measurement window per cell")
 		warmup      = fs.Duration("warmup", 500*time.Millisecond, "per-cell warmup before measuring (fills caches, steadies the scheduler)")
-		sizeBytes   = fs.Int("size", 1<<20, "XMark document size in bytes")
+		sizeBytes   = fs.Int("size", defaultSize, "generator target in bytes; bodies come out 4-10% larger, and gcxd streams one above its small-body limit (1 MiB) instead of running it zero-copy (reported as input_path)")
 		seed        = fs.Int64("seed", 1, "XMark generator seed")
 		queriesFlag = fs.String("queries", "Q1,Q6,Q13", "XMark queries to drive")
 		ndjsonFlag  = fs.String("ndjson-queries", "J1", "NDJSON queries to drive (empty disables)")
@@ -178,8 +189,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if c.format != "" {
 				u += "&format=" + c.format
 			}
+			before := inputPaths(target)
 			res := driveCell(u, c.body, *conc, *rate, *warmup, *duration)
 			res.Query, res.Format, res.Shards, res.SizeBytes = c.id, c.format, sh, len(c.body)
+			res.InputPath = before.since(inputPaths(target))
 			if *rate > 0 {
 				res.RateRPS = *rate
 			} else {
@@ -321,6 +334,52 @@ func doRequest(client *http.Client, u, body string) (int64, error) {
 		return n, fmt.Errorf("trailer error: %s", e)
 	}
 	return n, nil
+}
+
+// pathCounts is the server's request count per input path, summed over
+// the other labels of gcx_request_duration_seconds_count.
+type pathCounts map[string]float64
+
+// inputPaths scrapes the server's /metrics. A server without the
+// endpoint yields no counts, and the cell no input_path.
+func inputPaths(target string) pathCounts {
+	counts := pathCounts{}
+	resp, err := http.Get(target + "/metrics")
+	if err != nil {
+		return counts
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body) // a short read only loses counts
+	const label = `input_path="`
+	for _, line := range strings.Split(string(raw), "\n") {
+		if !strings.HasPrefix(line, "gcx_request_duration_seconds_count{") {
+			continue
+		}
+		i, sp := strings.Index(line, label), strings.LastIndexByte(line, ' ')
+		if i < 0 || sp < 0 {
+			continue
+		}
+		path, _, _ := strings.Cut(line[i+len(label):], `"`)
+		if v, err := strconv.ParseFloat(line[sp+1:], 64); err == nil {
+			counts[path] += v
+		}
+	}
+	return counts
+}
+
+// since names the path of the requests counted between before and
+// after: the one path that grew, "mixed" for several, "" for none.
+func (before pathCounts) since(after pathCounts) string {
+	name := ""
+	for path, n := range after {
+		if n > before[path] {
+			if name != "" {
+				return "mixed"
+			}
+			name = path
+		}
+	}
+	return name
 }
 
 // percentile reads the p-th percentile from sorted data (nearest-rank).

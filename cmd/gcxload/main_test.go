@@ -6,6 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"gcx/internal/gcxd"
+	"gcx/internal/xmark"
 )
 
 // TestRunSmoke drives the harness end to end against its in-process
@@ -42,6 +45,10 @@ func TestRunSmoke(t *testing.T) {
 		}
 		if e.ErrorRate != 0 {
 			t.Errorf("cell %s/shards=%d error rate %.2f", e.Query, e.Shards, e.ErrorRate)
+		}
+		if e.InputPath != "bytes" {
+			t.Errorf("cell %s/shards=%d: %d B body took input path %q, want the zero-copy \"bytes\" path",
+				e.Query, e.Shards, e.SizeBytes, e.InputPath)
 		}
 		if e.P50Ms <= 0 || e.P99Ms < e.P50Ms {
 			t.Errorf("cell %s/shards=%d implausible percentiles p50=%f p99=%f",
@@ -86,5 +93,24 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{"-queries", "Q999", "-duration", "1ms", "-warmup", "0"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unknown query: exit %d, want 2", code)
+	}
+}
+
+// TestDefaultBodiesFitTheSmallBodyLimit: the default -size must produce
+// bodies gcxd buffers and runs zero-copy; the generators overshoot their
+// target, so the default cannot simply be the limit.
+func TestDefaultBodiesFitTheSmallBodyLimit(t *testing.T) {
+	cfg := xmark.Config{TargetBytes: defaultSize, Seed: 1}
+	doc, _, err := xmark.GenerateString(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd, _, err := xmark.GenerateNDJSONString(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc) > gcxd.DefaultBytesBodyLimit || len(nd) > gcxd.DefaultBytesBodyLimit {
+		t.Fatalf("default bodies are %d B (XML) and %d B (NDJSON); the small-body limit is %d",
+			len(doc), len(nd), gcxd.DefaultBytesBodyLimit)
 	}
 }

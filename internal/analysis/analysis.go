@@ -79,8 +79,13 @@ type Plan struct {
 	Source string
 	// Normalized is the single-step core form, before sign-off insertion.
 	Normalized *xqast.Query
-	// Rewritten is the executable form with signOff statements.
+	// Rewritten is the executable form with signOff statements and
+	// resolved variable slots.
 	Rewritten *xqast.Query
+	// Slots is the size of the evaluator's variable environment: one
+	// slot for the document root plus one per for-loop of Rewritten
+	// (see xqast.ForExpr.Slot).
+	Slots int
 	// Roles are the projection paths, in discovery order (the paper's
 	// numbering).
 	Roles []Role
@@ -153,17 +158,25 @@ func AnalyzeWithOptions(q *xqast.Query, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pristine := &xqast.Query{Body: xqast.CloneExpr(norm.Body)}
+	// Normalization reuses the leaves of the caller's tree; the rewrite
+	// and the slot assignment work on a copy, so the plan owns every
+	// node it annotates.
+	work := &xqast.Query{Body: xqast.CloneExpr(norm.Body)}
 
 	ex := newExtractor()
 	ex.opts = opts
-	if err := ex.run(norm); err != nil {
+	if err := ex.run(work); err != nil {
 		return nil, err
 	}
-	rewritten := &xqast.Query{Body: ex.rewrite(norm.Body, nil)}
+	rewritten := &xqast.Query{Body: ex.rewrite(work.Body, nil)}
+	slots, err := assignSlots(rewritten)
+	if err != nil {
+		return nil, err
+	}
 	plan := &Plan{
-		Normalized:      pristine,
+		Normalized:      norm,
 		Rewritten:       rewritten,
+		Slots:           slots,
 		Roles:           ex.roles,
 		UsesAggregation: ex.usesAggregation,
 		Opts:            opts,

@@ -24,6 +24,10 @@ type JoinInfo struct {
 
 	ProbeVar string
 	BuildVar string
+	// ProbeSlot and BuildSlot are the two variables' environment slots
+	// (xqast.ForExpr.Slot of the loops binding them).
+	ProbeSlot int
+	BuildSlot int
 
 	// ProbePath and BuildPath are the absolute binding paths of the two
 	// sides; all steps are child-axis name or wildcard tests.
@@ -90,7 +94,7 @@ func DetectJoin(p *Plan) *JoinInfo {
 		cur = next
 	}
 	j.ProbeLoop = cur
-	j.ProbeVar = cur.Var
+	j.ProbeVar, j.ProbeSlot = cur.Var, cur.Slot
 
 	// Locate the build head: exactly one root-based loop inside the
 	// probe body, not nested under another loop (so it runs at most once
@@ -117,7 +121,7 @@ func DetectJoin(p *Plan) *JoinInfo {
 		}
 		cur = next
 	}
-	j.BuildVar = cur.Var
+	j.BuildVar, j.BuildSlot = cur.Var, cur.Slot
 
 	// The innermost build body must be exactly
 	// "if (key = key) then Then else ()".

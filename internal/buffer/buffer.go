@@ -36,9 +36,10 @@ type Buffer struct {
 	// TotalPurged counts every node ever purged.
 	TotalPurged int64
 
-	// assigned/removed count role instances for the balance invariant.
-	assigned map[int]int64
-	removed  map[int]int64
+	// assigned/removed count role instances for the balance invariant,
+	// indexed by role id (role ids are dense: the plan's slice indexes).
+	assigned []int64
+	removed  []int64
 
 	// pending holds deferred sign-offs (see PendingSignOffs).
 	pending []pendingSignOff
@@ -59,16 +60,23 @@ type Buffer struct {
 
 	// Node arena: nodes are carved out of pooled slabs so that one
 	// execution's node churn does not translate into one allocation per
-	// buffered node. Slabs go back to the pool in Release. Node structs
-	// stay valid (never recycled) for the whole run — purged nodes only
-	// drop their payloads — so stale references behave exactly as with
-	// individual allocations.
+	// buffered node. Slabs go back to the pool in Release. A purged node
+	// goes on the free list and is the next one handed out, so a run's
+	// resident node memory follows the buffer's peak, not the number of
+	// nodes ever appended. Every reference that can outlive a purge is
+	// either pinned or a generation-checked Handle (DESIGN.md §13).
 	slab     *nodeSlab
 	slabUsed int
 	slabs    []*nodeSlab
+	free     *Node // purged nodes, linked through NextSib
+
+	// matchA/matchB are the evaluator's ping-pong scratch: each path
+	// step reads its sources from one and writes its results to the
+	// other (eval.go).
+	matchA, matchB []Match
 }
 
-// slabSize is the number of nodes per arena slab (~32 KiB of Node
+// slabSize is the number of nodes per arena slab (~44 KiB of Node
 // structs).
 const slabSize = 256
 
@@ -76,10 +84,16 @@ type nodeSlab [slabSize]Node
 
 var slabPool = sync.Pool{New: func() any { return new(nodeSlab) }}
 
-// newNode carves a zeroed node out of the current slab.
+// newNode hands out a zeroed node: the most recently purged one if
+// there is any, else the next of the current slab.
 func (b *Buffer) newNode() *Node {
 	if b.MaxNodes > 0 && b.CurrentNodes >= b.MaxNodes {
 		b.breached = true
+	}
+	if n := b.free; n != nil {
+		b.free = n.NextSib
+		*n = Node{gen: n.gen}
+		return n
 	}
 	if b.slab == nil || b.slabUsed == slabSize {
 		b.slab = slabPool.Get().(*nodeSlab)
@@ -103,19 +117,17 @@ func (b *Buffer) Release() {
 	b.slabs = nil
 	b.slab = nil
 	b.slabUsed = 0
+	b.free = nil
 	b.Root = nil
 	b.pending = nil
+	b.matchA, b.matchB = nil, nil
 }
 
 // New returns an empty buffer containing only the (permanently pinned)
 // virtual root.
 func New() *Buffer {
 	root := &Node{Kind: KindRoot, pins: 1, subtreeWeight: 1}
-	return &Buffer{
-		Root:     root,
-		assigned: make(map[int]int64),
-		removed:  make(map[int]int64),
-	}
+	return &Buffer{Root: root}
 }
 
 // BudgetErr returns nil while the buffer has stayed within MaxNodes,
@@ -132,10 +144,20 @@ func (b *Buffer) BudgetErr() error {
 }
 
 // AssignedTotal returns the number of instances of role assigned so far.
-func (b *Buffer) AssignedTotal(role int) int64 { return b.assigned[role] }
+func (b *Buffer) AssignedTotal(role int) int64 {
+	if role >= len(b.assigned) {
+		return 0
+	}
+	return b.assigned[role]
+}
 
 // RemovedTotal returns the number of instances of role removed so far.
-func (b *Buffer) RemovedTotal(role int) int64 { return b.removed[role] }
+func (b *Buffer) RemovedTotal(role int) int64 {
+	if role >= len(b.removed) {
+		return 0
+	}
+	return b.removed[role]
+}
 
 // addWeight adjusts the subtreeWeight chain from n to the root.
 func addWeight(n *Node, delta int64) {
@@ -155,6 +177,7 @@ func addNodes(n *Node, delta int64) {
 // open: it carries one pin until CloseNode is called, so it cannot be
 // purged while its subtree is still streaming in.
 func (b *Buffer) AppendElement(parent *Node, name string, attrs []event.Attr) *Node {
+	parent.assertLive()
 	n := b.newNode()
 	n.Kind = KindElement
 	n.Name = name
@@ -172,6 +195,7 @@ func (b *Buffer) AppendElement(parent *Node, name string, attrs []event.Attr) *N
 // after appending; a permanently role-less text node would violate the
 // zero-weight-is-purged invariant.
 func (b *Buffer) AppendText(parent *Node, text string) *Node {
+	parent.assertLive()
 	n := b.newNode()
 	n.Kind = KindText
 	n.Text = text
@@ -184,7 +208,7 @@ func (b *Buffer) AppendText(parent *Node, text string) *Node {
 // nodeBytes estimates the resident size of a single buffered node:
 // struct overhead plus payload strings.
 func nodeBytes(n *Node) int64 {
-	size := int64(128) // struct, links, role map headroom
+	size := int64(128) // struct, links, role multiset
 	size += int64(len(n.Name) + len(n.Text))
 	for _, a := range n.Attrs {
 		size += int64(len(a.Name) + len(a.Value) + 32)
@@ -217,10 +241,13 @@ func (b *Buffer) link(parent, n *Node) {
 
 // AssignRole adds one instance of role to n.
 func (b *Buffer) AssignRole(n *Node, role int) {
-	if n.roles == nil {
-		n.roles = make(map[int]int, 2)
+	n.assertLive()
+	n.addRole(role)
+	if role >= len(b.assigned) {
+		grow := make([]int64, role+1-len(b.assigned))
+		b.assigned = append(b.assigned, grow...)
+		b.removed = append(b.removed, grow...)
 	}
-	n.roles[role]++
 	b.assigned[role]++
 	addWeight(n, 1)
 }
@@ -232,14 +259,9 @@ func (b *Buffer) RemoveRole(n *Node, role, count int) {
 	if count == 0 {
 		return
 	}
-	have := n.roles[role]
-	if have < count {
-		panic(fmt.Sprintf("buffer: removing %d×r%d from node <%s> carrying %d", count, role+1, n.Name, have))
-	}
-	if have == count {
-		delete(n.roles, role)
-	} else {
-		n.roles[role] = have - count
+	n.assertLive()
+	if !n.dropRole(role, count) {
+		panic(fmt.Sprintf("buffer: removing %d×r%d from node <%s> carrying %d", count, role+1, n.Name, n.RoleCount(role)))
 	}
 	b.removed[role] += int64(count)
 	addWeight(n, -int64(count))
@@ -249,12 +271,14 @@ func (b *Buffer) RemoveRole(n *Node, role, count int) {
 // Pin protects n from purging (an evaluator reference such as the
 // current for-loop binding). Pins nest.
 func (b *Buffer) Pin(n *Node) {
+	n.assertLive()
 	n.pins++
 	addWeight(n, 1)
 }
 
 // Unpin releases a pin and garbage-collects.
 func (b *Buffer) Unpin(n *Node) {
+	n.assertLive()
 	if n.pins == 0 {
 		panic("buffer: unpin of unpinned node")
 	}
@@ -281,7 +305,7 @@ func (b *Buffer) collect(n *Node) {
 	if b.DisableGC {
 		return
 	}
-	if n.subtreeWeight != 0 || n.unlinked || !n.InBuffer() {
+	if n.subtreeWeight != 0 || n.unlinked {
 		return
 	}
 	victim := n
@@ -310,36 +334,26 @@ func (b *Buffer) unlink(n *Node) {
 		addNodes(parent, -n.subtreeNodes)
 	}
 	b.CurrentNodes -= n.subtreeNodes
-	b.CurrentBytes -= releaseSubtree(n)
 	b.TotalPurged += n.subtreeNodes
-	n.Parent = nil
-	n.PrevSib = nil
-	n.NextSib = nil
+	b.CurrentBytes -= b.releaseSubtree(n)
 }
 
 // releaseSubtree sums the per-node size estimates of a purged subtree
-// and releases each node's payload: name, text and attribute strings are
-// dropped so the purged data becomes collectible immediately (the node
-// structs themselves live in arena slabs until Buffer.Release). Every
-// node is marked unlinked so stale references detect the purge without
-// walking a parent chain. It runs once per purged subtree, so the total
-// cost over a run is linear in the number of nodes ever buffered.
-func releaseSubtree(n *Node) int64 {
+// and puts each of its nodes on the free list. Name, text and attribute
+// strings are dropped so the purged data becomes collectible
+// immediately, every node is marked unlinked so a stale reference sees
+// the purge, and its generation advances so a Handle taken earlier
+// stops matching. It runs once per purged subtree, so the total cost
+// over a run is linear in the number of nodes ever buffered.
+func (b *Buffer) releaseSubtree(n *Node) int64 {
 	total := n.bytes
 	for c := n.FirstChild; c != nil; {
 		next := c.NextSib
-		total += releaseSubtree(c)
+		total += b.releaseSubtree(c)
 		c = next
 	}
-	n.unlinked = true
-	n.Name = ""
-	n.Text = ""
-	n.Attrs = nil
-	n.roles = nil
-	n.FirstChild = nil
-	n.LastChild = nil
-	n.PrevSib = nil
-	n.NextSib = nil
+	*n = Node{Closed: n.Closed, unlinked: true, gen: n.gen + 1, NextSib: b.free}
+	b.free = n
 	return total
 }
 
@@ -348,73 +362,61 @@ func releaseSubtree(n *Node) int64 {
 // nil, in which case roles print as r1, r2, ...
 func (b *Buffer) Dump(roleName func(int) string) string {
 	var sb strings.Builder
-	var rec func(n *Node, depth int)
-	rec = func(n *Node, depth int) {
-		sb.WriteString(strings.Repeat("  ", depth))
-		sb.WriteString(n.label(roleName))
-		sb.WriteString("\n")
-		for c := n.FirstChild; c != nil; c = c.NextSib {
-			rec(c, depth+1)
-		}
-	}
-	rec(b.Root, 0)
+	dumpNode(&sb, b.Root, 0, roleName)
 	return sb.String()
+}
+
+func dumpNode(sb *strings.Builder, n *Node, depth int, roleName func(int) string) {
+	sb.WriteString(strings.Repeat("  ", depth))
+	sb.WriteString(n.label(roleName))
+	sb.WriteString("\n")
+	for c := n.FirstChild; c != nil; c = c.NextSib {
+		dumpNode(sb, c, depth+1, roleName)
+	}
 }
 
 // CheckInvariants verifies the structural accounting of the whole
 // buffer; tests call it after every mutation sequence.
 func (b *Buffer) CheckInvariants() error {
-	var walk func(n *Node) (weight, nodes int64, err error)
-	walk = func(n *Node) (int64, int64, error) {
-		weight := int64(n.pins + n.RoleTotal())
-		var nodes int64
-		if n.Kind != KindRoot {
-			nodes = 1
-		}
-		for c := n.FirstChild; c != nil; c = c.NextSib {
-			if c.Parent != n {
-				return 0, 0, fmt.Errorf("child %q has wrong parent", c.Name)
-			}
-			w, m, err := walk(c)
-			if err != nil {
-				return 0, 0, err
-			}
-			weight += w
-			nodes += m
-		}
-		if weight != n.subtreeWeight {
-			return 0, 0, fmt.Errorf("node %q subtreeWeight=%d, recomputed %d", n.Name, n.subtreeWeight, weight)
-		}
-		if n.subtreeNodes != nodes {
-			return 0, 0, fmt.Errorf("node %q subtreeNodes=%d, recomputed %d", n.Name, n.subtreeNodes, nodes)
-		}
-		return weight, nodes, nil
-	}
-	_, nodes, err := walk(b.Root)
+	_, nodes, err := b.checkSubtree(b.Root)
 	if err != nil {
 		return err
 	}
 	if nodes != b.CurrentNodes {
 		return fmt.Errorf("CurrentNodes=%d, recomputed %d", b.CurrentNodes, nodes)
 	}
-	if !b.DisableGC {
-		var zero func(n *Node) error
-		zero = func(n *Node) error {
-			if n.Kind != KindRoot && n.subtreeWeight == 0 {
-				return fmt.Errorf("unpurged zero-weight node %q", n.Name)
-			}
-			for c := n.FirstChild; c != nil; c = c.NextSib {
-				if err := zero(c); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := zero(b.Root); err != nil {
-			return err
-		}
-	}
 	return nil
+}
+
+// checkSubtree recomputes n's subtree weight and node count bottom-up,
+// compares them with the maintained counters, and — when garbage
+// collection is on — rejects a zero-weight node that is still linked.
+func (b *Buffer) checkSubtree(n *Node) (weight, nodes int64, err error) {
+	weight = int64(n.pins) + int64(n.RoleTotal())
+	if n.Kind != KindRoot {
+		nodes = 1
+	}
+	for c := n.FirstChild; c != nil; c = c.NextSib {
+		if c.Parent != n {
+			return 0, 0, fmt.Errorf("child %q has wrong parent", c.Name)
+		}
+		w, m, err := b.checkSubtree(c)
+		if err != nil {
+			return 0, 0, err
+		}
+		weight += w
+		nodes += m
+	}
+	if weight != n.subtreeWeight {
+		return 0, 0, fmt.Errorf("node %q subtreeWeight=%d, recomputed %d", n.Name, n.subtreeWeight, weight)
+	}
+	if n.subtreeNodes != nodes {
+		return 0, 0, fmt.Errorf("node %q subtreeNodes=%d, recomputed %d", n.Name, n.subtreeNodes, nodes)
+	}
+	if !b.DisableGC && n.Kind != KindRoot && weight == 0 {
+		return 0, 0, fmt.Errorf("unpurged zero-weight node %q", n.Name)
+	}
+	return weight, nodes, nil
 }
 
 // CheckBalance verifies assigned == removed for every role; valid only
@@ -425,17 +427,13 @@ func (b *Buffer) CheckBalance() error {
 			return fmt.Errorf("role r%d: assigned %d, removed %d", role+1, a, r)
 		}
 	}
-	for role, r := range b.removed {
-		if a := b.assigned[role]; a != r {
-			return fmt.Errorf("role r%d: removed %d, assigned %d", role+1, r, a)
-		}
-	}
 	return nil
 }
 
 // Serialize writes the subtree of n to s (opening tag, content, closing
 // tag; text nodes as character data).
 func Serialize(n *Node, s event.Sink) {
+	n.assertLive()
 	switch n.Kind {
 	case KindText:
 		s.Text(n.Text)

@@ -297,7 +297,7 @@ func TestMatchesMultiplicityWithDescendants(t *testing.T) {
 		xpath.DescendantOrSelfNodeStep(),
 	}}
 	got := map[*Node]int{}
-	for _, m := range Matches(a, p) {
+	for _, m := range b.Matches(a, p) {
 		got[m.Node] = m.Count
 	}
 	if got[s1] != 1 || got[s2] != 2 || got[x] != 2 {
@@ -318,7 +318,7 @@ func TestFirstWitnessMatching(t *testing.T) {
 	b.CloseNode(x)
 	path := xpath.Path{Steps: []xpath.Step{{
 		Axis: xpath.Child, Test: xpath.Test{Kind: xpath.TestName, Name: "p"}, FirstOnly: true}}}
-	ms := Matches(x, path)
+	ms := b.Matches(x, path)
 	if len(ms) != 1 || ms[0].Node != p1 {
 		t.Fatalf("first-witness must match only the first p; got %d matches", len(ms))
 	}
@@ -340,7 +340,7 @@ func TestSelectDocOrder(t *testing.T) {
 	}
 	b.CloseNode(a)
 	dos := xpath.Path{Steps: []xpath.Step{xpath.DescendantOrSelfNodeStep()}}
-	got := SelectDocOrder(a, dos)
+	got := b.SelectDocOrder(a, dos)
 	want := append([]*Node{a}, ids...)
 	if len(got) != len(want) {
 		t.Fatalf("got %d nodes, want %d", len(got), len(want))
@@ -542,7 +542,7 @@ func TestExistsShortCircuit(t *testing.T) {
 		{Steps: []xpath.Step{{Axis: xpath.Self, Test: xpath.Test{Kind: xpath.TestName, Name: "z"}}}},
 	}
 	for _, p := range paths {
-		want := len(Matches(a, p)) > 0
+		want := len(b.Matches(a, p)) > 0
 		if got := Exists(a, p); got != want {
 			t.Errorf("Exists(%s) = %v, Matches says %v", p, got, want)
 		}
@@ -573,7 +573,7 @@ func TestExistsFirstWitnessSubtlety(t *testing.T) {
 	if Exists(x, path) {
 		t.Fatal("p[1]/q must not exist: the first p has no q")
 	}
-	if len(Matches(x, path)) != 0 {
+	if len(b.Matches(x, path)) != 0 {
 		t.Fatal("Matches must agree")
 	}
 }

@@ -14,85 +14,119 @@ type Match struct {
 }
 
 // Matches evaluates path relative to base over the buffered tree and
-// returns the matched nodes with derivation multiplicities. Nodes appear
-// at most once in the result (counts aggregated); order follows the
-// step-wise expansion and is NOT document order — use SelectDocOrder for
-// output positions.
+// returns the matched nodes with derivation multiplicities: each node
+// once, counts aggregated, in document order. The slice is the
+// buffer's scratch — it is valid until the next Matches,
+// SelectDocOrder or SignOffNow on this buffer.
 //
 // Attribute steps are rejected: attributes are element properties in
 // this system and never appear in projection or sign-off paths.
-func Matches(base *Node, path xpath.Path) []Match {
+//
+// Each step expands the previous step's nodes (its sources) one by one
+// into the other scratch slice. The expansion alone keeps the list
+// duplicate-free and in document order as long as the sources are an
+// antichain — no source an ancestor of another — listed in document
+// order: their subtrees are then disjoint and follow one another, so
+// whatever each contributes is new and comes after everything before
+// it. A single node is an antichain; self steps filter one and child
+// steps map one to another (children of one parent are siblings,
+// children of different sources lie in disjoint subtrees). Only a
+// descendant-axis step with two or more results can produce nested
+// nodes. From nested sources a child step still cannot reach a node
+// twice (a node has one parent) but can emit out of order, and a
+// descendant step can do both — so exactly those steps, and only when
+// they have two or more sources, are followed by normalize.
+func (b *Buffer) Matches(base *Node, path xpath.Path) []Match {
 	if path.EndsWithAttribute() {
 		panic("buffer: attribute step in buffered-path evaluation")
 	}
-	cur := []Match{{Node: base, Count: 1}}
+	base.assertLive()
+	cur := append(b.matchA[:0], Match{Node: base, Count: 1})
+	out := b.matchB[:0]
+	nested := false // cur may hold a node together with one of its ancestors
 	for _, step := range path.Steps {
-		cur = evalStep(cur, step)
+		out = out[:0]
+		for _, src := range cur {
+			out = expand(out, src, step)
+		}
+		if nested && len(cur) > 1 && step.Axis != xpath.Self {
+			out = normalize(base, out)
+		}
+		switch step.Axis {
+		case xpath.Child:
+			nested = nested && len(cur) > 1
+		case xpath.Descendant, xpath.DescendantOrSelf:
+			nested = len(out) > 1
+		}
+		cur, out = out, cur
 		if len(cur) == 0 {
-			return nil
+			break
 		}
 	}
+	b.matchA, b.matchB = cur, out // keep whatever capacity they grew to
 	return cur
 }
 
-func evalStep(sources []Match, step xpath.Step) []Match {
-	var out []Match
-	idx := make(map[*Node]int)
-	add := func(n *Node, count int) {
-		if i, ok := idx[n]; ok {
-			out[i].Count += count
-			return
+// expand appends the nodes step reaches from src to out, in document
+// order, each with src's multiplicity.
+func expand(out []Match, src Match, step xpath.Step) []Match {
+	switch step.Axis {
+	case xpath.Self:
+		if matchesNode(src.Node, step.Test) {
+			out = append(out, src)
 		}
-		idx[n] = len(out)
-		out = append(out, Match{Node: n, Count: count})
-	}
-	for _, src := range sources {
-		switch step.Axis {
-		case xpath.Self:
-			if matchesNode(src.Node, step.Test) {
-				add(src.Node, src.Count)
-			}
-		case xpath.Child:
-			for c := src.Node.FirstChild; c != nil; c = c.NextSib {
-				if matchesNode(c, step.Test) {
-					add(c, src.Count)
-					if step.FirstOnly {
-						break
-					}
+	case xpath.Child:
+		for c := src.Node.FirstChild; c != nil; c = c.NextSib {
+			if matchesNode(c, step.Test) {
+				out = append(out, Match{Node: c, Count: src.Count})
+				if step.FirstOnly {
+					break
 				}
 			}
-		case xpath.Descendant:
-			walkDescendants(src.Node, false, step, src.Count, add)
-		case xpath.DescendantOrSelf:
-			walkDescendants(src.Node, true, step, src.Count, add)
-		default:
-			panic("buffer: unsupported axis " + step.Axis.String())
 		}
+	case xpath.Descendant, xpath.DescendantOrSelf:
+		// With FirstOnly, only the first match per source is reported.
+		n := src.Node
+		if step.Axis == xpath.Descendant {
+			n = docOrderSuccessor(src.Node, n)
+		}
+		for ; n != nil; n = docOrderSuccessor(src.Node, n) {
+			if matchesNode(n, step.Test) {
+				out = append(out, Match{Node: n, Count: src.Count})
+				if step.FirstOnly {
+					break
+				}
+			}
+		}
+	default:
+		panic("buffer: unsupported axis " + step.Axis.String())
 	}
 	return out
 }
 
-// walkDescendants visits the subtree of n in document order, applying
-// the test. With FirstOnly, only the first match (per source context) is
-// reported.
-func walkDescendants(n *Node, includeSelf bool, step xpath.Step, count int, add func(*Node, int)) {
-	first := step.FirstOnly
-	var rec func(m *Node, self bool) bool
-	rec = func(m *Node, self bool) bool {
-		if self && matchesNode(m, step.Test) {
-			add(m, count)
-			if first {
-				return true
-			}
+// normalize rewrites ms in place so that every node appears once, with
+// its counts added up, in document order. It parks the running count on
+// the node itself, then walks base's subtree — every match lies in it —
+// and collects the marked nodes as they come by, clearing the marks.
+func normalize(base *Node, ms []Match) []Match {
+	distinct := 0
+	for _, m := range ms {
+		if !m.Node.marked {
+			m.Node.marked = true
+			m.Node.markCount = 0
+			distinct++
 		}
-		for c := m.FirstChild; c != nil; c = c.NextSib {
-			if rec(c, true) {
-				return true
-			}
-		}
-		return false
+		m.Node.markCount += int32(m.Count)
 	}
-	rec(n, includeSelf)
+	ms = ms[:0]
+	for n := base; distinct > 0; n = docOrderSuccessor(base, n) {
+		if n.marked {
+			n.marked = false
+			ms = append(ms, Match{Node: n, Count: int(n.markCount)})
+			distinct--
+		}
+	}
+	return ms
 }
 
 func matchesNode(n *Node, test xpath.Test) bool {
@@ -110,38 +144,15 @@ func matchesNode(n *Node, test xpath.Test) bool {
 }
 
 // SelectDocOrder evaluates path relative to base and returns the
-// distinct matched nodes in document order — the node-set semantics of
-// output positions ("$b/title" emits each title once, in order).
-func SelectDocOrder(base *Node, path xpath.Path) []*Node {
-	matches := Matches(base, path)
-	if len(matches) == 0 {
-		return nil
+// distinct matched nodes in document order, in a slice the caller owns
+// — for the holder that keeps the list across further evaluations.
+func (b *Buffer) SelectDocOrder(base *Node, path xpath.Path) []*Node {
+	matches := b.Matches(base, path)
+	nodes := make([]*Node, len(matches))
+	for i, m := range matches {
+		nodes[i] = m.Node
 	}
-	if len(matches) == 1 {
-		return []*Node{matches[0].Node}
-	}
-	set := make(map[*Node]bool, len(matches))
-	for _, m := range matches {
-		set[m.Node] = true
-	}
-	out := make([]*Node, 0, len(set))
-	var rec func(n *Node)
-	rec = func(n *Node) {
-		if set[n] {
-			out = append(out, n)
-			if len(out) == len(set) {
-				return
-			}
-		}
-		for c := n.FirstChild; c != nil; c = c.NextSib {
-			rec(c)
-			if len(out) == len(set) {
-				return
-			}
-		}
-	}
-	rec(base)
-	return out
+	return nodes
 }
 
 // Exists reports whether path has at least one match from base right
@@ -151,6 +162,7 @@ func SelectDocOrder(base *Node, path xpath.Path) []*Node {
 // "no match yet" is final by checking whether base's subtree is fully
 // read.)
 func Exists(base *Node, path xpath.Path) bool {
+	base.assertLive()
 	return existsFrom(base, path.Steps)
 }
 
@@ -176,27 +188,21 @@ func existsFrom(n *Node, steps []xpath.Step) bool {
 		}
 		return false
 	case xpath.Descendant, xpath.DescendantOrSelf:
-		includeSelf := step.Axis == xpath.DescendantOrSelf
-		var rec func(m *Node, self bool) (found, stop bool)
-		rec = func(m *Node, self bool) (bool, bool) {
-			if self && matchesNode(m, step.Test) {
+		m := n
+		if step.Axis == xpath.Descendant {
+			m = docOrderSuccessor(n, m)
+		}
+		for ; m != nil; m = docOrderSuccessor(n, m) {
+			if matchesNode(m, step.Test) {
 				if existsFrom(m, rest) {
-					return true, true
+					return true
 				}
 				if step.FirstOnly {
-					return false, true
+					return false
 				}
 			}
-			for c := m.FirstChild; c != nil; c = c.NextSib {
-				found, stop := rec(c, true)
-				if stop {
-					return found, true
-				}
-			}
-			return false, false
 		}
-		found, _ := rec(n, includeSelf)
-		return found
+		return false
 	default:
 		panic("buffer: unsupported axis in Exists")
 	}
@@ -206,8 +212,10 @@ func existsFrom(n *Node, steps []xpath.Step) bool {
 // very first child if cur is nil) that satisfies test. It is the
 // iteration step of child-axis for-loops.
 func NextMatchingChild(parent, cur *Node, test xpath.Test) *Node {
+	parent.assertLive()
 	c := parent.FirstChild
 	if cur != nil {
+		cur.assertLive()
 		c = cur.NextSib
 	}
 	for ; c != nil; c = c.NextSib {
@@ -223,6 +231,7 @@ func NextMatchingChild(parent, cur *Node, test xpath.Test) *Node {
 // (excluding base itself unless includeSelf). cur == nil starts the
 // iteration. It is the iteration step of descendant-axis for-loops.
 func NextMatchingDescendant(base, cur *Node, test xpath.Test, includeSelf bool) *Node {
+	base.assertLive()
 	n := cur
 	if n == nil {
 		if includeSelf && matchesNode(base, test) {
@@ -230,6 +239,8 @@ func NextMatchingDescendant(base, cur *Node, test xpath.Test, includeSelf bool) 
 		}
 		n = base
 		// fall through to successor scan starting at base's first child
+	} else {
+		cur.assertLive()
 	}
 	for {
 		n = docOrderSuccessor(base, n)

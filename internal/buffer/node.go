@@ -15,6 +15,7 @@ package buffer
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"gcx/internal/event"
@@ -32,10 +33,38 @@ const (
 	KindText
 )
 
+// roleEntry is one element of a node's role multiset: count instances
+// of role id.
+type roleEntry struct {
+	id    int32
+	count int32
+}
+
+// inlineRoles is the number of distinct roles a node stores without
+// allocating. Over the XMark and NDJSON catalogs 97 % of buffered nodes
+// carry at most two distinct roles, and one query alone (Q20) ever
+// exceeds that (DESIGN.md §13 has the histogram).
+const inlineRoles = 2
+
 // Node is a buffered XML node. Children form a doubly linked list so
 // that purging is O(1) pointer surgery.
 type Node struct {
-	Kind  NodeKind
+	Kind NodeKind
+	// Closed is set when the node's end tag has been processed (text
+	// nodes are born closed).
+	Closed bool
+	// unlinked marks a purged node — every node of a purged subtree, so
+	// stale references detect the purge without walking a parent chain.
+	unlinked bool
+	// marked and markCount are evaluator scratch: normalize parks a
+	// node's aggregated derivation count here while it re-establishes
+	// document order, and clears the mark before it returns.
+	marked bool
+	// gen is the node's generation: it advances every time the struct
+	// is released for reuse, so a holder that remembered it (Handle) can
+	// tell the node it referenced from a later tenant of the same memory.
+	gen uint32
+
 	Name  string       // element name (KindElement)
 	Attrs []event.Attr // attributes ride along with their element
 	Text  string       // character data (KindText)
@@ -46,9 +75,13 @@ type Node struct {
 	PrevSib    *Node
 	NextSib    *Node
 
-	// roles is the role multiset: instance counts per role id. Allocated
-	// lazily; most nodes carry one or two roles.
-	roles map[int]int
+	// roles is the role multiset, one entry per distinct role. It starts
+	// out backed by inline, so appending allocates only for the rare
+	// node with more than inlineRoles distinct roles. Nodes live in
+	// arena slabs and are never copied, which keeps the self-reference
+	// valid.
+	roles  []roleEntry
+	inline [inlineRoles]roleEntry
 
 	// subtreeWeight is the number of role instances plus pins in this
 	// node's subtree, including the node itself. Zero means the subtree
@@ -67,26 +100,27 @@ type Node struct {
 	// pins counts temporary protections: one while the node is open
 	// (its close tag has not arrived) and one per evaluator reference
 	// (current loop binding). Pins contribute to subtreeWeight.
-	pins int
+	pins int32
 
-	// Closed is set when the node's end tag has been processed (text
-	// nodes are born closed).
-	Closed bool
-
-	// unlinked marks a purged subtree root, so stale references can
-	// detect that the node left the buffer.
-	unlinked bool
+	markCount int32
 }
 
 // RoleCount returns the number of instances of role on the node.
-func (n *Node) RoleCount(role int) int { return n.roles[role] }
+func (n *Node) RoleCount(role int) int {
+	for _, e := range n.roles {
+		if int(e.id) == role {
+			return int(e.count)
+		}
+	}
+	return 0
+}
 
 // RoleTotal returns the total number of role instances on the node
 // itself (excluding pins and descendants).
 func (n *Node) RoleTotal() int {
 	total := 0
-	for _, c := range n.roles {
-		total += c
+	for _, e := range n.roles {
+		total += int(e.count)
 	}
 	return total
 }
@@ -96,16 +130,48 @@ func (n *Node) Roles() []int {
 	if len(n.roles) == 0 {
 		return nil
 	}
-	ids := make([]int, 0, len(n.roles))
-	for id := range n.roles {
-		ids = append(ids, id)
+	ids := make([]int, len(n.roles))
+	for i, e := range n.roles {
+		ids[i] = int(e.id)
 	}
-	for i := 1; i < len(ids); i++ { // insertion sort; tiny slices
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
+	sort.Ints(ids)
+	return ids
+}
+
+// addRole adds one instance of role to the multiset.
+func (n *Node) addRole(role int) {
+	for i := range n.roles {
+		if int(n.roles[i].id) == role {
+			n.roles[i].count++
+			return
 		}
 	}
-	return ids
+	if n.roles == nil {
+		n.roles = n.inline[:0]
+	}
+	n.roles = append(n.roles, roleEntry{id: int32(role), count: 1})
+}
+
+// dropRole removes count instances of role and reports whether the node
+// carried that many.
+func (n *Node) dropRole(role, count int) bool {
+	for i := range n.roles {
+		e := &n.roles[i]
+		if int(e.id) != role {
+			continue
+		}
+		if int(e.count) < count {
+			return false
+		}
+		e.count -= int32(count)
+		if e.count == 0 {
+			last := len(n.roles) - 1
+			n.roles[i] = n.roles[last]
+			n.roles = n.roles[:last]
+		}
+		return true
+	}
+	return false
 }
 
 // SubtreeWeight exposes the subtree role+pin total (for tests).
@@ -115,20 +181,13 @@ func (n *Node) SubtreeWeight() int64 { return n.subtreeWeight }
 func (n *Node) SubtreeNodes() int64 { return n.subtreeNodes }
 
 // Pins exposes the pin count (for tests).
-func (n *Node) Pins() int { return n.pins }
+func (n *Node) Pins() int { return int(n.pins) }
 
 // InBuffer reports whether the node is still linked into the buffer.
-func (n *Node) InBuffer() bool {
-	for p := n; p != nil; p = p.Parent {
-		if p.unlinked {
-			return false
-		}
-		if p.Kind == KindRoot {
-			return true
-		}
-	}
-	return false
-}
+// A purge marks every node of the purged subtree, so no parent walk is
+// needed; once the struct has been handed out again it reports on its
+// new tenant (hold a Handle to tell the two apart).
+func (n *Node) InBuffer() bool { return !n.unlinked }
 
 // Attr returns the value of the named attribute.
 func (n *Node) Attr(name string) (string, bool) {
@@ -143,8 +202,17 @@ func (n *Node) Attr(name string) (string, bool) {
 // StringValue returns the concatenated text of the subtree (the XPath
 // string value of an element, or the text of a text node).
 func (n *Node) StringValue() string {
+	n.assertLive()
 	if n.Kind == KindText {
 		return n.Text
+	}
+	// The common shapes — an empty element, <amount>12.50</amount> —
+	// need no builder.
+	switch c := n.FirstChild; {
+	case c == nil:
+		return ""
+	case c == n.LastChild && c.Kind == KindText:
+		return c.Text
 	}
 	var b strings.Builder
 	n.appendText(&b)
@@ -184,7 +252,7 @@ func (n *Node) label(roleName func(int) string) string {
 				name = roleName(id)
 			}
 			b.WriteString(name)
-			if c := n.roles[id]; c > 1 {
+			if c := n.RoleCount(id); c > 1 {
 				fmt.Fprintf(&b, "×%d", c)
 			}
 		}

@@ -7,8 +7,15 @@ import "gcx/internal/xpath"
 // waits until the close tag has arrived (DESIGN.md §3, "deferred mode").
 // This timing reproduces the paper's Fig. 3(c) observation that 23 nodes
 // are still buffered when </bib> is read.
+//
+// An open base cannot be purged, but a closed one can be before the
+// queue is drained — when the sign-off would have matched nothing and
+// no other role held the subtree. The struct may even be serving as
+// another node by then, so the queue holds a Handle and drops entries
+// whose base is gone: a purged subtree carried no role instance, so
+// there is nothing left for them to remove.
 type pendingSignOff struct {
-	base *Node
+	base Handle
 	path xpath.Path
 	role int
 }
@@ -19,9 +26,10 @@ type pendingSignOff struct {
 // subtree is completely buffered (base.Closed), otherwise instances
 // assigned to still-streaming nodes would be missed.
 func (b *Buffer) SignOffNow(base *Node, path xpath.Path, role int) int {
-	matches := Matches(base, path)
+	// A match still waiting in the list carries the instances about to
+	// be removed from it, so no earlier removal's purge can reach it.
 	total := 0
-	for _, m := range matches {
+	for _, m := range b.Matches(base, path) {
 		b.RemoveRole(m.Node, role, m.Count)
 		total += m.Count
 	}
@@ -35,7 +43,7 @@ func (b *Buffer) QueueSignOff(base *Node, path xpath.Path, role int) {
 		b.SignOffNow(base, path, role)
 		return
 	}
-	b.pending = append(b.pending, pendingSignOff{base: base, path: path, role: role})
+	b.pending = append(b.pending, pendingSignOff{base: Hold(base), path: path, role: role})
 }
 
 // DrainPending executes all queued sign-offs whose base subtree is now
@@ -48,10 +56,13 @@ func (b *Buffer) DrainPending() int {
 	executed := 0
 	remaining := b.pending[:0]
 	for _, p := range b.pending {
-		if p.base.Closed {
-			b.SignOffNow(p.base, p.path, p.role)
+		switch {
+		case !p.base.Live():
+			// purged since it was queued: nothing left to remove
+		case p.base.n.Closed:
+			b.SignOffNow(p.base.n, p.path, p.role)
 			executed++
-		} else {
+		default:
 			remaining = append(remaining, p)
 		}
 	}

@@ -135,6 +135,15 @@ type Engine struct {
 	// (ensure calls inside the join operator's scan) attribute to the
 	// enclosing phase instead of double-counting.
 	inSpan bool
+	// env is the variable environment, indexed by the slots the analysis
+	// resolved every variable to (xqast.ForExpr.Slot): slot 0 is the
+	// document root, a loop's slot holds its current binding. Bindings
+	// are pinned, so the handles only assert (under go test) that the
+	// pin really kept the node.
+	env []buffer.Handle
+	// vals is the scratch the value sequences of conditions, aggregates
+	// and attribute templates are built in.
+	vals []string
 }
 
 // New builds an engine instance for a single run over the given event
@@ -157,7 +166,9 @@ func New(plan *analysis.Plan, src event.Source, sink event.Sink, cfg Config) *En
 		src:  src,
 		proj: proj,
 		out:  sink,
+		env:  make([]buffer.Handle, plan.Slots),
 	}
+	e.env[0] = buffer.Hold(buf.Root)
 	if cfg.Recorder != nil {
 		rec := cfg.Recorder
 		proj.OnToken = func() {
@@ -205,8 +216,7 @@ func (e *Engine) run(ctx context.Context) error {
 	if e.plan.UsesAggregation && !e.cfg.EnableAggregation {
 		return fmt.Errorf("engine: query uses the aggregation extension (count/sum/min/max/avg); enable it explicitly — the paper fragment excludes aggregation")
 	}
-	env := map[string]*buffer.Node{xqast.RootVar: e.buf.Root}
-	if err := e.eval(e.plan.Rewritten.Body, env); err != nil {
+	if err := e.eval(e.plan.Rewritten.Body); err != nil {
 		return err
 	}
 	// Epilogue: consume the remaining input. The paper's engines read
@@ -336,13 +346,16 @@ func (e *Engine) ensureClosed(n *buffer.Node) error {
 	return e.ensure(func() bool { return n.Closed })
 }
 
-func (e *Engine) eval(expr xqast.Expr, env map[string]*buffer.Node) error {
+// node returns the current binding of a variable slot.
+func (e *Engine) node(slot int) *buffer.Node { return e.env[slot].Node() }
+
+func (e *Engine) eval(expr xqast.Expr) error {
 	switch expr := expr.(type) {
 	case *xqast.Empty:
 		return nil
 	case *xqast.Sequence:
 		for _, item := range expr.Items {
-			if err := e.eval(item, env); err != nil {
+			if err := e.eval(item); err != nil {
 				return err
 			}
 		}
@@ -351,95 +364,97 @@ func (e *Engine) eval(expr xqast.Expr, env map[string]*buffer.Node) error {
 		e.out.Text(expr.Value)
 		return nil
 	case *xqast.Element:
-		attrs, err := e.evalAttrs(expr.Attrs, env)
+		attrs, err := e.evalAttrs(expr.Attrs)
 		if err != nil {
 			return err
 		}
 		e.out.StartElement(expr.Name, attrs)
-		if err := e.eval(expr.Content, env); err != nil {
+		if err := e.eval(expr.Content); err != nil {
 			return err
 		}
 		e.out.EndElement(expr.Name)
 		return nil
 	case *xqast.VarRef:
-		n := env[expr.Var]
+		n := e.node(expr.Slot)
 		if err := e.ensureClosed(n); err != nil {
 			return err
 		}
 		buffer.Serialize(n, e.out)
 		return nil
 	case *xqast.PathExpr:
-		return e.evalOutputPath(*expr, env)
+		return e.evalOutputPath(expr)
 	case *xqast.ForExpr:
-		return e.evalFor(expr, env)
+		return e.evalFor(expr)
 	case *xqast.IfExpr:
-		holds, err := e.evalCond(expr.Cond, env)
+		holds, err := e.evalCond(expr.Cond)
 		if err != nil {
 			return err
 		}
 		if holds {
-			return e.eval(expr.Then, env)
+			return e.eval(expr.Then)
 		}
-		return e.eval(expr.Else, env)
+		return e.eval(expr.Else)
 	case *xqast.AggExpr:
-		return e.evalAgg(expr, env)
+		return e.evalAgg(expr)
 	case *xqast.SignOff:
-		return e.evalSignOff(expr, env)
+		return e.evalSignOff(expr)
 	default:
 		return fmt.Errorf("engine: unknown expression %T", expr)
 	}
 }
 
+// splitAttr splits an attribute-final path into its element path and
+// the attribute name; ok is false for any other path. The element path
+// shares the step slice, which is never written.
+func splitAttr(p xpath.Path) (elems xpath.Path, attr string, ok bool) {
+	if !p.EndsWithAttribute() {
+		return p, "", false
+	}
+	last := len(p.Steps) - 1
+	return xpath.Path{Steps: p.Steps[:last:last]}, p.Steps[last].Test.Name, true
+}
+
 // evalOutputPath emits the subtrees (or attribute values) selected by a
-// path expression, in document order.
-func (e *Engine) evalOutputPath(pe xqast.PathExpr, env map[string]*buffer.Node) error {
-	base := env[pe.Base]
+// path expression, in document order. Serializing evaluates no path, so
+// the buffer's match scratch stays valid across the loop.
+func (e *Engine) evalOutputPath(pe *xqast.PathExpr) error {
+	base := e.node(pe.Slot)
 	if err := e.ensureClosed(base); err != nil {
 		return err
 	}
-	if pe.Path.EndsWithAttribute() {
-		attr := pe.Path.LastStep().Test.Name
-		for _, n := range e.selectElems(base, pe.Path.WithoutLastStep()) {
-			if v, ok := n.Attr(attr); ok {
+	if elems, attr, ok := splitAttr(pe.Path); ok {
+		for _, m := range e.buf.Matches(base, elems) {
+			if v, ok := m.Node.Attr(attr); ok {
 				e.out.Text(v)
 			}
 		}
 		return nil
 	}
-	for _, n := range buffer.SelectDocOrder(base, pe.Path) {
-		buffer.Serialize(n, e.out)
+	for _, m := range e.buf.Matches(base, pe.Path) {
+		buffer.Serialize(m.Node, e.out)
 	}
 	return nil
-}
-
-// selectElems evaluates an element path; an empty path selects the base
-// itself.
-func (e *Engine) selectElems(base *buffer.Node, path xpath.Path) []*buffer.Node {
-	if path.IsEmpty() {
-		return []*buffer.Node{base}
-	}
-	return buffer.SelectDocOrder(base, path)
 }
 
 // evalFor runs a single-step for-loop: bindings are pulled one at a
 // time; the previous binding is unpinned (and thereby GC-eligible)
 // before the body of the next one runs.
-func (e *Engine) evalFor(f *xqast.ForExpr, env map[string]*buffer.Node) error {
-	if handled, err := e.interceptFor(f, env); handled {
+func (e *Engine) evalFor(f *xqast.ForExpr) error {
+	if handled, err := e.interceptFor(f); handled {
 		return err
 	}
-	base := env[f.In.Base]
+	return e.loop(f, false)
+}
+
+// loop is the cursor loop behind evalFor. With capture set — the join
+// operator's probe loop — each binding's body is evaluated into a
+// capture sink (captureProbeBinding) instead of the live one.
+func (e *Engine) loop(f *xqast.ForExpr, capture bool) error {
+	base := e.node(f.In.Slot)
 	step := f.In.Path.Steps[0]
 
-	next := func(prev *buffer.Node) *buffer.Node {
-		return e.nextBinding(base, prev, step)
-	}
-
-	var cur *buffer.Node
-	if err := e.ensure(func() bool {
-		cur = next(nil)
-		return cur != nil || base.Closed
-	}); err != nil {
+	cur, err := e.pullBinding(base, nil, step)
+	if err != nil {
 		return err
 	}
 	if cur != nil {
@@ -450,22 +465,20 @@ func (e *Engine) evalFor(f *xqast.ForExpr, env map[string]*buffer.Node) error {
 		// blocking join like XMark Q8 can spend seconds here), so ensure's
 		// cancellation check never fires; poll once per binding to keep
 		// the abort latency bounded by one loop body.
-		if err := e.poll(); err != nil {
-			e.buf.Unpin(cur)
-			return err
-		}
-		env[f.Var] = cur
-		err := e.eval(f.Body, env)
-		delete(env, f.Var)
-		if err != nil {
-			e.buf.Unpin(cur)
-			return err
+		err := e.poll()
+		if err == nil {
+			e.env[f.Slot] = buffer.Hold(cur)
+			if capture {
+				err = e.captureProbeBinding(f)
+			} else {
+				err = e.eval(f.Body)
+			}
 		}
 		var nxt *buffer.Node
-		if err := e.ensure(func() bool {
-			nxt = next(cur)
-			return nxt != nil || base.Closed
-		}); err != nil {
+		if err == nil {
+			nxt, err = e.pullBinding(base, cur, step)
+		}
+		if err != nil {
 			e.buf.Unpin(cur)
 			return err
 		}
@@ -475,26 +488,33 @@ func (e *Engine) evalFor(f *xqast.ForExpr, env map[string]*buffer.Node) error {
 		e.buf.Unpin(cur)
 		cur = nxt
 	}
+	e.env[f.Slot] = buffer.Handle{}
 	return nil
+}
+
+// pullBinding blocks until the loop cursor can advance past prev (nil
+// starts the loop) or base's subtree is complete, and returns the next
+// binding, nil when there is none.
+func (e *Engine) pullBinding(base, prev *buffer.Node, step xpath.Step) (*buffer.Node, error) {
+	var nxt *buffer.Node
+	err := e.ensure(func() bool {
+		nxt = e.nextBinding(base, prev, step)
+		return nxt != nil || base.Closed
+	})
+	return nxt, err
 }
 
 // nextBinding advances a loop cursor over the buffered tree.
 func (e *Engine) nextBinding(base, prev *buffer.Node, step xpath.Step) *buffer.Node {
+	if step.FirstOnly && prev != nil {
+		return nil
+	}
 	switch step.Axis {
 	case xpath.Child:
-		if step.FirstOnly && prev != nil {
-			return nil
-		}
 		return buffer.NextMatchingChild(base, prev, step.Test)
 	case xpath.Descendant:
-		if step.FirstOnly && prev != nil {
-			return nil
-		}
 		return buffer.NextMatchingDescendant(base, prev, step.Test, false)
 	case xpath.DescendantOrSelf:
-		if step.FirstOnly && prev != nil {
-			return nil
-		}
 		return buffer.NextMatchingDescendant(base, prev, step.Test, true)
 	default:
 		return nil
@@ -503,7 +523,7 @@ func (e *Engine) nextBinding(base, prev *buffer.Node, step xpath.Step) *buffer.N
 
 // evalAttrs computes the attribute list of a constructor, evaluating
 // value templates against the environment.
-func (e *Engine) evalAttrs(attrs []xqast.AttrTemplate, env map[string]*buffer.Node) ([]event.Attr, error) {
+func (e *Engine) evalAttrs(attrs []xqast.AttrTemplate) ([]event.Attr, error) {
 	if len(attrs) == 0 {
 		return nil, nil
 	}
@@ -513,7 +533,7 @@ func (e *Engine) evalAttrs(attrs []xqast.AttrTemplate, env map[string]*buffer.No
 			out[i] = event.Attr{Name: a.Name, Value: a.Lit}
 			continue
 		}
-		vals, err := e.pathValues(*a.Expr, env)
+		vals, err := e.pathValues(a.Expr)
 		if err != nil {
 			return nil, err
 		}
@@ -523,8 +543,8 @@ func (e *Engine) evalAttrs(attrs []xqast.AttrTemplate, env map[string]*buffer.No
 }
 
 // evalAgg evaluates an aggregation over the selected values.
-func (e *Engine) evalAgg(c *xqast.AggExpr, env map[string]*buffer.Node) error {
-	vals, err := e.pathValues(c.Arg, env)
+func (e *Engine) evalAgg(c *xqast.AggExpr) error {
+	vals, err := e.pathValues(&c.Arg)
 	if err != nil {
 		return err
 	}
@@ -536,8 +556,8 @@ func (e *Engine) evalAgg(c *xqast.AggExpr, env map[string]*buffer.Node) error {
 
 // evalSignOff executes a signOff statement: role removal plus garbage
 // collection, deferred or eager per configuration.
-func (e *Engine) evalSignOff(so *xqast.SignOff, env map[string]*buffer.Node) error {
-	base := env[so.Base]
+func (e *Engine) evalSignOff(so *xqast.SignOff) error {
+	base := e.node(so.Slot)
 	if e.cfg.SignOffMode == Eager {
 		if err := e.ensureClosed(base); err != nil {
 			return err
@@ -551,29 +571,29 @@ func (e *Engine) evalSignOff(so *xqast.SignOff, env map[string]*buffer.Node) err
 
 // --- conditions ----------------------------------------------------------
 
-func (e *Engine) evalCond(c xqast.Cond, env map[string]*buffer.Node) (bool, error) {
+func (e *Engine) evalCond(c xqast.Cond) (bool, error) {
 	switch c := c.(type) {
 	case *xqast.BoolLit:
 		return c.Value, nil
 	case *xqast.NotCond:
-		v, err := e.evalCond(c.C, env)
+		v, err := e.evalCond(c.C)
 		return !v, err
 	case *xqast.AndCond:
-		l, err := e.evalCond(c.L, env)
+		l, err := e.evalCond(c.L)
 		if err != nil || !l {
 			return false, err
 		}
-		return e.evalCond(c.R, env)
+		return e.evalCond(c.R)
 	case *xqast.OrCond:
-		l, err := e.evalCond(c.L, env)
+		l, err := e.evalCond(c.L)
 		if err != nil || l {
 			return l, err
 		}
-		return e.evalCond(c.R, env)
+		return e.evalCond(c.R)
 	case *xqast.ExistsCond:
-		return e.evalExists(c, env)
+		return e.evalExists(c)
 	case *xqast.CompareCond:
-		return e.evalCompare(c, env)
+		return e.evalCompare(c)
 	default:
 		return false, fmt.Errorf("engine: unknown condition %T", c)
 	}
@@ -582,50 +602,50 @@ func (e *Engine) evalCond(c xqast.Cond, env map[string]*buffer.Node) (bool, erro
 // evalExists blocks until a witness appears or the base subtree is
 // complete. The witness is guaranteed buffered by the condition's
 // first-witness projection path (the paper's r4).
-func (e *Engine) evalExists(c *xqast.ExistsCond, env map[string]*buffer.Node) (bool, error) {
-	base := env[c.Arg.Base]
+func (e *Engine) evalExists(c *xqast.ExistsCond) (bool, error) {
+	base := e.node(c.Arg.Slot)
 	if c.Arg.Path.IsEmpty() {
 		return true, nil
 	}
-	if c.Arg.Path.EndsWithAttribute() {
-		attr := c.Arg.Path.LastStep().Test.Name
-		elemPath := c.Arg.Path.WithoutLastStep()
-		has := func() bool {
-			for _, el := range e.selectElems(base, elemPath) {
-				if _, ok := el.Attr(attr); ok {
-					return true
-				}
-			}
-			return false
-		}
-		if err := e.ensure(func() bool { return has() || base.Closed }); err != nil {
-			return false, err
-		}
-		return has(), nil
-	}
-	if err := e.ensure(func() bool {
-		return buffer.Exists(base, c.Arg.Path) || base.Closed
-	}); err != nil {
+	if err := e.ensure(func() bool { return e.witness(base, c.Arg.Path) || base.Closed }); err != nil {
 		return false, err
 	}
-	return buffer.Exists(base, c.Arg.Path), nil
+	return e.witness(base, c.Arg.Path), nil
+}
+
+// witness reports whether path — element path or attribute-final — has
+// a match from base right now.
+func (e *Engine) witness(base *buffer.Node, path xpath.Path) bool {
+	elems, attr, ok := splitAttr(path)
+	if !ok {
+		return buffer.Exists(base, path)
+	}
+	for _, m := range e.buf.Matches(base, elems) {
+		if _, ok := m.Node.Attr(attr); ok {
+			return true
+		}
+	}
+	return false
 }
 
 // evalCompare implements XPath-1.0-style existential general comparison
 // over string values, switching to numeric comparison when a numeric
-// literal is involved or the operator is an ordering.
-func (e *Engine) evalCompare(c *xqast.CompareCond, env map[string]*buffer.Node) (bool, error) {
-	lv, err := e.operandValues(c.L, env)
-	if err != nil {
-		return false, err
+// literal is involved or the operator is an ordering. Both operands'
+// value sequences are built back to back in the one scratch slice; a
+// literal is simply a sequence of one.
+func (e *Engine) evalCompare(c *xqast.CompareCond) (bool, error) {
+	vals, err := e.appendOperand(e.vals[:0], &c.L)
+	nl := len(vals)
+	if err == nil {
+		vals, err = e.appendOperand(vals, &c.R)
 	}
-	rv, err := e.operandValues(c.R, env)
+	e.vals = vals[:0]
 	if err != nil {
 		return false, err
 	}
 	numeric := c.L.Kind == xqast.OperandNumber || c.R.Kind == xqast.OperandNumber ||
 		c.Op == xqast.CmpLt || c.Op == xqast.CmpLe || c.Op == xqast.CmpGt || c.Op == xqast.CmpGe
-	return xqvalue.ExistsPair(cmpOp(c.Op), lv, rv, numeric), nil
+	return xqvalue.ExistsPair(cmpOp(c.Op), vals[:nl], vals[nl:], numeric), nil
 }
 
 // cmpOp maps syntax-level operators to the shared value semantics.
@@ -646,43 +666,48 @@ func cmpOp(op xqast.CmpOp) xqvalue.CmpOp {
 	}
 }
 
-// pathValues evaluates a path expression to its value sequence: present
-// attribute values for attribute-final paths, string values of the
-// selected nodes otherwise. It blocks until the base subtree is fully
-// buffered.
-func (e *Engine) pathValues(pe xqast.PathExpr, env map[string]*buffer.Node) ([]string, error) {
-	base := env[pe.Base]
+// appendPathValues appends a path expression's value sequence to vals:
+// present attribute values for attribute-final paths, string values of
+// the selected nodes otherwise. It blocks until the base subtree is
+// fully buffered.
+func (e *Engine) appendPathValues(vals []string, pe *xqast.PathExpr) ([]string, error) {
+	base := e.node(pe.Slot)
 	if err := e.ensureClosed(base); err != nil {
-		return nil, err
+		return vals, err
 	}
-	if pe.Path.EndsWithAttribute() {
-		attr := pe.Path.LastStep().Test.Name
-		var vals []string
-		for _, el := range e.selectElems(base, pe.Path.WithoutLastStep()) {
-			if v, ok := el.Attr(attr); ok {
+	if elems, attr, ok := splitAttr(pe.Path); ok {
+		for _, m := range e.buf.Matches(base, elems) {
+			if v, ok := m.Node.Attr(attr); ok {
 				vals = append(vals, v)
 			}
 		}
 		return vals, nil
 	}
-	nodes := e.selectElems(base, pe.Path)
-	vals := make([]string, len(nodes))
-	for i, n := range nodes {
-		vals[i] = n.StringValue()
+	for _, m := range e.buf.Matches(base, pe.Path) {
+		vals = append(vals, m.Node.StringValue())
 	}
 	return vals, nil
 }
 
-// operandValues evaluates one comparison operand to its value sequence.
-func (e *Engine) operandValues(o xqast.Operand, env map[string]*buffer.Node) ([]string, error) {
+// pathValues evaluates a path expression's value sequence into the
+// engine's scratch; the result is valid until the next value sequence
+// is built.
+func (e *Engine) pathValues(pe *xqast.PathExpr) ([]string, error) {
+	vals, err := e.appendPathValues(e.vals[:0], pe)
+	e.vals = vals[:0]
+	return vals, err
+}
+
+// appendOperand appends one comparison operand's value sequence.
+func (e *Engine) appendOperand(vals []string, o *xqast.Operand) ([]string, error) {
 	switch o.Kind {
 	case xqast.OperandString:
-		return []string{o.Str}, nil
+		return append(vals, o.Str), nil
 	case xqast.OperandNumber:
-		return []string{xqvalue.FormatNumber(o.Num)}, nil
+		return append(vals, xqvalue.FormatNumber(o.Num)), nil
 	case xqast.OperandPath:
-		return e.pathValues(o.Path, env)
+		return e.appendPathValues(vals, &o.Path)
 	default:
-		return nil, fmt.Errorf("engine: unknown operand kind %d", o.Kind)
+		return vals, fmt.Errorf("engine: unknown operand kind %d", o.Kind)
 	}
 }

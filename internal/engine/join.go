@@ -37,7 +37,7 @@ type joinRun struct {
 
 // interceptFor routes the plan's join loops away from nested
 // evaluation. It reports whether it handled the loop.
-func (e *Engine) interceptFor(f *xqast.ForExpr, env map[string]*buffer.Node) (bool, error) {
+func (e *Engine) interceptFor(f *xqast.ForExpr) (bool, error) {
 	j := e.join
 	if j == nil {
 		return false, nil
@@ -55,74 +55,24 @@ func (e *Engine) interceptFor(f *xqast.ForExpr, env map[string]*buffer.Node) (bo
 		return true, nil
 	case f == j.info.ProbeHead && !j.entered:
 		j.entered = true
-		if err := e.evalFor(f, env); err != nil {
+		if err := e.evalFor(f); err != nil {
 			return true, err
 		}
 		return true, e.finalizeJoin()
 	case f == j.info.ProbeLoop && j.entered && j.cap == nil:
-		return true, e.evalJoinProbe(f, env)
+		return true, e.loop(f, true)
 	}
 	return false, nil
-}
-
-// evalJoinProbe is evalFor's cursor loop with the body captured per
-// binding instead of evaluated against the live sink.
-func (e *Engine) evalJoinProbe(f *xqast.ForExpr, env map[string]*buffer.Node) error {
-	base := env[f.In.Base]
-	step := f.In.Path.Steps[0]
-
-	next := func(prev *buffer.Node) *buffer.Node {
-		return e.nextBinding(base, prev, step)
-	}
-
-	var cur *buffer.Node
-	if err := e.ensure(func() bool {
-		cur = next(nil)
-		return cur != nil || base.Closed
-	}); err != nil {
-		return err
-	}
-	if cur != nil {
-		e.buf.Pin(cur)
-	}
-	for cur != nil {
-		// Same latency contract as evalFor: captures over buffered
-		// bindings pull no tokens, so poll once per binding.
-		if err := e.poll(); err != nil {
-			e.buf.Unpin(cur)
-			return err
-		}
-		env[f.Var] = cur
-		err := e.captureProbeBinding(f, env)
-		delete(env, f.Var)
-		if err != nil {
-			e.buf.Unpin(cur)
-			return err
-		}
-		var nxt *buffer.Node
-		if err := e.ensure(func() bool {
-			nxt = next(cur)
-			return nxt != nil || base.Closed
-		}); err != nil {
-			e.buf.Unpin(cur)
-			return err
-		}
-		if nxt != nil {
-			e.buf.Pin(nxt)
-		}
-		e.buf.Unpin(cur)
-		cur = nxt
-	}
-	return nil
 }
 
 // captureProbeBinding evaluates one probe binding's body into a capture
 // sink and appends the resulting group. The join keys are extracted
 // first: sign-offs inside the body may purge parts of the probe record
-// as they execute.
-func (e *Engine) captureProbeBinding(f *xqast.ForExpr, env map[string]*buffer.Node) error {
+// as they execute. Groups outlive the binding, so the keys get a slice
+// of their own.
+func (e *Engine) captureProbeBinding(f *xqast.ForExpr) error {
 	j := e.join
-	keys, err := e.pathValues(xqast.PathExpr{Base: j.info.ProbeVar, Path: j.info.ProbeKey}, env)
+	keys, err := e.appendPathValues(nil, &xqast.PathExpr{Slot: j.info.ProbeSlot, Path: j.info.ProbeKey})
 	if err != nil {
 		return err
 	}
@@ -130,7 +80,7 @@ func (e *Engine) captureProbeBinding(f *xqast.ForExpr, env map[string]*buffer.No
 	j.cap, j.spliced = cap, false
 	saved := e.out
 	e.out = cap
-	err = e.eval(f.Body, env)
+	err = e.eval(f.Body)
 	e.out = saved
 	j.cap = nil
 	if err != nil {
@@ -167,37 +117,40 @@ func (e *Engine) finalizeJoin() error {
 	}
 	if scan {
 		// The build-side materialization is its own trace phase; the
-		// ensure calls inside pathValues find their subtrees already
+		// ensure calls inside appendPathValues find their subtrees already
 		// buffered, and the span guard keeps them out of PhaseStream.
 		err := e.span(obs.PhaseJoinBuild, func() error {
-			tuples := buffer.SelectDocOrder(e.buf.Root, j.info.BuildPath)
-			benv := map[string]*buffer.Node{xqast.RootVar: e.buf.Root}
-			i := 0
-			next := func(*buffer.Node) *buffer.Node {
-				if i == len(tuples) {
-					return nil
-				}
-				n := tuples[i]
-				i++
-				return n
-			}
-			return join.Tuples(next, e.poll, func(t *buffer.Node) error {
-				benv[j.info.BuildVar] = t
-				keys, err := e.pathValues(xqast.PathExpr{Base: j.info.BuildVar, Path: j.info.BuildKey}, benv)
-				if err != nil {
+			// The tuple list is held across the per-tuple evaluations
+			// below, which reuse the buffer's match scratch — hence a
+			// slice of its own. Nothing is purged while it is held: the
+			// payload expression contains no sign-offs and the deferred
+			// ones were drained when the root closed.
+			tuples := e.buf.SelectDocOrder(e.buf.Root, j.info.BuildPath)
+			buildKey := &xqast.PathExpr{Slot: j.info.BuildSlot, Path: j.info.BuildKey}
+			for _, t := range tuples {
+				// A large build side is processed without pulling input,
+				// so the per-token poll inside ensure never runs here.
+				if err := e.poll(); err != nil {
 					return err
 				}
+				e.env[j.info.BuildSlot] = buffer.Hold(t)
 				cap := join.NewCapture()
 				saved := e.out
 				e.out = cap
-				err = e.eval(j.info.Then, benv)
+				err := e.eval(j.info.Then)
 				e.out = saved
 				if err != nil {
 					return err
 				}
+				// The table keeps the key strings, not the slice.
+				keys, err := e.pathValues(buildKey)
+				if err != nil {
+					return err
+				}
 				table.Add(keys, cap.Take())
-				return nil
-			})
+			}
+			e.env[j.info.BuildSlot] = buffer.Handle{}
+			return nil
 		})
 		if err != nil {
 			return err

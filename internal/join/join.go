@@ -23,7 +23,6 @@ package join
 import (
 	"sort"
 
-	"gcx/internal/buffer"
 	"gcx/internal/event"
 )
 
@@ -159,23 +158,4 @@ func (t *Table) Match(keys []string) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// Tuples drives the build-side scan: next yields build bindings in
-// document order (pass nil to start; nil ends the scan), poll is the
-// engine's cancellation check and fn processes one tuple. The loop
-// polls between tuples because a large build side is processed without
-// pulling input (the per-token poll inside ensure never runs here).
-func Tuples(next func(prev *buffer.Node) *buffer.Node, poll func() error, fn func(*buffer.Node) error) error {
-	cur := next(nil)
-	for cur != nil {
-		if err := poll(); err != nil {
-			return err
-		}
-		if err := fn(cur); err != nil {
-			return err
-		}
-		cur = next(cur)
-	}
-	return nil
 }

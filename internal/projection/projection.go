@@ -25,10 +25,11 @@ type item struct {
 	role  int
 	step  int
 	count int
-	// used is the shared first-witness latch for steps with FirstOnly:
-	// all propagated copies of the item share it, so at most one node
-	// per context is matched.
-	used *bool
+	// latch is the shared first-witness latch for steps with FirstOnly,
+	// as a 1-based index into Preprojector.latches (0: none yet): all
+	// propagated copies of the item share it, so at most one node per
+	// context is matched.
+	latch int32
 }
 
 // frame is the matcher state of one open element.
@@ -38,10 +39,15 @@ type frame struct {
 	// isRoot marks the virtual-root frame, which is matched by node()
 	// tests only (never by name or wildcard tests).
 	isRoot bool
-	// node is the buffered node, or nil while the element is unmatched
-	// (it may later be materialized as a skeleton ancestor).
-	node  *buffer.Node
+	// node is the buffered node, or the zero handle while the element is
+	// unmatched (it may later be materialized as a skeleton ancestor).
+	// The node carries its open pin for as long as the frame is on the
+	// stack; the handle asserts that under go test.
+	node  buffer.Handle
 	items []item
+	// latches is the length of Preprojector.latches when the frame was
+	// opened: the latches beyond it are the frame's own.
+	latches int
 }
 
 // matchesSelf applies a node test to the frame's own node.
@@ -77,6 +83,13 @@ type Preprojector struct {
 	// completing a role costs no allocation.
 	done completion
 
+	// latches holds the first-witness latches of the open frames' items.
+	// A latch is created by the frame whose item first reaches a
+	// FirstOnly step and is shared only with copies of that item in
+	// deeper frames, so the latches form a stack that endElement cuts
+	// back along with the frame stack.
+	latches []bool
+
 	// itemsFree recycles popped frames' items backing arrays for the
 	// next startElement. Descendant-axis items propagate to every child
 	// frame, so without recycling each element start pays one slice
@@ -93,7 +106,7 @@ func New(src event.Source, buf *buffer.Buffer, rolePaths []xpath.Path) *Preproje
 		buf:   buf,
 		steps: make([][]xpath.Step, len(rolePaths)),
 	}
-	root := frame{node: buf.Root, isRoot: true}
+	root := frame{node: buffer.Hold(buf.Root), isRoot: true}
 	var done completion
 	for role, path := range rolePaths {
 		if path.EndsWithAttribute() {
@@ -217,7 +230,7 @@ func (p *Preprojector) startElement(tok event.Token) error {
 		}
 	}
 	parent := &p.stack[len(p.stack)-1]
-	nf := frame{name: tok.Name, attrs: tok.Attrs}
+	nf := frame{name: tok.Name, attrs: tok.Attrs, latches: len(p.latches)}
 	if n := len(p.itemsFree); n > 0 {
 		nf.items = p.itemsFree[n-1]
 		p.itemsFree = p.itemsFree[:n-1]
@@ -230,12 +243,12 @@ func (p *Preprojector) startElement(tok event.Token) error {
 		step := p.steps[it.role][it.step]
 		switch step.Axis {
 		case xpath.Child:
-			if step.FirstOnly && *it.used {
+			if step.FirstOnly && p.latches[it.latch-1] {
 				continue
 			}
 			if step.Test.MatchesElement(tok.Name) {
 				if step.FirstOnly {
-					*it.used = true
+					p.latches[it.latch-1] = true
 				}
 				p.advance(&nf, item{role: it.role, step: it.step + 1, count: it.count}, done)
 			}
@@ -243,14 +256,14 @@ func (p *Preprojector) startElement(tok event.Token) error {
 			// The self part of descendant-or-self was consumed when the
 			// item was created (see advance); for children both axes
 			// search the whole remaining subtree.
-			if step.FirstOnly && *it.used {
+			if step.FirstOnly && p.latches[it.latch-1] {
 				continue
 			}
 			// keep searching deeper
 			nf.items = append(nf.items, *it)
 			if step.Test.MatchesElement(tok.Name) {
 				if step.FirstOnly {
-					*it.used = true
+					p.latches[it.latch-1] = true
 				}
 				p.advance(&nf, item{role: it.role, step: it.step + 1, count: it.count}, done)
 			}
@@ -261,10 +274,11 @@ func (p *Preprojector) startElement(tok event.Token) error {
 	}
 
 	if len(done.roles) > 0 {
-		nf.node = p.materialize(tok.Name, tok.Attrs)
+		n := p.materialize(tok.Name, tok.Attrs)
+		nf.node = buffer.Hold(n)
 		for _, role := range done.roles {
 			for i := 0; i < done.counts[role]; i++ {
-				p.buf.AssignRole(nf.node, role)
+				p.buf.AssignRole(n, role)
 			}
 		}
 	} else if p.dfa != nil && len(nf.items) == 0 {
@@ -272,6 +286,7 @@ func (p *Preprojector) startElement(tok event.Token) error {
 		// ignores first-witness [1] latches), so an element can be
 		// statically alive yet carry no active items and no completed
 		// role — nothing below it can match either. Skip it too.
+		p.latches = p.latches[:nf.latches]
 		return p.src.SkipSubtree()
 	}
 	p.stack = append(p.stack, nf)
@@ -292,8 +307,9 @@ func (p *Preprojector) advance(nf *frame, it item, done *completion) {
 		return
 	}
 	step := steps[it.step]
-	if step.FirstOnly && it.used == nil {
-		it.used = new(bool)
+	if step.FirstOnly && it.latch == 0 {
+		p.latches = append(p.latches, false)
+		it.latch = int32(len(p.latches))
 	}
 	switch step.Axis {
 	case xpath.Self:
@@ -304,12 +320,12 @@ func (p *Preprojector) advance(nf *frame, it item, done *completion) {
 		// self part now …
 		if nf.matchesSelf(step.Test) {
 			if step.FirstOnly {
-				*it.used = true
+				p.latches[it.latch-1] = true
 			}
 			p.advance(nf, item{role: it.role, step: it.step + 1, count: it.count}, done)
 		}
 		// … and the descendant part stays active for the children.
-		if !(step.FirstOnly && *it.used) {
+		if !(step.FirstOnly && p.latches[it.latch-1]) {
 			nf.items = append(nf.items, it)
 		}
 	default:
@@ -320,6 +336,7 @@ func (p *Preprojector) advance(nf *frame, it item, done *completion) {
 func (p *Preprojector) endElement() {
 	top := p.stack[len(p.stack)-1]
 	p.stack = p.stack[:len(p.stack)-1]
+	p.latches = p.latches[:top.latches]
 	if p.dfa != nil {
 		p.dfaStack = p.dfaStack[:len(p.dfaStack)-1]
 	}
@@ -329,8 +346,8 @@ func (p *Preprojector) endElement() {
 		// startElement.
 		p.itemsFree = append(p.itemsFree, top.items[:0])
 	}
-	if top.node != nil {
-		p.buf.CloseNode(top.node)
+	if n := top.node.Node(); n != nil {
+		p.buf.CloseNode(n)
 	}
 }
 
@@ -342,7 +359,7 @@ func (p *Preprojector) text(tok event.Token) {
 		it := &top.items[i]
 		steps := p.steps[it.role]
 		step := steps[it.step]
-		if step.FirstOnly && *it.used {
+		if step.FirstOnly && p.latches[it.latch-1] {
 			continue
 		}
 		switch step.Axis {
@@ -353,7 +370,7 @@ func (p *Preprojector) text(tok event.Token) {
 			// …/text()/descendant-or-self::node()).
 			if step.Test.MatchesText() && textTail(steps, it.step+1) {
 				if step.FirstOnly {
-					*it.used = true
+					p.latches[it.latch-1] = true
 				}
 				done.add(it.role, it.count)
 			}
@@ -401,11 +418,13 @@ func (p *Preprojector) materialize(name string, attrs []event.Attr) *buffer.Node
 func (p *Preprojector) materializeStack() *buffer.Node {
 	// find deepest already-materialized ancestor
 	i := len(p.stack) - 1
-	for p.stack[i].node == nil {
+	for p.stack[i].node.Node() == nil {
 		i--
 	}
+	parent := p.stack[i].node.Node()
 	for j := i + 1; j < len(p.stack); j++ {
-		p.stack[j].node = p.buf.AppendElement(p.stack[j-1].node, p.stack[j].name, p.stack[j].attrs)
+		parent = p.buf.AppendElement(parent, p.stack[j].name, p.stack[j].attrs)
+		p.stack[j].node = buffer.Hold(parent)
 	}
-	return p.stack[len(p.stack)-1].node
+	return parent
 }

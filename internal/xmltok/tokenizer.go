@@ -68,6 +68,14 @@ type Tokenizer struct {
 	skipTag         []byte
 	skipNameBuf     []byte
 	skipNameLen     []int
+
+	// attrChunk is the block attribute lists are carved from: each start
+	// tag's list is a capacity-clipped subslice, so a document's tags
+	// share a few allocations instead of making one each. A token owns
+	// its list for good — a full chunk is left to its holders, never
+	// rewritten — and Release drops the current one, because the values
+	// may borrow from the caller's input.
+	attrChunk []Attr
 }
 
 // tokenizerPool recycles Tokenizers — each carries a 64 KiB cursor
@@ -148,6 +156,7 @@ func (t *Tokenizer) Release() {
 	t.ctxDone = nil
 	t.pending = nil
 	t.peeked = nil
+	t.attrChunk = nil
 	tokenizerPool.Put(t)
 }
 
@@ -342,7 +351,7 @@ func (t *Tokenizer) readStartTag() (Token, bool, error) {
 	if err != nil {
 		return Token{}, false, err
 	}
-	var attrs []Attr
+	first := len(t.attrChunk) // this tag's attributes are attrChunk[first:]
 	for {
 		t.skipSpace()
 		b, err := t.cur.Byte()
@@ -352,7 +361,7 @@ func (t *Tokenizer) readStartTag() (Token, bool, error) {
 		switch b {
 		case '>':
 			t.stack = append(t.stack, name)
-			return Token{Kind: StartElement, Name: name, Attrs: attrs}, false, nil
+			return Token{Kind: StartElement, Name: name, Attrs: t.attrsFrom(first)}, false, nil
 		case '/':
 			b2, err := t.cur.Byte()
 			if err != nil || b2 != '>' {
@@ -360,16 +369,36 @@ func (t *Tokenizer) readStartTag() (Token, bool, error) {
 			}
 			t.stack = append(t.stack, name)
 			t.pending = &Token{Kind: EndElement, Name: name}
-			return Token{Kind: StartElement, Name: name, Attrs: attrs}, false, nil
+			return Token{Kind: StartElement, Name: name, Attrs: t.attrsFrom(first)}, false, nil
 		default:
 			t.cur.Unread()
 			a, err := t.readAttr(name)
 			if err != nil {
 				return Token{}, false, err
 			}
-			attrs = append(attrs, a)
+			if len(t.attrChunk) == cap(t.attrChunk) {
+				// Full: move this tag's list so far to a fresh chunk.
+				held := t.attrChunk[first:]
+				t.attrChunk = append(make([]Attr, 0, max(attrChunkSize, 2*len(held))), held...)
+				first = 0
+			}
+			t.attrChunk = append(t.attrChunk, a)
 		}
 	}
+}
+
+// attrChunkSize is the capacity of one attribute chunk (2 KiB).
+const attrChunkSize = 64
+
+// attrsFrom returns the attribute list attrChunk[first:], clipped so an
+// append by the holder cannot reach the next tag's entries; nil when the
+// tag has no attributes.
+func (t *Tokenizer) attrsFrom(first int) []Attr {
+	n := len(t.attrChunk)
+	if n == first {
+		return nil
+	}
+	return t.attrChunk[first:n:n]
 }
 
 func (t *Tokenizer) readAttr(elem string) (Attr, error) {

@@ -2,6 +2,7 @@ package xmltok
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
@@ -315,5 +316,50 @@ func TestEscapeText(t *testing.T) {
 	}
 	if got := EscapeText("plain"); got != "plain" {
 		t.Fatalf("EscapeText = %q", got)
+	}
+}
+
+// TestAttrListsSurviveTheirChunk: attribute lists are carved from
+// shared chunks, and a token owns its list for good. Lists that fill a
+// chunk, straddle a chunk boundary or outgrow a whole chunk must all
+// read back intact after the rest of the document has been tokenized,
+// and appending to one must not reach its neighbour.
+func TestAttrListsSurviveTheirChunk(t *testing.T) {
+	sizes := []int{1, attrChunkSize - 2, 3, 0, 2*attrChunkSize + 5, 1, attrChunkSize, 2}
+	var doc strings.Builder
+	doc.WriteString("<r>")
+	for e, n := range sizes {
+		fmt.Fprintf(&doc, "<e%d", e)
+		for a := 0; a < n; a++ {
+			fmt.Fprintf(&doc, ` a%d="%d.%d"`, a, e, a)
+		}
+		doc.WriteString("/>")
+	}
+	doc.WriteString("</r>")
+
+	for _, tz := range []*Tokenizer{NewTokenizer(strings.NewReader(doc.String())), NewTokenizerBytes([]byte(doc.String()))} {
+		var starts []Token
+		for _, tok := range drain(t, tz) {
+			if tok.Kind == StartElement && tok.Name != "r" {
+				starts = append(starts, tok)
+			}
+		}
+		if len(starts) != len(sizes) {
+			t.Fatalf("%d start tags, want %d", len(starts), len(sizes))
+		}
+		for e, tok := range starts {
+			if len(tok.Attrs) != sizes[e] || cap(tok.Attrs) != sizes[e] {
+				t.Fatalf("<e%d>: %d attributes (cap %d), want %d, clipped", e, len(tok.Attrs), cap(tok.Attrs), sizes[e])
+			}
+			_ = append(tok.Attrs, Attr{Name: "clobber"})
+		}
+		for e, tok := range starts {
+			for a, attr := range tok.Attrs {
+				if attr.Name != fmt.Sprintf("a%d", a) || attr.Value != fmt.Sprintf("%d.%d", e, a) {
+					t.Fatalf("<e%d> attribute %d reads %s=%q", e, a, attr.Name, attr.Value)
+				}
+			}
+		}
+		tz.Release()
 	}
 }

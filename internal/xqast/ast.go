@@ -52,26 +52,38 @@ type StringLit struct {
 }
 
 // VarRef outputs the full subtree of the node bound to Var ("then $x" in
-// the paper's running example — the source of role r5).
+// the paper's running example — the source of role r5). Slot is Var's
+// variable slot (see ForExpr).
 type VarRef struct {
-	Var string
+	Var  string
+	Slot int
 }
 
 // PathExpr addresses nodes relative to a variable binding: $Base/Path.
 // In output position it serializes each selected node's subtree in
 // document order (or the attribute value, for attribute-final paths).
+// Slot is Base's variable slot (see ForExpr).
 type PathExpr struct {
 	Base string
 	Path xpath.Path
+	Slot int
 }
 
 // ForExpr is a for-loop "for $Var in $In.Base/In.Path return Body".
 // After normalization, In.Path always has exactly one step ("single-step
 // for-loops", paper footnote 1).
+//
+// Slot is the index of Var in the evaluator's flat variable
+// environment. The analysis numbers the loops of the rewritten plan —
+// RootVar is slot 0, each loop gets the next index — and resolves every
+// use of a variable (PathExpr.Slot, VarRef.Slot, SignOff.Slot) to the
+// slot of the loop binding it, so the engine never looks a name up.
+// Slots are zero until then.
 type ForExpr struct {
 	Var  string
 	In   PathExpr
 	Body Expr
+	Slot int
 }
 
 // IfExpr is "if (Cond) then Then else Else".
@@ -93,11 +105,13 @@ type AggExpr struct {
 // SignOff is the compile-time-inserted statement
 // "signOff($Base/Path, rRole)". Executing it removes one instance of
 // Role from every node reached from the binding of Base via Path (per
-// derivation), and triggers garbage collection.
+// derivation), and triggers garbage collection. Slot is Base's variable
+// slot (see ForExpr).
 type SignOff struct {
 	Base string
 	Path xpath.Path
 	Role int
+	Slot int
 }
 
 func (*Empty) isExpr()     {}

@@ -28,12 +28,13 @@ func CloneExpr(e Expr) Expr {
 	case *StringLit:
 		return &StringLit{Value: e.Value}
 	case *VarRef:
-		return &VarRef{Var: e.Var}
+		cp := *e
+		return &cp
 	case *PathExpr:
 		cp := *e
 		return &cp
 	case *ForExpr:
-		return &ForExpr{Var: e.Var, In: e.In, Body: CloneExpr(e.Body)}
+		return &ForExpr{Var: e.Var, In: e.In, Body: CloneExpr(e.Body), Slot: e.Slot}
 	case *IfExpr:
 		return &IfExpr{Cond: CloneCond(e.Cond), Then: CloneExpr(e.Then), Else: CloneExpr(e.Else)}
 	case *AggExpr:
