@@ -53,8 +53,16 @@ func TestRunQueryFile(t *testing.T) {
 	if want := `<r><title>B</title></r>`; string(data) != want {
 		t.Fatalf("output file = %q, want %q", data, want)
 	}
-	if !strings.Contains(stderr, "tokens=") || !strings.Contains(stderr, "shards=") {
-		t.Fatalf("-stats output missing: %s", stderr)
+	// Scripts parse the -stats line by label: the existing labels keep
+	// their names and order; new ones may only follow them.
+	var labels []string
+	for _, kv := range strings.Fields(stderr) {
+		label, _, _ := strings.Cut(kv, "=")
+		labels = append(labels, label)
+	}
+	const want = "tokens peak_nodes peak_bytes final_nodes appended purged output_bytes bytes_skipped tags_skipped shards chunks join_probe join_build join_matches"
+	if got := strings.Join(labels, " "); !strings.HasPrefix(got, want+" ") || !strings.HasSuffix(got, " time") {
+		t.Fatalf("-stats labels = %q, want prefix %q and time last", got, want)
 	}
 }
 
