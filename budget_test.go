@@ -68,6 +68,17 @@ func TestBudgetTripStreaming(t *testing.T) {
 		t.Errorf("partial result carries no watermark: %+v", res)
 	}
 
+	// A recorded, traced run that trips keeps its plot and its trace up
+	// to the breach.
+	res, err = q.Execute(strings.NewReader(input), io.Discard,
+		gcx.Options{MaxBufferedNodes: 4, RecordEvery: 1, EnableTrace: true})
+	if !errors.Is(err, gcx.ErrBufferBudget) || res == nil {
+		t.Fatalf("recorded run: want ErrBufferBudget with a partial Result, got %v, %v", res, err)
+	}
+	if len(res.Series) == 0 || len(res.Trace) == 0 || res.Trace[0].Phase != "compile" {
+		t.Errorf("partial result lost its series (%d points) or trace (%+v)", len(res.Series), res.Trace)
+	}
+
 	// A budget above the static bound never trips.
 	res, err = q.Execute(strings.NewReader(input), io.Discard, gcx.Options{MaxBufferedNodes: 1 << 20})
 	if err != nil {

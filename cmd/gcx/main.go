@@ -137,15 +137,8 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	}
 
 	opts := gcx.Options{EnableAggregation: *agg, RecordEvery: *plotEvery, Shards: *shards, Format: format, MaxBufferedNodes: *maxNodes, DisableJoin: *noJoin, EnableTrace: *showTrace}
-	switch *engineName {
-	case "gcx":
-		opts.Engine = gcx.EngineGCX
-	case "projection", "proj", "nogc":
-		opts.Engine = gcx.EngineProjectionOnly
-	case "dom", "naive":
-		opts.Engine = gcx.EngineDOM
-	default:
-		return fail(stderr, fmt.Errorf("unknown engine %q", *engineName))
+	if opts.Engine, err = gcx.ParseEngine(*engineName); err != nil {
+		return fail(stderr, err)
 	}
 	switch *mode {
 	case "deferred":
@@ -163,43 +156,37 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 
 	var res *gcx.Result
 	if *useMmap {
-		data, unmap, err := mapFile(*inputFile)
-		if err != nil {
-			return fail(stderr, err)
+		data, unmap, merr := mapFile(*inputFile)
+		if merr != nil {
+			return fail(stderr, merr)
 		}
 		res, err = q.ExecuteBytesContext(ctx, data, output, opts)
 		unmap()
-		if err != nil {
-			return fail(stderr, err)
-		}
 	} else {
 		res, err = q.ExecuteContext(ctx, input, output, opts)
-		if err != nil {
-			return fail(stderr, err)
-		}
 	}
-	if toStdout {
+	if err == nil && toStdout {
 		fmt.Fprintln(stdout)
 	}
-	if *plotEvery > 0 {
+	// A run that fails with a record (a node-budget breach) still
+	// reports how far it got: statistics first, then the error.
+	if res != nil {
 		for _, p := range res.Series {
 			fmt.Fprintf(stderr, "%d\t%d\n", p.Token, p.Nodes)
 		}
-	}
-	if *showTrace {
-		fmt.Fprint(stderr, "trace:")
-		for _, p := range res.Trace {
-			fmt.Fprintf(stderr, " %s=%s", p.Phase, p.Duration())
+		if *showTrace {
+			fmt.Fprint(stderr, "trace:")
+			for _, p := range res.Trace {
+				fmt.Fprintf(stderr, " %s=%s", p.Phase, p.Duration())
+			}
+			fmt.Fprintf(stderr, " wall=%s\n", res.Duration)
 		}
-		fmt.Fprintf(stderr, " wall=%s\n", res.Duration)
+		if *showStats {
+			fmt.Fprintln(stderr, res)
+		}
 	}
-	if *showStats {
-		fmt.Fprintf(stderr,
-			"tokens=%d peak_nodes=%d peak_bytes=%d final_nodes=%d appended=%d purged=%d output_bytes=%d bytes_skipped=%d tags_skipped=%d shards=%d chunks=%d join_probe=%d join_build=%d join_matches=%d time=%s\n",
-			res.TokensProcessed, res.PeakBufferedNodes, res.PeakBufferedBytes,
-			res.FinalBufferedNodes, res.TotalAppended, res.TotalPurged,
-			res.OutputBytes, res.BytesSkipped, res.TagsSkipped, res.ShardsUsed, res.Chunks,
-			res.JoinProbeTuples, res.JoinBuildTuples, res.JoinMatches, res.Duration)
+	if err != nil {
+		return fail(stderr, err)
 	}
 	return 0
 }

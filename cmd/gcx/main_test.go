@@ -192,6 +192,13 @@ func TestRunMaxNodes(t *testing.T) {
 	if code != 1 || !strings.Contains(stderr, "budget") {
 		t.Fatalf("tiny budget: exit %d, stderr %q", code, stderr)
 	}
+	// The breach still reports how far the run got — plot, trace and
+	// statistics — before the error line.
+	code, _, stderr = runCmd(t, []string{"-q", query, "-max-nodes", "1", "-stats", "-trace", "-plot", "1"}, testDoc)
+	stats, errLine := strings.Index(stderr, "tokens="), strings.Index(stderr, "gcx: ")
+	if code != 1 || stats < 0 || errLine < stats || !strings.Contains(stderr, "trace: compile=") || !strings.HasPrefix(stderr, "1\t") {
+		t.Fatalf("tiny budget with -stats -trace -plot: exit %d, stderr %q", code, stderr)
+	}
 	code, out, stderr := runCmd(t, []string{"-q", query, "-max-nodes", "100000"}, testDoc)
 	if code != 0 {
 		t.Fatalf("generous budget: exit %d, stderr %q", code, stderr)

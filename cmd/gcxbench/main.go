@@ -91,13 +91,22 @@ func main() {
 		queries = strings.Split(*queriesFlag, ",")
 	}
 	engines := strings.Split(*enginesFlag, ",")
+	engineOf := make([]gcx.Engine, len(engines))
+	for i, name := range engines {
+		engines[i] = strings.TrimSpace(name)
+		e, err := gcx.ParseEngine(engines[i])
+		if err != nil {
+			fatal(err)
+		}
+		engineOf[i] = e
+	}
 	if *reps < 1 {
 		*reps = 1
 	}
 
 	fmt.Printf("%-8s %-7s", "Query", "Size")
 	for _, e := range engines {
-		fmt.Printf(" %22s", strings.TrimSpace(e))
+		fmt.Printf(" %22s", e)
 	}
 	fmt.Println()
 	fmt.Println(strings.Repeat("-", 16+23*len(engines)))
@@ -121,19 +130,8 @@ func main() {
 				fatal(err)
 			}
 			fmt.Printf("%-8s %-7s", qid, sizeparse.Format(size))
-			for _, engName := range engines {
-				engName = strings.TrimSpace(engName)
-				opts := gcx.Options{EnableAggregation: entry.UsesAggregation}
-				switch engName {
-				case "gcx":
-					opts.Engine = gcx.EngineGCX
-				case "projection", "proj", "nogc":
-					opts.Engine = gcx.EngineProjectionOnly
-				case "dom", "naive":
-					opts.Engine = gcx.EngineDOM
-				default:
-					fatal(fmt.Errorf("unknown engine %q", engName))
-				}
+			for i, engName := range engines {
+				opts := gcx.Options{Engine: engineOf[i], EnableAggregation: entry.UsesAggregation}
 				cell, err := measure(len(doc), *reps, func() (*gcx.Result, error) {
 					_, res, err := q.ExecuteString(doc, opts)
 					return res, err
@@ -187,19 +185,8 @@ func main() {
 					fatal(err)
 				}
 				fmt.Printf("%-8s %-7s", qid, sizeparse.Format(size))
-				for _, engName := range engines {
-					engName = strings.TrimSpace(engName)
-					opts := gcx.Options{EnableAggregation: entry.UsesAggregation, Format: gcx.FormatNDJSON}
-					switch engName {
-					case "gcx":
-						opts.Engine = gcx.EngineGCX
-					case "projection", "proj", "nogc":
-						opts.Engine = gcx.EngineProjectionOnly
-					case "dom", "naive":
-						opts.Engine = gcx.EngineDOM
-					default:
-						fatal(fmt.Errorf("unknown engine %q", engName))
-					}
+				for i, engName := range engines {
+					opts := gcx.Options{Engine: engineOf[i], EnableAggregation: entry.UsesAggregation, Format: gcx.FormatNDJSON}
 					cell, err := measure(len(doc), *reps, func() (*gcx.Result, error) {
 						_, res, err := q.ExecuteString(doc, opts)
 						return res, err

@@ -28,7 +28,8 @@
 //
 // POST /query reads the query text from the X-GCX-Query header or the
 // "query" URL parameter, and the input document from the request body.
-// Optional URL parameters: engine=gcx|projection|dom (default gcx),
+// Optional URL parameters: engine=gcx|projection|dom (default gcx; the
+// aliases of gcx.ParseEngine work too),
 // signoff=deferred|eager (default deferred), agg=1 to enable the
 // aggregation extension, shards=N (1..gcx.MaxShards) to run a partitionable query
 // over N parallel engine instances (non-partitionable queries fall back
@@ -43,9 +44,10 @@
 // trace=1 enables per-phase execution timing; the phase breakdown
 // arrives as JSON in the X-Gcx-Trace trailer. Execution statistics
 // arrive as HTTP trailers (X-Gcx-Tokens, X-Gcx-Peak-Nodes,
-// X-Gcx-Peak-Bytes, X-Gcx-Shards); an error after streaming has begun
-// is reported in the X-Gcx-Error trailer, since the status line is
-// already on the wire.
+// X-Gcx-Peak-Bytes, X-Gcx-Bytes-Skipped, X-Gcx-Shards), for every run
+// that produced statistics — including one that tripped its budget; an
+// error after streaming has begun is reported in the X-Gcx-Error
+// trailer, since the status line is already on the wire.
 //
 // -max-inflight bounds concurrently executing queries; above it the
 // server sheds load with 503 + Retry-After instead of queueing without

@@ -31,6 +31,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 	"unsafe"
@@ -41,6 +42,7 @@ import (
 	"gcx/internal/engine"
 	"gcx/internal/obs"
 	"gcx/internal/shard"
+	"gcx/internal/stats"
 )
 
 // ErrBufferBudget is the sentinel returned (wrapped, with the concrete
@@ -66,76 +68,64 @@ const (
 	EngineDOM
 )
 
+// engineNames are the canonical engine names, indexed by Engine.
+var engineNames = [...]string{EngineGCX: "gcx", EngineProjectionOnly: "projection", EngineDOM: "dom"}
+
+func (e Engine) String() string {
+	if e < 0 || int(e) >= len(engineNames) {
+		return fmt.Sprintf("Engine(%d)", int(e))
+	}
+	return engineNames[e]
+}
+
+// ParseEngine resolves a CLI/URL engine name: gcx, projection (aliases
+// proj, nogc) or dom (alias naive). The empty string means EngineGCX.
+func ParseEngine(s string) (Engine, error) {
+	switch s {
+	case "", "gcx":
+		return EngineGCX, nil
+	case "projection", "proj", "nogc":
+		return EngineProjectionOnly, nil
+	case "dom", "naive":
+		return EngineDOM, nil
+	default:
+		return EngineGCX, fmt.Errorf("unknown engine %q (want gcx, projection or dom)", s)
+	}
+}
+
 // Format selects the input syntax — and with it the output syntax: XML
 // input serializes results as XML, JSON/NDJSON input as JSON lines
 // (DESIGN.md §8). The engine itself is format-neutral; the format only
 // picks which front end feeds it events.
-type Format int
+type Format = core.Format
 
 const (
 	// FormatAuto sniffs the stream's first non-whitespace byte: '<'
 	// means XML, anything else JSON. Auto never resolves to NDJSON —
 	// line framing (and with it NDJSON sharding) is an explicit promise
 	// the caller must make via FormatNDJSON.
-	FormatAuto Format = iota
+	FormatAuto = core.FormatAuto
 	// FormatXML is the paper's XML front end.
-	FormatXML
+	FormatXML = core.FormatXML
 	// FormatJSON is a stream of whitespace-separated JSON values: a
 	// single document, or concatenated/pretty-printed values. Object
 	// keys become element names, arrays repeated siblings, so the
 	// query's paths apply unchanged under the virtual /root/record
 	// document shape.
-	FormatJSON
+	FormatJSON = core.FormatJSON
 	// FormatNDJSON is newline-delimited JSON — exactly one record per
 	// line, the boundary record-aligned stream sharding cuts at.
-	FormatNDJSON
+	FormatNDJSON = core.FormatNDJSON
 )
-
-func (f Format) String() string { return f.core().String() }
-
-// core maps the public constant to the internal one.
-func (f Format) core() core.Format {
-	switch f {
-	case FormatXML:
-		return core.FormatXML
-	case FormatJSON:
-		return core.FormatJSON
-	case FormatNDJSON:
-		return core.FormatNDJSON
-	default:
-		return core.FormatAuto
-	}
-}
 
 // ParseFormat resolves a CLI/URL format name: auto, xml, json, ndjson
 // (aliases jsonl, json-lines). The empty string means FormatAuto.
-func ParseFormat(s string) (Format, error) {
-	f, err := core.ParseFormat(s)
-	if err != nil {
-		return FormatAuto, err
-	}
-	return fromCore(f), nil
-}
+func ParseFormat(s string) (Format, error) { return core.ParseFormat(s) }
 
 // DetectPathFormat guesses a format from a file name's extension
 // (.xml, .json, .ndjson, .jsonl), returning FormatAuto when the
 // extension is not telling.
-func DetectPathFormat(path string) Format {
-	return fromCore(core.DetectPathFormat(path))
-}
-
-func fromCore(f core.Format) Format {
-	switch f {
-	case core.FormatXML:
-		return FormatXML
-	case core.FormatJSON:
-		return FormatJSON
-	case core.FormatNDJSON:
-		return FormatNDJSON
-	default:
-		return FormatAuto
-	}
-}
+func DetectPathFormat(path string) Format { return core.DetectPathFormat(path) }
 
 // SignOffMode selects when a signOff on a still-streaming subtree takes
 // effect; see DESIGN.md §3.
@@ -150,12 +140,13 @@ const (
 	SignOffEager
 )
 
-// Options tunes query execution.
 // MaxShards is the upper bound on Options.Shards: each shard is a full
 // engine instance with its own buffer manager, so larger requests are
 // clamped rather than translated into unbounded goroutines.
 const MaxShards = shard.MaxWorkers
 
+// Options tunes one execution of a compiled query. The zero value runs
+// the paper's engine, sequentially, with every optimisation on.
 type Options struct {
 	Engine      Engine
 	SignOffMode SignOffMode
@@ -221,17 +212,9 @@ type Options struct {
 }
 
 // TracePhase is one phase of an execution trace (Options.EnableTrace):
-// a stage name and the cumulative wall time spent in it.
-type TracePhase struct {
-	// Phase is the stage: compile, setup, stream, join_build,
-	// join_probe, split, merge or eval.
-	Phase string `json:"phase"`
-	// Nanos is the cumulative wall time in nanoseconds.
-	Nanos int64 `json:"nanos"`
-}
-
-// Duration returns the phase time as a time.Duration.
-func (p TracePhase) Duration() time.Duration { return time.Duration(p.Nanos) }
+// a stage name — compile, setup, stream, join_build, join_probe, split,
+// merge or eval — and the cumulative wall time spent in it.
+type TracePhase = obs.PhaseTime
 
 // Role describes one projection path derived by static analysis.
 type Role struct {
@@ -246,76 +229,17 @@ type Role struct {
 	Provenance string
 }
 
-// SeriesPoint is one sample of the buffer plot.
-type SeriesPoint struct {
-	// Token is the number of input tokens processed (x-axis of the
-	// paper's plots).
-	Token int64
-	// Nodes is the number of buffered XML nodes (y-axis).
-	Nodes int64
-	// Bytes estimates the buffered size at the sample.
-	Bytes int64
-}
+// SeriesPoint is one sample of the buffer plot: tokens processed (the
+// x-axis of the paper's plots), nodes buffered (the y-axis) and the
+// estimated buffered bytes.
+type SeriesPoint = stats.Point
 
-// Result reports the statistics of one execution.
-type Result struct {
-	// TokensProcessed is the number of input tokens delivered to the
-	// engine. With subtree skipping active (the default, DESIGN.md §7)
-	// tokens inside skipped subtrees are not produced and therefore not
-	// counted — see BytesSkipped/TagsSkipped for what was
-	// fast-forwarded. Runs with DisableSubtreeSkip or RecordEvery set
-	// count every token of the document.
-	TokensProcessed int64
-	// PeakBufferedNodes is the buffer high watermark in nodes.
-	PeakBufferedNodes int64
-	// PeakBufferedBytes estimates the memory high watermark.
-	PeakBufferedBytes int64
-	// FinalBufferedNodes is the buffer population after evaluation.
-	FinalBufferedNodes int64
-	// TotalAppended and TotalPurged count buffer churn over the run.
-	TotalAppended int64
-	TotalPurged   int64
-	// OutputBytes is the size of the serialized result.
-	OutputBytes int64
-	// BytesSkipped is the number of input bytes the engine
-	// fast-forwarded past at byte level without tokenizing, because the
-	// compiled path automaton proved no projection path could observe
-	// them (DESIGN.md §7). Zero when skipping is disabled or the query
-	// observes the whole document.
-	BytesSkipped int64
-	// TagsSkipped counts element tags inside skipped subtrees — a lower
-	// bound on the tokens the run did not have to produce (text runs in
-	// skipped subtrees are not counted).
-	TagsSkipped int64
-	// SubtreesSkipped counts byte-level fast-forwards taken.
-	SubtreesSkipped int64
-	// JoinProbeTuples, JoinBuildTuples and JoinMatches report the
-	// streaming hash join operator's work (DESIGN.md §10): probe-side
-	// bindings captured, build-side tuples materialized into the hash
-	// table, and matched payload emissions. All zero when the query has
-	// no detected join or Options.DisableJoin is set.
-	JoinProbeTuples int64
-	JoinBuildTuples int64
-	JoinMatches     int64
-	// Duration is the wall-clock execution time.
-	Duration time.Duration
-	// Series is the recorded buffer plot (empty unless
-	// Options.RecordEvery was set).
-	Series []SeriesPoint
-	// ShardsUsed is the number of parallel engine instances the run
-	// used: 1 for the sequential path (including fallbacks from
-	// Options.Shards > 1), Options.Shards when sharding was applied.
-	// Under sharding the buffer watermarks are sums of per-worker
-	// peaks, a documented upper bound (DESIGN.md §6).
-	ShardsUsed int
-	// Chunks is the number of input partitions of a sharded run
-	// (0 for sequential runs).
-	Chunks int
-	// Trace is the per-phase wall-time breakdown of the run, starting
-	// with the query's compile time; nil unless Options.EnableTrace was
-	// set.
-	Trace []TracePhase
-}
+// Result reports the statistics of one execution: the buffer watermarks
+// and churn, token and skip counts, the join operator's work, wall time,
+// the optional buffer plot and trace, and how the run was sharded. It is
+// the record the evaluator itself fills in — see the field
+// documentation on stats.Run. Its String form is the `gcx -stats` line.
+type Result = stats.Run
 
 // Query is a compiled query, reusable across executions. A Query is
 // immutable after compilation and safe for concurrent use: any number
@@ -426,7 +350,7 @@ func (q *Query) UsesAggregation() bool { return q.plan.UsesAggregation }
 // to output. It returns an error for Options carrying an unknown Engine
 // or SignOffMode value rather than guessing a discipline.
 func (q *Query) Execute(input io.Reader, output io.Writer, opts Options) (*Result, error) {
-	return q.ExecuteContext(context.Background(), input, output, opts)
+	return q.run(context.Background(), core.Input{Reader: input}, output, opts)
 }
 
 // ExecuteContext evaluates the query over input under a cancellation
@@ -435,33 +359,13 @@ func (q *Query) Execute(input io.Reader, output io.Writer, opts Options) (*Resul
 // token of ctx being cancelled and returns ctx.Err() without writing
 // further output.
 func (q *Query) ExecuteContext(ctx context.Context, input io.Reader, output io.Writer, opts Options) (*Result, error) {
-	execOpts, err := q.execOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	if shards := q.shardCount(opts); shards > 1 {
-		sres, err := shard.Execute(ctx, q.shardInfo, input, output, shard.Config{
-			Workers: shards,
-			Exec:    execOpts,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return q.shardResult(sres, shards, opts), nil
-	}
-	res, err := core.ExecuteContext(ctx, q.plan, input, output, execOpts)
-	if err != nil && res == nil {
-		return nil, err
-	}
-	// A node-budget breach (err wrapping ErrBufferBudget) still carries
-	// the partial statistics; both are returned.
-	return q.result(res, opts), err
+	return q.run(ctx, core.Input{Reader: input}, output, opts)
 }
 
 // ExecuteBytes evaluates the query over an in-memory document. See
 // ExecuteBytesContext.
 func (q *Query) ExecuteBytes(data []byte, output io.Writer, opts Options) (*Result, error) {
-	return q.ExecuteBytesContext(context.Background(), data, output, opts)
+	return q.run(context.Background(), core.Input{Data: data}, output, opts)
 }
 
 // ExecuteBytesContext evaluates the query over an in-memory document
@@ -474,61 +378,65 @@ func (q *Query) ExecuteBytes(data []byte, output io.Writer, opts Options) (*Resu
 // the same zero-copy scan and hand workers subslices where the format
 // allows.
 func (q *Query) ExecuteBytesContext(ctx context.Context, data []byte, output io.Writer, opts Options) (*Result, error) {
-	execOpts, err := q.execOptions(opts)
+	return q.run(ctx, core.Input{Data: data}, output, opts)
+}
+
+// run is the one execution path behind the Execute* methods: it maps
+// the options onto the internal run configuration, routes the input to
+// the sharded or the sequential runner, and prefixes the trace with the
+// query's compile time. A node-budget breach (err wrapping
+// ErrBufferBudget) on the sequential path still carries the partial
+// statistics; both are returned.
+func (q *Query) run(ctx context.Context, in core.Input, output io.Writer, opts Options) (*Result, error) {
+	cfg, err := q.config(opts)
 	if err != nil {
 		return nil, err
 	}
+	in.Format = opts.Format
+	var res *Result
 	if shards := q.shardCount(opts); shards > 1 {
-		sres, err := shard.ExecuteBytes(ctx, q.shardInfo, data, output, shard.Config{
-			Workers: shards,
-			Exec:    execOpts,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return q.shardResult(sres, shards, opts), nil
+		res, err = shard.Run(ctx, q.shardInfo, in, output, shards, cfg)
+	} else {
+		res, err = core.Run(ctx, q.plan, in, output, cfg)
 	}
-	res, err := core.ExecuteBytesContext(ctx, q.plan, data, output, execOpts)
-	if err != nil && res == nil {
-		return nil, err
+	if res != nil && opts.EnableTrace {
+		res.Trace = slices.Insert(res.Trace, 0, TracePhase{Phase: obs.PhaseCompile.String(), Nanos: q.compileNanos})
 	}
-	return q.result(res, opts), err
+	return res, err
 }
 
-// execOptions maps the public Options onto the internal engine options,
+// config maps the public Options onto the internal run configuration,
 // rejecting unknown enum values.
-func (q *Query) execOptions(opts Options) (core.ExecOptions, error) {
-	execOpts := core.ExecOptions{
+func (q *Query) config(opts Options) (engine.Config, error) {
+	cfg := engine.Config{
+		Oracle:            opts.Engine == EngineDOM,
+		DisableGC:         opts.Engine == EngineProjectionOnly,
 		EnableAggregation: opts.EnableAggregation,
 		DisableSkip:       opts.DisableSubtreeSkip,
-		RecordEvery:       opts.RecordEvery,
-		Format:            opts.Format.core(),
 		MaxBufferedNodes:  opts.MaxBufferedNodes,
 		DisableJoin:       opts.DisableJoin,
-		Trace:             opts.EnableTrace,
 	}
-	switch opts.Engine {
-	case EngineGCX:
-		execOpts.Engine = core.GCX
-	case EngineProjectionOnly:
-		execOpts.Engine = core.ProjectionOnly
-	case EngineDOM:
-		execOpts.Engine = core.DOM
-	default:
-		return execOpts, fmt.Errorf("gcx: unknown engine %d (want EngineGCX, EngineProjectionOnly or EngineDOM)", opts.Engine)
+	if opts.Engine < EngineGCX || opts.Engine > EngineDOM {
+		return cfg, fmt.Errorf("gcx: unknown engine %d (want EngineGCX, EngineProjectionOnly or EngineDOM)", opts.Engine)
 	}
 	switch opts.SignOffMode {
 	case SignOffDeferred:
 		// engine.Deferred is the zero value.
 	case SignOffEager:
-		execOpts.SignOffMode = engine.Eager
+		cfg.SignOffMode = engine.Eager
 	default:
-		return execOpts, fmt.Errorf("gcx: unknown sign-off mode %d (want SignOffDeferred or SignOffEager)", opts.SignOffMode)
+		return cfg, fmt.Errorf("gcx: unknown sign-off mode %d (want SignOffDeferred or SignOffEager)", opts.SignOffMode)
 	}
 	if opts.Shards < 0 {
-		return execOpts, fmt.Errorf("gcx: negative shard count %d", opts.Shards)
+		return cfg, fmt.Errorf("gcx: negative shard count %d", opts.Shards)
 	}
-	return execOpts, nil
+	if opts.RecordEvery > 0 {
+		cfg.Recorder = stats.NewRecorder(opts.RecordEvery)
+	}
+	if opts.EnableTrace {
+		cfg.Timer = new(obs.Timer)
+	}
+	return cfg, nil
 }
 
 // shardCount resolves how many workers a run should use: 0 for the
@@ -536,77 +444,9 @@ func (q *Query) execOptions(opts Options) (core.ExecOptions, error) {
 // runs or Shards ≤ 1), the clamped worker count otherwise.
 func (q *Query) shardCount(opts Options) int {
 	if opts.Shards > 1 && q.shardInfo != nil && opts.RecordEvery == 0 && formatShardable(opts.Format, q.shardInfo) {
-		if opts.Shards > MaxShards {
-			return MaxShards
-		}
-		return opts.Shards
+		return min(opts.Shards, MaxShards)
 	}
 	return 0
-}
-
-// result converts a sequential run's internal result to the public one.
-func (q *Query) result(res *core.ExecResult, opts Options) *Result {
-	out := &Result{
-		TokensProcessed:    res.TokensProcessed,
-		PeakBufferedNodes:  res.PeakBufferedNodes,
-		PeakBufferedBytes:  res.PeakBufferedBytes,
-		FinalBufferedNodes: res.FinalBufferedNodes,
-		TotalAppended:      res.TotalAppended,
-		TotalPurged:        res.TotalPurged,
-		OutputBytes:        res.OutputBytes,
-		BytesSkipped:       res.BytesSkipped,
-		TagsSkipped:        res.TagsSkipped,
-		SubtreesSkipped:    res.SubtreesSkipped,
-		JoinProbeTuples:    res.JoinProbeTuples,
-		JoinBuildTuples:    res.JoinBuildTuples,
-		JoinMatches:        res.JoinMatches,
-		Duration:           res.Duration,
-		ShardsUsed:         1,
-		Trace:              q.trace(opts, res.Phases),
-	}
-	for _, p := range res.Series {
-		out.Series = append(out.Series, SeriesPoint{Token: p.Token, Nodes: p.Nodes, Bytes: p.Bytes})
-	}
-	return out
-}
-
-// shardResult converts a sharded run's internal result to the public
-// one.
-func (q *Query) shardResult(sres *shard.Result, shards int, opts Options) *Result {
-	return &Result{
-		TokensProcessed:    sres.TokensProcessed,
-		PeakBufferedNodes:  sres.PeakBufferedNodes,
-		PeakBufferedBytes:  sres.PeakBufferedBytes,
-		FinalBufferedNodes: sres.FinalBufferedNodes,
-		TotalAppended:      sres.TotalAppended,
-		TotalPurged:        sres.TotalPurged,
-		OutputBytes:        sres.OutputBytes,
-		BytesSkipped:       sres.BytesSkipped,
-		TagsSkipped:        sres.TagsSkipped,
-		SubtreesSkipped:    sres.SubtreesSkipped,
-		JoinProbeTuples:    sres.JoinProbeTuples,
-		JoinBuildTuples:    sres.JoinBuildTuples,
-		JoinMatches:        sres.JoinMatches,
-		Duration:           sres.Duration,
-		ShardsUsed:         shards,
-		Chunks:             sres.Chunks,
-		Trace:              q.trace(opts, sres.Phases),
-	}
-}
-
-// trace converts a run's internal phase times into the public Result
-// form, prefixed with the query's compile time; nil unless tracing was
-// requested.
-func (q *Query) trace(opts Options, phases []obs.PhaseTime) []TracePhase {
-	if !opts.EnableTrace {
-		return nil
-	}
-	out := make([]TracePhase, 0, len(phases)+1)
-	out = append(out, TracePhase{Phase: obs.PhaseCompile.String(), Nanos: q.compileNanos})
-	for _, p := range phases {
-		out = append(out, TracePhase{Phase: p.Phase, Nanos: p.Nanos})
-	}
-	return out
 }
 
 // formatShardable reports whether sharded execution is available for

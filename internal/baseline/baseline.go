@@ -1,16 +1,14 @@
-// Package baseline implements the reference engines of the paper's
-// Figure 5 comparison, one per buffering discipline:
+// Package baseline implements the DOM reference engine of the paper's
+// Figure 5 comparison: buffer the complete input, then evaluate — the
+// non-streaming class (Galax, Saxon, QizX, MonetDB-with-reload). The
+// figure's other reference, static projection without dynamic buffer
+// minimization (Marian&Siméon projection, FluXQuery without schema
+// knowledge), is the GCX engine itself with engine.Config.DisableGC.
 //
-//   - DOM engine (this file): buffer the complete input, then evaluate —
-//     the non-streaming class (Galax, Saxon, QizX, MonetDB-with-reload).
-//   - Projection-only engine: the GCX engine with garbage collection
-//     disabled — static projection without dynamic buffer minimization
-//     (the static-analysis-only class: Marian&Siméon projection,
-//     FluXQuery without schema knowledge).
-//
-// Both evaluate the same normalized query with the same value semantics
-// as the GCX engine, so outputs are byte-identical — which the
-// differential property tests rely on.
+// The DOM engine evaluates the same normalized query with the same value
+// semantics as the GCX engine, so outputs are byte-identical — which
+// makes it the oracle of the differential property tests. It shares no
+// evaluation code with the streaming engine, on purpose.
 package baseline
 
 import (
@@ -22,6 +20,7 @@ import (
 	"gcx/internal/dom"
 	"gcx/internal/engine"
 	"gcx/internal/event"
+	"gcx/internal/stats"
 	"gcx/internal/xmltok"
 	"gcx/internal/xpath"
 	"gcx/internal/xqast"
@@ -31,27 +30,27 @@ import (
 // RunDOM evaluates the plan's normalized query over a fully buffered
 // XML document (convenience wrapper over RunDOMSource for tests and
 // callers with plain readers).
-func RunDOM(plan *analysis.Plan, input io.Reader, output io.Writer, enableAggregation bool) (*engine.Result, error) {
+func RunDOM(plan *analysis.Plan, input io.Reader, output io.Writer, enableAggregation bool) (*stats.Run, error) {
 	src := xmltok.NewTokenizer(input)
 	sink := xmltok.NewSerializer(output)
 	defer src.Release()
 	defer sink.Release()
-	return RunDOMSource(context.Background(), plan, src, sink, enableAggregation, 0)
+	return RunDOMSource(context.Background(), plan, src, sink, engine.Config{EnableAggregation: enableAggregation})
 }
 
 // RunDOMSource evaluates the plan's normalized query over a fully
 // buffered document read from an arbitrary event source, under a
 // cancellation context: parsing aborts at token-pull boundaries,
-// evaluation between loop iterations. maxNodes, when positive, is the
-// node budget of the parse (the DOM engine's buffer population is the
-// whole document); a breach aborts with an error wrapping
-// buffer.ErrBudget. The caller owns src and sink and releases them
-// after the call.
-func RunDOMSource(ctx context.Context, plan *analysis.Plan, src event.Source, out event.Sink, enableAggregation bool, maxNodes int64) (*engine.Result, error) {
-	if plan.UsesAggregation && !enableAggregation {
+// evaluation between loop iterations. Of cfg it reads EnableAggregation
+// and MaxBufferedNodes: the latter, when positive, is the node budget of
+// the parse (the DOM engine's buffer population is the whole document);
+// a breach aborts with an error wrapping buffer.ErrBudget. The caller
+// owns src and sink and releases them after the call.
+func RunDOMSource(ctx context.Context, plan *analysis.Plan, src event.Source, out event.Sink, cfg engine.Config) (*stats.Run, error) {
+	if plan.UsesAggregation && !cfg.EnableAggregation {
 		return nil, fmt.Errorf("baseline: query uses the aggregation extension; enable it explicitly")
 	}
-	doc, err := dom.ParseSourceBudget(ctx, src, maxNodes)
+	doc, err := dom.ParseSourceBudget(ctx, src, cfg.MaxBufferedNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +62,7 @@ func RunDOMSource(ctx context.Context, plan *analysis.Plan, src event.Source, ou
 	if err := out.Flush(); err != nil {
 		return nil, err
 	}
-	res := &engine.Result{
+	res := &stats.Run{
 		TokensProcessed: doc.Tokens,
 		// full buffering: the whole document is the watermark and stays
 		PeakBufferedNodes:  doc.Nodes,
@@ -73,20 +72,6 @@ func RunDOMSource(ctx context.Context, plan *analysis.Plan, src event.Source, ou
 		OutputBytes:        out.BytesWritten(),
 	}
 	return res, nil
-}
-
-// RunProjectionOnly evaluates with static projection but no dynamic
-// buffer minimization (sign-offs become no-ops for memory purposes).
-func RunProjectionOnly(plan *analysis.Plan, input io.Reader, output io.Writer, enableAggregation bool) (*engine.Result, error) {
-	src := xmltok.NewTokenizer(input)
-	sink := xmltok.NewSerializer(output)
-	e := engine.New(plan, src, sink, engine.Config{
-		DisableGC:         true,
-		EnableAggregation: enableAggregation,
-	})
-	res, err := e.Run()
-	e.Release()
-	return res, err
 }
 
 // domEval is the recursive DOM evaluator; it mirrors the GCX engine's

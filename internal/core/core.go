@@ -1,64 +1,22 @@
-// Package core wires the compile pipeline (parse → normalize → analyze
-// → rewrite) and the engine dispatch behind the public gcx package. It
-// is the seam between the paper's static analysis (internal/analysis)
-// and the three runtime disciplines compared in the paper's Figure 5.
+// Package core is the seam between the public gcx package and the
+// runtime: it wires the compile pipeline (parse → normalize → analyze →
+// rewrite), selects the front end for an input's format (format.go) and
+// runs one compiled plan over one input — on the streaming engine or,
+// for the paper's full-buffering comparison, on the DOM oracle.
 package core
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
 	"gcx/internal/analysis"
 	"gcx/internal/baseline"
 	"gcx/internal/engine"
-	"gcx/internal/event"
 	"gcx/internal/obs"
 	"gcx/internal/stats"
 	"gcx/internal/xqparse"
 )
-
-// EngineKind selects the buffering discipline.
-type EngineKind uint8
-
-const (
-	// GCX is the paper's engine: static projection + dynamic buffer
-	// minimization via active garbage collection.
-	GCX EngineKind = iota
-	// ProjectionOnly is the static-analysis-only baseline (projection,
-	// no purging).
-	ProjectionOnly
-	// DOM is the full-buffering baseline.
-	DOM
-)
-
-func (k EngineKind) String() string {
-	switch k {
-	case GCX:
-		return "gcx"
-	case ProjectionOnly:
-		return "projection"
-	case DOM:
-		return "dom"
-	default:
-		return fmt.Sprintf("EngineKind(%d)", uint8(k))
-	}
-}
-
-// ParseEngineKind resolves a CLI name.
-func ParseEngineKind(s string) (EngineKind, error) {
-	switch s {
-	case "gcx":
-		return GCX, nil
-	case "projection", "proj", "nogc":
-		return ProjectionOnly, nil
-	case "dom", "naive":
-		return DOM, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want gcx, projection or dom)", s)
-	}
-}
 
 // Compile parses and analyzes a query with the paper's default
 // analysis.
@@ -81,185 +39,63 @@ func CompileWithOptions(src string, opts analysis.Options) (*analysis.Plan, erro
 	return plan, nil
 }
 
-// ExecOptions tunes a run.
-type ExecOptions struct {
-	Engine            EngineKind
-	SignOffMode       engine.SignOffMode
-	EnableAggregation bool
-	// Format selects the input (and with it the output) syntax;
-	// FormatAuto sniffs the stream's first non-whitespace byte.
-	Format Format
-	// DisableSkip turns off projection-guided byte-level subtree
-	// skipping (DESIGN.md §7); used by A/B measurements and parity
-	// tests. Recording runs disable skipping regardless.
-	DisableSkip bool
-	// RecordEvery samples the buffer plot every N tokens (0 disables).
-	// Recording is only meaningful for the streaming engines.
-	RecordEvery int64
-	// MaxBufferedNodes, when positive, is the run's node budget
-	// (DESIGN.md §9): the streaming engines abort within one token of
-	// the buffer population crossing it, the DOM baseline during the
-	// parse, both with an error wrapping buffer.ErrBudget. The
-	// streaming engines additionally return their partial statistics
-	// alongside the error. Zero means unlimited.
-	MaxBufferedNodes int64
-	// DisableJoin evaluates detected join plans (DESIGN.md §10) with
-	// nested loops instead of the streaming hash join; for ablation and
-	// differential testing. Output is identical either way.
-	DisableJoin bool
-	// Trace records per-phase wall time (DESIGN.md §11): setup (format
-	// resolution, source/sink construction), the engine's stream/join
-	// phases, and eval as the remainder — so a sequential run's phases
-	// sum to Duration exactly. Off by default; the stamps cost two
-	// monotonic reads per evaluator pull when on.
-	Trace bool
-}
-
-// ExecResult combines the engine statistics with timing and the
-// recorded series.
-type ExecResult struct {
-	engine.Result
-	Duration time.Duration
-	Series   []stats.Point
-	// Phases is the per-phase wall-time trace (nil unless
-	// ExecOptions.Trace was set).
-	Phases []obs.PhaseTime
-}
-
-// Execute runs a compiled plan over input, writing the result to
-// output.
-func Execute(plan *analysis.Plan, input io.Reader, output io.Writer, opts ExecOptions) (*ExecResult, error) {
-	return ExecuteContext(context.Background(), plan, input, output, opts)
-}
-
-// ExecuteContext runs a compiled plan over input under a cancellation
-// context, writing the result to output. The streaming engines observe
-// ctx at every token-pull boundary; the DOM baseline during parsing and
-// between loop iterations. On cancellation ctx.Err() is returned and no
-// further output is written.
+// Run evaluates a compiled plan over in, writing the serialized result
+// to output. It is the one sequential run path: gcx.Query calls it for
+// unsharded runs and internal/shard once per chunk.
 //
-// A Plan is immutable after compilation, so any number of
-// ExecuteContext calls may share one plan across goroutines; all
-// per-run state lives in the engine instance created here.
-func ExecuteContext(ctx context.Context, plan *analysis.Plan, input io.Reader, output io.Writer, opts ExecOptions) (*ExecResult, error) {
+// The streaming engine observes ctx at every token-pull boundary, the
+// DOM oracle during parsing and between loop iterations; on cancellation
+// ctx.Err() is returned and no further output is written. A node-budget
+// breach returns the partial statistics alongside the error wrapping
+// buffer.ErrBudget; every other error returns a nil record.
+//
+// The returned record is the evaluator's own, completed here with
+// Duration, ShardsUsed and — when cfg.Timer is set — the trace: setup
+// (format resolution, source/sink construction), the engine's
+// stream/join phases, and eval as the wall-time remainder, so the
+// phases sum to Duration exactly.
+//
+// A Plan is immutable after compilation, so any number of Run calls may
+// share one plan across goroutines; all per-run state lives in the
+// engine instance created here.
+func Run(ctx context.Context, plan *analysis.Plan, in Input, output io.Writer, cfg engine.Config) (*stats.Run, error) {
 	start := time.Now()
-	var timer *obs.Timer
-	if opts.Trace {
-		timer = new(obs.Timer)
-	}
-	format, input, err := ResolveFormat(opts.Format, input)
+	in = in.resolved()
+	src, err := newSource(in)
 	if err != nil {
 		return nil, err
 	}
-	src, err := NewSource(format, input)
-	if err != nil {
-		return nil, err
-	}
-	sink, err := NewSink(format, output)
+	sink, err := NewSink(in.Format, output)
 	if err != nil {
 		src.Release()
 		return nil, err
 	}
-	if timer != nil {
-		timer.Add(obs.PhaseSetup, time.Since(start))
+	if cfg.Timer != nil {
+		cfg.Timer.Add(obs.PhaseSetup, time.Since(start))
 	}
-	return run(ctx, plan, src, sink, opts, start, timer)
-}
-
-// ExecuteBytes runs a compiled plan over an in-memory document, writing
-// the result to output. See ExecuteBytesContext.
-func ExecuteBytes(plan *analysis.Plan, data []byte, output io.Writer, opts ExecOptions) (*ExecResult, error) {
-	return ExecuteBytesContext(context.Background(), plan, data, output, opts)
-}
-
-// ExecuteBytesContext runs a compiled plan over an in-memory document
-// under a cancellation context. This is the zero-copy fast path
-// (DESIGN.md §12): the tokenizer scans data in place through the block
-// cursor — no staging buffer, no per-window copying — and text tokens
-// borrow subslices of data instead of allocating. The caller must not
-// mutate data until the call returns and all result processing is done.
-func ExecuteBytesContext(ctx context.Context, plan *analysis.Plan, data []byte, output io.Writer, opts ExecOptions) (*ExecResult, error) {
-	start := time.Now()
-	var timer *obs.Timer
-	if opts.Trace {
-		timer = new(obs.Timer)
-	}
-	format := ResolveFormatBytes(opts.Format, data)
-	src, err := NewSourceBytes(format, data)
-	if err != nil {
-		return nil, err
-	}
-	sink, err := NewSink(format, output)
-	if err != nil {
+	var res *stats.Run
+	if cfg.Oracle {
+		res, err = baseline.RunDOMSource(ctx, plan, src, sink, cfg)
 		src.Release()
-		return nil, err
-	}
-	if timer != nil {
-		timer.Add(obs.PhaseSetup, time.Since(start))
-	}
-	return run(ctx, plan, src, sink, opts, start, timer)
-}
-
-// run is the engine dispatch shared by the reader and []byte entry
-// points: both resolve their format and build source/sink, then the
-// execution below is identical.
-func run(ctx context.Context, plan *analysis.Plan, src event.Source, sink event.Sink, opts ExecOptions, start time.Time, timer *obs.Timer) (*ExecResult, error) {
-	// finish completes the trace: eval is the wall-time remainder after
-	// every stamped phase, so the phases sum to Duration exactly.
-	finish := func(res *engine.Result) *ExecResult {
-		out := &ExecResult{Result: *res, Duration: time.Since(start)}
-		if timer != nil {
-			if rest := int64(out.Duration) - timer.Sum(); rest > 0 {
-				timer.AddNanos(obs.PhaseEval, rest)
-			}
-			out.Phases = timer.Phases()
-		}
-		return out
-	}
-	var res *engine.Result
-	var rec *stats.Recorder
-	var err error
-	switch opts.Engine {
-	case GCX, ProjectionOnly:
-		cfg := engine.Config{
-			SignOffMode:       opts.SignOffMode,
-			DisableGC:         opts.Engine == ProjectionOnly,
-			EnableAggregation: opts.EnableAggregation,
-			DisableSkip:       opts.DisableSkip,
-			MaxBufferedNodes:  opts.MaxBufferedNodes,
-			DisableJoin:       opts.DisableJoin,
-			Timer:             timer,
-		}
-		if opts.RecordEvery > 0 {
-			rec = stats.NewRecorder(opts.RecordEvery)
-			cfg.Recorder = rec
-		}
+		sink.Release()
+	} else {
 		eng := engine.New(plan, src, sink, cfg)
 		res, err = eng.RunContext(ctx)
-		// The result only carries counters, so the engine's pooled
+		// The record only carries counters, so the engine's pooled
 		// buffers (source, sink, node slabs) go back to their pools
 		// right away.
 		eng.Release()
-	case DOM:
-		res, err = baseline.RunDOMSource(ctx, plan, src, sink, opts.EnableAggregation, opts.MaxBufferedNodes)
-		src.Release()
-		sink.Release()
-	default:
-		src.Release()
-		sink.Release()
-		return nil, fmt.Errorf("core: unknown engine kind %d", opts.Engine)
 	}
-	if err != nil {
-		// Budget breaches carry the partial statistics (how far the run
-		// got before degrading); other errors return nil as before.
-		if res != nil {
-			return finish(res), err
-		}
+	if res == nil {
 		return nil, err
 	}
-	out := finish(res)
-	if rec != nil {
-		out.Series = rec.Points
+	res.Duration = time.Since(start)
+	res.ShardsUsed = 1
+	if t := cfg.Timer; t != nil {
+		if rest := int64(res.Duration) - t.Sum(); rest > 0 {
+			t.AddNanos(obs.PhaseEval, rest)
+		}
+		res.Trace = t.Phases()
 	}
-	return out, nil
+	return res, err
 }

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"gcx/internal/engine"
+	"gcx/internal/stats"
 )
 
 const doc = `<bib><book><title>A</title></book><book><title>B</title></book></bib>`
@@ -30,37 +34,41 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-func TestExecuteAllEngines(t *testing.T) {
+func TestRunAllEngines(t *testing.T) {
 	plan, err := Compile(query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := `<out><title>A</title><title>B</title></out>`
-	for _, kind := range []EngineKind{GCX, ProjectionOnly, DOM} {
-		var out strings.Builder
-		res, err := Execute(plan, strings.NewReader(doc), &out, ExecOptions{Engine: kind})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if out.String() != want {
-			t.Fatalf("%s output = %q", kind, out.String())
-		}
-		if res.Duration <= 0 {
-			t.Fatalf("%s duration not measured", kind)
-		}
-		if res.PeakBufferedNodes <= 0 {
-			t.Fatalf("%s peak missing", kind)
+	for name, cfg := range map[string]engine.Config{
+		"gcx": {}, "projection": {DisableGC: true}, "dom": {Oracle: true},
+	} {
+		for _, in := range []Input{{Reader: strings.NewReader(doc)}, {Data: []byte(doc)}} {
+			var out strings.Builder
+			res, err := Run(context.Background(), plan, in, &out, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if out.String() != want {
+				t.Fatalf("%s output = %q", name, out.String())
+			}
+			if res.Duration <= 0 {
+				t.Fatalf("%s duration not measured", name)
+			}
+			if res.PeakBufferedNodes <= 0 || res.ShardsUsed != 1 {
+				t.Fatalf("%s: peak %d, shards used %d", name, res.PeakBufferedNodes, res.ShardsUsed)
+			}
 		}
 	}
 }
 
-func TestExecuteRecordsSeries(t *testing.T) {
+func TestRunRecordsSeries(t *testing.T) {
 	plan, err := Compile(query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	res, err := Execute(plan, strings.NewReader(doc), &out, ExecOptions{RecordEvery: 1})
+	res, err := Run(context.Background(), plan, Input{Data: []byte(doc)}, &out, engine.Config{Recorder: stats.NewRecorder(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +76,7 @@ func TestExecuteRecordsSeries(t *testing.T) {
 		t.Fatal("series not recorded")
 	}
 	// recording is a streaming-engine feature; DOM ignores it
-	res, err = Execute(plan, strings.NewReader(doc), &out, ExecOptions{Engine: DOM, RecordEvery: 1})
+	res, err = Run(context.Background(), plan, Input{Data: []byte(doc)}, &out, engine.Config{Oracle: true, Recorder: stats.NewRecorder(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,26 +85,21 @@ func TestExecuteRecordsSeries(t *testing.T) {
 	}
 }
 
-func TestParseEngineKind(t *testing.T) {
-	cases := map[string]EngineKind{
-		"gcx": GCX, "projection": ProjectionOnly, "proj": ProjectionOnly,
-		"nogc": ProjectionOnly, "dom": DOM, "naive": DOM,
+// TestRunSniffsAuto: FormatAuto resolves from the first non-whitespace
+// byte on both input shapes, without consuming it.
+func TestRunSniffsAuto(t *testing.T) {
+	plan, err := Compile(`for $r in /root/record return $r/a`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for s, want := range cases {
-		got, err := ParseEngineKind(s)
-		if err != nil || got != want {
-			t.Errorf("ParseEngineKind(%q) = %v, %v", s, got, err)
+	const ndjson = " \n{\"a\":1}\n"
+	for _, in := range []Input{{Reader: strings.NewReader(ndjson)}, {Data: []byte(ndjson)}} {
+		var out strings.Builder
+		if _, err := Run(context.Background(), plan, in, &out, engine.Config{}); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := ParseEngineKind("bogus"); err == nil {
-		t.Fatal("bogus engine accepted")
-	}
-}
-
-func TestEngineKindString(t *testing.T) {
-	for kind, want := range map[EngineKind]string{GCX: "gcx", ProjectionOnly: "projection", DOM: "dom"} {
-		if kind.String() != want {
-			t.Errorf("%d.String() = %q", kind, kind.String())
+		if got, want := strings.TrimSpace(out.String()), `{"a":["1"]}`; got != want {
+			t.Fatalf("output = %q, want %q (the JSON front end)", got, want)
 		}
 	}
 }

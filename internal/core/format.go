@@ -82,86 +82,91 @@ func DetectPathFormat(path string) Format {
 	}
 }
 
-// ResolveFormat materializes FormatAuto by sniffing the stream's first
-// non-whitespace byte ('<' → XML, otherwise JSON). It returns the
-// resolved format together with a reader that still delivers the full
-// stream (the sniffed bytes are not consumed). Explicit formats pass
-// through untouched.
-func ResolveFormat(f Format, r io.Reader) (Format, io.Reader, error) {
-	if f != FormatAuto {
-		return f, r, nil
+// Input is the document a run reads: a syntax plus exactly one of an
+// in-memory slice and a stream. A non-nil Reader means streamed input;
+// otherwise Data is the whole document, scanned in place on the
+// zero-copy path (DESIGN.md §12) — windows and text tokens alias it, so
+// the caller must not mutate it until the run is over.
+type Input struct {
+	Format Format
+	Data   []byte
+	Reader io.Reader
+}
+
+// resolved materializes FormatAuto by sniffing the input's first
+// non-whitespace byte: '<' means XML, anything else JSON. A stream is
+// re-wrapped so the sniffed bytes are not consumed. Explicit formats
+// pass through untouched. Empty or whitespace-only input resolves to
+// XML, the historical default; either front end reports its own syntax
+// error on it.
+func (in Input) resolved() Input {
+	if in.Format != FormatAuto {
+		return in
 	}
-	br, ok := r.(*bufio.Reader)
+	in.Format = FormatXML
+	if in.Reader == nil {
+		for _, c := range in.Data {
+			if f, ok := sniff(c); ok {
+				in.Format = f
+				break
+			}
+		}
+		return in
+	}
+	br, ok := in.Reader.(*bufio.Reader)
 	if !ok {
-		br = bufio.NewReaderSize(r, 4096)
+		br = bufio.NewReaderSize(in.Reader, 4096)
 	}
-	for skip := 0; ; skip++ {
-		b, err := br.Peek(skip + 1)
+	in.Reader = br
+	for n := 1; ; n++ {
+		b, err := br.Peek(n)
 		if err != nil {
-			// Empty or whitespace-only input: either front end reports
-			// its own (syntax) error; default to XML, the historical one.
-			return FormatXML, br, nil
+			return in
 		}
-		switch b[skip] {
-		case ' ', '\t', '\r', '\n':
-			continue
-		case '<':
-			return FormatXML, br, nil
-		default:
-			return FormatJSON, br, nil
+		if f, ok := sniff(b[n-1]); ok {
+			in.Format = f
+			return in
 		}
 	}
 }
 
-// ResolveFormatBytes materializes FormatAuto for in-memory input by
-// sniffing the first non-whitespace byte ('<' → XML, otherwise JSON).
-// Explicit formats pass through untouched. Unlike ResolveFormat there
-// is no reader to re-wrap, so nothing can fail.
-func ResolveFormatBytes(f Format, data []byte) Format {
-	if f != FormatAuto {
-		return f
-	}
-	for _, b := range data {
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		case '<':
-			return FormatXML
-		default:
-			return FormatJSON
-		}
-	}
-	// Empty or whitespace-only input: either front end reports its own
-	// (syntax) error; default to XML, the historical one.
-	return FormatXML
-}
-
-// NewSource returns the event source for a resolved format. FormatAuto
-// must be resolved (ResolveFormat) before this call.
-func NewSource(f Format, r io.Reader) (event.Source, error) {
-	switch f {
-	case FormatXML:
-		return xmltok.NewTokenizer(r), nil
-	case FormatJSON, FormatNDJSON:
-		return jsontok.NewTokenizer(r), nil
+// sniff classifies one leading input byte; ok is false for whitespace,
+// which decides nothing.
+func sniff(c byte) (f Format, ok bool) {
+	switch c {
+	case ' ', '\t', '\r', '\n':
+		return FormatAuto, false
+	case '<':
+		return FormatXML, true
 	default:
-		return nil, fmt.Errorf("core: format %v has no event source (resolve auto first)", f)
+		return FormatJSON, true
 	}
 }
 
-// NewSourceBytes returns the zero-copy event source for a resolved
-// format: windows and text tokens alias data, which the caller must not
-// mutate until the run is over. FormatAuto must be resolved
-// (ResolveFormatBytes) before this call.
+// newSource returns the event source for an input whose format is
+// resolved.
+func newSource(in Input) (event.Source, error) {
+	switch in.Format {
+	case FormatXML:
+		if in.Reader != nil {
+			return xmltok.NewTokenizer(in.Reader), nil
+		}
+		return xmltok.NewTokenizerBytes(in.Data), nil
+	case FormatJSON, FormatNDJSON:
+		if in.Reader != nil {
+			return jsontok.NewTokenizer(in.Reader), nil
+		}
+		return jsontok.NewTokenizerBytes(in.Data), nil
+	default:
+		return nil, fmt.Errorf("core: format %v has no event source (resolve auto first)", in.Format)
+	}
+}
+
+// NewSourceBytes returns the zero-copy event source over an in-memory
+// document in a resolved format, for callers that drive a front end
+// without a run (layer probes, tests).
 func NewSourceBytes(f Format, data []byte) (event.Source, error) {
-	switch f {
-	case FormatXML:
-		return xmltok.NewTokenizerBytes(data), nil
-	case FormatJSON, FormatNDJSON:
-		return jsontok.NewTokenizerBytes(data), nil
-	default:
-		return nil, fmt.Errorf("core: format %v has no event source (resolve auto first)", f)
-	}
+	return newSource(Input{Format: f, Data: data})
 }
 
 // NewSink returns the event sink matching a resolved input format: XML

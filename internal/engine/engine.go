@@ -42,8 +42,15 @@ const (
 	Eager
 )
 
-// Config tunes an engine run.
+// Config tunes a run. It is the one options record between gcx.Options
+// and the evaluators: internal/core and internal/shard pass it through
+// unchanged. The streaming engine reads all of it; the DOM oracle
+// (internal/baseline) reads EnableAggregation and MaxBufferedNodes.
 type Config struct {
+	// Oracle selects the full-buffering DOM evaluator instead of this
+	// engine. The switch is made by core.Run, so an Engine never sees it
+	// set.
+	Oracle      bool
 	SignOffMode SignOffMode
 	// DisableGC runs static projection without dynamic buffer
 	// minimization: roles are tracked but nothing is purged. This is
@@ -66,50 +73,16 @@ type Config struct {
 	// evaluation instead of the internal/join operator (ablation and
 	// differential testing; output is identical either way).
 	DisableJoin bool
-	// Recorder, if non-nil, samples the buffer size per input token.
+	// Recorder, if non-nil, samples the buffer size per input token; the
+	// samples are returned as the run's Series.
 	Recorder *stats.Recorder
 	// Timer, if non-nil, accumulates per-phase wall time (DESIGN.md
 	// §11): ensure's pull loop into PhaseStream, the join operator's
-	// scan and replay into PhaseJoinBuild/PhaseJoinProbe. A nil Timer
-	// is the default and costs nothing on the hot path.
+	// scan and replay into PhaseJoinBuild/PhaseJoinProbe; core.Run adds
+	// setup and the eval remainder and returns the phases as the run's
+	// Trace. A nil Timer is the default and costs nothing on the hot
+	// path.
 	Timer *obs.Timer
-}
-
-// Result reports the run statistics the paper's evaluation uses.
-type Result struct {
-	// TokensProcessed is the number of input tokens delivered to the
-	// preprojector; tokens inside skipped subtrees (DESIGN.md §7) are
-	// never produced and not counted — BytesSkipped/TagsSkipped report
-	// the fast-forwarded remainder.
-	TokensProcessed int64
-	// PeakBufferedNodes is the high watermark of buffered XML nodes.
-	PeakBufferedNodes int64
-	// PeakBufferedBytes estimates the memory high watermark.
-	PeakBufferedBytes int64
-	// FinalBufferedNodes is the number of nodes left after evaluation
-	// (0 for GCX; the whole projected document for the no-GC baseline).
-	FinalBufferedNodes int64
-	// TotalAppended / TotalPurged count buffer churn.
-	TotalAppended int64
-	TotalPurged   int64
-	// OutputBytes is the size of the serialized result.
-	OutputBytes int64
-	// BytesSkipped is the number of input bytes the preprojector
-	// fast-forwarded past at byte level (projection-guided subtree
-	// skipping, DESIGN.md §7) without tokenizing.
-	BytesSkipped int64
-	// TagsSkipped counts element tags inside skipped subtrees — a lower
-	// bound on the tokens saved (skipped text runs are not counted).
-	TagsSkipped int64
-	// SubtreesSkipped counts SkipSubtree fast-forwards.
-	SubtreesSkipped int64
-	// JoinProbeTuples / JoinBuildTuples / JoinMatches report the
-	// streaming join operator's work: probe bindings captured, build
-	// tuples materialized into the hash table, and payload emissions.
-	// All zero when the plan has no join or the operator is disabled.
-	JoinProbeTuples int64
-	JoinBuildTuples int64
-	JoinMatches     int64
 }
 
 // Engine evaluates one compiled query over one input event stream. It
@@ -182,11 +155,11 @@ func New(plan *analysis.Plan, src event.Source, sink event.Sink, cfg Config) *En
 }
 
 // Buffer exposes the underlying buffer (tests and the -explain tooling
-// inspect it; external callers use Result).
+// inspect it; external callers use the run's stats.Run).
 func (e *Engine) Buffer() *buffer.Buffer { return e.buf }
 
 // Run evaluates the query to completion.
-func (e *Engine) Run() (*Result, error) {
+func (e *Engine) Run() (*stats.Run, error) {
 	return e.RunContext(context.Background())
 }
 
@@ -198,7 +171,7 @@ func (e *Engine) Run() (*Result, error) {
 // A node-budget breach (Config.MaxBufferedNodes) returns the partial
 // run statistics alongside the buffer.ErrBudget-wrapping error, so
 // callers can report how far the run got before degrading.
-func (e *Engine) RunContext(ctx context.Context) (*Result, error) {
+func (e *Engine) RunContext(ctx context.Context) (*stats.Run, error) {
 	err := e.run(ctx)
 	if err != nil {
 		if errors.Is(err, buffer.ErrBudget) {
@@ -233,9 +206,9 @@ func (e *Engine) run(ctx context.Context) error {
 
 // snapshot captures the run statistics at the current state — the final
 // result of a clean run, the partial result of a budget breach.
-func (e *Engine) snapshot() *Result {
+func (e *Engine) snapshot() *stats.Run {
 	skip := e.src.SkipStats()
-	res := &Result{
+	res := &stats.Run{
 		TokensProcessed:    e.proj.TokensProcessed(),
 		PeakBufferedNodes:  e.buf.PeakNodes,
 		PeakBufferedBytes:  e.buf.PeakBytes,
@@ -251,6 +224,9 @@ func (e *Engine) snapshot() *Result {
 		res.JoinProbeTuples = int64(len(e.join.groups))
 		res.JoinBuildTuples = e.join.buildTuples
 		res.JoinMatches = e.join.matches
+	}
+	if e.cfg.Recorder != nil {
+		res.Series = e.cfg.Recorder.Points
 	}
 	return res
 }

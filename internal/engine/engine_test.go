@@ -53,7 +53,7 @@ func compile(t *testing.T, src string) *analysis.Plan {
 }
 
 // run executes a query over a document and returns output + result.
-func run(t *testing.T, src, doc string, cfg Config) (string, *Result, *Engine) {
+func run(t *testing.T, src, doc string, cfg Config) (string, *stats.Run, *Engine) {
 	t.Helper()
 	plan := compile(t, src)
 	var out bytes.Buffer

@@ -21,10 +21,12 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"gcx"
 	"gcx/internal/obs"
+	"gcx/internal/stats"
 )
 
 // Config tunes a Server.
@@ -80,31 +82,22 @@ type Server struct {
 	shardChunks     *obs.Counter
 	shardFallbacks  *obs.Counter
 
-	// Subtree-skipping counters (DESIGN.md §7): input bytes the engines
-	// fast-forwarded past without tokenizing, and fast-forwards taken.
-	bytesSkipped    *obs.Counter
-	subtreesSkipped *obs.Counter
+	// runFolds[i] folds field stats.Fields[i] of a finished run into its
+	// registry metric — a total for counters (bytes and subtrees
+	// skipped, DESIGN.md §7; the join's probe, build and match counts,
+	// §10), the lifetime maximum for the buffer watermarks; nil for the
+	// fields the server does not export.
+	runFolds []func(int64)
 
 	// jsonRequests counts requests that selected the JSON/NDJSON front
 	// end via ?format= (DESIGN.md §8).
 	jsonRequests *obs.Counter
-
-	// Streaming-join counters (DESIGN.md §10): probe bindings, build
-	// tuples and matched emissions across all runs of detected joins.
-	joinProbeTuples *obs.Counter
-	joinBuildTuples *obs.Counter
-	joinMatches     *obs.Counter
 
 	// Budget accounting (DESIGN.md §9): requests rejected at admission
 	// because a ?max_nodes= budget met a statically-unbounded query, and
 	// runs aborted because the buffer hit the budget at runtime.
 	budgetRejections *obs.Counter
 	budgetTrips      *obs.Counter
-
-	// Lifetime buffer high-water marks across all requests, in the
-	// engine's node/byte metrics.
-	peakNodes *obs.Gauge
-	peakBytes *obs.Gauge
 
 	// Load-shedding accounting: currently executing requests and
 	// requests rejected because MaxInflight was saturated.
@@ -144,26 +137,27 @@ func NewServer(cfg Config) *Server {
 		shardChunks:     r.Counter("gcx_shard_chunks_total", "Input chunks processed by sharded requests.").Key("shard_chunks"),
 		shardFallbacks:  r.Counter("gcx_shard_fallbacks_total", "Sharded requests that fell back to sequential execution.").Key("shard_fallbacks"),
 
-		bytesSkipped:    r.Counter("gcx_input_bytes_skipped_total", "Input bytes fast-forwarded past by subtree skipping.").Key("bytes_skipped"),
-		subtreesSkipped: r.Counter("gcx_subtrees_skipped_total", "Byte-level subtree fast-forwards taken.").Key("subtrees_skipped"),
+		runFolds: make([]func(int64), len(stats.Fields)),
 
 		jsonRequests: r.Counter("gcx_json_requests_total", "Requests using the JSON/NDJSON front end.").Key("json_requests"),
 
-		joinProbeTuples: r.Counter("gcx_join_probe_tuples_total", "Probe-side bindings captured by the streaming join.").Key("join_probe_tuples"),
-		joinBuildTuples: r.Counter("gcx_join_build_tuples_total", "Build-side tuples materialized by the streaming join.").Key("join_build_tuples"),
-		joinMatches:     r.Counter("gcx_join_matches_total", "Matched payload emissions of the streaming join.").Key("join_matches"),
-
 		budgetRejections: r.Counter("gcx_budget_rejections_total", "Budgeted requests rejected at admission (statically unbounded query).").Key("budget_rejections"),
 		budgetTrips:      r.Counter("gcx_budget_trips_total", "Runs aborted because the buffer hit the node budget.").Key("budget_trips"),
-
-		peakNodes: r.Gauge("gcx_peak_buffered_nodes", "Lifetime buffer high-water mark in nodes, across all requests.").Key("peak_buffered_nodes"),
-		peakBytes: r.Gauge("gcx_peak_buffered_bytes", "Lifetime buffer high-water mark in bytes, across all requests.").Key("peak_buffered_bytes"),
 
 		inflightGauge:      r.Gauge("gcx_inflight_requests", "Query requests currently executing.").Key("inflight_requests"),
 		inflightRejections: r.Counter("gcx_inflight_rejections_total", "Requests shed with 503 because -max-inflight was saturated.").Key("inflight_rejections"),
 
 		latency:  r.HistogramVec("gcx_request_duration_seconds", "Query latency by engine, format, outcome and input path.", obs.LatencyBuckets, "engine", "format", "outcome", "input_path"),
 		respSize: r.HistogramVec("gcx_response_size_bytes", "Query response size by engine, format, outcome and input path.", obs.SizeBuckets, "engine", "format", "outcome", "input_path"),
+	}
+	for i, f := range stats.Fields {
+		switch {
+		case f.Metric == "":
+		case f.Watermark:
+			s.runFolds[i] = r.Gauge(f.Metric, f.Help).Key(f.Key).Max
+		default:
+			s.runFolds[i] = r.Counter(f.Metric, f.Help).Key(f.Key).Add
+		}
 	}
 	switch {
 	case cfg.BytesBodyLimit < 0:
@@ -211,41 +205,45 @@ func queryHash(src string) string {
 	return hex.EncodeToString(sum[:4])
 }
 
-// observePeaks folds one run's buffer watermarks into the server-wide
-// high-water marks.
-func (s *Server) observePeaks(res *gcx.Result) {
-	if res == nil {
-		return
+// trailerNames declares every trailer a /query response may carry: the
+// error, one per statistics field that has one, and the trace.
+var trailerNames = func() string {
+	names := []string{"X-Gcx-Error"}
+	for _, f := range stats.Fields {
+		if f.Trailer != "" {
+			names = append(names, f.Trailer)
+		}
 	}
-	s.peakNodes.Max(res.PeakBufferedNodes)
-	s.peakBytes.Max(res.PeakBufferedBytes)
-}
+	return strings.Join(append(names, "X-Gcx-Trace"), ", ")
+}()
 
-// observeJoin folds one run's join counters into the server totals.
-// Budget-tripped runs contribute their partial counts: how far the
-// probe/build sides got before the breach is exactly what an operator
-// sizing max_nodes wants to see.
-func (s *Server) observeJoin(res *gcx.Result) {
+// observe folds one run's statistics into the registry and reports them
+// in the response trailers, for every run that produced a record: a
+// budget-tripped run contributes its partial counts, since how far it
+// got before the breach is exactly what an operator sizing max_nodes
+// wants to see.
+func (s *Server) observe(w http.ResponseWriter, res *gcx.Result) {
 	if res == nil {
 		return
 	}
-	s.joinProbeTuples.Add(res.JoinProbeTuples)
-	s.joinBuildTuples.Add(res.JoinBuildTuples)
-	s.joinMatches.Add(res.JoinMatches)
+	for i := range stats.Fields {
+		f := &stats.Fields[i]
+		v := f.Get(res)
+		if fold := s.runFolds[i]; fold != nil {
+			fold(v)
+		}
+		if f.Trailer != "" {
+			w.Header().Set(f.Trailer, strconv.FormatInt(v, 10))
+		}
+	}
 }
 
 // optionsFromRequest maps URL parameters to execution options.
 func optionsFromRequest(r *http.Request) (gcx.Options, error) {
 	var opts gcx.Options
-	switch eng := r.URL.Query().Get("engine"); eng {
-	case "", "gcx":
-		opts.Engine = gcx.EngineGCX
-	case "projection":
-		opts.Engine = gcx.EngineProjectionOnly
-	case "dom":
-		opts.Engine = gcx.EngineDOM
-	default:
-		return opts, fmt.Errorf("unknown engine %q (want gcx, projection or dom)", eng)
+	var err error
+	if opts.Engine, err = gcx.ParseEngine(r.URL.Query().Get("engine")); err != nil {
+		return opts, err
 	}
 	switch so := r.URL.Query().Get("signoff"); so {
 	case "", "deferred":
@@ -265,11 +263,9 @@ func optionsFromRequest(r *http.Request) (gcx.Options, error) {
 		}
 		opts.Shards = n
 	}
-	format, err := gcx.ParseFormat(r.URL.Query().Get("format"))
-	if err != nil {
+	if opts.Format, err = gcx.ParseFormat(r.URL.Query().Get("format")); err != nil {
 		return opts, err
 	}
-	opts.Format = format
 	if mn := r.URL.Query().Get("max_nodes"); mn != "" {
 		n, err := strconv.ParseInt(mn, 10, 64)
 		if err != nil || n < 1 {
@@ -281,18 +277,6 @@ func optionsFromRequest(r *http.Request) (gcx.Options, error) {
 		opts.EnableTrace = true
 	}
 	return opts, nil
-}
-
-// engineName maps options back to the label value request metrics use.
-func engineName(e gcx.Engine) string {
-	switch e {
-	case gcx.EngineProjectionOnly:
-		return "projection"
-	case gcx.EngineDOM:
-		return "dom"
-	default:
-		return "gcx"
-	}
 }
 
 // contentType maps the request's input format to the response body's
@@ -370,7 +354,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	cw := &countingWriter{w: w}
 	defer func() {
 		d := time.Since(start)
-		eng, format := engineName(opts.Engine), opts.Format.String()
+		eng, format := opts.Engine.String(), opts.Format.String()
 		s.latency.With(eng, format, outcome, inputPath).Observe(d.Seconds())
 		s.respSize.With(eng, format, outcome, inputPath).Observe(float64(cw.n))
 		attrs := []any{
@@ -413,7 +397,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", contentType(opts.Format))
-	w.Header().Set("Trailer", "X-Gcx-Error, X-Gcx-Tokens, X-Gcx-Peak-Nodes, X-Gcx-Peak-Bytes, X-Gcx-Shards, X-Gcx-Bytes-Skipped, X-Gcx-Trace")
+	w.Header().Set("Trailer", trailerNames)
 	if n := r.ContentLength; n >= 0 && s.bytesBodyLimit >= 0 && n <= s.bytesBodyLimit {
 		// Small body with a known length: buffer it once and take the
 		// zero-copy engine path (DESIGN.md §12). The net/http layer
@@ -430,9 +414,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res, err = q.ExecuteContext(r.Context(), r.Body, cw, opts)
 	}
 	s.bytesOut.Add(cw.n)
+	s.observe(w, res)
 	if err != nil {
-		s.observePeaks(res) // budget trips still report the partial run's watermark
-		s.observeJoin(res)
 		if errors.Is(err, gcx.ErrBufferBudget) {
 			s.budgetTrips.Inc()
 			outcome = "budget"
@@ -453,8 +436,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Gcx-Error", err.Error())
 		return
 	}
-	s.observePeaks(res)
-	s.observeJoin(res)
 	if opts.Shards > 1 {
 		s.shardedRequests.Inc()
 		s.shardWorkers.Add(int64(res.ShardsUsed))
@@ -463,16 +444,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.shardFallbacks.Inc()
 		}
 	}
-	s.bytesSkipped.Add(res.BytesSkipped)
-	s.subtreesSkipped.Add(res.SubtreesSkipped)
 	if opts.Format == gcx.FormatJSON || opts.Format == gcx.FormatNDJSON {
 		s.jsonRequests.Inc()
 	}
-	w.Header().Set("X-Gcx-Tokens", fmt.Sprint(res.TokensProcessed))
-	w.Header().Set("X-Gcx-Peak-Nodes", fmt.Sprint(res.PeakBufferedNodes))
-	w.Header().Set("X-Gcx-Peak-Bytes", fmt.Sprint(res.PeakBufferedBytes))
-	w.Header().Set("X-Gcx-Shards", fmt.Sprint(res.ShardsUsed))
-	w.Header().Set("X-Gcx-Bytes-Skipped", fmt.Sprint(res.BytesSkipped))
 	if opts.EnableTrace && res.Trace != nil {
 		if raw, err := json.Marshal(res.Trace); err == nil {
 			w.Header().Set("X-Gcx-Trace", string(raw))

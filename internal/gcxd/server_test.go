@@ -131,7 +131,8 @@ func TestServerEngines(t *testing.T) {
 
 	doc := testDoc(0, 10)
 	want := expectedOutput(t, testQuery, doc)
-	for _, engine := range []string{"gcx", "projection", "dom"} {
+	// The canonical names and the aliases of gcx.ParseEngine.
+	for _, engine := range []string{"gcx", "projection", "dom", "nogc", "naive"} {
 		resp, body := postQuery(t, ts.URL, testQuery, doc, "engine="+engine)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("engine %s: status %d: %s", engine, resp.StatusCode, body)
@@ -416,6 +417,38 @@ func TestServerBudget(t *testing.T) {
 	}
 	if resp, _ := postQuery(t, ts.URL, testQuery, doc, "max_nodes=soon"); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("max_nodes=soon: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestServerBudgetPartialStats: a run that trips the budget still
+// produced a record, so every statistic it carries — not just the
+// watermarks and join counters — is folded into the registry and
+// reported in the trailers before the error is.
+func TestServerBudgetPartialStats(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{CacheSize: 8}))
+	defer ts.Close()
+
+	// Twenty dead subtrees the engine skips, then the books that breach.
+	doc := "<bib>" + strings.Repeat("<misc><x>1</x></misc>", 20) + testDoc(0, 10)[len("<bib>"):]
+	resp, body := postQuery(t, ts.URL, testQuery, doc, "max_nodes=2")
+	if resp.StatusCode != http.StatusRequestEntityTooLarge && !strings.Contains(resp.Trailer.Get("X-Gcx-Error"), "budget") {
+		t.Fatalf("tiny budget did not trip: status %d, trailers %+v, body %q", resp.StatusCode, resp.Trailer, body)
+	}
+	if resp.Trailer.Get("X-Gcx-Peak-Nodes") == "" || resp.Trailer.Get("X-Gcx-Bytes-Skipped") == "" {
+		t.Errorf("tripped run reported no partial statistics: %+v", resp.Trailer)
+	}
+
+	var stats map[string]int64
+	sresp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sresp.Body.Close()
+	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats["budget_trips"] != 1 || stats["subtrees_skipped"] < 20 || stats["bytes_skipped"] == 0 || stats["peak_buffered_nodes"] == 0 {
+		t.Errorf("partial statistics not folded: %+v", stats)
 	}
 }
 

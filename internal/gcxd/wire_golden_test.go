@@ -107,3 +107,21 @@ func TestWireGolden(t *testing.T) {
 		t.Errorf("wire names drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", golden, got.Bytes(), want)
 	}
 }
+
+// TestTrailerDocs: the trailer lists in cmd/gcxd's package comment and
+// in the README name every trailer the server declares — the list is
+// derived from the statistics table, so a field that gains a trailer
+// fails here until both documents mention it.
+func TestTrailerDocs(t *testing.T) {
+	for _, path := range []string{"../../cmd/gcxd/main.go", "../../README.md"} {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range strings.Split(trailerNames, ", ") {
+			if !bytes.Contains(doc, []byte(name)) {
+				t.Errorf("%s does not mention the %s trailer", path, name)
+			}
+		}
+	}
+}

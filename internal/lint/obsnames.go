@@ -25,6 +25,26 @@ var obsCtors = map[string]bool{
 	"HistogramVec": true,
 }
 
+// metricNameLit returns the literal a node registers a metric under: the
+// first argument of an obs.Registry constructor call, or the Metric
+// column of a statistics-table row (stats.Fields), which gcxd registers
+// in a loop. Computed names are out of scope and yield nil.
+func metricNameLit(n ast.Node) *ast.BasicLit {
+	var name ast.Expr
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		if sel, ok := n.Fun.(*ast.SelectorExpr); ok && obsCtors[sel.Sel.Name] && len(n.Args) > 0 {
+			name = n.Args[0]
+		}
+	case *ast.KeyValueExpr:
+		if key, ok := n.Key.(*ast.Ident); ok && key.Name == "Metric" {
+			name = n.Value
+		}
+	}
+	lit, _ := name.(*ast.BasicLit)
+	return lit
+}
+
 // slogOnlyPkgs are the server packages where every log line must go
 // through log/slog: request logs are machine-consumed (one structured
 // line per query), so a stray log.Printf would silently fall out of the
@@ -35,10 +55,10 @@ var slogOnlyPkgs = map[string]bool{
 }
 
 // ObsNames enforces the observability conventions of DESIGN.md §11:
-// metric names registered on the obs registry are gcx_-prefixed
-// snake_case, and the gcxd server packages log through slog only (no
-// bare "log" import). Test files are exempt — registry tests exercise
-// arbitrary names on purpose.
+// metric names registered on the obs registry — directly or through the
+// statistics table — are gcx_-prefixed snake_case, and the gcxd server
+// packages log through slog only (no bare "log" import). Test files are
+// exempt — registry tests exercise arbitrary names on purpose.
 var ObsNames = &Analyzer{
 	Name: "obsnames",
 	Doc:  "enforce gcx_ snake_case metric names and slog-only logging in gcxd",
@@ -67,17 +87,9 @@ var ObsNames = &Analyzer{
 				continue
 			}
 			ast.Inspect(f.AST, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || len(call.Args) == 0 {
+				lit := metricNameLit(n)
+				if lit == nil {
 					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
-				if !ok || !obsCtors[sel.Sel.Name] {
-					return true
-				}
-				lit, ok := call.Args[0].(*ast.BasicLit)
-				if !ok {
-					return true // computed names are out of scope
 				}
 				name, err := strconv.Unquote(lit.Value)
 				if err != nil || obsMetricName.MatchString(name) {

@@ -19,8 +19,10 @@ import (
 
 	"gcx/internal/analysis"
 	"gcx/internal/core"
+	"gcx/internal/engine"
 	"gcx/internal/jsontok"
 	"gcx/internal/obs"
+	"gcx/internal/stats"
 	"gcx/internal/xmltok"
 	"gcx/internal/xpath"
 )
@@ -30,36 +32,6 @@ import (
 // Options.Shards from a caller must not translate into unbounded
 // goroutines. 64 comfortably exceeds any machine this targets.
 const MaxWorkers = 64
-
-// Config tunes a sharded execution.
-type Config struct {
-	// Workers is the number of parallel engine instances (≥ 2; callers
-	// route 0/1 to the sequential path; clamped to MaxWorkers).
-	Workers int
-	// ChunkTargetBytes is the splitter's chunk size target (0 uses the
-	// splitter default). Smaller chunks balance better, larger chunks
-	// amortize per-engine setup.
-	ChunkTargetBytes int
-	// Exec are the per-worker engine options. RecordEvery is ignored:
-	// buffer-plot recording is a sequential-run feature.
-	Exec core.ExecOptions
-}
-
-// Result aggregates the per-worker engine results.
-//
-// Stats semantics under sharding (DESIGN.md §6): counters
-// (TokensProcessed, TotalAppended, TotalPurged, OutputBytes) are sums
-// over the workers; the buffer watermarks PeakBufferedNodes and
-// PeakBufferedBytes are the sum of the per-worker peaks — an upper
-// bound on the true simultaneous peak, since workers run staggered.
-// TokensProcessed counts chunk-document tokens, which differ slightly
-// from the sequential token count (synthesized wrapper tags; skipped
-// non-record content).
-type Result struct {
-	core.ExecResult
-	// Chunks is the number of chunks the input was cut into.
-	Chunks int
-}
 
 // task is one chunk travelling through the pool: the producer enqueues
 // it to the workers and, in input order, to the merger; the worker
@@ -76,7 +48,7 @@ type task struct {
 
 type taskResult struct {
 	out *bytes.Buffer
-	res *core.ExecResult
+	res *stats.Run
 	err error
 }
 
@@ -117,34 +89,44 @@ func joinFragment(info *analysis.ShardInfo, aux []byte) []byte {
 	return b.Bytes()
 }
 
-// Execute runs a sharded evaluation of info over input, writing the
-// merged output to output. The reorder window is bounded: at most
-// 2×Workers chunks are in flight between splitter and merge, so memory
-// stays proportional to Workers × chunk size regardless of input size.
-func Execute(ctx context.Context, info *analysis.ShardInfo, input io.Reader, output io.Writer, cfg Config) (*Result, error) {
-	return run(ctx, info, input, nil, output, cfg)
+// Run evaluates info over in with workers parallel engine instances
+// (≥ 2; callers route 0/1 to the sequential core.Run; clamped to
+// MaxWorkers), writing the merged output to output. A streamed input is
+// cut by the reader splitters; an in-memory one is scanned in place
+// (NDJSON chunks alias it — zero copies on the split side), and the
+// caller must not mutate it until the call returns. The reorder window
+// is bounded: at most 2×workers chunks are in flight between splitter
+// and merge, so memory stays proportional to workers × chunk size
+// regardless of input size.
+//
+// cfg is handed to every worker; a non-nil cfg.Timer turns tracing on
+// and collects the shard-level phases, while each chunk run gets a timer
+// of its own. cfg.Recorder is ignored: buffer-plot recording is a
+// sequential-run feature.
+//
+// The returned record is the Merge of the chunk records (DESIGN.md §6):
+// counters are sums over the chunks, and the buffer watermarks are sums
+// of the per-chunk peaks — an upper bound on the true simultaneous peak,
+// since workers run staggered. TokensProcessed counts chunk-document
+// tokens, which differ slightly from the sequential token count
+// (synthesized wrapper tags; skipped non-record content).
+func Run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io.Writer, workers int, cfg engine.Config) (*stats.Run, error) {
+	return run(ctx, info, in, output, workers, 0, cfg)
 }
 
-// ExecuteBytes is Execute over an in-memory document: the splitter
-// scans data in place (NDJSON chunks alias it — zero copies on the
-// split side), and workers take the zero-copy engine path. The caller
-// must not mutate data until the call returns.
-func ExecuteBytes(ctx context.Context, info *analysis.ShardInfo, data []byte, output io.Writer, cfg Config) (*Result, error) {
-	return run(ctx, info, nil, data, output, cfg)
-}
-
-// run is the shared sharded-execution body; input is nil on the []byte
-// path.
-func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []byte, output io.Writer, cfg Config) (*Result, error) {
+// run is Run with the splitter's chunk size target exposed (0 uses the
+// splitter default): smaller chunks balance better, larger chunks
+// amortize per-engine setup. Tests shrink it to one record per chunk to
+// stress the reorder path.
+func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io.Writer, workers, chunkTarget int, cfg engine.Config) (*stats.Run, error) {
 	start := time.Now()
-	workers := cfg.Workers
 	if workers < 2 {
 		workers = 2
 	}
 	if workers > MaxWorkers {
 		workers = MaxWorkers
 	}
-	cfg.Exec.RecordEvery = 0
+	cfg.Recorder = nil
 
 	// st collects the shard-level trace phases (DESIGN.md §11): the
 	// synchronous chunk scan of a join-sharded run (PhaseSplit; the
@@ -152,7 +134,7 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 	// the ordered merge's writes (PhaseMerge). Worker phases are summed
 	// across workers in the merge loop, so a sharded trace's phase total
 	// can exceed the run's wall time.
-	var st obs.Timer
+	st := cfg.Timer
 
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -163,18 +145,18 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 	// self-contained chunk documents the workers evaluate independently.
 	var nextChunk func() ([]byte, error)
 	var extra []byte
-	if cfg.Exec.Format == core.FormatNDJSON {
+	if in.Format == core.FormatNDJSON {
 		if info.Join {
 			return nil, errShardJoinNDJSON
 		}
 		var sp *jsontok.Splitter
-		if input == nil {
-			sp = jsontok.NewSplitterBytes(data)
+		if in.Reader == nil {
+			sp = jsontok.NewSplitterBytes(in.Data)
 		} else {
-			sp = jsontok.NewSplitter(input)
+			sp = jsontok.NewSplitter(in.Reader)
 		}
 		sp.SetContext(cctx)
-		sp.SetTargetBytes(cfg.ChunkTargetBytes)
+		sp.SetTargetBytes(chunkTarget)
 		nextChunk = func() ([]byte, error) {
 			c, err := sp.Next()
 			return c.Data, err
@@ -185,13 +167,13 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 			steps[i] = xmltok.SplitStep{Name: st.Test.Name, Wildcard: st.Test.Kind == xpath.TestWildcard}
 		}
 		var sp *xmltok.Splitter
-		if input == nil {
-			sp = xmltok.NewSplitterBytes(data, steps)
+		if in.Reader == nil {
+			sp = xmltok.NewSplitterBytes(in.Data, steps)
 		} else {
-			sp = xmltok.NewSplitter(input, steps)
+			sp = xmltok.NewSplitter(in.Reader, steps)
 		}
 		sp.SetContext(cctx)
-		sp.SetTargetBytes(cfg.ChunkTargetBytes)
+		sp.SetTargetBytes(chunkTarget)
 		nextChunk = func() ([]byte, error) {
 			c, err := sp.Next()
 			return c.Data, err
@@ -227,7 +209,7 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 				chunks = append(chunks, data)
 			}
 			extra = joinFragment(info, sp.AuxData())
-			if cfg.Exec.Trace {
+			if st != nil {
 				st.Add(obs.PhaseSplit, time.Since(splitStart))
 			}
 			i := 0
@@ -278,23 +260,26 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 	}()
 
 	// Workers: one engine instance per chunk, each with its own buffer
-	// manager, under the caller's context.
+	// manager (and, when tracing, its own timer), under the caller's
+	// context.
 	for i := 0; i < workers; i++ {
 		go func() {
+			wcfg := cfg
 			for t := range work {
 				buf := outBufPool.Get().(*bytes.Buffer)
 				buf.Reset()
-				var res *core.ExecResult
-				var err error
-				if t.extra == nil {
-					// Chunk bytes are immutable once handed out (fresh
-					// buffers from the reader splitters, input subslices
-					// from the bytes splitters): take the zero-copy path.
-					res, err = core.ExecuteBytesContext(cctx, info.Inner, t.data, buf, cfg.Exec)
-				} else {
-					rd := io.MultiReader(bytes.NewReader(t.data), bytes.NewReader(t.extra))
-					res, err = core.ExecuteContext(cctx, info.Inner, rd, buf, cfg.Exec)
+				// Chunk bytes are immutable once handed out (fresh
+				// buffers from the reader splitters, input subslices
+				// from the bytes splitters): take the zero-copy path,
+				// unless a broadcast join fragment has to follow them.
+				chunk := core.Input{Format: in.Format, Data: t.data}
+				if t.extra != nil {
+					chunk.Reader = io.MultiReader(bytes.NewReader(t.data), bytes.NewReader(t.extra))
 				}
+				if st != nil {
+					wcfg.Timer = new(obs.Timer)
+				}
+				res, err := core.Run(cctx, info.Inner, chunk, buf, wcfg)
 				t.done <- taskResult{out: buf, res: res, err: err}
 			}
 		}()
@@ -305,11 +290,11 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 	// ready. The constant wrapper prefix is withheld until there is
 	// something to write, mirroring the sequential engine's buffered
 	// serializer, which emits nothing when a run fails early.
-	agg := &Result{}
+	agg := &stats.Run{}
 	var firstErr error
 	wrotePrefix := false
 	writeOut := func(p []byte) error {
-		if cfg.Exec.Trace {
+		if st != nil {
 			ws := time.Now()
 			defer func() { st.Add(obs.PhaseMerge, time.Since(ws)) }()
 		}
@@ -333,22 +318,7 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 				firstErr = err
 				cancel()
 			} else {
-				agg.TokensProcessed += r.res.TokensProcessed
-				agg.PeakBufferedNodes += r.res.PeakBufferedNodes
-				agg.PeakBufferedBytes += r.res.PeakBufferedBytes
-				agg.FinalBufferedNodes += r.res.FinalBufferedNodes
-				agg.TotalAppended += r.res.TotalAppended
-				agg.TotalPurged += r.res.TotalPurged
-				agg.OutputBytes += r.res.OutputBytes
-				agg.BytesSkipped += r.res.BytesSkipped
-				agg.TagsSkipped += r.res.TagsSkipped
-				agg.SubtreesSkipped += r.res.SubtreesSkipped
-				agg.JoinProbeTuples += r.res.JoinProbeTuples
-				agg.JoinBuildTuples += r.res.JoinBuildTuples
-				agg.JoinMatches += r.res.JoinMatches
-				if cfg.Exec.Trace {
-					agg.Phases = obs.SumPhases(agg.Phases, r.res.Phases)
-				}
+				agg.Merge(r.res)
 				agg.Chunks++
 			}
 		}
@@ -369,9 +339,10 @@ func run(ctx context.Context, info *analysis.ShardInfo, input io.Reader, data []
 		return nil, err
 	}
 	agg.OutputBytes += int64(len(info.Prefix) + len(info.Suffix))
-	if cfg.Exec.Trace {
-		agg.Phases = obs.SumPhases(agg.Phases, st.Phases())
+	if st != nil {
+		agg.Trace = obs.SumPhases(agg.Trace, st.Phases())
 	}
+	agg.ShardsUsed = workers
 	agg.Duration = time.Since(start)
 	return agg, nil
 }

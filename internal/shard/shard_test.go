@@ -7,6 +7,8 @@ import (
 
 	"gcx/internal/analysis"
 	"gcx/internal/core"
+	"gcx/internal/engine"
+	"gcx/internal/stats"
 	"gcx/internal/xmark"
 )
 
@@ -23,13 +25,19 @@ func compileShardable(t *testing.T, src string) (*analysis.Plan, *analysis.Shard
 	return plan, info
 }
 
-func sequential(t *testing.T, plan *analysis.Plan, doc string, opts core.ExecOptions) string {
+func sequential(t *testing.T, plan *analysis.Plan, doc string, cfg engine.Config) (string, *stats.Run) {
 	t.Helper()
 	var out strings.Builder
-	if _, err := core.Execute(plan, strings.NewReader(doc), &out, opts); err != nil {
+	res, err := core.Run(context.Background(), plan, core.Input{Reader: strings.NewReader(doc)}, &out, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return out.String()
+	return out.String(), res
+}
+
+// sharded runs info over doc as a stream with the given chunk target.
+func sharded(ctx context.Context, info *analysis.ShardInfo, doc string, out *strings.Builder, workers, chunk int, cfg engine.Config) (*stats.Run, error) {
+	return run(ctx, info, core.Input{Reader: strings.NewReader(doc)}, out, workers, chunk, cfg)
 }
 
 // TestByteIdentity is the acceptance property: sharded output equals
@@ -51,12 +59,11 @@ func TestByteIdentity(t *testing.T) {
 	}
 	for name, src := range queries {
 		plan, info := compileShardable(t, src)
-		want := sequential(t, plan, doc, core.ExecOptions{})
+		want, _ := sequential(t, plan, doc, engine.Config{})
 		for _, workers := range []int{2, 4, 8} {
 			for _, chunk := range []int{0, 4 << 10, 1} {
 				var out strings.Builder
-				res, err := Execute(context.Background(), info, strings.NewReader(doc), &out,
-					Config{Workers: workers, ChunkTargetBytes: chunk})
+				res, err := sharded(context.Background(), info, doc, &out, workers, chunk, engine.Config{})
 				if err != nil {
 					t.Fatalf("%s workers=%d chunk=%d: %v", name, workers, chunk, err)
 				}
@@ -83,16 +90,16 @@ func TestByteIdentityAcrossEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan, info := compileShardable(t, xmark.Queries["Q1"].Text)
-	for _, eng := range []core.EngineKind{core.GCX, core.ProjectionOnly, core.DOM} {
-		opts := core.ExecOptions{Engine: eng}
-		want := sequential(t, plan, doc, opts)
+	for eng, cfg := range map[string]engine.Config{
+		"gcx": {}, "projection": {DisableGC: true}, "dom": {Oracle: true},
+	} {
+		want, _ := sequential(t, plan, doc, cfg)
 		var out strings.Builder
-		if _, err := Execute(context.Background(), info, strings.NewReader(doc), &out,
-			Config{Workers: 4, ChunkTargetBytes: 4 << 10, Exec: opts}); err != nil {
-			t.Fatalf("engine %v: %v", eng, err)
+		if _, err := sharded(context.Background(), info, doc, &out, 4, 4<<10, cfg); err != nil {
+			t.Fatalf("engine %s: %v", eng, err)
 		}
 		if out.String() != want {
-			t.Fatalf("engine %v: sharded output differs", eng)
+			t.Fatalf("engine %s: sharded output differs", eng)
 		}
 	}
 }
@@ -101,7 +108,7 @@ func TestEmptyAndRecordlessInputs(t *testing.T) {
 	_, info := compileShardable(t, `<out>{ for $p in /site/people/person return $p/name }</out>`)
 	for _, doc := range []string{``, `<site><regions/></site>`, `<other/>`} {
 		var out strings.Builder
-		res, err := Execute(context.Background(), info, strings.NewReader(doc), &out, Config{Workers: 4})
+		res, err := Run(context.Background(), info, core.Input{Reader: strings.NewReader(doc)}, &out, 4, engine.Config{})
 		if err != nil {
 			t.Fatalf("doc %q: %v", doc, err)
 		}
@@ -120,18 +127,13 @@ func TestStatsAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan, info := compileShardable(t, xmark.Queries["Q1"].Text)
-	var seq strings.Builder
 	// Reference run with subtree skipping off, so its token count
 	// covers the full document (the skipping engine fast-forwards
 	// irrelevant sections and counts fewer tokens than the splitter
 	// leaves in the chunks).
-	sres, err := core.Execute(plan, strings.NewReader(doc), &seq, core.ExecOptions{DisableSkip: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, sres := sequential(t, plan, doc, engine.Config{DisableSkip: true})
 	var out strings.Builder
-	res, err := Execute(context.Background(), info, strings.NewReader(doc), &out,
-		Config{Workers: 4, ChunkTargetBytes: 8 << 10})
+	res, err := sharded(context.Background(), info, doc, &out, 4, 8<<10, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +153,16 @@ func TestStatsAggregation(t *testing.T) {
 	if res.Duration <= 0 {
 		t.Fatal("duration not measured")
 	}
+	if res.ShardsUsed != 4 || res.Chunks < 2 {
+		t.Fatalf("shards used %d, chunks %d", res.ShardsUsed, res.Chunks)
+	}
 }
 
 func TestMalformedInputFails(t *testing.T) {
 	_, info := compileShardable(t, `<out>{ for $p in /site/people/person return $p/name }</out>`)
 	doc := `<site><people><person><name>A</name></wrong></people></site>`
 	var out strings.Builder
-	if _, err := Execute(context.Background(), info, strings.NewReader(doc), &out, Config{Workers: 2}); err == nil {
+	if _, err := sharded(context.Background(), info, doc, &out, 2, 0, engine.Config{}); err == nil {
 		t.Fatal("malformed input did not fail")
 	}
 }
@@ -171,7 +176,7 @@ func TestWorkerErrorPropagates(t *testing.T) {
 	// through raw, the worker's tokenizer rejects it.
 	doc := `<site><people><person><name malformed=1>A</name></person></people></site>`
 	var out strings.Builder
-	if _, err := Execute(context.Background(), info, strings.NewReader(doc), &out, Config{Workers: 2}); err == nil {
+	if _, err := sharded(context.Background(), info, doc, &out, 2, 0, engine.Config{}); err == nil {
 		t.Fatal("worker tokenizer error did not propagate")
 	}
 }
@@ -185,8 +190,7 @@ func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var out strings.Builder
-	if _, err := Execute(ctx, info, strings.NewReader(doc), &out,
-		Config{Workers: 4, ChunkTargetBytes: 1 << 10}); err != context.Canceled {
+	if _, err := sharded(ctx, info, doc, &out, 4, 1<<10, engine.Config{}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -51,3 +51,35 @@ func TestExecuteKnownOptionValues(t *testing.T) {
 		}
 	}
 }
+
+// TestParseEngine: the canonical names, the aliases the CLI and gcxd's
+// ?engine= accept, and the round trip through Engine.String.
+func TestParseEngine(t *testing.T) {
+	cases := map[string]gcx.Engine{
+		"": gcx.EngineGCX, "gcx": gcx.EngineGCX,
+		"projection": gcx.EngineProjectionOnly, "proj": gcx.EngineProjectionOnly, "nogc": gcx.EngineProjectionOnly,
+		"dom": gcx.EngineDOM, "naive": gcx.EngineDOM,
+	}
+	for s, want := range cases {
+		got, err := gcx.ParseEngine(s)
+		if err != nil || got != want {
+			t.Errorf("ParseEngine(%q) = %v, %v", s, got, err)
+		}
+	}
+	if _, err := gcx.ParseEngine("bogus"); err == nil {
+		t.Fatal("bogus engine accepted")
+	}
+	for eng, want := range map[gcx.Engine]string{
+		gcx.EngineGCX: "gcx", gcx.EngineProjectionOnly: "projection", gcx.EngineDOM: "dom",
+	} {
+		if eng.String() != want {
+			t.Errorf("Engine(%d).String() = %q, want %q", int(eng), eng.String(), want)
+		}
+		if back, err := gcx.ParseEngine(want); err != nil || back != eng {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", want, back, err, eng)
+		}
+	}
+	if got := gcx.Engine(42).String(); got != "Engine(42)" {
+		t.Errorf("out-of-range String() = %q", got)
+	}
+}

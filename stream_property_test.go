@@ -37,9 +37,9 @@ func subtreeNodes(n *dom.Node) int64 {
 
 // maxRecordNodes measures nodes(recPath) for one input: the node count
 // of the largest subtree matching the bound's record path.
-func maxRecordNodes(t *testing.T, input string, format core.Format, recPath xpath.Path) int64 {
+func maxRecordNodes(t *testing.T, input string, format gcx.Format, recPath xpath.Path) int64 {
 	t.Helper()
-	src, err := core.NewSource(format, strings.NewReader(input))
+	src, err := core.NewSourceBytes(format, []byte(input))
 	if err != nil {
 		t.Fatalf("source: %v", err)
 	}
@@ -63,12 +63,11 @@ func TestStaticBoundProperty(t *testing.T) {
 	type catalog struct {
 		queries map[string]xmark.Query
 		format  gcx.Format
-		coreFmt core.Format
 		gen     func(xmark.Config) (string, *xmark.Stats, error)
 	}
 	catalogs := []catalog{
-		{xmark.Queries, gcx.FormatXML, core.FormatXML, xmark.GenerateString},
-		{xmark.NDJSONQueries, gcx.FormatNDJSON, core.FormatNDJSON, xmark.GenerateNDJSONString},
+		{xmark.Queries, gcx.FormatXML, xmark.GenerateString},
+		{xmark.NDJSONQueries, gcx.FormatNDJSON, xmark.GenerateNDJSONString},
 	}
 	sizes := []int64{64 << 10, 192 << 10}
 	seeds := []int64{1, 7}
@@ -99,7 +98,7 @@ func TestStaticBoundProperty(t *testing.T) {
 					}
 					var rec int64
 					if st.Bound.RecordFactor > 0 {
-						rec = maxRecordNodes(t, input, cat.coreFmt, st.Bound.RecordPath)
+						rec = maxRecordNodes(t, input, cat.format, st.Bound.RecordPath)
 					}
 					bound := st.Bound.Eval(rec)
 
