@@ -36,6 +36,12 @@ const DefaultSize = 64 << 10
 // refill boundaries) from breaking Peek's small-lookahead needs.
 const minSize = 16
 
+// pollStride is the most input a scan loop covers between two
+// cancellation polls (Block). It equals the reader window, so the fixed
+// backing — whose window is the whole remaining input — is scanned in
+// the same units as the reader backing.
+const pollStride = DefaultSize
+
 // maxEmptyReads bounds spinning on a broken reader that returns (0, nil)
 // forever, mirroring bufio.ErrNoProgress behavior.
 const maxEmptyReads = 100
@@ -51,6 +57,13 @@ type Cursor struct {
 	r       io.Reader
 	scratch []byte // reader-mode backing array; nil on the fixed path
 	fixed   bool
+
+	// marked is set between Mark and Take: buf[mark:pos] are the marked
+	// bytes still in the window; held are those a refill compacted away
+	// (reader backing only).
+	marked bool
+	mark   int
+	held   []byte
 
 	// err is the sticky condition that ends refilling: io.EOF or a read
 	// error. Fixed cursors are born exhausted (err = io.EOF).
@@ -85,6 +98,7 @@ func (c *Cursor) ResetBytes(data []byte) {
 	c.base = 0
 	c.r = nil
 	c.fixed = true
+	c.marked = false
 	c.err = io.EOF
 	c.ioErr = nil
 }
@@ -106,6 +120,7 @@ func (c *Cursor) ResetReader(r io.Reader, size int) {
 	c.base = 0
 	c.r = r
 	c.fixed = false
+	c.marked = false
 	c.err = nil
 	c.ioErr = nil
 }
@@ -125,6 +140,35 @@ func (c *Cursor) IOErr() error { return c.ioErr }
 // to refill first. The window is invalidated by the next refill unless
 // Fixed.
 func (c *Cursor) Window() []byte { return c.buf[c.pos:] }
+
+// Block is Window clamped to pollStride bytes: the unit a long raw scan
+// covers between two cancellation polls, the same on both backings.
+func (c *Cursor) Block() []byte {
+	return c.buf[c.pos:min(len(c.buf), c.pos+pollStride)]
+}
+
+// Mark starts capturing at the current offset; Take returns every byte
+// consumed since and ends the capture. It is the one way a scanner
+// keeps the bytes it advances over: on the fixed backing Take returns
+// a subslice of the input (valid for the cursor's life, so it may be
+// Borrowed); on the reader backing marked bytes are saved when a refill
+// compacts them out of the window, and Take's result is valid only
+// until the next refill or Mark. There is one mark; a second Mark
+// replaces the first. Unread must not step back over the mark.
+func (c *Cursor) Mark() {
+	c.marked, c.mark, c.held = true, c.pos, c.held[:0]
+}
+
+// Take ends the capture begun by Mark and returns its bytes.
+func (c *Cursor) Take() []byte {
+	b := c.buf[c.mark:c.pos]
+	c.marked = false
+	if len(c.held) > 0 {
+		c.held = append(c.held, b...)
+		return c.held
+	}
+	return b
+}
 
 // Advance consumes n bytes of the current window. n must not exceed
 // len(Window()).
@@ -193,6 +237,13 @@ func (c *Cursor) refill(need int) error {
 	}
 	start := c.pos - keep
 	if start > 0 {
+		if c.marked {
+			if c.mark < start {
+				c.held = append(c.held, c.buf[c.mark:start]...)
+				c.mark = start
+			}
+			c.mark -= start
+		}
 		n := copy(c.scratch[0:cap(c.scratch)], c.buf[start:])
 		c.base += int64(start)
 		c.buf = c.scratch[:n]

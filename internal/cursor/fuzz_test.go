@@ -11,7 +11,10 @@ import (
 // sequence: both must return identical bytes, identical errors and
 // identical offsets at every step. This is the parity the tokenizers'
 // single-code-path design rests on (DESIGN.md §12): everything the
-// []byte fast path may observe, the refilling path observes too.
+// []byte fast path may observe, the refilling path observes too. The
+// op set includes Mark and Take, so a mark that spans one or more
+// refills, an Unread after a marked refill and an empty take are all
+// compared across the backings.
 func FuzzCursor(f *testing.F) {
 	f.Add([]byte("<a>hello world</a>"), []byte{0, 1, 2, 3, 4, 5}, uint8(0))
 	f.Add([]byte("0123456789abcdefghijklmnopqrstuvwxyz"), []byte{1, '<', 1, '>', 0, 0, 3, 3}, uint8(1))
@@ -20,6 +23,11 @@ func FuzzCursor(f *testing.F) {
 	// 16-byte minimum window edge.
 	f.Add([]byte("aaaaaaaaaaaaaaa<b"), []byte{1, '<', 0, 0}, uint8(0))
 	f.Add([]byte("aaaaaaaaaaaaaaaa<b"), []byte{1, '<', 4, 0}, uint8(0))
+	// Mark/Take seeds: an empty take; a mark held across SkipPast over
+	// several 16-byte windows; a marked refill followed by Unread.
+	f.Add([]byte("0123456789abcdefghijklmnopqrstuvwxyz"), []byte{6, 7, 0, 6, 1, 'z', 7}, uint8(0))
+	f.Add([]byte("0123456789abcdefghijklmnopqrstuvwxyz<tail"), []byte{0, 6, 1, '<', 0, 7}, uint8(0))
+	f.Add([]byte("0123456789abcdefghijklmnopqrstuvwxyz"), []byte{0, 6, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 7}, uint8(0))
 	f.Fuzz(func(t *testing.T, data, ops []byte, sizeSeed uint8) {
 		size := minSize + int(sizeSeed)%48
 		a := NewBytes(data)
@@ -31,8 +39,9 @@ func FuzzCursor(f *testing.F) {
 			return e1 == nil || e1.Error() == e2.Error()
 		}
 		canUnread := false
+		markedAt := int64(-1) // offset of the pending Mark, -1 for none
 		for i, op := range ops {
-			switch op % 6 {
+			switch op % 8 {
 			case 0: // Byte
 				b1, e1 := a.Byte()
 				b2, e2 := b.Byte()
@@ -85,6 +94,19 @@ func FuzzCursor(f *testing.F) {
 					}
 				}
 				canUnread = false
+			case 6: // Mark (Unread must not step back over it)
+				a.Mark()
+				b.Mark()
+				markedAt = a.Offset()
+				canUnread = false
+			case 7: // Take (valid only after a Mark)
+				if markedAt >= 0 {
+					want := data[markedAt:a.Offset()]
+					if t1, t2 := a.Take(), b.Take(); !bytes.Equal(t1, want) || !bytes.Equal(t2, want) {
+						t.Fatalf("op %d Take: %q vs %q, want %q", i, t1, t2, want)
+					}
+					markedAt = -1
+				}
 			}
 			if a.Offset() != b.Offset() {
 				t.Fatalf("op %d: offsets diverged: %d vs %d", i, a.Offset(), b.Offset())

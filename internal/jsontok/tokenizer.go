@@ -472,6 +472,24 @@ func (t *Tokenizer) SkipSubtree() error {
 	}
 }
 
+// skipBlock is the step all raw skip loops share: poll the context,
+// make sure input is buffered, and return at most one cursor block of
+// it — so a skip on the slice backing, whose window is the whole
+// remaining input, is cancelled as promptly as one on a reader.
+func (t *Tokenizer) skipBlock() ([]byte, error) {
+	if t.ctxDone != nil {
+		select {
+		case <-t.ctxDone:
+			return nil, t.ctx.Err()
+		default:
+		}
+	}
+	if err := t.cur.Fill(); err != nil {
+		return nil, err
+	}
+	return t.cur.Block(), nil
+}
+
 // rawSkip consumes bytes until the container nesting depth returns to
 // zero from the given starting depth, honoring strings and escapes. It
 // scans the cursor window in place — the hot loop touches each byte
@@ -480,10 +498,10 @@ func (t *Tokenizer) rawSkip(depth int) error {
 	inStr := false
 	escaped := false
 	for {
-		if err := t.cur.Fill(); err != nil {
+		buf, err := t.skipBlock()
+		if err != nil {
 			return t.unexpectedEOF(err, "inside skipped value")
 		}
-		buf := t.cur.Window()
 		for i := 0; i < len(buf); i++ {
 			c := buf[i]
 			if inStr {
@@ -535,10 +553,10 @@ func (t *Tokenizer) skipScalar() error {
 		t.bytesSkipped++
 		escaped := false
 		for {
-			if err := t.cur.Fill(); err != nil {
+			w, err := t.skipBlock()
+			if err != nil {
 				return t.unexpectedEOF(err, "inside skipped string")
 			}
-			w := t.cur.Window()
 			for i := 0; i < len(w); i++ {
 				c := w[i]
 				switch {
@@ -558,14 +576,13 @@ func (t *Tokenizer) skipScalar() error {
 	}
 	// Number or keyword: everything up to a separator, bracket or space.
 	for {
-		err := t.cur.Fill()
+		w, err := t.skipBlock()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		w := t.cur.Window()
 		i := 0
 	scan:
 		for i < len(w) {
@@ -586,14 +603,13 @@ func (t *Tokenizer) skipScalar() error {
 // rawSkipToEOF consumes the remaining input at byte level.
 func (t *Tokenizer) rawSkipToEOF() error {
 	for {
-		err := t.cur.Fill()
+		buf, err := t.skipBlock()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		buf := t.cur.Window()
 		t.tagsSkipped += int64(bytes.Count(buf, sepColon))
 		t.cur.Advance(len(buf))
 		t.bytesSkipped += int64(len(buf))

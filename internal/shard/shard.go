@@ -89,6 +89,16 @@ func joinFragment(info *analysis.ShardInfo, aux []byte) []byte {
 	return b.Bytes()
 }
 
+// splitSteps converts a child-axis path of name and wildcard tests — a
+// partition path or a join's build path — to the splitter's steps.
+func splitSteps(p xpath.Path) []xmltok.SplitStep {
+	steps := make([]xmltok.SplitStep, len(p.Steps))
+	for i, st := range p.Steps {
+		steps[i] = xmltok.SplitStep{Name: st.Test.Name, Wildcard: st.Test.Kind == xpath.TestWildcard}
+	}
+	return steps
+}
+
 // Run evaluates info over in with workers parallel engine instances
 // (≥ 2; callers route 0/1 to the sequential core.Run; clamped to
 // MaxWorkers), writing the merged output to output. A streamed input is
@@ -162,10 +172,7 @@ func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 			return c.Data, err
 		}
 	} else {
-		steps := make([]xmltok.SplitStep, len(info.PartitionPath.Steps))
-		for i, st := range info.PartitionPath.Steps {
-			steps[i] = xmltok.SplitStep{Name: st.Test.Name, Wildcard: st.Test.Kind == xpath.TestWildcard}
-		}
+		steps := splitSteps(info.PartitionPath)
 		var sp *xmltok.Splitter
 		if in.Reader == nil {
 			sp = xmltok.NewSplitterBytes(in.Data, steps)
@@ -186,11 +193,7 @@ func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 			// captured build subtrees re-wrapped under the ancestors the
 			// splitter left open — to all of them. The reorder window
 			// bound does not apply: a join run holds all chunks in memory.
-			auxSteps := make([]xmltok.SplitStep, len(info.BuildPath.Steps))
-			for i, st := range info.BuildPath.Steps {
-				auxSteps[i] = xmltok.SplitStep{Name: st.Test.Name, Wildcard: st.Test.Kind == xpath.TestWildcard}
-			}
-			sp.CaptureAux(auxSteps, info.Divergence)
+			sp.CaptureAux(splitSteps(info.BuildPath), info.Divergence)
 			splitStart := time.Now()
 			var chunks [][]byte
 			for {

@@ -9,11 +9,17 @@ import (
 // FuzzTokenizer: arbitrary bytes must produce either tokens or a clean
 // error — never a panic or an infinite loop. Accepted documents must
 // round-trip through the serializer.
+//
 // FuzzSplitter: whenever the Tokenizer accepts a document, the Splitter
 // must split it without error, and the record tokens reassembled from
 // the chunks must equal the record tokens of the original document —
-// the invariant sharded execution rests on. Rejected documents must be
-// rejected cleanly (no panic, no runaway).
+// the invariant sharded execution rests on — and likewise the aux
+// subtrees. Rejected documents must be rejected cleanly (no panic, no
+// runaway). Every input runs on three backings — the slice, the default
+// reader window, and a 16–63-byte reader window that puts a refill
+// inside every construct, so a record's Mark spans refills — which must
+// agree on chunk count, chunk bytes, AuxData, and error string and
+// offset.
 func FuzzSplitter(f *testing.F) {
 	seeds := []string{
 		`<a><b/></a>`,
@@ -27,11 +33,19 @@ func FuzzSplitter(f *testing.F) {
 		// Window-boundary corpus (see FuzzTokenizer).
 		`<a><b>` + strings.Repeat("x", 14) + `</b><b/></a>`,
 		`<a><b ` + strings.Repeat("k", 11) + `="v"/></a>`,
+		// Records and aux subtrees longer than the small window, a
+		// terminator straddling a refill inside a kept subtree, and
+		// entity whitespace outside the document element cut by one.
+		`<a><c>` + strings.Repeat("aux", 30) + `<d/></c><b>` + strings.Repeat("rec", 30) + `</b><c/></a>`,
+		`<a><b><![CDATA[` + strings.Repeat("]", 40) + `]]></b><c><!--` + strings.Repeat("-", 40) + `--></c></a>`,
+		strings.Repeat("&#32;", 8) + `<a><b/></a>` + strings.Repeat("&#x20;", 8),
+		`<a><b>x</b></a>trailing`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	path := []SplitStep{{Name: "a"}, {Name: "b"}}
+	aux := []SplitStep{{Name: "a"}, {Name: "c"}}
 	f.Fuzz(func(t *testing.T, doc string) {
 		// Reference: does the tokenizer accept the document?
 		tz := NewTokenizer(strings.NewReader(doc))
@@ -48,46 +62,82 @@ func FuzzSplitter(f *testing.F) {
 		}
 		tz.Release()
 
-		sp := NewSplitter(strings.NewReader(doc), path)
-		var chunks []Chunk
-		var splitErr error
-		for {
-			c, err := sp.Next()
-			if err == io.EOF {
-				break
+		type result struct {
+			chunks []Chunk
+			aux    []byte
+			err    error
+		}
+		split := func(sp *Splitter) (r result) {
+			sp.SetTargetBytes(1 + len(doc)%64)
+			sp.CaptureAux(aux, 1)
+			for {
+				c, err := sp.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					r.err = err
+					break
+				}
+				r.chunks = append(r.chunks, c)
+				if len(r.chunks) > len(doc)+16 {
+					t.Fatal("runaway splitter")
+				}
 			}
-			if err != nil {
-				splitErr = err
-				break
+			r.aux = sp.AuxData()
+			return r
+		}
+		small := NewSplitter(nil, path)
+		small.cur.ResetReader(strings.NewReader(doc), 16+len(doc)%48)
+		got := split(NewSplitterBytes([]byte(doc), path))
+		for backing, other := range map[string]result{
+			"reader":       split(NewSplitter(strings.NewReader(doc), path)),
+			"small reader": split(small),
+		} {
+			if (got.err == nil) != (other.err == nil) || (got.err != nil && got.err.Error() != other.err.Error()) {
+				t.Fatalf("error parity: bytes=%v %s=%v\ninput: %q", got.err, backing, other.err, doc)
 			}
-			chunks = append(chunks, c)
-			if len(chunks) > len(doc)+16 {
-				t.Fatal("runaway splitter")
+			if len(got.chunks) != len(other.chunks) {
+				t.Fatalf("chunk counts differ: bytes %d %s %d\ninput: %q", len(got.chunks), backing, len(other.chunks), doc)
+			}
+			for i, c := range got.chunks {
+				if o := other.chunks[i]; c.Seq != o.Seq || c.Records != o.Records || string(c.Data) != string(o.Data) {
+					t.Fatalf("chunk %d: bytes %+v %s %+v\ninput: %q", i, c, backing, o, doc)
+				}
+			}
+			if string(got.aux) != string(other.aux) {
+				t.Fatalf("AuxData: bytes %q %s %q\ninput: %q", got.aux, backing, other.aux, doc)
 			}
 		}
 		if !accepted {
 			return // tokenizer-rejected inputs carry no obligations
 		}
-		if splitErr != nil {
+		if got.err != nil {
 			// The splitter skips attribute validation outside records, so
 			// it accepts a superset; it must never reject what the
 			// tokenizer accepts.
-			t.Fatalf("splitter rejected a tokenizable document: %v\ninput: %q", splitErr, doc)
+			t.Fatalf("splitter rejected a tokenizable document: %v\ninput: %q", got.err, doc)
 		}
-		want := fuzzRecordTokens(t, doc, path)
-		var got []Token
-		for _, c := range chunks {
-			got = append(got, fuzzRecordTokens(t, string(c.Data), path)...)
+		// With aux capture on, chunks leave <a> open for the fragment.
+		var records []Token
+		for _, c := range got.chunks {
+			records = append(records, fuzzRecordTokens(t, string(c.Data)+"</a>", path)...)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("record token counts differ: got %d want %d\ninput: %q", len(got), len(want), doc)
-		}
-		for i := range want {
-			if !sameToken(got[i], want[i]) {
-				t.Fatalf("record token %d: got %+v want %+v\ninput: %q", i, got[i], want[i], doc)
-			}
-		}
+		sameTokens(t, "record", doc, records, fuzzRecordTokens(t, doc, path))
+		sameTokens(t, "aux", doc, fuzzRecordTokens(t, "<a>"+string(got.aux)+"</a>", aux), fuzzRecordTokens(t, doc, aux))
 	})
+}
+
+func sameTokens(t *testing.T, what, doc string, got, want []Token) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s token counts differ: got %d want %d\ninput: %q", what, len(got), len(want), doc)
+	}
+	for i := range want {
+		if !sameToken(got[i], want[i]) {
+			t.Fatalf("%s token %d: got %+v want %+v\ninput: %q", what, i, got[i], want[i], doc)
+		}
+	}
 }
 
 func fuzzRecordTokens(t *testing.T, doc string, path []SplitStep) []Token {

@@ -1,16 +1,12 @@
 package xmltok
 
-import (
-	"bytes"
-
-	"gcx/internal/event"
-)
+import "gcx/internal/event"
 
 // SkipSubtree fast-forwards the input past the remainder of the
 // innermost open element — the StartElement most recently returned by
 // Next — landing exactly where full tokenization would land after
 // consuming that element's matching EndElement. The subtree's bytes
-// are raw-scanned (shared rawScanner machinery, DESIGN.md §7): no
+// are raw-scanned (rawScanner.skipElement, DESIGN.md §7): no
 // Token structs are built, no text is decoded, no entity references
 // are resolved, no names are interned and no whitespace handling runs;
 // character data is consumed by whole-window vectorized scans for '<'.
@@ -40,317 +36,21 @@ func (t *Tokenizer) SkipSubtree() error {
 		// The open element was self-closing: its subtree is empty and
 		// its synthesized EndElement is the pending token. Consume it
 		// in place, mirroring read()'s pending branch.
-		t.tagsSkipped++ // the undelivered EndElement
+		t.tags++ // the undelivered EndElement
 		t.pending = nil
-		t.stack = t.stack[:len(t.stack)-1]
-		if len(t.stack) == 0 {
-			t.started = true
+	} else {
+		startOff := t.cur.Offset()
+		err := t.skipElement([]byte(t.stack[len(t.stack)-1]))
+		t.bytesSkipped += t.cur.Offset() - startOff
+		if err != nil {
+			return err
 		}
-		return nil
-	}
-
-	rs := rawScanner{cur: &t.cur, tag: t.skipTag[:0]}
-	startOff := t.cur.Offset()
-	// Nesting accounting for the skipped region: names of elements
-	// opened inside the subtree, stored back to back (no allocations,
-	// no interning). The skipped element itself sits below them on
-	// t.stack.
-	nameBuf := t.skipNameBuf[:0]
-	nameLen := t.skipNameLen[:0]
-	err := t.skipScan(&rs, &nameBuf, &nameLen)
-	// Hand scratch growth back to the tokenizer so repeated skips
-	// amortize.
-	t.skipTag = rs.tag[:0]
-	t.skipNameBuf = nameBuf[:0]
-	t.skipNameLen = nameLen[:0]
-	t.bytesSkipped += t.cur.Offset() - startOff
-	if err != nil {
-		return err
 	}
 	t.stack = t.stack[:len(t.stack)-1]
 	if len(t.stack) == 0 {
 		t.started = true
 	}
 	return nil
-}
-
-// skipScan is the raw-scan loop of SkipSubtree: consume markup and
-// character data until the end tag matching the innermost open element
-// has been consumed.
-//
-// The loop is organized as a window-local fast path: plain start/end
-// tags lying entirely inside the current window — the overwhelming
-// majority in dense markup — are parsed with direct index arithmetic
-// over one []byte, no cursor round-trips, which is what carries a raw
-// skip past 1 GB/s on the slice backing. Anything irregular (PIs,
-// comments, CDATA, a quoted '>', a tag straddling a refill boundary,
-// a malformed name) syncs the cursor and takes the general
-// per-construct path (skipDispatch), so both shapes produce identical
-// errors at identical offsets.
-func (t *Tokenizer) skipScan(rs *rawScanner, nameBuf *[]byte, nameLen *[]int) error {
-	// The name stacks live in locals so the hot loop keeps their slice
-	// headers in registers; sync writes them back at every point where
-	// the general path (or the caller) observes them.
-	nb, nl := *nameBuf, *nameLen
-	sync := func() { *nameBuf, *nameLen = nb, nl }
-	for {
-		if t.ctxDone != nil {
-			select {
-			case <-t.ctxDone:
-				sync()
-				return t.ctx.Err()
-			default:
-			}
-		}
-		if err := rs.cur.Fill(); err != nil {
-			// EOF mid-text (or a read error, which errf reports as
-			// itself) while the skipped element is still open.
-			sync()
-			return rs.errf("unexpected end of input inside <%s>", t.skipInnermost(nb, nl))
-		}
-		w := rs.cur.Window()
-		// Invariant: the cursor stands at w[0]; pos is the scan point
-		// inside w. The happy path touches no cursor state at all — the
-		// cursor is synced (Advance) only on the exits: slow fallback,
-		// error, done, window exhausted.
-		pos := 0
-		for pos < len(w) {
-			if w[pos] != '<' {
-				// Character data is consumed wholesale by one vectorized
-				// scan, never byte at a time.
-				i := bytes.IndexByte(w[pos:], '<')
-				if i < 0 {
-					pos = len(w)
-					break // text continues past the window: refill
-				}
-				pos += i
-			}
-			tagStart := pos + 1 // just past '<'
-			nameAt := tagStart
-			isEnd := false
-			if tagStart < len(w) && w[tagStart] == '/' {
-				isEnd = true
-				nameAt = tagStart + 1
-				// Fast accept: in well-formed input the end tag is
-				// exactly "</" + the innermost open name + ">", so one
-				// bounded memcmp against the expected name settles it —
-				// no byte classification, no terminator search. Any
-				// disagreement (extra whitespace, mismatch, boundary)
-				// falls through to the careful parse below.
-				if m := len(nl); m > 0 {
-					ln := nl[m-1]
-					if e := nameAt + ln; e < len(w) && w[e] == '>' &&
-						string(nb[len(nb)-ln:]) == string(w[nameAt:e]) {
-						t.tagsSkipped++
-						nb = nb[:len(nb)-ln]
-						nl = nl[:m-1]
-						pos = e + 1
-						continue
-					}
-				} else {
-					top := t.stack[len(t.stack)-1]
-					if e := nameAt + len(top); e < len(w) && w[e] == '>' &&
-						top == string(w[nameAt:e]) {
-						// closes the skipped element itself
-						t.tagsSkipped++
-						rs.cur.Advance(e + 1)
-						sync()
-						return nil
-					}
-				}
-			}
-			n := scanName(w[nameAt:])
-			end := nameAt + n // terminator candidate
-			var body []byte
-			ok := n > 0 && end < len(w)
-			if ok {
-				switch c := w[end]; {
-				case c == '>':
-					body = w[nameAt:end]
-					end++
-				case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-					// Attributes (or trailing junk): the tag runs to the
-					// first '>' not inside an attribute value. An open
-					// quote at that '>' means the real terminator lies
-					// further on — rare enough to punt to the slow path.
-					gt := bytes.IndexByte(w[end:], '>')
-					if gt < 0 || scanQuotes(0, w[end:end+gt]) != 0 {
-						ok = false
-					} else {
-						body = w[nameAt : end+gt]
-						end += gt + 1
-					}
-				case c == '/' && !isEnd && end+1 < len(w) && w[end+1] == '>':
-					body = w[nameAt : end+1] // keep the '/': marks self-closing
-					end += 2
-				default:
-					ok = false
-				}
-			}
-			if !ok {
-				// Irregular construct: hand the cursor to the general
-				// path with the '<' consumed, then resync.
-				rs.cur.Advance(tagStart)
-				sync()
-				done, err := t.skipDispatch(rs, nameBuf, nameLen)
-				if err != nil {
-					return err
-				}
-				if done {
-					return nil
-				}
-				nb, nl = *nameBuf, *nameLen
-				w, pos = rs.cur.Window(), 0
-				continue
-			}
-			// The whole tag sits inside the window. On error/done exits
-			// the cursor is advanced through the tag first so offsets
-			// match the general path, which reports after the closing
-			// '>'.
-			if isEnd {
-				name := body[:n]
-				if len(body) > n && !allWhitespace(body[n:]) {
-					rs.cur.Advance(end)
-					sync()
-					return rs.errf("malformed end tag </%s", name)
-				}
-				t.tagsSkipped++
-				if m := len(nl); m > 0 {
-					// closes an element opened inside the skip
-					ln := nl[m-1]
-					top := nb[len(nb)-ln:]
-					if string(top) != string(name) {
-						rs.cur.Advance(end)
-						sync()
-						return rs.errf("mismatched </%s>, expected </%s>", name, top)
-					}
-					nb = nb[:len(nb)-ln]
-					nl = nl[:m-1]
-				} else {
-					// closes the skipped element itself
-					rs.cur.Advance(end)
-					sync()
-					top := t.stack[len(t.stack)-1]
-					if top != string(name) {
-						return rs.errf("mismatched </%s>, expected </%s>", name, top)
-					}
-					return nil
-				}
-			} else if body[len(body)-1] == '/' {
-				t.tagsSkipped += 2 // StartElement + synthesized EndElement
-			} else {
-				t.tagsSkipped++
-				nb = append(nb, body[:n]...)
-				nl = append(nl, n)
-			}
-			pos = end
-		}
-		rs.cur.Advance(pos) // consume what the window pass covered
-	}
-}
-
-// skipDispatch consumes one markup construct with the cursor standing
-// just past its '<': the slow-path complement of skipScan's in-window
-// tag parsing. done=true when the construct was the end tag closing the
-// skipped element.
-func (t *Tokenizer) skipDispatch(rs *rawScanner, nameBuf *[]byte, nameLen *[]int) (bool, error) {
-	b, err := rs.cur.Byte()
-	if err != nil {
-		return false, rs.errf("unexpected end of input in markup")
-	}
-	switch b {
-	case '?':
-		return false, rs.throughPattern("?>", "", nil)
-	case '!':
-		return false, rs.bang(nil)
-	case '/':
-		return t.skipEndTag(rs, nameBuf, nameLen)
-	default:
-		rs.cur.Unread()
-		return false, t.skipStartTag(rs, nameBuf, nameLen)
-	}
-}
-
-// scanName returns the length of the XML name prefix of b (0 if b does
-// not start with a name).
-func scanName(b []byte) int {
-	if len(b) == 0 || !nameStartByte[b[0]] {
-		return 0
-	}
-	i := 1
-	for i < len(b) && namePartByte[b[i]] {
-		i++
-	}
-	return i
-}
-
-// skipEndTag consumes one end tag inside the skipped region. It returns
-// done=true when the tag closes the skipped element itself.
-func (t *Tokenizer) skipEndTag(rs *rawScanner, nameBuf *[]byte, nameLen *[]int) (bool, error) {
-	body, err := rs.readTagBody()
-	if err != nil {
-		return false, err
-	}
-	name, err := rs.tagName(body)
-	if err != nil {
-		return false, err
-	}
-	if len(name) != len(body) && !allWhitespace(body[len(name):]) {
-		return false, rs.errf("malformed end tag </%s", name)
-	}
-	t.tagsSkipped++
-	if n := len(*nameLen); n > 0 {
-		// closes an element opened inside the skip
-		ln := (*nameLen)[n-1]
-		top := (*nameBuf)[len(*nameBuf)-ln:]
-		if string(top) != string(name) {
-			return false, rs.errf("mismatched </%s>, expected </%s>", name, top)
-		}
-		*nameBuf = (*nameBuf)[:len(*nameBuf)-ln]
-		*nameLen = (*nameLen)[:n-1]
-		return false, nil
-	}
-	// closes the skipped element: must match the tokenizer stack top
-	top := t.stack[len(t.stack)-1]
-	if top != string(name) {
-		return false, rs.errf("mismatched </%s>, expected </%s>", name, top)
-	}
-	return true, nil
-}
-
-// skipStartTag consumes one start tag inside the skipped region.
-func (t *Tokenizer) skipStartTag(rs *rawScanner, nameBuf *[]byte, nameLen *[]int) error {
-	body, err := rs.readTagBody()
-	if err != nil {
-		return err
-	}
-	selfClose := len(body) > 0 && body[len(body)-1] == '/'
-	nameSrc := body
-	if selfClose {
-		nameSrc = body[:len(body)-1]
-	}
-	name, err := rs.tagName(nameSrc)
-	if err != nil {
-		return err
-	}
-	if selfClose {
-		t.tagsSkipped += 2 // StartElement + synthesized EndElement
-		return nil
-	}
-	t.tagsSkipped++
-	*nameBuf = append(*nameBuf, name...)
-	*nameLen = append(*nameLen, len(name))
-	return nil
-}
-
-// skipInnermost names the innermost open element for error messages:
-// the deepest element opened inside the skip, or the skipped element
-// itself.
-func (t *Tokenizer) skipInnermost(nameBuf []byte, nameLen []int) string {
-	if n := len(nameLen); n > 0 {
-		return string(nameBuf[len(nameBuf)-nameLen[n-1]:])
-	}
-	return t.stack[len(t.stack)-1]
 }
 
 // BytesSkipped reports how many input bytes SkipSubtree fast-forwarded
@@ -361,7 +61,7 @@ func (t *Tokenizer) BytesSkipped() int64 { return t.bytesSkipped }
 // self-closing tags counting as two) were inside skipped subtrees — a
 // lower bound on the tokens saved, since skipped text runs are not
 // counted.
-func (t *Tokenizer) TagsSkipped() int64 { return t.tagsSkipped }
+func (t *Tokenizer) TagsSkipped() int64 { return t.tags }
 
 // SubtreesSkipped reports how many SkipSubtree calls completed or
 // started (including empty self-closing subtrees).
@@ -372,7 +72,7 @@ func (t *Tokenizer) SubtreesSkipped() int64 { return t.subtreesSkipped }
 func (t *Tokenizer) SkipStats() event.SkipStats {
 	return event.SkipStats{
 		BytesSkipped:    t.bytesSkipped,
-		TagsSkipped:     t.tagsSkipped,
+		TagsSkipped:     t.tags,
 		SubtreesSkipped: t.subtreesSkipped,
 	}
 }

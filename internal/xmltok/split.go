@@ -1,8 +1,6 @@
 package xmltok
 
 import (
-	"bytes"
-	"context"
 	"io"
 
 	"gcx/internal/cursor"
@@ -10,14 +8,15 @@ import (
 
 // Splitter cuts an XML byte stream into self-contained chunks at the
 // record boundaries of a fixed child-axis element path (the partition
-// path of sharded execution, DESIGN.md §6). It scans the input exactly
-// once at the byte level — tracking element nesting and quoting via the
-// shared rawScanner, but never materializing tokens — and copies the
-// raw bytes of every record subtree into the current chunk. A chunk is
-// a well-formed mini-document: the records verbatim, re-wrapped with
-// synthesized open/close tags for the ancestor chain of the partition
-// path, so a downstream Tokenizer sees the same element structure (and
-// the same record tokens, byte for byte) as in the original document.
+// path of sharded execution, DESIGN.md §6). It is a client of the raw
+// scan: it reads tags itself only at the levels the partition path
+// names, hands every subtree off that path to rawScanner.skipElement,
+// and takes each record as its start tag plus one skip whose bytes it
+// keeps (the cursor's Mark/Take). A chunk is a well-formed
+// mini-document: the records verbatim, re-wrapped with synthesized
+// open/close tags for the ancestor chain of the partition path, so a
+// downstream Tokenizer sees the same element structure (and the same
+// record tokens, byte for byte) as in the original document.
 //
 // Chunks are sealed when they reach the byte target, when an ancestor
 // of the records closes (records under different ancestors never share
@@ -28,19 +27,17 @@ import (
 type Splitter struct {
 	rawScanner
 	path   []SplitStep
-	ctx    context.Context
 	target int
 
-	// Open-element stack, names stored back to back to avoid per-tag
-	// allocations.
-	nameBuf []byte
-	nameLen []int
-
-	// matchDepth is the number of leading stack levels matching the
-	// partition path (contiguous from the root).
+	// open holds the names of the open elements the splitter descended
+	// into. Each matched its level of path or auxPath — anything else
+	// is skipped whole — so open is shallower than the longer of the
+	// two, and it is the ancestor chain a chunk is re-wrapped in.
+	// matchDepth and auxDepth count its leading levels that match path
+	// and auxPath.
+	open       []string
 	matchDepth int
-	// capturing is true while inside a record subtree.
-	capturing bool
+	auxDepth   int
 
 	// Aux capture (join sharding, DESIGN.md §10): subtrees matching
 	// auxPath are copied verbatim into aux on the same scanning pass,
@@ -50,16 +47,12 @@ type Splitter struct {
 	// fragment inside the shared ancestor element.
 	auxPath       []SplitStep
 	auxDivergence int
-	auxDepth      int
-	auxCapturing  bool
 	aux           []byte
 
 	// Current chunk: buf starts with the synthesized ancestor open tags,
-	// then accumulates record bytes. anc are the ancestor names for the
-	// closing tags.
+	// then accumulates record bytes.
 	buf     []byte
 	records int
-	anc     []string
 	seq     int
 	ready   *Chunk
 
@@ -73,6 +66,10 @@ type SplitStep struct {
 	Name string
 	// Wildcard matches any element (the child::* step).
 	Wildcard bool
+}
+
+func (st SplitStep) matches(name []byte) bool {
+	return st.Wildcard || st.Name == string(name)
 }
 
 // Chunk is one self-contained slice of the input document.
@@ -100,32 +97,25 @@ func NewSplitter(r io.Reader, path []SplitStep) *Splitter {
 	if len(path) == 0 {
 		panic("xmltok: NewSplitter requires a non-empty partition path")
 	}
-	return &Splitter{
-		rawScanner: rawScanner{cur: cursor.NewReader(r, cursor.DefaultSize)},
-		path:       path,
-		target:     DefaultChunkTarget,
-	}
+	s := &Splitter{path: path, target: DefaultChunkTarget}
+	s.cur.ResetReader(r, cursor.DefaultSize)
+	return s
 }
 
 // NewSplitterBytes returns a Splitter scanning data in place: windows
-// are served directly from the slice, so tag scanning never copies
-// input into the refill buffer. Chunk documents are still built by
-// copying record bytes (chunks are re-wrapped mini-documents consumed
-// concurrently by workers), but the scan itself is zero-copy.
+// are served directly from the slice, so scanning never copies input
+// into the refill buffer. Chunk documents are still built by copying
+// record bytes, one record at a time (chunks are re-wrapped
+// mini-documents consumed concurrently by workers), but the scan itself
+// is zero-copy.
 func NewSplitterBytes(data []byte, path []SplitStep) *Splitter {
 	if len(path) == 0 {
 		panic("xmltok: NewSplitterBytes requires a non-empty partition path")
 	}
-	return &Splitter{
-		rawScanner: rawScanner{cur: cursor.NewBytes(data)},
-		path:       path,
-		target:     DefaultChunkTarget,
-	}
+	s := &Splitter{path: path, target: DefaultChunkTarget}
+	s.cur.ResetBytes(data)
+	return s
 }
-
-// SetContext attaches a cancellation context, checked between scan
-// steps so a split aborts promptly when the caller gives up.
-func (s *Splitter) SetContext(ctx context.Context) { s.ctx = ctx }
 
 // SetTargetBytes overrides the chunk size target (0 keeps the default).
 func (s *Splitter) SetTargetBytes(n int) {
@@ -167,10 +157,8 @@ func (s *Splitter) Next() (Chunk, error) {
 		if s.done {
 			return Chunk{}, io.EOF
 		}
-		if s.ctx != nil {
-			if err := s.ctx.Err(); err != nil {
-				return Chunk{}, err
-			}
+		if err := s.poll(); err != nil {
+			return Chunk{}, err
 		}
 		if err := s.scan(); err != nil {
 			return Chunk{}, err
@@ -178,59 +166,38 @@ func (s *Splitter) Next() (Chunk, error) {
 	}
 }
 
-func (s *Splitter) depth() int { return len(s.nameLen) }
-
-// scan consumes character data up to the next markup construct, then
-// the construct itself. Character data advances by whole-window
-// vectorized scans for '<'.
+// scan consumes the character data in front of the next markup
+// construct at a level the splitter tracks, then the construct. The
+// data is dropped, except that outside the document element it must be
+// whitespace.
 func (s *Splitter) scan() error {
-	for {
-		err := s.cur.Fill()
-		if err == io.EOF {
-			return s.finish()
+	outside := len(s.open) == 0
+	start := s.cur.Offset()
+	if outside {
+		s.cur.Mark()
+	}
+	_, err := s.cur.SkipPast('<')
+	if err != nil && err != io.EOF {
+		// errf reports a pending read error as itself.
+		return s.errf("read error")
+	}
+	if outside {
+		text := s.cur.Take()
+		if err == nil {
+			text = text[:len(text)-1] // the '<'
 		}
-		if err != nil {
-			// errf reports a pending read error as itself.
-			return s.errf("read error")
-		}
-		w := s.cur.Window()
-		i := bytes.IndexByte(w, '<')
-		if i < 0 {
-			if terr := s.text(w); terr != nil {
-				return terr
+		if !resolvesToWhitespace(text) {
+			msg := "character data outside document element"
+			if s.rootSeen {
+				msg = "content after document element"
 			}
-			s.cur.Advance(len(w))
-			continue
+			return &SyntaxError{Offset: start, Msg: msg}
 		}
-		if terr := s.text(w[:i]); terr != nil {
-			return terr
-		}
-		s.cur.Advance(i + 1)
-		return s.markup()
 	}
-}
-
-// text handles character data: copied verbatim inside records, dropped
-// between them, rejected outside the document element.
-func (s *Splitter) text(b []byte) error {
-	if len(b) == 0 {
-		return nil
+	if err != nil {
+		return s.finish()
 	}
-	if s.capturing {
-		s.buf = append(s.buf, b...)
-		return nil
-	}
-	if s.auxCapturing {
-		s.aux = append(s.aux, b...)
-		return nil
-	}
-	if s.depth() == 0 && !resolvesToWhitespace(b) {
-		if s.rootSeen {
-			return s.errf("content after document element")
-		}
-		return s.errf("character data outside document element")
-	}
-	return nil
+	return s.construct()
 }
 
 func allWhitespace(b []byte) bool {
@@ -273,203 +240,123 @@ func resolvesToWhitespace(b []byte) bool {
 	return true
 }
 
-// markup dispatches on the construct following '<'.
-func (s *Splitter) markup() error {
-	b, err := s.cur.Byte()
-	if err != nil {
-		return s.errf("unexpected end of input in markup")
-	}
-	switch b {
-	case '?':
-		return s.throughPattern("?>", "<?", s.capture())
-	case '!':
-		return s.bang(s.capture())
-	case '/':
-		return s.endTag()
-	default:
-		s.cur.Unread()
-		return s.startTag()
-	}
-}
-
-// capture returns the chunk buffer as the raw scanner's copy target
-// while inside a record, the aux buffer inside an aux subtree, nil
-// elsewhere.
-func (s *Splitter) capture() *[]byte {
-	if s.capturing {
-		return &s.buf
-	}
-	if s.auxCapturing {
-		return &s.aux
-	}
-	return nil
-}
-
-func (s *Splitter) endTag() error {
-	body, err := s.readTagBody()
-	if err != nil {
-		return err
-	}
-	name, err := s.tagName(body)
-	if err != nil {
-		return err
-	}
-	if len(name) != len(body) && !allWhitespace(body[len(name):]) {
-		return s.errf("malformed end tag </%s", name)
-	}
-	d := s.depth()
-	if d == 0 {
-		return s.errf("unexpected </%s> with no open element", name)
-	}
-	top := s.top()
-	if string(top) != string(name) {
-		return s.errf("mismatched </%s>, expected </%s>", name, top)
-	}
-	if s.capturing {
-		s.buf = append(s.buf, '<', '/')
-		s.buf = append(s.buf, body...)
-		s.buf = append(s.buf, '>')
-		if d == len(s.path) { // record root closed
-			s.capturing = false
-			s.sealIfFull()
+// construct handles the markup construct following '<' at a level the
+// splitter tracks: an end tag closes the innermost open ancestor, a
+// start tag either opens the next ancestor or is a whole subtree to
+// skip — and to keep, when it is a record or an aux subtree.
+func (s *Splitter) construct() error {
+	d := len(s.open)
+	if d == 0 && s.rootSeen {
+		if p, _ := s.cur.Peek(1); len(p) == 1 && p[0] != '?' && p[0] != '!' && p[0] != '/' {
+			return s.errf("content after document element")
 		}
-	} else if s.auxCapturing {
-		s.aux = append(s.aux, '<', '/')
-		s.aux = append(s.aux, body...)
-		s.aux = append(s.aux, '>')
-		if d == len(s.auxPath) { // aux subtree root closed
-			s.auxCapturing = false
-		}
-	} else if d < len(s.path) && s.records > 0 {
-		// an ancestor of the open chunk's records closed
-		s.seal()
 	}
-	s.pop()
-	if s.matchDepth > s.depth() {
-		s.matchDepth = s.depth()
-	}
-	if s.auxDepth > s.depth() {
-		s.auxDepth = s.depth()
-	}
-	if s.depth() == 0 {
-		s.rootSeen = true
-	}
-	return nil
-}
-
-func (s *Splitter) startTag() error {
-	if s.depth() == 0 && s.rootSeen {
-		return s.errf("content after document element")
-	}
-	body, err := s.readTagBody()
-	if err != nil {
+	kind, name, body, err := s.markup()
+	if err != nil || kind == noTag {
 		return err
 	}
-	selfClose := len(body) > 0 && body[len(body)-1] == '/'
-	nameSrc := body
-	if selfClose {
-		nameSrc = body[:len(body)-1]
-	}
-	name, err := s.tagName(nameSrc)
-	if err != nil {
-		return err
-	}
-	d := s.depth()
-	matched := !s.capturing && !s.auxCapturing && d == s.matchDepth && d < len(s.path) && s.stepMatches(d, name)
-	isRecord := matched && d+1 == len(s.path)
-	auxMatched := s.auxPath != nil && !s.capturing && !s.auxCapturing &&
-		d == s.auxDepth && d < len(s.auxPath) && s.auxStepMatches(d, name)
-	isAux := auxMatched && d+1 == len(s.auxPath)
-	if isRecord {
-		s.beginChunkIfNeeded()
-		s.records++
-	}
-	if s.capturing || isRecord {
-		s.buf = append(s.buf, '<')
-		s.buf = append(s.buf, body...)
-		s.buf = append(s.buf, '>')
-	}
-	if s.auxCapturing || isAux {
-		s.aux = append(s.aux, '<')
-		s.aux = append(s.aux, body...)
-		s.aux = append(s.aux, '>')
-	}
-	if selfClose {
-		if isRecord {
-			s.sealIfFull()
-		}
+	if kind == closeTag {
 		if d == 0 {
+			return s.errf("unexpected </%s> with no open element", name)
+		}
+		if top := s.open[d-1]; top != string(name) {
+			return s.errf("mismatched </%s>, expected </%s>", name, top)
+		}
+		if d < len(s.path) && s.records > 0 {
+			// an ancestor of the open chunk's records closed
+			s.seal()
+		}
+		s.open = s.open[:d-1]
+		s.matchDepth = min(s.matchDepth, d-1)
+		s.auxDepth = min(s.auxDepth, d-1)
+		if d == 1 {
 			s.rootSeen = true
 		}
 		return nil
 	}
-	s.push(name)
-	if matched {
-		s.matchDepth = d + 1
+	matched := d == s.matchDepth && d < len(s.path) && s.path[d].matches(name)
+	auxMatched := d == s.auxDepth && d < len(s.auxPath) && s.auxPath[d].matches(name)
+	isRecord := matched && d+1 == len(s.path)
+	isAux := auxMatched && d+1 == len(s.auxPath)
+	if kind == openTag && !isRecord && !isAux && (matched || auxMatched) {
+		s.open = append(s.open, string(name))
+		if matched {
+			s.matchDepth = d + 1
+		}
+		if auxMatched {
+			s.auxDepth = d + 1
+		}
+		return nil
 	}
-	if auxMatched {
-		s.auxDepth = d + 1
-	}
+	// A whole subtree: start tag, one skip, and the bytes the skip
+	// covered.
 	if isRecord {
-		s.capturing = true
+		if s.records == 0 {
+			s.beginChunk()
+		}
+		s.records++
+		s.buf = appendTag(s.buf, "<", body)
 	}
 	if isAux {
-		s.auxCapturing = true
+		s.aux = appendTag(s.aux, "<", body)
+	}
+	if kind == openTag {
+		keep := isRecord || isAux
+		if keep {
+			s.cur.Mark()
+		}
+		err = s.skipElement(name)
+		if keep {
+			inside := s.cur.Take()
+			if isRecord {
+				s.buf = append(s.buf, inside...)
+			}
+			if isAux {
+				s.aux = append(s.aux, inside...)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if d == 0 {
+		s.rootSeen = true
+	}
+	if isRecord && len(s.buf) >= s.target {
+		s.seal()
 	}
 	return nil
 }
 
-func (s *Splitter) auxStepMatches(d int, name []byte) bool {
-	step := s.auxPath[d]
-	return step.Wildcard || step.Name == string(name)
+// appendTag appends open + name + ">" to dst.
+func appendTag[S string | []byte](dst []byte, open string, name S) []byte {
+	return append(append(append(dst, open...), name...), '>')
 }
 
-func (s *Splitter) stepMatches(d int, name []byte) bool {
-	step := s.path[d]
-	return step.Wildcard || step.Name == string(name)
-}
-
-// beginChunkIfNeeded starts a chunk at the first record: it snapshots
-// the ancestor chain and writes its synthesized open tags.
-func (s *Splitter) beginChunkIfNeeded() {
-	if s.records > 0 {
-		return // same chunk, same ancestors (seal() fires on ancestor close)
-	}
-	s.anc = s.anc[:0]
-	pos := 0
-	for _, n := range s.nameLen {
-		s.anc = append(s.anc, string(s.nameBuf[pos:pos+n]))
-		pos += n
-	}
+// beginChunk starts a chunk at its first record with the synthesized
+// open tags of the ancestor chain.
+func (s *Splitter) beginChunk() {
 	if s.buf == nil {
 		s.buf = make([]byte, 0, s.target+4096)
 	}
-	for _, name := range s.anc {
-		s.buf = append(s.buf, '<')
-		s.buf = append(s.buf, name...)
-		s.buf = append(s.buf, '>')
-	}
-}
-
-func (s *Splitter) sealIfFull() {
-	if len(s.buf) >= s.target {
-		s.seal()
+	for _, name := range s.open {
+		s.buf = appendTag(s.buf, "<", name)
 	}
 }
 
 // seal closes the current chunk: append the ancestor close tags and
-// hand the buffer off as the next ready chunk. With aux capture active
-// the ancestors above the divergence stay open — the executor appends
-// the aux fragment (which closes them) to every chunk.
+// hand the buffer off as the next ready chunk. Every seal point — a
+// record just closed, the innermost ancestor closing, end of input —
+// finds open equal to the chain beginChunk wrote. With aux capture
+// active the ancestors above the divergence stay open — the executor
+// appends the aux fragment (which closes them) to every chunk.
 func (s *Splitter) seal() {
 	stop := 0
 	if s.auxPath != nil {
 		stop = s.auxDivergence
 	}
-	for i := len(s.anc) - 1; i >= stop; i-- {
-		s.buf = append(s.buf, '<', '/')
-		s.buf = append(s.buf, s.anc[i]...)
-		s.buf = append(s.buf, '>')
+	for i := len(s.open) - 1; i >= stop; i-- {
+		s.buf = appendTag(s.buf, "</", s.open[i])
 	}
 	s.ready = &Chunk{Seq: s.seq, Records: s.records, Data: s.buf}
 	s.seq++
@@ -479,28 +366,12 @@ func (s *Splitter) seal() {
 
 // finish handles end of input.
 func (s *Splitter) finish() error {
-	if d := s.depth(); d > 0 {
-		return s.errf("unexpected end of input inside <%s>", s.top())
+	if d := len(s.open); d > 0 {
+		return s.errf("unexpected end of input inside <%s>", s.open[d-1])
 	}
 	s.done = true
 	if s.records > 0 {
 		s.seal()
 	}
 	return nil
-}
-
-func (s *Splitter) push(name []byte) {
-	s.nameBuf = append(s.nameBuf, name...)
-	s.nameLen = append(s.nameLen, len(name))
-}
-
-func (s *Splitter) top() []byte {
-	n := s.nameLen[len(s.nameLen)-1]
-	return s.nameBuf[len(s.nameBuf)-n:]
-}
-
-func (s *Splitter) pop() {
-	n := s.nameLen[len(s.nameLen)-1]
-	s.nameBuf = s.nameBuf[:len(s.nameBuf)-n]
-	s.nameLen = s.nameLen[:len(s.nameLen)-1]
 }

@@ -2,8 +2,6 @@ package xmltok
 
 import (
 	"bytes"
-	"context"
-	"fmt"
 	"io"
 	"sync"
 
@@ -25,7 +23,11 @@ import (
 // the input instead of allocating; the caller must not mutate the
 // input slice while tokens are in use.
 type Tokenizer struct {
-	cur cursor.Cursor
+	// rawScanner holds the cursor, the cancellation context (checked
+	// at every token pull, so a streaming run aborts within one token
+	// of cancellation) and the byte-level scans SkipSubtree and the
+	// ignorable constructs go through.
+	rawScanner
 
 	// stack of currently open element names.
 	stack []string
@@ -40,14 +42,6 @@ type Tokenizer struct {
 	pending *Token
 	peeked  *Token
 
-	// ctx, when non-nil, is checked at every token pull; Next returns
-	// ctx.Err() as soon as the context is cancelled, so a streaming run
-	// aborts within one token of cancellation. ctxDone caches ctx.Done()
-	// so the per-token check is a lock-free channel poll rather than a
-	// mutex-guarded ctx.Err() call.
-	ctx     context.Context
-	ctxDone <-chan struct{}
-
 	// KeepWhitespace controls whether whitespace-only text nodes are
 	// reported. Data-oriented processing (the default) drops them; the
 	// round-trip property tests keep them.
@@ -61,13 +55,9 @@ type Tokenizer struct {
 
 	textBuf []byte
 
-	// SkipSubtree counters and scratch (skip.go).
+	// SkipSubtree counters (skip.go); rawScanner.tags is the third.
 	bytesSkipped    int64
-	tagsSkipped     int64
 	subtreesSkipped int64
-	skipTag         []byte
-	skipNameBuf     []byte
-	skipNameLen     []int
 
 	// attrChunk is the block attribute lists are carved from: each start
 	// tag's list is a capacity-clipped subslice, so a document's tags
@@ -129,18 +119,8 @@ func (t *Tokenizer) reset() {
 	t.released = false
 	t.textBuf = t.textBuf[:0]
 	t.bytesSkipped = 0
-	t.tagsSkipped = 0
+	t.tags = 0
 	t.subtreesSkipped = 0
-}
-
-// SetContext attaches a cancellation context. Next fails with ctx.Err()
-// at the first token pull after cancellation.
-func (t *Tokenizer) SetContext(ctx context.Context) {
-	t.ctx = ctx
-	t.ctxDone = nil
-	if ctx != nil {
-		t.ctxDone = ctx.Done()
-	}
 }
 
 // Release returns the tokenizer's buffers to the pool. The tokenizer
@@ -262,7 +242,8 @@ func (t *Tokenizer) read() (Token, error) {
 }
 
 // readMarkup parses markup following '<'. skip is true for ignorable
-// constructs (comments, PIs, declarations).
+// constructs (comments, PIs, declarations, CDATA outside the document
+// element).
 func (t *Tokenizer) readMarkup() (tok Token, skip bool, err error) {
 	b, err := t.cur.Byte()
 	if err != nil {
@@ -270,52 +251,34 @@ func (t *Tokenizer) readMarkup() (tok Token, skip bool, err error) {
 	}
 	switch b {
 	case '?':
-		return Token{}, true, t.skipUntil("?>")
+		return Token{}, true, t.through("?>")
 	case '!':
-		return t.readBang()
-	case '/':
-		return t.readEndTag()
-	default:
-		t.cur.Unread()
-		return t.readStartTag()
-	}
-}
-
-// readBang handles "<!..." constructs: comments, CDATA, DOCTYPE.
-func (t *Tokenizer) readBang() (Token, bool, error) {
-	b, err := t.cur.Byte()
-	if err != nil {
-		return Token{}, false, t.errf("unexpected end of input after '<!'")
-	}
-	switch b {
-	case '-':
-		if b2, err := t.cur.Byte(); err != nil || b2 != '-' {
-			return Token{}, false, t.errf("malformed comment")
+		term, err := t.bangTerminator()
+		if err != nil {
+			return Token{}, false, err
 		}
-		return Token{}, true, t.skipUntil("-->")
-	case '[':
-		// CDATA section: <![CDATA[ ... ]]>
-		const open = "CDATA["
-		for i := 0; i < len(open); i++ {
-			b2, err := t.cur.Byte()
-			if err != nil || b2 != open[i] {
-				return Token{}, false, t.errf("malformed CDATA section")
-			}
+		if term != cdataEnd {
+			return Token{}, true, t.through(term)
 		}
-		text, err := t.readUntil("]]>")
+		t.cur.Mark()
+		err = t.through(cdataEnd)
+		text := t.cur.Take()
 		if err != nil {
 			return Token{}, false, err
 		}
 		if len(t.stack) == 0 {
 			return Token{}, true, nil // CDATA outside root: ignore
 		}
-		return Token{Kind: Text, Text: text}, false, nil
+		text = text[:len(text)-len(cdataEnd)]
+		if t.cur.Fixed() {
+			return Token{Kind: Text, Text: cursor.Borrow(text)}, false, nil
+		}
+		return Token{Kind: Text, Text: string(text)}, false, nil
+	case '/':
+		return t.readEndTag()
 	default:
-		// DOCTYPE or other declaration: skip to matching '>'. Internal
-		// subsets with nested brackets are not supported (XMark-class
-		// documents do not use them).
 		t.cur.Unread()
-		return Token{}, true, t.skipUntil(">")
+		return t.readStartTag()
 	}
 }
 
@@ -767,149 +730,4 @@ func (t *Tokenizer) skipSpace() {
 			return
 		}
 	}
-}
-
-// skipUntil discards input through the first occurrence of pat.
-func (t *Tokenizer) skipUntil(pat string) error {
-	return t.scanUntil(pat, nil)
-}
-
-// readUntil collects input through the first occurrence of pat, excluding
-// the pattern itself. On the []byte path the content is borrowed.
-func (t *Tokenizer) readUntil(pat string) (string, error) {
-	if t.cur.Fixed() {
-		w := t.cur.Window()
-		i := indexPat(w, pat)
-		if i < 0 {
-			t.cur.Advance(len(w))
-			return "", t.errf("unexpected end of input looking for %q", pat)
-		}
-		t.cur.Advance(i + len(pat))
-		return cursor.Borrow(w[:i]), nil
-	}
-	t.textBuf = t.textBuf[:0]
-	if err := t.scanUntil(pat, &t.textBuf); err != nil {
-		return "", err
-	}
-	return string(t.textBuf), nil
-}
-
-// scanUntil consumes input through the first occurrence of pat,
-// appending the content (pattern excluded) to *collect when non-nil.
-// The []byte path is a single vectorized bytes.Index; the reader path
-// runs KMP with bytes.IndexByte jumps between candidate positions.
-func (t *Tokenizer) scanUntil(pat string, collect *[]byte) error {
-	if t.cur.Fixed() {
-		w := t.cur.Window()
-		i := indexPat(w, pat)
-		if i < 0 {
-			t.cur.Advance(len(w))
-			return t.errf("unexpected end of input looking for %q", pat)
-		}
-		if collect != nil {
-			*collect = append(*collect, w[:i]...)
-		}
-		t.cur.Advance(i + len(pat))
-		return nil
-	}
-	matched := 0
-	for matched < len(pat) {
-		if matched == 0 {
-			// No partial match pending: jump to the next candidate first
-			// byte; everything before it is definitely content.
-			if err := t.cur.Fill(); err != nil {
-				return t.errf("unexpected end of input looking for %q", pat)
-			}
-			w := t.cur.Window()
-			i := bytes.IndexByte(w, pat[0])
-			if i < 0 {
-				if collect != nil {
-					*collect = append(*collect, w...)
-				}
-				t.cur.Advance(len(w))
-				continue
-			}
-			if collect != nil {
-				*collect = append(*collect, w[:i]...)
-			}
-			t.cur.Advance(i + 1)
-			matched = 1
-			continue
-		}
-		b, err := t.cur.Byte()
-		if err != nil {
-			return t.errf("unexpected end of input looking for %q", pat)
-		}
-		prev := matched
-		matched = patAdvance(pat, matched, b)
-		if collect != nil {
-			// The unflushed window held pat[:prev]; with b it is prev+1
-			// bytes, of which the oldest prev+1-matched can no longer be
-			// part of a match and belong to the content.
-			if flush := prev + 1 - matched; flush > 0 {
-				if flush <= prev {
-					*collect = append(*collect, pat[:flush]...)
-				} else {
-					*collect = append(*collect, pat[:prev]...)
-					*collect = append(*collect, b)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// indexPat returns the index of the first occurrence of pat in w, or
-// -1. It is bytes.Index without the string→[]byte conversion (which
-// would allocate): vectorized IndexByte jumps between candidate
-// positions, with an allocation-free comparison at each.
-func indexPat(w []byte, pat string) int {
-	for off := 0; ; {
-		i := bytes.IndexByte(w[off:], pat[0])
-		if i < 0 {
-			return -1
-		}
-		p := off + i
-		if p+len(pat) > len(w) {
-			return -1
-		}
-		if string(w[p:p+len(pat)]) == pat {
-			return p
-		}
-		off = p + 1
-	}
-}
-
-// patAdvance is one step of Knuth-Morris-Pratt matching: given that
-// pat[:matched] is the longest pattern prefix ending at the previous
-// byte, it returns the longest prefix ending at b. A plain "reset to 0
-// or 1 on mismatch" loses state on repeated-prefix patterns — "]]]>"
-// contains "]]>" but never matches without the fallback.
-func patAdvance(pat string, matched int, b byte) int {
-	for matched > 0 && b != pat[matched] {
-		matched = patOverlap(pat, matched)
-	}
-	if b == pat[matched] {
-		return matched + 1
-	}
-	return 0
-}
-
-// patOverlap returns the length of the longest proper prefix of
-// pat[:m] that is also its suffix (the KMP failure function; fine to
-// recompute per mismatch for the tiny patterns used here).
-func patOverlap(pat string, m int) int {
-	for k := m - 1; k > 0; k-- {
-		if pat[:k] == pat[m-k:m] {
-			return k
-		}
-	}
-	return 0
-}
-
-func (t *Tokenizer) errf(format string, args ...any) error {
-	if ioErr := t.cur.IOErr(); ioErr != nil {
-		return fmt.Errorf("xmltok: read error at byte %d: %w", t.cur.Offset(), ioErr)
-	}
-	return &SyntaxError{Offset: t.cur.Offset(), Msg: fmt.Sprintf(format, args...)}
 }
