@@ -1,10 +1,13 @@
-# Developer workflow for the GCX reproduction. CI runs the same steps
-# (.github/workflows/ci.yml), so a green `make check bench` locally
-# predicts a green pipeline.
+# Developer workflow for the GCX reproduction. CI calls these targets
+# (.github/workflows/ci.yml), so a green `make check fuzz-smoke` locally
+# predicts a green pipeline. Numbers come from two places only: `make
+# paper` reproduces the paper's tables with `go test -bench`, and gcxperf
+# (`make perf`, `make perf-baseline`, `make perf-gate`) produces every
+# committed or gated one.
 
 GO ?= go
 
-.PHONY: all build test race check lint bench bench-json benchstat loadtest perf perf-build perf-compare loc fuzz-smoke
+.PHONY: all build test race check lint paper perf perf-build perf-compare perf-baseline perf-gate loc fuzz-smoke
 
 all: build
 
@@ -37,41 +40,20 @@ lint:
 		|| echo "warning: govulncheck reported issues (non-blocking)" >&2; \
 	else echo "govulncheck not installed; skipping (non-blocking)" >&2; fi
 
-# bench regenerates the committed BENCH_gcx.json perf baseline (also
-# wired as `go generate ./...`): the XML cells plus the NDJSON cells
-# (gcxbench runs J1,J2,J3 by default). Keep the matrix small enough for
-# CI; widen locally with e.g. `go run ./cmd/gcxbench -sizes 1,5 -reps 5`.
-bench:
-	$(GO) run ./cmd/gcxbench -sizes 1 -queries Q1,Q6,Q8,Q9,Q13 -engines gcx -reps 15 -json BENCH_gcx.json
-
-# bench-json measures only the NDJSON cells (DESIGN.md §8) — a quick
-# look at the JSON front end's throughput without the XML matrix. The
-# output file is informational, not the committed baseline.
-bench-json:
-	$(GO) run ./cmd/gcxbench -sizes 1 -queries "" -ndjson-queries J1,J2,J3 -engines gcx -reps 3 -json BENCH_gcx.ndjson.json
-
-# benchstat compares a fresh run against the committed baseline
-# (requires golang.org/x/perf's benchstat on PATH or via `go run`).
-benchstat:
-	$(GO) run ./cmd/gcxbench -sizes 1 -queries Q1,Q6,Q8,Q9,Q13 -engines gcx -reps 3 -json /tmp/BENCH_gcx.new.json
-	@command -v jq >/dev/null || { echo "jq required" >&2; exit 1; }
-	jq -r '.entries[].gobench' BENCH_gcx.json > /tmp/bench_old.txt
-	jq -r '.entries[].gobench' /tmp/BENCH_gcx.new.json > /tmp/bench_new.txt
-	-$(GO) run golang.org/x/perf/cmd/benchstat@latest /tmp/bench_old.txt /tmp/bench_new.txt
-
-# loadtest regenerates the committed BENCH_gcxd.json serving-path
-# baseline: gcxload drives an in-process gcxd over the default
-# query×shards catalog and writes client-observed p50/p95/p99 latency,
-# throughput and error rate per cell (DESIGN.md §11). CI runs a shorter
-# window (see ci.yml); widen locally with e.g. -duration 10s -c 8.
-loadtest:
-	$(GO) run ./cmd/gcxload -duration 2s -warmup 500ms -json BENCH_gcxd.json
+# paper reproduces the paper's evaluation: the Fig. 3/4 buffer plots'
+# watermarks, the Fig. 5 table (queries × 1 and 4 MB × gcx / projection
+# / dom, with peak_nodes and peak_KB next to ns/op, MB/s and allocs/op)
+# and the ablations, in benchstat's input format. The paper's own column
+# set: go test -run xxx -bench Fig5 -fig5.mb 10,50,100,200 .
+paper:
+	$(GO) test -run xxx -bench 'Fig|Ablation' -benchmem .
 
 # perf runs the repository's benchmark (BENCHMARK.json, gcxperf/README.md):
 # all seven workloads end to end with tracing off, results in
-# gcxperf/out/results.json. perf-compare is its gate: it exits 1 when any
+# gcxperf/out/results.json. perf-compare is the comparison perf-gate ends
+# with, for two result files you already have: it exits 1 when any
 # end-to-end metric of NEW is worse than BASE by more than its bound.
-# Produce the two files with `go run -C gcxperf . run -n 3 -out out/a.json`
+# Produce the files with `go run -C gcxperf . run -n 3 -out out/a.json`
 # on each commit (that -out is relative to gcxperf/; BASE and NEW are
 # relative to this directory).
 perf:
@@ -88,6 +70,33 @@ perf-build:
 perf-compare:
 	@test -n "$(BASE)" -a -n "$(NEW)" || { echo "usage: make perf-compare BASE=a.json NEW=b.json" >&2; exit 2; }
 	$(GO) run -C gcxperf . compare $(abspath $(BASE)) $(abspath $(NEW))
+
+# perf-baseline regenerates the two committed result files, each stamped
+# by gcxperf with the commit, cores, GOMAXPROCS and Go version it ran on:
+# three repetitions of the seven workloads end to end, and the per-layer
+# metrics of one traced pass (~7 min together). They record where the
+# numbers stood on one named machine; the gate never reads them.
+perf-baseline:
+	$(GO) run -C gcxperf . run -n 3 -out ../BENCH_gcxperf.json
+	$(GO) run -C gcxperf . trace -out ../BENCH_gcxperf_layers.json
+
+# perf-gate is the regression gate CI runs on every pull request: check
+# BASE_REF out beside the working tree, measure base and head with the
+# same protocol on this machine, one after the other, and compare. Exit
+# status 1 means some end-to-end metric is worse than base by more than
+# its bound and its spread, or more operations failed; `unresolved`
+# verdicts (spread wider than the bound) are printed and do not fail.
+# The checkout is a clone so that gcxperf stamps it with its own commit,
+# and it lives outside the tree, where gcxlint would otherwise walk it.
+GATE_DIR ?= /tmp/gcxperf-gate
+perf-gate:
+	@test -n "$(BASE_REF)" || { echo "usage: make perf-gate BASE_REF=<commit> [GATE_DIR=dir]" >&2; exit 2; }
+	rm -rf $(GATE_DIR)/base
+	git clone -q . $(GATE_DIR)/base
+	git -C $(GATE_DIR)/base checkout -q --detach $$(git rev-parse --verify '$(BASE_REF)^{commit}')
+	$(GO) run -C $(GATE_DIR)/base/gcxperf . run -n 3 -out $(abspath $(GATE_DIR))/base.json
+	$(GO) run -C gcxperf . run -n 3 -out $(abspath $(GATE_DIR))/head.json
+	$(GO) run -C gcxperf . compare $(abspath $(GATE_DIR))/base.json $(abspath $(GATE_DIR))/head.json
 
 # loc prints the size the "Quality of design" aim is measured by: Go
 # lines outside tests, the benchmark module and lint fixtures. CI prints

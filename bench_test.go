@@ -1,6 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation (see DESIGN.md §4 for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured results):
+// EXPERIMENTS.md for paper-vs-measured results). `make paper` runs the
+// Fig* and Ablation* families; they are the only reproduction of the
+// paper's tables. Committed and gated numbers come from gcxperf
+// (`make perf-baseline`, `make perf-gate`), not from here.
 //
 //	BenchmarkFig3b, BenchmarkFig3c       — Fig. 3(b,c) buffer plots
 //	BenchmarkFig4a_Q6, BenchmarkFig4b_Q8 — Fig. 4(a,b) XMark buffer plots
@@ -14,8 +17,10 @@
 package gcx_test
 
 import (
+	"flag"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -92,12 +97,23 @@ func BenchmarkFig4b_Q8(b *testing.B) {
 	benchBufferPlot(b, xmark.Queries["Q8"].Text, xmarkDoc(b, 1<<20), gcx.Options{})
 }
 
+// fig5MB is the document-size axis of BenchmarkFig5 in MB. The default
+// keeps CI's bench smoke short; the paper's column set is
+// `-fig5.mb 10,50,100,200` (slow, and the dom cells hold the whole
+// document).
+var fig5MB = flag.String("fig5.mb", "1,4", "BenchmarkFig5 document sizes in MB, comma-separated")
+
 // BenchmarkFig5 — the paper's Figure 5 table: queries × document sizes
-// × engines, time per run plus memory watermarks. Run with
-// cmd/gcxbench for the paper's 10–200 MB sizes; the bench uses 1 MB and
-// 4 MB to stay CI-friendly.
+// × engines, time per run plus memory watermarks.
 func BenchmarkFig5(b *testing.B) {
-	sizes := []int64{1 << 20, 4 << 20}
+	var sizes []int64
+	for _, s := range strings.Split(*fig5MB, ",") {
+		mb, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+		if err != nil || mb <= 0 {
+			b.Fatalf("-fig5.mb: malformed size %q", s)
+		}
+		sizes = append(sizes, mb<<20)
+	}
 	engines := []struct {
 		name string
 		opt  gcx.Engine
@@ -106,7 +122,7 @@ func BenchmarkFig5(b *testing.B) {
 		{"projection", gcx.EngineProjectionOnly},
 		{"dom", gcx.EngineDOM},
 	}
-	for _, qid := range []string{"Q1", "Q6", "Q8", "Q13", "Q20"} {
+	for _, qid := range []string{"Q1", "Q6", "Q8", "Q9", "Q13", "Q20"} {
 		entry := xmark.Queries[qid]
 		q, err := gcx.Compile(entry.Text)
 		if err != nil {
@@ -115,7 +131,7 @@ func BenchmarkFig5(b *testing.B) {
 		for _, size := range sizes {
 			doc := xmarkDoc(b, size)
 			for _, eng := range engines {
-				name := qid + "/" + sizeName(size) + "/" + eng.name
+				name := fmt.Sprintf("%s/%dMB/%s", qid, size>>20, eng.name)
 				b.Run(name, func(b *testing.B) {
 					b.SetBytes(int64(len(doc)))
 					var res *gcx.Result
@@ -128,29 +144,6 @@ func BenchmarkFig5(b *testing.B) {
 			}
 		}
 	}
-}
-
-func sizeName(n int64) string {
-	switch {
-	case n >= 1<<20:
-		return itoa(n>>20) + "MB"
-	default:
-		return itoa(n>>10) + "KB"
-	}
-}
-
-func itoa(n int64) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // BenchmarkAblationSignOff — DESIGN.md A1: deferred sign-offs (the

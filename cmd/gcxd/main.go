@@ -1,6 +1,6 @@
 // Command gcxd is the GCX query server: a concurrent HTTP front end
 // over the streaming engine (implemented in gcx/internal/gcxd, so tests
-// and the gcxload harness can run it in-process). Each request carries
+// and the gcxperf serving workloads can run it in-process). Each request carries
 // an XQuery (header or URL parameter) plus the XML input as the request
 // body; the serialized result streams back as the response body while
 // the input is still being read, so neither side is ever buffered

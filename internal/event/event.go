@@ -91,7 +91,8 @@ type SkipStats struct {
 type Source interface {
 	// Next returns the next event, io.EOF at end of input, or a
 	// format-level syntax error. Cancellation of an attached context is
-	// reported as ctx.Err() within one token.
+	// reported as ctx.Err() within one token. An error is final: once
+	// Next or SkipSubtree has returned one, Next returns it again.
 	Next() (Token, error)
 	// SkipSubtree fast-forwards past the subtree of the StartElement
 	// most recently returned by Next, without producing its events: the
@@ -100,7 +101,7 @@ type Source interface {
 	// StartElement.
 	SkipSubtree() error
 	// TokenCount reports how many events Next has delivered so far (the
-	// x-axis of the paper's buffer plots).
+	// x-axis of the paper's buffer plots); skipped events do not count.
 	TokenCount() int64
 	// SkipStats reports the byte-level skip counters.
 	SkipStats() SkipStats
@@ -133,6 +134,12 @@ type Sink interface {
 	// the Sink is unusable after.
 	Release()
 }
+
+// MaxDepth is the deepest nesting any Source accepts: open elements in
+// XML, open objects and arrays in JSON. One level more is the front
+// end's syntax error, on the token, skip and split paths alike, so open
+// tags alone cannot make a hostile document pin more than ~100 KiB.
+const MaxDepth = 4096
 
 // Virtual element names of the JSON↔tree mapping (DESIGN.md §8). They
 // live here — not in jsontok — because the shardability layer and the

@@ -1,0 +1,214 @@
+package event_test
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"strings"
+	"testing"
+
+	"gcx/internal/event"
+	"gcx/internal/jsontok"
+	"gcx/internal/xmltok"
+)
+
+// The same tree in both syntaxes (DESIGN.md §8 maps the JSON onto it):
+// two records, scalar members, a nested member and a repeated one.
+const (
+	xmlDoc  = `<root><record><a>1</a><b><c>x</c><c>y</c></b><d>2</d></record><record><a>3</a></record></root>`
+	jsonDoc = `{"a":1,"b":{"c":["x","y"]},"d":2}` + "\n" + `{"a":3}`
+	// The tree cut off inside the first record's <b>.
+	xmlCut  = `<root><record><a>1</a><b><c>x</c>`
+	jsonCut = `{"a":1,"b":{"c":["x"`
+	// A syntax error after the first record's <a>.
+	xmlBad  = `<root><record><a>1</a></b>`
+	jsonBad = `{"a":1,]`
+)
+
+// sources are the four implementations of event.Source: each front end
+// on the slice backing and on the reader backing.
+var sources = []struct {
+	name          string
+	doc, cut, bad string
+	open          func(doc string) event.Source
+}{
+	{"xml/bytes", xmlDoc, xmlCut, xmlBad, func(d string) event.Source { return xmltok.NewTokenizerBytes([]byte(d)) }},
+	{"xml/reader", xmlDoc, xmlCut, xmlBad, func(d string) event.Source { return xmltok.NewTokenizer(strings.NewReader(d)) }},
+	{"json/bytes", jsonDoc, jsonCut, jsonBad, func(d string) event.Source { return jsontok.NewTokenizerBytes([]byte(d)) }},
+	{"json/reader", jsonDoc, jsonCut, jsonBad, func(d string) event.Source { return jsontok.NewTokenizer(strings.NewReader(d)) }},
+}
+
+func show(t event.Token) string {
+	switch t.Kind {
+	case event.StartElement:
+		return "<" + t.Name + ">"
+	case event.EndElement:
+		return "</" + t.Name + ">"
+	}
+	return t.Text
+}
+
+// wantStream is the event stream of the tree, one entry per token.
+var wantStream = strings.Fields(`<root> <record> <a> 1 </a> <b> <c> x </c> <c> y </c> </b> <d> 2 </d> </record>
+	<record> <a> 3 </a> </record> </root>`)
+
+// pull drains src, calling SkipSubtree on the StartElements whose ordinal
+// (0-based, among the StartElements delivered) skip selects, and checks
+// the counter clauses of the contract on the way: TokenCount is the
+// number of tokens Next has delivered, SkipStats moves only inside
+// SkipSubtree, never backwards, and counts one subtree per call.
+func pull(t *testing.T, src event.Source, skip func(start int) bool) ([]string, error) {
+	t.Helper()
+	var got []string
+	var stats event.SkipStats
+	for starts, skips := 0, int64(0); ; {
+		tok, err := src.Next()
+		if err == nil {
+			got = append(got, show(tok))
+		}
+		if n := src.TokenCount(); n != int64(len(got)) {
+			t.Fatalf("TokenCount = %d after %d delivered tokens (err %v)", n, len(got), err)
+		}
+		if src.SkipStats() != stats {
+			t.Fatalf("SkipStats moved outside SkipSubtree: %+v -> %+v", stats, src.SkipStats())
+		}
+		if err != nil {
+			return got, err
+		}
+		if tok.Kind != event.StartElement {
+			continue
+		}
+		if starts++; !skip(starts - 1) {
+			continue
+		}
+		err = src.SkipSubtree()
+		skips++
+		now := src.SkipStats()
+		if now.SubtreesSkipped != skips || now.BytesSkipped < stats.BytesSkipped || now.TagsSkipped < stats.TagsSkipped {
+			t.Fatalf("SkipStats after %d skips: %+v, before the last: %+v", skips, now, stats)
+		}
+		stats = now
+		if n := src.TokenCount(); n != int64(len(got)) {
+			t.Fatalf("TokenCount = %d after a skip, %d tokens delivered: skipped tokens must not count", n, len(got))
+		}
+		if err != nil {
+			return got, err
+		}
+	}
+}
+
+// without returns stream minus the inside and the end tag of the
+// subtree opened by its start-th StartElement.
+func without(stream []string, start int) []string {
+	var out []string
+	depth, starts := 0, 0
+	for _, s := range stream {
+		isStart := strings.HasPrefix(s, "<") && !strings.HasPrefix(s, "</")
+		if depth > 0 {
+			switch {
+			case isStart:
+				depth++
+			case strings.HasPrefix(s, "</"):
+				depth--
+			}
+			continue
+		}
+		out = append(out, s)
+		if isStart {
+			if starts == start {
+				depth = 1
+			}
+			starts++
+		}
+	}
+	return out
+}
+
+// TestSourceContract holds all four sources to the clauses of the
+// event.Source contract that the engine relies on and no format-level
+// test states.
+func TestSourceContract(t *testing.T) {
+	for _, s := range sources {
+		t.Run(s.name, func(t *testing.T) {
+			// The unskipped stream is the tree's, in both syntaxes.
+			src := s.open(s.doc)
+			got, err := pull(t, src, func(int) bool { return false })
+			if err != io.EOF || fmt.Sprint(got) != fmt.Sprint(wantStream) {
+				t.Fatalf("stream = %v, %v\nwant     %v, EOF", got, err, wantStream)
+			}
+			if _, err := src.Next(); err != io.EOF {
+				t.Errorf("Next after EOF = %v, want EOF again", err)
+			}
+			src.Release()
+			src.Release() // twice is harmless
+
+			// After SkipSubtree the next token is the one after the
+			// subtree's end: the following sibling or the parent's end.
+			starts := 0
+			for _, w := range wantStream {
+				if strings.HasPrefix(w, "<") && !strings.HasPrefix(w, "</") {
+					starts++
+				}
+			}
+			for at := 0; at < starts; at++ {
+				src := s.open(s.doc)
+				got, err := pull(t, src, func(i int) bool { return i == at })
+				if want := without(wantStream, at); err != io.EOF || fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("skip at start %d: %v, %v\nwant %v, EOF", at, got, err, want)
+				}
+				src.Release()
+			}
+
+			// Several skips in one run: the totals are the sums pull checks
+			// call by call. The <a> and <d> members and the second record.
+			src = s.open(s.doc)
+			got, err = pull(t, src, func(i int) bool { return i == 2 || i == 6 || i == 7 })
+			want := strings.Fields(`<root> <record> <a> <b> <c> x </c> <c> y </c> </b> <d> </record> <record> </root>`)
+			if err != io.EOF || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("three skips: %v, %v\nwant %v, EOF", got, err, want)
+			}
+			if st := src.SkipStats(); st.SubtreesSkipped != 3 || st.BytesSkipped == 0 {
+				t.Errorf("three skips: SkipStats %+v", st)
+			}
+			src.Release()
+
+			// An error is sticky, whether Next or SkipSubtree met it.
+			for _, c := range []struct {
+				what, doc string
+				skipAt    int
+			}{{"syntax error", s.bad, -1}, {"truncated", s.cut, -1}, {"truncated inside a skip", s.cut, 3}} {
+				src := s.open(c.doc)
+				_, first := pull(t, src, func(i int) bool { return i == c.skipAt })
+				if first == nil || first == io.EOF {
+					t.Fatalf("%s: got %v, want an error", c.what, first)
+				}
+				for range 2 {
+					if _, err := src.Next(); err == nil || err.Error() != first.Error() {
+						t.Errorf("%s: Next after %q = %v, want the same error", c.what, first, err)
+					}
+				}
+				src.Release()
+			}
+
+			// A source taken from the pool after a failed, cancelled,
+			// half-read one starts clean.
+			src = s.open(s.cut)
+			ctx, cancel := context.WithCancel(context.Background())
+			src.SetContext(ctx)
+			pull(t, src, func(i int) bool { return i == 2 })
+			cancel()
+			if _, err := src.Next(); err == nil {
+				t.Error("Next after a failed run returned a token")
+			}
+			src.Release()
+			src = s.open(s.doc)
+			if src.TokenCount() != 0 || src.SkipStats() != (event.SkipStats{}) {
+				t.Errorf("reacquired source: TokenCount %d, SkipStats %+v", src.TokenCount(), src.SkipStats())
+			}
+			if got, err := pull(t, src, func(int) bool { return false }); err != io.EOF || fmt.Sprint(got) != fmt.Sprint(wantStream) {
+				t.Errorf("reacquired source: %v, %v\nwant %v, EOF", got, err, wantStream)
+			}
+			src.Release()
+		})
+	}
+}

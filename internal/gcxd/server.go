@@ -1,6 +1,6 @@
 // Package gcxd implements the GCX query server behind cmd/gcxd: a
 // concurrent HTTP front end over the streaming engine, importable so
-// tests and the gcxload harness can run an in-process instance.
+// tests, BenchmarkServe and gcxperf can run an in-process instance.
 //
 // Observability (DESIGN.md §11): every serving counter lives in one
 // obs.Registry — GET /metrics renders the Prometheus text exposition,
@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"gcx"
@@ -292,6 +293,9 @@ func contentType(f gcx.Format) string {
 	}
 }
 
+// bodyPool recycles the buffers small request bodies are read into.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // countingWriter tracks whether (and how much of) the response body has
 // hit the wire, which decides between a clean error status and an error
 // trailer on a stream that already started.
@@ -399,11 +403,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", contentType(opts.Format))
 	w.Header().Set("Trailer", trailerNames)
 	if n := r.ContentLength; n >= 0 && s.bytesBodyLimit >= 0 && n <= s.bytesBodyLimit {
-		// Small body with a known length: buffer it once and take the
-		// zero-copy engine path (DESIGN.md §12). The net/http layer
-		// already caps Body at Content-Length, so ReadAll is bounded.
-		body, rerr := io.ReadAll(r.Body)
-		if rerr != nil {
+		// Small body with a known length: read it into one exactly
+		// sized, pooled buffer and take the zero-copy engine path
+		// (DESIGN.md §12). The run borrows from the buffer, so it goes
+		// back to the pool only once the run has returned.
+		buf := bodyPool.Get().(*[]byte)
+		defer bodyPool.Put(buf)
+		if int64(cap(*buf)) < n {
+			*buf = make([]byte, n)
+		}
+		body := (*buf)[:n]
+		if _, rerr := io.ReadFull(r.Body, body); rerr != nil {
 			outcome, status = "error", http.StatusBadRequest
 			s.fail(w, status, "reading request body: "+rerr.Error())
 			return

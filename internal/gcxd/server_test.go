@@ -1,9 +1,11 @@
 package gcxd
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -186,6 +188,45 @@ func TestServerErrors(t *testing.T) {
 	gresp.Body.Close()
 	if gresp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /query: status %d, want 405", gresp.StatusCode)
+	}
+}
+
+// TestServerSmallBodyBuffer pins the pooled small-body read: requests of
+// different sizes back to back on one server each see exactly their own
+// body (a shorter body is not followed by the tail of a longer one the
+// buffer held before), and a body that ends before its Content-Length
+// is a 400, not a run over a partly stale buffer.
+func TestServerSmallBodyBuffer(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{CacheSize: 8}))
+	defer ts.Close()
+
+	for i, books := range []int{300, 2, 40, 1, 300} {
+		doc := testDoc(i, books)
+		resp, body := postQuery(t, ts.URL, testQuery, doc, "")
+		if resp.StatusCode != http.StatusOK || resp.Trailer.Get("X-Gcx-Error") != "" {
+			t.Fatalf("%d books: status %d, error trailer %q", books, resp.StatusCode, resp.Trailer.Get("X-Gcx-Error"))
+		}
+		if want := expectedOutput(t, testQuery, doc); body != want {
+			t.Errorf("%d books after a different body: got %q, want %q", books, body, want)
+		}
+	}
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	doc := testDoc(9, 2)
+	fmt.Fprintf(conn, "POST /query?query=%s HTTP/1.1\r\nHost: gcxd\r\nContent-Length: %d\r\n\r\n%s",
+		url.QueryEscape(testQuery), len(doc)+10, doc)
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("short body: status %d (%s), want 400", resp.StatusCode, msg)
 	}
 }
 

@@ -43,9 +43,9 @@ func TestSkipCancelledMidScan(t *testing.T) {
 				}
 				time.AfterFunc(time.Millisecond, cancel)
 				if err := tz.SkipSubtree(); !errors.Is(err, context.Canceled) {
-					t.Fatalf("SkipSubtree = %v after %d of %d bytes, want context.Canceled", err, tz.BytesSkipped(), len(doc))
+					t.Fatalf("SkipSubtree = %v after %d of %d bytes, want context.Canceled", err, tz.SkipStats().BytesSkipped, len(doc))
 				}
-				if n := tz.BytesSkipped(); n > int64(len(doc)/2) {
+				if n := tz.SkipStats().BytesSkipped; n > int64(len(doc)/2) {
 					t.Fatalf("skip ran %d of %d bytes past a cancellation 1 ms in", n, len(doc))
 				}
 			})

@@ -17,7 +17,8 @@ import (
 //  2. it accepts at least what encoding/json accepts — any input that
 //     json.Valid blesses as a single value must tokenize without error
 //     (the tokenizer's dialect is a superset: concatenated values and
-//     lenient number tails are additionally allowed);
+//     lenient number tails are additionally allowed), unless it nests
+//     deeper than event.MaxDepth, where encoding/json allows 10 000;
 //  3. whatever was accepted serializes to valid JSON lines that
 //     re-tokenize cleanly.
 func FuzzJSONTokenizer(f *testing.F) {
@@ -34,6 +35,8 @@ func FuzzJSONTokenizer(f *testing.F) {
 		"\x00{}",
 		`{"":""}`,
 		strings.Repeat("[", 64) + strings.Repeat("]", 64),
+		// One level past the nesting ceiling (event.MaxDepth).
+		strings.Repeat("[", event.MaxDepth+1),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -68,7 +71,7 @@ func FuzzJSONTokenizer(f *testing.F) {
 			}
 		}
 		if tokErr != nil {
-			if json.Valid([]byte(doc)) {
+			if json.Valid([]byte(doc)) && !strings.Contains(tokErr.Error(), "nested deeper") {
 				t.Fatalf("rejected input that encoding/json accepts: %v\ninput: %q", tokErr, doc)
 			}
 			return // clean rejection of invalid input
@@ -132,6 +135,8 @@ func FuzzJSONBytesReaderParity(f *testing.F) {
 		`[1,`,
 		`{"a"`,
 		"\x00{}",
+		// One level past the nesting ceiling (event.MaxDepth).
+		strings.Repeat("[", event.MaxDepth+1),
 	}
 	for _, s := range seeds {
 		f.Add(s, uint8(0))
@@ -184,6 +189,7 @@ func FuzzJSONSkipSubtree(f *testing.F) {
 		`{"a":"br } ace \" in string","b":1}`,
 		`{"a":[[[{"x":1}]]],"b":2}`,
 		`{"a":1}`,
+		`{"a":` + strings.Repeat("[", event.MaxDepth) + `,"b":2}`, // one level past the ceiling
 	}
 	for _, s := range seeds {
 		f.Add(s)

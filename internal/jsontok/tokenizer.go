@@ -60,6 +60,9 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("jsontok: syntax error at byte %d: %s", e.Offset, e.Msg)
 }
 
+// tooDeep is the message of the nesting-depth ceiling's SyntaxError.
+const tooDeep = "containers nested deeper than %d"
+
 // frame kinds of the container stack.
 const (
 	frameStream uint8 = iota // the virtual root: a sequence of records
@@ -105,6 +108,9 @@ type Tokenizer struct {
 	started  bool
 	done     bool
 	released bool
+	// err is the first error Next or SkipSubtree returned. It is final:
+	// both return it again rather than parse on from where it struck.
+	err error
 
 	textBuf []byte
 
@@ -161,6 +167,7 @@ func (t *Tokenizer) reset() {
 	t.started = false
 	t.done = false
 	t.released = false
+	t.err = nil
 	t.textBuf = t.textBuf[:0]
 	t.bytesSkipped = 0
 	t.tagsSkipped = 0
@@ -194,19 +201,9 @@ func (t *Tokenizer) Release() {
 // TokenCount reports how many events have been delivered so far.
 func (t *Tokenizer) TokenCount() int64 { return t.count }
 
-// BytesSkipped reports how many input bytes SkipSubtree fast-forwarded
-// past without tokenization.
-func (t *Tokenizer) BytesSkipped() int64 { return t.bytesSkipped }
-
-// TagsSkipped reports a lower bound on the elements inside skipped
-// values (object members counted via their key separators).
-func (t *Tokenizer) TagsSkipped() int64 { return t.tagsSkipped }
-
-// SubtreesSkipped reports how many SkipSubtree fast-forwards were taken.
-func (t *Tokenizer) SubtreesSkipped() int64 { return t.subtreesSkipped }
-
-// SkipStats bundles the skip counters as the event.Source contract
-// reports them.
+// SkipStats reports the bytes SkipSubtree fast-forwarded past, a lower
+// bound on the elements inside them (object members, counted by their
+// key separators) and the number of fast-forwards taken.
 func (t *Tokenizer) SkipStats() event.SkipStats {
 	return event.SkipStats{
 		BytesSkipped:    t.bytesSkipped,
@@ -225,8 +222,18 @@ func (t *Tokenizer) queue(tok event.Token) {
 	t.npend++
 }
 
-// Next returns the next event of the stream, io.EOF at the end.
+// Next returns the next event of the stream, io.EOF at the end. Once
+// Next or SkipSubtree has failed, both keep returning that error.
 func (t *Tokenizer) Next() (event.Token, error) {
+	if t.err != nil {
+		return event.Token{}, t.err
+	}
+	tok, err := t.next()
+	t.err = err
+	return tok, err
+}
+
+func (t *Tokenizer) next() (event.Token, error) {
 	if t.ctxDone != nil {
 		select {
 		case <-t.ctxDone:
@@ -367,6 +374,10 @@ func (t *Tokenizer) beginValue(name string) (event.Token, bool, error) {
 	if err != nil {
 		return event.Token{}, false, t.unexpectedEOF(err, "expecting value")
 	}
+	if (b == '{' || b == '[') && len(t.stack) > event.MaxDepth {
+		// (the stream frame at the bottom of the stack is no container)
+		return event.Token{}, false, t.errf(tooDeep, event.MaxDepth)
+	}
 	switch {
 	case b == '{':
 		t.cur.Advance(1)
@@ -439,6 +450,13 @@ func (t *Tokenizer) parseScalar(name string) (event.Token, error) {
 // decoding, number parsing, key interning or event construction happens
 // for the skipped region.
 func (t *Tokenizer) SkipSubtree() error {
+	if t.err == nil {
+		t.err = t.skipSubtree()
+	}
+	return t.err
+}
+
+func (t *Tokenizer) skipSubtree() error {
 	t.subtreesSkipped++
 	if t.scalarPending {
 		// Scalar value: its bytes are still in the cursor; raw-scan
@@ -454,7 +472,7 @@ func (t *Tokenizer) SkipSubtree() error {
 	switch top.kind {
 	case frameObject:
 		// The object's '{' is consumed; scan to the matching '}'.
-		if err := t.rawSkip(1); err != nil {
+		if err := t.rawSkip(); err != nil {
 			return err
 		}
 		t.stack = t.stack[:len(t.stack)-1]
@@ -490,11 +508,14 @@ func (t *Tokenizer) skipBlock() ([]byte, error) {
 	return t.cur.Block(), nil
 }
 
-// rawSkip consumes bytes until the container nesting depth returns to
-// zero from the given starting depth, honoring strings and escapes. It
-// scans the cursor window in place — the hot loop touches each byte
-// once and allocates nothing.
-func (t *Tokenizer) rawSkip(depth int) error {
+// rawSkip consumes the rest of the object on top of the stack, through
+// its closing brace, honoring strings and escapes. It scans the cursor
+// window in place — the hot loop touches each byte once and allocates
+// nothing. depth counts open containers as the stack does, so the
+// ceiling beginValue enforces holds inside a skipped value too.
+func (t *Tokenizer) rawSkip() error {
+	depth := len(t.stack) - 1
+	outer := depth - 1
 	inStr := false
 	escaped := false
 	for {
@@ -519,10 +540,13 @@ func (t *Tokenizer) rawSkip(depth int) error {
 			case '"':
 				inStr = true
 			case '{', '[':
-				depth++
+				if depth++; depth > event.MaxDepth {
+					t.cur.Advance(i)
+					return t.errf(tooDeep, event.MaxDepth)
+				}
 			case '}', ']':
 				depth--
-				if depth == 0 {
+				if depth == outer {
 					t.cur.Advance(i + 1)
 					t.bytesSkipped += int64(i + 1)
 					return nil

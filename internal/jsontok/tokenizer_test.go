@@ -1,8 +1,10 @@
 package jsontok
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -199,15 +201,15 @@ func TestSkipSubtree(t *testing.T) {
 	if b.String() != want {
 		t.Fatalf("after skip:\n got %s\nwant %s", b.String(), want)
 	}
-	if tz.SubtreesSkipped() != 1 {
-		t.Fatalf("SubtreesSkipped = %d, want 1", tz.SubtreesSkipped())
+	if tz.SkipStats().SubtreesSkipped != 1 {
+		t.Fatalf("SubtreesSkipped = %d, want 1", tz.SkipStats().SubtreesSkipped)
 	}
-	if tz.BytesSkipped() == 0 {
+	if tz.SkipStats().BytesSkipped == 0 {
 		t.Fatal("BytesSkipped = 0 after a container skip")
 	}
 	// Members inside the skipped region: deep, x, more.
-	if tz.TagsSkipped() != 3 {
-		t.Fatalf("TagsSkipped = %d, want 3", tz.TagsSkipped())
+	if tz.SkipStats().TagsSkipped != 3 {
+		t.Fatalf("TagsSkipped = %d, want 3", tz.SkipStats().TagsSkipped)
 	}
 }
 
@@ -245,8 +247,8 @@ func TestSkipScalar(t *testing.T) {
 	if b.String() != want {
 		t.Fatalf("after scalar skip:\n got %s\nwant %s", b.String(), want)
 	}
-	if tz.BytesSkipped() != 1 {
-		t.Fatalf("BytesSkipped = %d, want 1 (the digit of a's value)", tz.BytesSkipped())
+	if tz.SkipStats().BytesSkipped != 1 {
+		t.Fatalf("BytesSkipped = %d, want 1 (the digit of a's value)", tz.SkipStats().BytesSkipped)
 	}
 }
 
@@ -286,8 +288,8 @@ func TestSkipScalarString(t *testing.T) {
 	if b.String() != want {
 		t.Fatalf("after string-scalar skip:\n got %s\nwant %s", b.String(), want)
 	}
-	if tz.BytesSkipped() != int64(len(val)) {
-		t.Fatalf("BytesSkipped = %d, want %d (the whole string value)", tz.BytesSkipped(), len(val))
+	if tz.SkipStats().BytesSkipped != int64(len(val)) {
+		t.Fatalf("BytesSkipped = %d, want %d (the whole string value)", tz.SkipStats().BytesSkipped, len(val))
 	}
 }
 
@@ -307,22 +309,16 @@ func TestSkipRoot(t *testing.T) {
 	}
 }
 
-// TestDeepNesting: deeply nested arrays and objects must not grow the
-// goroutine stack (beginValue iterates instead of recursing).
+// TestDeepNesting: nesting up to the ceiling must not grow the goroutine
+// stack (beginValue iterates instead of recursing).
 func TestDeepNesting(t *testing.T) {
-	const depth = 100000
+	const depth = event.MaxDepth
 	in := strings.Repeat("[", depth) + "1" + strings.Repeat("]", depth)
 	got := drain(t, in)
 	if got != `<root><record>%1%</record></root>` {
 		t.Fatalf("deep arrays: got %s", got)
 	}
-	var b strings.Builder
-	for i := 0; i < depth; i++ {
-		b.WriteString(`{"a":`)
-	}
-	b.WriteString("1")
-	b.WriteString(strings.Repeat("}", depth))
-	tz := NewTokenizer(strings.NewReader(b.String()))
+	tz := NewTokenizer(strings.NewReader(nestedObjects(depth)))
 	defer tz.Release()
 	n := 0
 	for {
@@ -337,6 +333,104 @@ func TestDeepNesting(t *testing.T) {
 	}
 	if want := 2 + 2 + 2*depth + 1; n != want {
 		t.Fatalf("deep objects: %d events, want %d", n, want)
+	}
+}
+
+func nestedObjects(n int) string {
+	return strings.Repeat(`{"a":`, n) + "1" + strings.Repeat("}", n)
+}
+
+// TestDepthCeiling: event.MaxDepth open containers are accepted (the
+// test above, and the skip below), one more is a SyntaxError naming the
+// ceiling on the token path, inside a raw skip and in a chunk the
+// splitter cut, on both backings; a million unclosed levels fail the
+// same way without the frame stack outgrowing the ceiling.
+func TestDepthCeiling(t *testing.T) {
+	// walk tokenizes doc; with skip set it skips the record, so all
+	// nesting below the record's own object is seen by rawSkip only.
+	walk := func(tz *Tokenizer, skip bool) error {
+		defer tz.Release()
+		for n := 0; ; n++ {
+			_, err := tz.Next()
+			if err == io.EOF {
+				return nil
+			}
+			if err == nil && skip && n == 1 {
+				err = tz.SkipSubtree()
+			}
+			if err != nil {
+				return err
+			}
+		}
+	}
+	paths := []struct {
+		name string
+		run  func(doc string, fixed bool) error
+	}{
+		{"token", func(doc string, fixed bool) error {
+			if fixed {
+				return walk(NewTokenizerBytes([]byte(doc)), false)
+			}
+			return walk(NewTokenizer(strings.NewReader(doc)), false)
+		}},
+		{"skip", func(doc string, fixed bool) error {
+			if fixed {
+				return walk(NewTokenizerBytes([]byte(doc)), true)
+			}
+			return walk(NewTokenizer(strings.NewReader(doc)), true)
+		}},
+		{"split", func(doc string, fixed bool) error {
+			sp := NewSplitter(strings.NewReader(doc))
+			if fixed {
+				sp = NewSplitterBytes([]byte(doc))
+			}
+			for {
+				c, err := sp.Next()
+				if err == io.EOF {
+					return nil
+				}
+				if err == nil {
+					err = walk(NewTokenizerBytes(c.Data), false)
+				}
+				if err != nil {
+					return err
+				}
+			}
+		}},
+	}
+	isCeiling := func(err error) bool {
+		var se *SyntaxError
+		return errors.As(err, &se) && strings.Contains(se.Msg, "nested deeper")
+	}
+	hostile := strings.Repeat(`{"a":[`, 1<<19)
+	for _, p := range paths {
+		for _, fixed := range []bool{true, false} {
+			name := p.name + "/reader"
+			if fixed {
+				name = p.name + "/bytes"
+			}
+			t.Run(name, func(t *testing.T) {
+				if err := p.run(nestedObjects(event.MaxDepth), fixed); err != nil {
+					t.Errorf("depth %d rejected: %v", event.MaxDepth, err)
+				}
+				if err := p.run(nestedObjects(event.MaxDepth+1), fixed); !isCeiling(err) {
+					t.Errorf("depth %d: got %v, want the depth ceiling's SyntaxError", event.MaxDepth+1, err)
+				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := p.run(hostile, fixed)
+				runtime.ReadMemStats(&after)
+				if !isCeiling(err) {
+					t.Fatalf("1 Mi levels: got %v, want the depth ceiling's SyntaxError", err)
+				}
+				// The bytes backing copies the 3 MiB input once. The split
+				// path is not held to the bound: its memory is the line the
+				// NDJSON splitter has to assemble, whatever is in it.
+				if grown := after.TotalAlloc - before.TotalAlloc; p.name != "split" && grown > uint64(len(hostile))+1<<20 {
+					t.Errorf("1 Mi levels: allocated %d bytes before failing", grown)
+				}
+			})
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package lint
 
 import (
 	"go/ast"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -174,6 +176,38 @@ func TestRepoClean(t *testing.T) {
 	}
 	for _, f := range findings {
 		t.Errorf("repo violation: %v", f)
+	}
+}
+
+// TestAllowListsNameRealPackages: every package a pass's allow-list
+// names inside this module is a directory of it — an entry left behind
+// by a deleted package would silently allow whatever takes the path
+// next. Entries under a directory with a go.mod of its own belong to
+// that module and are not checked here.
+func TestAllowListsNameRealPackages(t *testing.T) {
+	const root = "../.."
+	module := modulePath(root)
+	var pkgs []string
+	for _, list := range []map[string]bool{tokenizerPkgs, tokenizerImporters, pollPkgs, hotPkgs, slogOnlyPkgs} {
+		pkgs = append(pkgs, sortedKeys(list)...)
+	}
+entries:
+	for _, pkg := range pkgs {
+		rel, ok := strings.CutPrefix(pkg, module+"/")
+		if !ok {
+			t.Errorf("allow-list entry %s is outside module %s", pkg, module)
+			continue
+		}
+		dir := root
+		for _, elem := range strings.Split(rel, "/") {
+			dir = filepath.Join(dir, elem)
+			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+				continue entries
+			}
+		}
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			t.Errorf("allow-list entry %s names no directory of this module", pkg)
+		}
 	}
 }
 

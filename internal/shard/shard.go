@@ -264,9 +264,15 @@ func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 
 	// Workers: one engine instance per chunk, each with its own buffer
 	// manager (and, when tracing, its own timer), under the caller's
-	// context.
+	// context. Run waits for all of them: on cancellation the producer
+	// can hand a worker a chunk the merge never sees, and no worker may
+	// still be reading the caller's input once Run has returned.
+	var running sync.WaitGroup
+	defer running.Wait()
 	for i := 0; i < workers; i++ {
+		running.Add(1)
 		go func() {
+			defer running.Done()
 			wcfg := cfg
 			for t := range work {
 				buf := outBufPool.Get().(*bytes.Buffer)

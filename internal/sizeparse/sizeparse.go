@@ -33,17 +33,3 @@ func Parse(s string) (int64, error) {
 	}
 	return int64(f * float64(mult)), nil
 }
-
-// Format renders a byte count with a binary-unit suffix.
-func Format(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1fGB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
-}

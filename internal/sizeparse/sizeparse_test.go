@@ -30,27 +30,3 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 }
-
-func TestFormat(t *testing.T) {
-	cases := map[int64]string{
-		512:      "512B",
-		1 << 10:  "1.0KB",
-		10 << 20: "10.0MB",
-		3 << 30:  "3.0GB",
-		1536:     "1.5KB",
-	}
-	for in, want := range cases {
-		if got := Format(in); got != want {
-			t.Errorf("Format(%d) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	for _, n := range []int64{1 << 10, 1 << 20, 10 << 20, 1 << 30} {
-		back, err := Parse(Format(n))
-		if err != nil || back != n {
-			t.Errorf("round trip %d → %q → %d, %v", n, Format(n), back, err)
-		}
-	}
-}

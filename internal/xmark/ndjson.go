@@ -4,8 +4,8 @@ package xmark
 // the same domain as the XML documents, reshaped as one bid record per
 // line, which is what the JSON front end's virtual /root/record
 // document looks like. The generator is deterministic under Config.Seed
-// and byte-size-targeted like Generate, so gcxbench can produce
-// comparable NDJSON cells next to the XMark XML cells.
+// and byte-size-targeted like Generate, so gcxperf's ndjson-filter
+// workload is comparable with the XMark XML ones.
 
 import (
 	"bufio"
@@ -90,7 +90,7 @@ func GenerateNDJSON(w io.Writer, cfg Config) (*Stats, error) {
 	return st, nil
 }
 
-// GenerateNDJSONString renders a bid log in memory (tests, gcxbench).
+// GenerateNDJSONString renders a bid log in memory (tests).
 func GenerateNDJSONString(cfg Config) (string, *Stats, error) {
 	var b strings.Builder
 	st, err := GenerateNDJSON(&b, cfg)

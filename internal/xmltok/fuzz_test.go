@@ -4,6 +4,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"gcx/internal/event"
 )
 
 // FuzzTokenizer: arbitrary bytes must produce either tokens or a clean
@@ -40,6 +42,8 @@ func FuzzSplitter(f *testing.F) {
 		`<a><b><![CDATA[` + strings.Repeat("]", 40) + `]]></b><c><!--` + strings.Repeat("-", 40) + `--></c></a>`,
 		strings.Repeat("&#32;", 8) + `<a><b/></a>` + strings.Repeat("&#x20;", 8),
 		`<a><b>x</b></a>trailing`,
+		// One level past the nesting ceiling (event.MaxDepth).
+		strings.Repeat("<a>", event.MaxDepth+1),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -170,6 +174,8 @@ func FuzzSkipSubtree(f *testing.F) {
 		// Window-boundary corpus (see FuzzTokenizer).
 		`<a><bbbbbbbbbbbbbbbb>x</bbbbbbbbbbbbbbbb></a>`,
 		`<a><b>` + strings.Repeat("t", 15) + `<c/></b></a>`,
+		// One level past the nesting ceiling (event.MaxDepth).
+		strings.Repeat("<a>", event.MaxDepth+1),
 	}
 	for _, s := range seeds {
 		f.Add(s, uint8(0))
@@ -302,6 +308,8 @@ func FuzzBytesReaderParity(f *testing.F) {
 		`<a><b></c></a>`,
 		`<a x='1'`,
 		"<a>\xff\xfe</a>",
+		// One level past the nesting ceiling (event.MaxDepth).
+		strings.Repeat("<a>", event.MaxDepth+1),
 	}
 	for _, s := range seeds {
 		f.Add(s, uint8(0), uint8(0), false)
@@ -372,6 +380,8 @@ func FuzzTokenizer(f *testing.F) {
 		`<a><![CDATA[` + strings.Repeat("]", 17) + `]]></a>`,
 		`<a q="` + strings.Repeat("v", 12) + `>quoted">t</a>`,
 		`<!--` + strings.Repeat("-", 15) + `--><a/>`,
+		// One level past the nesting ceiling (event.MaxDepth).
+		strings.Repeat("<a>", event.MaxDepth+1),
 	}
 	for _, s := range seeds {
 		f.Add(s)

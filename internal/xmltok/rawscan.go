@@ -6,7 +6,11 @@ import (
 	"fmt"
 
 	"gcx/internal/cursor"
+	"gcx/internal/event"
 )
+
+// tooDeep is the message of the nesting-depth ceiling's SyntaxError.
+const tooDeep = "elements nested deeper than %d"
 
 // rawScanner is the one byte-level XML scan, embedded by the Tokenizer
 // (which adds token construction on top) and the Splitter (which adds
@@ -98,12 +102,17 @@ const (
 // block edge, a malformed name) syncs the cursor and goes through
 // markup, the general per-construct path, so both shapes produce
 // identical errors at identical offsets.
-func (rs *rawScanner) skipElement(name []byte) error {
+//
+// depth is the nesting depth of the element being skipped (1 for the
+// document element); an element inside it that would sit deeper than
+// event.MaxDepth is an error, as it is for the Tokenizer.
+func (rs *rawScanner) skipElement(name []byte, depth int) error {
 	// The name stack and the tag count live in locals so the hot loop
 	// keeps them in registers; leave writes them back at every exit.
 	nb := append(rs.nameBuf[:0], name...)
 	nl := append(rs.nameLen[:0], len(name))
 	tags := rs.tags
+	room := event.MaxDepth - depth + 1 // the most names nl may hold
 	for {
 		if err := rs.poll(); err != nil {
 			return rs.leave(nb, nl, tags, err)
@@ -199,6 +208,10 @@ func (rs *rawScanner) skipElement(name []byte) error {
 			}
 			// Errors and the final end tag are reported with the cursor
 			// just past the tag's '>', where markup leaves it.
+			if kind != closeTag && len(nl) >= room {
+				rs.cur.Advance(end)
+				return rs.leave(nb, nl, tags, rs.errf(tooDeep, event.MaxDepth))
+			}
 			switch kind {
 			case openTag:
 				tags++

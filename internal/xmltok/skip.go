@@ -21,8 +21,7 @@ import "gcx/internal/event"
 // immediately after Next returned a StartElement, with no intervening
 // Peek. The skipped element's EndElement is consumed silently — it is
 // never delivered — and skipped content does not count into
-// TokenCount. BytesSkipped, TagsSkipped and SubtreesSkipped report
-// what was fast-forwarded.
+// TokenCount. SkipStats reports what was fast-forwarded.
 func (t *Tokenizer) SkipSubtree() error {
 	if t.peeked != nil {
 		return t.errf("SkipSubtree after Peek")
@@ -40,9 +39,10 @@ func (t *Tokenizer) SkipSubtree() error {
 		t.pending = nil
 	} else {
 		startOff := t.cur.Offset()
-		err := t.skipElement([]byte(t.stack[len(t.stack)-1]))
+		err := t.skipElement([]byte(t.stack[len(t.stack)-1]), len(t.stack))
 		t.bytesSkipped += t.cur.Offset() - startOff
 		if err != nil {
+			t.err = err
 			return err
 		}
 	}
@@ -53,22 +53,11 @@ func (t *Tokenizer) SkipSubtree() error {
 	return nil
 }
 
-// BytesSkipped reports how many input bytes SkipSubtree fast-forwarded
-// past without tokenization.
-func (t *Tokenizer) BytesSkipped() int64 { return t.bytesSkipped }
-
-// TagsSkipped reports how many element tokens (start and end tags,
-// self-closing tags counting as two) were inside skipped subtrees — a
-// lower bound on the tokens saved, since skipped text runs are not
-// counted.
-func (t *Tokenizer) TagsSkipped() int64 { return t.tags }
-
-// SubtreesSkipped reports how many SkipSubtree calls completed or
-// started (including empty self-closing subtrees).
-func (t *Tokenizer) SubtreesSkipped() int64 { return t.subtreesSkipped }
-
-// SkipStats bundles the skip counters as the event.Source contract
-// reports them.
+// SkipStats reports the bytes SkipSubtree fast-forwarded past, the
+// element tokens inside them (start and end tags, a self-closing tag
+// counting as two — a lower bound on the tokens saved, since text runs
+// are not counted) and the number of SkipSubtree calls, empty
+// self-closing subtrees included.
 func (t *Tokenizer) SkipStats() event.SkipStats {
 	return event.SkipStats{
 		BytesSkipped:    t.bytesSkipped,

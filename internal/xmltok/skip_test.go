@@ -47,15 +47,15 @@ func TestSkipSubtreeLandsAtEndTag(t *testing.T) {
 	if toks[2].Name != "after" || toks[3].Text != "tail" {
 		t.Fatalf("stream after skip wrong: %+v", toks)
 	}
-	if tz.SubtreesSkipped() != 1 {
-		t.Fatalf("subtrees = %d", tz.SubtreesSkipped())
+	if tz.SkipStats().SubtreesSkipped != 1 {
+		t.Fatalf("subtrees = %d", tz.SkipStats().SubtreesSkipped)
 	}
 	// <x>, </x>, <y>, <z/> (2), </y>, </skip> = 7 tags
-	if tz.TagsSkipped() != 7 {
-		t.Fatalf("tags skipped = %d, want 7", tz.TagsSkipped())
+	if tz.SkipStats().TagsSkipped != 7 {
+		t.Fatalf("tags skipped = %d, want 7", tz.SkipStats().TagsSkipped)
 	}
-	if tz.BytesSkipped() != int64(len(`<x>text</x><y k="v">more<z/></y></skip>`)) {
-		t.Fatalf("bytes skipped = %d", tz.BytesSkipped())
+	if tz.SkipStats().BytesSkipped != int64(len(`<x>text</x><y k="v">more<z/></y></skip>`)) {
+		t.Fatalf("bytes skipped = %d", tz.SkipStats().BytesSkipped)
 	}
 	if tz.Depth() != 0 {
 		t.Fatalf("depth = %d after full read", tz.Depth())
@@ -80,8 +80,8 @@ func TestSkipSubtreeSelfClosing(t *testing.T) {
 			t.Fatalf("token %d = %+v, want %+v", i, toks[i], w)
 		}
 	}
-	if tz.BytesSkipped() != 0 || tz.TagsSkipped() != 1 || tz.SubtreesSkipped() != 1 {
-		t.Fatalf("counters: bytes=%d tags=%d subtrees=%d", tz.BytesSkipped(), tz.TagsSkipped(), tz.SubtreesSkipped())
+	if tz.SkipStats().BytesSkipped != 0 || tz.SkipStats().TagsSkipped != 1 || tz.SkipStats().SubtreesSkipped != 1 {
+		t.Fatalf("counters: bytes=%d tags=%d subtrees=%d", tz.SkipStats().BytesSkipped, tz.SkipStats().TagsSkipped, tz.SkipStats().SubtreesSkipped)
 	}
 }
 

@@ -305,7 +305,7 @@ func (s *Splitter) construct() error {
 		if keep {
 			s.cur.Mark()
 		}
-		err = s.skipElement(name)
+		err = s.skipElement(name, d+1)
 		if keep {
 			inside := s.cur.Take()
 			if isRecord {

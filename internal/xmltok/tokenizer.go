@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"gcx/internal/cursor"
+	"gcx/internal/event"
 )
 
 // Tokenizer reads an XML byte stream and produces Tokens one at a time.
@@ -52,6 +53,9 @@ type Tokenizer struct {
 	started  bool
 	done     bool
 	released bool
+	// err is the first error Next or SkipSubtree returned. It is final:
+	// Next returns it again rather than read on from where it struck.
+	err error
 
 	textBuf []byte
 
@@ -117,6 +121,7 @@ func (t *Tokenizer) reset() {
 	t.started = false
 	t.done = false
 	t.released = false
+	t.err = nil
 	t.textBuf = t.textBuf[:0]
 	t.bytesSkipped = 0
 	t.tags = 0
@@ -164,7 +169,11 @@ func (t *Tokenizer) Peek() (Token, error) {
 // io.EOF; if the input ends with unclosed elements, a SyntaxError is
 // returned instead. If a context was attached with SetContext and has
 // been cancelled, Next returns the context's error without reading.
+// Once Next or SkipSubtree has failed, Next keeps returning that error.
 func (t *Tokenizer) Next() (Token, error) {
+	if t.err != nil {
+		return Token{}, t.err
+	}
 	if t.ctxDone != nil {
 		select {
 		case <-t.ctxDone:
@@ -179,6 +188,7 @@ func (t *Tokenizer) Next() (Token, error) {
 	} else {
 		tok, err = t.read()
 		if err != nil {
+			t.err = err
 			return Token{}, err
 		}
 	}
@@ -313,6 +323,9 @@ func (t *Tokenizer) readStartTag() (Token, bool, error) {
 	name, err := t.readName()
 	if err != nil {
 		return Token{}, false, err
+	}
+	if len(t.stack) >= event.MaxDepth {
+		return Token{}, false, t.errf(tooDeep, event.MaxDepth)
 	}
 	first := len(t.attrChunk) // this tag's attributes are attrChunk[first:]
 	for {

@@ -13,7 +13,7 @@ import (
 // a sequential run sum to the wall time within 10% (the eval phase is
 // computed as the remainder, so the slack only covers clock coarseness
 // on very fast runs — the acceptance run over a 4 MiB document is
-// exercised by make loadtest / cmd/gcx).
+// gcxperf's traced pass, `make perf-baseline`).
 func TestTracePhases(t *testing.T) {
 	doc, _, err := xmark.GenerateString(xmark.Config{TargetBytes: 256 << 10, Seed: 1})
 	if err != nil {
