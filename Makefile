@@ -3,11 +3,14 @@
 # predicts a green pipeline. Numbers come from two places only: `make
 # paper` reproduces the paper's tables with `go test -bench`, and gcxperf
 # (`make perf`, `make perf-baseline`, `make perf-gate`) produces every
-# committed or gated one.
+# committed or gated one. `make profile BENCH=<regexp>` answers "where
+# does the time go" for any root-package benchmark: 20 iterations under
+# the CPU profiler, then pprof's top 30 (BenchmarkEmitE1 is gcxperf's
+# xml-emit workload in that form).
 
 GO ?= go
 
-.PHONY: all build test race check lint paper perf perf-build perf-compare perf-baseline perf-gate loc fuzz-smoke
+.PHONY: all build test race check lint paper profile perf perf-build perf-compare perf-baseline perf-gate loc fuzz-smoke
 
 all: build
 
@@ -47,6 +50,16 @@ lint:
 # set: go test -run xxx -bench Fig5 -fig5.mb 10,50,100,200 .
 paper:
 	$(GO) test -run xxx -bench 'Fig|Ablation' -benchmem .
+
+# profile prints the CPU profile of the benchmarks matching BENCH. The
+# test binary and the profile stay in PROFILE_DIR, outside the tree, for
+# `go tool pprof -list <func> $(PROFILE_DIR)/gcx.test $(PROFILE_DIR)/cpu.prof`.
+PROFILE_DIR ?= /tmp/gcx-profile
+profile:
+	@test -n "$(BENCH)" || { echo "usage: make profile BENCH=<regexp> [PROFILE_DIR=dir]" >&2; exit 2; }
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run xxx -bench '$(BENCH)' -benchtime 20x -o $(PROFILE_DIR)/gcx.test -cpuprofile $(PROFILE_DIR)/cpu.prof .
+	$(GO) tool pprof -top -nodecount 30 $(PROFILE_DIR)/gcx.test $(PROFILE_DIR)/cpu.prof
 
 # perf runs the repository's benchmark (BENCHMARK.json, gcxperf/README.md):
 # all seven workloads end to end with tracing off, results in
@@ -118,3 +131,4 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCursor -fuzztime 10s ./internal/cursor
 	$(GO) test -run xxx -fuzz FuzzBytesReaderParity -fuzztime 10s ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzJSONBytesReaderParity -fuzztime 10s ./internal/jsontok
+	$(GO) test -run xxx -fuzz FuzzSerializer -fuzztime 10s ./internal/core

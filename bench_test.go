@@ -11,6 +11,8 @@
 //	BenchmarkAblationSignOff             — deferred vs. eager sign-offs
 //	BenchmarkAblationDiscipline          — GCX vs. projection-only vs. DOM
 //	BenchmarkSubstrateTokenizer/Projection — substrate throughput
+//	BenchmarkSerializer                  — the XML and JSON sinks alone
+//	BenchmarkEmitE1                      — gcxperf's xml-emit, for `make profile`
 //
 // Custom metrics: peak_nodes (buffer high watermark, the paper's
 // y-axis), peak_KB (estimated buffered bytes).
@@ -325,6 +327,75 @@ func BenchmarkSubstrateTokenizer(b *testing.B) {
 			}
 		}
 		tz.Release()
+	}
+}
+
+// BenchmarkEmitE1 is gcxperf's xml-emit workload as a Go benchmark, so
+// that `make profile BENCH=EmitE1` shows where its time goes: query E1
+// (hotpath_test.go) over 16 MiB on the zero-copy path emits every item
+// subtree, which makes the tokenizer, the projection, the buffer and
+// the serializer all work.
+func BenchmarkEmitE1(b *testing.B) {
+	doc := []byte(xmarkDoc(b, 16<<20))
+	q, err := gcx.Compile(queryE1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.ExecuteBytes(doc, io.Discard, gcx.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSerializer measures the two sinks alone: the tokens of the
+// same document, held in memory, rendered to a discarding writer. With
+// BenchmarkSubstrateTokenizer it brackets what the front and back end
+// cost a run that keeps everything.
+func BenchmarkSerializer(b *testing.B) {
+	doc := xmarkDoc(b, 1<<20)
+	var toks []xmltok.Token
+	tz := xmltok.NewTokenizerBytes([]byte(doc))
+	for {
+		tok, err := tz.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		toks = append(toks, tok)
+	}
+	for _, format := range []core.Format{core.FormatXML, core.FormatNDJSON} {
+		b.Run(format.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var written int64
+			for i := 0; i < b.N; i++ {
+				sink, err := core.NewSink(format, io.Discard)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, tok := range toks {
+					switch tok.Kind {
+					case xmltok.StartElement:
+						sink.StartElement(tok.Name, tok.Attrs)
+					case xmltok.EndElement:
+						sink.EndElement(tok.Name)
+					case xmltok.Text:
+						sink.Text(tok.Text)
+					}
+				}
+				if err := sink.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				written = sink.BytesWritten()
+				sink.Release()
+			}
+			b.SetBytes(written)
+		})
 	}
 }
 

@@ -24,6 +24,11 @@ const queryE1 = `<result>{ for $r in /site/regions return for $i in $r//item ret
 // at the commit before the buffer hot path stopped allocating per node.
 const q8AllocsParent = 19_681
 
+// q20AllocsParent is Q20's allocation count over the same document at
+// the commit before numeric literals were rendered once at parse time
+// instead of at every comparison (four per person).
+const q20AllocsParent = 4_744
+
 // runAllocs returns the allocations of one execution of query over doc
 // and the run's statistics.
 func runAllocs(t *testing.T, query string, doc []byte, opts gcx.Options) (float64, *gcx.Result) {
@@ -78,6 +83,36 @@ func TestAllocCeilingQ8(t *testing.T) {
 	t.Logf("Q8: %.0f allocations (parent commit: %d)", allocs, q8AllocsParent)
 	if allocs > q8AllocsParent {
 		t.Errorf("Q8 allocates %.0f times, parent commit %d", allocs, q8AllocsParent)
+	}
+}
+
+func TestAllocCeilingQ20(t *testing.T) {
+	doc, _, err := xmark.GenerateString(xmark.Config{TargetBytes: 1 << 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := xmark.Queries["Q20"].Text
+	allocs, _ := runAllocs(t, query, []byte(doc), gcx.Options{})
+	t.Logf("Q20: %.0f allocations (parent commit: %d)", allocs, q20AllocsParent)
+	if allocs >= q20AllocsParent {
+		t.Errorf("Q20 allocates %.0f times, parent commit %d", allocs, q20AllocsParent)
+	}
+	// The DOM engine still formats the literal at every comparison, so
+	// equal output says the pre-rendered form is the same value.
+	q, err := gcx.Compile(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := q.ExecuteString(doc, gcx.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := q.ExecuteString(doc, gcx.Options{Engine: gcx.EngineDOM})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Error("Q20 output differs from the DOM engine's")
 	}
 }
 

@@ -115,7 +115,9 @@ func (c *Cursor) ResetReader(r io.Reader, size int) {
 	if cap(c.scratch) < size {
 		c.scratch = make([]byte, 0, size)
 	}
-	c.buf = c.scratch[:0]
+	// The window's capacity is the requested size even when a larger
+	// scratch is being reused: refills work within cap(c.buf).
+	c.buf = c.scratch[:0:size]
 	c.pos = 0
 	c.base = 0
 	c.r = r
@@ -244,19 +246,19 @@ func (c *Cursor) refill(need int) error {
 			}
 			c.mark -= start
 		}
-		n := copy(c.scratch[0:cap(c.scratch)], c.buf[start:])
+		n := copy(c.buf[:cap(c.buf)], c.buf[start:])
 		c.base += int64(start)
-		c.buf = c.scratch[:n]
+		c.buf = c.buf[:n]
 		c.pos = keep
 	}
 	for i := 0; ; {
-		if len(c.buf) == cap(c.scratch) {
+		if len(c.buf) == cap(c.buf) {
 			// Window full and still short of need: the caller asked for
 			// more lookahead than the window holds.
 			return io.ErrShortBuffer
 		}
-		n, err := c.r.Read(c.scratch[len(c.buf):cap(c.scratch)])
-		c.buf = c.scratch[:len(c.buf)+n]
+		n, err := c.r.Read(c.buf[len(c.buf):cap(c.buf)])
+		c.buf = c.buf[:len(c.buf)+n]
 		if err != nil {
 			c.err = err
 			if err != io.EOF {

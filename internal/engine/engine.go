@@ -677,10 +677,8 @@ func (e *Engine) pathValues(pe *xqast.PathExpr) ([]string, error) {
 // appendOperand appends one comparison operand's value sequence.
 func (e *Engine) appendOperand(vals []string, o *xqast.Operand) ([]string, error) {
 	switch o.Kind {
-	case xqast.OperandString:
+	case xqast.OperandString, xqast.OperandNumber:
 		return append(vals, o.Str), nil
-	case xqast.OperandNumber:
-		return append(vals, xqvalue.FormatNumber(o.Num)), nil
 	case xqast.OperandPath:
 		return e.appendPathValues(vals, &o.Path)
 	default:

@@ -1,10 +1,10 @@
 package jsontok
 
 import (
-	"bufio"
 	"io"
 	"sync"
 
+	"gcx/internal/cursor"
 	"gcx/internal/event"
 )
 
@@ -21,36 +21,30 @@ import (
 // Every top-level item (element or bare text) is followed by a newline,
 // so a query over NDJSON yields NDJSON. No serializer state crosses
 // top-level items, which is what makes sharded output concatenation
-// byte-identical to the sequential run.
+// byte-identical to the sequential run. Output goes through the shared
+// append-based write buffer (cursor.Writer, DESIGN.md §12), which owns
+// the byte count and the error contract.
 type Serializer struct {
-	w *bufio.Writer
+	out cursor.Writer
 	// open tracks the open-element nesting; each entry is true once the
 	// element has at least one emitted child (comma placement).
 	open     []bool
 	topItems int64
-	bytes    int64
-	err      error
 	released bool
 }
 
 // serializerPool recycles Serializers and their 64 KiB write buffers
 // across executions.
-var serializerPool = sync.Pool{
-	New: func() any {
-		return &Serializer{w: bufio.NewWriterSize(io.Discard, 64<<10)}
-	},
-}
+var serializerPool = sync.Pool{New: func() any { return new(Serializer) }}
 
 // NewSerializer returns a Serializer writing to w. Serializers come
 // from an internal pool; callers that finish with one may hand its
 // buffer back via Release.
 func NewSerializer(w io.Writer) *Serializer {
 	s := serializerPool.Get().(*Serializer)
-	s.w.Reset(w)
+	s.out.Reset(w)
 	s.open = s.open[:0]
 	s.topItems = 0
-	s.bytes = 0
-	s.err = nil
 	s.released = false
 	return s
 }
@@ -63,16 +57,13 @@ func (s *Serializer) Release() {
 		return
 	}
 	s.released = true
-	s.w.Reset(io.Discard)
+	s.out.Reset(nil) // drop the writer reference
 	serializerPool.Put(s)
 }
 
 // BytesWritten reports the number of bytes emitted so far (pre-flush
 // buffering included).
-func (s *Serializer) BytesWritten() int64 { return s.bytes }
-
-// Err returns the first write error encountered, if any.
-func (s *Serializer) Err() error { return s.err }
+func (s *Serializer) BytesWritten() int64 { return s.out.Written() }
 
 // sep emits the separator a new item needs at the current position: a
 // comma between siblings inside an element, nothing before the first
@@ -81,7 +72,7 @@ func (s *Serializer) Err() error { return s.err }
 func (s *Serializer) sep() {
 	if n := len(s.open); n > 0 {
 		if s.open[n-1] {
-			s.writeString(",")
+			s.out.WriteString(",")
 		}
 		s.open[n-1] = true
 	}
@@ -91,7 +82,7 @@ func (s *Serializer) sep() {
 func (s *Serializer) close() {
 	if len(s.open) == 0 {
 		s.topItems++
-		s.writeString("\n")
+		s.out.WriteString("\n")
 	}
 }
 
@@ -99,23 +90,23 @@ func (s *Serializer) close() {
 // leading {"@attr":["value"]} members.
 func (s *Serializer) StartElement(name string, attrs []event.Attr) {
 	s.sep()
-	s.writeString(`{`)
-	s.writeQuoted(name)
-	s.writeString(`:[`)
+	s.out.WriteString(`{"`)
+	s.out.WriteEscaped(name, stringEscapes)
+	s.out.WriteString(`":[`)
 	s.open = append(s.open, false)
 	for _, a := range attrs {
 		s.sep()
-		s.writeString(`{`)
-		s.writeQuoted("@" + a.Name)
-		s.writeString(`:[`)
+		s.out.WriteString(`{"@`)
+		s.out.WriteEscaped(a.Name, stringEscapes)
+		s.out.WriteString(`":[`)
 		s.writeQuoted(a.Value)
-		s.writeString(`]}`)
+		s.out.WriteString(`]}`)
 	}
 }
 
 // EndElement closes the innermost open element.
 func (s *Serializer) EndElement(name string) {
-	s.writeString(`]}`)
+	s.out.WriteString(`]}`)
 	if n := len(s.open); n > 0 {
 		s.open = s.open[:n-1]
 	}
@@ -131,50 +122,25 @@ func (s *Serializer) Text(text string) {
 
 // Flush writes any buffered output to the underlying writer and reports
 // the first error seen on any operation.
-func (s *Serializer) Flush() error {
-	if err := s.w.Flush(); err != nil && s.err == nil {
-		s.err = err
-	}
-	return s.err
-}
+func (s *Serializer) Flush() error { return s.out.Flush() }
 
-func (s *Serializer) writeString(str string) {
-	n, err := s.w.WriteString(str)
-	s.bytes += int64(n)
-	if err != nil && s.err == nil {
-		s.err = err
+// stringEscapes is the escaping rule inside a JSON string literal: the
+// two-character escapes where JSON has one, \u00XX for the other
+// control characters.
+var stringEscapes = func() *cursor.Escapes {
+	const hexDigits = "0123456789abcdef"
+	repl := map[byte]string{'"': `\"`, '\\': `\\`, '\n': `\n`, '\r': `\r`, '\t': `\t`}
+	for c := byte(0); c < 0x20; c++ {
+		if _, ok := repl[c]; !ok {
+			repl[c] = `\u00` + string([]byte{hexDigits[c>>4], hexDigits[c&0xf]})
+		}
 	}
-}
-
-const hexDigits = "0123456789abcdef"
+	return cursor.NewEscapes(repl)
+}()
 
 // writeQuoted writes str as a JSON string literal.
 func (s *Serializer) writeQuoted(str string) {
-	s.writeString(`"`)
-	last := 0
-	for i := 0; i < len(str); i++ {
-		c := str[i]
-		if c >= 0x20 && c != '"' && c != '\\' {
-			continue
-		}
-		s.writeString(str[last:i])
-		switch c {
-		case '"':
-			s.writeString(`\"`)
-		case '\\':
-			s.writeString(`\\`)
-		case '\n':
-			s.writeString(`\n`)
-		case '\r':
-			s.writeString(`\r`)
-		case '\t':
-			s.writeString(`\t`)
-		default:
-			s.writeString(`\u00`)
-			s.writeString(string([]byte{hexDigits[c>>4], hexDigits[c&0xf]}))
-		}
-		last = i + 1
-	}
-	s.writeString(str[last:])
-	s.writeString(`"`)
+	s.out.WriteString(`"`)
+	s.out.WriteEscaped(str, stringEscapes)
+	s.out.WriteString(`"`)
 }

@@ -96,10 +96,9 @@ type Tokenizer struct {
 	scalarName    string
 
 	// names interns object keys (→ element names); repeated fields in
-	// large streams share one string allocation. Only owned copies are
-	// stored — never borrowed input bytes — because the map outlives the
-	// input across pooled reuses.
-	names map[string]string
+	// large streams share one string allocation, and it outlives the
+	// input across pooled reuses (cursor.Names' ownership rule).
+	names cursor.Names
 
 	ctx     context.Context
 	ctxDone <-chan struct{}
@@ -121,15 +120,7 @@ type Tokenizer struct {
 
 // tokenizerPool recycles Tokenizers — each carries a 64 KiB cursor
 // window, a key-interning map and a text scratch buffer.
-var tokenizerPool = sync.Pool{
-	New: func() any {
-		return &Tokenizer{names: make(map[string]string, 64)}
-	},
-}
-
-// maxInternedNames bounds the interning map carried across pooled
-// reuses; beyond it the map is cleared on the next NewTokenizer.
-const maxInternedNames = 4096
+var tokenizerPool = sync.Pool{New: func() any { return new(Tokenizer) }}
 
 // NewTokenizer returns a Tokenizer reading from r. Tokenizers come from
 // an internal pool; callers that finish with one may hand its buffers
@@ -158,9 +149,7 @@ func (t *Tokenizer) reset() {
 	t.ppend = 0
 	t.scalarPending = false
 	t.scalarName = ""
-	if len(t.names) > maxInternedNames {
-		clear(t.names)
-	}
+	t.names.Reset()
 	t.ctx = nil
 	t.ctxDone = nil
 	t.count = 0
@@ -716,7 +705,7 @@ func (t *Tokenizer) readString(intern bool) (string, error) {
 				t.cur.Advance(i + 1)
 				seg := w[:i]
 				if intern {
-					return t.internKey(seg), nil
+					return t.names.Intern(seg), nil
 				}
 				return cursor.Borrow(seg), nil
 			}
@@ -724,7 +713,7 @@ func (t *Tokenizer) readString(intern bool) (string, error) {
 			t.cur.Advance(i + 1)
 			t.textBuf = buf
 			if intern {
-				return t.internKey(buf), nil
+				return t.names.Intern(buf), nil
 			}
 			return string(buf), nil
 		}
@@ -782,18 +771,6 @@ func (t *Tokenizer) readString(intern bool) (string, error) {
 			return "", t.errf("invalid string escape '\\%c'", e)
 		}
 	}
-}
-
-// internKey returns the canonical string for an object key. Hits cost a
-// map lookup with no allocation; misses store an owned copy, never
-// borrowed input.
-func (t *Tokenizer) internKey(b []byte) string {
-	if s, ok := t.names[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	t.names[s] = s
-	return s
 }
 
 // readHex4 consumes four hex digits of a \u escape.

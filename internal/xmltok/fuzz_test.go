@@ -8,6 +8,53 @@ import (
 	"gcx/internal/event"
 )
 
+// tokenPathEdges is the edge table of the token path (DESIGN.md §12,
+// "The fast-accept token path"): shapes the in-window accepts must
+// either take whole or leave to the careful path, and the errors only
+// the careful path may produce. TestTokenPathParity runs it on every
+// backing and window size; it seeds FuzzTokenizer and
+// FuzzBytesReaderParity.
+var tokenPathEdges = []string{
+	`<a ><b	
+/></a >`,
+	`<a></a >`,
+	`<a/>`,
+	`<a><b/><b /><b c="d"/></a>`,
+	`<a b="1" c='2'><d e = "f"g='h'/></a>`,
+	`<a b="&amp;" c="plain">&lt;</a>`,
+	`<a b="x>y" c='"'>t</a>`,
+	`<a b="unterminated></a>`,
+	`<a b=1></a>`,
+	`<a b></a>`,
+	`<a b+"v"></a>`,
+	`<a/ >`,
+	// Names ending exactly at the edge of a 16-, 32- and 63-byte window.
+	`<r><` + strings.Repeat("n", 12) + `>x</` + strings.Repeat("n", 12) + `></r>`,
+	`<r><` + strings.Repeat("n", 28) + ` k="v"/></r>`,
+	`<r><` + strings.Repeat("n", 59) + `/></r>`,
+	// End tags that do not close the innermost element.
+	`<a><b></a></b>`,
+	`<a><b></bb></a>`,
+	`<a><bb></b></a>`,
+	`</a>`,
+	`<a></a></a>`,
+	// The nesting ceiling: the deepest accepted document, then one level
+	// more by a start tag and by a self-closing one.
+	strings.Repeat("<a>", event.MaxDepth-1) + `<b/>` + strings.Repeat("</a>", event.MaxDepth-1),
+	strings.Repeat("<a>", event.MaxDepth) + `<b>`,
+	strings.Repeat("<a>", event.MaxDepth) + `<b/>`,
+	// Content after the document element, and input ending inside a tag.
+	`<a/><b/>`,
+	`<a></a><b>`,
+	`<a></a>text`,
+	`<a></a> <!-- c --> `,
+	`<a><b`,
+	`<a><b c="d"`,
+	`<a></`,
+	`<a></a`,
+	`<`,
+}
+
 // FuzzTokenizer: arbitrary bytes must produce either tokens or a clean
 // error — never a panic or an infinite loop. Accepted documents must
 // round-trip through the serializer.
@@ -311,7 +358,7 @@ func FuzzBytesReaderParity(f *testing.F) {
 		// One level past the nesting ceiling (event.MaxDepth).
 		strings.Repeat("<a>", event.MaxDepth+1),
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, tokenPathEdges...) {
 		f.Add(s, uint8(0), uint8(0), false)
 		f.Add(s, uint8(3), uint8(1), true)
 	}
@@ -344,9 +391,7 @@ func FuzzBytesReaderParity(f *testing.F) {
 			}
 		}
 		gotB, errB := run(NewTokenizerBytes([]byte(doc)))
-		rd := NewTokenizer(strings.NewReader(doc))
-		rd.cur.ResetReader(strings.NewReader(doc), 16+int(sizeSeed)%48)
-		gotR, errR := run(rd)
+		gotR, errR := run(NewTokenizerWindow(strings.NewReader(doc), 16+int(sizeSeed)%48))
 
 		if (errB == nil) != (errR == nil) || (errB != nil && errB.Error() != errR.Error()) {
 			t.Fatalf("error parity: bytes=%v reader=%v\ninput: %q skip@%d keepWS=%v", errB, errR, doc, skipAt, keepWS)
@@ -383,7 +428,7 @@ func FuzzTokenizer(f *testing.F) {
 		// One level past the nesting ceiling (event.MaxDepth).
 		strings.Repeat("<a>", event.MaxDepth+1),
 	}
-	for _, s := range seeds {
+	for _, s := range append(seeds, tokenPathEdges...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, doc string) {

@@ -1,41 +1,35 @@
 package xmltok
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
 	"sync"
+
+	"gcx/internal/cursor"
 )
 
 // Serializer writes Tokens back out as XML. It is the single output path
 // of the engines, so that GCX, the projection-only engine and the DOM
 // baseline produce byte-identical results for the differential tests.
+// Output goes through the shared append-based write buffer
+// (cursor.Writer, DESIGN.md §12), which owns the byte count and the
+// error contract.
 type Serializer struct {
-	w        *bufio.Writer
-	open     []string
-	bytes    int64
-	err      error
+	out      cursor.Writer
 	released bool
 }
 
 // serializerPool recycles Serializers and their 64 KiB write buffers
 // across executions.
-var serializerPool = sync.Pool{
-	New: func() any {
-		return &Serializer{w: bufio.NewWriterSize(io.Discard, 64<<10)}
-	},
-}
+var serializerPool = sync.Pool{New: func() any { return new(Serializer) }}
 
 // NewSerializer returns a Serializer writing to w. Serializers come from
 // an internal pool; callers that finish with one may hand its buffer
 // back via Release.
 func NewSerializer(w io.Writer) *Serializer {
 	s := serializerPool.Get().(*Serializer)
-	s.w.Reset(w)
-	s.open = s.open[:0]
-	s.bytes = 0
-	s.err = nil
+	s.out.Reset(w)
 	s.released = false
 	return s
 }
@@ -48,45 +42,44 @@ func (s *Serializer) Release() {
 		return
 	}
 	s.released = true
-	s.w.Reset(io.Discard)
+	s.out.Reset(nil) // drop the writer reference
 	serializerPool.Put(s)
 }
 
 // BytesWritten reports the number of bytes emitted so far (pre-flush
 // buffering included).
-func (s *Serializer) BytesWritten() int64 { return s.bytes }
+func (s *Serializer) BytesWritten() int64 { return s.out.Written() }
 
-// Err returns the first write error encountered, if any.
-func (s *Serializer) Err() error { return s.err }
+// textEscapes and attrEscapes are the escaping rules of character data
+// and of double-quoted attribute values.
+var (
+	textEscapes = cursor.NewEscapes(map[byte]string{'<': "&lt;", '>': "&gt;", '&': "&amp;"})
+	attrEscapes = cursor.NewEscapes(map[byte]string{'<': "&lt;", '>': "&gt;", '&': "&amp;", '"': "&quot;"})
+)
 
 // StartElement writes an opening tag with the given attributes.
 func (s *Serializer) StartElement(name string, attrs []Attr) {
-	s.writeString("<")
-	s.writeString(name)
-	for _, a := range attrs {
-		s.writeString(" ")
-		s.writeString(a.Name)
-		s.writeString(`="`)
-		s.writeEscaped(a.Value, true)
-		s.writeString(`"`)
+	if len(attrs) == 0 {
+		s.out.Write3("<", name, ">")
+		return
 	}
-	s.writeString(">")
-	s.open = append(s.open, name)
+	s.out.Write3("<", name, "")
+	for _, a := range attrs {
+		s.out.Write3(" ", a.Name, `="`)
+		s.out.WriteEscaped(a.Value, attrEscapes)
+		s.out.WriteString(`"`)
+	}
+	s.out.WriteString(">")
 }
 
 // EndElement writes the closing tag for name.
 func (s *Serializer) EndElement(name string) {
-	s.writeString("</")
-	s.writeString(name)
-	s.writeString(">")
-	if n := len(s.open); n > 0 && s.open[n-1] == name {
-		s.open = s.open[:n-1]
-	}
+	s.out.Write3("</", name, ">")
 }
 
 // Text writes escaped character data.
 func (s *Serializer) Text(text string) {
-	s.writeEscaped(text, false)
+	s.out.WriteEscaped(text, textEscapes)
 }
 
 // Token writes an arbitrary token.
@@ -103,46 +96,7 @@ func (s *Serializer) Token(t Token) {
 
 // Flush writes any buffered output to the underlying writer and reports
 // the first error seen on any operation.
-func (s *Serializer) Flush() error {
-	if err := s.w.Flush(); err != nil && s.err == nil {
-		s.err = err
-	}
-	return s.err
-}
-
-func (s *Serializer) writeString(str string) {
-	n, err := s.w.WriteString(str)
-	s.bytes += int64(n)
-	if err != nil && s.err == nil {
-		s.err = err
-	}
-}
-
-func (s *Serializer) writeEscaped(str string, attr bool) {
-	last := 0
-	for i := 0; i < len(str); i++ {
-		var esc string
-		switch str[i] {
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '&':
-			esc = "&amp;"
-		case '"':
-			if !attr {
-				continue
-			}
-			esc = "&quot;"
-		default:
-			continue
-		}
-		s.writeString(str[last:i])
-		s.writeString(esc)
-		last = i + 1
-	}
-	s.writeString(str[last:])
-}
+func (s *Serializer) Flush() error { return s.out.Flush() }
 
 // EscapeText returns text with the XML character-data escapes applied.
 // It is used by components that build strings rather than streams.

@@ -18,25 +18,20 @@ import "gcx/internal/event"
 // one-sided parity).
 //
 // The caller contract is strict: SkipSubtree must be invoked
-// immediately after Next returned a StartElement, with no intervening
-// Peek. The skipped element's EndElement is consumed silently — it is
+// immediately after Next returned a StartElement. The skipped element's
+// EndElement is consumed silently — it is
 // never delivered — and skipped content does not count into
 // TokenCount. SkipStats reports what was fast-forwarded.
 func (t *Tokenizer) SkipSubtree() error {
-	if t.peeked != nil {
-		return t.errf("SkipSubtree after Peek")
-	}
 	if len(t.stack) == 0 {
 		return t.errf("SkipSubtree with no open element")
 	}
 	t.subtreesSkipped++
-	t.depth--
-	if t.pending != nil {
+	if t.emptyOpen {
 		// The open element was self-closing: its subtree is empty and
-		// its synthesized EndElement is the pending token. Consume it
-		// in place, mirroring read()'s pending branch.
+		// its EndElement is the one Next would synthesize.
 		t.tags++ // the undelivered EndElement
-		t.pending = nil
+		t.emptyOpen = false
 	} else {
 		startOff := t.cur.Offset()
 		err := t.skipElement([]byte(t.stack[len(t.stack)-1]), len(t.stack))
@@ -46,10 +41,7 @@ func (t *Tokenizer) SkipSubtree() error {
 			return err
 		}
 	}
-	t.stack = t.stack[:len(t.stack)-1]
-	if len(t.stack) == 0 {
-		t.started = true
-	}
+	t.pop()
 	return nil
 }
 

@@ -139,17 +139,21 @@ func TestSkipSubtreeErrors(t *testing.T) {
 	}
 }
 
-func TestSkipSubtreeAfterPeek(t *testing.T) {
-	tz := NewTokenizer(strings.NewReader(`<a><b>x</b></a>`))
-	defer tz.Release()
-	if _, err := tz.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tz.Peek(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tz.SkipSubtree(); err == nil {
-		t.Fatal("SkipSubtree after Peek must fail")
+// TestSkipSubtreeNoOpenElement pins the caller contract from the other
+// side: with nothing open — before the first token, after the document
+// element has closed — SkipSubtree is an error.
+func TestSkipSubtreeNoOpenElement(t *testing.T) {
+	for _, pulls := range []int{0, 4} {
+		tz := NewTokenizer(strings.NewReader(`<a><b/></a>`))
+		for i := 0; i < pulls; i++ {
+			if _, err := tz.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tz.SkipSubtree(); err == nil {
+			t.Fatalf("SkipSubtree after %d tokens with no open element must fail", pulls)
+		}
+		tz.Release()
 	}
 }
 

@@ -33,15 +33,14 @@ type Tokenizer struct {
 	// stack of currently open element names.
 	stack []string
 	// names interns element and attribute names so that repeated tags in
-	// large documents share one string allocation. Only owned copies are
-	// stored — never borrowed input bytes — because the map outlives the
-	// input across pooled reuses.
-	names map[string]string
+	// large documents share one string allocation, and outlives the
+	// input across pooled reuses (cursor.Names' ownership rule).
+	names cursor.Names
 
-	// pending holds a synthesized token (the EndElement of a self-closing
-	// tag) to be returned by the next call to Next.
-	pending *Token
-	peeked  *Token
+	// emptyOpen is set between the two tokens of a self-closing tag: its
+	// StartElement has been returned, its name is on the stack, and the
+	// EndElement is what the next call to Next synthesizes.
+	emptyOpen bool
 
 	// KeepWhitespace controls whether whitespace-only text nodes are
 	// reported. Data-oriented processing (the default) drops them; the
@@ -49,9 +48,7 @@ type Tokenizer struct {
 	KeepWhitespace bool
 
 	count    int64
-	depth    int
 	started  bool
-	done     bool
 	released bool
 	// err is the first error Next or SkipSubtree returned. It is final:
 	// Next returns it again rather than read on from where it struck.
@@ -73,17 +70,9 @@ type Tokenizer struct {
 }
 
 // tokenizerPool recycles Tokenizers — each carries a 64 KiB cursor
-// window, a name-interning map and a text scratch buffer, which dominate
+// window, its interned names and a text scratch buffer, which dominate
 // the per-execution allocation cost of short queries over hot streams.
-var tokenizerPool = sync.Pool{
-	New: func() any {
-		return &Tokenizer{names: make(map[string]string, 64)}
-	},
-}
-
-// maxInternedNames bounds the interning map carried across pooled
-// reuses; beyond it the map is cleared on the next NewTokenizer.
-const maxInternedNames = 4096
+var tokenizerPool = sync.Pool{New: func() any { return new(Tokenizer) }}
 
 // NewTokenizer returns a Tokenizer reading from r. Tokenizers come from
 // an internal pool; callers that finish with one may hand its buffers
@@ -108,18 +97,13 @@ func NewTokenizerBytes(data []byte) *Tokenizer {
 
 func (t *Tokenizer) reset() {
 	t.stack = t.stack[:0]
-	if len(t.names) > maxInternedNames {
-		clear(t.names)
-	}
-	t.pending = nil
-	t.peeked = nil
+	t.names.Reset()
+	t.emptyOpen = false
 	t.ctx = nil
 	t.ctxDone = nil
 	t.KeepWhitespace = false
 	t.count = 0
-	t.depth = 0
 	t.started = false
-	t.done = false
 	t.released = false
 	t.err = nil
 	t.textBuf = t.textBuf[:0]
@@ -139,8 +123,6 @@ func (t *Tokenizer) Release() {
 	t.cur.ResetBytes(nil) // drop the reader / input-slice reference
 	t.ctx = nil
 	t.ctxDone = nil
-	t.pending = nil
-	t.peeked = nil
 	t.attrChunk = nil
 	tokenizerPool.Put(t)
 }
@@ -150,217 +132,290 @@ func (t *Tokenizer) Release() {
 func (t *Tokenizer) TokenCount() int64 { return t.count }
 
 // Depth reports the current element nesting depth (number of open tags).
-func (t *Tokenizer) Depth() int { return t.depth }
-
-// Peek returns the next token without consuming it. The returned token is
-// only valid until the following call to Next.
-func (t *Tokenizer) Peek() (Token, error) {
-	if t.peeked == nil {
-		tok, err := t.read()
-		if err != nil {
-			return Token{}, err
-		}
-		t.peeked = &tok
-	}
-	return *t.peeked, nil
-}
+func (t *Tokenizer) Depth() int { return len(t.stack) }
 
 // Next returns the next token of the stream. At end of input it returns
 // io.EOF; if the input ends with unclosed elements, a SyntaxError is
 // returned instead. If a context was attached with SetContext and has
 // been cancelled, Next returns the context's error without reading.
 // Once Next or SkipSubtree has failed, Next keeps returning that error.
+//
+// Next has two shapes (DESIGN.md §12, "The fast-accept token path").
+// The regular tags of dense markup — "</" + the innermost open name +
+// ">", and a start tag lying whole inside the current window — are
+// recognised on one window snapshot with index arithmetic and consumed
+// by a single Advance. Everything else, and every malformed input, goes
+// through the careful per-construct code below it, which is the only
+// place errors are produced: a fast accept either takes a well-formed
+// tag whole or leaves the cursor untouched, so tokens, errors and
+// offsets are the same on every backing and window size.
 func (t *Tokenizer) Next() (Token, error) {
 	if t.err != nil {
 		return Token{}, t.err
 	}
-	if t.ctxDone != nil {
-		select {
-		case <-t.ctxDone:
-			return Token{}, t.ctx.Err()
-		default:
-		}
+	if err := t.poll(); err != nil {
+		return Token{}, err
 	}
-	var tok Token
-	var err error
-	if t.peeked != nil {
-		tok, t.peeked = *t.peeked, nil
-	} else {
-		tok, err = t.read()
+	if t.emptyOpen {
+		t.emptyOpen = false
+		t.count++
+		return Token{Kind: EndElement, Name: t.pop()}, nil
+	}
+	for {
+		w := t.cur.Window()
+		if len(w) > 2 && w[0] == '<' {
+			if w[1] == '/' {
+				// One bounded compare against the name that must close
+				// next settles a well-formed end tag: no name scan, no
+				// interning.
+				if n := len(t.stack); n > 0 {
+					top := t.stack[n-1]
+					if e := 2 + len(top); e < len(w) && w[e] == '>' && string(w[2:e]) == top {
+						t.cur.Advance(e + 1)
+						t.count++
+						return Token{Kind: EndElement, Name: t.pop()}, nil
+					}
+				}
+			} else if n := scanName(w[1:]); n > 0 && (len(t.stack) > 0 || !t.started) && len(t.stack) < event.MaxDepth {
+				// A start tag in the right place; what remains is to find
+				// it whole inside the window.
+				if end, empty, attrs := t.acceptTagRest(w, 1+n); end > 0 {
+					name := t.names.Intern(w[1 : 1+n])
+					t.cur.Advance(end)
+					t.stack = append(t.stack, name)
+					t.emptyOpen = empty
+					t.count++
+					return Token{Kind: StartElement, Name: name, Attrs: attrs}, nil
+				}
+			}
+		}
+		// The careful path. tok is a local so that the accepts above
+		// build their tokens straight into the result.
+		var tok Token
+		keep, err := t.readCareful(&tok)
 		if err != nil {
 			t.err = err
 			return Token{}, err
 		}
-	}
-	t.count++
-	switch tok.Kind {
-	case StartElement:
-		t.depth++
-	case EndElement:
-		t.depth--
-	}
-	return tok, nil
-}
-
-// read produces the next raw token, maintaining the open-element stack.
-func (t *Tokenizer) read() (Token, error) {
-	if t.pending != nil {
-		tok := *t.pending
-		t.pending = nil
-		t.stack = t.stack[:len(t.stack)-1]
-		if len(t.stack) == 0 {
-			// a self-closing element completed the document element
-			t.started = true
-		}
-		return tok, nil
-	}
-	if t.done {
-		return Token{}, io.EOF
-	}
-	for {
-		err := t.cur.Fill()
-		if err == io.EOF {
-			if len(t.stack) > 0 {
-				return Token{}, t.errf("unexpected end of input inside <%s>", t.stack[len(t.stack)-1])
-			}
-			t.done = true
-			return Token{}, io.EOF
-		}
-		if err != nil {
-			return Token{}, err
-		}
-		if t.cur.Window()[0] == '<' {
-			t.cur.Advance(1)
-			tok, skip, err := t.readMarkup()
-			if err != nil {
-				return Token{}, err
-			}
-			if skip {
-				continue
-			}
-			return tok, nil
-		}
-		// Character data up to the next '<'.
-		tok, keep, err := t.readText()
-		if err != nil {
-			return Token{}, err
-		}
 		if keep {
+			t.count++
 			return tok, nil
 		}
 	}
 }
 
-// readMarkup parses markup following '<'. skip is true for ignorable
-// constructs (comments, PIs, declarations, CDATA outside the document
-// element).
-func (t *Tokenizer) readMarkup() (tok Token, skip bool, err error) {
+// own returns b, a piece of the window, as a string a token may keep:
+// borrowed from the input on the fixed backing, copied on the reader
+// backing, whose window the next refill overwrites.
+func (t *Tokenizer) own(b []byte) string {
+	if t.cur.Fixed() {
+		return cursor.Borrow(b)
+	}
+	return string(b)
+}
+
+// pop closes the innermost open element and returns its name.
+func (t *Tokenizer) pop() string {
+	n := len(t.stack) - 1
+	name := t.stack[n]
+	t.stack = t.stack[:n]
+	if n == 0 {
+		t.started = true // the document element is complete
+	}
+	return name
+}
+
+// acceptTagRest is the fast accept for what follows a start tag's name:
+// w is the window with the tag's '<' at w[0], p the index just past the
+// name. When the rest of the tag lies inside the window and is nothing
+// but name="value" pairs with entity-free values, it returns the index
+// just past the tag's '>', whether the tag is self-closing, and the
+// attribute list. Otherwise end is 0 and nothing has been consumed or
+// kept: the careful path reads the tag again from its '<'.
+func (t *Tokenizer) acceptTagRest(w []byte, p int) (end int, empty bool, attrs []Attr) {
+	first := len(t.attrChunk)
+scan:
+	for {
+		for p < len(w) && isWSByte(w[p]) {
+			p++
+		}
+		if p >= len(w) {
+			break
+		}
+		switch w[p] {
+		case '>':
+			return p + 1, false, t.attrsFrom(first)
+		case '/':
+			if p+1 >= len(w) || w[p+1] != '>' {
+				break scan
+			}
+			return p + 2, true, t.attrsFrom(first)
+		}
+		n := scanName(w[p:])
+		if n == 0 {
+			break
+		}
+		name := w[p : p+n]
+		for p += n; p < len(w) && isWSByte(w[p]); p++ {
+		}
+		if p >= len(w) || w[p] != '=' {
+			break
+		}
+		for p++; p < len(w) && isWSByte(w[p]); p++ {
+		}
+		if p >= len(w) || (w[p] != '"' && w[p] != '\'') {
+			break
+		}
+		q := bytes.IndexByte(w[p+1:], w[p])
+		if q < 0 {
+			break
+		}
+		val := w[p+1 : p+1+q]
+		if bytes.IndexByte(val, '&') >= 0 {
+			break
+		}
+		p += q + 2
+		first = t.appendAttr(first, Attr{Name: t.names.Intern(name), Value: t.own(val)})
+	}
+	t.attrChunk = t.attrChunk[:first]
+	return 0, false, nil
+}
+
+// readCareful reads one construct — a run of character data or one
+// piece of markup — through the cursor, a byte or a window at a time.
+// It fills tok and returns keep = true when the construct is a token;
+// ignorable ones (comments, PIs, declarations, dropped whitespace,
+// CDATA outside the document element) return false. At end of input it
+// returns io.EOF, or a SyntaxError while elements are open.
+func (t *Tokenizer) readCareful(tok *Token) (keep bool, err error) {
+	err = t.cur.Fill()
+	if err == io.EOF {
+		if len(t.stack) > 0 {
+			return false, t.errf("unexpected end of input inside <%s>", t.stack[len(t.stack)-1])
+		}
+		return false, io.EOF
+	}
+	if err != nil {
+		return false, err
+	}
+	if t.cur.Window()[0] != '<' {
+		// Character data up to the next '<'.
+		tok.Kind = Text
+		tok.Text, keep, err = t.readText()
+		return keep, err
+	}
+	t.cur.Advance(1)
 	b, err := t.cur.Byte()
 	if err != nil {
-		return Token{}, false, t.errf("unexpected end of input in markup")
+		return false, t.errf("unexpected end of input in markup")
 	}
 	switch b {
 	case '?':
-		return Token{}, true, t.through("?>")
+		return false, t.through("?>")
 	case '!':
 		term, err := t.bangTerminator()
 		if err != nil {
-			return Token{}, false, err
+			return false, err
 		}
 		if term != cdataEnd {
-			return Token{}, true, t.through(term)
+			return false, t.through(term)
 		}
 		t.cur.Mark()
 		err = t.through(cdataEnd)
 		text := t.cur.Take()
 		if err != nil {
-			return Token{}, false, err
+			return false, err
 		}
 		if len(t.stack) == 0 {
-			return Token{}, true, nil // CDATA outside root: ignore
+			return false, nil // CDATA outside root: ignore
 		}
-		text = text[:len(text)-len(cdataEnd)]
-		if t.cur.Fixed() {
-			return Token{Kind: Text, Text: cursor.Borrow(text)}, false, nil
-		}
-		return Token{Kind: Text, Text: string(text)}, false, nil
+		tok.Kind, tok.Text = Text, t.own(text[:len(text)-len(cdataEnd)])
+		return true, nil
 	case '/':
-		return t.readEndTag()
+		tok.Kind = EndElement
+		tok.Name, err = t.readEndTag()
+		return err == nil, err
 	default:
 		t.cur.Unread()
-		return t.readStartTag()
+		tok.Kind = StartElement
+		tok.Name, tok.Attrs, err = t.readStartTag()
+		return err == nil, err
 	}
 }
 
-func (t *Tokenizer) readEndTag() (Token, bool, error) {
+// readEndTag reads an end tag after "</" and closes the element.
+func (t *Tokenizer) readEndTag() (string, error) {
 	name, err := t.readName()
 	if err != nil {
-		return Token{}, false, err
+		return "", err
 	}
 	t.skipSpace()
 	b, err := t.cur.Byte()
 	if err != nil || b != '>' {
-		return Token{}, false, t.errf("malformed end tag </%s", name)
+		return "", t.errf("malformed end tag </%s", name)
 	}
 	if len(t.stack) == 0 {
-		return Token{}, false, t.errf("unexpected </%s> with no open element", name)
+		return "", t.errf("unexpected </%s> with no open element", name)
 	}
-	top := t.stack[len(t.stack)-1]
-	if top != name {
-		return Token{}, false, t.errf("mismatched </%s>, expected </%s>", name, top)
+	if top := t.stack[len(t.stack)-1]; top != name {
+		return "", t.errf("mismatched </%s>, expected </%s>", name, top)
 	}
-	t.stack = t.stack[:len(t.stack)-1]
-	if len(t.stack) == 0 {
-		t.started = true
-	}
-	return Token{Kind: EndElement, Name: name}, false, nil
+	return t.pop(), nil
 }
 
-func (t *Tokenizer) readStartTag() (Token, bool, error) {
+// readStartTag reads a start tag after '<' and opens the element.
+func (t *Tokenizer) readStartTag() (string, []Attr, error) {
 	if t.started && len(t.stack) == 0 {
-		return Token{}, false, t.errf("content after document element")
+		return "", nil, t.errf("content after document element")
 	}
 	name, err := t.readName()
 	if err != nil {
-		return Token{}, false, err
+		return "", nil, err
 	}
 	if len(t.stack) >= event.MaxDepth {
-		return Token{}, false, t.errf(tooDeep, event.MaxDepth)
+		return "", nil, t.errf(tooDeep, event.MaxDepth)
 	}
 	first := len(t.attrChunk) // this tag's attributes are attrChunk[first:]
 	for {
 		t.skipSpace()
 		b, err := t.cur.Byte()
 		if err != nil {
-			return Token{}, false, t.errf("unexpected end of input in <%s>", name)
+			return "", nil, t.errf("unexpected end of input in <%s>", name)
 		}
 		switch b {
 		case '>':
 			t.stack = append(t.stack, name)
-			return Token{Kind: StartElement, Name: name, Attrs: t.attrsFrom(first)}, false, nil
+			return name, t.attrsFrom(first), nil
 		case '/':
 			b2, err := t.cur.Byte()
 			if err != nil || b2 != '>' {
-				return Token{}, false, t.errf("malformed self-closing tag <%s", name)
+				return "", nil, t.errf("malformed self-closing tag <%s", name)
 			}
 			t.stack = append(t.stack, name)
-			t.pending = &Token{Kind: EndElement, Name: name}
-			return Token{Kind: StartElement, Name: name, Attrs: t.attrsFrom(first)}, false, nil
+			t.emptyOpen = true
+			return name, t.attrsFrom(first), nil
 		default:
 			t.cur.Unread()
 			a, err := t.readAttr(name)
 			if err != nil {
-				return Token{}, false, err
+				return "", nil, err
 			}
-			if len(t.attrChunk) == cap(t.attrChunk) {
-				// Full: move this tag's list so far to a fresh chunk.
-				held := t.attrChunk[first:]
-				t.attrChunk = append(make([]Attr, 0, max(attrChunkSize, 2*len(held))), held...)
-				first = 0
-			}
-			t.attrChunk = append(t.attrChunk, a)
+			first = t.appendAttr(first, a)
 		}
 	}
+}
+
+// appendAttr appends a to the attribute list attrChunk[first:] and
+// returns the list's start, which moves when a full chunk makes the
+// list migrate to a fresh one.
+func (t *Tokenizer) appendAttr(first int, a Attr) int {
+	if len(t.attrChunk) == cap(t.attrChunk) {
+		held := t.attrChunk[first:]
+		t.attrChunk = append(make([]Attr, 0, max(attrChunkSize, 2*len(held))), held...)
+		first = 0
+	}
+	t.attrChunk = append(t.attrChunk, a)
+	return first
 }
 
 // attrChunkSize is the capacity of one attribute chunk (2 KiB).
@@ -464,7 +519,7 @@ func isWSByte(b byte) bool {
 // path, entity-free text is returned as a borrowed subslice of the
 // input with no copy and no allocation; whitespace-only runs are
 // dropped before any token construction on both paths.
-func (t *Tokenizer) readText() (Token, bool, error) {
+func (t *Tokenizer) readText() (text string, keep bool, err error) {
 	t.textBuf = t.textBuf[:0]
 	// borrowed holds the single contiguous text segment of the []byte
 	// path (the window spans the whole input there, so entity-free text
@@ -479,7 +534,7 @@ func (t *Tokenizer) readText() (Token, bool, error) {
 			break
 		}
 		if err != nil {
-			return Token{}, false, err
+			return "", false, err
 		}
 		w := t.cur.Window()
 		bound := len(w)
@@ -505,7 +560,7 @@ func (t *Tokenizer) readText() (Token, bool, error) {
 			t.cur.Advance(j + 1)
 			r, err := t.readEntity()
 			if err != nil {
-				return Token{}, false, err
+				return "", false, err
 			}
 			if ws && !allWhitespaceString(r) {
 				ws = false
@@ -533,17 +588,17 @@ func (t *Tokenizer) readText() (Token, bool, error) {
 	}
 	if len(t.stack) == 0 {
 		if ws {
-			return Token{}, false, nil
+			return "", false, nil
 		}
-		return Token{}, false, t.errf("character data outside document element")
+		return "", false, t.errf("character data outside document element")
 	}
 	if ws && !t.KeepWhitespace {
-		return Token{}, false, nil
+		return "", false, nil
 	}
 	if borrowed != nil {
-		return Token{Kind: Text, Text: cursor.Borrow(borrowed)}, true, nil
+		return cursor.Borrow(borrowed), true, nil
 	}
-	return Token{Kind: Text, Text: string(t.textBuf)}, true, nil
+	return string(t.textBuf), true, nil
 }
 
 func allWhitespaceString(s string) bool {
@@ -671,7 +726,7 @@ func (t *Tokenizer) readName() (string, error) {
 	}
 	if i < len(w) || t.cur.Fixed() {
 		t.cur.Advance(i)
-		return t.intern(w[:i]), nil
+		return t.names.Intern(w[:i]), nil
 	}
 	// Name runs to the window edge on the reader path: accumulate.
 	t.textBuf = append(t.textBuf[:0], w[:i]...)
@@ -687,19 +742,7 @@ func (t *Tokenizer) readName() (string, error) {
 		}
 		t.textBuf = append(t.textBuf, b)
 	}
-	return t.intern(t.textBuf), nil
-}
-
-// intern returns the canonical string for a name. Hits cost a map
-// lookup with no allocation (the compiler elides the string conversion
-// in the lookup); misses store an owned copy, never borrowed input.
-func (t *Tokenizer) intern(b []byte) string {
-	if s, ok := t.names[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	t.names[s] = s
-	return s
+	return t.names.Intern(t.textBuf), nil
 }
 
 // nameStartByte/namePartByte classify XML name bytes by table lookup:

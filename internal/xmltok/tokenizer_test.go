@@ -155,21 +155,52 @@ func TestSkippedConstructs(t *testing.T) {
 	}
 }
 
-func TestPeek(t *testing.T) {
+// TestSelfClosingTokens checks that the two tokens of a self-closing tag
+// count, nest and close like an explicit pair.
+func TestSelfClosingTokens(t *testing.T) {
 	tz := NewTokenizer(strings.NewReader("<a><b/></a>"))
-	p1, err := tz.Peek()
-	if err != nil {
-		t.Fatal(err)
+	defer tz.Release()
+	want := []struct {
+		tok   Token
+		depth int
+	}{
+		{Token{Kind: StartElement, Name: "a"}, 1},
+		{Token{Kind: StartElement, Name: "b"}, 2},
+		{Token{Kind: EndElement, Name: "b"}, 1},
+		{Token{Kind: EndElement, Name: "a"}, 0},
 	}
-	n1, err := tz.Next()
-	if err != nil {
-		t.Fatal(err)
+	for i, w := range want {
+		tok, err := tz.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(tok, w.tok) || tz.Depth() != w.depth || tz.TokenCount() != int64(i+1) {
+			t.Fatalf("token %d = %v at depth %d, count %d; want %v at depth %d", i, tok, tz.Depth(), tz.TokenCount(), w.tok, w.depth)
+		}
 	}
-	if !reflect.DeepEqual(p1, n1) {
-		t.Fatalf("peek %v != next %v", p1, n1)
-	}
-	if tz.TokenCount() != 1 {
-		t.Fatalf("TokenCount after one Next = %d", tz.TokenCount())
+}
+
+// TestSelfClosingAllocs: the EndElement of a self-closing tag is a flag
+// in the tokenizer, not a heap Token — 10 000 of them used to cost
+// 10 000 allocations.
+func TestSelfClosingAllocs(t *testing.T) {
+	doc := []byte("<r>" + strings.Repeat("<a/>", 10_000) + "</r>")
+	allocs := testing.AllocsPerRun(5, func() {
+		tz := NewTokenizerBytes(doc)
+		defer tz.Release()
+		for n := 0; ; n++ {
+			if _, err := tz.Next(); err == io.EOF {
+				if n != 20_002 {
+					t.Fatalf("%d tokens, want 20002", n)
+				}
+				return
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("%.0f allocations for 10 000 self-closing tags, want O(1)", allocs)
 	}
 }
 

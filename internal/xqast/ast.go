@@ -202,8 +202,14 @@ const (
 type Operand struct {
 	Kind OperandKind
 	Path PathExpr // OperandPath
-	Str  string   // OperandString
+	Str  string   // OperandString; OperandNumber: the literal as a value (NumberOperand)
 	Num  float64  // OperandNumber
+}
+
+// NumberOperand returns the operand of the numeric literal n. The value
+// comparisons see is rendered here, once, not at every evaluation.
+func NumberOperand(n float64) Operand {
+	return Operand{Kind: OperandNumber, Num: n, Str: xqvalue.FormatNumber(n)}
 }
 
 // CompareCond is a general comparison "L op R".

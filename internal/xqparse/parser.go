@@ -569,8 +569,7 @@ func (p *parser) parseOperand() (xqast.Operand, error) {
 		if err != nil {
 			return xqast.Operand{}, p.errf("malformed number %q", p.cur.Val)
 		}
-		o := xqast.Operand{Kind: xqast.OperandNumber, Num: n}
-		return o, p.advance()
+		return xqast.NumberOperand(n), p.advance()
 	case tVar, tSlash, tDSlash:
 		pe, err := p.parsePathRef()
 		if err != nil {
