@@ -5,8 +5,9 @@
 # (`make perf`, `make perf-baseline`, `make perf-gate`) produces every
 # committed or gated one. `make profile BENCH=<regexp>` answers "where
 # does the time go" for any root-package benchmark: 20 iterations under
-# the CPU profiler, then pprof's top 30 (BenchmarkEmitE1 is gcxperf's
-# xml-emit workload in that form).
+# the CPU profiler, then pprof's top 30 (BenchmarkEmitE1 and
+# BenchmarkFilterJ1 are gcxperf's xml-emit and ndjson-filter workloads
+# in that form).
 
 GO ?= go
 
@@ -113,9 +114,11 @@ perf-gate:
 
 # loc prints the size the "Quality of design" aim is measured by: Go
 # lines outside tests, the benchmark module and lint fixtures. CI prints
-# it in every run's log.
+# it in every run's log. LOC_PATH narrows it to one package's size
+# criterion: make loc LOC_PATH=internal/jsontok.
+LOC_PATH ?=
 loc:
-	@git ls-files '*.go' ':!*_test.go' ':!gcxperf' ':!internal/lint/testdata' | xargs cat | wc -l
+	@git ls-files '*.go' ':!*_test.go' ':!gcxperf' ':!internal/lint/testdata' | grep '^$(LOC_PATH)' | xargs cat | wc -l
 
 # fuzz-smoke is the one list of fuzz targets; ci.yml calls it, so a new
 # target is added here and nowhere else.

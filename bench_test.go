@@ -13,6 +13,7 @@
 //	BenchmarkSubstrateTokenizer/Projection — substrate throughput
 //	BenchmarkSerializer                  — the XML and JSON sinks alone
 //	BenchmarkEmitE1                      — gcxperf's xml-emit, for `make profile`
+//	BenchmarkFilterJ1                    — gcxperf's ndjson-filter, likewise
 //
 // Custom metrics: peak_nodes (buffer high watermark, the paper's
 // y-axis), peak_KB (estimated buffered bytes).
@@ -346,6 +347,31 @@ func BenchmarkEmitE1(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := q.ExecuteBytes(doc, io.Discard, gcx.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFilterJ1 is gcxperf's ndjson-filter workload in the same
+// form (`make profile BENCH=FilterJ1`): query J1 over a 16 MiB bid log
+// on the zero-copy path keeps two small members of every record and
+// skips the rest, so nearly all of its time is the JSON tokenizer's —
+// member tokens and raw skips.
+func BenchmarkFilterJ1(b *testing.B) {
+	doc, _, err := xmark.GenerateNDJSONString(xmark.Config{TargetBytes: 16 << 20, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := gcx.Compile(xmark.NDJSONQueries["J1"].Text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := []byte(doc)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.ExecuteBytes(data, io.Discard, gcx.Options{Format: gcx.FormatNDJSON}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -56,8 +56,10 @@ func TestAllocCeilingJ1(t *testing.T) {
 	allocs, _ := runAllocs(t, xmark.NDJSONQueries["J1"].Text, []byte(doc), gcx.Options{Format: gcx.FormatNDJSON})
 	perRecord := allocs / float64(records)
 	t.Logf("J1: %.0f allocations over %d records = %.2f per record", allocs, records, perRecord)
-	if perRecord > 2 {
-		t.Errorf("J1 allocates %.2f times per record, ceiling 2", perRecord)
+	// A run allocates a fixed 50-odd times whatever the record count; one
+	// allocation a member, or a record, is 20 times the ceiling.
+	if perRecord > 0.05 {
+		t.Errorf("J1 allocates %.2f times per record, ceiling 0.05", perRecord)
 	}
 }
 

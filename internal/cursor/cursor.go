@@ -314,3 +314,13 @@ func Borrow(b []byte) string {
 	}
 	return unsafe.String(&b[0], len(b))
 }
+
+// Own returns b, bytes of the cursor's window or capture, as a string
+// the caller may keep: borrowed from the input on the fixed backing,
+// copied on the reader backing, whose window the next refill overwrites.
+func (c *Cursor) Own(b []byte) string {
+	if c.fixed {
+		return Borrow(b)
+	}
+	return string(b)
+}

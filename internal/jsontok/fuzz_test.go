@@ -5,6 +5,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"gcx/internal/event"
 )
@@ -119,26 +120,72 @@ func FuzzJSONTokenizer(f *testing.F) {
 	})
 }
 
+// backings are the three the differential targets compare: the slice,
+// a reader with a small window (16–63 bytes, by sizeSeed) and a reader
+// that hands out one byte per Read, under which every member touches
+// the window's edge at some offset — the in-window accept's bail-out.
+var backings = []string{"bytes", "reader", "one-byte"}
+
+func openBacking(name, doc string, sizeSeed uint8) *Tokenizer {
+	switch name {
+	case "bytes":
+		return NewTokenizerBytes([]byte(doc))
+	case "reader":
+		tz := NewTokenizer(nil)
+		tz.cur.ResetReader(strings.NewReader(doc), 16+int(sizeSeed)%48)
+		return tz
+	}
+	return NewTokenizer(iotest.OneByteReader(strings.NewReader(doc)))
+}
+
+// sameTokens fails the test unless got and want are the same events.
+func sameTokens(t *testing.T, what string, got, want []event.Token, doc string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d events, want %d\ninput: %q", what, len(got), len(want), doc)
+	}
+	for i := range want {
+		a, b := got[i], want[i]
+		if a.Kind != b.Kind || a.Name != b.Name || a.Text != b.Text || len(a.Attrs) != len(b.Attrs) {
+			t.Fatalf("%s: event %d is %+v, want %+v\ninput: %q", what, i, a, b, doc)
+		}
+	}
+}
+
+// differentialSeeds are inputs both differential targets start from:
+// escapes in keys and values, and every separator surrounded by every
+// whitespace byte.
+var differentialSeeds = []string{
+	`{"a":1}`,
+	`{"a":[1,2,{"b":"x"}],"c":null}`,
+	"{\"a\":1}\n{\"a\":2}\n",
+	`"esc A😀 \\ \" end"`,
+	`{"` + strings.Repeat("k", 17) + `":"` + strings.Repeat("v", 17) + `"}`,
+	`{"k\"q":1,"k\\":{"\u0041":[]},"z\\\"":"v"}`,
+	"{ \"a\" \t:\r\n1 ,\n\"b\"\r:\t[ 1\t,\r2\n, 3 ]\r,\t\"c\" : { } }",
+	"[\t1 ,\n2\r,[ ]\t,{\n}\r]",
+	`{"a":{"deep":[1,2]},"b":3}`,
+	`{"a":"br } ace \" in string","b":1}`,
+	`{"a":[[[{"x":1}]]],"b":2}`,
+	`-1.5e+10 true false null`,
+	// Values run together: a skipped scalar ends where reading it would.
+	`0{}1true"x"falsenull[]`,
+	`[1,`,
+	`{"a"`,
+	`{"a":1,}`,
+	"\x00{}",
+	// One level past the nesting ceiling (event.MaxDepth).
+	strings.Repeat("[", event.MaxDepth+1),
+	`{"a":` + strings.Repeat("[", event.MaxDepth) + `,"b":2}`,
+}
+
 // FuzzJSONBytesReaderParity is the cursor-parity target for the JSON
 // front end: the slice-backed tokenizer (NewTokenizerBytes, borrowed
-// strings and numbers) and a reader-backed tokenizer over a tiny window
-// must produce identical event streams and identical errors, message
-// and offset both.
+// strings and numbers) and the reader-backed ones (a tiny window, one
+// byte per Read) must produce identical event streams and identical
+// errors, message and offset both.
 func FuzzJSONBytesReaderParity(f *testing.F) {
-	seeds := []string{
-		`{"a":1}`,
-		`{"a":[1,2,{"b":"x"}],"c":null}`,
-		"{\"a\":1}\n{\"a\":2}\n",
-		`"esc A😀 \\ \" end"`,
-		`{"` + strings.Repeat("k", 17) + `":"` + strings.Repeat("v", 17) + `"}`,
-		`-1.5e+10 true false null`,
-		`[1,`,
-		`{"a"`,
-		"\x00{}",
-		// One level past the nesting ceiling (event.MaxDepth).
-		strings.Repeat("[", event.MaxDepth+1),
-	}
-	for _, s := range seeds {
+	for _, s := range differentialSeeds {
 		f.Add(s, uint8(0))
 		f.Add(s, uint8(5))
 	}
@@ -160,126 +207,88 @@ func FuzzJSONBytesReaderParity(f *testing.F) {
 				}
 			}
 		}
-		gotB, errB := run(NewTokenizerBytes([]byte(doc)))
-		rd := NewTokenizer(strings.NewReader(doc))
-		rd.cur.ResetReader(strings.NewReader(doc), 16+int(sizeSeed)%48)
-		gotR, errR := run(rd)
-
-		if (errB == nil) != (errR == nil) || (errB != nil && errB.Error() != errR.Error()) {
-			t.Fatalf("error parity: bytes=%v reader=%v\ninput: %q", errB, errR, doc)
-		}
-		if len(gotB) != len(gotR) {
-			t.Fatalf("event counts differ: bytes %d reader %d\ninput: %q", len(gotB), len(gotR), doc)
-		}
-		for i := range gotB {
-			a, b := gotB[i], gotR[i]
-			if a.Kind != b.Kind || a.Name != b.Name || a.Text != b.Text || len(a.Attrs) != len(b.Attrs) {
-				t.Fatalf("event %d: bytes %+v reader %+v\ninput: %q", i, a, b, doc)
+		want, wantErr := run(openBacking(backings[0], doc, sizeSeed))
+		for _, name := range backings[1:] {
+			got, err := run(openBacking(name, doc, sizeSeed))
+			if (wantErr == nil) != (err == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("error parity: bytes=%v %s=%v\ninput: %q", wantErr, name, err, doc)
 			}
+			sameTokens(t, name+" against bytes", got, want, doc)
 		}
 	})
 }
 
 // FuzzJSONSkipSubtree pins skip/no-skip parity one-sided: if full
-// tokenization of a record succeeds, skipping that record must succeed
-// and land the stream at the same next event.
+// tokenization succeeds, skipping at the k-th StartElement (k from the
+// fuzz input; the root is the 0th) must succeed on every backing, land
+// the stream at the event after that element's end, and leave the same
+// TokenCount and SkipStats whatever the backing.
 func FuzzJSONSkipSubtree(f *testing.F) {
-	seeds := []string{
-		`{"a":{"deep":[1,2]},"b":3}`,
-		`{"a":"br } ace \" in string","b":1}`,
-		`{"a":[[[{"x":1}]]],"b":2}`,
-		`{"a":1}`,
-		`{"a":` + strings.Repeat("[", event.MaxDepth) + `,"b":2}`, // one level past the ceiling
+	for _, s := range differentialSeeds {
+		for _, k := range []uint8{0, 1, 2, 3, 5} {
+			f.Add(s, k, uint8(3))
+		}
 	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, doc string) {
-		// Reference: full tokenization, remembering events after the
-		// first element under record closes.
-		events := func(skipFirst bool) ([]event.Token, error) {
-			tz := NewTokenizer(strings.NewReader(doc))
+	f.Fuzz(func(t *testing.T, doc string, k, sizeSeed uint8) {
+		// events tokenizes doc, skipping at the skipAt-th StartElement
+		// (never, if negative).
+		events := func(tz *Tokenizer, skipAt int) (out []event.Token, count int64, skipped event.SkipStats, err error) {
 			defer tz.Release()
-			var out []event.Token
-			depth := 0
-			skipped := false
-			for {
+			for starts := 0; ; {
 				tok, err := tz.Next()
 				if err == io.EOF {
-					return out, nil
+					return out, tz.TokenCount(), tz.SkipStats(), nil
 				}
 				if err != nil {
-					return out, err
+					return out, 0, event.SkipStats{}, err
 				}
+				out = append(out, tok)
+				if tok.Kind != event.StartElement {
+					continue
+				}
+				if starts++; starts-1 == skipAt {
+					if err := tz.SkipSubtree(); err != nil {
+						return out, 0, event.SkipStats{}, err
+					}
+				}
+			}
+		}
+		full, _, _, err := events(NewTokenizerBytes([]byte(doc)), -1)
+		if err != nil {
+			return // invalid input; nothing to compare
+		}
+		// want is full without the inside of its k-th element: from after
+		// its StartElement through its matching EndElement.
+		want, starts, depth := full[:0:0], 0, 0
+		for _, tok := range full {
+			if depth > 0 {
 				switch tok.Kind {
 				case event.StartElement:
 					depth++
-					if skipFirst && !skipped && depth == 3 {
-						// First element inside the record.
-						skipped = true
-						if err := tz.SkipSubtree(); err != nil {
-							return out, err
-						}
-						depth--
-						continue
-					}
 				case event.EndElement:
 					depth--
 				}
-				out = append(out, tok)
+				continue
 			}
-		}
-		full, errFull := events(false)
-		if errFull != nil {
-			return // invalid input; nothing to compare
-		}
-		skip, errSkip := events(true)
-		if errSkip != nil {
-			t.Fatalf("full tokenization accepts but skip errors: %v\ninput: %q", errSkip, doc)
-		}
-		// The skipped run must be a subsequence cut: same prefix before
-		// the skipped element, same suffix after its subtree.
-		cut := -1
-		depth := 0
-		for i, tok := range full {
+			want = append(want, tok)
 			if tok.Kind == event.StartElement {
-				depth++
-				if depth == 3 {
-					cut = i
-					break
-				}
-			} else if tok.Kind == event.EndElement {
-				depth--
-			}
-		}
-		if cut < 0 {
-			// No third-level element existed, so no skip happened.
-			if len(skip) != len(full) {
-				t.Fatalf("no skip point but streams differ\ninput: %q", doc)
-			}
-			return
-		}
-		// Drop the skipped subtree from full: from cut to its matching end.
-		d := 0
-		end := cut
-		for i := cut; i < len(full); i++ {
-			if full[i].Kind == event.StartElement {
-				d++
-			} else if full[i].Kind == event.EndElement {
-				d--
-				if d == 0 {
-					end = i
-					break
+				if starts++; starts-1 == int(k) {
+					depth = 1
 				}
 			}
 		}
-		want := append(append([]event.Token{}, full[:cut]...), full[end+1:]...)
-		if len(want) != len(skip) {
-			t.Fatalf("skip stream has %d events, want %d\ninput: %q", len(skip), len(want), doc)
-		}
-		for i := range want {
-			if want[i].Kind != skip[i].Kind || want[i].Name != skip[i].Name || want[i].Text != skip[i].Text {
-				t.Fatalf("skip stream diverges at %d: %+v vs %+v\ninput: %q", i, skip[i], want[i], doc)
+		var refCount int64
+		var refSkipped event.SkipStats
+		for i, name := range backings {
+			got, count, skipped, err := events(openBacking(name, doc, sizeSeed), int(k))
+			if err != nil {
+				t.Fatalf("%s: full tokenization accepts but skip errors: %v\ninput: %q", name, err, doc)
+			}
+			sameTokens(t, name+" with skip", got, want, doc)
+			if i == 0 {
+				refCount, refSkipped = count, skipped
+			} else if count != refCount || skipped != refSkipped {
+				t.Fatalf("%s: TokenCount %d, SkipStats %+v; bytes: %d, %+v\ninput: %q", name, count, skipped, refCount, refSkipped, doc)
 			}
 		}
 	})

@@ -21,20 +21,18 @@
 //     true/false verbatim, null an empty element.
 //
 // Like the XML tokenizer, the Tokenizer works strictly one event at a
-// time, interns object keys so repeated field names in large streams
-// share one string allocation, and supports byte-level SkipSubtree:
-// when the projection automaton proves a value irrelevant, its bytes
-// are raw-scanned to the matching close brace without string decoding,
-// number parsing or event construction. Scalar values are parsed
-// lazily — the StartElement is delivered before the scalar's bytes are
-// consumed — so skipping a scalar raw-scans its bytes too instead of
-// decoding them first and discarding the result.
+// time, interns object keys so repeated field names share one string,
+// and supports byte-level SkipSubtree: when the projection automaton
+// proves a value irrelevant, its bytes are raw-scanned to the matching
+// close brace without string decoding, number parsing or event
+// construction. Scalars are parsed lazily — the StartElement is
+// delivered before the scalar's bytes are consumed — so skipping one
+// raw-scans its bytes too instead of decoding and discarding them.
 //
 // Input flows through the shared block cursor (internal/cursor,
-// DESIGN.md §12): both io.Reader and []byte inputs run the same
-// window-oriented scanning code, and on the []byte path escape-free
-// strings and number literals borrow subslices of the input instead of
-// allocating.
+// DESIGN.md §12): io.Reader and []byte inputs run the same window
+// scanning code, and on the []byte path escape-free strings and number
+// literals borrow subslices of the input instead of allocating.
 package jsontok
 
 import (
@@ -63,6 +61,101 @@ func (e *SyntaxError) Error() string {
 // tooDeep is the message of the nesting-depth ceiling's SyntaxError.
 const tooDeep = "containers nested deeper than %d"
 
+// Byte classes of the package-level table every scan consults: one load
+// says whether a byte is whitespace, structure, the start of a scalar
+// or part of a number literal.
+const (
+	cSpace  uint8 = 1 << iota // insignificant whitespace
+	cQuote                    // "
+	cOpen                     // { [
+	cClose                    // } ]
+	cColon                    // :
+	cScalar                   // first byte of a number or keyword
+	cNumber                   // may appear in a number literal
+)
+
+var class = func() (c [256]uint8) {
+	for _, b := range " \t\r\n" {
+		c[b] = cSpace
+	}
+	c['"'], c[':'] = cQuote, cColon
+	c['{'], c['['], c['}'], c[']'] = cOpen, cOpen, cClose, cClose
+	for _, b := range "0123456789-+.eE" {
+		c[b] = cNumber
+	}
+	for _, b := range "0123456789-tfn" {
+		c[b] |= cScalar
+	}
+	return c
+}()
+
+// unescaped maps the byte after a backslash to the byte it stands for
+// (0: not a one-byte escape); hexVal maps a hex digit to its value + 1.
+var unescaped = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
+var hexVal = func() (h [256]uint8) {
+	for i, b := range "0123456789abcdef" {
+		h[b] = uint8(i) + 1
+	}
+	for i, b := range "ABCDEF" {
+		h[b] = uint8(i) + 11
+	}
+	return h
+}()
+
+// stringEnd is the one loop that decides where a string ends. b is
+// input from inside a string and esc says whether b[0] is escaped by a
+// backslash that ended the previous block. It returns the index of the
+// closing quote, or -1 and whether the byte after b is escaped. Quotes
+// are found a block at a time (bytes.IndexByte); a quote closes the
+// string unless an odd run of backslashes stands before it.
+func stringEnd(b []byte, esc bool) (int, bool) {
+	p := 0 // no byte before p escapes one at or after it
+	if esc {
+		if len(b) == 0 {
+			return -1, true
+		}
+		p = 1
+	}
+	for {
+		q := bytes.IndexByte(b[p:], '"')
+		end := p + q
+		if q < 0 {
+			end = len(b)
+		}
+		run := end
+		for run > p && b[run-1] == '\\' {
+			run--
+		}
+		odd := (end-run)&1 == 1
+		if q < 0 {
+			return -1, odd
+		}
+		if !odd {
+			return end, false
+		}
+		p = end + 1
+	}
+}
+
+// plainLen returns the length of b's prefix that needs no decoding: no
+// backslash and no control byte.
+func plainLen(b []byte) int {
+	for i, c := range b {
+		if c < 0x20 || c == '\\' {
+			return i
+		}
+	}
+	return len(b)
+}
+
+func spaceEnd(w []byte, p int) int {
+	for p < len(w) && class[w[p]]&cSpace != 0 {
+		p++
+	}
+	return p
+}
+
 // frame kinds of the container stack.
 const (
 	frameStream uint8 = iota // the virtual root: a sequence of records
@@ -70,12 +163,28 @@ const (
 	frameArray               // inside [ ]: items repeat under frame.name, no element open
 )
 
+// Where a frame's parse position stands between its members.
+const (
+	atStart    uint8 = iota // just opened: a member or the closing bracket
+	afterValue              // ',' or the closing bracket
+	afterComma              // a member; a closing bracket here is a trailing comma
+	afterKey                // the value of the member named Tokenizer.name
+)
+
 type frame struct {
-	kind uint8
-	name string
-	// needSep is set once a member value has been consumed, so the next
-	// parse position expects ',' or the closing bracket.
-	needSep bool
+	kind  uint8
+	state uint8
+	name  string // of the elements the frame's values map to
+}
+
+// frameText holds what the object and array cases of the careful path
+// differ in.
+var frameText = [...]struct {
+	closer     byte
+	where, sep string
+}{
+	frameObject: {'}', "inside object", "expected ',' or '}' in object, got %q"},
+	frameArray:  {']', "inside array", "expected ',' or ']' in array, got %q"},
 }
 
 // Tokenizer reads a JSON or NDJSON byte stream and produces events one
@@ -84,16 +193,17 @@ type frame struct {
 type Tokenizer struct {
 	cur cursor.Cursor
 
-	stack   []frame
-	pending [2]event.Token // queued trailing events of a scalar value
-	npend   int
-	ppend   int
+	stack []frame
 
-	// A scalar value's StartElement has been delivered but its bytes are
-	// still unread: the next Next parses them (text + end), and a
-	// SkipSubtree instead raw-scans them without decoding.
+	// scalarPending: a scalar value's StartElement has been delivered
+	// but its bytes are still unread; the next Next parses them, and a
+	// SkipSubtree instead raw-scans them without decoding. endPending:
+	// the scalar's Text has been delivered and the next Next synthesizes
+	// its EndElement. name is that element's, and before that the key of
+	// a member whose value has not started yet (afterKey).
 	scalarPending bool
-	scalarName    string
+	endPending    bool
+	name          string
 
 	// names interns object keys (→ element names); repeated fields in
 	// large streams share one string allocation, and it outlives the
@@ -103,19 +213,16 @@ type Tokenizer struct {
 	ctx     context.Context
 	ctxDone <-chan struct{}
 
-	count    int64
-	started  bool
-	done     bool
+	count    int64 // events delivered; 0 until the root's StartElement
+	done     bool  // the root's EndElement is out, or the root was skipped
 	released bool
 	// err is the first error Next or SkipSubtree returned. It is final:
 	// both return it again rather than parse on from where it struck.
 	err error
 
-	textBuf []byte
+	textBuf []byte // scratch of unescape
 
-	bytesSkipped    int64
-	tagsSkipped     int64
-	subtreesSkipped int64
+	skipped event.SkipStats
 }
 
 // tokenizerPool recycles Tokenizers — each carries a 64 KiB cursor
@@ -143,24 +250,11 @@ func NewTokenizerBytes(data []byte) *Tokenizer {
 	return t
 }
 
+// reset zeroes everything but the cursor, which the constructor has
+// armed, and the buffers a pooled tokenizer carries over.
 func (t *Tokenizer) reset() {
-	t.stack = t.stack[:0]
-	t.npend = 0
-	t.ppend = 0
-	t.scalarPending = false
-	t.scalarName = ""
 	t.names.Reset()
-	t.ctx = nil
-	t.ctxDone = nil
-	t.count = 0
-	t.started = false
-	t.done = false
-	t.released = false
-	t.err = nil
-	t.textBuf = t.textBuf[:0]
-	t.bytesSkipped = 0
-	t.tagsSkipped = 0
-	t.subtreesSkipped = 0
+	*t = Tokenizer{cur: t.cur, names: t.names, stack: t.stack[:0], textBuf: t.textBuf[:0]}
 }
 
 // SetContext attaches a cancellation context. Next fails with ctx.Err()
@@ -182,8 +276,7 @@ func (t *Tokenizer) Release() {
 	}
 	t.released = true
 	t.cur.ResetBytes(nil) // drop the reader / input-slice reference
-	t.ctx = nil
-	t.ctxDone = nil
+	t.ctx, t.ctxDone = nil, nil
 	tokenizerPool.Put(t)
 }
 
@@ -193,251 +286,244 @@ func (t *Tokenizer) TokenCount() int64 { return t.count }
 // SkipStats reports the bytes SkipSubtree fast-forwarded past, a lower
 // bound on the elements inside them (object members, counted by their
 // key separators) and the number of fast-forwards taken.
-func (t *Tokenizer) SkipStats() event.SkipStats {
-	return event.SkipStats{
-		BytesSkipped:    t.bytesSkipped,
-		TagsSkipped:     t.tagsSkipped,
-		SubtreesSkipped: t.subtreesSkipped,
+func (t *Tokenizer) SkipStats() event.SkipStats { return t.skipped }
+
+// poll reports the attached context's error once it is cancelled.
+func (t *Tokenizer) poll() error {
+	if t.ctxDone != nil {
+		select {
+		case <-t.ctxDone:
+			return t.ctx.Err()
+		default:
+		}
 	}
+	return nil
 }
 
-func (t *Tokenizer) emit(tok event.Token) (event.Token, error) {
-	t.count++
-	return tok, nil
-}
-
-func (t *Tokenizer) queue(tok event.Token) {
-	t.pending[t.npend] = tok
-	t.npend++
+func (t *Tokenizer) fail(err error) (event.Token, error) {
+	t.err = err
+	return event.Token{}, err
 }
 
 // Next returns the next event of the stream, io.EOF at the end. Once
 // Next or SkipSubtree has failed, both keep returning that error.
+//
+// Every event is built here, from one window snapshot (DESIGN.md §12,
+// "The JSON fast path"): what stands between two values of well-formed
+// input — whitespace, the comma, an escape-free key and its colon, or
+// the closing bracket — is recognised by index arithmetic (memberPrefix)
+// and consumed with the value's first byte by a single Advance. When
+// that does not fit the window or the grammar, step moves the cursor
+// past one construct the careful way or reports what is wrong with it —
+// the only place a SyntaxError is produced — and the accept is tried
+// again: it takes a prefix whole or leaves the cursor untouched, so
+// tokens, errors and offsets are the same on every backing and window.
 func (t *Tokenizer) Next() (event.Token, error) {
 	if t.err != nil {
 		return event.Token{}, t.err
 	}
-	tok, err := t.next()
-	t.err = err
-	return tok, err
-}
-
-func (t *Tokenizer) next() (event.Token, error) {
-	if t.ctxDone != nil {
-		select {
-		case <-t.ctxDone:
-			return event.Token{}, t.ctx.Err()
-		default:
-		}
+	if err := t.poll(); err != nil {
+		return t.fail(err)
 	}
-	if t.ppend < t.npend {
-		tok := t.pending[t.ppend]
-		t.ppend++
-		if t.ppend == t.npend {
-			t.ppend, t.npend = 0, 0
-		}
-		return t.emit(tok)
+	if t.endPending {
+		t.endPending = false
+		t.count++
+		return event.Token{Kind: event.EndElement, Name: t.name}, nil
 	}
 	if t.scalarPending {
 		t.scalarPending = false
-		return t.parseScalar(t.scalarName)
-	}
-	if t.done {
-		if ioErr := t.cur.IOErr(); ioErr != nil {
-			return event.Token{}, ioErr
+		text, err := t.readScalar()
+		if err != nil {
+			return t.fail(err)
 		}
-		return event.Token{}, io.EOF
+		t.count++
+		if text == "" { // null and "" map to an empty element
+			return event.Token{Kind: event.EndElement, Name: t.name}, nil
+		}
+		t.endPending = true
+		return event.Token{Kind: event.Text, Text: text}, nil
 	}
-	if !t.started {
-		t.started = true
-		t.stack = append(t.stack, frame{kind: frameStream, name: event.RootName})
-		return t.emit(event.Token{Kind: event.StartElement, Name: event.RootName})
+	if t.count == 0 {
+		t.stack = append(t.stack, frame{kind: frameStream, name: event.RecordName})
+		t.count++
+		return event.Token{Kind: event.StartElement, Name: event.RootName}, nil
 	}
-	for {
+	for len(t.stack) > 0 {
 		top := &t.stack[len(t.stack)-1]
-		switch top.kind {
-		case frameStream:
-			_, err := t.skipSpace()
-			if err == io.EOF {
-				t.done = true
-				t.stack = t.stack[:len(t.stack)-1]
-				return t.emit(event.Token{Kind: event.EndElement, Name: event.RootName})
-			}
-			if err != nil {
-				return event.Token{}, err
-			}
-			tok, ok, err := t.beginValue(event.RecordName)
-			if err != nil {
-				return event.Token{}, err
-			}
-			if !ok {
-				continue
-			}
-			return tok, nil
-		case frameObject:
-			b, err := t.skipSpace()
-			if err != nil {
-				return event.Token{}, t.unexpectedEOF(err, "inside object")
-			}
-			if b == '}' {
-				t.cur.Advance(1)
-				name := top.name
-				t.stack = t.stack[:len(t.stack)-1]
-				return t.emit(event.Token{Kind: event.EndElement, Name: name})
-			}
-			if top.needSep {
-				if b != ',' {
-					return event.Token{}, t.errf("expected ',' or '}' in object, got %q", b)
-				}
-				t.cur.Advance(1)
-				top.needSep = false
-				continue
-			}
-			if b != '"' {
-				return event.Token{}, t.errf("expected object key string, got %q", b)
-			}
-			key, err := t.readString(true)
-			if err != nil {
-				return event.Token{}, err
-			}
-			b, err = t.skipSpace()
-			if err != nil || b != ':' {
-				return event.Token{}, t.unexpectedSep(err, b, "':' after object key")
-			}
-			t.cur.Advance(1)
-			tok, ok, err := t.beginValue(key)
-			if err != nil {
-				return event.Token{}, err
-			}
-			if !ok {
-				continue
-			}
-			return tok, nil
-		case frameArray:
-			b, err := t.skipSpace()
-			if err != nil {
-				return event.Token{}, t.unexpectedEOF(err, "inside array")
-			}
-			if b == ']' {
-				t.cur.Advance(1)
-				t.stack = t.stack[:len(t.stack)-1]
+		w := t.cur.Window()
+		if p, key, closes := memberPrefix(w, top); closes {
+			t.cur.Advance(p + 1)
+			kind, name := top.kind, top.name
+			t.stack = t.stack[:len(t.stack)-1]
+			if kind == frameArray {
 				continue // arrays emit no event of their own
 			}
-			if top.needSep {
-				if b != ',' {
-					return event.Token{}, t.errf("expected ',' or ']' in array, got %q", b)
-				}
-				t.cur.Advance(1)
-				top.needSep = false
+			t.count++
+			return event.Token{Kind: event.EndElement, Name: name}, nil
+		} else if p >= 0 && t.valueStarts(w[p]) {
+			name := top.name
+			if top.state == afterKey {
+				name = t.name
+			} else if top.kind == frameObject {
+				name = t.names.Intern(key)
+			}
+			top.state = afterValue
+			switch w[p] {
+			case '[':
+				t.cur.Advance(p + 1)
+				t.stack = append(t.stack, frame{kind: frameArray, name: name})
 				continue
+			case '{':
+				t.cur.Advance(p + 1)
+				t.stack = append(t.stack, frame{kind: frameObject, name: name})
+			default:
+				// A scalar is only classified by its first byte: its bytes
+				// stay in the cursor so that a SkipSubtree right after the
+				// StartElement can raw-scan them, and a malformed one is
+				// reported by the Next after.
+				t.cur.Advance(p)
+				t.scalarPending, t.name = true, name
 			}
-			tok, ok, err := t.beginValue(top.name)
-			if err != nil {
-				return event.Token{}, err
-			}
-			if !ok {
-				continue
-			}
-			return tok, nil
-		default:
-			return event.Token{}, t.errf("corrupt tokenizer state")
+			t.count++
+			return event.Token{Kind: event.StartElement, Name: name}, nil
+		}
+		if err := t.step(); err != nil {
+			return t.fail(err)
 		}
 	}
+	if t.done {
+		return t.fail(io.EOF)
+	}
+	t.done = true
+	t.count++
+	return event.Token{Kind: event.EndElement, Name: event.RootName}, nil
 }
 
-// beginValue parses the start of one JSON value that maps to elements
-// named name. The enclosing frame's separator expectation is armed
-// here, before any child frame is pushed. ok=false (with nil error)
-// means an array frame was pushed and the caller's loop must continue —
-// arrays emit no event of their own, and iterating instead of recursing
-// keeps deeply nested array input from growing the goroutine stack.
-//
-// Scalar values only have their leading byte classified here; the bytes
-// stay in the cursor (scalarPending) so that a SkipSubtree right after
-// the StartElement can raw-scan them. A malformed scalar therefore
-// surfaces its syntax error on the Next after the StartElement, not
-// before it.
-func (t *Tokenizer) beginValue(name string) (event.Token, bool, error) {
-	t.stack[len(t.stack)-1].needSep = true
-	b, err := t.skipSpace()
-	if err != nil {
-		return event.Token{}, false, t.unexpectedEOF(err, "expecting value")
-	}
-	if (b == '{' || b == '[') && len(t.stack) > event.MaxDepth {
-		// (the stream frame at the bottom of the stack is no container)
-		return event.Token{}, false, t.errf(tooDeep, event.MaxDepth)
-	}
-	switch {
-	case b == '{':
-		t.cur.Advance(1)
-		t.stack = append(t.stack, frame{kind: frameObject, name: name})
-		tok, err := t.emit(event.Token{Kind: event.StartElement, Name: name})
-		return tok, true, err
-	case b == '[':
-		t.cur.Advance(1)
-		t.stack = append(t.stack, frame{kind: frameArray, name: name})
-		return event.Token{}, false, nil
-	case b == '"' || b == 't' || b == 'f' || b == 'n' || b == '-' || (b >= '0' && b <= '9'):
-		t.scalarPending = true
-		t.scalarName = name
-		tok, err := t.emit(event.Token{Kind: event.StartElement, Name: name})
-		return tok, true, err
-	default:
-		return event.Token{}, false, t.errf("unexpected %q at start of value", b)
-	}
+// valueStarts reports whether a value may start with b here: a scalar's
+// first byte, or a bracket while the nesting ceiling allows one more
+// container (the stream frame at the bottom of the stack is none).
+func (t *Tokenizer) valueStarts(b byte) bool {
+	c := class[b]
+	return c&(cQuote|cScalar) != 0 || (c&cOpen != 0 && len(t.stack) <= event.MaxDepth)
 }
 
-// parseScalar consumes the deferred scalar value and returns its first
-// trailing event: the text (end queued) or, for empty values, the end
-// itself.
-func (t *Tokenizer) parseScalar(name string) (event.Token, error) {
+// memberPrefix is the in-window accept for what stands between the
+// parse position and the next value of the frame f: whitespace, the
+// comma if one is due, and in an object an escape-free key and its
+// colon. It returns the index of the value's first byte and the key —
+// or, with closes set, the index of the bracket that closes f. p is -1,
+// and nothing is decided, when the window ends first or holds anything
+// else: a key with an escape or a control byte, a missing or trailing
+// comma, any other malformation.
+func memberPrefix(w []byte, f *frame) (p int, key []byte, closes bool) {
+	p = spaceEnd(w, 0)
+	if f.kind != frameStream && f.state != afterKey && p < len(w) {
+		if w[p] == frameText[f.kind].closer && f.state != afterComma {
+			return p, nil, true
+		}
+		if f.state == afterValue {
+			if w[p] != ',' {
+				return -1, nil, false
+			}
+			p = spaceEnd(w, p+1)
+		}
+		if f.kind == frameObject {
+			n := -1
+			if p < len(w) && w[p] == '"' {
+				n, _ = stringEnd(w[p+1:], false)
+			}
+			if n < 0 || plainLen(w[p+1:p+1+n]) != n {
+				return -1, nil, false
+			}
+			key = w[p+1 : p+1+n]
+			if p = spaceEnd(w, p+n+2); p == len(w) || w[p] != ':' {
+				return -1, nil, false
+			}
+			p = spaceEnd(w, p+1)
+		}
+	}
+	if p == len(w) {
+		return -1, nil, false
+	}
+	return p, key, false
+}
+
+// step is the careful path: through the cursor, a refill at a time, it
+// consumes the one construct the accept stopped at — whitespace, a
+// comma, a key and its colon, the end of the stream — or reports what
+// is wrong there. What the accept takes once it is whole in the window,
+// a closing bracket or the first byte of a value, is left to it.
+func (t *Tokenizer) step() error {
+	top := &t.stack[len(t.stack)-1]
+	txt := &frameText[top.kind]
 	b, err := t.skipSpace()
-	if err != nil {
-		return event.Token{}, t.unexpectedEOF(err, "expecting value")
-	}
-	var text string
-	present := true
 	switch {
-	case b == '"':
-		s, err := t.readString(false)
+	case err == io.EOF && top.kind == frameStream:
+		t.stack = t.stack[:0]
+		return nil
+	case err != nil && top.state == afterKey:
+		return t.unexpectedEOF(err, "expecting value")
+	case err != nil:
+		return t.unexpectedEOF(err, txt.where)
+	case top.kind == frameStream || top.state == afterKey:
+		// A value must start here; below.
+	case b == txt.closer && top.state != afterComma:
+		return nil
+	case top.state == afterValue:
+		if b != ',' {
+			return t.errf(txt.sep, b)
+		}
+		t.cur.Advance(1)
+		top.state = afterComma
+		return nil
+	case top.kind == frameObject:
+		if b != '"' {
+			return t.errf("expected object key string, got %q", b)
+		}
+		key, err := t.readString(true)
 		if err != nil {
-			return event.Token{}, err
+			return err
 		}
-		text, present = s, s != ""
-	case b == 't':
-		if err := t.literal("true"); err != nil {
-			return event.Token{}, err
+		if b, err = t.skipSpace(); err != nil || b != ':' {
+			return t.unexpectedSep(err, b, "':' after object key")
 		}
-		text = "true"
-	case b == 'f':
-		if err := t.literal("false"); err != nil {
-			return event.Token{}, err
-		}
-		text = "false"
-	case b == 'n':
-		if err := t.literal("null"); err != nil {
-			return event.Token{}, err
-		}
-		present = false
-	default: // '-' or digit; beginValue vetted the leading byte
-		s, err := t.readNumber()
-		if err != nil {
-			return event.Token{}, err
-		}
-		text = s
+		t.cur.Advance(1)
+		t.name, top.state = key, afterKey
+		return nil
 	}
-	if present {
-		t.queue(event.Token{Kind: event.EndElement, Name: name})
-		return t.emit(event.Token{Kind: event.Text, Text: text})
+	switch {
+	case t.valueStarts(b):
+		return nil
+	case class[b]&cOpen != 0:
+		return t.errf(tooDeep, event.MaxDepth)
 	}
-	return t.emit(event.Token{Kind: event.EndElement, Name: name})
+	return t.errf("unexpected %q at start of value", b)
+}
+
+// readScalar consumes the deferred scalar value, whose first byte Next
+// vetted and left at the head of the window, and returns its text: ""
+// for null and for the empty string.
+func (t *Tokenizer) readScalar() (string, error) {
+	switch t.cur.Window()[0] {
+	case '"':
+		return t.readString(false)
+	case 't':
+		return "true", t.literal("true")
+	case 'f':
+		return "false", t.literal("false")
+	case 'n':
+		return "", t.literal("null")
+	}
+	return t.readNumber()
 }
 
 // SkipSubtree fast-forwards past the value of the StartElement most
 // recently returned by Next, without producing its events. Container
 // and scalar values alike are raw-scanned at byte level — no string
 // decoding, number parsing, key interning or event construction happens
-// for the skipped region.
+// for the skipped region. The scan accepts a superset of what full
+// tokenization would (DESIGN.md §8): it balances brackets and honors
+// strings, and looks at nothing else.
 func (t *Tokenizer) SkipSubtree() error {
 	if t.err == nil {
 		t.err = t.skipSubtree()
@@ -446,37 +532,55 @@ func (t *Tokenizer) SkipSubtree() error {
 }
 
 func (t *Tokenizer) skipSubtree() error {
-	t.subtreesSkipped++
+	t.skipped.SubtreesSkipped++
 	if t.scalarPending {
 		// Scalar value: its bytes are still in the cursor; raw-scan
 		// them without decoding.
 		t.scalarPending = false
-		t.tagsSkipped++ // the unproduced EndElement
+		t.skipped.TagsSkipped++ // the unproduced EndElement
 		return t.skipScalar()
 	}
 	if len(t.stack) == 0 {
 		return t.errf("SkipSubtree with no open element")
 	}
-	top := t.stack[len(t.stack)-1]
-	switch top.kind {
-	case frameObject:
-		// The object's '{' is consumed; scan to the matching '}'.
-		if err := t.rawSkip(); err != nil {
-			return err
-		}
-		t.stack = t.stack[:len(t.stack)-1]
-		return nil
+	depth := len(t.stack) - 1
+	outer := depth - 1 // an object, its '{' consumed: scan to the matching '}'
+	switch t.stack[depth].kind {
+	case frameArray:
+		return t.errf("SkipSubtree not positioned on a start element")
 	case frameStream:
 		// Skipping the virtual root: consume the remaining input.
-		if err := t.rawSkipToEOF(); err != nil {
-			return err
-		}
-		t.stack = t.stack[:0]
-		t.done = true
-		return nil
-	default:
-		return t.errf("SkipSubtree not positioned on a start element")
+		outer, t.done = noOuter, true
 	}
+	err := t.rawSkip(depth, outer)
+	t.stack = t.stack[:depth]
+	return err
+}
+
+// skipScalar raw-scans the scalar at the head of the window as far as
+// reading it would go, unvalidated: a string to its closing quote, a
+// number while its bytes may be a number's, a keyword by its length.
+func (t *Tokenizer) skipScalar() error {
+	b := t.cur.Window()[0]
+	if b == '"' {
+		return t.rawSkip(0, 0)
+	}
+	if class[b]&cNumber != 0 {
+		n, err := t.run(cNumber, cNumber)
+		t.skipped.BytesSkipped += n
+		return err
+	}
+	n := len("true")
+	if b == 'f' {
+		n = len("false")
+	}
+	w, err := t.cur.Peek(n)
+	t.cur.Advance(len(w))
+	t.skipped.BytesSkipped += int64(len(w))
+	if err == io.EOF {
+		return nil // cut short: the next event reports it
+	}
+	return err
 }
 
 // skipBlock is the step all raw skip loops share: poll the context,
@@ -484,12 +588,8 @@ func (t *Tokenizer) skipSubtree() error {
 // it — so a skip on the slice backing, whose window is the whole
 // remaining input, is cancelled as promptly as one on a reader.
 func (t *Tokenizer) skipBlock() ([]byte, error) {
-	if t.ctxDone != nil {
-		select {
-		case <-t.ctxDone:
-			return nil, t.ctx.Err()
-		default:
-		}
+	if err := t.poll(); err != nil {
+		return nil, err
 	}
 	if err := t.cur.Fill(); err != nil {
 		return nil, err
@@ -497,139 +597,91 @@ func (t *Tokenizer) skipBlock() ([]byte, error) {
 	return t.cur.Block(), nil
 }
 
-// rawSkip consumes the rest of the object on top of the stack, through
-// its closing brace, honoring strings and escapes. It scans the cursor
-// window in place — the hot loop touches each byte once and allocates
-// nothing. depth counts open containers as the stack does, so the
-// ceiling beginValue enforces holds inside a skipped value too.
-func (t *Tokenizer) rawSkip() error {
-	depth := len(t.stack) - 1
-	outer := depth - 1
-	inStr := false
-	escaped := false
+// noOuter is rawSkip's outer depth for the virtual root, which no
+// bracket closes: the scan runs to the end of the input.
+const noOuter = -1 << 31
+
+// rawSkip consumes input from depth open containers (counted as the
+// stack does, so the nesting ceiling holds inside a skipped value too)
+// through the byte that brings the count down to outer: a closing
+// bracket — or, where depth is outer to begin with, the closing quote
+// of the string scalar the scan starts at. Strings are jumped with
+// stringEnd, its parity carried from block to block; between them the
+// loop walks bytes by class and counts ':' — one per object member,
+// each of which would have produced an element: the lower bound that
+// mirrors the XML tokenizer's tags-skipped counter.
+func (t *Tokenizer) rawSkip(depth, outer int) error {
+	inStr, esc := false, false
 	for {
 		buf, err := t.skipBlock()
+		if err == io.EOF && outer == noOuter {
+			return nil
+		}
 		if err != nil {
 			return t.unexpectedEOF(err, "inside skipped value")
 		}
-		for i := 0; i < len(buf); i++ {
-			c := buf[i]
+		for i := 0; i < len(buf); {
 			if inStr {
-				switch {
-				case escaped:
-					escaped = false
-				case c == '\\':
-					escaped = true
-				case c == '"':
-					inStr = false
+				var end int
+				if end, esc = stringEnd(buf[i:], esc); end < 0 {
+					break
 				}
-				continue
+				inStr, i = false, i+end+1
+				if depth != outer {
+					continue
+				}
+			} else {
+				c := class[buf[i]]
+				i++
+				switch c {
+				case cQuote:
+					inStr = true
+				case cColon:
+					t.skipped.TagsSkipped++
+				case cOpen:
+					if depth++; depth > event.MaxDepth {
+						t.cur.Advance(i - 1)
+						return t.errf(tooDeep, event.MaxDepth)
+					}
+				case cClose:
+					depth--
+				}
+				if c != cClose || depth != outer {
+					continue
+				}
 			}
-			switch c {
-			case '"':
-				inStr = true
-			case '{', '[':
-				if depth++; depth > event.MaxDepth {
-					t.cur.Advance(i)
-					return t.errf(tooDeep, event.MaxDepth)
-				}
-			case '}', ']':
-				depth--
-				if depth == outer {
-					t.cur.Advance(i + 1)
-					t.bytesSkipped += int64(i + 1)
-					return nil
-				}
-			case ':':
-				// Each object member inside the skipped region would
-				// have produced one element — a lower bound mirroring
-				// the XML tokenizer's tags-skipped counter.
-				t.tagsSkipped++
-			}
+			t.cur.Advance(i)
+			t.skipped.BytesSkipped += int64(i)
+			return nil
 		}
 		t.cur.Advance(len(buf))
-		t.bytesSkipped += int64(len(buf))
+		t.skipped.BytesSkipped += int64(len(buf))
 	}
 }
 
-// skipScalar raw-scans one scalar value: a string is consumed to its
-// closing quote honoring escapes; a number or keyword runs to the next
-// structural delimiter. No decoding or validation happens — like
-// rawSkip, the scan accepts a superset of what full tokenization would.
-func (t *Tokenizer) skipScalar() error {
-	b, err := t.skipSpace()
-	if err != nil {
-		return t.unexpectedEOF(err, "expecting skipped value")
-	}
-	if b == '"' {
-		t.cur.Advance(1)
-		t.bytesSkipped++
-		escaped := false
-		for {
-			w, err := t.skipBlock()
-			if err != nil {
-				return t.unexpectedEOF(err, "inside skipped string")
-			}
-			for i := 0; i < len(w); i++ {
-				c := w[i]
-				switch {
-				case escaped:
-					escaped = false
-				case c == '\\':
-					escaped = true
-				case c == '"':
-					t.cur.Advance(i + 1)
-					t.bytesSkipped += int64(i + 1)
-					return nil
-				}
-			}
-			t.cur.Advance(len(w))
-			t.bytesSkipped += int64(len(w))
-		}
-	}
-	// Number or keyword: everything up to a separator, bracket or space.
+// run advances over the bytes b with class[b]&mask == want, a block at
+// a time, to the first other byte or the end of the input, and returns
+// how many they were.
+func (t *Tokenizer) run(mask, want uint8) (n int64, err error) {
 	for {
 		w, err := t.skipBlock()
 		if err == io.EOF {
-			return nil
+			return n, nil
 		}
 		if err != nil {
-			return err
+			return n, err
 		}
 		i := 0
-	scan:
-		for i < len(w) {
-			switch w[i] {
-			case ',', '}', ']', ' ', '\t', '\r', '\n':
-				break scan
-			}
+		for i < len(w) && class[w[i]]&mask == want {
 			i++
 		}
 		t.cur.Advance(i)
-		t.bytesSkipped += int64(i)
+		n += int64(i)
 		if i < len(w) {
-			return nil
+			return n, nil
 		}
 	}
 }
-
-// rawSkipToEOF consumes the remaining input at byte level.
-func (t *Tokenizer) rawSkipToEOF() error {
-	for {
-		buf, err := t.skipBlock()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		t.tagsSkipped += int64(bytes.Count(buf, sepColon))
-		t.cur.Advance(len(buf))
-		t.bytesSkipped += int64(len(buf))
-	}
-}
-
-var sepColon = []byte{':'}
 
 // skipSpace advances past insignificant whitespace and returns the next
 // byte without consuming it.
@@ -639,15 +691,7 @@ func (t *Tokenizer) skipSpace() (byte, error) {
 			return 0, err
 		}
 		w := t.cur.Window()
-		i := 0
-		for i < len(w) {
-			switch w[i] {
-			case ' ', '\t', '\r', '\n':
-				i++
-				continue
-			}
-			break
-		}
+		i := spaceEnd(w, 0)
 		t.cur.Advance(i)
 		if i < len(w) {
 			return w[i], nil
@@ -669,178 +713,123 @@ func (t *Tokenizer) literal(lit string) error {
 	return nil
 }
 
-// readString consumes a JSON string (the opening quote not yet
-// consumed) and returns its decoded value. Keys are interned. The hot
-// loop scans whole windows for the next quote, backslash or control
-// byte; on the []byte path an escape-free string is borrowed from the
-// input (keys hit the intern map without allocating).
+// readString consumes a JSON string, the cursor at its opening quote,
+// and returns its decoded value; keys are interned. The string's bytes
+// are captured as stringEnd finds their end; an escape-free string is
+// handed out as it stands (borrowed from the input on the []byte path,
+// and a key hits the intern cache without allocating), any other goes
+// through unescape. One that never closes is reported as that,
+// whatever it holds.
 func (t *Tokenizer) readString(intern bool) (string, error) {
-	if b, err := t.cur.Byte(); err != nil || b != '"' {
-		if err == nil {
-			t.cur.Unread()
-		}
-		return "", t.unexpectedSep(err, b, "string")
-	}
-	buf := t.textBuf[:0]
-	first := true
-	for {
+	t.cur.Advance(1)
+	t.cur.Mark()
+	for esc := false; ; {
 		if err := t.cur.Fill(); err != nil {
 			return "", t.unexpectedEOF(err, "inside string")
 		}
 		w := t.cur.Window()
-		i := 0
-		for i < len(w) && w[i] != '"' && w[i] != '\\' && w[i] >= 0x20 {
-			i++
+		var end int
+		if end, esc = stringEnd(w, esc); end >= 0 {
+			t.cur.Advance(end + 1)
+			break
 		}
-		if i == len(w) {
-			// Window exhausted mid-segment (reader path): copy, refill.
-			buf = append(buf, w...)
-			t.cur.Advance(len(w))
-			first = false
-			continue
-		}
-		c := w[i]
-		if c == '"' {
-			if first && t.cur.Fixed() {
-				t.cur.Advance(i + 1)
-				seg := w[:i]
-				if intern {
-					return t.names.Intern(seg), nil
-				}
-				return cursor.Borrow(seg), nil
-			}
-			buf = append(buf, w[:i]...)
-			t.cur.Advance(i + 1)
-			t.textBuf = buf
-			if intern {
-				return t.names.Intern(buf), nil
-			}
-			return string(buf), nil
-		}
-		if c < 0x20 {
-			t.cur.Advance(i + 1)
-			return "", t.errf("raw control character 0x%02x in string", c)
-		}
-		// Escape sequence.
-		buf = append(buf, w[:i]...)
-		t.cur.Advance(i + 1) // consume the backslash
-		first = false
-		e, err := t.cur.Byte()
-		if err != nil {
-			return "", t.unexpectedEOF(err, "inside string escape")
-		}
-		switch e {
-		case '"', '\\', '/':
-			buf = append(buf, e)
-		case 'b':
-			buf = append(buf, '\b')
-		case 'f':
-			buf = append(buf, '\f')
-		case 'n':
-			buf = append(buf, '\n')
-		case 'r':
-			buf = append(buf, '\r')
-		case 't':
-			buf = append(buf, '\t')
-		case 'u':
-			r, err := t.readHex4()
-			if err != nil {
-				return "", err
-			}
-			if utf16.IsSurrogate(rune(r)) {
-				// Try to combine with a following \uXXXX low half.
-				if b2, err2 := t.cur.Peek(2); err2 == nil && len(b2) == 2 && b2[0] == '\\' && b2[1] == 'u' {
-					t.cur.Advance(2)
-					r2, err := t.readHex4()
-					if err != nil {
-						return "", err
-					}
-					if dec := utf16.DecodeRune(rune(r), rune(r2)); dec != utf8.RuneError {
-						buf = utf8.AppendRune(buf, dec)
-						continue
-					}
-					buf = utf8.AppendRune(buf, utf8.RuneError)
-					buf = utf8.AppendRune(buf, utf8.RuneError)
-					continue
-				}
-				buf = utf8.AppendRune(buf, utf8.RuneError)
-				continue
-			}
-			buf = utf8.AppendRune(buf, rune(r))
-		default:
-			return "", t.errf("invalid string escape '\\%c'", e)
+		t.cur.Advance(len(w))
+	}
+	raw := t.cur.Take() // through the closing quote
+	s := raw[:len(raw)-1]
+	plain := plainLen(s) == len(s)
+	if !plain {
+		var err error
+		if s, err = t.unescape(raw); err != nil {
+			return "", err
 		}
 	}
+	switch {
+	case intern:
+		return t.names.Intern(s), nil
+	case plain:
+		return t.cur.Own(s), nil
+	}
+	return string(s), nil
 }
 
-// readHex4 consumes four hex digits of a \u escape.
-func (t *Tokenizer) readHex4() (uint32, error) {
-	var r uint32
-	for i := 0; i < 4; i++ {
-		b, err := t.cur.Byte()
-		if err != nil {
-			return 0, t.unexpectedEOF(err, "inside \\u escape")
+// unescape decodes raw, a string's bytes through the closing quote the
+// cursor has just passed, into the text scratch. Errors carry the
+// offset just past the byte at fault, as reading in order would.
+func (t *Tokenizer) unescape(raw []byte) ([]byte, error) {
+	buf, end := t.textBuf[:0], len(raw)-1
+	errAt := func(i int, format string, arg byte) ([]byte, error) {
+		off := t.cur.Offset() - int64(len(raw)-i)
+		return nil, &SyntaxError{Offset: off, Msg: fmt.Sprintf(format, arg)}
+	}
+	for i := 0; i < end; {
+		n := plainLen(raw[i:end])
+		buf = append(buf, raw[i:i+n]...)
+		if i += n; i == end {
+			break
 		}
+		// raw[i] is a control byte, or a backslash — never the string's
+		// last byte, that would have escaped the quote.
+		c, e := raw[i], raw[i+1]
 		switch {
-		case b >= '0' && b <= '9':
-			r = r<<4 | uint32(b-'0')
-		case b >= 'a' && b <= 'f':
-			r = r<<4 | uint32(b-'a'+10)
-		case b >= 'A' && b <= 'F':
-			r = r<<4 | uint32(b-'A'+10)
-		default:
-			return 0, t.errf("invalid hex digit %q in \\u escape", b)
+		case c < 0x20:
+			return errAt(i+1, "raw control character 0x%02x in string", c)
+		case unescaped[e] != 0:
+			buf = append(buf, unescaped[e])
+			i += 2
+			continue
+		case e != 'u':
+			return errAt(i+2, "invalid string escape '\\%c'", e)
 		}
+		r, j, ok := hex4(raw, i+2)
+		if ok && utf16.IsSurrogate(r) {
+			// Try to combine with a following \uXXXX low half.
+			if raw[j] != '\\' || raw[j+1] != 'u' {
+				r = utf8.RuneError
+			} else if r2, j2, ok2 := hex4(raw, j+2); !ok2 {
+				j, ok = j2, false
+			} else if j, r = j2, utf16.DecodeRune(r, r2); r == utf8.RuneError {
+				buf = utf8.AppendRune(buf, r) // one for each half
+			}
+		}
+		if !ok {
+			return errAt(j+1, "invalid hex digit %q in \\u escape", raw[j])
+		}
+		buf = utf8.AppendRune(buf, r)
+		i = j
 	}
-	return r, nil
+	t.textBuf = buf
+	return buf, nil
 }
 
-// isNumberByte reports whether b can appear in a JSON number literal.
-func isNumberByte(b byte) bool {
-	return (b >= '0' && b <= '9') || b == '-' || b == '+' || b == '.' || b == 'e' || b == 'E'
+// hex4 reads the four digits of a \u escape at raw[i:] and returns the
+// index after them, or with ok unset that of the byte that is none: raw
+// ends in the closing quote, which stops a short escape.
+func hex4(raw []byte, i int) (r rune, next int, ok bool) {
+	for next = i; next < i+4; next++ {
+		h := hexVal[raw[next]]
+		if h == 0 {
+			return 0, next, false
+		}
+		r = r<<4 | rune(h-1)
+	}
+	return r, next, true
 }
 
 // readNumber consumes a JSON number and returns its literal text
 // verbatim, preserving the input's formatting. On the []byte path the
 // literal is borrowed from the input without allocating.
 func (t *Tokenizer) readNumber() (string, error) {
-	if t.cur.Fixed() {
-		w := t.cur.Window()
-		i := 0
-		for i < len(w) && isNumberByte(w[i]) {
-			i++
-		}
-		t.cur.Advance(i)
-		if i == 0 || (i == 1 && w[0] == '-') {
-			return "", t.errf("malformed number")
-		}
-		return cursor.Borrow(w[:i]), nil
+	t.cur.Mark()
+	_, err := t.run(cNumber, cNumber)
+	lit := t.cur.Take()
+	if err != nil {
+		return "", err
 	}
-	buf := t.textBuf[:0]
-	for {
-		err := t.cur.Fill()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return "", err
-		}
-		w := t.cur.Window()
-		i := 0
-		for i < len(w) && isNumberByte(w[i]) {
-			i++
-		}
-		buf = append(buf, w[:i]...)
-		t.cur.Advance(i)
-		if i < len(w) {
-			break
-		}
-	}
-	t.textBuf = buf
-	if len(buf) == 0 || (len(buf) == 1 && buf[0] == '-') {
+	if len(lit) == 0 || (len(lit) == 1 && lit[0] == '-') {
 		return "", t.errf("malformed number")
 	}
-	return string(buf), nil
+	return t.cur.Own(lit), nil
 }
 
 func (t *Tokenizer) errf(format string, args ...any) error {
@@ -853,10 +842,7 @@ func (t *Tokenizer) unexpectedEOF(err error, where string) error {
 	if err == io.EOF {
 		return t.errf("unexpected end of input %s", where)
 	}
-	if err != nil {
-		return err
-	}
-	return t.errf("unexpected state %s", where)
+	return err
 }
 
 func (t *Tokenizer) unexpectedSep(err error, got byte, want string) error {

@@ -100,25 +100,59 @@ func TestStringEscapes(t *testing.T) {
 	}
 }
 
+// TestSyntaxErrors pins, on both backings, the offset and the message
+// of every malformed input's error. The last two inputs are trailing
+// commas, reported at the closing bracket; the token path accepted them
+// before PR 19.
 func TestSyntaxErrors(t *testing.T) {
-	bad := []string{
-		`{`, `{"a"`, `{"a":`, `{"a":1`, `{"a":1,`, `{,}`, `{"a" 1}`,
-		`[1`, `[1,`, `]`, `}`, `,`, `:`,
-		`tru`, `nul`, `falze`, `-`, `"unterminated`,
-		`"bad \q escape"`, "\"raw \x01 control\"", `{"a":1}}`,
-		`"\ud83d\uq000"`,
+	bad := []struct {
+		in     string
+		offset int64
+		msg    string
+	}{
+		{"{", 1, "unexpected end of input inside object"},
+		{"{\"a\"", 4, "unexpected end of input expecting ':' after object key"},
+		{"{\"a\":", 5, "unexpected end of input expecting value"},
+		{"{\"a\":1", 6, "unexpected end of input inside object"},
+		{"{\"a\":1,", 7, "unexpected end of input inside object"},
+		{"{,}", 1, "expected object key string, got ','"},
+		{"{\"a\" 1}", 5, "expected ':' after object key, got '1'"},
+		{"[1", 2, "unexpected end of input inside array"},
+		{"[1,", 3, "unexpected end of input inside array"},
+		{"]", 0, "unexpected ']' at start of value"},
+		{"}", 0, "unexpected '}' at start of value"},
+		{",", 0, "unexpected ',' at start of value"},
+		{":", 0, "unexpected ':' at start of value"},
+		{"tru", 3, "unexpected end of input expecting literal \"true\""},
+		{"nul", 3, "unexpected end of input expecting literal \"null\""},
+		{"falze", 3, "expected literal \"false\", got 'z'"},
+		{"-", 1, "malformed number"},
+		{"\"unterminated", 13, "unexpected end of input inside string"},
+		{"\"bad \\q escape\"", 7, "invalid string escape '\\q'"},
+		{"\"raw \x01 control\"", 6, "raw control character 0x01 in string"},
+		{"{\"a\":1}}", 7, "unexpected '}' at start of value"},
+		{"\"\\ud83d\\uq000\"", 10, "invalid hex digit 'q' in \\u escape"},
+		{"\"\\u12\"", 6, "invalid hex digit '\"' in \\u escape"},
+		{"{\"a\":1,}", 7, "expected object key string, got '}'"},
+		{"[1,]", 3, "unexpected ']' at start of value"},
 	}
-	for _, in := range bad {
-		tz := NewTokenizer(strings.NewReader(in))
-		var err error
-		for err == nil {
-			_, err = tz.Next()
-		}
-		tz.Release()
-		if err == io.EOF {
-			t.Errorf("%q: tokenized cleanly, want syntax error", in)
-		} else if _, ok := err.(*SyntaxError); !ok {
-			t.Errorf("%q: got %T (%v), want *SyntaxError", in, err, err)
+	for _, c := range bad {
+		for _, backing := range []string{"bytes", "reader"} {
+			tz := NewTokenizerBytes([]byte(c.in))
+			if backing == "reader" {
+				tz = NewTokenizer(strings.NewReader(c.in))
+			}
+			var err error
+			for err == nil {
+				_, err = tz.Next()
+			}
+			tz.Release()
+			var se *SyntaxError
+			if !errors.As(err, &se) {
+				t.Errorf("%q on %s: got %v, want *SyntaxError", c.in, backing, err)
+			} else if se.Offset != c.offset || se.Msg != c.msg {
+				t.Errorf("%q on %s: got %d %q, want %d %q", c.in, backing, se.Offset, se.Msg, c.offset, c.msg)
+			}
 		}
 	}
 }
@@ -293,19 +327,32 @@ func TestSkipScalarString(t *testing.T) {
 	}
 }
 
-// TestSkipRoot: skipping the virtual root consumes the whole stream.
+// TestSkipRoot: skipping the virtual root consumes the whole stream,
+// and TagsSkipped stays the lower bound stats.Run documents: the colons
+// inside string values are not members (bytes.Count counted them before
+// PR 19).
 func TestSkipRoot(t *testing.T) {
-	tz := NewTokenizer(strings.NewReader(`{"a":1}` + "\n" + `{"b":2}`))
-	defer tz.Release()
-	tok, err := tz.Next()
-	if err != nil || tok.Kind != event.StartElement || tok.Name != event.RootName {
-		t.Fatalf("first event = %+v, %v", tok, err)
-	}
-	if err := tz.SkipSubtree(); err != nil {
-		t.Fatalf("SkipSubtree(root): %v", err)
-	}
-	if _, err := tz.Next(); err != io.EOF {
-		t.Fatalf("after root skip Next = %v, want io.EOF", err)
+	const in = `{"a":"x:y:z","b":{"c":":"}}` + "\n" + `{"d:e":"::"}`
+	for _, backing := range []string{"bytes", "reader"} {
+		tz := NewTokenizerBytes([]byte(in))
+		if backing == "reader" {
+			tz = NewTokenizer(strings.NewReader(in))
+		}
+		tok, err := tz.Next()
+		if err != nil || tok.Kind != event.StartElement || tok.Name != event.RootName {
+			t.Fatalf("%s: first event = %+v, %v", backing, tok, err)
+		}
+		if err := tz.SkipSubtree(); err != nil {
+			t.Fatalf("%s: SkipSubtree(root): %v", backing, err)
+		}
+		if _, err := tz.Next(); err != io.EOF {
+			t.Fatalf("%s: after root skip Next = %v, want io.EOF", backing, err)
+		}
+		want := event.SkipStats{BytesSkipped: int64(len(in)), TagsSkipped: 4, SubtreesSkipped: 1}
+		if got := tz.SkipStats(); got != want {
+			t.Fatalf("%s: SkipStats = %+v, want %+v (members a, b, c, d:e)", backing, got, want)
+		}
+		tz.Release()
 	}
 }
 

@@ -204,16 +204,6 @@ func (t *Tokenizer) Next() (Token, error) {
 	}
 }
 
-// own returns b, a piece of the window, as a string a token may keep:
-// borrowed from the input on the fixed backing, copied on the reader
-// backing, whose window the next refill overwrites.
-func (t *Tokenizer) own(b []byte) string {
-	if t.cur.Fixed() {
-		return cursor.Borrow(b)
-	}
-	return string(b)
-}
-
 // pop closes the innermost open element and returns its name.
 func (t *Tokenizer) pop() string {
 	n := len(t.stack) - 1
@@ -275,7 +265,7 @@ scan:
 			break
 		}
 		p += q + 2
-		first = t.appendAttr(first, Attr{Name: t.names.Intern(name), Value: t.own(val)})
+		first = t.appendAttr(first, Attr{Name: t.names.Intern(name), Value: t.cur.Own(val)})
 	}
 	t.attrChunk = t.attrChunk[:first]
 	return 0, false, nil
@@ -329,7 +319,7 @@ func (t *Tokenizer) readCareful(tok *Token) (keep bool, err error) {
 		if len(t.stack) == 0 {
 			return false, nil // CDATA outside root: ignore
 		}
-		tok.Kind, tok.Text = Text, t.own(text[:len(text)-len(cdataEnd)])
+		tok.Kind, tok.Text = Text, t.cur.Own(text[:len(text)-len(cdataEnd)])
 		return true, nil
 	case '/':
 		tok.Kind = EndElement
