@@ -254,7 +254,7 @@ func TestStringScanBlockEdges(t *testing.T) {
 	seqs := []struct {
 		seq    string
 		closes bool
-	}{{`\"`, false}, {`\\"`, true}, {`\\\"`, false}, {`\\\\"`, true}, {`\\\\\"`, false}, {`\"\"\\`, false}}
+	}{{`\"`, false}, {`\\"`, true}, {`\\\"`, false}, {`\\\\"`, true}, {`\\\\\"`, false}, {`\"\"\\`, false}, {`\"\"\"\\\\\"\"`, false}}
 	const head = `{"a":"`
 	for _, c := range seqs {
 		seq := c.seq
