@@ -7,11 +7,15 @@
 # does the time go" for any root-package benchmark: 20 iterations under
 # the CPU profiler, then pprof's top 30 (BenchmarkEmitE1 and
 # BenchmarkFilterJ1 are gcxperf's xml-emit and ndjson-filter workloads
-# in that form).
+# in that form, BenchmarkStreamQ6 the engine half of serve-stream).
+# `make profile-allocs BENCH=<regexp>` answers "who allocates": the same
+# benchmarks, 5 iterations with every allocation sampled, then pprof's
+# top 30 by allocated objects (FOCUS=<regexp> keeps only stacks through a
+# matching function, e.g. FOCUS=Execute to leave the set-up out).
 
 GO ?= go
 
-.PHONY: all build test race check lint paper profile perf perf-build perf-compare perf-baseline perf-gate loc fuzz-smoke
+.PHONY: all build test race check lint paper profile profile-allocs perf perf-build perf-compare perf-baseline perf-gate loc fuzz-smoke
 
 all: build
 
@@ -61,6 +65,18 @@ profile:
 	@mkdir -p $(PROFILE_DIR)
 	$(GO) test -run xxx -bench '$(BENCH)' -benchtime 20x -o $(PROFILE_DIR)/gcx.test -cpuprofile $(PROFILE_DIR)/cpu.prof .
 	$(GO) tool pprof -top -nodecount 30 $(PROFILE_DIR)/gcx.test $(PROFILE_DIR)/cpu.prof
+
+# profile-allocs prints who allocates in the benchmarks matching BENCH:
+# -memprofilerate 1 records every allocation, so the object counts are
+# exact (and the run slow: 5 iterations). The untimed set-up — document
+# generation, compilation — is in the profile too; FOCUS=Execute keeps
+# only the stacks of the runs themselves.
+FOCUS ?= .
+profile-allocs:
+	@test -n "$(BENCH)" || { echo "usage: make profile-allocs BENCH=<regexp> [FOCUS=<regexp>] [PROFILE_DIR=dir]" >&2; exit 2; }
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run xxx -bench '$(BENCH)' -benchtime 5x -o $(PROFILE_DIR)/gcx.test -memprofile $(PROFILE_DIR)/mem.prof -memprofilerate 1 .
+	$(GO) tool pprof -sample_index=alloc_objects -focus '$(FOCUS)' -top -nodecount 30 $(PROFILE_DIR)/gcx.test $(PROFILE_DIR)/mem.prof
 
 # perf runs the repository's benchmark (BENCHMARK.json, gcxperf/README.md):
 # all seven workloads end to end with tracing off, results in

@@ -14,6 +14,7 @@
 //	BenchmarkSerializer                  — the XML and JSON sinks alone
 //	BenchmarkEmitE1                      — gcxperf's xml-emit, for `make profile`
 //	BenchmarkFilterJ1                    — gcxperf's ndjson-filter, likewise
+//	BenchmarkStreamQ6                    — the engine half of gcxperf's serve-stream
 //
 // Custom metrics: peak_nodes (buffer high watermark, the paper's
 // y-axis), peak_KB (estimated buffered bytes).
@@ -376,6 +377,30 @@ func BenchmarkFilterJ1(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStreamQ6 is the engine half of gcxperf's serve-stream
+// workload: Q6 over 4 MiB on the reader backing, the path gcxd takes for
+// a body above its bytes limit and cmd/gcx for a pipe. Its allocs/op is
+// what `make profile-allocs BENCH=StreamQ6` breaks down.
+func BenchmarkStreamQ6(b *testing.B) {
+	doc := xmarkDoc(b, 4<<20)
+	q, err := gcx.Compile(xmark.Queries["Q6"].Text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.Execute(readerOnly{strings.NewReader(doc)}, io.Discard, gcx.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// readerOnly hides everything of a reader but Read (Len, WriteTo,
+// Seek), so that no layer can recognise an in-memory input behind it.
+type readerOnly struct{ io.Reader }
 
 // BenchmarkSerializer measures the two sinks alone: the tokens of the
 // same document, held in memory, rendered to a discarding writer. With

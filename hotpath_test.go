@@ -33,18 +33,65 @@ const q20AllocsParent = 4_744
 // and the run's statistics.
 func runAllocs(t *testing.T, query string, doc []byte, opts gcx.Options) (float64, *gcx.Result) {
 	t.Helper()
+	return runAllocsOn(t, query, doc, opts, false)
+}
+
+// runAllocsOn is runAllocs on either backing: the zero-copy one, or the
+// reader one behind a reader that shows nothing but Read.
+func runAllocsOn(t *testing.T, query string, doc []byte, opts gcx.Options, reader bool) (float64, *gcx.Result) {
+	t.Helper()
 	q, err := gcx.Compile(query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var res *gcx.Result
 	allocs := testing.AllocsPerRun(3, func() {
-		res, err = q.ExecuteBytes(doc, io.Discard, opts)
+		if reader {
+			res, err = q.Execute(readerOnly{bytes.NewReader(doc)}, io.Discard, opts)
+		} else {
+			res, err = q.ExecuteBytes(doc, io.Discard, opts)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	return allocs, res
+}
+
+// TestAllocCeilingReader holds the streamed path to the zero-copy
+// path's allocation behaviour (DESIGN.md §12 "Token lifetime on the
+// reader backing"): text arrives as views and only what the projection
+// keeps is copied, a block at a time, so a run allocates no more than a
+// fixed handful beyond the byte path's count — not once per text token
+// or attribute value, which is 20 times the per-token ceiling.
+func TestAllocCeilingReader(t *testing.T) {
+	xml, _, err := xmark.GenerateString(xmark.Config{TargetBytes: 1 << 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ndjson, _, err := xmark.GenerateNDJSONString(xmark.Config{TargetBytes: 1 << 20, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, query, doc string
+		opts             gcx.Options
+	}{
+		{"Q6", xmark.Queries["Q6"].Text, xml, gcx.Options{}},
+		{"J1", xmark.NDJSONQueries["J1"].Text, ndjson, gcx.Options{Format: gcx.FormatNDJSON}},
+	} {
+		onBytes, _ := runAllocsOn(t, c.query, []byte(c.doc), c.opts, false)
+		onReader, res := runAllocsOn(t, c.query, []byte(c.doc), c.opts, true)
+		perToken := onReader / float64(res.TokensProcessed)
+		t.Logf("%s: %.0f allocations on the reader backing over %d tokens = %.4f per token; %.0f on bytes",
+			c.name, onReader, res.TokensProcessed, perToken, onBytes)
+		if perToken > 0.05 {
+			t.Errorf("%s allocates %.4f times per delivered token on the reader backing, ceiling 0.05", c.name, perToken)
+		}
+		if onReader > onBytes+64 {
+			t.Errorf("%s allocates %.0f times on the reader backing, %.0f on bytes: more than 64 apart", c.name, onReader, onBytes)
+		}
+	}
 }
 
 func TestAllocCeilingJ1(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"gcx/internal/cursor"
 	"gcx/internal/event"
 )
 
@@ -57,6 +58,15 @@ type Buffer struct {
 	// error path through the allocator.
 	MaxNodes int64
 	breached bool
+
+	// CopyText makes AppendText copy the text it is handed into texts,
+	// the buffer's arena — copy on keep. Whoever fills the buffer from a
+	// volatile event.Source sets it (projection.New), because such a
+	// source's text is a view that dies at the next pull. A purged node
+	// drops its reference; a block is the collector's once the last text
+	// in it is gone.
+	CopyText bool
+	texts    cursor.Arena
 
 	// Node arena: nodes are carved out of pooled slabs so that one
 	// execution's node churn does not translate into one allocation per
@@ -196,6 +206,9 @@ func (b *Buffer) AppendElement(parent *Node, name string, attrs []event.Attr) *N
 // zero-weight-is-purged invariant.
 func (b *Buffer) AppendText(parent *Node, text string) *Node {
 	parent.assertLive()
+	if b.CopyText {
+		text = b.texts.OwnString(text)
+	}
 	n := b.newNode()
 	n.Kind = KindText
 	n.Text = text

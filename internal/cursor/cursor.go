@@ -11,7 +11,8 @@
 //     allocating.
 //   - reader-backed (NewReader): a refillable buffer. Windows are valid
 //     only until the next refill (Fill/Byte/Peek past the window), so
-//     callers copy what they keep.
+//     what a tokenizer hands out is either a view that dies at the next
+//     pull (View) or a copy in the cursor's value arena (Keep).
 //
 // Fixed() distinguishes the two; everything else is identical, which is
 // what keeps the tokenizer/splitter/skip machinery single-pathed.
@@ -25,6 +26,7 @@ package cursor
 import (
 	"bytes"
 	"io"
+	"testing"
 	"unsafe"
 )
 
@@ -41,6 +43,12 @@ const minSize = 16
 // backing — whose window is the whole remaining input — is scanned in
 // the same units as the reader backing.
 const pollStride = DefaultSize
+
+// MaxScratch is the most scratch a pooled front end carries from one
+// run to the next: the cursor's capture spill and the tokenizers' text
+// buffers grow to the largest value they met, and Release drops the ones
+// above it, so one huge text node does not stay pinned in the pool.
+const MaxScratch = 1 << 20
 
 // maxEmptyReads bounds spinning on a broken reader that returns (0, nil)
 // forever, mirroring bufio.ErrNoProgress behavior.
@@ -64,6 +72,11 @@ type Cursor struct {
 	marked bool
 	mark   int
 	held   []byte
+
+	// values holds Keep's copies. view is, under go test only, the bytes
+	// of the last View, which Expire overwrites.
+	values Arena
+	view   []byte
 
 	// err is the sticky condition that ends refilling: io.EOF or a read
 	// error. Fixed cursors are born exhausted (err = io.EOF).
@@ -91,8 +104,13 @@ func NewReader(r io.Reader, size int) *Cursor {
 }
 
 // ResetBytes re-arms the cursor over a fixed slice, keeping any
-// reader-mode scratch for later reuse (pooling).
+// reader-mode scratch for later reuse (pooling) — except a capture spill
+// above MaxScratch: a pooled tokenizer is released through
+// ResetBytes(nil).
 func (c *Cursor) ResetBytes(data []byte) {
+	if cap(c.held) > MaxScratch {
+		c.held = nil
+	}
 	c.buf = data
 	c.pos = 0
 	c.base = 0
@@ -315,12 +333,47 @@ func Borrow(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// Own returns b, bytes of the cursor's window or capture, as a string
-// the caller may keep: borrowed from the input on the fixed backing,
-// copied on the reader backing, whose window the next refill overwrites.
-func (c *Cursor) Own(b []byte) string {
-	if c.fixed {
+// Keep returns b as a string the caller may hold for good — what
+// attribute values must be, since a tag's list outlives its token. On
+// the fixed backing b is borrowed when it is input (a subslice of the
+// window or of a capture); decoded bytes, and everything on the reader
+// backing, are copied into the cursor's value arena.
+func (c *Cursor) Keep(b []byte, input bool) string {
+	if c.fixed && input {
 		return Borrow(b)
 	}
-	return string(b)
+	return c.values.Own(b)
+}
+
+// View returns b as the Text of the token being delivered. On the fixed
+// backing that is Keep: tokens are immortal there. On the reader backing
+// it is b itself, uncopied — window bytes, a capture or the caller's
+// decoding scratch — and valid only until the tokenizer's next pull,
+// which begins with Expire.
+func (c *Cursor) View(b []byte, input bool) string {
+	if c.fixed {
+		return c.Keep(b, input)
+	}
+	if poison {
+		c.view = b
+	}
+	return Borrow(b)
+}
+
+// poison turns on the retention guard (internal/buffer's stale-handle
+// precedent): under go test Expire overwrites the bytes of the last
+// View, so a consumer that kept a view past the next pull reads 0xDB
+// every time, not stale text some of the time. The bytes are consumed
+// input or scratch; nothing reads them again.
+var poison = testing.Testing()
+
+// Expire ends the life of the last View. Tokenizers call it at the top
+// of Next and SkipSubtree; outside tests it is one predictable branch.
+func (c *Cursor) Expire() {
+	if poison && c.view != nil {
+		for i := range c.view {
+			c.view[i] = 0xDB
+		}
+		c.view = nil
+	}
 }

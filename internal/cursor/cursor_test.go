@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+	"unsafe"
 )
 
 // drain consumes the cursor byte by byte and returns everything read.
@@ -259,5 +260,91 @@ func TestFixedWindowStable(t *testing.T) {
 	w := c.Window()
 	if &w[0] != &data[0] {
 		t.Fatal("fixed window does not alias input")
+	}
+}
+
+// TestArena pins the arena's three rules: values of a block share its
+// allocation, a returned string is never written again, and nothing is
+// allocated before the first Own.
+func TestArena(t *testing.T) {
+	var a Arena
+	if a.Own(nil) != "" || a.OwnString("") != "" || a.block != nil {
+		t.Fatal("an empty value allocated a block")
+	}
+	src := []byte("0123456789")
+	var got []string
+	for i := 0; i < 3*arenaBlock/len(src); i++ {
+		src[0] = byte('a' + i%26)
+		got = append(got, a.Own(src))
+	}
+	for i, s := range got {
+		if want := string(rune('a'+i%26)) + "123456789"; s != want {
+			t.Fatalf("value %d reads %q after later Owns, want %q", i, s, want)
+		}
+	}
+	large := strings.Repeat("x", arenaLarge+1)
+	before := len(a.block)
+	if a.OwnString(large) != large || len(a.block) != before {
+		t.Error("a large value went into the shared block")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < arenaBlock/len(src); i++ {
+			a.Own(src)
+		}
+	}); n != 1 {
+		t.Errorf("one block's worth of values made %.0f allocations, want 1", n)
+	}
+}
+
+// TestKeepViewExpire states who may hold what for how long: Keep is for
+// good on both backings, View is for good on the fixed one and dies at
+// Expire on the reader one — visibly, under go test.
+func TestKeepViewExpire(t *testing.T) {
+	input := []byte("input bytes")
+	scratch := []byte("decoded")
+
+	c := NewBytes(input)
+	if s := c.View(input[:5], true); unsafe.StringData(s) != &input[0] {
+		t.Error("fixed backing: a view of input was copied")
+	}
+	v := c.View(scratch, false)
+	c.Expire()
+	scratch[0] = 'X'
+	if v != "decoded" {
+		t.Errorf("fixed backing: a view of scratch reads %q after Expire", v)
+	}
+
+	scratch = []byte("decoded")
+	c = NewReader(bytes.NewReader(input), 0)
+	w, _ := c.Peek(5)
+	kept, view := c.Keep(w, true), c.View(w, true)
+	if unsafe.StringData(view) != &w[0] {
+		t.Error("reader backing: a view of the window was copied")
+	}
+	c.Expire()
+	if kept != "input" || view != "\xdb\xdb\xdb\xdb\xdb" {
+		t.Errorf("reader backing after Expire: kept %q, view %q", kept, view)
+	}
+	c.Expire() // nothing left to expire
+	if k := c.Keep(scratch, false); k != "decoded" {
+		t.Errorf("Keep(scratch) = %q", k)
+	}
+}
+
+// TestResetDropsLargeSpill is the cursor's part of the pooled-scratch
+// ceiling: a capture that outgrew MaxScratch across refills is not
+// carried into the pool by the ResetBytes(nil) of a Release.
+func TestResetDropsLargeSpill(t *testing.T) {
+	c := NewReader(strings.NewReader(strings.Repeat("x", MaxScratch+3*DefaultSize)), 0)
+	c.Mark()
+	for c.Fill() == nil {
+		c.Advance(len(c.Window()))
+	}
+	if n := len(c.Take()); n != MaxScratch+3*DefaultSize {
+		t.Fatalf("captured %d bytes", n)
+	}
+	c.ResetBytes(nil)
+	if cap(c.held) != 0 {
+		t.Errorf("a %d-byte spill survived the reset", cap(c.held))
 	}
 }

@@ -78,9 +78,11 @@ func ParseSource(ctx context.Context, tz event.Source) (*Document, error) {
 // buffering baseline's population is the whole document, so a document
 // growing past maxNodes element+text nodes aborts the parse with an
 // error wrapping buffer.ErrBudget instead of buffering the rest.
-// maxNodes 0 means unlimited.
+// maxNodes 0 means unlimited. Every token is kept, so text from a
+// volatile source is cloned.
 func ParseSourceBudget(ctx context.Context, tz event.Source, maxNodes int64) (*Document, error) {
 	tz.SetContext(ctx)
+	volatile := tz.Volatile()
 	root := &Node{Kind: Root}
 	doc := &Document{Root: root}
 	cur := root
@@ -105,6 +107,9 @@ func ParseSourceBudget(ctx context.Context, tz event.Source, maxNodes int64) (*D
 		case event.EndElement:
 			cur = cur.Parent
 		case event.Text:
+			if volatile {
+				tok = tok.Clone()
+			}
 			n := &Node{Kind: Text, Text: tok.Text, Parent: cur}
 			cur.Children = append(cur.Children, n)
 			doc.Nodes++

@@ -16,6 +16,7 @@ package event
 import (
 	"context"
 	"fmt"
+	"strings"
 )
 
 // Kind identifies the kind of a Token.
@@ -52,7 +53,9 @@ type Attr struct {
 	Value string
 }
 
-// Token is one event of the input or output stream.
+// Token is one event of the input or output stream. Name and Attrs of
+// a token a Source delivered may be kept for as long as the caller
+// likes; how long Text lives is the Source's to say (Source.Volatile).
 type Token struct {
 	Kind Kind
 	// Name is the element name for StartElement and EndElement tokens.
@@ -62,6 +65,14 @@ type Token struct {
 	// Attrs holds the attributes of a StartElement token, in document
 	// order. It is nil for all other kinds.
 	Attrs []Attr
+}
+
+// Clone returns t with its Text copied, which is what keeping a token
+// of a volatile Source past the next pull takes. Name and Attrs are
+// shared: they are stable on every Source.
+func (t Token) Clone() Token {
+	t.Text = strings.Clone(t.Text)
+	return t
 }
 
 // Attr returns the value of the named attribute and whether it exists.
@@ -88,6 +99,15 @@ type SkipStats struct {
 // Source is a pull-based producer of tree events — the format boundary
 // of the engine. Implementations are single-goroutine streaming
 // tokenizers; all methods must be called from one goroutine.
+//
+// Token lifetime: Name and Attrs of a delivered token stay valid for
+// good. Text stays valid for good on a Source that is not Volatile (one
+// scanning a caller-owned []byte in place). On a Volatile one (a
+// streaming reader) it is a view into the Source's window or scratch,
+// valid until the next Next or SkipSubtree: a consumer that keeps text
+// copies it first (Token.Clone; the preprojector copies into the
+// buffer's arena, the DOM oracle clones). Under go test a Volatile
+// Source overwrites an expired view, so a kept one reads 0xDB bytes.
 type Source interface {
 	// Next returns the next event, io.EOF at end of input, or a
 	// format-level syntax error. Cancellation of an attached context is
@@ -105,6 +125,9 @@ type Source interface {
 	TokenCount() int64
 	// SkipStats reports the byte-level skip counters.
 	SkipStats() SkipStats
+	// Volatile reports, once for the whole stream, whether Text views
+	// expire at the next pull (see above).
+	Volatile() bool
 	// SetContext attaches a cancellation context checked at every pull.
 	SetContext(ctx context.Context)
 	// Release hands pooled buffers back; the Source is unusable after.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -26,18 +27,42 @@ const (
 )
 
 // sources are the four implementations of event.Source: each front end
-// on the slice backing and on the reader backing.
+// on the slice backing and on the reader backing, the latter reading at
+// most chunk bytes at a time when chunk is positive.
 var sources = []struct {
 	name          string
 	doc, cut, bad string
-	open          func(doc string) event.Source
+	volatile      bool
+	open          func(doc string, chunk int) event.Source
 }{
-	{"xml/bytes", xmlDoc, xmlCut, xmlBad, func(d string) event.Source { return xmltok.NewTokenizerBytes([]byte(d)) }},
-	{"xml/reader", xmlDoc, xmlCut, xmlBad, func(d string) event.Source { return xmltok.NewTokenizer(strings.NewReader(d)) }},
-	{"json/bytes", jsonDoc, jsonCut, jsonBad, func(d string) event.Source { return jsontok.NewTokenizerBytes([]byte(d)) }},
-	{"json/reader", jsonDoc, jsonCut, jsonBad, func(d string) event.Source { return jsontok.NewTokenizer(strings.NewReader(d)) }},
+	{"xml/bytes", xmlDoc, xmlCut, xmlBad, false, func(d string, _ int) event.Source { return xmltok.NewTokenizerBytes([]byte(d)) }},
+	{"xml/reader", xmlDoc, xmlCut, xmlBad, true, func(d string, n int) event.Source { return xmltok.NewTokenizer(chunked(d, n)) }},
+	{"json/bytes", jsonDoc, jsonCut, jsonBad, false, func(d string, _ int) event.Source { return jsontok.NewTokenizerBytes([]byte(d)) }},
+	{"json/reader", jsonDoc, jsonCut, jsonBad, true, func(d string, n int) event.Source { return jsontok.NewTokenizer(chunked(d, n)) }},
 }
 
+// chunked reads doc at most n bytes a Read (all of it for n ≤ 0). The
+// cursor refills an empty window with one Read, so its windows are that
+// short: nearly every construct meets a refill, and a view into the
+// window is overwritten soon after it expires.
+func chunked(doc string, n int) io.Reader {
+	if n <= 0 {
+		return strings.NewReader(doc)
+	}
+	return &chunkReader{r: strings.NewReader(doc), n: n}
+}
+
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	return c.r.Read(p[:min(len(p), c.n)])
+}
+
+// show renders a token; the text is cloned because the result is kept
+// past the next pull and two of the sources are volatile.
 func show(t event.Token) string {
 	switch t.Kind {
 	case event.StartElement:
@@ -45,7 +70,7 @@ func show(t event.Token) string {
 	case event.EndElement:
 		return "</" + t.Name + ">"
 	}
-	return t.Text
+	return t.Clone().Text
 }
 
 // wantStream is the event stream of the tree, one entry per token.
@@ -131,7 +156,10 @@ func TestSourceContract(t *testing.T) {
 	for _, s := range sources {
 		t.Run(s.name, func(t *testing.T) {
 			// The unskipped stream is the tree's, in both syntaxes.
-			src := s.open(s.doc)
+			src := s.open(s.doc, 0)
+			if src.Volatile() != s.volatile {
+				t.Errorf("Volatile() = %v, want %v", src.Volatile(), s.volatile)
+			}
 			got, err := pull(t, src, func(int) bool { return false })
 			if err != io.EOF || fmt.Sprint(got) != fmt.Sprint(wantStream) {
 				t.Fatalf("stream = %v, %v\nwant     %v, EOF", got, err, wantStream)
@@ -151,7 +179,7 @@ func TestSourceContract(t *testing.T) {
 				}
 			}
 			for at := 0; at < starts; at++ {
-				src := s.open(s.doc)
+				src := s.open(s.doc, 0)
 				got, err := pull(t, src, func(i int) bool { return i == at })
 				if want := without(wantStream, at); err != io.EOF || fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Errorf("skip at start %d: %v, %v\nwant %v, EOF", at, got, err, want)
@@ -161,7 +189,7 @@ func TestSourceContract(t *testing.T) {
 
 			// Several skips in one run: the totals are the sums pull checks
 			// call by call. The <a> and <d> members and the second record.
-			src = s.open(s.doc)
+			src = s.open(s.doc, 0)
 			got, err = pull(t, src, func(i int) bool { return i == 2 || i == 6 || i == 7 })
 			want := strings.Fields(`<root> <record> <a> <b> <c> x </c> <c> y </c> </b> <d> </record> <record> </root>`)
 			if err != io.EOF || fmt.Sprint(got) != fmt.Sprint(want) {
@@ -177,7 +205,7 @@ func TestSourceContract(t *testing.T) {
 				what, doc string
 				skipAt    int
 			}{{"syntax error", s.bad, -1}, {"truncated", s.cut, -1}, {"truncated inside a skip", s.cut, 3}} {
-				src := s.open(c.doc)
+				src := s.open(c.doc, 0)
 				_, first := pull(t, src, func(i int) bool { return i == c.skipAt })
 				if first == nil || first == io.EOF {
 					t.Fatalf("%s: got %v, want an error", c.what, first)
@@ -192,7 +220,7 @@ func TestSourceContract(t *testing.T) {
 
 			// A source taken from the pool after a failed, cancelled,
 			// half-read one starts clean.
-			src = s.open(s.cut)
+			src = s.open(s.cut, 0)
 			ctx, cancel := context.WithCancel(context.Background())
 			src.SetContext(ctx)
 			pull(t, src, func(i int) bool { return i == 2 })
@@ -201,7 +229,7 @@ func TestSourceContract(t *testing.T) {
 				t.Error("Next after a failed run returned a token")
 			}
 			src.Release()
-			src = s.open(s.doc)
+			src = s.open(s.doc, 0)
 			if src.TokenCount() != 0 || src.SkipStats() != (event.SkipStats{}) {
 				t.Errorf("reacquired source: TokenCount %d, SkipStats %+v", src.TokenCount(), src.SkipStats())
 			}
@@ -210,5 +238,55 @@ func TestSourceContract(t *testing.T) {
 			}
 			src.Release()
 		})
+	}
+}
+
+// TestClonedStreamAcrossBackings states the lifetime clause of the
+// contract: a stream collected with Token.Clone is the same on every
+// backing and at every window size, whereas a Text kept without it does
+// not survive the next pull of a volatile source (under go test the
+// source overwrites it).
+func TestClonedStreamAcrossBackings(t *testing.T) {
+	collect := func(src event.Source) []event.Token {
+		defer src.Release()
+		var toks []event.Token
+		for {
+			tok, err := src.Next()
+			if err == io.EOF {
+				return toks
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			toks = append(toks, tok.Clone())
+		}
+	}
+	for i := 0; i < len(sources); i += 2 {
+		fixed, reader := sources[i], sources[i+1]
+		want := collect(fixed.open(fixed.doc, 0))
+		for chunk := 16; chunk < 64; chunk++ {
+			if got := collect(reader.open(reader.doc, chunk)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %d-byte reads: %v\nwant %v", reader.name, chunk, got, want)
+			}
+		}
+		for _, s := range sources[i : i+2] {
+			src := s.open(s.doc, 0)
+			var kept string
+			for kept == "" {
+				tok, err := src.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept = tok.Text
+			}
+			first := strings.Clone(kept)
+			if _, err := src.Next(); err != nil {
+				t.Fatal(err)
+			}
+			if survived := kept == first; survived == s.volatile {
+				t.Errorf("%s: a kept Text %q reads %q after the next pull", s.name, first, kept)
+			}
+			src.Release()
+		}
 	}
 }

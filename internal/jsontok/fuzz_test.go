@@ -66,7 +66,7 @@ func FuzzJSONTokenizer(f *testing.F) {
 					t.Fatalf("event depth went negative\ninput: %q", doc)
 				}
 			}
-			toks = append(toks, tok)
+			toks = append(toks, tok.Clone())
 			if i > 4*len(doc)+16 {
 				t.Fatalf("more events than input bytes: runaway tokenizer\ninput: %q", doc)
 			}
@@ -201,7 +201,7 @@ func FuzzJSONBytesReaderParity(f *testing.F) {
 				if err != nil {
 					return toks, err
 				}
-				toks = append(toks, tok)
+				toks = append(toks, tok.Clone())
 				if len(toks) > 4*len(doc)+16 {
 					t.Fatal("runaway tokenizer")
 				}
@@ -242,7 +242,7 @@ func FuzzJSONSkipSubtree(f *testing.F) {
 				if err != nil {
 					return out, 0, event.SkipStats{}, err
 				}
-				out = append(out, tok)
+				out = append(out, tok.Clone())
 				if tok.Kind != event.StartElement {
 					continue
 				}

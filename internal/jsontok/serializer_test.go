@@ -110,7 +110,7 @@ func TestRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Next: %v", err)
 			}
-			out = append(out, tok)
+			out = append(out, tok.Clone())
 		}
 	}
 	first := events(in)

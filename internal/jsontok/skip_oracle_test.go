@@ -295,7 +295,7 @@ func TestStringScanBlockEdges(t *testing.T) {
 								t.Fatalf("%s at %d+%d: %v", what, edge, shift, err)
 							}
 							if tok.Kind == event.Text {
-								texts = append(texts, tok.Text)
+								texts = append(texts, tok.Clone().Text)
 							}
 						}
 						tz.Release()

@@ -32,7 +32,10 @@
 // Input flows through the shared block cursor (internal/cursor,
 // DESIGN.md §12): io.Reader and []byte inputs run the same window
 // scanning code, and on the []byte path escape-free strings and number
-// literals borrow subslices of the input instead of allocating.
+// literals borrow subslices of the input instead of allocating. On the
+// reader path a token's Text is a view that the next Next or SkipSubtree
+// invalidates (Volatile, DESIGN.md §12 "Token lifetime on the reader
+// backing"); names may be kept on both.
 package jsontok
 
 import (
@@ -288,8 +291,15 @@ func (t *Tokenizer) Release() {
 	t.released = true
 	t.cur.ResetBytes(nil) // drop the reader / input-slice reference
 	t.ctx, t.ctxDone = nil, nil
+	if cap(t.textBuf) > cursor.MaxScratch {
+		t.textBuf = nil
+	}
 	tokenizerPool.Put(t)
 }
+
+// Volatile reports whether a token's Text dies at the next Next or
+// SkipSubtree: true on the reader backing, false over a []byte.
+func (t *Tokenizer) Volatile() bool { return !t.cur.Fixed() }
 
 // TokenCount reports how many events have been delivered so far.
 func (t *Tokenizer) TokenCount() int64 { return t.count }
@@ -336,6 +346,7 @@ func (t *Tokenizer) Next() (event.Token, error) {
 	if err := t.poll(); err != nil {
 		return t.fail(err)
 	}
+	t.cur.Expire()
 	if t.endPending {
 		t.endPending = false
 		t.count++
@@ -537,6 +548,7 @@ func (t *Tokenizer) readScalar() (string, error) {
 // strings, and looks at nothing else.
 func (t *Tokenizer) SkipSubtree() error {
 	if t.err == nil {
+		t.cur.Expire()
 		t.err = t.skipSubtree()
 	}
 	return t.err
@@ -727,9 +739,10 @@ func (t *Tokenizer) literal(lit string) error {
 // readString consumes a JSON string, the cursor at its opening quote,
 // and returns its decoded value; keys are interned. The string's bytes
 // are captured as stringEnd finds their end; an escape-free string is
-// handed out as it stands (borrowed from the input on the []byte path,
-// and a key hits the intern cache without allocating), any other goes
-// through unescape. One that never closes is reported as that,
+// handed out as it stands (borrowed from the input on the []byte path, a
+// view of the capture on the reader path, and a key hits the intern
+// cache without allocating), any other goes through unescape and is a
+// view of the text scratch. One that never closes is reported as that,
 // whatever it holds.
 func (t *Tokenizer) readString(intern bool) (string, error) {
 	t.cur.Advance(1)
@@ -755,13 +768,10 @@ func (t *Tokenizer) readString(intern bool) (string, error) {
 			return "", err
 		}
 	}
-	switch {
-	case intern:
+	if intern {
 		return t.names.Intern(s), nil
-	case plain:
-		return t.cur.Own(s), nil
 	}
-	return string(s), nil
+	return t.cur.View(s, plain), nil
 }
 
 // unescape decodes raw, a string's bytes through the closing quote the
@@ -840,7 +850,7 @@ func (t *Tokenizer) readNumber() (string, error) {
 	if len(lit) == 0 || (len(lit) == 1 && lit[0] == '-') {
 		return "", t.errf("malformed number")
 	}
-	return t.cur.Own(lit), nil
+	return t.cur.View(lit, true), nil
 }
 
 func (t *Tokenizer) errf(format string, args ...any) error {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/iotest"
 
+	"gcx/internal/cursor"
 	"gcx/internal/event"
 )
 
@@ -518,5 +519,72 @@ func TestTokenCount(t *testing.T) {
 	}
 	if tz.TokenCount() != n {
 		t.Fatalf("TokenCount = %d, delivered %d", tz.TokenCount(), n)
+	}
+}
+
+// TestTextLifetimeOnReader: on the reader backing a scalar's Text —
+// plain string, unescaped string or number — is a view the next pull
+// overwrites, names are for good, and the byte backing keeps both.
+func TestTextLifetimeOnReader(t *testing.T) {
+	const doc = `{"plain":"abc","esc":"a\nb","num":-12.5e3}`
+	texts := []string{"abc", "a\nb", "-12.5e3"}
+	for _, volatile := range []bool{true, false} {
+		tz := NewTokenizerBytes([]byte(doc))
+		if volatile {
+			tz = NewTokenizer(strings.NewReader(doc))
+		}
+		if tz.Volatile() != volatile {
+			t.Fatalf("Volatile() = %v, want %v", tz.Volatile(), volatile)
+		}
+		var names, kept []string // deliberately not cloned
+		for {
+			tok, err := tz.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch tok.Kind {
+			case event.StartElement:
+				names = append(names, tok.Name)
+			case event.Text:
+				kept = append(kept, tok.Text)
+			}
+		}
+		tz.Release()
+		if got := strings.Join(names, " "); got != "root record plain esc num" {
+			t.Errorf("volatile=%v: names read %q after the stream", volatile, got)
+		}
+		for i, want := range texts {
+			if survived := kept[i] == want; survived == volatile {
+				t.Errorf("volatile=%v: kept text %q reads %q after the stream", volatile, want, kept[i])
+			}
+		}
+	}
+}
+
+// TestReleaseDropsLargeScratch: one huge escaped string must not leave
+// the pooled tokenizer holding a scratch of that size for every later
+// run.
+func TestReleaseDropsLargeScratch(t *testing.T) {
+	tz := NewTokenizer(strings.NewReader(`{"a":"\n` + strings.Repeat("x", 2*cursor.MaxScratch) + `"}`))
+	for {
+		if _, err := tz.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cap(tz.textBuf) < 2*cursor.MaxScratch {
+		t.Fatalf("the string went through a %d-byte scratch: the test does not reach the case", cap(tz.textBuf))
+	}
+	tz.Release()
+	// Whichever tokenizer the pool hands out next, the released one or a
+	// fresh one, it carries no more than the ceiling.
+	next := NewTokenizer(strings.NewReader(`{}`))
+	defer next.Release()
+	if cap(tz.textBuf) > cursor.MaxScratch || cap(next.textBuf) > cursor.MaxScratch {
+		t.Errorf("pooled scratch: released %d bytes, reacquired %d, ceiling %d", cap(tz.textBuf), cap(next.textBuf), cursor.MaxScratch)
 	}
 }

@@ -106,6 +106,9 @@ func New(src event.Source, buf *buffer.Buffer, rolePaths []xpath.Path) *Preproje
 		buf:   buf,
 		steps: make([][]xpath.Step, len(rolePaths)),
 	}
+	// Text is the one part of a token that a volatile source takes back;
+	// of all text tokens only those text() appends are kept.
+	buf.CopyText = src.Volatile()
 	root := frame{node: buffer.Hold(buf.Root), isRoot: true}
 	var done completion
 	for role, path := range rolePaths {

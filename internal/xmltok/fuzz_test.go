@@ -243,7 +243,7 @@ func FuzzSkipSubtree(f *testing.F) {
 				accepted = false
 				break
 			}
-			full = append(full, tok)
+			full = append(full, tok.Clone())
 			if len(full) > len(doc)+16 {
 				t.Fatal("runaway reference tokenizer")
 			}
@@ -306,7 +306,7 @@ func FuzzSkipSubtree(f *testing.F) {
 				}
 				return // both reject (or the raw scan accepts a superset — fine either way)
 			}
-			got = append(got, tok)
+			got = append(got, tok.Clone())
 			if len(got) > len(doc)+16 {
 				t.Fatal("runaway skipping tokenizer")
 			}
@@ -376,7 +376,7 @@ func FuzzBytesReaderParity(f *testing.F) {
 				if err != nil {
 					return toks, err
 				}
-				toks = append(toks, tok)
+				toks = append(toks, tok.Clone())
 				if len(toks) > len(doc)+16 {
 					t.Fatal("runaway tokenizer")
 				}
@@ -443,7 +443,7 @@ func FuzzTokenizer(f *testing.F) {
 			if err != nil {
 				return // clean rejection
 			}
-			toks = append(toks, tok)
+			toks = append(toks, tok.Clone())
 			if i > len(doc)+16 {
 				t.Fatalf("more tokens than input bytes: runaway tokenizer")
 			}

@@ -29,7 +29,7 @@ func runTokens(tz *xmltok.Tokenizer) tokenRun {
 			r.count = tz.TokenCount()
 			return r
 		}
-		r.toks = append(r.toks, tok)
+		r.toks = append(r.toks, tok.Clone())
 	}
 }
 

@@ -27,6 +27,7 @@ func (t *Tokenizer) SkipSubtree() error {
 		return t.errf("SkipSubtree with no open element")
 	}
 	t.subtreesSkipped++
+	t.cur.Expire()
 	if t.emptyOpen {
 		// The open element was self-closing: its subtree is empty and
 		// its EndElement is the one Next would synthesize.

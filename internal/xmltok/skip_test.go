@@ -23,7 +23,7 @@ func collectAfterSkip(t *testing.T, doc, skipAt string) ([]Token, *Tokenizer, er
 		if err != nil {
 			return toks, tz, err
 		}
-		toks = append(toks, tok)
+		toks = append(toks, tok.Clone())
 		if !skipped && tok.Kind == StartElement && tok.Name == skipAt {
 			skipped = true
 			if err := tz.SkipSubtree(); err != nil {
@@ -221,7 +221,7 @@ func allTokens(t *testing.T, doc string) []Token {
 		if err != nil {
 			t.Fatalf("reference tokenization failed: %v (doc %q)", err, doc)
 		}
-		toks = append(toks, tok)
+		toks = append(toks, tok.Clone())
 	}
 }
 
@@ -270,7 +270,7 @@ func checkSkipAt(t *testing.T, doc string, full []Token, at int) {
 		if err != nil {
 			t.Fatalf("doc %q skip@%d: %v", doc, at, err)
 		}
-		got = append(got, tok)
+		got = append(got, tok.Clone())
 		if tok.Kind == StartElement {
 			if starts == at {
 				if err := tz.SkipSubtree(); err != nil {

@@ -292,7 +292,7 @@ func recordTokens(t *testing.T, r io.Reader, path []SplitStep) []Token {
 			}
 		case Text:
 			if inRecord > 0 {
-				out = append(out, tok)
+				out = append(out, tok.Clone())
 			}
 		}
 	}

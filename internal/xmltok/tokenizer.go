@@ -22,7 +22,10 @@ import (
 // reads, and the same scanning code serves both backings. On the
 // []byte path, text tokens and attribute values borrow subslices of
 // the input instead of allocating; the caller must not mutate the
-// input slice while tokens are in use.
+// input slice while tokens are in use. On the reader path a token's
+// Text is a view that the next Next or SkipSubtree invalidates
+// (Volatile, DESIGN.md §12 "Token lifetime on the reader backing");
+// Name and Attrs may be kept on both.
 type Tokenizer struct {
 	// rawScanner holds the cursor, the cancellation context (checked
 	// at every token pull, so a streaming run aborts within one token
@@ -106,7 +109,6 @@ func (t *Tokenizer) reset() {
 	t.started = false
 	t.released = false
 	t.err = nil
-	t.textBuf = t.textBuf[:0]
 	t.bytesSkipped = 0
 	t.tags = 0
 	t.subtreesSkipped = 0
@@ -124,8 +126,15 @@ func (t *Tokenizer) Release() {
 	t.ctx = nil
 	t.ctxDone = nil
 	t.attrChunk = nil
+	if cap(t.textBuf) > cursor.MaxScratch {
+		t.textBuf = nil
+	}
 	tokenizerPool.Put(t)
 }
+
+// Volatile reports whether a token's Text dies at the next Next or
+// SkipSubtree: true on the reader backing, false over a []byte.
+func (t *Tokenizer) Volatile() bool { return !t.cur.Fixed() }
 
 // TokenCount reports how many tokens have been delivered so far. This is
 // the x-axis of the paper's buffer plots ("number of tokens processed").
@@ -156,6 +165,7 @@ func (t *Tokenizer) Next() (Token, error) {
 	if err := t.poll(); err != nil {
 		return Token{}, err
 	}
+	t.cur.Expire()
 	if t.emptyOpen {
 		t.emptyOpen = false
 		t.count++
@@ -265,7 +275,7 @@ scan:
 			break
 		}
 		p += q + 2
-		first = t.appendAttr(first, Attr{Name: t.names.Intern(name), Value: t.cur.Own(val)})
+		first = t.appendAttr(first, Attr{Name: t.names.Intern(name), Value: t.cur.Keep(val, true)})
 	}
 	t.attrChunk = t.attrChunk[:first]
 	return 0, false, nil
@@ -319,7 +329,7 @@ func (t *Tokenizer) readCareful(tok *Token) (keep bool, err error) {
 		if len(t.stack) == 0 {
 			return false, nil // CDATA outside root: ignore
 		}
-		tok.Kind, tok.Text = Text, t.cur.Own(text[:len(text)-len(cdataEnd)])
+		tok.Kind, tok.Text = Text, t.cur.View(text[:len(text)-len(cdataEnd)], true)
 		return true, nil
 	case '/':
 		tok.Kind = EndElement
@@ -449,7 +459,9 @@ func (t *Tokenizer) readAttr(elem string) (Attr, error) {
 // without allocating. Entity references go through readEntity byte by
 // byte on both paths — a reference swallows any quote inside its name
 // (e.g. `&a"b;`), so the borrow fast path only fires when no '&'
-// precedes the first candidate closing quote.
+// precedes the first candidate closing quote. Every other value is
+// copied out of textBuf (Cursor.Keep): a tag's values are read through
+// the same scratch one after the other, and the list outlives the token.
 func (t *Tokenizer) readAttrValue(name string, q byte) (string, error) {
 	if t.cur.Fixed() {
 		w := t.cur.Window()
@@ -492,7 +504,7 @@ func (t *Tokenizer) readAttrValue(name string, q byte) (string, error) {
 		t.cur.Advance(stop)
 		if hitQ {
 			t.cur.Advance(1)
-			return string(t.textBuf), nil
+			return t.cur.Keep(t.textBuf, false), nil
 		}
 	}
 }
@@ -505,18 +517,19 @@ func isWSByte(b byte) bool {
 // readText accumulates character data up to (not including) the next
 // '<', scanning whole windows for the structural bytes '<' and '&'.
 // keep is false when the text is whitespace-only and KeepWhitespace is
-// unset, or when it occurs outside the document element. On the []byte
-// path, entity-free text is returned as a borrowed subslice of the
-// input with no copy and no allocation; whitespace-only runs are
-// dropped before any token construction on both paths.
+// unset, or when it occurs outside the document element. Entity-free
+// text that lies whole inside one window — all of it on the []byte path,
+// nearly all on the reader path — is returned as that window's bytes,
+// with no copy and no allocation; anything else is put together in
+// textBuf. Either way the reader path hands out a view (Cursor.View).
+// Whitespace-only runs are dropped before any token construction.
 func (t *Tokenizer) readText() (text string, keep bool, err error) {
 	t.textBuf = t.textBuf[:0]
-	// borrowed holds the single contiguous text segment of the []byte
-	// path (the window spans the whole input there, so entity-free text
-	// is always one segment); it migrates into textBuf if an entity
-	// forces decoding.
-	var borrowed []byte
-	canBorrow := t.cur.Fixed()
+	// whole is the run when one window holds all of it: on the []byte
+	// path the window spans the whole input, on the reader path the run
+	// must end at a '<' before the window does, because a refill would
+	// move it.
+	var whole []byte
 	ws := true
 	for {
 		err := t.cur.Fill()
@@ -541,11 +554,6 @@ func (t *Tokenizer) readText() (text string, keep bool, err error) {
 			if ws {
 				ws = allWhitespace(seg)
 			}
-			if borrowed != nil {
-				t.textBuf = append(t.textBuf, borrowed...)
-				borrowed = nil
-			}
-			canBorrow = false
 			t.textBuf = append(t.textBuf, seg...)
 			t.cur.Advance(j + 1)
 			r, err := t.readEntity()
@@ -562,13 +570,9 @@ func (t *Tokenizer) readText() (text string, keep bool, err error) {
 		if ws {
 			ws = allWhitespace(seg)
 		}
-		if canBorrow && borrowed == nil && len(t.textBuf) == 0 {
-			borrowed = seg
+		if len(t.textBuf) == 0 && (sawLT || t.cur.Fixed()) {
+			whole = seg
 		} else {
-			if borrowed != nil {
-				t.textBuf = append(t.textBuf, borrowed...)
-				borrowed = nil
-			}
 			t.textBuf = append(t.textBuf, seg...)
 		}
 		t.cur.Advance(bound)
@@ -585,10 +589,10 @@ func (t *Tokenizer) readText() (text string, keep bool, err error) {
 	if ws && !t.KeepWhitespace {
 		return "", false, nil
 	}
-	if borrowed != nil {
-		return cursor.Borrow(borrowed), true, nil
+	if whole != nil {
+		return t.cur.View(whole, true), true, nil
 	}
-	return string(t.textBuf), true, nil
+	return t.cur.View(t.textBuf, false), true, nil
 }
 
 func allWhitespaceString(s string) bool {

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"gcx/internal/cursor"
 )
 
 // drain reads all tokens until EOF.
@@ -23,7 +25,7 @@ func drain(t *testing.T, tz *Tokenizer) []Token {
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}
-		toks = append(toks, tok)
+		toks = append(toks, tok.Clone())
 	}
 }
 
@@ -292,7 +294,7 @@ func TestRoundTripQuick(t *testing.T) {
 				t.Logf("doc %q: %v", doc, err)
 				return false
 			}
-			toks1 = append(toks1, tok)
+			toks1 = append(toks1, tok.Clone())
 			ser.Token(tok)
 		}
 		if err := ser.Flush(); err != nil {
@@ -310,7 +312,7 @@ func TestRoundTripQuick(t *testing.T) {
 				t.Logf("reserialized %q: %v", out.String(), err)
 				return false
 			}
-			toks2 = append(toks2, tok)
+			toks2 = append(toks2, tok.Clone())
 		}
 		if !reflect.DeepEqual(toks1, toks2) {
 			t.Logf("round trip mismatch for %q", doc)
@@ -392,5 +394,77 @@ func TestAttrListsSurviveTheirChunk(t *testing.T) {
 			}
 		}
 		tz.Release()
+	}
+}
+
+// TestTokenLifetimeOnReader pins DESIGN.md §12 "Token lifetime on the
+// reader backing" at window sizes that put every tag on the careful path
+// and at the default one: names and attribute values — entity-decoded
+// ones, read one after the other through the same scratch, included —
+// outlive the stream, while a Text kept without Clone is overwritten by
+// the next pull.
+func TestTokenLifetimeOnReader(t *testing.T) {
+	const doc = `<r><e a="1" b="x&amp;y" c='&lt;' d="plain">text &amp; more</e><e a="2"><![CDATA[c<d]]></e>tail</r>`
+	for _, size := range []int{16, 23, 64, 0} {
+		tz := NewTokenizerWindow(strings.NewReader(doc), size)
+		if !tz.Volatile() {
+			t.Fatal("a reader-backed tokenizer is not volatile")
+		}
+		var kept []Token // deliberately not cloned
+		for {
+			tok, err := tz.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, tok)
+		}
+		tz.Release()
+		var got strings.Builder
+		texts := []string{"text & more", "c<d", "tail"}
+		for _, tok := range kept {
+			switch tok.Kind {
+			case StartElement:
+				fmt.Fprintf(&got, "<%s%v>", tok.Name, tok.Attrs)
+			case EndElement:
+				fmt.Fprintf(&got, "</%s>", tok.Name)
+			case Text:
+				// Poisoned, or refilled over since: anything but the text.
+				if want := texts[0]; tok.Text == want {
+					t.Errorf("window %d: the kept text view %q survived the stream", size, want)
+				}
+				texts = texts[1:]
+				fmt.Fprintf(&got, "#%d", len(tok.Text))
+			}
+		}
+		const want = `<r[]><e[{a 1} {b x&y} {c <} {d plain}]>#11</e><e[{a 2}]>#3</e>#4</r>`
+		if got.String() != want {
+			t.Errorf("window %d: kept tokens read\n %s\nwant\n %s", size, got.String(), want)
+		}
+	}
+	if tz := NewTokenizerBytes([]byte(doc)); tz.Volatile() {
+		t.Error("a byte-backed tokenizer is volatile")
+	}
+}
+
+// TestReleaseDropsLargeScratch: one huge text node must not leave the
+// pooled tokenizer holding a scratch of that size for every later run.
+func TestReleaseDropsLargeScratch(t *testing.T) {
+	tz := NewTokenizer(strings.NewReader("<a>" + strings.Repeat("x", 2*cursor.MaxScratch) + "</a>"))
+	if toks := drain(t, tz); len(toks) != 3 {
+		t.Fatalf("%d tokens", len(toks))
+	}
+	if cap(tz.textBuf) < 2*cursor.MaxScratch {
+		t.Fatalf("the text went through a %d-byte scratch: the test does not reach the case", cap(tz.textBuf))
+	}
+	tz.Release()
+	// Whichever tokenizer the pool hands out next, the released one or a
+	// fresh one, it carries no more than the ceiling.
+	next := NewTokenizer(strings.NewReader("<a/>"))
+	defer next.Release()
+	if cap(tz.textBuf) > cursor.MaxScratch || cap(next.textBuf) > cursor.MaxScratch {
+		t.Errorf("pooled scratch: released %d bytes, reacquired %d, ceiling %d", cap(tz.textBuf), cap(next.textBuf), cursor.MaxScratch)
 	}
 }
