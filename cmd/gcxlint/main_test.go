@@ -82,11 +82,12 @@ func TestFuzzSmokeListsEveryTarget(t *testing.T) {
 		t.Fatal("Makefile has no fuzz-smoke target")
 	}
 	listed := map[string]bool{}
+	fuzzLine := regexp.MustCompile(`-fuzz (\w+) .* (\S+)$`)
 	for _, line := range strings.Split(recipe, "\n") {
 		if !strings.HasPrefix(line, "\t") {
 			break // the recipe's end
 		}
-		m := regexp.MustCompile(`-fuzz (\w+) .* (\S+)$`).FindStringSubmatch(line)
+		m := fuzzLine.FindStringSubmatch(line)
 		if m == nil {
 			t.Errorf("fuzz-smoke line without a target and a package: %q", line)
 			continue

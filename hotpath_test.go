@@ -30,15 +30,9 @@ const q8AllocsParent = 19_681
 const q20AllocsParent = 4_744
 
 // runAllocs returns the allocations of one execution of query over doc
-// and the run's statistics.
-func runAllocs(t *testing.T, query string, doc []byte, opts gcx.Options) (float64, *gcx.Result) {
-	t.Helper()
-	return runAllocsOn(t, query, doc, opts, false)
-}
-
-// runAllocsOn is runAllocs on either backing: the zero-copy one, or the
-// reader one behind a reader that shows nothing but Read.
-func runAllocsOn(t *testing.T, query string, doc []byte, opts gcx.Options, reader bool) (float64, *gcx.Result) {
+// and the run's statistics, on the zero-copy backing or — reader set —
+// on the reader backing, behind a reader that shows nothing but Read.
+func runAllocs(t *testing.T, query string, doc []byte, opts gcx.Options, reader bool) (float64, *gcx.Result) {
 	t.Helper()
 	q, err := gcx.Compile(query)
 	if err != nil {
@@ -80,8 +74,8 @@ func TestAllocCeilingReader(t *testing.T) {
 		{"Q6", xmark.Queries["Q6"].Text, xml, gcx.Options{}},
 		{"J1", xmark.NDJSONQueries["J1"].Text, ndjson, gcx.Options{Format: gcx.FormatNDJSON}},
 	} {
-		onBytes, _ := runAllocsOn(t, c.query, []byte(c.doc), c.opts, false)
-		onReader, res := runAllocsOn(t, c.query, []byte(c.doc), c.opts, true)
+		onBytes, _ := runAllocs(t, c.query, []byte(c.doc), c.opts, false)
+		onReader, res := runAllocs(t, c.query, []byte(c.doc), c.opts, true)
 		perToken := onReader / float64(res.TokensProcessed)
 		t.Logf("%s: %.0f allocations on the reader backing over %d tokens = %.4f per token; %.0f on bytes",
 			c.name, onReader, res.TokensProcessed, perToken, onBytes)
@@ -100,7 +94,7 @@ func TestAllocCeilingJ1(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := bytes.Count([]byte(doc), []byte("\n"))
-	allocs, _ := runAllocs(t, xmark.NDJSONQueries["J1"].Text, []byte(doc), gcx.Options{Format: gcx.FormatNDJSON})
+	allocs, _ := runAllocs(t, xmark.NDJSONQueries["J1"].Text, []byte(doc), gcx.Options{Format: gcx.FormatNDJSON}, false)
 	perRecord := allocs / float64(records)
 	t.Logf("J1: %.0f allocations over %d records = %.2f per record", allocs, records, perRecord)
 	// A run allocates a fixed 50-odd times whatever the record count; one
@@ -115,7 +109,7 @@ func TestAllocCeilingE1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs, res := runAllocs(t, queryE1, []byte(doc), gcx.Options{})
+	allocs, res := runAllocs(t, queryE1, []byte(doc), gcx.Options{}, false)
 	perNode := allocs / float64(res.TotalAppended)
 	t.Logf("E1: %.0f allocations over %d appended nodes = %.4f per node", allocs, res.TotalAppended, perNode)
 	if perNode > 0.05 {
@@ -128,7 +122,7 @@ func TestAllocCeilingQ8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs, _ := runAllocs(t, xmark.Queries["Q8"].Text, []byte(doc), gcx.Options{})
+	allocs, _ := runAllocs(t, xmark.Queries["Q8"].Text, []byte(doc), gcx.Options{}, false)
 	t.Logf("Q8: %.0f allocations (parent commit: %d)", allocs, q8AllocsParent)
 	if allocs > q8AllocsParent {
 		t.Errorf("Q8 allocates %.0f times, parent commit %d", allocs, q8AllocsParent)
@@ -141,7 +135,7 @@ func TestAllocCeilingQ20(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := xmark.Queries["Q20"].Text
-	allocs, _ := runAllocs(t, query, []byte(doc), gcx.Options{})
+	allocs, _ := runAllocs(t, query, []byte(doc), gcx.Options{}, false)
 	t.Logf("Q20: %.0f allocations (parent commit: %d)", allocs, q20AllocsParent)
 	if allocs >= q20AllocsParent {
 		t.Errorf("Q20 allocates %.0f times, parent commit %d", allocs, q20AllocsParent)

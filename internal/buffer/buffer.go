@@ -62,9 +62,7 @@ type Buffer struct {
 	// CopyText makes AppendText copy the text it is handed into texts,
 	// the buffer's arena — copy on keep. Whoever fills the buffer from a
 	// volatile event.Source sets it (projection.New), because such a
-	// source's text is a view that dies at the next pull. A purged node
-	// drops its reference; a block is the collector's once the last text
-	// in it is gone.
+	// source's text is a view that dies at the next pull.
 	CopyText bool
 	texts    cursor.Arena
 
@@ -207,7 +205,7 @@ func (b *Buffer) AppendElement(parent *Node, name string, attrs []event.Attr) *N
 func (b *Buffer) AppendText(parent *Node, text string) *Node {
 	parent.assertLive()
 	if b.CopyText {
-		text = b.texts.OwnString(text)
+		text = b.texts.Own(text)
 	}
 	n := b.newNode()
 	n.Kind = KindText

@@ -1,5 +1,7 @@
 package cursor
 
+import "strings"
+
 // Arena copies short values — attribute values, decoded text, the text
 // the buffer keeps — into shared blocks, so that keeping a value costs
 // an allocation per block instead of one per value. It is append-only:
@@ -21,23 +23,18 @@ const (
 	arenaLarge = arenaBlock / 4
 )
 
-// Own returns a copy of b that the caller may keep for good.
-func (a *Arena) Own(b []byte) string { return own(a, b) }
-
-// OwnString is Own for a value that is already a string, e.g. a view
-// about to expire.
-func (a *Arena) OwnString(s string) string { return own(a, s) }
-
-func own[T []byte | string](a *Arena, v T) string {
+// Own returns a copy of s that the caller may keep for good. Bytes go
+// in as Own(Borrow(b)): the view lives only until the copy is made.
+func (a *Arena) Own(s string) string {
 	switch {
-	case len(v) == 0:
+	case len(s) == 0:
 		return ""
-	case len(v) > arenaLarge:
-		return string(v)
-	case len(v) > cap(a.block)-len(a.block):
+	case len(s) > arenaLarge:
+		return strings.Clone(s)
+	case len(s) > cap(a.block)-len(a.block):
 		a.block = make([]byte, 0, arenaBlock)
 	}
 	at := len(a.block)
-	a.block = append(a.block, v...)
+	a.block = append(a.block, s...)
 	return Borrow(a.block[at:])
 }

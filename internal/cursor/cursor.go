@@ -334,22 +334,21 @@ func Borrow(b []byte) string {
 }
 
 // Keep returns b as a string the caller may hold for good — what
-// attribute values must be, since a tag's list outlives its token. On
-// the fixed backing b is borrowed when it is input (a subslice of the
-// window or of a capture); decoded bytes, and everything on the reader
-// backing, are copied into the cursor's value arena.
+// attribute values must be, since a tag's list outlives its token:
+// borrowed when b is input of the fixed backing (window or capture
+// bytes), a copy in the cursor's value arena when it is decoded bytes
+// or the backing is a reader.
 func (c *Cursor) Keep(b []byte, input bool) string {
 	if c.fixed && input {
 		return Borrow(b)
 	}
-	return c.values.Own(b)
+	return c.values.Own(Borrow(b))
 }
 
 // View returns b as the Text of the token being delivered. On the fixed
 // backing that is Keep: tokens are immortal there. On the reader backing
 // it is b itself, uncopied — window bytes, a capture or the caller's
-// decoding scratch — and valid only until the tokenizer's next pull,
-// which begins with Expire.
+// scratch — and valid only until the next pull, which begins with Expire.
 func (c *Cursor) View(b []byte, input bool) string {
 	if c.fixed {
 		return c.Keep(b, input)
@@ -361,10 +360,9 @@ func (c *Cursor) View(b []byte, input bool) string {
 }
 
 // poison turns on the retention guard (internal/buffer's stale-handle
-// precedent): under go test Expire overwrites the bytes of the last
-// View, so a consumer that kept a view past the next pull reads 0xDB
-// every time, not stale text some of the time. The bytes are consumed
-// input or scratch; nothing reads them again.
+// precedent): under go test Expire overwrites the last View's bytes —
+// consumed input or scratch, nothing reads them again — so a consumer
+// that kept a view reads 0xDB every time, not stale text sometimes.
 var poison = testing.Testing()
 
 // Expire ends the life of the last View. Tokenizers call it at the top

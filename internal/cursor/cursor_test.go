@@ -268,14 +268,14 @@ func TestFixedWindowStable(t *testing.T) {
 // allocated before the first Own.
 func TestArena(t *testing.T) {
 	var a Arena
-	if a.Own(nil) != "" || a.OwnString("") != "" || a.block != nil {
+	if a.Own("") != "" || a.block != nil {
 		t.Fatal("an empty value allocated a block")
 	}
 	src := []byte("0123456789")
 	var got []string
 	for i := 0; i < 3*arenaBlock/len(src); i++ {
 		src[0] = byte('a' + i%26)
-		got = append(got, a.Own(src))
+		got = append(got, a.Own(Borrow(src)))
 	}
 	for i, s := range got {
 		if want := string(rune('a'+i%26)) + "123456789"; s != want {
@@ -284,12 +284,12 @@ func TestArena(t *testing.T) {
 	}
 	large := strings.Repeat("x", arenaLarge+1)
 	before := len(a.block)
-	if a.OwnString(large) != large || len(a.block) != before {
+	if a.Own(large) != large || len(a.block) != before {
 		t.Error("a large value went into the shared block")
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		for i := 0; i < arenaBlock/len(src); i++ {
-			a.Own(src)
+			a.Own(Borrow(src))
 		}
 	}); n != 1 {
 		t.Errorf("one block's worth of values made %.0f allocations, want 1", n)

@@ -53,9 +53,8 @@ type Attr struct {
 	Value string
 }
 
-// Token is one event of the input or output stream. Name and Attrs of
-// a token a Source delivered may be kept for as long as the caller
-// likes; how long Text lives is the Source's to say (Source.Volatile).
+// Token is one event of the input or output stream. Source says how
+// long the parts of a token it delivered may be kept.
 type Token struct {
 	Kind Kind
 	// Name is the element name for StartElement and EndElement tokens.
