@@ -15,6 +15,7 @@
 //	BenchmarkEmitE1                      — gcxperf's xml-emit, for `make profile`
 //	BenchmarkFilterJ1                    — gcxperf's ndjson-filter, likewise
 //	BenchmarkStreamQ6                    — the engine half of gcxperf's serve-stream
+//	BenchmarkJoinQ8                      — gcxperf's xml-join query alone, likewise
 //
 // Custom metrics: peak_nodes (buffer high watermark, the paper's
 // y-axis), peak_KB (estimated buffered bytes).
@@ -40,7 +41,7 @@ import (
 // stays out of the timed loops.
 var xmarkDocs = map[int64]string{}
 
-func xmarkDoc(b *testing.B, size int64) string {
+func xmarkDoc(b testing.TB, size int64) string {
 	if doc, ok := xmarkDocs[size]; ok {
 		return doc
 	}
@@ -393,6 +394,26 @@ func BenchmarkStreamQ6(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := q.Execute(readerOnly{strings.NewReader(doc)}, io.Discard, gcx.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkJoinQ8 is XMark Q8 — gcxperf's xml-join query — over 4 MiB
+// on the zero-copy path, without BenchmarkFig5's DOM cells, so that
+// `make profile-allocs BENCH=JoinQ8` breaks down the join operator's
+// allocations: the probe captures, the build table and the replay.
+func BenchmarkJoinQ8(b *testing.B) {
+	doc := []byte(xmarkDoc(b, 4<<20))
+	q, err := gcx.Compile(xmark.Queries["Q8"].Text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := q.ExecuteBytes(doc, io.Discard, gcx.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

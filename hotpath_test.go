@@ -20,10 +20,6 @@ import (
 // emitted and signed off.
 const queryE1 = `<result>{ for $r in /site/regions return for $i in $r//item return $i }</result>`
 
-// q8AllocsParent is Q8's allocation count over the 1 MiB document below
-// at the commit before the buffer hot path stopped allocating per node.
-const q8AllocsParent = 19_681
-
 // q20AllocsParent is Q20's allocation count over the same document at
 // the commit before numeric literals were rendered once at parse time
 // instead of at every comparison (four per person).
@@ -117,15 +113,26 @@ func TestAllocCeilingE1(t *testing.T) {
 	}
 }
 
-func TestAllocCeilingQ8(t *testing.T) {
-	doc, _, err := xmark.GenerateString(xmark.Config{TargetBytes: 1 << 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs, _ := runAllocs(t, xmark.Queries["Q8"].Text, []byte(doc), gcx.Options{}, false)
-	t.Logf("Q8: %.0f allocations (parent commit: %d)", allocs, q8AllocsParent)
-	if allocs > q8AllocsParent {
-		t.Errorf("Q8 allocates %.0f times, parent commit %d", allocs, q8AllocsParent)
+// TestAllocCeilingPerTuple holds the join (Q8, Q9) and the attribute
+// constructor (Q13) to a per-run allocation count (DESIGN.md §10 "The
+// slab layout"): captures, keys and payloads live in run-long slabs that
+// grow by doubling, so quadrupling the input adds a few allocations, not
+// one or more per probe binding, build tuple or constructed element.
+func TestAllocCeilingPerTuple(t *testing.T) {
+	small, large := []byte(xmarkDoc(t, 1<<20)), []byte(xmarkDoc(t, 4<<20))
+	for _, id := range []string{"Q8", "Q9", "Q13"} {
+		for _, reader := range []bool{false, true} {
+			at1, _ := runAllocs(t, xmark.Queries[id].Text, small, gcx.Options{}, reader)
+			at4, _ := runAllocs(t, xmark.Queries[id].Text, large, gcx.Options{}, reader)
+			t.Logf("%s (reader %v): %.0f allocations at 1 MiB, %.0f at 4 MiB", id, reader, at1, at4)
+			if at1 > 256 {
+				t.Errorf("%s (reader %v) allocates %.0f times at 1 MiB, ceiling 256", id, reader, at1)
+			}
+			if at4 >= 2*at1 {
+				t.Errorf("%s (reader %v) allocates %.0f times at 4 MiB, %.1f× the 1 MiB run's %.0f: it grows with the input",
+					id, reader, at4, at4/at1, at1)
+			}
+		}
 	}
 }
 

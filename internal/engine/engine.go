@@ -115,8 +115,10 @@ type Engine struct {
 	// pin really kept the node.
 	env []buffer.Handle
 	// vals is the scratch the value sequences of conditions, aggregates
-	// and attribute templates are built in.
-	vals []string
+	// and attribute templates are built in; attrs is the one a
+	// constructor's attribute list is built in.
+	vals  []string
+	attrs []event.Attr
 }
 
 // New builds an engine instance for a single run over the given event
@@ -497,24 +499,27 @@ func (e *Engine) nextBinding(base, prev *buffer.Node, step xpath.Step) *buffer.N
 	}
 }
 
-// evalAttrs computes the attribute list of a constructor, evaluating
-// value templates against the environment.
+// evalAttrs computes the attribute list of a constructor into the
+// engine's scratch, evaluating value templates against the environment.
+// The list is valid until the next constructor's, which is all a Sink
+// may rely on (event.Sink.StartElement).
 func (e *Engine) evalAttrs(attrs []xqast.AttrTemplate) ([]event.Attr, error) {
 	if len(attrs) == 0 {
 		return nil, nil
 	}
-	out := make([]event.Attr, len(attrs))
-	for i, a := range attrs {
-		if a.Expr == nil {
-			out[i] = event.Attr{Name: a.Name, Value: a.Lit}
-			continue
+	out := e.attrs[:0]
+	for _, a := range attrs {
+		v := a.Lit
+		if a.Expr != nil {
+			vals, err := e.pathValues(a.Expr)
+			if err != nil {
+				return nil, err
+			}
+			v = xqvalue.JoinSpace(vals)
 		}
-		vals, err := e.pathValues(a.Expr)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = event.Attr{Name: a.Name, Value: xqvalue.JoinSpace(vals)}
+		out = append(out, event.Attr{Name: a.Name, Value: v})
 	}
+	e.attrs = out
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"gcx/internal/analysis"
 	"gcx/internal/buffer"
@@ -24,11 +25,13 @@ type joinRun struct {
 	// guards the ProbeHead==ProbeLoop single-step case against
 	// re-interception on the recursive call).
 	entered bool
-	// cap is the active per-binding capture sink while a probe body
-	// evaluates; nil outside captures.
-	cap      *join.Capture
-	spliceAt int
-	spliced  bool
+	// cap is the run's one capture: every probe body's events, then
+	// each build tuple's payload in turn until the table has copied it.
+	// A body is being captured exactly while e.out is &cap; spliceAt is
+	// where it reached the build loop, -1 before it does.
+	cap      join.Capture
+	spliceAt int32
+	keys     []string // the key slab: probe join-key values back to back
 	groups   []join.Group
 
 	buildTuples int64
@@ -43,15 +46,14 @@ func (e *Engine) interceptFor(f *xqast.ForExpr) (bool, error) {
 		return false, nil
 	}
 	switch {
-	case f == j.info.BuildHead && j.cap != nil:
+	case f == j.info.BuildHead && e.out == &j.cap:
 		// The probe body reached the build loop: record where the
 		// matched payloads splice into this binding's event stream and
 		// skip the nested scan entirely.
-		if j.spliced {
+		if j.spliceAt >= 0 {
 			return true, fmt.Errorf("engine: join build loop reached twice in one probe binding")
 		}
 		j.spliceAt = j.cap.Mark()
-		j.spliced = true
 		return true, nil
 	case f == j.info.ProbeHead && !j.entered:
 		j.entered = true
@@ -59,40 +61,44 @@ func (e *Engine) interceptFor(f *xqast.ForExpr) (bool, error) {
 			return true, err
 		}
 		return true, e.finalizeJoin()
-	case f == j.info.ProbeLoop && j.entered && j.cap == nil:
+	case f == j.info.ProbeLoop && j.entered && e.out != &j.cap:
 		return true, e.loop(f, true)
 	}
 	return false, nil
 }
 
-// captureProbeBinding evaluates one probe binding's body into a capture
-// sink and appends the resulting group. The join keys are extracted
-// first: sign-offs inside the body may purge parts of the probe record
-// as they execute. Groups outlive the binding, so the keys get a slice
-// of their own.
+// captureProbeBinding evaluates one probe binding's body into the run's
+// capture and appends the resulting group. The join keys are extracted
+// first, straight into the key slab: sign-offs inside the body may
+// purge parts of the probe record as they execute.
 func (e *Engine) captureProbeBinding(f *xqast.ForExpr) error {
 	j := e.join
-	keys, err := e.appendPathValues(nil, &xqast.PathExpr{Slot: j.info.ProbeSlot, Path: j.info.ProbeKey})
+	klo := int32(len(j.keys))
+	keys, err := e.appendPathValues(j.keys, &xqast.PathExpr{Slot: j.info.ProbeSlot, Path: j.info.ProbeKey})
+	j.keys = keys
 	if err != nil {
 		return err
 	}
-	cap := join.NewCapture()
-	j.cap, j.spliced = cap, false
-	saved := e.out
-	e.out = cap
-	err = e.eval(f.Body)
-	e.out = saved
-	j.cap = nil
-	if err != nil {
+	lo := j.cap.Mark()
+	j.spliceAt = -1
+	if err := e.captureInto(f.Body); err != nil {
 		return err
 	}
-	ops := cap.Take()
-	g := join.Group{Keys: keys, Head: ops, Splice: j.spliced}
-	if j.spliced {
-		g.Head, g.Tail = ops[:j.spliceAt:j.spliceAt], ops[j.spliceAt:]
+	g := join.Group{KeyLo: klo, KeyHi: int32(len(keys)), Lo: lo, Mid: j.spliceAt, Hi: j.cap.Mark(), Splice: j.spliceAt >= 0}
+	if !g.Splice {
+		g.Mid = g.Hi
 	}
 	j.groups = append(j.groups, g)
 	return nil
+}
+
+// captureInto evaluates expr with its output redirected into j.cap.
+func (e *Engine) captureInto(expr xqast.Expr) error {
+	saved := e.out
+	e.out = &e.join.cap
+	err := e.eval(expr)
+	e.out = saved
+	return err
 }
 
 // finalizeJoin runs once the probe chain is exhausted: pull to end of
@@ -107,15 +113,8 @@ func (e *Engine) finalizeJoin() error {
 		return err
 	}
 
-	table := join.NewTable()
-	scan := false
-	for i := range j.groups {
-		if j.groups[i].Splice {
-			scan = true
-			break
-		}
-	}
-	if scan {
+	var table *join.Table
+	if slices.ContainsFunc(j.groups, func(g join.Group) bool { return g.Splice }) {
 		// The build-side materialization is its own trace phase; the
 		// ensure calls inside appendPathValues find their subtrees already
 		// buffered, and the span guard keeps them out of PhaseStream.
@@ -126,7 +125,9 @@ func (e *Engine) finalizeJoin() error {
 			// payload expression contains no sign-offs and the deferred
 			// ones were drained when the root closed.
 			tuples := e.buf.SelectDocOrder(e.buf.Root, j.info.BuildPath)
+			table = join.NewTableSize(len(tuples))
 			buildKey := &xqast.PathExpr{Slot: j.info.BuildSlot, Path: j.info.BuildKey}
+			base := j.cap.Mark()
 			for _, t := range tuples {
 				// A large build side is processed without pulling input,
 				// so the per-token poll inside ensure never runs here.
@@ -134,12 +135,7 @@ func (e *Engine) finalizeJoin() error {
 					return err
 				}
 				e.env[j.info.BuildSlot] = buffer.Hold(t)
-				cap := join.NewCapture()
-				saved := e.out
-				e.out = cap
-				err := e.eval(j.info.Then)
-				e.out = saved
-				if err != nil {
+				if err := e.captureInto(j.info.Then); err != nil {
 					return err
 				}
 				// The table keeps the key strings, not the slice.
@@ -147,34 +143,33 @@ func (e *Engine) finalizeJoin() error {
 				if err != nil {
 					return err
 				}
-				table.Add(keys, cap.Take())
+				table.Add(keys, j.cap.Ops(base, j.cap.Mark()))
+				j.cap.Truncate(base)
 			}
 			e.env[j.info.BuildSlot] = buffer.Handle{}
+			j.buildTuples = int64(table.Len())
 			return nil
 		})
 		if err != nil {
 			return err
 		}
-		j.buildTuples = int64(table.Len())
 	}
 
 	// Replay in probe document order; matched payloads in build document
 	// order — exactly the nested-loop emission sequence.
 	return e.span(obs.PhaseJoinProbe, func() error {
-		for gi := range j.groups {
+		for _, g := range j.groups {
 			if err := e.poll(); err != nil {
 				return err
 			}
-			g := &j.groups[gi]
-			join.Replay(g.Head, e.out)
+			j.cap.Replay(j.cap.Ops(g.Lo, g.Mid), e.out)
 			if g.Splice {
-				for _, ti := range table.Match(g.Keys) {
-					join.Replay(table.Payload(ti), e.out)
+				for _, ti := range table.Match(j.keys[g.KeyLo:g.KeyHi]) {
+					j.cap.Replay(table.Payload(ti), e.out)
 					j.matches++
 				}
 			}
-			join.Replay(g.Tail, e.out)
-			g.Head, g.Tail = nil, nil
+			j.cap.Replay(j.cap.Ops(g.Mid, g.Hi), e.out)
 		}
 		return nil
 	})

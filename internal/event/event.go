@@ -138,7 +138,10 @@ type Source interface {
 // output syntax (XML or JSON). Implementations buffer internally and
 // report write errors on Flush.
 type Sink interface {
-	// StartElement opens an element with the given attributes.
+	// StartElement opens an element with the given attributes. attrs is
+	// valid only for the call (the engine builds constructors' lists in
+	// a scratch); an implementation that keeps the list copies it. The
+	// strings in it may be kept.
 	StartElement(name string, attrs []Attr)
 	// EndElement closes the innermost open element, which has the given
 	// name.

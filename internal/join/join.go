@@ -21,141 +21,146 @@
 package join
 
 import (
-	"sort"
+	"slices"
 
 	"gcx/internal/event"
 )
 
-type opKind uint8
-
 const (
-	opStart opKind = iota
+	opStart uint8 = iota
 	opEnd
 	opText
 )
 
-// Op is one captured output event.
+// Op is one captured output event: s is the element name or the text;
+// a start element's attributes are [alo, ahi) of the capture's slab.
 type Op struct {
-	kind  opKind
-	name  string
-	text  string
+	kind     uint8
+	alo, ahi int32
+	s        string
+}
+
+// Capture is an event.Sink recording events into run-long slabs for
+// Replay (DESIGN.md §10 "The slab layout"); its zero value is ready.
+// Attribute lists are copied, being valid only for the call; strings are
+// owned already. BytesWritten is 0: bytes count when events replay.
+type Capture struct {
+	ops   []Op
 	attrs []event.Attr
 }
 
-// Capture is an event.Sink that records emitted events instead of
-// serializing them, for later Replay. BytesWritten reports 0: output
-// bytes are accounted when the events replay into the real sink.
-type Capture struct {
-	ops []Op
-}
-
-// NewCapture returns an empty capture sink.
-func NewCapture() *Capture { return &Capture{} }
-
 func (c *Capture) StartElement(name string, attrs []event.Attr) {
-	c.ops = append(c.ops, Op{kind: opStart, name: name, attrs: attrs})
+	lo := int32(len(c.attrs))
+	c.attrs = append(c.attrs, attrs...)
+	c.ops = append(c.ops, Op{kind: opStart, s: name, alo: lo, ahi: int32(len(c.attrs))})
 }
 
-func (c *Capture) EndElement(name string) {
-	c.ops = append(c.ops, Op{kind: opEnd, name: name})
-}
+func (c *Capture) EndElement(name string) { c.ops = append(c.ops, Op{kind: opEnd, s: name}) }
+func (c *Capture) Text(text string)       { c.ops = append(c.ops, Op{kind: opText, s: text}) }
+func (c *Capture) Flush() error           { return nil }
+func (c *Capture) BytesWritten() int64    { return 0 }
+func (c *Capture) Release()               {}
 
-func (c *Capture) Text(text string) {
-	c.ops = append(c.ops, Op{kind: opText, text: text})
-}
+// Mark returns the event count: where a group or payload starts, or a splice.
+func (c *Capture) Mark() int32 { return int32(len(c.ops)) }
 
-func (c *Capture) Flush() error        { return nil }
-func (c *Capture) BytesWritten() int64 { return 0 }
-func (c *Capture) Release()            {}
+// Ops returns the captured events [lo, hi).
+func (c *Capture) Ops(lo, hi int32) []Op { return c.ops[lo:hi:hi] }
 
-// Mark returns the current event count — the splice position recorded
-// when the probe body reaches the build loop.
-func (c *Capture) Mark() int { return len(c.ops) }
+// Truncate drops the events from n on; their attributes stay for Table.Add's copies.
+func (c *Capture) Truncate(n int32) { c.ops = c.ops[:n] }
 
-// Take returns the captured events and resets the capture.
-func (c *Capture) Take() []Op {
-	ops := c.ops
-	c.ops = nil
-	return ops
-}
-
-// Replay feeds recorded events into sink.
-func Replay(ops []Op, sink event.Sink) {
-	for i := range ops {
-		op := &ops[i]
+// Replay feeds events recorded by c — through Ops or a Table — into sink.
+func (c *Capture) Replay(ops []Op, sink event.Sink) {
+	for _, op := range ops {
 		switch op.kind {
 		case opStart:
-			sink.StartElement(op.name, op.attrs)
+			sink.StartElement(op.s, c.attrs[op.alo:op.ahi:op.ahi])
 		case opEnd:
-			sink.EndElement(op.name)
+			sink.EndElement(op.s)
 		case opText:
-			sink.Text(op.text)
+			sink.Text(op.s)
 		}
 	}
 }
 
-// Group is one probe binding's captured output: Head replays before the
-// matched build payloads, Tail after. Splice is false when the build
-// loop never executed for this binding (it sat under a false condition)
-// — then no payloads are emitted regardless of key matches.
+// Group is one probe binding's output as ranges into the run's slabs:
+// key values [KeyLo, KeyHi), events [Lo, Mid) to replay before the
+// matched build payloads and [Mid, Hi) after them. Splice is false (and
+// Mid is Hi) when the build loop never executed for this binding — it
+// sat under a false condition — so no payloads are emitted.
 type Group struct {
-	Keys   []string
-	Head   []Op
-	Tail   []Op
-	Splice bool
+	KeyLo, KeyHi, Lo, Mid, Hi int32
+	Splice                    bool
 }
 
-// Table is the materialized build side: per-tuple payload events plus a
-// hash index from key value to the tuples carrying it.
+// Table is the materialized build side: payload events back to back in
+// one slab, and a hash index from key value to a chain of entries, one
+// per (key value, tuple) pair — a multi-valued tuple is on several.
 type Table struct {
-	payloads [][]Op
-	index    map[string][]int
+	ops     []Op
+	bounds  []int32 // tuple i's payload is ops[bounds[i]:bounds[i+1]]
+	index   map[string]chain
+	entries []entry
+	match   []int // Match's result, reused
 }
+
+type (
+	chain struct{ head, tail int32 }  // a key value's first and last entry
+	entry struct{ tuple, next int32 } // next is -1 at a chain's end
+)
 
 // NewTable returns an empty build table.
-func NewTable() *Table { return &Table{index: make(map[string][]int)} }
+func NewTable() *Table { return NewTableSize(0) }
 
-// Add appends one build tuple with its key-value set and captured
-// payload. Duplicate key values within one tuple index it only once.
+// NewTableSize returns an empty build table sized for n tuples.
+func NewTableSize(n int) *Table {
+	return &Table{bounds: make([]int32, 1, n+1), index: make(map[string]chain, n), entries: make([]entry, 0, n)}
+}
+
+// Add appends one build tuple with its key-value set, copying its
+// payload events into the table. Duplicate key values within one tuple
+// index it only once.
 func (t *Table) Add(keys []string, payload []Op) {
-	i := len(t.payloads)
-	t.payloads = append(t.payloads, payload)
+	i := int32(t.Len())
+	t.ops = append(t.ops, payload...)
+	t.bounds = append(t.bounds, int32(len(t.ops)))
 	for ki, k := range keys {
-		dup := false
-		for _, prev := range keys[:ki] {
-			if prev == k {
-				dup = true
-				break
-			}
+		if slices.Contains(keys[:ki], k) {
+			continue
 		}
-		if !dup {
-			t.index[k] = append(t.index[k], i)
+		e := int32(len(t.entries))
+		t.entries = append(t.entries, entry{tuple: i, next: -1})
+		c := chain{e, e}
+		if prev, ok := t.index[k]; ok {
+			t.entries[prev.tail].next, c.head = e, prev.head
 		}
+		t.index[k] = c
 	}
 }
 
 // Len reports the number of build tuples added.
-func (t *Table) Len() int { return len(t.payloads) }
+func (t *Table) Len() int { return len(t.bounds) - 1 }
 
-// Payload returns tuple i's captured events.
-func (t *Table) Payload(i int) []Op { return t.payloads[i] }
+// Payload returns tuple i's events, to replay through their Capture.
+func (t *Table) Payload(i int) []Op { return t.ops[t.bounds[i]:t.bounds[i+1]:t.bounds[i+1]] }
 
 // Match returns the distinct tuples whose key sets intersect keys, in
 // build document order — the order nested evaluation emits matches in.
+// The result is valid until the next Match.
 func (t *Table) Match(keys []string) []int {
-	if len(keys) == 1 {
-		return t.index[keys[0]] // already sorted and distinct
-	}
-	var out []int
-	seen := map[int]bool{}
+	out := t.match[:0]
 	for _, k := range keys {
-		for _, i := range t.index[k] {
-			if !seen[i] {
-				seen[i] = true
-				out = append(out, i)
+		if c, ok := t.index[k]; ok {
+			for e := c.head; e >= 0; e = t.entries[e].next {
+				out = append(out, int(t.entries[e].tuple))
 			}
 		}
 	}
-	sort.Ints(out)
+	if len(keys) > 1 { // one chain is already sorted and distinct
+		slices.Sort(out)
+		out = slices.Compact(out)
+	}
+	t.match = out
 	return out
 }

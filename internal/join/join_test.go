@@ -39,7 +39,7 @@ func TestTableMatch(t *testing.T) {
 	}
 	table := join.NewTable()
 	for i, keys := range build {
-		table.Add(keys, []join.Op{})
+		table.Add(keys, nil)
 		if table.Len() != i+1 {
 			t.Fatalf("Len = %d after %d tuples", table.Len(), i+1)
 		}
@@ -70,28 +70,80 @@ func TestTableMatch(t *testing.T) {
 	}
 }
 
+// TestTablePayloadAfterGrowth: a payload is a range of the table's one
+// slab, so the early tuples' must read the same after many later Adds
+// have reallocated it.
+func TestTablePayloadAfterGrowth(t *testing.T) {
+	var c join.Capture
+	table := join.NewTable()
+	const tuples = 1000
+	for i := range tuples {
+		base := c.Mark()
+		c.StartElement("v", []event.Attr{{Name: "i", Value: fmt.Sprint(i)}})
+		c.Text(fmt.Sprint("t", i))
+		c.EndElement("v")
+		table.Add([]string{fmt.Sprint("k", i%8)}, c.Ops(base, c.Mark()))
+		c.Truncate(base)
+	}
+	for _, i := range []int{0, 1, 2, 500, tuples - 1} {
+		var got recorder
+		c.Replay(table.Payload(i), &got)
+		if want := fmt.Sprintf(`<v[{i %d}]>"t%d"</v>`, i, i); got.String() != want {
+			t.Errorf("Payload(%d) replays %s, want %s", i, got.String(), want)
+		}
+	}
+	if n := len(table.Match([]string{"k3"})); n != tuples/8 {
+		t.Errorf("k3 matches %d tuples, want %d", n, tuples/8)
+	}
+}
+
+// TestTableAddNilPayload: gcxperf's join.table_ms adds keys with a nil
+// payload (DESIGN.md §14); such a tuple matches and replays nothing.
+func TestTableAddNilPayload(t *testing.T) {
+	table := join.NewTable()
+	table.Add([]string{"a"}, nil)
+	table.Add([]string{"b"}, nil)
+	table.Add([]string{"a"}, nil)
+	if got := table.Match([]string{"a"}); !reflect.DeepEqual(got, []int{0, 2}) {
+		t.Errorf("Match(a) = %v, want [0 2]", got)
+	}
+	if table.Len() != 3 || len(table.Payload(1)) != 0 {
+		t.Errorf("Len %d, Payload(1) %v", table.Len(), table.Payload(1))
+	}
+}
+
 func TestCaptureReplay(t *testing.T) {
-	c := join.NewCapture()
-	c.StartElement("r", []event.Attr{{Name: "id", Value: "1"}})
+	var c join.Capture
+	attrs := []event.Attr{{Name: "id", Value: "1"}}
+	c.StartElement("r", attrs)
+	attrs[0].Value = "reused" // a Sink's attrs are valid only for the call
 	c.Text("head")
 	mark := c.Mark()
+	c.StartElement("v", []event.Attr{{Name: "a", Value: "x"}})
 	c.Text("tail")
+	c.EndElement("v")
 	c.EndElement("r")
+	end := c.Mark()
 	if c.BytesWritten() != 0 {
 		t.Error("a capture writes no bytes; they count when the events replay")
 	}
-	ops := c.Take()
-	if len(ops) != 4 || mark != 2 || c.Mark() != 0 {
-		t.Fatalf("%d ops, mark %d, %d left after Take", len(ops), mark, c.Mark())
+	if mark != 2 || end != 6 {
+		t.Fatalf("mark %d, end %d", mark, end)
 	}
 
 	table := join.NewTable()
-	table.Add([]string{"k"}, ops[mark:])
-	var whole, payload recorder
-	join.Replay(ops, &whole)
-	join.Replay(table.Payload(0), &payload)
-	if whole.String() != `<r[{id 1}]>"head""tail"</r>` || payload.String() != `"tail"</r>` {
-		t.Fatalf("replayed %s and %s", whole.String(), payload.String())
+	table.Add([]string{"k"}, c.Ops(mark, end))
+	// The table holds a copy: what the capture records after a Truncate
+	// overwrites its events, not the payload's, attributes included.
+	c.Truncate(mark)
+	c.StartElement("w", []event.Attr{{Name: "b", Value: "y"}})
+	c.EndElement("w")
+	var head, payload, rest recorder
+	c.Replay(c.Ops(0, mark), &head)
+	c.Replay(table.Payload(0), &payload)
+	c.Replay(c.Ops(mark, c.Mark()), &rest)
+	if head.String() != `<r[{id 1}]>"head"` || payload.String() != `<v[{a x}]>"tail"</v></r>` || rest.String() != `<w[{b y}]></w>` {
+		t.Fatalf("replayed %s, %s and %s", head.String(), payload.String(), rest.String())
 	}
 }
 

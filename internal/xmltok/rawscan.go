@@ -42,7 +42,8 @@ type rawScanner struct {
 	// tag is scratch for tag bodies spanning window boundaries; nameBuf
 	// and nameLen are skipElement's open-element stack, names stored
 	// back to back (no allocations, no interning). All three keep their
-	// growth so repeated scans amortize.
+	// growth so repeated scans amortize, up to cursor.MaxScratch across
+	// a pooled Tokenizer's Release.
 	tag     []byte
 	nameBuf []byte
 	nameLen []int

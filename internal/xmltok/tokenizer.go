@@ -126,8 +126,16 @@ func (t *Tokenizer) Release() {
 	t.ctx = nil
 	t.ctxDone = nil
 	t.attrChunk = nil
+	// One huge text node, tag or skipped name must not pin its scratch
+	// in the pool for every later run.
 	if cap(t.textBuf) > cursor.MaxScratch {
 		t.textBuf = nil
+	}
+	if cap(t.tag) > cursor.MaxScratch {
+		t.tag = nil
+	}
+	if cap(t.nameBuf) > cursor.MaxScratch {
+		t.nameBuf, t.nameLen = nil, nil
 	}
 	tokenizerPool.Put(t)
 }

@@ -468,3 +468,31 @@ func TestReleaseDropsLargeScratch(t *testing.T) {
 		t.Errorf("pooled scratch: released %d bytes, reacquired %d, ceiling %d", cap(tz.textBuf), cap(next.textBuf), cursor.MaxScratch)
 	}
 }
+
+// TestReleaseDropsLargeRawScratch: the raw scan's scratch — a tag body
+// spanning windows, skipElement's name stack — obeys the same ceiling.
+// One skipped subtree whose element name alone is twice the ceiling
+// grows both.
+func TestReleaseDropsLargeRawScratch(t *testing.T) {
+	name := strings.Repeat("n", 2*cursor.MaxScratch)
+	tz := NewTokenizer(strings.NewReader("<r><a><" + name + "></" + name + "></a></r>"))
+	for range 2 { // <r>, <a>
+		if _, err := tz.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tz.SkipSubtree(); err != nil {
+		t.Fatal(err)
+	}
+	if cap(tz.tag) < 2*cursor.MaxScratch || cap(tz.nameBuf) < 2*cursor.MaxScratch {
+		t.Fatalf("tag scratch %d, name stack %d bytes: the test does not reach the case", cap(tz.tag), cap(tz.nameBuf))
+	}
+	tz.Release()
+	next := NewTokenizer(strings.NewReader("<a/>"))
+	defer next.Release()
+	for _, tk := range []*Tokenizer{tz, next} {
+		if cap(tk.tag) > cursor.MaxScratch || cap(tk.nameBuf) > cursor.MaxScratch {
+			t.Errorf("pooled scratch: tag %d bytes, name stack %d, ceiling %d", cap(tk.tag), cap(tk.nameBuf), cursor.MaxScratch)
+		}
+	}
+}

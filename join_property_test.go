@@ -3,9 +3,11 @@ package gcx_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"unicode/utf8"
 
 	"gcx"
@@ -70,6 +72,7 @@ func TestJoinDifferential(t *testing.T) {
 				t.Fatalf("%s: join output differs from DOM\ndoc: %s\n got: %q\nwant: %q",
 					label, doc, joinOut, want)
 			}
+			checkOnReaders(t, q, doc, want, label)
 
 			nestOut, nres, err := q.ExecuteString(doc, gcx.Options{DisableJoin: true})
 			if err != nil {
@@ -99,6 +102,46 @@ func TestJoinDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkOnReaders runs q over doc on the reader backing — in 16–63-byte
+// chunks and a byte at a time — and fails unless both outputs are want.
+// There a token's text is a view that the next pull overwrites with
+// 0xDB bytes under go test, so a capture that kept one fails here every
+// time.
+func checkOnReaders(t *testing.T, q *gcx.Query, doc, want, label string) {
+	t.Helper()
+	for _, in := range []struct {
+		name string
+		r    io.Reader
+	}{
+		{"16-63-byte chunks", &chunkedReader{data: []byte(doc), r: rand.New(rand.NewSource(int64(len(doc))))}},
+		{"one byte at a time", iotest.OneByteReader(strings.NewReader(doc))},
+	} {
+		var out strings.Builder
+		if _, err := q.Execute(in.r, &out, gcx.Options{}); err != nil {
+			t.Fatalf("%s: %s: %v", label, in.name, err)
+		}
+		if out.String() != want {
+			t.Fatalf("%s: output read in %s differs\ndoc: %s\n got: %q\nwant: %q",
+				label, in.name, doc, out.String(), want)
+		}
+	}
+}
+
+// chunkedReader hands out data in pieces of 16 to 63 bytes.
+type chunkedReader struct {
+	data []byte
+	r    *rand.Rand
+}
+
+func (c *chunkedReader) Read(p []byte) (int, error) {
+	if len(c.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.data[:min(16+c.r.Intn(48), len(c.data))])
+	c.data = c.data[n:]
+	return n, nil
 }
 
 // escapeXMLText renders an arbitrary string as XML character data.
@@ -148,6 +191,7 @@ func FuzzJoinKeys(f *testing.F) {
 		if joinOut != nestOut {
 			t.Fatalf("join and nested outputs differ\ndoc: %s\njoin:   %q\nnested: %q", doc, joinOut, nestOut)
 		}
+		checkOnReaders(t, q, doc, joinOut, "reader backing")
 		shardOut, _, serr := q.ExecuteString(doc, gcx.Options{Shards: 3})
 		if serr != nil {
 			t.Fatalf("sharded run errors where sequential succeeded: %v\ndoc: %s", serr, doc)
