@@ -16,7 +16,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check lint paper profile profile-allocs perf perf-build perf-compare perf-baseline perf-gate loc fuzz-smoke
+.PHONY: all build test race check lint golden paper profile profile-allocs perf perf-build perf-compare perf-baseline perf-gate loc fuzz-smoke
 
 all: build
 
@@ -48,6 +48,17 @@ lint:
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./... \
 		|| echo "warning: govulncheck reported issues (non-blocking)" >&2; \
 	else echo "govulncheck not installed; skipping (non-blocking)" >&2; fi
+
+# golden rewrites the three golden files — every run statistic over
+# the execution matrix (testdata/stats.golden), Q1's Explain text
+# (testdata/explain_q1.golden) and gcxd's wire names
+# (internal/gcxd/testdata/wire.golden) — from the working tree, then
+# prints which of them changed. Only for a change made on purpose;
+# review the diff before committing it.
+golden:
+	UPDATE_GOLDEN=1 $(GO) test -count=1 -run 'TestStatsGolden|TestExplainGolden' .
+	UPDATE_GOLDEN=1 $(GO) test -count=1 -run TestWireGolden ./internal/gcxd
+	@git diff --stat -- testdata internal/gcxd/testdata
 
 # paper reproduces the paper's evaluation: the Fig. 3/4 buffer plots'
 # watermarks, the Fig. 5 table (queries × 1 and 4 MB × gcx / projection

@@ -79,7 +79,6 @@ func main() {
 	cacheSize := flag.Int("cache", 256, "compiled-query cache capacity")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown deadline: how long in-flight queries may finish after SIGINT/SIGTERM")
 	maxInflight := flag.Int("max-inflight", 0, "maximum concurrently executing queries; above it requests get 503 + Retry-After (0 = unlimited)")
-	bytesBody := flag.Int64("bytes-body-limit", 0, "buffer request bodies up to this many bytes and run the zero-copy byte path (0 = 1 MiB default, negative = always stream)")
 	pprofAddr := flag.String("pprof-addr", "", "admin listen address for net/http/pprof (empty = disabled; keep it private)")
 	logFormat := flag.String("log", "text", "request log format: text or json")
 	flag.Parse()
@@ -97,10 +96,9 @@ func main() {
 	logger := slog.New(handler)
 
 	srv := gcxd.NewServer(gcxd.Config{
-		CacheSize:      *cacheSize,
-		MaxInflight:    *maxInflight,
-		BytesBodyLimit: *bytesBody,
-		Logger:         logger,
+		CacheSize:   *cacheSize,
+		MaxInflight: *maxInflight,
+		Logger:      logger,
 	})
 	// No ReadTimeout/WriteTimeout: query streams are legitimately
 	// long-lived. Header and idle timeouts keep stalled connections

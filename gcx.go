@@ -177,12 +177,12 @@ type Options struct {
 	// and evaluated by Shards concurrent engine instances, with outputs
 	// merged in input order so the result is byte-identical to the
 	// sequential run. 0 or 1 keeps the sequential engine; counts above
-	// MaxShards are clamped. Detected joins shard too: the probe side is
-	// partitioned and the build section broadcast to every worker.
-	// Queries that are not partitionable (whole-input aggregation,
-	// correlated loops beyond the join shape — see Query.Shardable) and
-	// runs with RecordEvery set fall back to sequential execution
-	// transparently.
+	// MaxShards are clamped. Queries that are not partitionable
+	// (whole-input aggregation, correlated loops, detected joins — no
+	// probe output is final before the build side is complete; see
+	// Query.Shardable and Explain), input that FormatAuto sniffs as
+	// JSON, and runs with RecordEvery set fall back to sequential
+	// execution transparently, with Result.ShardsUsed = 1.
 	Shards int
 	// MaxBufferedNodes, when positive, is the run's node budget
 	// (DESIGN.md §9): the first buffered node pushing the population
@@ -203,7 +203,7 @@ type Options struct {
 	DisableJoin bool
 	// EnableTrace records per-phase wall time (DESIGN.md §11) into
 	// Result.Trace: compile, setup, stream, join_build/join_probe,
-	// split/merge (sharded runs) and eval. For sequential runs the
+	// merge (sharded runs) and eval. For sequential runs the
 	// phases after compile sum to Result.Duration exactly; sharded
 	// runs sum worker phases across workers, so their total can exceed
 	// the wall time. Off by default — the stamps cost two monotonic
@@ -212,8 +212,8 @@ type Options struct {
 }
 
 // TracePhase is one phase of an execution trace (Options.EnableTrace):
-// a stage name — compile, setup, stream, join_build, join_probe, split,
-// merge or eval — and the cumulative wall time spent in it.
+// a stage name — compile, setup, stream, join_build, join_probe, merge
+// or eval — and the cumulative wall time spent in it.
 type TracePhase = obs.PhaseTime
 
 // Role describes one projection path derived by static analysis.
@@ -393,8 +393,13 @@ func (q *Query) run(ctx context.Context, in core.Input, output io.Writer, opts O
 		return nil, err
 	}
 	in.Format = opts.Format
+	if opts.Shards > 1 {
+		// The shard decision depends on the concrete format: sniffed JSON
+		// makes no line-framing promise and runs sequentially.
+		in = in.Resolved()
+	}
 	var res *Result
-	if shards := q.shardCount(opts); shards > 1 {
+	if shards := q.shardCount(opts, in.Format); shards > 1 {
 		res, err = shard.Run(ctx, q.shardInfo, in, output, shards, cfg)
 	} else {
 		res, err = core.Run(ctx, q.plan, in, output, cfg)
@@ -439,30 +444,31 @@ func (q *Query) config(opts Options) (engine.Config, error) {
 	return cfg, nil
 }
 
-// shardCount resolves how many workers a run should use: 0 for the
-// sequential path (non-shardable query, ineligible format, recording
-// runs or Shards ≤ 1), the clamped worker count otherwise.
-func (q *Query) shardCount(opts Options) int {
-	if opts.Shards > 1 && q.shardInfo != nil && opts.RecordEvery == 0 && formatShardable(opts.Format, q.shardInfo) {
+// shardCount resolves how many workers a run over input of the
+// resolved format f should use: 0 for the sequential path
+// (non-shardable query, ineligible format, recording runs or
+// Shards ≤ 1), the clamped worker count otherwise.
+func (q *Query) shardCount(opts Options, f Format) int {
+	if opts.Shards > 1 && q.shardInfo != nil && opts.RecordEvery == 0 && formatShardable(f, q.shardInfo) {
 		return min(opts.Shards, MaxShards)
 	}
 	return 0
 }
 
 // formatShardable reports whether sharded execution is available for
-// the requested input format. XML (and Auto, which the splitter treats
-// as XML) partitions at the compiled partition path; NDJSON partitions
-// at newlines when the query is NDJSON-eligible (wrapperless, cut at or
-// below /root/record — analysis.NDJSONShardable); plain JSON makes no
-// line-framing promise and always runs sequentially.
+// a resolved input format. XML partitions at the compiled partition
+// path; NDJSON partitions at newlines when the query is NDJSON-eligible
+// (wrapperless, cut at or below the per-line record element —
+// analysis.NDJSONShardable); plain JSON makes no line-framing promise
+// and always runs sequentially.
 func formatShardable(f Format, info *analysis.ShardInfo) bool {
 	switch f {
+	case FormatXML:
+		return true
 	case FormatNDJSON:
 		return analysis.NDJSONShardable(info) == ""
-	case FormatJSON:
-		return false
 	default:
-		return true
+		return false
 	}
 }
 

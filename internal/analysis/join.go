@@ -45,12 +45,6 @@ type JoinInfo struct {
 	// events once per build tuple and replaying them per match is
 	// equivalent to nested re-evaluation.
 	Then xqast.Expr
-
-	// Divergence is the index of the first step where ProbePath and
-	// BuildPath differ. Both steps are name tests with different names,
-	// so the two sides bind disjoint subtrees (no self-join aliasing)
-	// and a sharded run can split ancestor closes at this depth.
-	Divergence int
 }
 
 // Strategy names the runtime plan for explain output. Output order must
@@ -159,11 +153,9 @@ func DetectJoin(p *Plan) *JoinInfo {
 
 	// The two sides must bind provably disjoint subtrees: the paths
 	// diverge at a name/name step with different names.
-	d, ok := divergence(j.ProbePath, j.BuildPath)
-	if !ok {
+	if _, ok := divergence(j.ProbePath, j.BuildPath); !ok {
 		return nil
 	}
-	j.Divergence = d
 	return j
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // TestDetectJoinQ8: the canonical XMark Q8 shape is recognized with the
-// expected sides, keys and divergence point.
+// expected sides and keys.
 func TestDetectJoinQ8(t *testing.T) {
 	j := mustAnalyze(t, xmark.Queries["Q8"].Text).Join
 	if j == nil {
@@ -24,9 +24,6 @@ func TestDetectJoinQ8(t *testing.T) {
 	}
 	if got := j.BuildKey.String(); got != "/buyer/@person" {
 		t.Errorf("build key = %s", got)
-	}
-	if j.Divergence != 1 {
-		t.Errorf("divergence = %d, want 1", j.Divergence)
 	}
 	if j.ProbeHead == nil || j.ProbeLoop == nil || j.BuildHead == nil || j.Then == nil {
 		t.Error("incomplete JoinInfo node pointers")
@@ -48,9 +45,6 @@ func TestDetectJoinQ9(t *testing.T) {
 	}
 	if got := j.BuildPath.String(); got != "/site/closed_auctions/closed_auction" {
 		t.Errorf("build path = %s", got)
-	}
-	if j.Divergence != 1 {
-		t.Errorf("divergence = %d, want 1", j.Divergence)
 	}
 }
 

@@ -40,19 +40,6 @@ type ShardInfo struct {
 	// documents: the loop chain without the wrapper, analyzed with the
 	// same switches as the parent plan.
 	Inner *Plan
-	// Join marks a join-partitioned recipe (DESIGN.md §10): the probe
-	// side is cut into chunks at PartitionPath while the build section's
-	// raw bytes are captured on the same scanning pass and broadcast to
-	// every chunk, so each worker joins its probe slice against the
-	// complete build side.
-	Join bool
-	// BuildPath is the join's build-side binding path (set iff Join).
-	BuildPath xpath.Path
-	// Divergence is the index of the first step where BuildPath departs
-	// from PartitionPath. The splitter leaves chunk ancestors above it
-	// unclosed so the synthesized build fragment can be appended inside
-	// the shared ancestor element (set iff Join).
-	Divergence int
 }
 
 // Shardable inspects a compiled plan and reports whether it is
@@ -60,6 +47,12 @@ type ShardInfo struct {
 // the partitioning recipe; otherwise it returns nil and the reason the
 // plan must run sequentially.
 func Shardable(p *Plan) (*ShardInfo, string) {
+	// The join keeps its build partners until the probe loop ends
+	// (DESIGN.md §10), so no record's output can be final on its own.
+	if p.Join != nil {
+		return nil, "detected join: no probe output is final before the build side is complete"
+	}
+
 	var prefix, suffix bytes.Buffer
 	pre := xmltok.NewSerializer(&prefix)
 	suf := xmltok.NewSerializer(&suffix)
@@ -72,10 +65,6 @@ func Shardable(p *Plan) (*ShardInfo, string) {
 	}
 	pre.Flush()
 	suf.Flush()
-
-	if p.Join != nil {
-		return joinShard(p, chain, prefix.Bytes(), suffix.Bytes())
-	}
 
 	loops, body := collectChain(chain)
 	cut, reason := partitionCut(loops, body)
@@ -103,64 +92,6 @@ func Shardable(p *Plan) (*ShardInfo, string) {
 	}, ""
 }
 
-// joinShard builds the partitioning recipe for a detected join plan
-// (DESIGN.md §10). The probe loop's bindings are the chunk records —
-// everything the probe body reads besides the build side lives in one
-// probe subtree — and the build side, which every binding compares
-// against, is broadcast: the splitter captures the build subtrees' raw
-// bytes on its single scanning pass and the executor appends them,
-// re-wrapped under the shared ancestors, to every chunk document.
-// Each worker then re-detects the join on its chunk and builds the
-// same hash table, so the merged output is byte-identical to the
-// sequential run.
-func joinShard(p *Plan, chain *xqast.ForExpr, prefix, suffix []byte) (*ShardInfo, string) {
-	j := p.Join
-	if j.Divergence < 1 {
-		return nil, "join probe and build paths share no ancestor element"
-	}
-	// Fragment synthesis and tail re-wrapping need concrete element
-	// names on both paths.
-	for _, path := range []xpath.Path{j.ProbePath, j.BuildPath} {
-		for _, st := range path.Steps {
-			if st.Axis != xpath.Child || st.FirstOnly || st.Test.Kind != xpath.TestName {
-				return nil, "join sharding needs plain child/name steps, got " + path.String()
-			}
-		}
-	}
-	// The chunk cut is the full probe path: one record per probe
-	// binding. The normalized chain's single-step loops spell out the
-	// same path the detector derived; anything else means the trees
-	// diverged and sequential execution is the safe answer.
-	loops, _ := collectChain(chain)
-	n := len(j.ProbePath.Steps)
-	if len(loops) < n {
-		return nil, "normalized loop chain shorter than the probe path"
-	}
-	steps := make([]xpath.Step, n)
-	for i := 0; i < n; i++ {
-		if len(loops[i].In.Path.Steps) != 1 || loops[i].In.Path.Steps[0] != j.ProbePath.Steps[i] {
-			return nil, "normalized loop chain does not follow the probe path"
-		}
-		steps[i] = loops[i].In.Path.Steps[0]
-	}
-	inner, err := AnalyzeWithOptions(&xqast.Query{Body: xqast.CloneExpr(chain)}, p.Opts)
-	if err != nil {
-		return nil, "inner plan analysis failed: " + err.Error()
-	}
-	if inner.Join == nil {
-		return nil, "inner plan did not re-detect the join"
-	}
-	return &ShardInfo{
-		PartitionPath: xpath.Path{Steps: steps},
-		Prefix:        append([]byte(nil), prefix...),
-		Suffix:        append([]byte(nil), suffix...),
-		Inner:         inner,
-		Join:          true,
-		BuildPath:     j.BuildPath,
-		Divergence:    j.Divergence,
-	}, ""
-}
-
 // NDJSONShardable reports whether a shardable plan can also be sharded
 // over NDJSON input, where the only available record boundary is the
 // newline (internal/jsontok.Splitter — DESIGN.md §8). It returns ""
@@ -173,9 +104,6 @@ func joinShard(p *Plan, chain *xqast.ForExpr, prefix, suffix []byte) (*ShardInfo
 // a line holds exactly one record subtree, so cuts above the record
 // level would split state across chunks.
 func NDJSONShardable(info *ShardInfo) string {
-	if info.Join {
-		return "join plans shard only over XML input (the build section is broadcast from the XML scanning pass)"
-	}
 	if len(info.Prefix) > 0 || len(info.Suffix) > 0 {
 		return "query constructs a constant wrapper, which serializes as XML and cannot wrap JSON-lines output"
 	}

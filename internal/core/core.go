@@ -60,7 +60,7 @@ func CompileWithOptions(src string, opts analysis.Options) (*analysis.Plan, erro
 // engine instance created here.
 func Run(ctx context.Context, plan *analysis.Plan, in Input, output io.Writer, cfg engine.Config) (*stats.Run, error) {
 	start := time.Now()
-	in = in.resolved()
+	in = in.Resolved()
 	src, err := newSource(in)
 	if err != nil {
 		return nil, err

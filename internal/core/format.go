@@ -93,13 +93,13 @@ type Input struct {
 	Reader io.Reader
 }
 
-// resolved materializes FormatAuto by sniffing the input's first
+// Resolved materializes FormatAuto by sniffing the input's first
 // non-whitespace byte: '<' means XML, anything else JSON. A stream is
 // re-wrapped so the sniffed bytes are not consumed. Explicit formats
 // pass through untouched. Empty or whitespace-only input resolves to
 // XML, the historical default; either front end reports its own syntax
 // error on it.
-func (in Input) resolved() Input {
+func (in Input) Resolved() Input {
 	if in.Format != FormatAuto {
 		return in
 	}

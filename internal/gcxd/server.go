@@ -38,22 +38,18 @@ type Config struct {
 	// it the server sheds load with 503 + Retry-After instead of
 	// queueing without bound. 0 means unlimited.
 	MaxInflight int
-	// BytesBodyLimit routes request bodies with a known Content-Length
-	// at or below this many bytes through the zero-copy []byte engine
-	// path (DESIGN.md §12): the body is buffered once and scanned in
-	// place instead of streamed through the refill cursor. 0 uses
-	// DefaultBytesBodyLimit; negative disables the fast path. Requests
-	// without a Content-Length (chunked uploads) always stream.
-	BytesBodyLimit int64
 	// Logger receives one structured line per request; nil discards.
 	Logger *slog.Logger
 }
 
-// DefaultBytesBodyLimit is the default small-body threshold (1 MiB): up
-// to it a body is read whole into a pooled buffer and scanned in place.
-// Since the reader backing stopped allocating per token that saves
-// little — Q6 on 256 KiB: 252 allocations against 256 streamed, p10 ~6 %
-// lower (EXPERIMENTS.md, "Does the bytes limit still earn its knob").
+// DefaultBytesBodyLimit is the small-body threshold (1 MiB): a body
+// whose Content-Length is at most this is read whole into a pooled
+// buffer and scanned in place on the zero-copy []byte engine path
+// (DESIGN.md §12); a longer body, or one without a Content-Length
+// (chunked uploads), streams through the refill cursor. Since the
+// reader backing stopped allocating per token that saves little — Q6
+// on 256 KiB: 252 allocations against 256 streamed, p10 ~6 % lower
+// (EXPERIMENTS.md, "Does the bytes limit still earn its knob").
 const DefaultBytesBodyLimit = 1 << 20
 
 // Server is the gcxd HTTP handler; it is safe for concurrent use.
@@ -67,10 +63,6 @@ type Server struct {
 	// held for the whole execution, so MaxInflight bounds engine
 	// concurrency, not just accept concurrency.
 	inflight chan struct{}
-
-	// bytesBodyLimit is the resolved small-body threshold (-1 when the
-	// bytes fast path is disabled).
-	bytesBodyLimit int64
 
 	requests *obs.Counter
 	errors   *obs.Counter
@@ -161,14 +153,6 @@ func NewServer(cfg Config) *Server {
 		default:
 			s.runFolds[i] = r.Counter(f.Metric, f.Help).Key(f.Key).Add
 		}
-	}
-	switch {
-	case cfg.BytesBodyLimit < 0:
-		s.bytesBodyLimit = -1
-	case cfg.BytesBodyLimit == 0:
-		s.bytesBodyLimit = DefaultBytesBodyLimit
-	default:
-		s.bytesBodyLimit = cfg.BytesBodyLimit
 	}
 	// Cache metrics read the cache's own counters at collection time.
 	r.GaugeFunc("gcx_cache_entries", "Compiled queries in the LRU cache.", func() int64 {
@@ -404,7 +388,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", contentType(opts.Format))
 	w.Header().Set("Trailer", trailerNames)
-	if n := r.ContentLength; n >= 0 && s.bytesBodyLimit >= 0 && n <= s.bytesBodyLimit {
+	if n := r.ContentLength; n >= 0 && n <= DefaultBytesBodyLimit {
 		// Small body with a known length: read it into one exactly
 		// sized, pooled buffer and take the zero-copy engine path
 		// (DESIGN.md §12). The run borrows from the buffer, so it goes

@@ -251,16 +251,20 @@ func TestServerShardedRequests(t *testing.T) {
 		t.Fatalf("X-Gcx-Shards = %q, want 4", got)
 	}
 
-	// A join is not partitionable: the request succeeds sequentially and
-	// counts as a fallback.
-	joinQuery := `<out>{
-	  for $b in /bib/book return
-	    for $c in /bib/book return
-	      if ($b/price = $c/price) then $b/title else ()
-	}</out>`
-	resp, body = postQuery(t, ts.URL, joinQuery, testDoc(2, 5), "shards=4")
+	// A detected join is not partitionable: the request runs the
+	// sequential join operator, returns its output and counts as a
+	// fallback.
+	joinQuery := xmark.Queries["Q8"].Text
+	joinDoc, _, err := xmark.GenerateString(xmark.Config{TargetBytes: 32 << 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body = postQuery(t, ts.URL, joinQuery, joinDoc, "shards=4")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("join request: status %d: %s", resp.StatusCode, body)
+	}
+	if body != expectedOutput(t, joinQuery, joinDoc) {
+		t.Fatal("join output with shards=4 differs from sequential")
 	}
 	if got := resp.Trailer.Get("X-Gcx-Shards"); got != "1" {
 		t.Fatalf("join X-Gcx-Shards = %q, want 1 (fallback)", got)
@@ -301,6 +305,28 @@ func TestServerShardedRequests(t *testing.T) {
 	}
 	if stats.ShardFallbacks != 1 {
 		t.Errorf("shard_fallbacks = %d, want 1", stats.ShardFallbacks)
+	}
+}
+
+// TestServerShardedAutoJSON: a JSON body under the default ?format=
+// (auto) with shards=2 is sniffed as JSON before the shard decision and
+// runs sequentially, instead of going through the XML splitter.
+func TestServerShardedAutoJSON(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{CacheSize: 8}))
+	defer ts.Close()
+
+	const query = `for $r in /*/record return $r/a`
+	const doc = "{\"a\":1}\n{\"a\":2}\n"
+	_, want := postQuery(t, ts.URL, query, doc, "")
+	resp, body := postQuery(t, ts.URL, query, doc, "shards=2")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("auto-format JSON with shards=2: status %d: %s", resp.StatusCode, body)
+	}
+	if body != want || want == "" {
+		t.Fatalf("shards=2 output %q, sequential %q", body, want)
+	}
+	if got := resp.Trailer.Get("X-Gcx-Shards"); got != "1" {
+		t.Fatalf("X-Gcx-Shards = %q, want 1 (JSON never shards)", got)
 	}
 }
 

@@ -23,10 +23,6 @@ const (
 	PhaseJoinBuild
 	// PhaseJoinProbe is the join operator's group replay.
 	PhaseJoinProbe
-	// PhaseSplit is the shard splitter's up-front chunk scan where it
-	// runs synchronously (join-sharded runs; the streaming splitter
-	// overlaps the workers and is not separable).
-	PhaseSplit
 	// PhaseMerge is the sharded run's ordered output merge (the
 	// writes, not the waiting).
 	PhaseMerge
@@ -38,7 +34,7 @@ const (
 
 var phaseNames = [numPhases]string{
 	"compile", "setup", "stream", "join_build", "join_probe",
-	"split", "merge", "eval",
+	"merge", "eval",
 }
 
 func (p Phase) String() string {
@@ -51,7 +47,7 @@ func (p Phase) String() string {
 // PhaseTime is one timed phase of a trace, in canonical pipeline order.
 type PhaseTime struct {
 	// Phase is the stage name: compile, setup, stream, join_build,
-	// join_probe, split, merge or eval.
+	// join_probe, merge or eval.
 	Phase string `json:"phase"`
 	// Nanos is the cumulative wall time spent in the stage. Under
 	// sharded execution worker phases are summed across workers, so

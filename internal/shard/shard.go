@@ -12,7 +12,6 @@ package shard
 import (
 	"bytes"
 	"context"
-	"errors"
 	"io"
 	"sync"
 	"time"
@@ -40,10 +39,7 @@ const MaxWorkers = 64
 // produced it.
 type task struct {
 	data []byte
-	// extra is the broadcast build fragment of a join-sharded run,
-	// shared (not copied) across all tasks; nil otherwise.
-	extra []byte
-	done  chan taskResult
+	done chan taskResult
 }
 
 type taskResult struct {
@@ -55,42 +51,8 @@ type taskResult struct {
 // outBufPool recycles the per-chunk output buffers.
 var outBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// errShardJoinNDJSON guards a route analysis.NDJSONShardable already
-// rejects; reaching it means a caller bypassed the eligibility check.
-var errShardJoinNDJSON = errors.New("shard: join plans cannot shard over NDJSON input")
-
-// joinFragment synthesizes the broadcast build fragment of a
-// join-sharded run: open tags for the build ancestors below the
-// divergence, the captured build subtrees verbatim, the matching close
-// tags, and finally the close tags of the shared ancestors the
-// splitter left open on every chunk. All steps are name tests
-// (analysis.Shardable requires it for join recipes), so the tag names
-// are statically known.
-func joinFragment(info *analysis.ShardInfo, aux []byte) []byte {
-	var b bytes.Buffer
-	steps := info.BuildPath.Steps
-	for _, st := range steps[info.Divergence : len(steps)-1] {
-		b.WriteByte('<')
-		b.WriteString(st.Test.Name)
-		b.WriteByte('>')
-	}
-	b.Write(aux)
-	for i := len(steps) - 2; i >= info.Divergence; i-- {
-		b.WriteString("</")
-		b.WriteString(steps[i].Test.Name)
-		b.WriteByte('>')
-	}
-	shared := info.PartitionPath.Steps
-	for i := info.Divergence - 1; i >= 0; i-- {
-		b.WriteString("</")
-		b.WriteString(shared[i].Test.Name)
-		b.WriteByte('>')
-	}
-	return b.Bytes()
-}
-
-// splitSteps converts a child-axis path of name and wildcard tests — a
-// partition path or a join's build path — to the splitter's steps.
+// splitSteps converts a child-axis partition path of name and wildcard
+// tests to the splitter's steps.
 func splitSteps(p xpath.Path) []xmltok.SplitStep {
 	steps := make([]xmltok.SplitStep, len(p.Steps))
 	for i, st := range p.Steps {
@@ -138,10 +100,9 @@ func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 	}
 	cfg.Recorder = nil
 
-	// st collects the shard-level trace phases (DESIGN.md §11): the
-	// synchronous chunk scan of a join-sharded run (PhaseSplit; the
-	// streaming splitter overlaps the workers and is not separable) and
-	// the ordered merge's writes (PhaseMerge). Worker phases are summed
+	// st collects the shard-level trace phase (DESIGN.md §11): the
+	// ordered merge's writes (PhaseMerge). The streaming splitter
+	// overlaps the workers and is not separable. Worker phases are summed
 	// across workers in the merge loop, so a sharded trace's phase total
 	// can exceed the run's wall time.
 	st := cfg.Timer
@@ -154,11 +115,7 @@ func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 	// at newlines with no re-wrapping at all (jsontok). Both deliver
 	// self-contained chunk documents the workers evaluate independently.
 	var nextChunk func() ([]byte, error)
-	var extra []byte
 	if in.Format == core.FormatNDJSON {
-		if info.Join {
-			return nil, errShardJoinNDJSON
-		}
 		var sp *jsontok.Splitter
 		if in.Reader == nil {
 			sp = jsontok.NewSplitterBytes(in.Data)
@@ -185,47 +142,6 @@ func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 			c, err := sp.Next()
 			return c.Data, err
 		}
-		if info.Join {
-			// Join runs are two-phase (DESIGN.md §10): the build section
-			// may follow the probe records in document order, so no chunk
-			// can be evaluated before the scan completes. Collect every
-			// chunk first, then broadcast the build fragment — the
-			// captured build subtrees re-wrapped under the ancestors the
-			// splitter left open — to all of them. The reorder window
-			// bound does not apply: a join run holds all chunks in memory.
-			sp.CaptureAux(splitSteps(info.BuildPath), info.Divergence)
-			splitStart := time.Now()
-			var chunks [][]byte
-			for {
-				select {
-				case <-cctx.Done():
-					return nil, cctx.Err()
-				default:
-				}
-				data, err := nextChunk()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					return nil, err
-				}
-				chunks = append(chunks, data)
-			}
-			extra = joinFragment(info, sp.AuxData())
-			if st != nil {
-				st.Add(obs.PhaseSplit, time.Since(splitStart))
-			}
-			i := 0
-			nextChunk = func() ([]byte, error) {
-				if i == len(chunks) {
-					return nil, io.EOF
-				}
-				data := chunks[i]
-				chunks[i] = nil
-				i++
-				return data, nil
-			}
-		}
 	}
 
 	work := make(chan *task, workers)
@@ -248,7 +164,7 @@ func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 				splitErr = err
 				return
 			}
-			t := &task{data: data, extra: extra, done: make(chan taskResult, 1)}
+			t := &task{data: data, done: make(chan taskResult, 1)}
 			select {
 			case work <- t:
 			case <-cctx.Done():
@@ -279,12 +195,8 @@ func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 				buf.Reset()
 				// Chunk bytes are immutable once handed out (fresh
 				// buffers from the reader splitters, input subslices
-				// from the bytes splitters): take the zero-copy path,
-				// unless a broadcast join fragment has to follow them.
+				// from the bytes splitters): take the zero-copy path.
 				chunk := core.Input{Format: in.Format, Data: t.data}
-				if t.extra != nil {
-					chunk.Reader = io.MultiReader(bytes.NewReader(t.data), bytes.NewReader(t.extra))
-				}
 				if st != nil {
 					wcfg.Timer = new(obs.Timer)
 				}

@@ -62,13 +62,12 @@ var tokenPathEdges = []string{
 // FuzzSplitter: whenever the Tokenizer accepts a document, the Splitter
 // must split it without error, and the record tokens reassembled from
 // the chunks must equal the record tokens of the original document —
-// the invariant sharded execution rests on — and likewise the aux
-// subtrees. Rejected documents must be rejected cleanly (no panic, no
-// runaway). Every input runs on three backings — the slice, the default
-// reader window, and a 16–63-byte reader window that puts a refill
-// inside every construct, so a record's Mark spans refills — which must
-// agree on chunk count, chunk bytes, AuxData, and error string and
-// offset.
+// the invariant sharded execution rests on. Rejected documents must be
+// rejected cleanly (no panic, no runaway). Every input runs on three
+// backings — the slice, the default reader window, and a 16–63-byte
+// reader window that puts a refill inside every construct, so a
+// record's Mark spans refills — which must agree on chunk count, chunk
+// bytes, and error string and offset.
 func FuzzSplitter(f *testing.F) {
 	seeds := []string{
 		`<a><b/></a>`,
@@ -82,10 +81,10 @@ func FuzzSplitter(f *testing.F) {
 		// Window-boundary corpus (see FuzzTokenizer).
 		`<a><b>` + strings.Repeat("x", 14) + `</b><b/></a>`,
 		`<a><b ` + strings.Repeat("k", 11) + `="v"/></a>`,
-		// Records and aux subtrees longer than the small window, a
+		// Records and skipped subtrees longer than the small window, a
 		// terminator straddling a refill inside a kept subtree, and
 		// entity whitespace outside the document element cut by one.
-		`<a><c>` + strings.Repeat("aux", 30) + `<d/></c><b>` + strings.Repeat("rec", 30) + `</b><c/></a>`,
+		`<a><c>` + strings.Repeat("off", 30) + `<d/></c><b>` + strings.Repeat("rec", 30) + `</b><c/></a>`,
 		`<a><b><![CDATA[` + strings.Repeat("]", 40) + `]]></b><c><!--` + strings.Repeat("-", 40) + `--></c></a>`,
 		strings.Repeat("&#32;", 8) + `<a><b/></a>` + strings.Repeat("&#x20;", 8),
 		`<a><b>x</b></a>trailing`,
@@ -96,7 +95,6 @@ func FuzzSplitter(f *testing.F) {
 		f.Add(s)
 	}
 	path := []SplitStep{{Name: "a"}, {Name: "b"}}
-	aux := []SplitStep{{Name: "a"}, {Name: "c"}}
 	f.Fuzz(func(t *testing.T, doc string) {
 		// Reference: does the tokenizer accept the document?
 		tz := NewTokenizer(strings.NewReader(doc))
@@ -115,12 +113,10 @@ func FuzzSplitter(f *testing.F) {
 
 		type result struct {
 			chunks []Chunk
-			aux    []byte
 			err    error
 		}
 		split := func(sp *Splitter) (r result) {
 			sp.SetTargetBytes(1 + len(doc)%64)
-			sp.CaptureAux(aux, 1)
 			for {
 				c, err := sp.Next()
 				if err == io.EOF {
@@ -135,7 +131,6 @@ func FuzzSplitter(f *testing.F) {
 					t.Fatal("runaway splitter")
 				}
 			}
-			r.aux = sp.AuxData()
 			return r
 		}
 		small := NewSplitter(nil, path)
@@ -156,9 +151,6 @@ func FuzzSplitter(f *testing.F) {
 					t.Fatalf("chunk %d: bytes %+v %s %+v\ninput: %q", i, c, backing, o, doc)
 				}
 			}
-			if string(got.aux) != string(other.aux) {
-				t.Fatalf("AuxData: bytes %q %s %q\ninput: %q", got.aux, backing, other.aux, doc)
-			}
 		}
 		if !accepted {
 			return // tokenizer-rejected inputs carry no obligations
@@ -169,31 +161,20 @@ func FuzzSplitter(f *testing.F) {
 			// tokenizer accepts.
 			t.Fatalf("splitter rejected a tokenizable document: %v\ninput: %q", got.err, doc)
 		}
-		// With aux capture on, chunks leave <a> open for the fragment.
 		var records []Token
 		for _, c := range got.chunks {
-			records = append(records, fuzzRecordTokens(t, string(c.Data)+"</a>", path)...)
+			records = append(records, recordTokens(t, strings.NewReader(string(c.Data)), path)...)
 		}
-		sameTokens(t, "record", doc, records, fuzzRecordTokens(t, doc, path))
-		sameTokens(t, "aux", doc, fuzzRecordTokens(t, "<a>"+string(got.aux)+"</a>", aux), fuzzRecordTokens(t, doc, aux))
+		want := recordTokens(t, strings.NewReader(doc), path)
+		if len(records) != len(want) {
+			t.Fatalf("record token counts differ: got %d want %d\ninput: %q", len(records), len(want), doc)
+		}
+		for i := range want {
+			if !sameToken(records[i], want[i]) {
+				t.Fatalf("record token %d: got %+v want %+v\ninput: %q", i, records[i], want[i], doc)
+			}
+		}
 	})
-}
-
-func sameTokens(t *testing.T, what, doc string, got, want []Token) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s token counts differ: got %d want %d\ninput: %q", what, len(got), len(want), doc)
-	}
-	for i := range want {
-		if !sameToken(got[i], want[i]) {
-			t.Fatalf("%s token %d: got %+v want %+v\ninput: %q", what, i, got[i], want[i], doc)
-		}
-	}
-}
-
-func fuzzRecordTokens(t *testing.T, doc string, path []SplitStep) []Token {
-	t.Helper()
-	return recordTokens(t, strings.NewReader(doc), path)
 }
 
 // FuzzSkipSubtree: for every document the Tokenizer accepts, calling

@@ -30,24 +30,10 @@ type Splitter struct {
 	target int
 
 	// open holds the names of the open elements the splitter descended
-	// into. Each matched its level of path or auxPath — anything else
-	// is skipped whole — so open is shallower than the longer of the
-	// two, and it is the ancestor chain a chunk is re-wrapped in.
-	// matchDepth and auxDepth count its leading levels that match path
-	// and auxPath.
-	open       []string
-	matchDepth int
-	auxDepth   int
-
-	// Aux capture (join sharding, DESIGN.md §10): subtrees matching
-	// auxPath are copied verbatim into aux on the same scanning pass,
-	// available as one broadcast fragment after the scan. auxDivergence
-	// is the first step index where auxPath departs from path; seal
-	// leaves ancestors above it unclosed so the caller can append the
-	// fragment inside the shared ancestor element.
-	auxPath       []SplitStep
-	auxDivergence int
-	aux           []byte
+	// into. Each matched its level of path — anything else is skipped
+	// whole — so open is shallower than path, and it is the ancestor
+	// chain a chunk is re-wrapped in.
+	open []string
 
 	// Current chunk: buf starts with the synthesized ancestor open tags,
 	// then accumulates record bytes.
@@ -123,26 +109,6 @@ func (s *Splitter) SetTargetBytes(n int) {
 		s.target = n
 	}
 }
-
-// CaptureAux additionally captures the raw bytes of every subtree
-// matching aux — a second record path, disjoint from the partition path
-// from step divergence on — into a side buffer (AuxData). Chunks then
-// keep their ancestors above divergence unclosed: the caller appends
-// the aux fragment, re-wrapped with the missing tags, to every chunk
-// document (join sharding's build-side broadcast, DESIGN.md §10).
-// Must be called before the first Next.
-func (s *Splitter) CaptureAux(aux []SplitStep, divergence int) {
-	if len(aux) == 0 || divergence < 1 || divergence >= len(aux) {
-		panic("xmltok: CaptureAux needs a non-empty aux path diverging below the root")
-	}
-	s.auxPath = aux
-	s.auxDivergence = divergence
-}
-
-// AuxData returns the captured aux subtree bytes. Complete only after
-// Next has returned io.EOF: aux subtrees may follow the last record in
-// document order.
-func (s *Splitter) AuxData() []byte { return s.aux }
 
 // Next returns the next chunk of the stream in input order. At end of
 // input it returns io.EOF; malformed nesting is reported as a
@@ -243,7 +209,7 @@ func resolvesToWhitespace(b []byte) bool {
 // construct handles the markup construct following '<' at a level the
 // splitter tracks: an end tag closes the innermost open ancestor, a
 // start tag either opens the next ancestor or is a whole subtree to
-// skip — and to keep, when it is a record or an aux subtree.
+// skip — and to keep, when it is a record.
 func (s *Splitter) construct() error {
 	d := len(s.open)
 	if d == 0 && s.rootSeen {
@@ -267,25 +233,15 @@ func (s *Splitter) construct() error {
 			s.seal()
 		}
 		s.open = s.open[:d-1]
-		s.matchDepth = min(s.matchDepth, d-1)
-		s.auxDepth = min(s.auxDepth, d-1)
 		if d == 1 {
 			s.rootSeen = true
 		}
 		return nil
 	}
-	matched := d == s.matchDepth && d < len(s.path) && s.path[d].matches(name)
-	auxMatched := d == s.auxDepth && d < len(s.auxPath) && s.auxPath[d].matches(name)
+	matched := d < len(s.path) && s.path[d].matches(name)
 	isRecord := matched && d+1 == len(s.path)
-	isAux := auxMatched && d+1 == len(s.auxPath)
-	if kind == openTag && !isRecord && !isAux && (matched || auxMatched) {
+	if kind == openTag && matched && !isRecord {
 		s.open = append(s.open, string(name))
-		if matched {
-			s.matchDepth = d + 1
-		}
-		if auxMatched {
-			s.auxDepth = d + 1
-		}
 		return nil
 	}
 	// A whole subtree: start tag, one skip, and the bytes the skip
@@ -297,23 +253,13 @@ func (s *Splitter) construct() error {
 		s.records++
 		s.buf = appendTag(s.buf, "<", body)
 	}
-	if isAux {
-		s.aux = appendTag(s.aux, "<", body)
-	}
 	if kind == openTag {
-		keep := isRecord || isAux
-		if keep {
+		if isRecord {
 			s.cur.Mark()
 		}
 		err = s.skipElement(name, d+1)
-		if keep {
-			inside := s.cur.Take()
-			if isRecord {
-				s.buf = append(s.buf, inside...)
-			}
-			if isAux {
-				s.aux = append(s.aux, inside...)
-			}
+		if isRecord {
+			s.buf = append(s.buf, s.cur.Take()...)
 		}
 		if err != nil {
 			return err
@@ -347,15 +293,9 @@ func (s *Splitter) beginChunk() {
 // seal closes the current chunk: append the ancestor close tags and
 // hand the buffer off as the next ready chunk. Every seal point — a
 // record just closed, the innermost ancestor closing, end of input —
-// finds open equal to the chain beginChunk wrote. With aux capture
-// active the ancestors above the divergence stay open — the executor
-// appends the aux fragment (which closes them) to every chunk.
+// finds open equal to the chain beginChunk wrote.
 func (s *Splitter) seal() {
-	stop := 0
-	if s.auxPath != nil {
-		stop = s.auxDivergence
-	}
-	for i := len(s.open) - 1; i >= stop; i-- {
+	for i := len(s.open) - 1; i >= 0; i-- {
 		s.buf = appendTag(s.buf, "</", s.open[i])
 	}
 	s.ready = &Chunk{Seq: s.seq, Records: s.records, Data: s.buf}

@@ -37,10 +37,12 @@ func domOracle(t *testing.T, src, doc string) string {
 }
 
 // TestJoinDifferential: on randomized join documents and queries, the
-// join operator, the nested-loop ablation (DisableJoin), the DOM oracle
-// and sharded execution at 2 and 4 workers must all produce
-// byte-identical output. Key values include duplicates, empties and
-// entity references (xqgen.JoinKeys).
+// join operator, the nested-loop ablation (DisableJoin) and the DOM
+// oracle must all produce byte-identical output, on bytes and on both
+// reader backings. A run asking for 2 or 4 shards falls back to the
+// sequential join — no probe output is final before the build side is
+// complete — and produces the same bytes. Key values include
+// duplicates, empties and entity references (xqgen.JoinKeys).
 func TestJoinDifferential(t *testing.T) {
 	sizes := []struct{ probe, build int }{{6, 8}, {40, 25}}
 	for _, seed := range []int64{1, 2} {
@@ -57,6 +59,9 @@ func TestJoinDifferential(t *testing.T) {
 			if q.Report().Join == nil {
 				t.Fatalf("%s: generated join query not detected as a join", label)
 			}
+			if q.Shardable() || !strings.Contains(q.Explain(), "Sharding: sequential only (detected join") {
+				t.Fatalf("%s: Explain does not name the join as the reason for sequential execution:\n%s", label, q.Explain())
+			}
 
 			want := domOracle(t, src, doc)
 
@@ -72,7 +77,7 @@ func TestJoinDifferential(t *testing.T) {
 				t.Fatalf("%s: join output differs from DOM\ndoc: %s\n got: %q\nwant: %q",
 					label, doc, joinOut, want)
 			}
-			checkOnReaders(t, q, doc, want, label)
+			checkOnReaders(t, q, doc, want, label, gcx.Options{})
 
 			nestOut, nres, err := q.ExecuteString(doc, gcx.Options{DisableJoin: true})
 			if err != nil {
@@ -87,29 +92,32 @@ func TestJoinDifferential(t *testing.T) {
 			}
 
 			for _, shards := range []int{2, 4} {
-				shardOut, sres, err := q.ExecuteString(doc, gcx.Options{Shards: shards})
+				opts := gcx.Options{Shards: shards}
+				shardOut, sres, err := q.ExecuteString(doc, opts)
 				if err != nil {
-					t.Fatalf("%s: sharded run (%d): %v", label, shards, err)
+					t.Fatalf("%s: shards=%d run: %v", label, shards, err)
 				}
-				if sres.ShardsUsed != shards {
-					t.Fatalf("%s: ShardsUsed = %d, want %d (join shard recipe fell back?)",
-						label, sres.ShardsUsed, shards)
+				if sres.ShardsUsed != 1 || sres.Chunks != 0 || sres.JoinProbeTuples != int64(sz.probe) {
+					t.Fatalf("%s: shards=%d: ShardsUsed = %d, Chunks = %d, JoinProbeTuples = %d; want the sequential join",
+						label, shards, sres.ShardsUsed, sres.Chunks, sres.JoinProbeTuples)
 				}
 				if shardOut != want {
-					t.Fatalf("%s: sharded (%d) output differs from DOM\ndoc: %s\n got: %q\nwant: %q",
+					t.Fatalf("%s: shards=%d output differs from DOM\ndoc: %s\n got: %q\nwant: %q",
 						label, shards, doc, shardOut, want)
 				}
+				checkOnReaders(t, q, doc, want, label, opts)
 			}
 		}
 	}
 }
 
-// checkOnReaders runs q over doc on the reader backing — in 16–63-byte
-// chunks and a byte at a time — and fails unless both outputs are want.
+// checkOnReaders runs q with opts over doc on the reader backing — in
+// 16–63-byte chunks and a byte at a time — and fails unless both
+// outputs are want.
 // There a token's text is a view that the next pull overwrites with
 // 0xDB bytes under go test, so a capture that kept one fails here every
 // time.
-func checkOnReaders(t *testing.T, q *gcx.Query, doc, want, label string) {
+func checkOnReaders(t *testing.T, q *gcx.Query, doc, want, label string, opts gcx.Options) {
 	t.Helper()
 	for _, in := range []struct {
 		name string
@@ -119,7 +127,7 @@ func checkOnReaders(t *testing.T, q *gcx.Query, doc, want, label string) {
 		{"one byte at a time", iotest.OneByteReader(strings.NewReader(doc))},
 	} {
 		var out strings.Builder
-		if _, err := q.Execute(in.r, &out, gcx.Options{}); err != nil {
+		if _, err := q.Execute(in.r, &out, opts); err != nil {
 			t.Fatalf("%s: %s: %v", label, in.name, err)
 		}
 		if out.String() != want {
@@ -147,9 +155,10 @@ func (c *chunkedReader) Read(p []byte) (int, error) {
 // escapeXMLText renders an arbitrary string as XML character data.
 var escapeXMLText = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;").Replace
 
-// FuzzJoinKeys pins join/nested/sharded agreement on adversarial key
-// values: duplicates, empty strings, entity references, whitespace —
-// whatever the fuzzer grows from the seeds below.
+// FuzzJoinKeys pins join/nested agreement, and the sequential fallback
+// of a run asking for shards, on adversarial key values: duplicates,
+// empty strings, entity references, whitespace — whatever the fuzzer
+// grows from the seeds below.
 func FuzzJoinKeys(f *testing.F) {
 	f.Add("k1", "k1", "k2")
 	f.Add("", "", "x")
@@ -191,7 +200,7 @@ func FuzzJoinKeys(f *testing.F) {
 		if joinOut != nestOut {
 			t.Fatalf("join and nested outputs differ\ndoc: %s\njoin:   %q\nnested: %q", doc, joinOut, nestOut)
 		}
-		checkOnReaders(t, q, doc, joinOut, "reader backing")
+		checkOnReaders(t, q, doc, joinOut, "reader backing", gcx.Options{})
 		shardOut, _, serr := q.ExecuteString(doc, gcx.Options{Shards: 3})
 		if serr != nil {
 			t.Fatalf("sharded run errors where sequential succeeded: %v\ndoc: %s", serr, doc)

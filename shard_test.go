@@ -12,9 +12,9 @@ import (
 
 // TestShardedByteIdentity is the public-API acceptance property:
 // sharded output is byte-identical to sequential output for the
-// partitionable XMark queries at shards ∈ {2, 4, 8}. Q8 and Q9 run
-// through the join-partitioned recipe (probe chunks + broadcast build
-// fragment); the rest through plain record partitioning.
+// partitionable XMark queries at shards ∈ {2, 4, 8}. The joins Q8 and
+// Q9 are not partitionable and fall back to one sequential run with the
+// same output.
 func TestShardedByteIdentity(t *testing.T) {
 	doc, _, err := xmark.GenerateString(xmark.Config{TargetBytes: 256 << 10, Seed: 4})
 	if err != nil {
@@ -22,8 +22,9 @@ func TestShardedByteIdentity(t *testing.T) {
 	}
 	for _, qid := range []string{"Q1", "Q6", "Q8", "Q9", "Q13", "Q17", "Q20"} {
 		q := gcx.MustCompile(xmark.Queries[qid].Text)
-		if !q.Shardable() {
-			t.Fatalf("%s should be shardable", qid)
+		join := qid == "Q8" || qid == "Q9"
+		if q.Shardable() == join {
+			t.Fatalf("%s: Shardable() = %v", qid, q.Shardable())
 		}
 		want, _, err := q.ExecuteString(doc, gcx.Options{})
 		if err != nil {
@@ -36,6 +37,12 @@ func TestShardedByteIdentity(t *testing.T) {
 			}
 			if got != want {
 				t.Fatalf("%s shards=%d: output differs from sequential", qid, n)
+			}
+			if join {
+				if res.ShardsUsed != 1 || res.Chunks != 0 {
+					t.Fatalf("%s shards=%d: ShardsUsed = %d, Chunks = %d; want the sequential fallback", qid, n, res.ShardsUsed, res.Chunks)
+				}
+				continue
 			}
 			if res.ShardsUsed != n {
 				t.Fatalf("%s shards=%d: ShardsUsed = %d", qid, n, res.ShardsUsed)
@@ -97,17 +104,46 @@ func TestShardableExplain(t *testing.T) {
 	if !strings.Contains(q.Explain(), "Sharding: partitionable on /site/people/person") {
 		t.Fatalf("Explain missing sharding verdict:\n%s", q.Explain())
 	}
-	// Q8 shards on its probe path since the join operator landed; a
-	// self-join still reports the sequential fallback.
-	q8 := gcx.MustCompile(xmark.Queries["Q8"].Text)
-	if !strings.Contains(q8.Explain(), "Sharding: partitionable on /site/people/person") {
-		t.Fatalf("Explain missing join sharding verdict:\n%s", q8.Explain())
+	// A detected join runs sequentially and Explain names it as the
+	// reason; a self-join (no join operator) still reports a fallback.
+	for _, qid := range []string{"Q8", "Q9"} {
+		q := gcx.MustCompile(xmark.Queries[qid].Text)
+		const want = "Sharding: sequential only (detected join: no probe output is final before the build side is complete)"
+		if !strings.Contains(q.Explain(), want) {
+			t.Fatalf("%s: Explain missing the join fallback reason:\n%s", qid, q.Explain())
+		}
 	}
 	selfJoin := gcx.MustCompile(`<result>{ for $p in /site/people/person return
 	  for $q in /site/people/person return
 	    if ($q/@id = $p/@id) then $q/name else () }</result>`)
 	if !strings.Contains(selfJoin.Explain(), "Sharding: sequential only") {
 		t.Fatalf("Explain missing fallback reason:\n%s", selfJoin.Explain())
+	}
+}
+
+// TestShardedAutoFormatJSON: with Format left at FormatAuto, a JSON
+// input is sniffed before the shard decision, so Shards > 1 runs it
+// sequentially (JSON never shards) instead of through the XML splitter.
+func TestShardedAutoFormatJSON(t *testing.T) {
+	q := gcx.MustCompile(`for $r in /*/record return $r/a`)
+	const doc = "{\"a\":1}\n{\"a\":2}\n"
+	want, _, err := q.ExecuteString(doc, gcx.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, res, err := q.ExecuteString(doc, gcx.Options{Shards: 2})
+	if err != nil {
+		t.Fatalf("bytes, shards=2: %v", err)
+	}
+	if got != want || res.ShardsUsed != 1 {
+		t.Fatalf("bytes, shards=2: output %q (want %q), ShardsUsed = %d", got, want, res.ShardsUsed)
+	}
+	var out strings.Builder
+	if res, err = q.Execute(strings.NewReader("\n "+doc), &out, gcx.Options{Shards: 2}); err != nil {
+		t.Fatalf("reader, shards=2: %v", err)
+	}
+	if out.String() != want || res.ShardsUsed != 1 {
+		t.Fatalf("reader, shards=2: output %q (want %q), ShardsUsed = %d", out.String(), want, res.ShardsUsed)
 	}
 }
 

@@ -18,8 +18,12 @@ import (
 // trace's phase names (not its times). A change to how statistics are
 // produced, merged across shard workers or carried to the caller must
 // leave testdata/stats.golden byte-identical; regenerate it with
-// `UPDATE_GOLDEN=1 go test -run TestStatsGolden .` only when a counter's meaning
-// changes on purpose.
+// `make golden` only when a counter's meaning changes on purpose.
+//
+// It also pins the fallback rule: a run that asked for shards and ran
+// on one engine (ShardsUsed = 1) reports exactly what the shards=0 run
+// of the same cell reports, so a fallback is indistinguishable from a
+// sequential run.
 func TestStatsGolden(t *testing.T) {
 	xml, _, err := xmark.GenerateString(xmark.Config{TargetBytes: 256 << 10, Seed: 5})
 	if err != nil {
@@ -48,6 +52,8 @@ func TestStatsGolden(t *testing.T) {
 	}{{"gcx", gcx.EngineGCX}, {"projection", gcx.EngineProjectionOnly}, {"dom", gcx.EngineDOM}}
 
 	var got bytes.Buffer
+	sequential := map[string]string{} // cell without shards= → shards=0 row
+	fallbacks := 0
 	for _, w := range workloads {
 		q, err := gcx.Compile(w.entry.Text)
 		if err != nil {
@@ -70,31 +76,44 @@ func TestStatsGolden(t *testing.T) {
 							} else {
 								res, err = q.ExecuteBytes([]byte(w.doc), discardWriter{}, opts)
 							}
+							cell := fmt.Sprintf("%s engine=%s noskip=%t nojoin=%t reader=%t", w.id, eng.name, noSkip, noJoin, reader)
 							fmt.Fprintf(&got, "%s engine=%s noskip=%t nojoin=%t shards=%d reader=%t: ",
 								w.id, eng.name, noSkip, noJoin, shards, reader)
+							var row string
 							if err != nil {
-								fmt.Fprintf(&got, "error: %v\n", err)
-								continue
+								row = fmt.Sprintf("error: %v\n", err)
+							} else {
+								var phases []string
+								for _, p := range res.Trace {
+									phases = append(phases, p.Phase)
+								}
+								row = fmt.Sprintf(
+									"tokens=%d peak_nodes=%d peak_bytes=%d final_nodes=%d appended=%d purged=%d output_bytes=%d "+
+										"bytes_skipped=%d tags_skipped=%d subtrees_skipped=%d join_probe=%d join_build=%d join_matches=%d "+
+										"shards_used=%d chunks=%d series=%d trace=%s\n",
+									res.TokensProcessed, res.PeakBufferedNodes, res.PeakBufferedBytes, res.FinalBufferedNodes,
+									res.TotalAppended, res.TotalPurged, res.OutputBytes,
+									res.BytesSkipped, res.TagsSkipped, res.SubtreesSkipped,
+									res.JoinProbeTuples, res.JoinBuildTuples, res.JoinMatches,
+									res.ShardsUsed, res.Chunks, len(res.Series), strings.Join(phases, ","))
 							}
-							var phases []string
-							for _, p := range res.Trace {
-								phases = append(phases, p.Phase)
+							got.WriteString(row)
+							switch {
+							case shards == 0:
+								sequential[cell] = row
+							case err == nil && res.ShardsUsed == 1:
+								fallbacks++
+								if row != sequential[cell] {
+									t.Errorf("%s shards=%d fell back but differs from shards=0:\n got: %s want: %s", cell, shards, row, sequential[cell])
+								}
 							}
-							fmt.Fprintf(&got,
-								"tokens=%d peak_nodes=%d peak_bytes=%d final_nodes=%d appended=%d purged=%d output_bytes=%d "+
-									"bytes_skipped=%d tags_skipped=%d subtrees_skipped=%d join_probe=%d join_build=%d join_matches=%d "+
-									"shards_used=%d chunks=%d series=%d trace=%s\n",
-								res.TokensProcessed, res.PeakBufferedNodes, res.PeakBufferedBytes, res.FinalBufferedNodes,
-								res.TotalAppended, res.TotalPurged, res.OutputBytes,
-								res.BytesSkipped, res.TagsSkipped, res.SubtreesSkipped,
-								res.JoinProbeTuples, res.JoinBuildTuples, res.JoinMatches,
-								res.ShardsUsed, res.Chunks, len(res.Series), strings.Join(phases, ","))
 						}
 					}
 				}
 			}
 		}
 	}
+	t.Logf("%d fallback rows equal their shards=0 sibling", fallbacks)
 	compareGolden(t, "testdata/stats.golden", got.Bytes())
 }
 
