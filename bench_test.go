@@ -10,6 +10,7 @@
 //	BenchmarkFig5                        — Fig. 5 time/memory table
 //	BenchmarkAblationSignOff             — deferred vs. eager sign-offs
 //	BenchmarkAblationDiscipline          — GCX vs. projection-only vs. DOM
+//	BenchmarkAblationJoin                — hash join vs. nested loops (Q8, Q9)
 //	BenchmarkSubstrateTokenizer/Projection — substrate throughput
 //	BenchmarkSerializer                  — the XML and JSON sinks alone
 //	BenchmarkEmitE1                      — gcxperf's xml-emit, for `make profile`
@@ -30,6 +31,7 @@ import (
 	"testing"
 
 	"gcx"
+	"gcx/internal/analysis"
 	"gcx/internal/buffer"
 	"gcx/internal/core"
 	"gcx/internal/projection"
@@ -204,6 +206,35 @@ func BenchmarkAblationDiscipline(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationJoin — DESIGN.md §10: the streaming hash join
+// operator against the same plan evaluated as nested loops (the build
+// loop re-run per probe binding), on the two XMark joins. Outputs are
+// byte-identical; the operator holds the build side once, in its table.
+func BenchmarkAblationJoin(b *testing.B) {
+	for _, qid := range []string{"Q8", "Q9"} {
+		q, err := gcx.Compile(xmark.Queries[qid].Text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, size := range []int64{1 << 20, 4 << 20} {
+			doc := xmarkDoc(b, size)
+			for _, variant := range []struct {
+				name string
+				q    *gcx.Query
+			}{{"join", q}, {"nested", gcx.WithoutJoin(q)}} {
+				b.Run(fmt.Sprintf("%s/%dMB/%s", qid, size>>20, variant.name), func(b *testing.B) {
+					b.SetBytes(int64(len(doc)))
+					var res *gcx.Result
+					for i := 0; i < b.N; i++ {
+						res = runQuery(b, variant.q, doc, gcx.Options{})
+					}
+					b.ReportMetric(float64(res.PeakBufferedNodes), "peak_nodes")
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkShardedExecute measures sharded data-parallel execution
 // (DESIGN.md §6) on XMark Q1 over a partition-friendly input: shards=1
 // is the sequential engine, higher counts split the stream at
@@ -248,14 +279,14 @@ func BenchmarkSkippingExecute(b *testing.B) {
 		}
 		for _, variant := range []struct {
 			name string
-			off  bool
-		}{{"skip", false}, {"noskip", true}} {
+			q    *gcx.Query
+		}{{"skip", q}, {"noskip", gcx.WithoutSkip(q)}} {
 			b.Run(qid+"/"+variant.name, func(b *testing.B) {
 				b.SetBytes(int64(len(doc)))
 				b.ReportAllocs()
 				var res *gcx.Result
 				for i := 0; i < b.N; i++ {
-					res = runQuery(b, q, doc, gcx.Options{DisableSubtreeSkip: variant.off})
+					res = runQuery(b, variant.q, doc, gcx.Options{})
 				}
 				b.ReportMetric(float64(res.BytesSkipped)/1024, "skipped_KB")
 			})
@@ -515,7 +546,7 @@ func BenchmarkAblationFirstWitness(b *testing.B) {
 		name    string
 		disable bool
 	}{{"firstWitness", false}, {"allWitnesses", true}} {
-		q, err := gcx.CompileWithOptions(query, gcx.CompileOptions{DisableFirstWitness: variant.disable})
+		q, err := gcx.CompileAnalysis(query, analysis.Options{DisableFirstWitness: variant.disable})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -540,8 +571,7 @@ func BenchmarkAblationGranularity(b *testing.B) {
 			name   string
 			coarse bool
 		}{{"node", false}, {"subtree", true}} {
-			q, err := gcx.CompileWithOptions(xmark.Queries[qid].Text,
-				gcx.CompileOptions{CoarseGranularity: variant.coarse})
+			q, err := gcx.CompileAnalysis(xmark.Queries[qid].Text, analysis.Options{CoarseGranularity: variant.coarse})
 			if err != nil {
 				b.Fatal(err)
 			}

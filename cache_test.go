@@ -43,7 +43,7 @@ func TestQueryCacheOptionsKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qb, err := c.GetWithOptions(src, gcx.CompileOptions{CoarseGranularity: true})
+	qb, err := c.GetWithOptions(src, gcx.CompileOptions{StrictStreaming: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		plotEvery   = fs.Int64("plot", 0, "emit a buffer plot sample to stderr every N tokens")
 		shards      = fs.Int("shards", 1, "parallel engine instances for partitionable queries (0/1 = sequential)")
 		useMmap     = fs.Bool("mmap", false, "memory-map the -i file and run the zero-copy byte path (falls back to reading the file where mmap is unavailable)")
-		noJoin      = fs.Bool("no-join", false, "disable the streaming hash join operator (nested-loop baseline for detected joins)")
 		timeout     = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -69,6 +68,27 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 			return 0
 		}
 		return 2
+	}
+	opts := gcx.Options{RecordEvery: *plotEvery, Shards: *shards, MaxBufferedNodes: *maxNodes, EnableTrace: *showTrace}
+	var err error
+	if opts.Engine, err = gcx.ParseEngine(*engineName); err != nil {
+		return usage(stderr, err)
+	}
+	switch *mode {
+	case "deferred":
+	case "eager":
+		opts.SignOffMode = gcx.SignOffEager
+	default:
+		return usage(stderr, fmt.Errorf("unknown sign-off mode %q", *mode))
+	}
+	if opts.Format, err = gcx.ParseFormat(*formatName); err != nil {
+		return usage(stderr, err)
+	}
+	if opts.Format == gcx.FormatAuto && *inputFile != "" {
+		opts.Format = gcx.DetectPathFormat(*inputFile)
+	}
+	if *shards < 0 {
+		return usage(stderr, fmt.Errorf("negative -shards %d", *shards))
 	}
 
 	src := *queryText
@@ -127,26 +147,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		toStdout = false
 	}
 
-	format, err := gcx.ParseFormat(*formatName)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	if format == gcx.FormatAuto && *inputFile != "" {
-		format = gcx.DetectPathFormat(*inputFile)
-	}
-
-	opts := gcx.Options{RecordEvery: *plotEvery, Shards: *shards, Format: format, MaxBufferedNodes: *maxNodes, DisableJoin: *noJoin, EnableTrace: *showTrace}
-	if opts.Engine, err = gcx.ParseEngine(*engineName); err != nil {
-		return fail(stderr, err)
-	}
-	switch *mode {
-	case "deferred":
-	case "eager":
-		opts.SignOffMode = gcx.SignOffEager
-	default:
-		return fail(stderr, fmt.Errorf("unknown sign-off mode %q", *mode))
-	}
-
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
@@ -193,4 +193,10 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 func fail(stderr io.Writer, err error) int {
 	fmt.Fprintln(stderr, "gcx:", err)
 	return 1
+}
+
+// usage reports a flag value the command cannot accept: exit code 2.
+func usage(stderr io.Writer, err error) int {
+	fmt.Fprintln(stderr, "gcx:", err)
+	return 2
 }

@@ -108,8 +108,10 @@ func TestRunExitCodes(t *testing.T) {
 		{"no query", nil, "", 2},
 		{"bad flag", []string{"-nope"}, "", 2},
 		{"compile error", []string{"-q", "for $x in"}, "", 1},
-		{"unknown engine", []string{"-q", "<r/>", "-engine", "zap"}, "", 1},
-		{"unknown mode", []string{"-q", "<r/>", "-mode", "sometimes"}, "", 1},
+		{"unknown engine", []string{"-q", "<r/>", "-engine", "zap"}, "", 2},
+		{"unknown mode", []string{"-q", "<r/>", "-mode", "sometimes"}, "", 2},
+		{"unknown format", []string{"-q", "<r/>", "-format", "yaml"}, "", 2},
+		{"negative shards", []string{"-q", "<r/>", "-shards", "-1"}, "", 2},
 		{"malformed input", []string{"-q", `<r>{ for $b in /bib/book return $b }</r>`}, "<bib><book></bib>", 1},
 	}
 	for _, c := range cases {
@@ -130,6 +132,16 @@ func TestRunAggregationWithoutFlag(t *testing.T) {
 	}
 	code, _, stderr = runCmd(t, []string{"-agg", "-q", count}, "<a><b/></a>")
 	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -agg") {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+}
+
+// TestRunNoJoinRemoved: the nested-loop join ablation is a benchmark
+// (BenchmarkAblationJoin), not a flag; -no-join is a usage error like
+// any unknown flag.
+func TestRunNoJoinRemoved(t *testing.T) {
+	code, _, stderr := runCmd(t, []string{"-no-join", "-q", "<r/>"}, "<a/>")
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -no-join") {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
 }

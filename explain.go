@@ -68,9 +68,8 @@ type BoundReport struct {
 
 // SkipReport is the compile-time subtree-skipping status.
 type SkipReport struct {
-	// Active reports whether the path automaton compiled; runtime
-	// switches (DisableSubtreeSkip, RecordEvery) can still disable
-	// skipping per run.
+	// Active reports whether the path automaton compiled; runs with
+	// RecordEvery set still tokenize every byte.
 	Active bool `json:"active"`
 	// Reason says why skipping is unavailable when Active is false.
 	Reason string `json:"reason,omitempty"`
@@ -180,7 +179,7 @@ func (r ExplainReport) Text() string {
 	}
 	if r.Skipping.Active {
 		b.WriteString("Skipping: byte-level subtree skipping active" +
-			" (disabled per run by DisableSubtreeSkip or RecordEvery)\n")
+			" (off for runs with RecordEvery)\n")
 	} else {
 		b.WriteString("Skipping: disabled (" + r.Skipping.Reason + ")\n")
 	}

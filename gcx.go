@@ -157,16 +157,11 @@ type Options struct {
 	// FormatJSON input makes no line-framing promise and always runs
 	// sequentially.
 	Format Format
-	// DisableSubtreeSkip turns off projection-guided byte-level subtree
-	// skipping (DESIGN.md §7), forcing the streaming engines to
-	// tokenize every input byte. The query output is byte-identical
-	// either way; the switch exists for A/B measurements and parity
-	// tests. Runs with RecordEvery set disable skipping automatically,
-	// so the recorded per-token buffer plots keep the paper's x-axis.
-	DisableSubtreeSkip bool
 	// RecordEvery samples (tokens processed → nodes buffered) every N
 	// tokens for buffer plots like the paper's Figures 3 and 4;
-	// 0 disables recording.
+	// 0 disables recording. Recording runs tokenize every input byte —
+	// byte-level subtree skipping (DESIGN.md §7) is off for them — so
+	// the plots keep the paper's per-token x-axis.
 	RecordEvery int64
 	// Shards requests sharded data-parallel execution (DESIGN.md §6):
 	// the input is partitioned at the query's outermost for-loop path
@@ -191,12 +186,6 @@ type Options struct {
 	// unlimited. Query.Report says, per query, whether a budget can
 	// statically be guaranteed to suffice — see ExplainReport.
 	MaxBufferedNodes int64
-	// DisableJoin turns off the streaming hash join operator
-	// (DESIGN.md §10), evaluating detected two-variable equality joins
-	// with nested loops instead. The query output is byte-identical
-	// either way; the switch exists for A/B measurements and
-	// differential tests.
-	DisableJoin bool
 	// EnableTrace records per-phase wall time (DESIGN.md §11) into
 	// Result.Trace: compile, setup, stream, join_build/join_probe,
 	// merge (sharded runs) and eval. For sequential runs the
@@ -250,18 +239,9 @@ type Query struct {
 	compileNanos int64
 }
 
-// CompileOptions exposes the static-analysis ablation switches. The
-// zero value reproduces the paper's analysis.
+// CompileOptions tunes compilation. The zero value compiles every
+// query with the paper's analysis.
 type CompileOptions struct {
-	// DisableFirstWitness turns off the [1] first-witness pruning of
-	// existence-condition projection paths (the paper's r4), buffering
-	// every witness candidate. For ablation measurements only.
-	DisableFirstWitness bool
-	// CoarseGranularity switches use roles to subtree granularity
-	// (whole element subtrees instead of node-precise projection) —
-	// the relevance model of simpler streaming systems. For ablation
-	// measurements only.
-	CoarseGranularity bool
 	// StrictStreaming rejects queries the static analyzer classifies
 	// as Unbounded (joins, whole-input aggregation, absolute-path
 	// outputs — DESIGN.md §9) at compile time, with the analyzer's
@@ -278,13 +258,10 @@ func Compile(src string) (*Query, error) {
 	return CompileWithOptions(src, CompileOptions{})
 }
 
-// CompileWithOptions compiles with explicit analysis switches.
+// CompileWithOptions compiles with explicit compile options.
 func CompileWithOptions(src string, opts CompileOptions) (*Query, error) {
 	start := time.Now()
-	plan, err := core.CompileWithOptions(src, analysis.Options{
-		DisableFirstWitness: opts.DisableFirstWitness,
-		CoarseGranularity:   opts.CoarseGranularity,
-	})
+	plan, err := core.Compile(src)
 	if err != nil {
 		return nil, err
 	}
@@ -402,9 +379,7 @@ func (q *Query) config(opts Options) (engine.Config, error) {
 	cfg := engine.Config{
 		Oracle:           opts.Engine == EngineDOM,
 		DisableGC:        opts.Engine == EngineProjectionOnly,
-		DisableSkip:      opts.DisableSubtreeSkip,
 		MaxBufferedNodes: opts.MaxBufferedNodes,
-		DisableJoin:      opts.DisableJoin,
 	}
 	if opts.Engine < EngineGCX || opts.Engine > EngineDOM {
 		return cfg, fmt.Errorf("gcx: unknown engine %d (want EngineGCX, EngineProjectionOnly or EngineDOM)", opts.Engine)

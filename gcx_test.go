@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gcx"
+	"gcx/internal/analysis"
 	"gcx/internal/xmark"
 )
 
@@ -140,7 +141,7 @@ func TestFirstWitnessAblation(t *testing.T) {
 	doc := `<bib><book><price>1</price><price>2</price><price>3</price></book></bib>`
 	const query = `<r>{ for $x in /bib/* return if (exists $x/price) then $x/title else () }</r>`
 	pruned := gcx.MustCompile(query)
-	unpruned, err := gcx.CompileWithOptions(query, gcx.CompileOptions{DisableFirstWitness: true})
+	unpruned, err := gcx.CompileAnalysis(query, analysis.Options{DisableFirstWitness: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +187,7 @@ func TestCoarseGranularityAblation(t *testing.T) {
 	}
 	for _, qid := range []string{"Q1", "Q8", "Q20"} {
 		fine := gcx.MustCompile(xmark.Queries[qid].Text)
-		coarse, err := gcx.CompileWithOptions(xmark.Queries[qid].Text,
-			gcx.CompileOptions{CoarseGranularity: true})
+		coarse, err := gcx.CompileAnalysis(xmark.Queries[qid].Text, analysis.Options{CoarseGranularity: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -101,8 +101,8 @@ type Plan struct {
 	// SkipReason says why Automaton is nil — the compile-time reason
 	// byte-level subtree skipping is unavailable (attribute-axis
 	// projection path, state cap). Empty when Automaton is non-nil;
-	// runtime switches (DisableSubtreeSkip, RecordEvery) additionally
-	// disable skipping per run without being recorded here.
+	// runs that record a buffer plot (RecordEvery) additionally run
+	// without skipping, which is not recorded here.
 	SkipReason string
 	// Opts are the analysis switches the plan was compiled with, kept so
 	// derived plans (sharding) reuse the same analysis.

@@ -76,20 +76,6 @@ func (c StreamClass) String() string {
 	}
 }
 
-// ParseStreamClass resolves the string form produced by
-// StreamClass.String (the wire form of /explain reports).
-func ParseStreamClass(s string) (StreamClass, error) {
-	switch s {
-	case "bounded-constant":
-		return BoundedConstant, nil
-	case "bounded-per-record":
-		return BoundedPerRecord, nil
-	case "unbounded":
-		return Unbounded, nil
-	}
-	return Unbounded, fmt.Errorf("unknown streamability class %q", s)
-}
-
 // Bound is the static node-budget expression of a bounded plan:
 // peak buffered nodes ≤ ConstNodes + RecordFactor·nodes(RecordPath),
 // where nodes(RecordPath) is the element+text node count of the largest

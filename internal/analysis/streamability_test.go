@@ -157,16 +157,3 @@ func TestStreamabilityShapes(t *testing.T) {
 		})
 	}
 }
-
-// TestStreamClassRoundTrip: the wire form parses back.
-func TestStreamClassRoundTrip(t *testing.T) {
-	for _, c := range []StreamClass{BoundedConstant, BoundedPerRecord, Unbounded} {
-		got, err := ParseStreamClass(c.String())
-		if err != nil || got != c {
-			t.Errorf("round trip %v: got %v, err %v", c, got, err)
-		}
-	}
-	if _, err := ParseStreamClass("bogus"); err == nil {
-		t.Error("ParseStreamClass accepted bogus")
-	}
-}

@@ -174,15 +174,6 @@ func (n *Node) dropRole(role, count int) bool {
 	return false
 }
 
-// SubtreeWeight exposes the subtree role+pin total (for tests).
-func (n *Node) SubtreeWeight() int64 { return n.subtreeWeight }
-
-// SubtreeNodes exposes the buffered-node count of the subtree.
-func (n *Node) SubtreeNodes() int64 { return n.subtreeNodes }
-
-// Pins exposes the pin count (for tests).
-func (n *Node) Pins() int { return int(n.pins) }
-
 // InBuffer reports whether the node is still linked into the buffer.
 // A purge marks every node of the purged subtree, so no parent walk is
 // needed; once the struct has been handed out again it reports on its

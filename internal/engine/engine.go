@@ -45,7 +45,9 @@ const (
 // Config tunes a run. It is the one options record between gcx.Options
 // and the evaluators: internal/core and internal/shard pass it through
 // unchanged. The streaming engine reads all of it; the DOM oracle
-// (internal/baseline) reads MaxBufferedNodes.
+// (internal/baseline) reads MaxBufferedNodes. Whether a run skips
+// subtrees and whether it runs the join operator are the plan's
+// verdicts (analysis.Plan.Automaton, Plan.Join), not settings here.
 type Config struct {
 	// Oracle selects the full-buffering DOM evaluator instead of this
 	// engine. The switch is made by core.Run, so an Engine never sees it
@@ -56,23 +58,15 @@ type Config struct {
 	// minimization: roles are tracked but nothing is purged. This is
 	// the projection-only baseline engine of the Fig. 5 comparison.
 	DisableGC bool
-	// DisableSkip turns off projection-guided byte-level subtree
-	// skipping (DESIGN.md §7) for this run; output is identical either
-	// way. Skipping is also disabled implicitly when a Recorder is set,
-	// because skipped subtrees do not count into the per-token buffer
-	// plots.
-	DisableSkip bool
 	// MaxBufferedNodes, when positive, is the run's node budget: the
 	// first buffered node pushing the population past it aborts the run
 	// within one token, returning an error wrapping buffer.ErrBudget
 	// together with the partial statistics. Zero means unlimited.
 	MaxBufferedNodes int64
-	// DisableJoin runs detected join plans through nested-loop
-	// evaluation instead of the internal/join operator (ablation and
-	// differential testing; output is identical either way).
-	DisableJoin bool
 	// Recorder, if non-nil, samples the buffer size per input token; the
-	// samples are returned as the run's Series.
+	// samples are returned as the run's Series. A recording run does not
+	// skip subtrees (DESIGN.md §7): skipped tokens would be missing from
+	// the per-token plot.
 	Recorder *stats.Recorder
 	// Timer, if non-nil, accumulates per-phase wall time (DESIGN.md
 	// §11): ensure's pull loop into PhaseStream, the join operator's
@@ -99,8 +93,8 @@ type Engine struct {
 	// ensure is a lock-free channel poll.
 	done <-chan struct{}
 	// join is the streaming join operator's run state when the plan
-	// carries a detected join and Config.DisableJoin is off; nil
-	// otherwise (then detected joins run nested-loop).
+	// carries a detected join; nil otherwise (then every loop runs
+	// nested).
 	join *joinRun
 	// inSpan marks that a trace span is open, so nested timed sections
 	// (ensure calls inside the join operator's scan) attribute to the
@@ -129,7 +123,11 @@ func New(plan *analysis.Plan, src event.Source, sink event.Sink, cfg Config) *En
 	buf.DisableGC = cfg.DisableGC
 	buf.MaxNodes = cfg.MaxBufferedNodes
 	proj := projection.New(src, buf, plan.RolePaths())
-	if !cfg.DisableSkip && cfg.Recorder == nil {
+	if rec := cfg.Recorder; rec != nil {
+		proj.OnToken = func() {
+			rec.Record(proj.TokensProcessed(), buf.CurrentNodes, buf.CurrentBytes)
+		}
+	} else {
 		proj.EnableSkipping(plan.Automaton)
 	}
 	e := &Engine{
@@ -142,13 +140,7 @@ func New(plan *analysis.Plan, src event.Source, sink event.Sink, cfg Config) *En
 		env:  make([]buffer.Handle, plan.Slots),
 	}
 	e.env[0] = buffer.Hold(buf.Root)
-	if cfg.Recorder != nil {
-		rec := cfg.Recorder
-		proj.OnToken = func() {
-			rec.Record(proj.TokensProcessed(), buf.CurrentNodes, buf.CurrentBytes)
-		}
-	}
-	if plan.Join != nil && !cfg.DisableJoin {
+	if plan.Join != nil {
 		e.join = &joinRun{info: plan.Join}
 	}
 	return e

@@ -55,7 +55,13 @@ func compile(t *testing.T, src string) *analysis.Plan {
 // run executes a query over a document and returns output + result.
 func run(t *testing.T, src, doc string, cfg Config) (string, *stats.Run, *Engine) {
 	t.Helper()
-	plan := compile(t, src)
+	return runPlan(t, compile(t, src), doc, cfg)
+}
+
+// runPlan is run for an already compiled plan — or a copy of one with a
+// static verdict cleared, the reference configuration of a parity test.
+func runPlan(t *testing.T, plan *analysis.Plan, doc string, cfg Config) (string, *stats.Run, *Engine) {
+	t.Helper()
 	var out bytes.Buffer
 	e := newXML(plan, strings.NewReader(doc), &out, cfg)
 	res, err := e.Run()
@@ -244,8 +250,8 @@ func TestJoinQuery(t *testing.T) {
 	}
 }
 
-// TestJoinDisabled: DisableJoin falls back to nested-loop evaluation
-// with byte-identical output and zero join counters.
+// TestJoinDisabled: a plan without its detected join evaluates the
+// loops nested, with byte-identical output and zero join counters.
 func TestJoinDisabled(t *testing.T) {
 	const q = `<result>{ for $p in /site/people/person return
 	  <item>{ $p/name,
@@ -258,8 +264,11 @@ func TestJoinDisabled(t *testing.T) {
 		`<closed_auction><buyer person="p2"/><price>42</price></closed_auction>` +
 		`<closed_auction><buyer person="p1"/><price>7</price></closed_auction>` +
 		`</closed_auctions></site>`
-	joined, jres, _ := run(t, q, doc, Config{})
-	nested, nres, _ := run(t, q, doc, Config{DisableJoin: true})
+	plan := compile(t, q)
+	noJoin := *plan
+	noJoin.Join = nil
+	joined, jres, _ := runPlan(t, plan, doc, Config{})
+	nested, nres, _ := runPlan(t, &noJoin, doc, Config{})
 	if joined != nested {
 		t.Fatalf("join output diverges from nested loop:\n join %q\n nest %q", joined, nested)
 	}
@@ -379,7 +388,8 @@ func TestEmptyInputAndNoMatches(t *testing.T) {
 func TestEarlyAnswerStillReadsWholeInput(t *testing.T) {
 	const q = `<r>{ if (exists /a/b) then "y" else "n" }</r>`
 	const doc = `<a><b/><c/><c/><c/><c/><c/><c/></a>`
-	out, res, _ := run(t, q, doc, Config{})
+	plan := compile(t, q)
+	out, res, _ := runPlan(t, plan, doc, Config{})
 	if out != `<r>y</r>` {
 		t.Fatalf("got %q", out)
 	}
@@ -389,7 +399,9 @@ func TestEarlyAnswerStillReadsWholeInput(t *testing.T) {
 	if res.SubtreesSkipped != 6 {
 		t.Fatalf("subtrees skipped = %d, want the 6 <c/> elements", res.SubtreesSkipped)
 	}
-	out, res, _ = run(t, q, doc, Config{DisableSkip: true})
+	noSkip := *plan
+	noSkip.Automaton = nil
+	out, res, _ = runPlan(t, &noSkip, doc, Config{})
 	if out != `<r>y</r>` {
 		t.Fatalf("skip-disabled run got %q", out)
 	}

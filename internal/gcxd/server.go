@@ -20,6 +20,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -225,14 +226,15 @@ func (s *Server) observe(w http.ResponseWriter, res *gcx.Result) {
 	}
 }
 
-// optionsFromRequest maps URL parameters to execution options.
-func optionsFromRequest(r *http.Request) (gcx.Options, error) {
+// optionsFromRequest maps the request's URL parameters, parsed once by
+// the caller, to execution options.
+func optionsFromRequest(params url.Values) (gcx.Options, error) {
 	var opts gcx.Options
 	var err error
-	if opts.Engine, err = gcx.ParseEngine(r.URL.Query().Get("engine")); err != nil {
+	if opts.Engine, err = gcx.ParseEngine(params.Get("engine")); err != nil {
 		return opts, err
 	}
-	switch so := r.URL.Query().Get("signoff"); so {
+	switch so := params.Get("signoff"); so {
 	case "", "deferred":
 		opts.SignOffMode = gcx.SignOffDeferred
 	case "eager":
@@ -240,24 +242,24 @@ func optionsFromRequest(r *http.Request) (gcx.Options, error) {
 	default:
 		return opts, fmt.Errorf("unknown signoff mode %q (want deferred or eager)", so)
 	}
-	if sh := r.URL.Query().Get("shards"); sh != "" {
+	if sh := params.Get("shards"); sh != "" {
 		n, err := strconv.Atoi(sh)
 		if err != nil || n < 1 || n > gcx.MaxShards {
 			return opts, fmt.Errorf("invalid shards %q (want 1..%d)", sh, gcx.MaxShards)
 		}
 		opts.Shards = n
 	}
-	if opts.Format, err = gcx.ParseFormat(r.URL.Query().Get("format")); err != nil {
+	if opts.Format, err = gcx.ParseFormat(params.Get("format")); err != nil {
 		return opts, err
 	}
-	if mn := r.URL.Query().Get("max_nodes"); mn != "" {
+	if mn := params.Get("max_nodes"); mn != "" {
 		n, err := strconv.ParseInt(mn, 10, 64)
 		if err != nil || n < 1 {
 			return opts, fmt.Errorf("invalid max_nodes %q (want a positive node count)", mn)
 		}
 		opts.MaxBufferedNodes = n
 	}
-	if tr := r.URL.Query().Get("trace"); tr == "1" || tr == "true" {
+	if tr := params.Get("trace"); tr == "1" || tr == "true" {
 		opts.EnableTrace = true
 	}
 	return opts, nil
@@ -300,15 +302,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusMethodNotAllowed, "use POST with the XML document as request body")
 		return
 	}
+	params := r.URL.Query()
 	src := r.Header.Get("X-GCX-Query")
 	if src == "" {
-		src = r.URL.Query().Get("query")
+		src = params.Get("query")
 	}
 	if src == "" {
 		s.fail(w, http.StatusBadRequest, "missing query: pass the X-GCX-Query header or the ?query= parameter")
 		return
 	}
-	opts, err := optionsFromRequest(r)
+	opts, err := optionsFromRequest(params)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return

@@ -30,7 +30,8 @@ import (
 // MaxWorkers caps the worker pool: each worker is a full engine
 // instance with its own tokenizer and buffer manager, so an unbounded
 // Options.Shards from a caller must not translate into unbounded
-// goroutines. 64 comfortably exceeds any machine this targets.
+// goroutines; gcx's Query.run clamps it before calling Run. 64
+// comfortably exceeds any machine this targets.
 const MaxWorkers = 64
 
 // task is one chunk travelling through the pool: the producer enqueues
@@ -78,20 +79,22 @@ func wrap(w io.Writer, toks []event.Token, agg *stats.Run) error {
 	return err
 }
 
-// Run evaluates info over in with workers parallel engine instances
-// (≥ 2; callers route 0/1 to the sequential core.Run; clamped to
-// MaxWorkers), writing the merged output to output. A streamed input is
-// cut by the reader splitters; an in-memory one is scanned in place
-// (NDJSON chunks alias it — zero copies on the split side), and the
-// caller must not mutate it until the call returns. The reorder window
-// is bounded: at most 2×workers chunks are in flight between splitter
-// and merge, so memory stays proportional to workers × chunk size
-// regardless of input size.
+// Run evaluates info over in with workers parallel engine instances,
+// writing the merged output to output. A streamed input is cut by the
+// reader splitters; an in-memory one is scanned in place (NDJSON chunks
+// alias it — zero copies on the split side), and the caller must not
+// mutate it until the call returns. The reorder window is bounded: at
+// most 2×workers chunks are in flight between splitter and merge, so
+// memory stays proportional to workers × chunk size regardless of input
+// size.
 //
-// cfg is handed to every worker; a non-nil cfg.Timer turns tracing on
-// and collects the shard-level phases, while each chunk run gets a timer
-// of its own. cfg.Recorder is ignored: buffer-plot recording is a
-// sequential-run feature.
+// The caller decides that the run shards, and with how many workers:
+// Run requires 2 ≤ workers ≤ MaxWorkers and a nil cfg.Recorder
+// (buffer-plot recording is a sequential-run feature), and gcx's
+// Query.run routes every other run to the sequential core.Run. cfg is
+// handed to every worker; a non-nil cfg.Timer turns tracing on and
+// collects the shard-level phases, while each chunk run gets a timer of
+// its own.
 //
 // The returned record is the Merge of the chunk records (DESIGN.md §6):
 // counters are sums over the chunks, and the buffer watermarks are sums
@@ -109,13 +112,6 @@ func Run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 // stress the reorder path.
 func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io.Writer, workers, chunkTarget int, cfg engine.Config) (*stats.Run, error) {
 	start := time.Now()
-	if workers < 2 {
-		workers = 2
-	}
-	if workers > MaxWorkers {
-		workers = MaxWorkers
-	}
-	cfg.Recorder = nil
 
 	// st collects the shard-level trace phase (DESIGN.md §11): the
 	// ordered merge's writes (PhaseMerge). The streaming splitter

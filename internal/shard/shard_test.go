@@ -146,11 +146,13 @@ func TestStatsAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan, info := compileShardable(t, xmark.Queries["Q1"].Text)
-	// Reference run with subtree skipping off, so its token count
-	// covers the full document (the skipping engine fast-forwards
-	// irrelevant sections and counts fewer tokens than the splitter
-	// leaves in the chunks).
-	_, sres := sequential(t, plan, doc, engine.Config{DisableSkip: true})
+	// Reference run on a copy of the plan without its skip automaton, so
+	// its token count covers the full document (the skipping engine
+	// fast-forwards irrelevant sections and counts fewer tokens than the
+	// splitter leaves in the chunks).
+	noSkip := *plan
+	noSkip.Automaton = nil
+	_, sres := sequential(t, &noSkip, doc, engine.Config{})
 	var out strings.Builder
 	res, err := sharded(context.Background(), info, doc, &out, 4, 8<<10, engine.Config{})
 	if err != nil {

@@ -21,8 +21,8 @@ type Run struct {
 	// engine. With subtree skipping active (the default, DESIGN.md §7)
 	// tokens inside skipped subtrees are not produced and therefore not
 	// counted — see BytesSkipped/TagsSkipped for what was
-	// fast-forwarded. Runs with DisableSubtreeSkip or RecordEvery set
-	// count every token of the document.
+	// fast-forwarded. Runs with RecordEvery set, and runs of a plan
+	// without a skip automaton, count every token of the document.
 	TokensProcessed int64
 	// PeakBufferedNodes is the buffer high watermark in nodes.
 	PeakBufferedNodes int64
@@ -39,8 +39,9 @@ type Run struct {
 	// BytesSkipped is the number of input bytes the engine
 	// fast-forwarded past at byte level without tokenizing, because the
 	// compiled path automaton proved no projection path could observe
-	// them (DESIGN.md §7). Zero when skipping is disabled or the query
-	// observes the whole document.
+	// them (DESIGN.md §7). Zero on the DOM engine, in recording runs,
+	// and when the plan has no skip automaton or the query observes the
+	// whole document.
 	BytesSkipped int64
 	// TagsSkipped counts element tags inside skipped subtrees — a lower
 	// bound on the tokens the run did not have to produce (text runs in
@@ -52,7 +53,7 @@ type Run struct {
 	// streaming hash join operator's work (DESIGN.md §10): probe-side
 	// bindings captured, build-side tuples materialized into the hash
 	// table, and matched payload emissions. All zero when the query has
-	// no detected join or Options.DisableJoin is set.
+	// no detected join and on the DOM engine.
 	JoinProbeTuples int64
 	JoinBuildTuples int64
 	JoinMatches     int64

@@ -96,7 +96,8 @@ type IfExpr struct {
 // AggExpr is an aggregation in output position: count, sum, min, max or
 // avg over a path's selected nodes. The paper notes GCX "does not yet
 // cover aggregation"; this reproduction implements the family as an
-// opt-in extension (see DESIGN.md §3).
+// extension that every engine runs without any opt-in (see DESIGN.md
+// §3).
 type AggExpr struct {
 	Fn  xqvalue.AggFunc
 	Arg PathExpr

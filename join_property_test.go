@@ -37,7 +37,7 @@ func domOracle(t *testing.T, src, doc string) string {
 }
 
 // TestJoinDifferential: on randomized join documents and queries, the
-// join operator, the nested-loop ablation (DisableJoin) and the DOM
+// join operator, the nested-loop ablation (WithoutJoin) and the DOM
 // oracle must all produce byte-identical output, on bytes and on both
 // reader backings. A run asking for 2 or 4 shards falls back to the
 // sequential join — no probe output is final before the build side is
@@ -79,12 +79,12 @@ func TestJoinDifferential(t *testing.T) {
 			}
 			checkOnReaders(t, q, doc, want, label, gcx.Options{})
 
-			nestOut, nres, err := q.ExecuteString(doc, gcx.Options{DisableJoin: true})
+			nestOut, nres, err := gcx.WithoutJoin(q).ExecuteString(doc, gcx.Options{})
 			if err != nil {
 				t.Fatalf("%s: nested run: %v", label, err)
 			}
 			if nres.JoinProbeTuples != 0 || nres.JoinMatches != 0 {
-				t.Fatalf("%s: DisableJoin still ran the operator: %+v", label, nres)
+				t.Fatalf("%s: the nested-loop plan still ran the operator: %+v", label, nres)
 			}
 			if nestOut != want {
 				t.Fatalf("%s: nested-loop output differs from DOM\ndoc: %s\n got: %q\nwant: %q",
@@ -190,6 +190,7 @@ func FuzzJoinKeys(f *testing.F) {
 	if q.Report().Join == nil {
 		f.Fatal("fuzz query not detected as a join")
 	}
+	nested := gcx.WithoutJoin(q)
 	f.Fuzz(func(t *testing.T, k1, k2, k3 string) {
 		for _, k := range []string{k1, k2, k3} {
 			if !utf8.ValidString(k) {
@@ -207,7 +208,7 @@ func FuzzJoinKeys(f *testing.F) {
 			escapeXMLText(k2), escapeXMLText(k3), escapeXMLText(k1))
 
 		joinOut, _, jerr := q.ExecuteString(doc, gcx.Options{})
-		nestOut, _, nerr := q.ExecuteString(doc, gcx.Options{DisableJoin: true})
+		nestOut, _, nerr := nested.ExecuteString(doc, gcx.Options{})
 		if (jerr == nil) != (nerr == nil) {
 			t.Fatalf("error disagreement: join %v, nested %v\ndoc: %s", jerr, nerr, doc)
 		}

@@ -36,9 +36,7 @@ func TestSkipParityXMark(t *testing.T) {
 			}{{"gcx", gcx.EngineGCX}, {"projection", gcx.EngineProjectionOnly}} {
 				base := gcx.Options{Engine: eng.opt}
 
-				off := base
-				off.DisableSubtreeSkip = true
-				wantOut, wantRes, err := q.ExecuteString(doc, off)
+				wantOut, wantRes, err := gcx.WithoutSkip(q).ExecuteString(doc, base)
 				if err != nil {
 					t.Fatalf("%s/%s noskip: %v", qid, eng.name, err)
 				}
@@ -85,7 +83,7 @@ func TestSkipParitySharded(t *testing.T) {
 	if !q.Shardable() {
 		t.Fatal("Q1 must be shardable")
 	}
-	want, _, err := q.ExecuteString(doc, gcx.Options{DisableSubtreeSkip: true})
+	want, _, err := gcx.WithoutSkip(q).ExecuteString(doc, gcx.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

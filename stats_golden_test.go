@@ -13,7 +13,9 @@ import (
 
 // TestStatsGolden pins every statistic a run reports, over the whole
 // execution matrix: the XMark and NDJSON catalogs × {gcx, projection,
-// dom} × skip on/off × join on/off × shards {0, 2, 4} × bytes/reader.
+// dom} × skip on/off × join on/off × shards {0, 2, 4} × bytes/reader,
+// the skip-off and join-off plans coming from WithoutSkip and
+// WithoutJoin.
 // Each run records every counter of Result, ShardsUsed, Chunks and the
 // trace's phase names (not its times). A change to how statistics are
 // produced, merged across shard workers or carried to the caller must
@@ -62,18 +64,21 @@ func TestStatsGolden(t *testing.T) {
 		for _, eng := range engines {
 			for _, noSkip := range []bool{false, true} {
 				for _, noJoin := range []bool{false, true} {
+					v := q
+					if noSkip {
+						v = gcx.WithoutSkip(v)
+					}
+					if noJoin {
+						v = gcx.WithoutJoin(v)
+					}
 					for _, shards := range []int{0, 2, 4} {
 						for _, reader := range []bool{false, true} {
-							opts := gcx.Options{
-								Engine: eng.e, Format: w.format, Shards: shards,
-								DisableSubtreeSkip: noSkip, DisableJoin: noJoin,
-								EnableTrace: true,
-							}
+							opts := gcx.Options{Engine: eng.e, Format: w.format, Shards: shards, EnableTrace: true}
 							var res *gcx.Result
 							if reader {
-								res, err = q.Execute(strings.NewReader(w.doc), discardWriter{}, opts)
+								res, err = v.Execute(strings.NewReader(w.doc), discardWriter{}, opts)
 							} else {
-								res, err = q.ExecuteBytes([]byte(w.doc), discardWriter{}, opts)
+								res, err = v.ExecuteBytes([]byte(w.doc), discardWriter{}, opts)
 							}
 							cell := fmt.Sprintf("%s engine=%s noskip=%t nojoin=%t reader=%t", w.id, eng.name, noSkip, noJoin, reader)
 							fmt.Fprintf(&got, "%s engine=%s noskip=%t nojoin=%t shards=%d reader=%t: ",

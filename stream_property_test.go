@@ -103,14 +103,15 @@ func TestStaticBoundProperty(t *testing.T) {
 					bound := st.Bound.Eval(rec)
 
 					for _, variant := range []struct {
-						name string
-						opts gcx.Options
+						name  string
+						query *gcx.Query
+						opts  gcx.Options
 					}{
-						{"plain", gcx.Options{Format: cat.format}},
-						{"noskip", gcx.Options{Format: cat.format, DisableSubtreeSkip: true}},
-						{"sharded", gcx.Options{Format: cat.format, Shards: 4}},
+						{"plain", query, gcx.Options{Format: cat.format}},
+						{"noskip", gcx.WithoutSkip(query), gcx.Options{Format: cat.format}},
+						{"sharded", query, gcx.Options{Format: cat.format, Shards: 4}},
 					} {
-						res, err := query.Execute(strings.NewReader(input), io.Discard, variant.opts)
+						res, err := variant.query.Execute(strings.NewReader(input), io.Discard, variant.opts)
 						if err != nil {
 							t.Fatalf("%s/%s size=%d seed=%d: execute: %v", id, variant.name, size, seed, err)
 						}
