@@ -64,10 +64,11 @@ golden:
 # paper reproduces the paper's evaluation: the Fig. 3/4 buffer plots'
 # watermarks, the Fig. 5 table (queries × 1 and 4 MB × gcx / projection
 # / dom, with peak_nodes and peak_KB next to ns/op, MB/s and allocs/op)
-# and the ablations, in benchstat's input format. The paper's own column
+# and the ablations, subtree skipping on and off among them (skipped_KB
+# and tokens/op), in benchstat's input format. The paper's own column
 # set: go test -run xxx -bench Fig5 -fig5.mb 10,50,100,200 .
 paper:
-	$(GO) test -run xxx -bench 'Fig|Ablation' -benchmem .
+	$(GO) test -run xxx -bench 'Fig|Ablation|SkippingExecute' -benchmem .
 
 # profile prints the CPU profile of the benchmarks matching BENCH. The
 # test binary and the profile stay in PROFILE_DIR, outside the tree, for

@@ -269,7 +269,8 @@ func BenchmarkShardedExecute(b *testing.B) {
 // each query runs with skipping on (default) and off, over the same
 // document. The skipped_KB metric is the per-run BytesSkipped — the
 // share of the input the path automaton proved unobservable and the
-// engine fast-forwarded past without tokenizing.
+// engine fast-forwarded past without tokenizing — and tokens/op the
+// tokens the source still delivered (dead children are not among them).
 func BenchmarkSkippingExecute(b *testing.B) {
 	doc := xmarkDoc(b, 4<<20)
 	for _, qid := range []string{"Q1", "Q6", "Q13"} {
@@ -289,6 +290,7 @@ func BenchmarkSkippingExecute(b *testing.B) {
 					res = runQuery(b, variant.q, doc, gcx.Options{})
 				}
 				b.ReportMetric(float64(res.BytesSkipped)/1024, "skipped_KB")
+				b.ReportMetric(float64(res.TokensProcessed), "tokens/op")
 			})
 		}
 	}

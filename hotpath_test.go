@@ -20,6 +20,10 @@ import (
 // emitted and signed off.
 const queryE1 = `<result>{ for $r in /site/regions return for $i in $r//item return $i }</result>`
 
+// raceEnabled is set under the race detector (race_test.go), which
+// makes pooled objects vanish at random and allocation counts inexact.
+var raceEnabled bool
+
 // q20AllocsParent is Q20's allocation count over the same document at
 // the commit before numeric literals were rendered once at parse time
 // instead of at every comparison (four per person).
@@ -113,20 +117,52 @@ func TestAllocCeilingE1(t *testing.T) {
 	}
 }
 
+// TestAllocCeilingQ1 holds XMark Q1, gcxperf's xml-skip query, to its
+// allocation count on both backings. Its dead children are dropped
+// inside the tokenizer (DESIGN.md §7, "Runtime"), so their start tags
+// fill no attribute chunk; when they were delivered to the preprojector
+// to be skipped there, the run allocated 117 and 138 times.
+func TestAllocCeilingQ1(t *testing.T) {
+	if raceEnabled {
+		t.Skip("exact allocation counts do not hold under the race detector")
+	}
+	doc := []byte(xmarkDoc(t, 4<<20))
+	for _, c := range []struct {
+		reader  bool
+		ceiling float64
+	}{{false, 93}, {true, 114}} {
+		allocs, _ := runAllocs(t, xmark.Queries["Q1"].Text, doc, gcx.Options{}, c.reader)
+		t.Logf("Q1 (reader %v): %.0f allocations at 4 MiB", c.reader, allocs)
+		if allocs > c.ceiling {
+			t.Errorf("Q1 (reader %v) allocates %.0f times at 4 MiB, ceiling %.0f", c.reader, allocs, c.ceiling)
+		}
+	}
+}
+
 // TestAllocCeilingPerTuple holds the join (Q8, Q9) and the attribute
 // constructor (Q13) to a per-run allocation count (DESIGN.md §10 "The
 // slab layout"): captures, keys and payloads live in run-long slabs that
 // grow by doubling, so quadrupling the input adds a few allocations, not
 // one or more per probe binding, build tuple or constructed element.
+// Q8's ceiling is its count since dead children stopped becoming tokens
+// (150–163 over runs and backings, against 163–173 before); under the
+// race detector every query gets the loose one.
 func TestAllocCeilingPerTuple(t *testing.T) {
 	small, large := []byte(xmarkDoc(t, 1<<20)), []byte(xmarkDoc(t, 4<<20))
-	for _, id := range []string{"Q8", "Q9", "Q13"} {
+	for _, c := range []struct {
+		id      string
+		ceiling float64 // at 1 MiB
+	}{{"Q8", 165}, {"Q9", 256}, {"Q13", 256}} {
+		id, ceiling := c.id, c.ceiling
+		if raceEnabled {
+			ceiling = 256
+		}
 		for _, reader := range []bool{false, true} {
 			at1, _ := runAllocs(t, xmark.Queries[id].Text, small, gcx.Options{}, reader)
 			at4, _ := runAllocs(t, xmark.Queries[id].Text, large, gcx.Options{}, reader)
 			t.Logf("%s (reader %v): %.0f allocations at 1 MiB, %.0f at 4 MiB", id, reader, at1, at4)
-			if at1 > 256 {
-				t.Errorf("%s (reader %v) allocates %.0f times at 1 MiB, ceiling 256", id, reader, at1)
+			if at1 > ceiling {
+				t.Errorf("%s (reader %v) allocates %.0f times at 1 MiB, ceiling %.0f", id, reader, at1, ceiling)
 			}
 			if at4 >= 2*at1 {
 				t.Errorf("%s (reader %v) allocates %.0f times at 4 MiB, %.1f× the 1 MiB run's %.0f: it grows with the input",

@@ -87,12 +87,22 @@ func (t *Token) Attr(name string) (string, bool) {
 // SkipStats reports a Source's byte-level fast-forward counters
 // (DESIGN.md §7): bytes the source never tokenized because the
 // projection automaton proved them irrelevant, a lower bound on the
-// structural markers (tags, containers) inside those bytes, and the
-// number of fast-forwards taken.
+// element tokens it never delivered (the start tag of a dead child
+// included), and the number of fast-forwards taken.
 type SkipStats struct {
 	BytesSkipped    int64
 	TagsSkipped     int64
 	SubtreesSkipped int64
+}
+
+// Skipper is the dead-child test a Source consults before it delivers a
+// StartElement (DESIGN.md §7): the preprojector, answering from its
+// path automaton.
+type Skipper interface {
+	// Dead reports whether a child element named name of the innermost
+	// open element is dead: nothing at or below it can match. Each call
+	// is about the StartElement the Source is about to deliver or drop.
+	Dead(name string) bool
 }
 
 // Source is a pull-based producer of tree events — the format boundary
@@ -112,6 +122,10 @@ type Source interface {
 	// format-level syntax error. Cancellation of an attached context is
 	// reported as ctx.Err() within one token. An error is final: once
 	// Next or SkipSubtree has returned one, Next returns it again.
+	//
+	// With a Skipper installed, Next asks it about every StartElement
+	// before delivering it; a dead one is fast-forwarded as SkipSubtree
+	// would and never delivered, and Next goes on to the event after it.
 	Next() (Token, error)
 	// SkipSubtree fast-forwards past the subtree of the StartElement
 	// most recently returned by Next, without producing its events: the
@@ -119,10 +133,16 @@ type Source interface {
 	// It must only be called immediately after Next returned a
 	// StartElement.
 	SkipSubtree() error
+	// SetSkipper installs the dead-child test Next consults; nil removes
+	// it. Release removes it too, so a pooled Source keeps no consumer
+	// alive.
+	SetSkipper(s Skipper)
 	// TokenCount reports how many events Next has delivered so far (the
-	// x-axis of the paper's buffer plots); skipped events do not count.
+	// x-axis of the paper's buffer plots); skipped events, dead children
+	// included, do not count.
 	TokenCount() int64
-	// SkipStats reports the byte-level skip counters.
+	// SkipStats reports the byte-level skip counters: those of
+	// SkipSubtree calls and of the dead children Next dropped.
 	SkipStats() SkipStats
 	// Volatile reports, once for the whole stream, whether Text views
 	// expire at the next pull (see above).

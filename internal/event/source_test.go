@@ -149,11 +149,48 @@ func without(stream []string, start int) []string {
 	return out
 }
 
+// deadNames is a name-set Skipper: the children it names are dead
+// wherever they occur.
+type deadNames map[string]bool
+
+func (d deadNames) Dead(name string) bool { return d[name] }
+
+// skipRun is what a consumer observes of a stream drained with a
+// skipper installed.
+type skipRun struct {
+	stream  []string
+	count   int64
+	skipped event.SkipStats
+	err     error
+}
+
+// pullDead drains src with dead as its skipper, checking on the way that
+// TokenCount is the number of tokens Next has delivered.
+func pullDead(t *testing.T, src event.Source, dead deadNames) skipRun {
+	t.Helper()
+	defer src.Release()
+	src.SetSkipper(dead)
+	var r skipRun
+	for {
+		tok, err := src.Next()
+		if err == nil {
+			r.stream = append(r.stream, show(tok))
+		}
+		if n := src.TokenCount(); n != int64(len(r.stream)) {
+			t.Fatalf("TokenCount = %d after %d delivered tokens (err %v)", n, len(r.stream), err)
+		}
+		if err != nil {
+			r.count, r.skipped, r.err = src.TokenCount(), src.SkipStats(), err
+			return r
+		}
+	}
+}
+
 // TestSourceContract holds all four sources to the clauses of the
 // event.Source contract that the engine relies on and no format-level
 // test states.
 func TestSourceContract(t *testing.T) {
-	for _, s := range sources {
+	for i, s := range sources {
 		t.Run(s.name, func(t *testing.T) {
 			// The unskipped stream is the tree's, in both syntaxes.
 			src := s.open(s.doc, 0)
@@ -199,6 +236,50 @@ func TestSourceContract(t *testing.T) {
 				t.Errorf("three skips: SkipStats %+v", st)
 			}
 			src.Release()
+
+			// With a skipper, Next drops each dead child itself: the stream
+			// is the tree without those subtrees, start tags included, and
+			// TokenCount counts what was delivered. The counters are the
+			// slice backing's at every window size, down to one byte a
+			// Read. Each dropped start tag is a skipped tag, which makes
+			// the element tags of the XML stream add up; JSON's counter is
+			// a lower bound, and drops a dead array in one skip.
+			ref, xml := sources[i-i%2], i < 2
+			for _, c := range []struct {
+				dead     deadNames
+				want     string
+				subtrees [2]int64 // XML's, JSON's
+			}{
+				{deadNames{"c": true, "d": true}, `<root> <record> <a> 1 </a> <b> </b> </record> <record> <a> 3 </a> </record> </root>`, [2]int64{3, 2}},
+				{deadNames{"a": true}, `<root> <record> <b> <c> x </c> <c> y </c> </b> <d> 2 </d> </record> <record> </record> </root>`, [2]int64{2, 2}},
+				{deadNames{"root": true}, ``, [2]int64{1, 1}},
+			} {
+				want := pullDead(t, ref.open(ref.doc, 0), c.dead)
+				if want.err != io.EOF || fmt.Sprint(want.stream) != fmt.Sprint(strings.Fields(c.want)) {
+					t.Errorf("dead %v: %v, %v\nwant %s, EOF", c.dead, want.stream, want.err, c.want)
+				}
+				tags := want.skipped.TagsSkipped
+				for _, w := range want.stream {
+					if strings.HasPrefix(w, "<") {
+						tags++
+					}
+				}
+				subtrees := c.subtrees[1]
+				if xml {
+					subtrees = c.subtrees[0]
+				}
+				if tags > 18 || xml && tags != 18 || want.skipped.SubtreesSkipped != subtrees {
+					t.Errorf("dead %v: %d element tags delivered or skipped of 18, SkipStats %+v", c.dead, tags, want.skipped)
+				}
+				for chunk := range 64 {
+					if chunk > 1 && chunk < 16 {
+						continue
+					}
+					if got := pullDead(t, s.open(s.doc, chunk), c.dead); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("dead %v, %d-byte reads: %+v\nslice backing: %+v", c.dead, chunk, got, want)
+					}
+				}
+			}
 
 			// An error is sticky, whether Next or SkipSubtree met it.
 			for _, c := range []struct {

@@ -222,18 +222,29 @@ func FuzzJSONBytesReaderParity(f *testing.F) {
 // tokenization succeeds, skipping at the k-th StartElement (k from the
 // fuzz input; the root is the 0th) must succeed on every backing, land
 // the stream at the event after that element's end, and leave the same
-// TokenCount and SkipStats whatever the backing.
+// TokenCount and SkipStats whatever the backing. The same holds with a
+// skipper that finds every element named like the k-th dead: the stream
+// is the full one without those elements, on every backing.
 func FuzzJSONSkipSubtree(f *testing.F) {
-	for _, s := range differentialSeeds {
+	seeds := append([]string{
+		// Dead members — the k = 3 element's name — whose values, an
+		// array among them, run past the edge of a 16-byte window.
+		`{"a":1,"dead":[1,{"x":"` + strings.Repeat("y", 12) + `"}],"b":{"dead":"z"},"dead":2}`,
+		`{"a":{"` + strings.Repeat("k", 14) + `":[true,null]},"` + strings.Repeat("k", 14) + `":-1.5}`,
+	}, differentialSeeds...)
+	for _, s := range seeds {
 		for _, k := range []uint8{0, 1, 2, 3, 5} {
 			f.Add(s, k, uint8(3))
 		}
 	}
 	f.Fuzz(func(t *testing.T, doc string, k, sizeSeed uint8) {
-		// events tokenizes doc, skipping at the skipAt-th StartElement
-		// (never, if negative).
-		events := func(tz *Tokenizer, skipAt int) (out []event.Token, count int64, skipped event.SkipStats, err error) {
+		// events tokenizes doc with dead as its skipper unless nil,
+		// skipping at the skipAt-th StartElement (never, if negative).
+		events := func(tz *Tokenizer, dead deadNames, skipAt int) (out []event.Token, count int64, skipped event.SkipStats, err error) {
 			defer tz.Release()
+			if dead != nil {
+				tz.SetSkipper(dead)
+			}
 			for starts := 0; ; {
 				tok, err := tz.Next()
 				if err == io.EOF {
@@ -253,43 +264,63 @@ func FuzzJSONSkipSubtree(f *testing.F) {
 				}
 			}
 		}
-		full, _, _, err := events(NewTokenizerBytes([]byte(doc)), -1)
+		full, _, _, err := events(NewTokenizerBytes([]byte(doc)), nil, -1)
 		if err != nil {
 			return // invalid input; nothing to compare
 		}
-		// want is full without the inside of its k-th element: from after
-		// its StartElement through its matching EndElement.
-		want, starts, depth := full[:0:0], 0, 0
-		for _, tok := range full {
-			if depth > 0 {
-				switch tok.Kind {
-				case event.StartElement:
-					depth++
-				case event.EndElement:
-					depth--
+		// without returns full less the elements cut selects by ordinal
+		// and name: their insides and EndElements, and their
+		// StartElements too unless keepStart.
+		without := func(keepStart bool, cut func(start int, name string) bool) []event.Token {
+			out, starts, depth := full[:0:0], 0, 0
+			for _, tok := range full {
+				if depth > 0 {
+					switch tok.Kind {
+					case event.StartElement:
+						depth++
+					case event.EndElement:
+						depth--
+					}
+					continue
 				}
-				continue
-			}
-			want = append(want, tok)
-			if tok.Kind == event.StartElement {
-				if starts++; starts-1 == int(k) {
+				if tok.Kind == event.StartElement && cut(starts, tok.Name) {
 					depth = 1
 				}
+				if depth == 0 || keepStart {
+					out = append(out, tok)
+				}
+				if tok.Kind == event.StartElement {
+					starts++
+				}
+			}
+			return out
+		}
+		check := func(what string, dead deadNames, skipAt int, want []event.Token) {
+			var refCount int64
+			var refSkipped event.SkipStats
+			for i, name := range backings {
+				got, count, skipped, err := events(openBacking(name, doc, sizeSeed), dead, skipAt)
+				if err != nil {
+					t.Fatalf("%s: full tokenization accepts but %s errors: %v\ninput: %q", name, what, err, doc)
+				}
+				sameTokens(t, name+" with "+what, got, want, doc)
+				if i == 0 {
+					refCount, refSkipped = count, skipped
+				} else if count != refCount || skipped != refSkipped {
+					t.Fatalf("%s with %s: TokenCount %d, SkipStats %+v; bytes: %d, %+v\ninput: %q", name, what, count, skipped, refCount, refSkipped, doc)
+				}
 			}
 		}
-		var refCount int64
-		var refSkipped event.SkipStats
-		for i, name := range backings {
-			got, count, skipped, err := events(openBacking(name, doc, sizeSeed), int(k))
-			if err != nil {
-				t.Fatalf("%s: full tokenization accepts but skip errors: %v\ninput: %q", name, err, doc)
+		var dead deadNames
+		check("skip", nil, int(k), without(true, func(start int, name string) bool {
+			if start == int(k) {
+				dead = deadNames{name: true}
 			}
-			sameTokens(t, name+" with skip", got, want, doc)
-			if i == 0 {
-				refCount, refSkipped = count, skipped
-			} else if count != refCount || skipped != refSkipped {
-				t.Fatalf("%s: TokenCount %d, SkipStats %+v; bytes: %d, %+v\ninput: %q", name, count, skipped, refCount, refSkipped, doc)
-			}
+			return start == int(k)
+		}))
+		if dead == nil {
+			return // fewer than k+1 elements
 		}
+		check("skipper", dead, -1, without(false, func(_ int, name string) bool { return dead[name] }))
 	})
 }

@@ -227,6 +227,10 @@ type Tokenizer struct {
 	ctx     context.Context
 	ctxDone <-chan struct{}
 
+	// skipper, when set, is asked about every value before Next delivers
+	// its StartElement (SetSkipper).
+	skipper event.Skipper
+
 	count    int64 // events delivered; 0 until the root's StartElement
 	done     bool  // the root's EndElement is out, or the root was skipped
 	released bool
@@ -281,6 +285,10 @@ func (t *Tokenizer) SetContext(ctx context.Context) {
 	}
 }
 
+// SetSkipper installs the dead-child test Next consults before it
+// delivers a StartElement; nil removes it.
+func (t *Tokenizer) SetSkipper(s event.Skipper) { t.skipper = s }
+
 // Release returns the tokenizer's buffers to the pool. The tokenizer
 // must not be used afterwards; counters read before Release stay valid.
 // Release is idempotent.
@@ -291,6 +299,9 @@ func (t *Tokenizer) Release() {
 	t.released = true
 	t.cur.ResetBytes(nil) // drop the reader / input-slice reference
 	t.ctx, t.ctxDone = nil, nil
+	// The skipper is the run's preprojector, and through it the run's
+	// whole buffer.
+	t.skipper = nil
 	if cap(t.textBuf) > cursor.MaxScratch {
 		t.textBuf = nil
 	}
@@ -339,6 +350,11 @@ func (t *Tokenizer) fail(err error) (event.Token, error) {
 // the only place a SyntaxError is produced — and the accept is tried
 // again: it takes a prefix whole or leaves the cursor untouched, so
 // tokens, errors and offsets are the same on every backing and window.
+//
+// Every value that opens — the virtual root, a member, an array item,
+// an array itself — meets the skipper in one place before its
+// StartElement is delivered: a dead one is raw-skipped whole (skipDead)
+// and the loop reads on.
 func (t *Tokenizer) Next() (event.Token, error) {
 	if t.err != nil {
 		return event.Token{}, t.err
@@ -365,25 +381,33 @@ func (t *Tokenizer) Next() (event.Token, error) {
 		t.endPending = true
 		return event.Token{Kind: event.Text, Text: text}, nil
 	}
-	if t.count == 0 {
-		t.stack = append(t.stack, frame{kind: frameStream, name: event.RecordName})
-		t.count++
-		return event.Token{Kind: event.StartElement, Name: event.RootName}, nil
-	}
-	for len(t.stack) > 0 {
-		top := &t.stack[len(t.stack)-1]
-		w := t.cur.Window()
-		if p, key, closes := memberPrefix(w, top); closes {
-			t.cur.Advance(p + 1)
-			kind, name := top.kind, top.name
-			t.stack = t.stack[:len(t.stack)-1]
-			if kind == frameArray {
-				continue // arrays emit no event of their own
+	// The root is still to open while nothing was delivered, unless the
+	// skipper dropped it (done).
+	for len(t.stack) > 0 || t.count == 0 && !t.done {
+		name, array := event.RootName, false
+		if len(t.stack) == 0 {
+			t.stack = append(t.stack, frame{kind: frameStream, name: event.RecordName})
+		} else {
+			top := &t.stack[len(t.stack)-1]
+			w := t.cur.Window()
+			p, key, closes := memberPrefix(w, top)
+			if closes {
+				t.cur.Advance(p + 1)
+				kind, name := top.kind, top.name
+				t.stack = t.stack[:len(t.stack)-1]
+				if kind == frameArray {
+					continue // arrays emit no event of their own
+				}
+				t.count++
+				return event.Token{Kind: event.EndElement, Name: name}, nil
 			}
-			t.count++
-			return event.Token{Kind: event.EndElement, Name: name}, nil
-		} else if p >= 0 && t.valueStarts(w[p]) {
-			name := top.name
+			if p < 0 || !t.valueStarts(w[p]) {
+				if err := t.step(); err != nil {
+					return t.fail(err)
+				}
+				continue
+			}
+			name = top.name
 			if top.state == afterKey {
 				name = t.name
 			} else if top.kind == frameObject {
@@ -391,27 +415,33 @@ func (t *Tokenizer) Next() (event.Token, error) {
 			}
 			top.state = afterValue
 			switch w[p] {
-			case '[':
+			case '[', '{':
+				kind := frameObject
+				if array = w[p] == '['; array {
+					kind = frameArray
+				}
 				t.cur.Advance(p + 1)
-				t.stack = append(t.stack, frame{kind: frameArray, name: name})
-				continue
-			case '{':
-				t.cur.Advance(p + 1)
-				t.stack = append(t.stack, frame{kind: frameObject, name: name})
+				t.stack = append(t.stack, frame{kind: kind, name: name})
 			default:
 				// A scalar is only classified by its first byte: its bytes
-				// stay in the cursor so that a SkipSubtree right after the
+				// stay in the cursor so that a skip right after the
 				// StartElement can raw-scan them, and a malformed one is
 				// reported by the Next after.
 				t.cur.Advance(p)
 				t.scalarPending, t.name = true, name
 			}
-			t.count++
-			return event.Token{Kind: event.StartElement, Name: name}, nil
 		}
-		if err := t.step(); err != nil {
-			return t.fail(err)
+		if t.skipper != nil && t.skipper.Dead(name) {
+			if err := t.skipDead(array); err != nil {
+				return t.fail(err)
+			}
+			continue
 		}
+		if array {
+			continue // its items are the elements
+		}
+		t.count++
+		return event.Token{Kind: event.StartElement, Name: name}, nil
 	}
 	if t.done {
 		return t.fail(io.EOF)
@@ -549,11 +579,29 @@ func (t *Tokenizer) readScalar() (string, error) {
 func (t *Tokenizer) SkipSubtree() error {
 	if t.err == nil {
 		t.cur.Expire()
-		t.err = t.skipSubtree()
+		if n := len(t.stack); !t.scalarPending && (n == 0 || t.stack[n-1].kind == frameArray) {
+			t.err = t.errf("SkipSubtree not positioned on a start element")
+		} else {
+			t.err = t.skipSubtree()
+		}
 	}
 	return t.err
 }
 
+// skipDead raw-skips the value Next has just opened and the skipper
+// found dead, so that no event of it is delivered. An array's items
+// are the elements, and the lower-bound tag count leaves them out; any
+// other value's StartElement counts as a skipped tag.
+func (t *Tokenizer) skipDead(array bool) error {
+	if !array {
+		t.skipped.TagsSkipped++
+	}
+	return t.skipSubtree()
+}
+
+// skipSubtree raw-skips the value last opened: a scalar still unread,
+// or the container — object, array or the virtual root — on top of the
+// stack, its opening bracket consumed.
 func (t *Tokenizer) skipSubtree() error {
 	t.skipped.SubtreesSkipped++
 	if t.scalarPending {
@@ -563,15 +611,9 @@ func (t *Tokenizer) skipSubtree() error {
 		t.skipped.TagsSkipped++ // the unproduced EndElement
 		return t.skipScalar()
 	}
-	if len(t.stack) == 0 {
-		return t.errf("SkipSubtree with no open element")
-	}
 	depth := len(t.stack) - 1
-	outer := depth - 1 // an object, its '{' consumed: scan to the matching '}'
-	switch t.stack[depth].kind {
-	case frameArray:
-		return t.errf("SkipSubtree not positioned on a start element")
-	case frameStream:
+	outer := depth - 1 // scan to the matching bracket
+	if t.stack[depth].kind == frameStream {
 		// Skipping the virtual root: consume the remaining input.
 		outer, t.done = noOuter, true
 	}

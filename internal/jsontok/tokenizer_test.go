@@ -588,3 +588,38 @@ func TestReleaseDropsLargeScratch(t *testing.T) {
 		t.Errorf("pooled scratch: released %d bytes, reacquired %d, ceiling %d", cap(tz.textBuf), cap(next.textBuf), cursor.MaxScratch)
 	}
 }
+
+// deadNames is a name-set event.Skipper: the members it names are dead
+// wherever they occur.
+type deadNames map[string]bool
+
+func (d deadNames) Dead(name string) bool { return d[name] }
+
+// TestReleaseDropsSkipper: the skipper is a run's preprojector, and
+// through it the run's whole buffer, so neither a released tokenizer
+// waiting in the pool nor one handed out again may still hold it.
+func TestReleaseDropsSkipper(t *testing.T) {
+	dead := deadNames{"b": true}
+	tz := NewTokenizerBytes([]byte(`{"a":1,"b":[2,3]}`))
+	tz.SetSkipper(dead)
+	var n int
+	for ; ; n++ {
+		if _, err := tz.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n != 7 {
+		t.Fatalf("%d events, want <root> <record> <a> 1 </a> </record> </root>", n)
+	}
+	tz.reset()
+	if tz.skipper != nil {
+		t.Error("reset kept the skipper")
+	}
+	tz.SetSkipper(dead)
+	tz.Release()
+	if tz.skipper != nil {
+		t.Error("Release kept the skipper")
+	}
+}

@@ -2,7 +2,12 @@
 // Fig. 2): it reads the input token stream, matches every token against
 // the projection paths derived by static analysis, and copies matched
 // nodes — annotated with roles — into the buffer. Unmatched tokens are
-// discarded on the fly, with a lookahead of one token.
+// discarded on the fly, with a lookahead of one token. With skipping on
+// (EnableSkipping) even that lookahead is not paid for a dead child:
+// the preprojector is the source's event.Skipper, so the source asks
+// the path automaton about each start tag and raw-skips a dead element
+// before it becomes a token; only elements the automaton cannot rule
+// out arrive here.
 //
 // Matching is NFA-style: every open element carries a set of active
 // items (role, next-step index, derivation count). Descendant-axis items
@@ -68,12 +73,14 @@ type Preprojector struct {
 
 	// dfa, when non-nil, enables projection-guided subtree skipping
 	// (DESIGN.md §7): dfaStack carries one automaton state per open
-	// frame, and a StartElement whose successor state is dead — no
-	// projection path can match at or below it — is fast-forwarded at
-	// byte level via Source.SkipSubtree instead of being matched
-	// frame by frame.
+	// frame, and the preprojector is the source's Skipper, so a child
+	// whose successor state is dead — no projection path can match at or
+	// below it — is fast-forwarded at byte level inside the source and
+	// never arrives here. next is the successor state Dead computed for
+	// the StartElement the source delivers next.
 	dfa      *xpath.Automaton
 	dfaStack []int32
+	next     int32
 
 	// OnToken, if set, is invoked after every processed token — the
 	// hook used to record the paper's buffer plots.
@@ -132,18 +139,29 @@ func New(src event.Source, buf *buffer.Buffer, rolePaths []xpath.Path) *Preproje
 
 // EnableSkipping turns on byte-level subtree skipping driven by the
 // given path automaton (compiled from the same role paths this
-// preprojector matches — analysis.Plan.Automaton). It must be called
-// before the first Step; a nil automaton leaves skipping off. Skipping
-// never changes the buffered tree or the query output; it does change
-// TokensProcessed, which stops counting tokens inside skipped
-// subtrees, so measurement runs that record per-token buffer plots
-// keep it disabled.
+// preprojector matches — analysis.Plan.Automaton): it installs the
+// preprojector as the source's Skipper. It must be called before the
+// first Step; a nil automaton leaves skipping off. Skipping never
+// changes the buffered tree or the query output; it does change
+// TokensProcessed, which counts neither dead children nor tokens inside
+// skipped subtrees, so measurement runs that record per-token buffer
+// plots keep it disabled.
 func (p *Preprojector) EnableSkipping(a *xpath.Automaton) {
 	if a == nil {
 		return
 	}
 	p.dfa = a
 	p.dfaStack = append(p.dfaStack[:0], a.Start())
+	p.src.SetSkipper(p)
+}
+
+// Dead implements event.Skipper: it takes the automaton transition for
+// a child named name of the innermost open frame, keeps the successor
+// state for startElement — the source delivers the child next unless
+// the state is dead — and reports whether it is.
+func (p *Preprojector) Dead(name string) bool {
+	p.next = p.dfa.Next(p.dfaStack[len(p.dfaStack)-1], name)
+	return p.dfa.Dead(p.next)
 }
 
 // TokensProcessed reports the number of input tokens consumed.
@@ -222,16 +240,10 @@ func (c *completion) reset() {
 	c.roles = c.roles[:0]
 }
 
+// startElement matches a delivered StartElement against the open
+// frame's items. With skipping on, the source has already asked Dead
+// about it, so the element is statically alive and p.next is its state.
 func (p *Preprojector) startElement(tok event.Token) error {
-	var dfaNext int32
-	if p.dfa != nil {
-		// Static dead-state test: a single table lookup decides subtree
-		// relevance before any per-item test re-evaluation happens.
-		dfaNext = p.dfa.Next(p.dfaStack[len(p.dfaStack)-1], tok.Name)
-		if p.dfa.Dead(dfaNext) {
-			return p.src.SkipSubtree()
-		}
-	}
 	parent := &p.stack[len(p.stack)-1]
 	nf := frame{name: tok.Name, attrs: tok.Attrs, latches: len(p.latches)}
 	if n := len(p.itemsFree); n > 0 {
@@ -294,7 +306,7 @@ func (p *Preprojector) startElement(tok event.Token) error {
 	}
 	p.stack = append(p.stack, nf)
 	if p.dfa != nil {
-		p.dfaStack = append(p.dfaStack, dfaNext)
+		p.dfaStack = append(p.dfaStack, p.next)
 	}
 	return nil
 }

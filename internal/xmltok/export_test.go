@@ -18,3 +18,9 @@ var (
 	TokenPathEdges = tokenPathEdges
 	SameToken      = sameToken
 )
+
+// DeadNames is a name-set event.Skipper: the elements it names are dead
+// wherever they occur.
+type DeadNames map[string]bool
+
+func (d DeadNames) Dead(name string) bool { return d[name] }

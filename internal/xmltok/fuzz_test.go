@@ -321,9 +321,13 @@ func FuzzSkipSubtree(f *testing.F) {
 // tokenizer (NewTokenizerBytes, borrowed text, in-window fast paths)
 // and a reader-backed tokenizer over a deliberately tiny window (every
 // construct straddles refill boundaries) must produce identical token
-// streams AND identical errors — message and offset — including across
-// a SkipSubtree at an arbitrary StartElement, which exercises the raw
-// skip scanner's in-window and refill shapes against each other.
+// streams, TokenCount and SkipStats AND identical errors — message and
+// offset — including across a SkipSubtree at an arbitrary StartElement,
+// which exercises the raw skip scanner's in-window and refill shapes
+// against each other. Each input runs once more with a skipper that
+// finds every element named like the skipAt-th start tag dead, so a
+// dead tag is dropped whole in the window on one backing and across a
+// refill on the other.
 func FuzzBytesReaderParity(f *testing.F) {
 	seeds := []string{
 		`<a/>`,
@@ -338,53 +342,82 @@ func FuzzBytesReaderParity(f *testing.F) {
 		"<a>\xff\xfe</a>",
 		// One level past the nesting ceiling (event.MaxDepth).
 		strings.Repeat("<a>", event.MaxDepth+1),
+		// Dead tags — the skipAt = 1 start tag's name — cut by the edge
+		// of a 16-byte window, with and without attributes.
+		`<a><bbbbbbbbbbbbbbbb c="d">x</bbbbbbbbbbbbbbbb><e/><bbbbbbbbbbbbbbbb/></a>`,
+		`<a>` + strings.Repeat("t", 10) + `<b k="v"><b/></b>t<b/></a>`,
 	}
 	for _, s := range append(seeds, tokenPathEdges...) {
 		f.Add(s, uint8(0), uint8(0), false)
 		f.Add(s, uint8(3), uint8(1), true)
 	}
 	f.Fuzz(func(t *testing.T, doc string, sizeSeed, skipAt uint8, keepWS bool) {
-		run := func(tz *Tokenizer) ([]Token, error) {
+		type result struct {
+			toks    []Token
+			count   int64
+			skipped event.SkipStats
+			err     error
+		}
+		run := func(tz *Tokenizer, dead DeadNames) (r result) {
 			defer tz.Release()
 			tz.KeepWhitespace = keepWS
-			var toks []Token
+			if dead != nil {
+				tz.SetSkipper(dead)
+			}
+			defer func() { r.count, r.skipped = tz.TokenCount(), tz.SkipStats() }()
 			starts := 0
 			for {
 				tok, err := tz.Next()
 				if err == io.EOF {
-					return toks, nil
+					return r
 				}
 				if err != nil {
-					return toks, err
+					r.err = err
+					return r
 				}
-				toks = append(toks, tok.Clone())
-				if len(toks) > len(doc)+16 {
+				r.toks = append(r.toks, tok.Clone())
+				if len(r.toks) > len(doc)+16 {
 					t.Fatal("runaway tokenizer")
 				}
 				if tok.Kind == StartElement {
 					if starts == int(skipAt) {
-						if err := tz.SkipSubtree(); err != nil {
-							return toks, err
+						if r.err = tz.SkipSubtree(); r.err != nil {
+							return r
 						}
 					}
 					starts++
 				}
 			}
 		}
-		gotB, errB := run(NewTokenizerBytes([]byte(doc)))
-		gotR, errR := run(NewTokenizerWindow(strings.NewReader(doc), 16+int(sizeSeed)%48))
-
-		if (errB == nil) != (errR == nil) || (errB != nil && errB.Error() != errR.Error()) {
-			t.Fatalf("error parity: bytes=%v reader=%v\ninput: %q skip@%d keepWS=%v", errB, errR, doc, skipAt, keepWS)
-		}
-		if len(gotB) != len(gotR) {
-			t.Fatalf("token counts differ: bytes %d reader %d\ninput: %q skip@%d\nbytes:  %+v\nreader: %+v", len(gotB), len(gotR), doc, skipAt, gotB, gotR)
-		}
-		for i := range gotB {
-			if !sameToken(gotB[i], gotR[i]) {
-				t.Fatalf("token %d: bytes %+v reader %+v\ninput: %q skip@%d", i, gotB[i], gotR[i], doc, skipAt)
+		compare := func(what string, b, r result) {
+			if (b.err == nil) != (r.err == nil) || (b.err != nil && b.err.Error() != r.err.Error()) {
+				t.Fatalf("%s: error parity: bytes=%v reader=%v\ninput: %q skip@%d keepWS=%v", what, b.err, r.err, doc, skipAt, keepWS)
+			}
+			if len(b.toks) != len(r.toks) || b.count != r.count || b.skipped != r.skipped {
+				t.Fatalf("%s: bytes %d tokens, count %d, %+v; reader %d, %d, %+v\ninput: %q skip@%d\nbytes:  %+v\nreader: %+v",
+					what, len(b.toks), b.count, b.skipped, len(r.toks), r.count, r.skipped, doc, skipAt, b.toks, r.toks)
+			}
+			for i := range b.toks {
+				if !sameToken(b.toks[i], r.toks[i]) {
+					t.Fatalf("%s: token %d: bytes %+v reader %+v\ninput: %q skip@%d", what, i, b.toks[i], r.toks[i], doc, skipAt)
+				}
 			}
 		}
+		size := 16 + int(sizeSeed)%48
+		b := run(NewTokenizerBytes([]byte(doc)), nil)
+		compare("SkipSubtree", b, run(NewTokenizerWindow(strings.NewReader(doc), size), nil))
+
+		var names []string
+		for _, tok := range b.toks {
+			if tok.Kind == StartElement {
+				names = append(names, tok.Name)
+			}
+		}
+		if len(names) == 0 {
+			return
+		}
+		dead := DeadNames{names[int(skipAt)%len(names)]: true}
+		compare("skipper", run(NewTokenizerBytes([]byte(doc)), dead), run(NewTokenizerWindow(strings.NewReader(doc), size), dead))
 	})
 }
 

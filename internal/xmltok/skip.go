@@ -21,7 +21,8 @@ import "gcx/internal/event"
 // immediately after Next returned a StartElement. The skipped element's
 // EndElement is consumed silently — it is
 // never delivered — and skipped content does not count into
-// TokenCount. SkipStats reports what was fast-forwarded.
+// TokenCount. SkipStats reports what was fast-forwarded. Next takes the
+// same path for a child its skipper finds dead (dropDead).
 func (t *Tokenizer) SkipSubtree() error {
 	if len(t.stack) == 0 {
 		return t.errf("SkipSubtree with no open element")
@@ -46,11 +47,26 @@ func (t *Tokenizer) SkipSubtree() error {
 	return nil
 }
 
-// SkipStats reports the bytes SkipSubtree fast-forwarded past, the
-// element tokens inside them (start and end tags, a self-closing tag
-// counting as two — a lower bound on the tokens saved, since text runs
-// are not counted) and the number of SkipSubtree calls, empty
-// self-closing subtrees included.
+// SetSkipper installs the dead-child test Next consults before it
+// delivers a start tag; nil removes it.
+func (t *Tokenizer) SetSkipper(s event.Skipper) { t.skipper = s }
+
+// dropDead fast-forwards past the element whose start tag Next has just
+// read and the skipper found dead, so that the tag is never delivered:
+// its attribute list, attrs, gives its slots back to the chunk, the
+// start tag counts as a skipped one, and the rest goes as SkipSubtree
+// takes it.
+func (t *Tokenizer) dropDead(attrs []Attr) error {
+	t.attrChunk = t.attrChunk[:len(t.attrChunk)-len(attrs)]
+	t.tags++
+	return t.SkipSubtree()
+}
+
+// SkipStats reports the bytes SkipSubtree and dropDead fast-forwarded
+// past, the element tokens never delivered (start and end tags, a
+// self-closing tag counting as two — a lower bound on the tokens saved,
+// since text runs are not counted) and the number of fast-forwards,
+// empty self-closing subtrees included.
 func (t *Tokenizer) SkipStats() event.SkipStats {
 	return event.SkipStats{
 		BytesSkipped:    t.bytesSkipped,

@@ -50,6 +50,10 @@ type Tokenizer struct {
 	// round-trip property tests keep them.
 	KeepWhitespace bool
 
+	// skipper, when set, is asked about every start tag before Next
+	// delivers it (SetSkipper).
+	skipper event.Skipper
+
 	count    int64
 	started  bool
 	released bool
@@ -105,6 +109,7 @@ func (t *Tokenizer) reset() {
 	t.ctx = nil
 	t.ctxDone = nil
 	t.KeepWhitespace = false
+	t.skipper = nil
 	t.count = 0
 	t.started = false
 	t.released = false
@@ -126,6 +131,9 @@ func (t *Tokenizer) Release() {
 	t.ctx = nil
 	t.ctxDone = nil
 	t.attrChunk = nil
+	// The skipper is the run's preprojector, and through it the run's
+	// whole buffer.
+	t.skipper = nil
 	// One huge text node, tag or skipped name must not pin its scratch
 	// in the pool for every later run.
 	if cap(t.textBuf) > cursor.MaxScratch {
@@ -166,6 +174,10 @@ func (t *Tokenizer) Depth() int { return len(t.stack) }
 // place errors are produced: a fast accept either takes a well-formed
 // tag whole or leaves the cursor untouched, so tokens, errors and
 // offsets are the same on every backing and window size.
+//
+// Both shapes hand a start tag to one check before it is delivered: a
+// child the skipper finds dead is dropped there (dropDead) and the loop
+// reads on.
 func (t *Tokenizer) Next() (Token, error) {
 	if t.err != nil {
 		return Token{}, t.err
@@ -180,6 +192,9 @@ func (t *Tokenizer) Next() (Token, error) {
 		return Token{Kind: EndElement, Name: t.pop()}, nil
 	}
 	for {
+		// tok is a local so that both shapes build their tokens straight
+		// into the result.
+		var tok Token
 		w := t.cur.Window()
 		if len(w) > 2 && w[0] == '<' {
 			if w[1] == '/' {
@@ -198,27 +213,32 @@ func (t *Tokenizer) Next() (Token, error) {
 				// A start tag in the right place; what remains is to find
 				// it whole inside the window.
 				if end, empty, attrs := t.acceptTagRest(w, 1+n); end > 0 {
-					name := t.names.Intern(w[1 : 1+n])
+					tok = Token{Kind: StartElement, Name: t.names.Intern(w[1 : 1+n]), Attrs: attrs}
 					t.cur.Advance(end)
-					t.stack = append(t.stack, name)
+					t.stack = append(t.stack, tok.Name)
 					t.emptyOpen = empty
-					t.count++
-					return Token{Kind: StartElement, Name: name, Attrs: attrs}, nil
 				}
 			}
 		}
-		// The careful path. tok is a local so that the accepts above
-		// build their tokens straight into the result.
-		var tok Token
-		keep, err := t.readCareful(&tok)
-		if err != nil {
-			t.err = err
-			return Token{}, err
+		if tok.Name == "" {
+			// No fast accept: the careful path.
+			keep, err := t.readCareful(&tok)
+			if err != nil {
+				t.err = err
+				return Token{}, err
+			}
+			if !keep {
+				continue
+			}
 		}
-		if keep {
-			t.count++
-			return tok, nil
+		if tok.Kind == StartElement && t.skipper != nil && t.skipper.Dead(tok.Name) {
+			if err := t.dropDead(tok.Attrs); err != nil {
+				return Token{}, err
+			}
+			continue
 		}
+		t.count++
+		return tok, nil
 	}
 }
 

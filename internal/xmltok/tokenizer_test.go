@@ -469,6 +469,27 @@ func TestReleaseDropsLargeScratch(t *testing.T) {
 	}
 }
 
+// TestReleaseDropsSkipper: the skipper is a run's preprojector, and
+// through it the run's whole buffer, so neither a released tokenizer
+// waiting in the pool nor one handed out again may still hold it.
+func TestReleaseDropsSkipper(t *testing.T) {
+	dead := DeadNames{"b": true}
+	tz := NewTokenizerBytes([]byte(`<a><b/><c/></a>`))
+	tz.SetSkipper(dead)
+	if toks := drain(t, tz); len(toks) != 4 {
+		t.Fatalf("%d tokens, want <a> <c> </c> </a>", len(toks))
+	}
+	tz.reset()
+	if tz.skipper != nil {
+		t.Error("reset kept the skipper")
+	}
+	tz.SetSkipper(dead)
+	tz.Release()
+	if tz.skipper != nil {
+		t.Error("Release kept the skipper")
+	}
+}
+
 // TestReleaseDropsLargeRawScratch: the raw scan's scratch — a tag body
 // spanning windows, skipElement's name stack — obeys the same ceiling.
 // One skipped subtree whose element name alone is twice the ceiling
