@@ -8,7 +8,6 @@
 //	BenchmarkFig3b, BenchmarkFig3c       — Fig. 3(b,c) buffer plots
 //	BenchmarkFig4a_Q6, BenchmarkFig4b_Q8 — Fig. 4(a,b) XMark buffer plots
 //	BenchmarkFig5                        — Fig. 5 time/memory table
-//	BenchmarkAblationSignOff             — deferred vs. eager sign-offs
 //	BenchmarkAblationDiscipline          — GCX vs. projection-only vs. DOM
 //	BenchmarkAblationJoin                — hash join vs. nested loops (Q8, Q9)
 //	BenchmarkSubstrateTokenizer/Projection — substrate throughput
@@ -149,32 +148,6 @@ func BenchmarkFig5(b *testing.B) {
 					b.ReportMetric(float64(res.PeakBufferedBytes)/1024, "peak_KB")
 				})
 			}
-		}
-	}
-}
-
-// BenchmarkAblationSignOff — DESIGN.md A1: deferred sign-offs (the
-// paper's published timing) versus eager forced-read sign-offs. Outputs
-// are identical; eager purges slightly earlier.
-func BenchmarkAblationSignOff(b *testing.B) {
-	doc := xmarkDoc(b, 1<<20)
-	for _, mode := range []struct {
-		name string
-		m    gcx.SignOffMode
-	}{{"deferred", gcx.SignOffDeferred}, {"eager", gcx.SignOffEager}} {
-		for _, qid := range []string{"Q1", "Q8"} {
-			q, err := gcx.Compile(xmark.Queries[qid].Text)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(qid+"/"+mode.name, func(b *testing.B) {
-				b.SetBytes(int64(len(doc)))
-				var res *gcx.Result
-				for i := 0; i < b.N; i++ {
-					res = runQuery(b, q, doc, gcx.Options{SignOffMode: mode.m})
-				}
-				b.ReportMetric(float64(res.PeakBufferedNodes), "peak_nodes")
-			})
 		}
 	}
 }

@@ -39,7 +39,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		size      = fs.String("size", "10MB", "XMark document size for figures 4a/4b")
 		seed      = fs.Int64("seed", 1, "XMark generator seed")
 		every     = fs.Int64("every", 0, "sampling interval in tokens (default: 1 for fig 3, 200 for fig 4)")
-		mode      = fs.String("mode", "deferred", "sign-off mode: deferred or eager")
 		svgOut    = fs.String("svg", "", "also render the plot as an SVG image to this file")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -55,15 +54,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "bufferplot:", err)
 		return 1
-	}
-
-	opts := gcx.Options{}
-	switch *mode {
-	case "deferred":
-	case "eager":
-		opts.SignOffMode = gcx.SignOffEager
-	default:
-		return usage(fmt.Sprintf("unknown sign-off mode %q (want deferred or eager)", *mode))
 	}
 
 	var querySrc, doc string
@@ -112,8 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	opts.RecordEvery = *every
-	_, res, err := q.ExecuteString(doc, opts)
+	_, res, err := q.ExecuteString(doc, gcx.Options{RecordEvery: *every})
 	if err != nil {
 		return fail(err)
 	}

@@ -78,11 +78,10 @@ func TestSVG(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: a bad mode, an unknown figure or a custom plot
-// without both -q and -i is a usage error.
+// TestUsageErrors: an unknown figure or a custom plot without both -q
+// and -i is a usage error.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-fig", "3b", "-mode", "egaer"},
 		{"-fig", "5"},
 		{"-q", "query.xq"},
 		{"-i", "doc.xml"},
@@ -92,5 +91,14 @@ func TestUsageErrors(t *testing.T) {
 		if code, out, stderr := runCmd(args...); code != 2 || out != "" {
 			t.Errorf("%q: exit %d, stdout %q, stderr: %s", args, code, out, stderr)
 		}
+	}
+}
+
+// TestModeRemoved: sign-offs have one timing (deferred), so the former
+// -mode flag is a usage error like any unknown flag.
+func TestModeRemoved(t *testing.T) {
+	code, out, stderr := runCmd("-fig", "3b", "-mode", "eager")
+	if code != 2 || out != "" || !strings.Contains(stderr, "flag provided but not defined: -mode") {
+		t.Fatalf("exit %d, stdout %q, stderr: %s", code, out, stderr)
 	}
 }

@@ -51,7 +51,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		outputFile  = fs.String("o", "", "output file (default stdout)")
 		engineName  = fs.String("engine", "gcx", "engine: gcx, projection (no GC) or dom (full buffering)")
 		formatName  = fs.String("format", "auto", "input format: auto, xml, json or ndjson (auto uses the -i extension, then sniffs the first byte)")
-		mode        = fs.String("mode", "deferred", "sign-off mode: deferred or eager")
 		explain     = fs.Bool("explain", false, "print the analyzer report (roles, rewritten query, streamability, bound), then exit")
 		explainJSON = fs.Bool("explain-json", false, "like -explain, but print the structured report as JSON")
 		maxNodes    = fs.Int64("max-nodes", 0, "node budget: abort with an error if the buffer would exceed this many nodes (0 = unlimited; per worker under -shards)")
@@ -73,13 +72,6 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 	var err error
 	if opts.Engine, err = gcx.ParseEngine(*engineName); err != nil {
 		return usage(stderr, err)
-	}
-	switch *mode {
-	case "deferred":
-	case "eager":
-		opts.SignOffMode = gcx.SignOffEager
-	default:
-		return usage(stderr, fmt.Errorf("unknown sign-off mode %q", *mode))
 	}
 	if opts.Format, err = gcx.ParseFormat(*formatName); err != nil {
 		return usage(stderr, err)

@@ -70,8 +70,8 @@ func TestRunEngineAndModeFlags(t *testing.T) {
 	query := `<out>{ for $b in /bib/book return $b/title }</out>`
 	var outputs []string
 	for _, args := range [][]string{
-		{"-q", query, "-engine", "gcx", "-mode", "deferred"},
-		{"-q", query, "-engine", "projection", "-mode", "eager"},
+		{"-q", query, "-engine", "gcx"},
+		{"-q", query, "-engine", "projection"},
 		{"-q", query, "-engine", "dom"},
 		{"-q", query, "-shards", "4"},
 	} {
@@ -109,7 +109,6 @@ func TestRunExitCodes(t *testing.T) {
 		{"bad flag", []string{"-nope"}, "", 2},
 		{"compile error", []string{"-q", "for $x in"}, "", 1},
 		{"unknown engine", []string{"-q", "<r/>", "-engine", "zap"}, "", 2},
-		{"unknown mode", []string{"-q", "<r/>", "-mode", "sometimes"}, "", 2},
 		{"unknown format", []string{"-q", "<r/>", "-format", "yaml"}, "", 2},
 		{"negative shards", []string{"-q", "<r/>", "-shards", "-1"}, "", 2},
 		{"malformed input", []string{"-q", `<r>{ for $b in /bib/book return $b }</r>`}, "<bib><book></bib>", 1},
@@ -142,6 +141,15 @@ func TestRunAggregationWithoutFlag(t *testing.T) {
 func TestRunNoJoinRemoved(t *testing.T) {
 	code, _, stderr := runCmd(t, []string{"-no-join", "-q", "<r/>"}, "<a/>")
 	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -no-join") {
+		t.Fatalf("exit %d, stderr: %s", code, stderr)
+	}
+}
+
+// TestRunModeRemoved: sign-offs have one timing (deferred), so the
+// former -mode flag is a usage error like any unknown flag.
+func TestRunModeRemoved(t *testing.T) {
+	code, _, stderr := runCmd(t, []string{"-mode", "eager", "-q", "<r/>"}, "<a/>")
+	if code != 2 || !strings.Contains(stderr, "flag provided but not defined: -mode") {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
 }

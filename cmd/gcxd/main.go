@@ -29,8 +29,7 @@
 // POST /query reads the query text from the X-GCX-Query header or the
 // "query" URL parameter, and the input document from the request body.
 // Optional URL parameters: engine=gcx|projection|dom (default gcx; the
-// aliases of gcx.ParseEngine work too),
-// signoff=deferred|eager (default deferred), shards=N (1..gcx.MaxShards)
+// aliases of gcx.ParseEngine work too), shards=N (1..gcx.MaxShards)
 // to run a partitionable query over N parallel engine instances (non-partitionable queries fall back
 // to one, see DESIGN.md §6), format=auto|xml|json|ndjson (default auto)
 // to select the input syntax — JSON/NDJSON bodies stream back as JSON

@@ -127,19 +127,6 @@ func ParseFormat(s string) (Format, error) { return core.ParseFormat(s) }
 // extension is not telling.
 func DetectPathFormat(path string) Format { return core.DetectPathFormat(path) }
 
-// SignOffMode selects when a signOff on a still-streaming subtree takes
-// effect; see DESIGN.md §3.
-type SignOffMode int
-
-const (
-	// SignOffDeferred queues the removal until the subtree's close tag
-	// arrives (default; matches the paper's published buffer plots).
-	SignOffDeferred SignOffMode = iota
-	// SignOffEager forces the input forward to the subtree's end and
-	// removes immediately.
-	SignOffEager
-)
-
 // MaxShards is the upper bound on Options.Shards: each shard is a full
 // engine instance with its own buffer manager, so larger requests are
 // clamped rather than translated into unbounded goroutines.
@@ -148,8 +135,7 @@ const MaxShards = shard.MaxWorkers
 // Options tunes one execution of a compiled query. The zero value runs
 // the paper's engine, sequentially, with every optimisation on.
 type Options struct {
-	Engine      Engine
-	SignOffMode SignOffMode
+	Engine Engine
 	// Format selects the input (and with it the output) syntax; the
 	// zero value FormatAuto sniffs the stream's first non-whitespace
 	// byte. Sharded execution (Shards > 1) partitions XML input at the
@@ -311,7 +297,7 @@ func (q *Query) Shardable() bool { return q.plan.Shard != nil }
 
 // Execute evaluates the query over input, writing the serialized result
 // to output. It returns an error for Options carrying an unknown Engine
-// or SignOffMode value rather than guessing a discipline.
+// value rather than guessing a discipline.
 func (q *Query) Execute(input io.Reader, output io.Writer, opts Options) (*Result, error) {
 	return q.run(context.Background(), core.Input{Reader: input}, output, opts)
 }
@@ -383,14 +369,6 @@ func (q *Query) config(opts Options) (engine.Config, error) {
 	}
 	if opts.Engine < EngineGCX || opts.Engine > EngineDOM {
 		return cfg, fmt.Errorf("gcx: unknown engine %d (want EngineGCX, EngineProjectionOnly or EngineDOM)", opts.Engine)
-	}
-	switch opts.SignOffMode {
-	case SignOffDeferred:
-		// engine.Deferred is the zero value.
-	case SignOffEager:
-		cfg.SignOffMode = engine.Eager
-	default:
-		return cfg, fmt.Errorf("gcx: unknown sign-off mode %d (want SignOffDeferred or SignOffEager)", opts.SignOffMode)
 	}
 	if opts.Shards < 0 {
 		return cfg, fmt.Errorf("gcx: negative shard count %d", opts.Shards)

@@ -119,22 +119,6 @@ func TestAggregationNeedsNoOptIn(t *testing.T) {
 	}
 }
 
-func TestPublicSignOffModes(t *testing.T) {
-	doc := xmark.BibDocument(xmark.Fig3cKinds())
-	q := gcx.MustCompile(xmark.PaperQuery)
-	_, dres, err := q.ExecuteString(doc, gcx.Options{SignOffMode: gcx.SignOffDeferred, RecordEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, eres, err := q.ExecuteString(doc, gcx.Options{SignOffMode: gcx.SignOffEager, RecordEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dres.Series[81].Nodes != 23 || eres.Series[81].Nodes != 20 {
-		t.Fatalf("mode timing wrong: deferred=%d eager=%d", dres.Series[81].Nodes, eres.Series[81].Nodes)
-	}
-}
-
 // TestFirstWitnessAblation: disabling [1] pruning buffers more but
 // never changes results.
 func TestFirstWitnessAblation(t *testing.T) {

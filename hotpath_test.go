@@ -224,17 +224,15 @@ func TestNestedSourcePaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []gcx.SignOffMode{gcx.SignOffDeferred, gcx.SignOffEager} {
-			got, res, err := q.ExecuteString(doc, gcx.Options{SignOffMode: mode})
-			if err != nil {
-				t.Fatalf("%s: %v", query, err)
-			}
-			if got != want {
-				t.Errorf("%s\n got %s\nwant %s", query, got, want)
-			}
-			if res.FinalBufferedNodes != 0 {
-				t.Errorf("%s: %d nodes left buffered", query, res.FinalBufferedNodes)
-			}
+		got, res, err := q.ExecuteString(doc, gcx.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		if got != want {
+			t.Errorf("%s\n got %s\nwant %s", query, got, want)
+		}
+		if res.FinalBufferedNodes != 0 {
+			t.Errorf("%s: %d nodes left buffered", query, res.FinalBufferedNodes)
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // ---- the differential property -------------------------------------------
 
 // runAll compiles and runs a query on a document with the DOM oracle and
-// the three streaming configurations, returning the outputs.
+// the streaming configurations, returning the outputs.
 func runAll(t *testing.T, src, doc string) (oracle string, streaming map[string]string) {
 	t.Helper()
 	q, err := xqparse.Parse(src)
@@ -52,8 +52,7 @@ func runAll(t *testing.T, src, doc string) (oracle string, streaming map[string]
 	}
 	streaming = map[string]string{}
 	for name, v := range map[string]variant{
-		"deferred":  {plan, engine.Config{SignOffMode: engine.Deferred}},
-		"eager":     {plan, engine.Config{SignOffMode: engine.Eager}},
+		"gcx":       {plan, engine.Config{}},
 		"nogc":      {plan, engine.Config{DisableGC: true}},
 		"nowitness": {noWitness, engine.Config{}},
 		"coarse":    {coarse, engine.Config{}},
@@ -83,8 +82,8 @@ func runAll(t *testing.T, src, doc string) (oracle string, streaming map[string]
 }
 
 // TestDifferentialRandomized is the central correctness oracle: on
-// randomized documents and queries, the streaming GCX engine (deferred
-// and eager sign-off modes, and with GC disabled) must produce exactly
+// randomized documents and queries, the streaming GCX engine (with and
+// without GC, and on the ablated analyses) must produce exactly
 // the DOM engine's output, empty its buffer, and balance every role.
 func TestDifferentialRandomized(t *testing.T) {
 	f := func(seed int64) bool {

@@ -4,7 +4,7 @@ import "gcx/internal/xpath"
 
 // pendingSignOff is a deferred sign-off: its base node's subtree was not
 // fully read when the signOff statement executed, so the role removal
-// waits until the close tag has arrived (DESIGN.md §3, "deferred mode").
+// waits until the close tag has arrived (DESIGN.md §3, the one sign-off timing).
 // This timing reproduces the paper's Fig. 3(c) observation that 23 nodes
 // are still buffered when </bib> is read.
 //

@@ -28,20 +28,6 @@ import (
 	"gcx/internal/xqvalue"
 )
 
-// SignOffMode selects when a signOff on a still-streaming subtree takes
-// effect (DESIGN.md §3).
-type SignOffMode uint8
-
-const (
-	// Deferred queues such sign-offs until the subtree's close tag has
-	// been read (default; reproduces the paper's Fig. 3(c) timing).
-	Deferred SignOffMode = iota
-	// Eager forces the buffer manager to read to the subtree's end
-	// first, then removes immediately (purges earlier, reads no more
-	// input overall).
-	Eager
-)
-
 // Config tunes a run. It is the one options record between gcx.Options
 // and the evaluators: internal/core and internal/shard pass it through
 // unchanged. The streaming engine reads all of it; the DOM oracle
@@ -52,8 +38,7 @@ type Config struct {
 	// Oracle selects the full-buffering DOM evaluator instead of this
 	// engine. The switch is made by core.Run, so an Engine never sees it
 	// set.
-	Oracle      bool
-	SignOffMode SignOffMode
+	Oracle bool
 	// DisableGC runs static projection without dynamic buffer
 	// minimization: roles are tracked but nothing is purged. This is
 	// the projection-only baseline engine of the Fig. 5 comparison.
@@ -362,7 +347,11 @@ func (e *Engine) eval(expr xqast.Expr) error {
 	case *xqast.AggExpr:
 		return e.evalAgg(expr)
 	case *xqast.SignOff:
-		return e.evalSignOff(expr)
+		// Role removal plus garbage collection, deferred until the
+		// binding's close tag has been read while its subtree is still
+		// open (DESIGN.md §3).
+		e.buf.QueueSignOff(e.node(expr.Slot), expr.Path, expr.Role)
+		return nil
 	default:
 		return fmt.Errorf("engine: unknown expression %T", expr)
 	}
@@ -519,21 +508,6 @@ func (e *Engine) evalAgg(c *xqast.AggExpr) error {
 	if s, ok := xqvalue.Aggregate(c.Fn, vals); ok {
 		e.out.Text(s)
 	}
-	return nil
-}
-
-// evalSignOff executes a signOff statement: role removal plus garbage
-// collection, deferred or eager per configuration.
-func (e *Engine) evalSignOff(so *xqast.SignOff) error {
-	base := e.node(so.Slot)
-	if e.cfg.SignOffMode == Eager {
-		if err := e.ensureClosed(base); err != nil {
-			return err
-		}
-		e.buf.SignOffNow(base, so.Path, so.Role)
-		return nil
-	}
-	e.buf.QueueSignOff(base, so.Path, so.Role)
 	return nil
 }
 

@@ -165,31 +165,6 @@ func TestFig3cBufferProfile(t *testing.T) {
 	}
 }
 
-// TestFig3cEagerMode: with eager sign-offs the last article's subtree is
-// purged before </bib> is read. Only the article element itself remains
-// (it is the pinned current binding), so 20 nodes are buffered at
-// </bib>: bib + 9×(book,title) + article — versus 23 in deferred mode.
-func TestFig3cEagerMode(t *testing.T) {
-	doc := fig3Doc(repeatKinds("book", 9, "article"))
-	rec := stats.NewRecorder(1)
-	_, _, _ = run(t, PaperQuery, doc, Config{SignOffMode: Eager, Recorder: rec})
-	atBibClose := rec.Points[81]
-	if atBibClose.Nodes != 20 {
-		t.Fatalf("eager mode: %d nodes at </bib>, want 20", atBibClose.Nodes)
-	}
-}
-
-// TestEagerAndDeferredSameOutput: the sign-off mode changes buffer
-// timing, never results.
-func TestEagerAndDeferredSameOutput(t *testing.T) {
-	doc := fig3Doc([]string{"book", "article", "book", "article", "book"})
-	out1, _, _ := run(t, PaperQuery, doc, Config{SignOffMode: Deferred})
-	out2, _, _ := run(t, PaperQuery, doc, Config{SignOffMode: Eager})
-	if out1 != out2 {
-		t.Fatalf("outputs differ:\ndeferred %q\neager    %q", out1, out2)
-	}
-}
-
 // TestProjectionOnlyBaseline: DisableGC keeps everything projected in
 // the buffer (the FluXQuery-class baseline).
 func TestProjectionOnlyBaseline(t *testing.T) {

@@ -97,7 +97,14 @@ type SkipStats struct {
 
 // Skipper is the dead-child test a Source consults before it delivers a
 // StartElement (DESIGN.md §7): the preprojector, answering from its
-// path automaton.
+// path automaton and its items.
+//
+// A Source may ask about one child more than once, and a live answer
+// may be followed by no StartElement at all: jsontok asks at an
+// array's '[', for the whole array, and again at each item, and an
+// empty array delivers none. So a live answer must commit nothing: the
+// Skipper answers a repeated question as it answered the first, and
+// only the delivery of the StartElement makes the answer take effect.
 type Skipper interface {
 	// Dead reports whether a child element named name of the innermost
 	// open element is dead: nothing at or below it can match. Each call

@@ -234,14 +234,6 @@ func optionsFromRequest(params url.Values) (gcx.Options, error) {
 	if opts.Engine, err = gcx.ParseEngine(params.Get("engine")); err != nil {
 		return opts, err
 	}
-	switch so := params.Get("signoff"); so {
-	case "", "deferred":
-		opts.SignOffMode = gcx.SignOffDeferred
-	case "eager":
-		opts.SignOffMode = gcx.SignOffEager
-	default:
-		return opts, fmt.Errorf("unknown signoff mode %q (want deferred or eager)", so)
-	}
 	if sh := params.Get("shards"); sh != "" {
 		n, err := strconv.Atoi(sh)
 		if err != nil || n < 1 || n > gcx.MaxShards {

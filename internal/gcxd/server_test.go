@@ -158,6 +158,22 @@ func TestServerAggregation(t *testing.T) {
 	}
 }
 
+// TestServerSignOffIgnored: sign-offs have one timing (deferred), and
+// the removed signoff= is ignored like any unknown parameter, even with
+// a value the server used to reject.
+func TestServerSignOffIgnored(t *testing.T) {
+	ts := httptest.NewServer(NewServer(Config{CacheSize: 8}))
+	defer ts.Close()
+	doc := testDoc(0, 10)
+	want := expectedOutput(t, testQuery, doc)
+	for _, params := range []string{"", "signoff=deferred", "signoff=eager", "signoff=sometimes"} {
+		resp, body := postQuery(t, ts.URL, testQuery, doc, params)
+		if resp.StatusCode != http.StatusOK || body != want {
+			t.Errorf("%q: status %d, body %q, want %q", params, resp.StatusCode, body, want)
+		}
+	}
+}
+
 func TestServerErrors(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{CacheSize: 8}))
 	defer ts.Close()

@@ -4,10 +4,10 @@
 // nodes — annotated with roles — into the buffer. Unmatched tokens are
 // discarded on the fly, with a lookahead of one token. With skipping on
 // (EnableSkipping) even that lookahead is not paid for a dead child:
-// the preprojector is the source's event.Skipper, so the source asks
-// the path automaton about each start tag and raw-skips a dead element
-// before it becomes a token; only elements the automaton cannot rule
-// out arrive here.
+// the preprojector is the source's event.Skipper, and Dead is the one
+// place a child is found dead — by the path automaton, or because no
+// item of its parent matches it any more — so the source raw-skips it
+// before it becomes a token; only live elements arrive here.
 //
 // Matching is NFA-style: every open element carries a set of active
 // items (role, next-step index, derivation count). Descendant-axis items
@@ -53,6 +53,8 @@ type frame struct {
 	// latches is the length of Preprojector.latches when the frame was
 	// opened: the latches beyond it are the frame's own.
 	latches int
+	// state is the frame's path-automaton state while skipping is on.
+	state int32
 }
 
 // matchesSelf applies a node test to the frame's own node.
@@ -72,15 +74,22 @@ type Preprojector struct {
 	eof   bool
 
 	// dfa, when non-nil, enables projection-guided subtree skipping
-	// (DESIGN.md §7): dfaStack carries one automaton state per open
-	// frame, and the preprojector is the source's Skipper, so a child
-	// whose successor state is dead — no projection path can match at or
-	// below it — is fast-forwarded at byte level inside the source and
-	// never arrives here. next is the successor state Dead computed for
-	// the StartElement the source delivers next.
-	dfa      *xpath.Automaton
-	dfaStack []int32
-	next     int32
+	// (DESIGN.md §7): every frame carries its automaton state, and the
+	// preprojector is the source's Skipper, so a dead child is
+	// fast-forwarded at byte level inside the source and never arrives
+	// here.
+	dfa *xpath.Automaton
+
+	// child is the frame of the StartElement the source delivers next,
+	// and done the roles it completes, as open computed them. pending
+	// marks a live answer of Dead not yet delivered: startElement pushes
+	// the frame, and the next Dead or an endElement drops it. flips are
+	// the parent-side first-witness latches child's matches set;
+	// startElement applies them, so an undelivered child changes
+	// nothing.
+	child   frame
+	pending bool
+	flips   []int32
 
 	// OnToken, if set, is invoked after every processed token — the
 	// hook used to record the paper's buffer plots.
@@ -97,8 +106,8 @@ type Preprojector struct {
 	// back along with the frame stack.
 	latches []bool
 
-	// itemsFree recycles popped frames' items backing arrays for the
-	// next startElement. Descendant-axis items propagate to every child
+	// itemsFree recycles popped and dropped frames' items backing arrays
+	// for the next open. Descendant-axis items propagate to every child
 	// frame, so without recycling each element start pays one slice
 	// allocation — the dominant allocator on //-axis queries.
 	itemsFree [][]item
@@ -151,17 +160,48 @@ func (p *Preprojector) EnableSkipping(a *xpath.Automaton) {
 		return
 	}
 	p.dfa = a
-	p.dfaStack = append(p.dfaStack[:0], a.Start())
+	p.stack[0].state = a.Start()
 	p.src.SetSkipper(p)
 }
 
-// Dead implements event.Skipper: it takes the automaton transition for
-// a child named name of the innermost open frame, keeps the successor
-// state for startElement — the source delivers the child next unless
-// the state is dead — and reports whether it is.
+// Dead implements event.Skipper for a child named name of the innermost
+// open frame. A child is dead when its automaton state is, or when it
+// would carry no item and complete no role: the automaton ignores
+// first-witness [1] latches, so a child can be statically alive after
+// its parent's latch has fired, yet nothing at or below it can match.
+// For a live child the frame open computed stays pending for
+// startElement. It committed nothing, so when the source asks again
+// before delivering the child — jsontok asks at an array's '[' and
+// again at its first item — Dead drops it and computes the same frame.
 func (p *Preprojector) Dead(name string) bool {
-	p.next = p.dfa.Next(p.dfaStack[len(p.dfaStack)-1], name)
-	return p.dfa.Dead(p.next)
+	p.drop()
+	state := p.dfa.Next(p.stack[len(p.stack)-1].state, name)
+	if p.dfa.Dead(state) {
+		return true
+	}
+	p.open(name)
+	p.pending = true
+	if len(p.child.items) == 0 && len(p.done.roles) == 0 {
+		p.drop()
+		return true
+	}
+	p.child.state = state
+	return false
+}
+
+// drop discards the pending child frame, if any: the latches its items
+// created are cut back and its items array is recycled. Its flips were
+// never applied.
+func (p *Preprojector) drop() {
+	if !p.pending {
+		return
+	}
+	p.latches = p.latches[:p.child.latches]
+	if p.child.items != nil {
+		p.itemsFree = append(p.itemsFree, p.child.items[:0])
+	}
+	p.child.items = nil
+	p.pending = false
 }
 
 // TokensProcessed reports the number of input tokens consumed.
@@ -186,9 +226,7 @@ func (p *Preprojector) Step() (bool, error) {
 	}
 	switch tok.Kind {
 	case event.StartElement:
-		if err := p.startElement(tok); err != nil {
-			return false, err
-		}
+		p.startElement(tok)
 	case event.EndElement:
 		p.endElement()
 	case event.Text:
@@ -240,16 +278,46 @@ func (c *completion) reset() {
 	c.roles = c.roles[:0]
 }
 
-// startElement matches a delivered StartElement against the open
-// frame's items. With skipping on, the source has already asked Dead
-// about it, so the element is statically alive and p.next is its state.
-func (p *Preprojector) startElement(tok event.Token) error {
+// startElement pushes the frame of a delivered StartElement. With
+// skipping on, the source has asked Dead about it, which computed the
+// frame; a source without a skipper (a recording run) asked nobody, so
+// the frame is computed here.
+func (p *Preprojector) startElement(tok event.Token) {
+	if !p.pending {
+		p.open(tok.Name)
+	}
+	p.pending = false
+	for _, l := range p.flips {
+		p.latches[l] = true
+	}
+	nf := p.child
+	nf.attrs = tok.Attrs
+	if done := &p.done; len(done.roles) > 0 {
+		n := p.materialize(tok.Name, tok.Attrs)
+		nf.node = buffer.Hold(n)
+		for _, role := range done.roles {
+			for i := 0; i < done.counts[role]; i++ {
+				p.buf.AssignRole(n, role)
+			}
+		}
+	}
+	p.stack = append(p.stack, nf)
+}
+
+// open matches a child named name against the innermost open frame's
+// items: it computes the child's frame into p.child and the roles the
+// child completes into p.done. Latches the child's own items create are
+// appended to p.latches; the parent-side latches its matches set are
+// only recorded, in p.flips.
+func (p *Preprojector) open(name string) {
 	parent := &p.stack[len(p.stack)-1]
-	nf := frame{name: tok.Name, attrs: tok.Attrs, latches: len(p.latches)}
+	nf := &p.child
+	*nf = frame{name: name, latches: len(p.latches)}
 	if n := len(p.itemsFree); n > 0 {
 		nf.items = p.itemsFree[n-1]
 		p.itemsFree = p.itemsFree[:n-1]
 	}
+	p.flips = p.flips[:0]
 	done := &p.done
 	done.reset()
 
@@ -261,11 +329,11 @@ func (p *Preprojector) startElement(tok event.Token) error {
 			if step.FirstOnly && p.latches[it.latch-1] {
 				continue
 			}
-			if step.Test.MatchesElement(tok.Name) {
+			if step.Test.MatchesElement(name) {
 				if step.FirstOnly {
-					p.latches[it.latch-1] = true
+					p.flips = append(p.flips, it.latch-1)
 				}
-				p.advance(&nf, item{role: it.role, step: it.step + 1, count: it.count}, done)
+				p.advance(nf, item{role: it.role, step: it.step + 1, count: it.count}, done)
 			}
 		case xpath.Descendant, xpath.DescendantOrSelf:
 			// The self part of descendant-or-self was consumed when the
@@ -276,39 +344,17 @@ func (p *Preprojector) startElement(tok event.Token) error {
 			}
 			// keep searching deeper
 			nf.items = append(nf.items, *it)
-			if step.Test.MatchesElement(tok.Name) {
+			if step.Test.MatchesElement(name) {
 				if step.FirstOnly {
-					p.latches[it.latch-1] = true
+					p.flips = append(p.flips, it.latch-1)
 				}
-				p.advance(&nf, item{role: it.role, step: it.step + 1, count: it.count}, done)
+				p.advance(nf, item{role: it.role, step: it.step + 1, count: it.count}, done)
 			}
 		default:
 			// Self axis items are resolved eagerly in advance; Attribute
 			// never occurs in projection paths.
 		}
 	}
-
-	if len(done.roles) > 0 {
-		n := p.materialize(tok.Name, tok.Attrs)
-		nf.node = buffer.Hold(n)
-		for _, role := range done.roles {
-			for i := 0; i < done.counts[role]; i++ {
-				p.buf.AssignRole(n, role)
-			}
-		}
-	} else if p.dfa != nil && len(nf.items) == 0 {
-		// Dynamic dead test: the automaton over-approximates (it
-		// ignores first-witness [1] latches), so an element can be
-		// statically alive yet carry no active items and no completed
-		// role — nothing below it can match either. Skip it too.
-		p.latches = p.latches[:nf.latches]
-		return p.src.SkipSubtree()
-	}
-	p.stack = append(p.stack, nf)
-	if p.dfa != nil {
-		p.dfaStack = append(p.dfaStack, p.next)
-	}
-	return nil
 }
 
 // advance places item it into frame nf, resolving steps that can match
@@ -349,12 +395,12 @@ func (p *Preprojector) advance(nf *frame, it item, done *completion) {
 }
 
 func (p *Preprojector) endElement() {
+	// A live child that never came: an empty JSON array, asked about at
+	// its '['.
+	p.drop()
 	top := p.stack[len(p.stack)-1]
 	p.stack = p.stack[:len(p.stack)-1]
 	p.latches = p.latches[:top.latches]
-	if p.dfa != nil {
-		p.dfaStack = p.dfaStack[:len(p.dfaStack)-1]
-	}
 	if top.items != nil {
 		// Frames never share items backing arrays (advance copies item
 		// values), so the popped frame's array can serve the next

@@ -3,12 +3,6 @@
 // high watermarks reported in Figure 5.
 package stats
 
-import (
-	"fmt"
-	"io"
-	"strings"
-)
-
 // Point is one sample of the buffer plot.
 type Point struct {
 	// Token is the number of input tokens processed so far (x-axis).
@@ -59,44 +53,4 @@ func (r *Recorder) PeakNodes() int64 {
 		}
 	}
 	return peak
-}
-
-// WriteTSV writes the series as "token<TAB>nodes" lines, ready for
-// gnuplot (the format of the paper's buffer plots).
-func (r *Recorder) WriteTSV(w io.Writer) error {
-	for _, p := range r.Points {
-		if _, err := fmt.Fprintf(w, "%d\t%d\n", p.Token, p.Nodes); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Sparkline renders the node series as a compact ASCII chart (used by
-// the examples to visualize the Fig. 3 oscillation in a terminal).
-func (r *Recorder) Sparkline(width int) string {
-	if len(r.Points) == 0 || width < 1 {
-		return ""
-	}
-	levels := []rune("▁▂▃▄▅▆▇█")
-	peak := r.PeakNodes()
-	if peak == 0 {
-		peak = 1
-	}
-	var b strings.Builder
-	step := float64(len(r.Points)) / float64(width)
-	if step < 1 {
-		step = 1
-		width = len(r.Points)
-	}
-	for i := 0; i < width; i++ {
-		idx := int(float64(i) * step)
-		if idx >= len(r.Points) {
-			idx = len(r.Points) - 1
-		}
-		v := r.Points[idx].Nodes
-		l := int(float64(v) / float64(peak) * float64(len(levels)-1))
-		b.WriteRune(levels[l])
-	}
-	return b.String()
 }

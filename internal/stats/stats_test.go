@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRecorderSamplesEveryN(t *testing.T) {
 	r := NewRecorder(3)
@@ -44,39 +41,5 @@ func TestPeakNodes(t *testing.T) {
 	empty := NewRecorder(1)
 	if empty.PeakNodes() != 0 {
 		t.Fatal("empty recorder peak should be 0")
-	}
-}
-
-func TestWriteTSV(t *testing.T) {
-	r := NewRecorder(1)
-	r.Record(1, 10, 0)
-	r.Record(2, 20, 0)
-	var b strings.Builder
-	if err := r.WriteTSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != "1\t10\n2\t20\n" {
-		t.Fatalf("TSV = %q", b.String())
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	r := NewRecorder(1)
-	for i := int64(0); i < 100; i++ {
-		r.Record(i+1, i%10, 0)
-	}
-	s := r.Sparkline(20)
-	if got := len([]rune(s)); got != 20 {
-		t.Fatalf("sparkline width = %d, want 20", got)
-	}
-	if NewRecorder(1).Sparkline(10) != "" {
-		t.Fatal("empty recorder sparkline should be empty")
-	}
-	// fewer points than width: one glyph per point
-	small := NewRecorder(1)
-	small.Record(1, 1, 0)
-	small.Record(2, 2, 0)
-	if got := len([]rune(small.Sparkline(80))); got != 2 {
-		t.Fatalf("small sparkline width = %d, want 2", got)
 	}
 }

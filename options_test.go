@@ -21,33 +21,18 @@ func TestExecuteUnknownEngine(t *testing.T) {
 	}
 }
 
-// TestExecuteUnknownSignOffMode: an out-of-range SignOffMode must be
-// reported, not silently treated as deferred.
-func TestExecuteUnknownSignOffMode(t *testing.T) {
-	q := gcx.MustCompile(`<out>{ /a/b }</out>`)
-	_, err := q.Execute(strings.NewReader("<a><b/></a>"), io.Discard, gcx.Options{SignOffMode: gcx.SignOffMode(7)})
-	if err == nil {
-		t.Fatal("expected error for unknown sign-off mode")
-	}
-	if !strings.Contains(err.Error(), "unknown sign-off mode") {
-		t.Errorf("err = %v, want mention of unknown sign-off mode", err)
-	}
-}
-
 // TestExecuteKnownOptionValues: every documented combination still
 // executes.
 func TestExecuteKnownOptionValues(t *testing.T) {
 	q := gcx.MustCompile(`<out>{ /a/b }</out>`)
 	const doc = "<a><b>1</b></a>"
 	for _, eng := range []gcx.Engine{gcx.EngineGCX, gcx.EngineProjectionOnly, gcx.EngineDOM} {
-		for _, mode := range []gcx.SignOffMode{gcx.SignOffDeferred, gcx.SignOffEager} {
-			out, _, err := q.ExecuteString(doc, gcx.Options{Engine: eng, SignOffMode: mode})
-			if err != nil {
-				t.Fatalf("engine %d, mode %d: %v", eng, mode, err)
-			}
-			if out != "<out><b>1</b></out>" {
-				t.Errorf("engine %d, mode %d: output %q", eng, mode, out)
-			}
+		out, _, err := q.ExecuteString(doc, gcx.Options{Engine: eng})
+		if err != nil {
+			t.Fatalf("engine %d: %v", eng, err)
+		}
+		if out != "<out><b>1</b></out>" {
+			t.Errorf("engine %d: output %q", eng, out)
 		}
 	}
 }
