@@ -5,10 +5,11 @@
 # (`make perf`, `make perf-baseline`, `make perf-gate`) produces every
 # committed or gated one. `make profile BENCH=<regexp>` answers "where
 # does the time go" for any root-package benchmark: 20 iterations under
-# the CPU profiler, then pprof's top 30 (BenchmarkEmitE1 and
-# BenchmarkFilterJ1 are gcxperf's xml-emit and ndjson-filter workloads
-# in that form, BenchmarkStreamQ6 the engine half of serve-stream,
-# BenchmarkJoinQ8 xml-join's query Q8 over 4 MiB without the DOM cells).
+# the CPU profiler, then pprof's top 30 (BenchmarkSkipQ1,
+# BenchmarkEmitE1 and BenchmarkFilterJ1 are gcxperf's xml-skip, xml-emit
+# and ndjson-filter workloads in that form, BenchmarkStreamQ6 the engine
+# half of serve-stream, BenchmarkJoinQ8 xml-join's query Q8 over 4 MiB
+# without the DOM cells).
 # `make profile-allocs BENCH=<regexp>` answers "who allocates": the same
 # benchmarks, 5 iterations with every allocation sampled, then pprof's
 # top 30 by allocated objects (FOCUS=<regexp> keeps only stacks through a

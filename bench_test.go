@@ -12,7 +12,8 @@
 //	BenchmarkAblationJoin                — hash join vs. nested loops (Q8, Q9)
 //	BenchmarkSubstrateTokenizer/Projection — substrate throughput
 //	BenchmarkSerializer                  — the XML and JSON sinks alone
-//	BenchmarkEmitE1                      — gcxperf's xml-emit, for `make profile`
+//	BenchmarkSkipQ1                      — gcxperf's xml-skip, for `make profile`
+//	BenchmarkEmitE1                      — gcxperf's xml-emit, likewise
 //	BenchmarkFilterJ1                    — gcxperf's ndjson-filter, likewise
 //	BenchmarkStreamQ6                    — the engine half of gcxperf's serve-stream
 //	BenchmarkJoinQ8                      — gcxperf's xml-join query alone, likewise
@@ -80,7 +81,8 @@ func benchBufferPlot(b *testing.B, query, doc string, opts gcx.Options) {
 }
 
 // BenchmarkFig3b — paper Figure 3(b): 9×article + 1×book; the buffer
-// oscillates and stays bounded (peak 6 nodes).
+// oscillates and stays bounded (peak 6 nodes in the paper and in a
+// recording run; this run prunes each decided article and peaks at 5).
 func BenchmarkFig3b(b *testing.B) {
 	benchBufferPlot(b, xmark.PaperQuery, xmark.BibDocument(xmark.Fig3bKinds()), gcx.Options{})
 }
@@ -337,6 +339,30 @@ func BenchmarkSubstrateTokenizer(b *testing.B) {
 		}
 		tz.Release()
 	}
+}
+
+// BenchmarkSkipQ1 is gcxperf's xml-skip workload as a Go benchmark
+// (`make profile BENCH=SkipQ1`): XMark Q1 over 16 MiB on the zero-copy
+// path. Nearly every byte is raw-skipped, and every person but person0
+// is decided at its start tag, so tokens/op and appended/op count what
+// still reaches the preprojector and the buffer.
+func BenchmarkSkipQ1(b *testing.B) {
+	doc := []byte(xmarkDoc(b, 16<<20))
+	q, err := gcx.Compile(xmark.Queries["Q1"].Text)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(doc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *gcx.Result
+	for i := 0; i < b.N; i++ {
+		if res, err = q.ExecuteBytes(doc, io.Discard, gcx.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.TokensProcessed), "tokens/op")
+	b.ReportMetric(float64(res.TotalAppended), "appended/op")
 }
 
 // BenchmarkEmitE1 is gcxperf's xml-emit workload as a Go benchmark, so

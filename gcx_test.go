@@ -40,7 +40,7 @@ func TestPublicRolesAndExplain(t *testing.T) {
 	if roles[3].Name != "r4" || roles[3].Path != "/bib/*/price[1]" {
 		t.Fatalf("r4 = %+v", roles[3])
 	}
-	if !strings.Contains(q.Explain(), "signOff($bib, r2)") {
+	if !strings.Contains(q.Explain(), "signOff($bib, r2, prune)") {
 		t.Fatal("Explain missing rewritten query")
 	}
 	if q.Report().UsesAggregation {

@@ -86,6 +86,11 @@ type Plan struct {
 	// slot for the document root plus one per for-loop of Rewritten
 	// (see xqast.ForExpr.Slot).
 	Slots int
+	// PruneSlots says, per variable slot, whether the sign-offs on that
+	// loop's bindings prune (xqast.SignOff.Prune): the engine decides a
+	// condition at the binding's start tag only where the decision can
+	// prune, so that no sign-off queues behind an early decision.
+	PruneSlots []bool
 	// Roles are the projection paths, in discovery order (the paper's
 	// numbering).
 	Roles []Role
@@ -197,10 +202,17 @@ func analyze(q *xqast.Query, opts Options) (*Plan, error) {
 		Normalized:      norm,
 		Rewritten:       rewritten,
 		Slots:           slots,
+		PruneSlots:      make([]bool, slots),
 		Roles:           ex.roles,
 		UsesAggregation: ex.usesAggregation,
 		Opts:            opts,
 	}
+	xqast.Walk(rewritten.Body, func(e xqast.Expr) bool {
+		if so, ok := e.(*xqast.SignOff); ok && so.Prune {
+			plan.PruneSlots[so.Slot] = true
+		}
+		return true
+	})
 	plan.Automaton, plan.SkipReason = xpath.CompileAutomatonReason(plan.RolePaths())
 	plan.Stream = Streamability(plan)
 	plan.Join = DetectJoin(plan)

@@ -104,10 +104,12 @@ func TestPaperSignOffPlacement(t *testing.T) {
 		t.Fatal("loop $x not found")
 	}
 	got := signOffStrings(xLoop.Body)
+	// Every loop of the example is bound by child steps, so each of its
+	// sign-offs may prune; the root's may not.
 	want := []string{
-		"signOff($x, r3)",
-		"signOff($x/price[1], r4)",
-		"signOff($x/descendant-or-self::node(), r5)",
+		"signOff($x, r3, prune)",
+		"signOff($x/price[1], r4, prune)",
+		"signOff($x/descendant-or-self::node(), r5, prune)",
 	}
 	if strings.Join(got, "; ") != strings.Join(want, "; ") {
 		t.Errorf("$x loop sign-offs = %v, want %v", got, want)
@@ -116,8 +118,8 @@ func TestPaperSignOffPlacement(t *testing.T) {
 	bLoop := findLoop(body, "b")
 	got = signOffStrings(bLoop.Body)
 	want = []string{
-		"signOff($b, r6)",
-		"signOff($b/title/descendant-or-self::node(), r7)",
+		"signOff($b, r6, prune)",
+		"signOff($b/title/descendant-or-self::node(), r7, prune)",
 	}
 	if strings.Join(got, "; ") != strings.Join(want, "; ") {
 		t.Errorf("$b loop sign-offs = %v, want %v", got, want)
@@ -125,7 +127,7 @@ func TestPaperSignOffPlacement(t *testing.T) {
 
 	bibLoop := findLoop(body, "bib")
 	got = signOffStrings(bibLoop.Body)
-	want = []string{"signOff($bib, r2)"}
+	want = []string{"signOff($bib, r2, prune)"}
 	if strings.Join(got, "; ") != strings.Join(want, "; ") {
 		t.Errorf("$bib loop sign-offs = %v, want %v", got, want)
 	}
@@ -220,7 +222,7 @@ func TestJoinHoisting(t *testing.T) {
 	pLoop := findLoop(plan.Rewritten.Body, "p")
 	found := false
 	for _, s := range signOffStrings(pLoop.Body) {
-		if s == "signOff($p, r4)" {
+		if s == "signOff($p, r4, prune)" {
 			found = true
 		}
 	}
@@ -379,8 +381,8 @@ func TestPlanReportInputs(t *testing.T) {
 	if len(plan.Roles) == 0 {
 		t.Fatal("no roles")
 	}
-	if !strings.Contains(xqast.Print(plan.Rewritten), "signOff($bib, r2)") {
-		t.Error("rewritten query misses signOff($bib, r2)")
+	if !strings.Contains(xqast.Print(plan.Rewritten), "signOff($bib, r2, prune)") {
+		t.Error("rewritten query misses signOff($bib, r2, prune)")
 	}
 	if plan.Stream.Reason == "" {
 		t.Error("empty streamability reason")

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,6 +134,50 @@ func TestEveryRoleHasExactlyOneSignOff(t *testing.T) {
 		}
 		if len(seen) != len(plan.Roles) {
 			t.Errorf("query %q: %d sign-offs for %d roles", src, len(seen), len(plan.Roles))
+		}
+	}
+}
+
+// TestPruneVerdict: a sign-off may prune exactly when its base is a loop
+// variable bound by child steps only. Every loop-based sign-off of Q1,
+// Q17 and J3 is marked; the sign-offs on Q6's and E1's descendant-bound
+// $i, the build sides of Q8 and Q9 (hoisted to the root) and the root's
+// own sign-off are not.
+func TestPruneVerdict(t *testing.T) {
+	qs := catalogQueries(t)
+	qs["E1"] = `<result>{ for $r in /site/regions return for $i in $r//item return $i }</result>`
+	for id, marked := range map[string]func(*xqast.SignOff) bool{
+		"Q1":  func(so *xqast.SignOff) bool { return so.Base != xqast.RootVar },
+		"Q17": func(so *xqast.SignOff) bool { return so.Base != xqast.RootVar },
+		"J3":  func(so *xqast.SignOff) bool { return so.Base != xqast.RootVar },
+		"Q6":  func(so *xqast.SignOff) bool { return so.Base != xqast.RootVar && so.Base != "i" },
+		"E1":  func(so *xqast.SignOff) bool { return so.Base != xqast.RootVar && so.Base != "i" },
+		"Q8":  func(so *xqast.SignOff) bool { return so.Base != xqast.RootVar },
+		"Q9":  func(so *xqast.SignOff) bool { return so.Base != xqast.RootVar },
+	} {
+		plan := mustAnalyze(t, qs[id])
+		var bases []string
+		xqast.Walk(plan.Rewritten.Body, func(e xqast.Expr) bool {
+			if so, ok := e.(*xqast.SignOff); ok {
+				bases = append(bases, so.Base)
+				if so.Prune != marked(so) {
+					t.Errorf("%s: %s: prune %v", id, xqast.PrintExpr(so), so.Prune)
+				}
+				if plan.PruneSlots[so.Slot] != so.Prune {
+					t.Errorf("%s: %s: slot %d prunes %v", id, xqast.PrintExpr(so), so.Slot, plan.PruneSlots[so.Slot])
+				}
+			}
+			return true
+		})
+		if !slices.Contains(bases, xqast.RootVar) || len(bases) < 3 {
+			t.Errorf("%s: sign-offs on %v, want some on loops and one on the root", id, bases)
+		}
+	}
+	// The build sides are the top-level sign-offs after the wrapper.
+	for _, id := range []string{"Q8", "Q9"} {
+		top := signOffStrings(mustAnalyze(t, qs[id]).Rewritten.Body)
+		if len(top) < 5 {
+			t.Errorf("%s: top-level sign-offs %v, want the build side's", id, top)
 		}
 	}
 }

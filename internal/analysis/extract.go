@@ -356,7 +356,7 @@ func (ex *extractor) addRole(r Role, anchor string, rel xpath.Path) {
 
 	pl := placement{
 		scope:   ex.stack[place].loop,
-		signOff: &xqast.SignOff{Base: signVar, Path: signPath, Role: r.ID},
+		signOff: &xqast.SignOff{Base: signVar, Path: signPath, Role: r.ID, Prune: prunable(ex.varPath[signVar])},
 	}
 	if place != natural || pl.scope == nil {
 		// Hoisted (or top-level-anchored): insert right after the
@@ -364,6 +364,22 @@ func (ex *extractor) addRole(r Role, anchor string, rel xpath.Path) {
 		pl.afterStmt = ex.stack[place].stmt
 	}
 	ex.placements = append(ex.placements, pl)
+}
+
+// prunable is the verdict behind xqast.SignOff.Prune for a sign-off
+// whose base variable is bound at the absolute path bind: a loop
+// variable (the root has the empty path) reached by child steps only.
+// Its bindings then all sit at one depth and cannot nest, so every item
+// of the role at or below a binding's frame was derived through that
+// binding; the role's one sign-off runs once per binding and is its
+// last use there, so nothing can read the role inside it again.
+func prunable(bind xpath.Path) bool {
+	for _, s := range bind.Steps {
+		if s.Axis != xpath.Child {
+			return false
+		}
+	}
+	return !bind.IsEmpty()
 }
 
 // anchorChain returns the set of variables on the anchor's dependency

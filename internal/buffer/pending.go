@@ -4,7 +4,8 @@ import "gcx/internal/xpath"
 
 // pendingSignOff is a deferred sign-off: its base node's subtree was not
 // fully read when the signOff statement executed, so the role removal
-// waits until the close tag has arrived (DESIGN.md §3, the one sign-off timing).
+// waits until the close tag has arrived (DESIGN.md §3: the one timing of
+// a sign-off that does not prune).
 // This timing reproduces the paper's Fig. 3(c) observation that 23 nodes
 // are still buffered when </bib> is read.
 //
@@ -23,8 +24,9 @@ type pendingSignOff struct {
 // SignOffNow removes one instance of role per derivation of path from
 // base, for every matched node, and garbage-collects. It returns the
 // number of instances removed. The caller must ensure that base's
-// subtree is completely buffered (base.Closed), otherwise instances
-// assigned to still-streaming nodes would be missed.
+// subtree is completely buffered (base.Closed), or that the role can no
+// longer be assigned below it (projection.Preprojector.Prune), otherwise
+// instances assigned to still-streaming nodes would be missed.
 func (b *Buffer) SignOffNow(base *Node, path xpath.Path, role int) int {
 	// A match still waiting in the list carries the instances about to
 	// be removed from it, so no earlier removal's purge can reach it.
@@ -68,6 +70,22 @@ func (b *Buffer) DrainPending() int {
 	}
 	b.pending = remaining
 	return executed
+}
+
+// Queued reports whether a sign-off of role is queued on within or on a
+// node inside its subtree (the preprojector's prune check under test).
+func (b *Buffer) Queued(within *Node, role int) bool {
+	for _, p := range b.pending {
+		if p.role != role || !p.base.Live() {
+			continue
+		}
+		for n := p.base.n; n != nil; n = n.Parent {
+			if n == within {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // PendingCount returns the number of queued sign-offs.

@@ -96,6 +96,13 @@ type Engine struct {
 	// constructor's attribute list is built in.
 	vals  []string
 	attrs []event.Attr
+	// prune is set when the run skips dead children and collects
+	// garbage: then a condition that the start tag decides is decided
+	// there, and a prunable sign-off on an open binding stops its role
+	// from matching inside it (DESIGN.md §3). Recording runs, plans
+	// without an automaton and the projection-only engine keep the
+	// close-tag timing, so their per-token profiles do not move.
+	prune bool
 }
 
 // New builds an engine instance for a single run over the given event
@@ -123,6 +130,8 @@ func New(plan *analysis.Plan, src event.Source, sink event.Sink, cfg Config) *En
 		proj: proj,
 		out:  sink,
 		env:  make([]buffer.Handle, plan.Slots),
+		// EnableSkipping installs no skipper for a nil automaton.
+		prune: cfg.Recorder == nil && plan.Automaton != nil && !cfg.DisableGC,
 	}
 	e.env[0] = buffer.Hold(buf.Root)
 	if plan.Join != nil {
@@ -349,8 +358,16 @@ func (e *Engine) eval(expr xqast.Expr) error {
 	case *xqast.SignOff:
 		// Role removal plus garbage collection, deferred until the
 		// binding's close tag has been read while its subtree is still
-		// open (DESIGN.md §3).
-		e.buf.QueueSignOff(e.node(expr.Slot), expr.Path, expr.Role)
+		// open (DESIGN.md §3) — unless the plan proved the step prunable:
+		// then the role stops matching inside the open binding, and the
+		// removal runs at once over what is buffered, which is all the
+		// role will ever hold there.
+		base := e.node(expr.Slot)
+		if expr.Prune && e.prune && !base.Closed && e.proj.Prune(base, expr.Role) {
+			e.buf.SignOffNow(base, expr.Path, expr.Role)
+			return nil
+		}
+		e.buf.QueueSignOff(base, expr.Path, expr.Role)
 		return nil
 	default:
 		return fmt.Errorf("engine: unknown expression %T", expr)
@@ -549,10 +566,24 @@ func (e *Engine) evalExists(c *xqast.ExistsCond) (bool, error) {
 	if c.Arg.Path.IsEmpty() {
 		return true, nil
 	}
+	if e.startTagged(&c.Arg) {
+		return e.witness(base, c.Arg.Path), nil
+	}
 	if err := e.ensure(func() bool { return e.witness(base, c.Arg.Path) || base.Closed }); err != nil {
 		return false, err
 	}
 	return e.witness(base, c.Arg.Path), nil
+}
+
+// startTagged reports whether pe is to be read at its binding's start
+// tag: it names an attribute of the binding itself, which arrived with
+// the start tag (a JSON source delivers none, which is as complete), and
+// the decision can prune — the run prunes and the binding's sign-offs
+// are prunable. Anywhere else a decision made before the close tag would
+// only queue the binding's sign-offs, which then run at the next
+// binding instead of at the close.
+func (e *Engine) startTagged(pe *xqast.PathExpr) bool {
+	return e.prune && e.plan.PruneSlots[pe.Slot] && len(pe.Path.Steps) == 1 && pe.Path.EndsWithAttribute()
 }
 
 // witness reports whether path — element path or attribute-final — has
@@ -611,11 +642,13 @@ func cmpOp(op xqast.CmpOp) xqvalue.CmpOp {
 // appendPathValues appends a path expression's value sequence to vals:
 // present attribute values for attribute-final paths, string values of
 // the selected nodes otherwise. It blocks until the base subtree is
-// fully buffered.
+// fully buffered, unless the start tag decides the sequence (startTagged).
 func (e *Engine) appendPathValues(vals []string, pe *xqast.PathExpr) ([]string, error) {
 	base := e.node(pe.Slot)
-	if err := e.ensureClosed(base); err != nil {
-		return vals, err
+	if !e.startTagged(pe) {
+		if err := e.ensureClosed(base); err != nil {
+			return vals, err
+		}
 	}
 	if elems, attr, ok := splitAttr(pe.Path); ok {
 		for _, m := range e.buf.Matches(base, elems) {

@@ -17,7 +17,10 @@
 package projection
 
 import (
+	"fmt"
 	"io"
+	"slices"
+	"testing"
 
 	"gcx/internal/buffer"
 	"gcx/internal/event"
@@ -202,6 +205,43 @@ func (p *Preprojector) drop() {
 	}
 	p.child.items = nil
 	p.pending = false
+}
+
+// checkPrune turns on Prune's preconditions under go test, like the
+// buffer's stale-reference checks.
+var checkPrune = testing.Testing()
+
+// Prune stops role from matching inside the open element buffered as
+// base: it drops the role's items from base's frame and every deeper
+// one, so children that carried nothing else answer dead and the source
+// raw-skips them. It reports false, pruning nothing, when skipping is
+// off or base has no open frame. The caller runs the role's sign-off on
+// base at once: a queued one would find nodes that other roles buffered
+// after the prune and that never received this role.
+func (p *Preprojector) Prune(base *buffer.Node, role int) bool {
+	if p.dfa == nil {
+		return false
+	}
+	i := len(p.stack) - 1
+	for i > 0 && p.stack[i].node.Node() != base {
+		i--
+	}
+	if i == 0 {
+		return false
+	}
+	if checkPrune {
+		if p.pending {
+			panic("projection: prune while a child frame is pending")
+		}
+		if p.buf.Queued(base, role) {
+			panic(fmt.Sprintf("projection: prune of r%d under <%s> with its sign-off still queued there", role+1, base.Name))
+		}
+	}
+	for j := i; j < len(p.stack); j++ {
+		f := &p.stack[j]
+		f.items = slices.DeleteFunc(f.items, func(it item) bool { return it.role == role })
+	}
+	return true
 }
 
 // TokensProcessed reports the number of input tokens consumed.

@@ -329,3 +329,69 @@ func TestStepByStepProcessing(t *testing.T) {
 		t.Fatal("Step after EOF should return false")
 	}
 }
+
+// TestPrune: pruning r5 at an open book stops the role from matching
+// inside it — a later child carries only its other roles — and leaves
+// the book's siblings alone; without skipping, or on the root, nothing
+// is pruned. Under go test Prune refuses a pending child frame and a
+// queued sign-off of the role inside the book.
+func TestPrune(t *testing.T) {
+	const doc = `<bib><book><title>T</title><author>A</author></book><book><author>B</author></book></bib>`
+	roles := paperRoles()
+	start := func(skipping bool, tokens int) (*Preprojector, *buffer.Buffer) {
+		buf := buffer.New()
+		p := New(xmltok.NewTokenizer(strings.NewReader(doc)), buf, roles)
+		if skipping {
+			p.EnableSkipping(xpath.CompileAutomaton(roles))
+		}
+		for i := 0; i < tokens; i++ {
+			if _, err := p.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p, buf
+	}
+	p, buf := start(false, 2) // <bib><book>
+	book := findChild(findChild(buf.Root, "bib", 0), "book", 0)
+	if p.Prune(book, 4) {
+		t.Fatal("pruned without skipping")
+	}
+
+	p, buf = start(true, 2)
+	book = findChild(findChild(buf.Root, "bib", 0), "book", 0)
+	if p.Prune(buf.Root, 4) || !p.Prune(book, 4) {
+		t.Fatal("Prune must refuse the root and accept the open book")
+	}
+	if err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	bib := findChild(buf.Root, "bib", 0)
+	title := findChild(findChild(bib, "book", 0), "title", 0)
+	if title == nil || title.RoleCount(4) != 0 || title.RoleCount(6) != 1 {
+		t.Fatalf("title after the prune: %s", buf.Dump(nil))
+	}
+	if findChild(findChild(bib, "book", 0), "author", 0) != nil {
+		t.Fatalf("the first book's author carried only r5 and is still buffered:\n%s", buf.Dump(nil))
+	}
+	if a := findChild(findChild(bib, "book", 1), "author", 0); a == nil || a.RoleCount(4) != 1 {
+		t.Fatalf("the second book lost r5:\n%s", buf.Dump(nil))
+	}
+
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("Prune accepted %s", what)
+			}
+		}()
+		f()
+	}
+	p, buf = start(true, 3) // <bib><book><title>
+	book = findChild(findChild(buf.Root, "bib", 0), "book", 0)
+	buf.QueueSignOff(findChild(book, "title", 0), xpath.Path{Steps: []xpath.Step{xpath.DescendantOrSelfNodeStep()}}, 4)
+	mustPanic("a queued sign-off of the role inside the base", func() { p.Prune(book, 4) })
+	p, buf = start(true, 2)
+	book = findChild(findChild(buf.Root, "bib", 0), "book", 0)
+	p.Dead("title")
+	mustPanic("a pending child frame", func() { p.Prune(book, 4) })
+}

@@ -108,11 +108,18 @@ type AggExpr struct {
 // Role from every node reached from the binding of Base via Path (per
 // derivation), and triggers garbage collection. Slot is Base's variable
 // slot (see ForExpr).
+//
+// Prune is the analysis's proof that, executed while Base's binding is
+// still open, the statement may also stop Role from matching anything
+// further inside that binding: Base is a loop variable whose absolute
+// path has only child steps, so its bindings never nest and every item
+// of Role below one was derived through it (DESIGN.md §2, §3).
 type SignOff struct {
-	Base string
-	Path xpath.Path
-	Role int
-	Slot int
+	Base  string
+	Path  xpath.Path
+	Role  int
+	Slot  int
+	Prune bool
 }
 
 func (*Empty) isExpr()     {}

@@ -101,7 +101,11 @@ func (p *printer) expr(e Expr, level int) {
 	case *AggExpr:
 		p.line(level, "%s(%s)", e.Fn, pathRef(e.Arg.Base, e.Arg.Path))
 	case *SignOff:
-		p.line(level, "signOff(%s, r%d)", pathRef(e.Base, e.Path), e.Role+1)
+		verdict := ""
+		if e.Prune {
+			verdict = ", prune"
+		}
+		p.line(level, "signOff(%s, r%d%s)", pathRef(e.Base, e.Path), e.Role+1, verdict)
 	default:
 		p.line(level, "?unknown-expr?")
 	}
