@@ -243,7 +243,7 @@ func BenchmarkShardedExecute(b *testing.B) {
 // subtree skipping (DESIGN.md §7) buys on the sequential hot path:
 // each query runs with skipping on (default) and off, over the same
 // document. The skipped_KB metric is the per-run BytesSkipped — the
-// share of the input the path automaton proved unobservable and the
+// share of the input the preprojector found dead and the
 // engine fast-forwarded past without tokenizing — and tokens/op the
 // tokens the source still delivered (dead children are not among them).
 func BenchmarkSkippingExecute(b *testing.B) {

@@ -68,11 +68,9 @@ type BoundReport struct {
 
 // SkipReport is the compile-time subtree-skipping status.
 type SkipReport struct {
-	// Active reports whether the path automaton compiled; runs with
-	// RecordEvery set still tokenize every byte.
+	// Active reports whether runs skip dead subtrees. Every compiled
+	// query does; runs with RecordEvery set still tokenize every byte.
 	Active bool `json:"active"`
-	// Reason says why skipping is unavailable when Active is false.
-	Reason string `json:"reason,omitempty"`
 }
 
 // ShardReport is the compile-time sharding verdict.
@@ -123,10 +121,7 @@ func (q *Query) Report() ExplainReport {
 		Roles:               q.Roles(),
 		Rewritten:           xqast.Print(q.plan.Rewritten),
 		UsesAggregation:     q.plan.UsesAggregation,
-		Skipping: SkipReport{
-			Active: q.plan.Automaton != nil,
-			Reason: q.plan.SkipReason,
-		},
+		Skipping:            SkipReport{Active: q.plan.Automaton != nil},
 	}
 	if st.Class != analysis.Unbounded {
 		r.StaticBound = &BoundReport{
@@ -180,8 +175,6 @@ func (r ExplainReport) Text() string {
 	if r.Skipping.Active {
 		b.WriteString("Skipping: byte-level subtree skipping active" +
 			" (off for runs with RecordEvery)\n")
-	} else {
-		b.WriteString("Skipping: disabled (" + r.Skipping.Reason + ")\n")
 	}
 	if r.Sharding.Partitionable {
 		b.WriteString("Sharding: partitionable on " + r.Sharding.PartitionPath)

@@ -24,7 +24,7 @@ func CompileAnalysis(src string, opts analysis.Options) (*Query, error) {
 }
 
 // WithoutSkip returns a copy of q whose runs tokenize every input byte:
-// neither its plan nor its shard workers' plan has a skip automaton.
+// neither its plan nor its shard workers' plan skips.
 func WithoutSkip(q *Query) *Query {
 	return q.withPlan(func(p *analysis.Plan) { p.Automaton = nil })
 }

@@ -96,19 +96,13 @@ type Plan struct {
 	Roles []Role
 	// UsesAggregation reports whether the query uses the aggregation extension.
 	UsesAggregation bool
-	// Automaton is the path automaton compiled from the role paths at
-	// analysis time (DESIGN.md §7): the engine's preprojector uses its
-	// dead states to fast-forward the byte stream past subtrees no
-	// projection path can observe. It is nil when the path set cannot
-	// be compiled (then runs simply never skip), immutable, and shared
-	// by all executions of the plan.
+	// Automaton, when non-nil, means runs of the plan skip dead subtrees
+	// (DESIGN.md §7): the engine installs its preprojector as the
+	// source's skipper, whose item matching decides every child. Analysis
+	// always sets it, so every plan skips; only the reference plans of
+	// the parity tests clear it, and runs that record a buffer plot
+	// (RecordEvery) skip nothing whatever it holds.
 	Automaton *xpath.Automaton
-	// SkipReason says why Automaton is nil — the compile-time reason
-	// byte-level subtree skipping is unavailable (attribute-axis
-	// projection path, state cap). Empty when Automaton is non-nil;
-	// runs that record a buffer plot (RecordEvery) additionally run
-	// without skipping, which is not recorded here.
-	SkipReason string
 	// Opts are the analysis switches the plan was compiled with, kept so
 	// derived plans (sharding) reuse the same analysis.
 	Opts Options
@@ -205,6 +199,7 @@ func analyze(q *xqast.Query, opts Options) (*Plan, error) {
 		PruneSlots:      make([]bool, slots),
 		Roles:           ex.roles,
 		UsesAggregation: ex.usesAggregation,
+		Automaton:       &xpath.Automaton{},
 		Opts:            opts,
 	}
 	xqast.Walk(rewritten.Body, func(e xqast.Expr) bool {
@@ -213,7 +208,6 @@ func analyze(q *xqast.Query, opts Options) (*Plan, error) {
 		}
 		return true
 	})
-	plan.Automaton, plan.SkipReason = xpath.CompileAutomatonReason(plan.RolePaths())
 	plan.Stream = Streamability(plan)
 	plan.Join = DetectJoin(plan)
 	return plan, nil

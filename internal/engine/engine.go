@@ -99,8 +99,8 @@ type Engine struct {
 	// prune is set when the run skips dead children and collects
 	// garbage: then a condition that the start tag decides is decided
 	// there, and a prunable sign-off on an open binding stops its role
-	// from matching inside it (DESIGN.md §3). Recording runs, plans
-	// without an automaton and the projection-only engine keep the
+	// from matching inside it (DESIGN.md §3). Recording runs, reference
+	// plans that do not skip and the projection-only engine keep the
 	// close-tag timing, so their per-token profiles do not move.
 	prune bool
 }
@@ -130,7 +130,7 @@ func New(plan *analysis.Plan, src event.Source, sink event.Sink, cfg Config) *En
 		proj: proj,
 		out:  sink,
 		env:  make([]buffer.Handle, plan.Slots),
-		// EnableSkipping installs no skipper for a nil automaton.
+		// EnableSkipping installs no skipper for a plan that does not skip.
 		prune: cfg.Recorder == nil && plan.Automaton != nil && !cfg.DisableGC,
 	}
 	e.env[0] = buffer.Hold(buf.Root)

@@ -10,7 +10,7 @@
 // preprojector, buffer manager and engine in between operate purely on
 // these types. Any new input format that can present itself as a
 // Source inherits the whole stack — projection, active garbage
-// collection, path-DFA subtree skipping and sharding — unchanged.
+// collection, dead-subtree skipping and sharding — unchanged.
 package event
 
 import (
@@ -86,9 +86,9 @@ func (t *Token) Attr(name string) (string, bool) {
 
 // SkipStats reports a Source's byte-level fast-forward counters
 // (DESIGN.md §7): bytes the source never tokenized because the
-// projection automaton proved them irrelevant, a lower bound on the
-// element tokens it never delivered (the start tag of a dead child
-// included), and the number of fast-forwards taken.
+// preprojector found them dead, a lower bound on the element tokens it
+// never delivered (the start tag of a dead child included), and the
+// number of fast-forwards taken.
 type SkipStats struct {
 	BytesSkipped    int64
 	TagsSkipped     int64
@@ -97,14 +97,17 @@ type SkipStats struct {
 
 // Skipper is the dead-child test a Source consults before it delivers a
 // StartElement (DESIGN.md §7): the preprojector, answering from its
-// path automaton and its items.
+// items.
 //
-// A Source may ask about one child more than once, and a live answer
-// may be followed by no StartElement at all: jsontok asks at an
-// array's '[', for the whole array, and again at each item, and an
-// empty array delivers none. So a live answer must commit nothing: the
-// Skipper answers a repeated question as it answered the first, and
-// only the delivery of the StartElement makes the answer take effect.
+// A Source may ask about one child more than once, and an answer may be
+// followed by no StartElement at all: jsontok asks at an array's '[',
+// for the whole array, and again at each item, and an empty array
+// delivers none. So no answer commits anything: the Skipper answers a
+// repeated question as it answered the first, and only the delivery of
+// the StartElement makes a live answer take effect. A dead answer is
+// final (the child, or the whole array, is skipped), so a child whose
+// delivery would change the Skipper's state — a first-witness latch its
+// match flips — is alive.
 type Skipper interface {
 	// Dead reports whether a child element named name of the innermost
 	// open element is dead: nothing at or below it can match. Each call

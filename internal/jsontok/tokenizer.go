@@ -6,7 +6,7 @@
 // execution.
 //
 // The tree mapping (DESIGN.md §8) makes the existing XPath subset,
-// projection automaton and subtree skipping apply unchanged:
+// projection's dead test and subtree skipping apply unchanged:
 //
 //   - the stream is one virtual element named event.RootName ("root");
 //   - every top-level JSON value — one line of NDJSON — is an element
@@ -22,8 +22,8 @@
 //
 // Like the XML tokenizer, the Tokenizer works strictly one event at a
 // time, interns object keys so repeated field names share one string,
-// and supports byte-level SkipSubtree: when the projection automaton
-// proves a value irrelevant, its bytes are raw-scanned to the matching
+// and supports byte-level SkipSubtree: when the preprojector finds a
+// value dead, its bytes are raw-scanned to the matching
 // close brace without string decoding, number parsing or event
 // construction. Scalars are parsed lazily — the StartElement is
 // delivered before the scalar's bytes are consumed — so skipping one

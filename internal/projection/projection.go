@@ -5,9 +5,9 @@
 // discarded on the fly, with a lookahead of one token. With skipping on
 // (EnableSkipping) even that lookahead is not paid for a dead child:
 // the preprojector is the source's event.Skipper, and Dead is the one
-// place a child is found dead — by the path automaton, or because no
-// item of its parent matches it any more — so the source raw-skips it
-// before it becomes a token; only live elements arrive here.
+// place a child is found dead — it would carry no item, complete no
+// role and flip no latch — so the source raw-skips it before it becomes
+// a token; only live elements arrive here.
 //
 // Matching is NFA-style: every open element carries a set of active
 // items (role, next-step index, derivation count). Descendant-axis items
@@ -56,8 +56,6 @@ type frame struct {
 	// latches is the length of Preprojector.latches when the frame was
 	// opened: the latches beyond it are the frame's own.
 	latches int
-	// state is the frame's path-automaton state while skipping is on.
-	state int32
 }
 
 // matchesSelf applies a node test to the frame's own node.
@@ -76,12 +74,11 @@ type Preprojector struct {
 	stack []frame
 	eof   bool
 
-	// dfa, when non-nil, enables projection-guided subtree skipping
-	// (DESIGN.md §7): every frame carries its automaton state, and the
-	// preprojector is the source's Skipper, so a dead child is
+	// skipping enables projection-guided subtree skipping (DESIGN.md
+	// §7): the preprojector is the source's Skipper, so a dead child is
 	// fast-forwarded at byte level inside the source and never arrives
 	// here.
-	dfa *xpath.Automaton
+	skipping bool
 
 	// child is the frame of the StartElement the source delivers next,
 	// and done the roles it completes, as open computed them. pending
@@ -149,46 +146,43 @@ func New(src event.Source, buf *buffer.Buffer, rolePaths []xpath.Path) *Preproje
 	return p
 }
 
-// EnableSkipping turns on byte-level subtree skipping driven by the
-// given path automaton (compiled from the same role paths this
-// preprojector matches — analysis.Plan.Automaton): it installs the
+// EnableSkipping turns on byte-level subtree skipping: it installs the
 // preprojector as the source's Skipper. It must be called before the
-// first Step; a nil automaton leaves skipping off. Skipping never
-// changes the buffered tree or the query output; it does change
-// TokensProcessed, which counts neither dead children nor tokens inside
-// skipped subtrees, so measurement runs that record per-token buffer
-// plots keep it disabled.
+// first Step; a nil plan marker (analysis.Plan.Automaton) leaves
+// skipping off. Skipping never changes the buffered tree or the query
+// output; it does change TokensProcessed, which counts neither dead
+// children nor tokens inside skipped subtrees, so measurement runs that
+// record per-token buffer plots keep it disabled.
 func (p *Preprojector) EnableSkipping(a *xpath.Automaton) {
 	if a == nil {
 		return
 	}
-	p.dfa = a
-	p.stack[0].state = a.Start()
+	p.skipping = true
 	p.src.SetSkipper(p)
 }
 
 // Dead implements event.Skipper for a child named name of the innermost
-// open frame. A child is dead when its automaton state is, or when it
-// would carry no item and complete no role: the automaton ignores
-// first-witness [1] latches, so a child can be statically alive after
-// its parent's latch has fired, yet nothing at or below it can match.
+// open frame: it runs the child's item matching, and the child is dead
+// when it would carry no item, complete no role and flip no first-witness
+// latch. Nothing at or below such a child can match, and skipping it
+// changes no matcher state. A child whose only effect is a latch flip
+// (d under $a/*[1]/self::c) is alive: the flip must happen, and a dead
+// answer may not commit it, because jsontok asks at an array's '[' and
+// an empty array has no element to flip anything. Its own children carry
+// no items and go dead one level down.
+//
 // For a live child the frame open computed stays pending for
 // startElement. It committed nothing, so when the source asks again
 // before delivering the child — jsontok asks at an array's '[' and
 // again at its first item — Dead drops it and computes the same frame.
 func (p *Preprojector) Dead(name string) bool {
 	p.drop()
-	state := p.dfa.Next(p.stack[len(p.stack)-1].state, name)
-	if p.dfa.Dead(state) {
-		return true
-	}
 	p.open(name)
 	p.pending = true
-	if len(p.child.items) == 0 && len(p.done.roles) == 0 {
+	if len(p.child.items) == 0 && len(p.done.roles) == 0 && len(p.flips) == 0 {
 		p.drop()
 		return true
 	}
-	p.child.state = state
 	return false
 }
 
@@ -219,7 +213,7 @@ var checkPrune = testing.Testing()
 // base at once: a queued one would find nodes that other roles buffered
 // after the prune and that never received this role.
 func (p *Preprojector) Prune(base *buffer.Node, role int) bool {
-	if p.dfa == nil {
+	if !p.skipping {
 		return false
 	}
 	i := len(p.stack) - 1

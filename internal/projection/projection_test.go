@@ -342,7 +342,7 @@ func TestPrune(t *testing.T) {
 		buf := buffer.New()
 		p := New(xmltok.NewTokenizer(strings.NewReader(doc)), buf, roles)
 		if skipping {
-			p.EnableSkipping(xpath.CompileAutomaton(roles))
+			p.EnableSkipping(&xpath.Automaton{})
 		}
 		for i := 0; i < tokens; i++ {
 			if _, err := p.Step(); err != nil {
@@ -394,4 +394,122 @@ func TestPrune(t *testing.T) {
 	book = findChild(findChild(buf.Root, "bib", 0), "book", 0)
 	p.Dead("title")
 	mustPanic("a pending child frame", func() { p.Prune(book, 4) })
+}
+
+// deadRecorder is the source's Skipper in TestDead: it asks the
+// preprojector and records each answer with the child's element path,
+// "+" for alive and "-" for dead.
+type deadRecorder struct {
+	p   *Preprojector
+	got []string
+}
+
+func (r *deadRecorder) Dead(name string) bool {
+	dead := r.p.Dead(name)
+	path := name
+	for i := len(r.p.stack) - 1; i > 0; i-- {
+		path = r.p.stack[i].name + "/" + path
+	}
+	mark := "+"
+	if dead {
+		mark = "-"
+	}
+	r.got = append(r.got, mark+path)
+	return dead
+}
+
+// TestDead pins Dead's verdict on every start tag the tokenizer asks
+// about, for the path sets of the paper's projection shapes. A dead
+// child is skipped, so nothing below it is asked.
+func TestDead(t *testing.T) {
+	c := xpath.ChildStep
+	desc := func(name string) xpath.Step {
+		return xpath.Step{Axis: xpath.Descendant, Test: xpath.Test{Kind: xpath.TestName, Name: name}}
+	}
+	first := func(name string) xpath.Step {
+		return xpath.Step{Axis: xpath.Child, Test: xpath.Test{Kind: xpath.TestName, Name: name}, FirstOnly: true}
+	}
+	self := func(name string) xpath.Step {
+		return xpath.Step{Axis: xpath.Self, Test: xpath.Test{Kind: xpath.TestName, Name: name}}
+	}
+	paths := func(steps ...[]xpath.Step) []xpath.Path {
+		ps := make([]xpath.Path, len(steps))
+		for i, s := range steps {
+			ps[i] = xpath.Path{Steps: s}
+		}
+		return ps
+	}
+	type steps = []xpath.Step
+	cases := []struct {
+		name  string
+		roles []xpath.Path
+		doc   string
+		want  string
+	}{{
+		// /site/people/person, the Q1 binding shape: an unmentioned
+		// sibling section and everything below the matched leaf are dead.
+		name:  "child chain",
+		roles: paths(steps{c("site"), c("people"), c("person")}),
+		doc:   `<site><regions><item/></regions><people><person><name/></person></people></site>`,
+		want:  "+site -site/regions +site/people +site/people/person -site/people/person/name",
+	}, {
+		name:  "child chain wrong root",
+		roles: paths(steps{c("site"), c("people"), c("person")}),
+		doc:   `<other><site/></other>`,
+		want:  "-other",
+	}, {
+		// /site/regions//item keeps the whole regions subtree alive, at
+		// any depth, and lets the sibling people section go dead.
+		name:  "descendant item keeps regions",
+		roles: paths(steps{c("site"), c("regions"), desc("item")}),
+		doc:   `<site><people><person/></people><regions><africa><x><y><z/></y></x><item/></africa></regions></site>`,
+		want:  "+site -site/people +site/regions +site/regions/africa +site/regions/africa/x +site/regions/africa/x/y +site/regions/africa/x/y/z +site/regions/africa/item",
+	}, {
+		// /a/b/descendant-or-self::node(), the output-role shape.
+		name:  "descendant-or-self output tail",
+		roles: paths(steps{c("a"), c("b"), xpath.DescendantOrSelfNodeStep()}),
+		doc:   `<a><b><c><d/></c></b><c/></a>`,
+		want:  "+a +a/b +a/b/c +a/b/c/d -a/c",
+	}, {
+		name:  "wildcard",
+		roles: paths(steps{c("bib"), xpath.WildcardStep(), c("price")}),
+		doc:   `<bib><anything><price/><title/></anything></bib>`,
+		want:  "+bib +bib/anything +bib/anything/price -bib/anything/title",
+	}, {
+		// The first w matches the [1] step and flips its latch although
+		// the self step fails: it is alive for the flip, and its child is
+		// dead. The flip leaves the second w nothing to match.
+		name:  "first-witness latch",
+		roles: paths(steps{c("a"), first("w"), self("never")}),
+		doc:   `<a><w><x/></w><w/></a>`,
+		want:  "+a +a/w -a/w/x -a/w",
+	}, {
+		name:  "several paths",
+		roles: paths(steps{c("a"), c("b")}, steps{c("a"), c("c"), c("d")}),
+		doc:   `<a><b/><c><d/></c><e/></a>`,
+		want:  "+a +a/b +a/c +a/c/d -a/e",
+	}, {
+		// The root role "/" completes at the virtual root and keeps
+		// nothing below it alive.
+		name:  "empty-path root role",
+		roles: paths(steps{}, steps{c("a")}),
+		doc:   `<b><a/></b>`,
+		want:  "-b",
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tok := xmltok.NewTokenizer(strings.NewReader(tc.doc))
+			buf := buffer.New()
+			p := New(tok, buf, tc.roles)
+			p.EnableSkipping(&xpath.Automaton{})
+			rec := &deadRecorder{p: p}
+			tok.SetSkipper(rec)
+			if err := p.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.Join(rec.got, " "); got != tc.want {
+				t.Errorf("answers\n got %s\nwant %s", got, tc.want)
+			}
+		})
+	}
 }

@@ -146,7 +146,7 @@ func TestStatsAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan, info := compileShardable(t, xmark.Queries["Q1"].Text)
-	// Reference run on a copy of the plan without its skip automaton, so
+	// Reference run on a copy of the plan that does not skip, so
 	// its token count covers the full document (the skipping engine
 	// fast-forwards irrelevant sections and counts fewer tokens than the
 	// splitter leaves in the chunks).

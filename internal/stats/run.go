@@ -21,8 +21,8 @@ type Run struct {
 	// engine. With subtree skipping active (the default, DESIGN.md §7)
 	// tokens inside skipped subtrees are not produced and therefore not
 	// counted — see BytesSkipped/TagsSkipped for what was
-	// fast-forwarded. Runs with RecordEvery set, and runs of a plan
-	// without a skip automaton, count every token of the document.
+	// fast-forwarded. Runs with RecordEvery set, and runs of a reference
+	// plan that does not skip, count every token of the document.
 	TokensProcessed int64
 	// PeakBufferedNodes is the buffer high watermark in nodes.
 	PeakBufferedNodes int64
@@ -38,10 +38,10 @@ type Run struct {
 	OutputBytes int64
 	// BytesSkipped is the number of input bytes the engine
 	// fast-forwarded past at byte level without tokenizing, because the
-	// compiled path automaton proved no projection path could observe
+	// preprojector found them dead: no projection path could observe
 	// them (DESIGN.md §7). Zero on the DOM engine, in recording runs,
-	// and when the plan has no skip automaton or the query observes the
-	// whole document.
+	// for a reference plan that does not skip, and when the query
+	// observes the whole document.
 	BytesSkipped int64
 	// TagsSkipped counts element tags inside skipped subtrees — a lower
 	// bound on the tokens the run did not have to produce (text runs in
