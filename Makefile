@@ -170,4 +170,5 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzCursor -fuzztime 10s ./internal/cursor
 	$(GO) test -run xxx -fuzz FuzzBytesReaderParity -fuzztime 10s ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzJSONBytesReaderParity -fuzztime 10s ./internal/jsontok
+	$(GO) test -run xxx -fuzz FuzzNDJSONSplitter -fuzztime 10s ./internal/jsontok
 	$(GO) test -run xxx -fuzz FuzzSerializer -fuzztime 10s ./internal/core

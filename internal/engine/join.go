@@ -21,10 +21,6 @@ import (
 // O(probe + build + matches).
 type joinRun struct {
 	info *analysis.JoinInfo
-	// entered marks that the probe chain's head has been reached (it
-	// guards the ProbeHead==ProbeLoop single-step case against
-	// re-interception on the recursive call).
-	entered bool
 	// cap is the run's one capture: every probe body's events, then
 	// each build tuple's payload in turn until the table has copied it.
 	// A body is being captured exactly while e.out is &cap; spliceAt is
@@ -55,13 +51,13 @@ func (e *Engine) interceptFor(f *xqast.ForExpr) (bool, error) {
 		}
 		j.spliceAt = j.cap.Mark()
 		return true, nil
-	case f == j.info.ProbeHead && !j.entered:
-		j.entered = true
-		if err := e.evalFor(f); err != nil {
+	case f == j.info.ProbeHead:
+		// A single-step probe path is its own probe loop.
+		if err := e.loop(f, f == j.info.ProbeLoop); err != nil {
 			return true, err
 		}
 		return true, e.finalizeJoin()
-	case f == j.info.ProbeLoop && j.entered && e.out != &j.cap:
+	case f == j.info.ProbeLoop:
 		return true, e.loop(f, true)
 	}
 	return false, nil

@@ -19,14 +19,12 @@ type Chunk struct {
 	// Seq is the chunk's position in input order (0-based); the merge
 	// serializer emits chunk outputs in Seq order.
 	Seq int
-	// Records is the number of non-blank lines in the chunk.
+	// Records is the number of lines holding a byte outside the
+	// tokenizer's whitespace class.
 	Records int
-	// Data is the chunk's bytes: the records' lines verbatim. On the
-	// reader path each line is newline-terminated and blank lines are
-	// dropped; on the []byte path Data is a zero-copy subslice of the
-	// input, so interior blank lines stay (the tokenizer treats them as
-	// insignificant whitespace) and the final record may lack a trailing
-	// newline.
+	// Data is the chunk's bytes: the input verbatim, blank lines
+	// included, from one line start to a newline or the end of input.
+	// On the []byte path it is a zero-copy subslice of the input.
 	Data []byte
 }
 
@@ -34,21 +32,22 @@ type Chunk struct {
 // sharded execution (DESIGN.md §6/§8). Unlike the XML splitter, which
 // raw-scans element nesting to find record boundaries and re-wraps
 // chunks with synthesized ancestor tags, NDJSON's record boundary is a
-// newline: the splitter just packs whole lines until the byte target —
+// newline: the splitter steps over whole lines until the byte target —
 // no nesting scan, no re-wrapping, no content outside records. Each
 // chunk tokenizes into the same virtual root/record structure as the
 // full stream, so the worker engines' projection paths match unchanged.
 //
-// Lines are not parsed here; a malformed record surfaces as a syntax
-// error in the worker that tokenizes its chunk, exactly as the
-// sequential run would report it.
+// Lines are not parsed here. The one thing the splitter decides is
+// whether a line is blank, and it asks the tokenizer's byte classes: a
+// chunk whose every byte is insignificant whitespace is dropped, since
+// the tokenizer would read it as nothing; every other byte reaches a
+// worker, so a malformed record surfaces as the syntax error the
+// sequential run reports (at a chunk-relative offset).
 type Splitter struct {
 	cur    *cursor.Cursor
 	ctx    context.Context
 	target int
 	seq    int
-	done   bool
-	long   []byte // scratch for reader-path lines spanning windows
 }
 
 // NewSplitter returns a Splitter reading NDJSON records from r.
@@ -63,7 +62,8 @@ func NewSplitterBytes(data []byte) *Splitter {
 	return &Splitter{cur: cursor.NewBytes(data), target: DefaultChunkTarget}
 }
 
-// SetContext attaches a cancellation context, checked between lines.
+// SetContext attaches a cancellation context, checked at the start of
+// every chunk and at every refill of the reader window.
 func (sp *Splitter) SetContext(ctx context.Context) { sp.ctx = ctx }
 
 // SetTargetBytes overrides the chunk size target (0 keeps the default).
@@ -73,121 +73,82 @@ func (sp *Splitter) SetTargetBytes(n int) {
 	}
 }
 
-// Next returns the next chunk, or io.EOF after the last one. On the
-// reader path Data is freshly allocated and owned by the caller; on the
-// []byte path it is a zero-copy subslice of the input. Either way the
-// splitter keeps no mutable reference, so chunks can be processed
-// concurrently.
+// Next returns the next chunk, or io.EOF after the last one. A chunk
+// runs from the first unread byte to the first line end at or past the
+// target, or to the end of input. On the []byte path Data is a
+// zero-copy subslice of the input; on the reader path it is a copy
+// owned by the caller. Either way the splitter keeps no mutable
+// reference, so chunks can be processed concurrently.
 func (sp *Splitter) Next() (Chunk, error) {
-	if sp.cur.Fixed() {
-		return sp.nextBytes()
-	}
-	if sp.done {
-		return Chunk{}, io.EOF
-	}
-	var buf []byte
-	records := 0
-	for len(buf) < sp.target {
-		if sp.ctx != nil {
-			if err := sp.ctx.Err(); err != nil {
-				return Chunk{}, err
-			}
-		}
-		line, err := sp.readLine()
-		if err != nil && err != io.EOF {
+	for {
+		if err := sp.poll(); err != nil {
 			return Chunk{}, err
 		}
-		if len(bytes.TrimSpace(line)) > 0 {
-			buf = append(buf, line...)
-			if n := len(buf); n == 0 || buf[n-1] != '\n' {
-				buf = append(buf, '\n')
+		if err := sp.cur.Fill(); err != nil {
+			return Chunk{}, err
+		}
+		sp.cur.Mark()
+		size, records, blank := 0, 0, true
+		for {
+			w := sp.cur.Window()
+			if n := bytes.IndexByte(w, '\n') + 1; n > 0 {
+				sp.cur.Advance(n)
+				size += n
+				if !blank || !isSpace(w[:n]) {
+					records++
+				}
+				blank = true
+				if size >= sp.target {
+					break
+				}
+				continue
 			}
-			records++
-		}
-		if err == io.EOF {
-			sp.done = true
-			break
-		}
-	}
-	if records == 0 {
-		return Chunk{}, io.EOF
-	}
-	c := Chunk{Seq: sp.seq, Records: records, Data: buf}
-	sp.seq++
-	return c, nil
-}
-
-// nextBytes is the []byte fast path: chunk boundaries are found with
-// vectorized newline scans and Data aliases the input — the splitter
-// allocates nothing per chunk.
-func (sp *Splitter) nextBytes() (Chunk, error) {
-	for {
-		if sp.done {
-			return Chunk{}, io.EOF
-		}
-		if sp.ctx != nil {
-			if err := sp.ctx.Err(); err != nil {
+			// The window ends inside a line: step over its start and
+			// refill.
+			blank = blank && isSpace(w)
+			sp.cur.Advance(len(w))
+			size += len(w)
+			if err := sp.poll(); err != nil {
 				return Chunk{}, err
 			}
-		}
-		w := sp.cur.Window()
-		if len(w) == 0 {
-			sp.done = true
-			return Chunk{}, io.EOF
-		}
-		pos := 0
-		records := 0
-		for pos < len(w) && pos < sp.target {
-			nl := bytes.IndexByte(w[pos:], '\n')
-			var line []byte
-			if nl < 0 {
-				line = w[pos:]
-				pos = len(w)
-			} else {
-				line = w[pos : pos+nl]
-				pos += nl + 1
-			}
-			if len(bytes.TrimSpace(line)) > 0 {
-				records++
+			if err := sp.cur.Fill(); err != nil {
+				if err != io.EOF {
+					return Chunk{}, err
+				}
+				if !blank {
+					records++
+				}
+				break
 			}
 		}
-		sp.cur.Advance(pos)
-		if pos == len(w) {
-			sp.done = true
-		}
+		data := sp.cur.Take()
 		if records == 0 {
-			// An all-blank span: nothing to hand out, keep scanning.
+			// All insignificant whitespace: nothing for a worker to read.
 			continue
 		}
-		c := Chunk{Seq: sp.seq, Records: records, Data: w[:pos]}
+		if !sp.cur.Fixed() {
+			data = bytes.Clone(data)
+		}
+		c := Chunk{Seq: sp.seq, Records: records, Data: data}
 		sp.seq++
 		return c, nil
 	}
 }
 
-// readLine reads one full line including its trailing newline, growing
-// into the sp.long scratch for lines spanning window boundaries. It
-// returns io.EOF together with the final unterminated line, if any.
-// The returned slice is valid only until the next readLine call.
-func (sp *Splitter) readLine() ([]byte, error) {
-	sp.long = sp.long[:0]
-	for {
-		if err := sp.cur.Fill(); err != nil {
-			return sp.long, err
-		}
-		w := sp.cur.Window()
-		nl := bytes.IndexByte(w, '\n')
-		if nl >= 0 {
-			if len(sp.long) == 0 {
-				line := w[:nl+1]
-				sp.cur.Advance(nl + 1)
-				return line, nil
-			}
-			sp.long = append(sp.long, w[:nl+1]...)
-			sp.cur.Advance(nl + 1)
-			return sp.long, nil
-		}
-		sp.long = append(sp.long, w...)
-		sp.cur.Advance(len(w))
+func (sp *Splitter) poll() error {
+	if sp.ctx == nil {
+		return nil
 	}
+	return sp.ctx.Err()
+}
+
+// isSpace reports whether every byte of b is insignificant whitespace
+// to the tokenizer.
+func isSpace(b []byte) bool {
+	for _, c := range b {
+		if class[c]&cSpace == 0 {
+			return false
+		}
+	}
+	return true
 }

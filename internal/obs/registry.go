@@ -63,8 +63,9 @@ type Registry struct {
 	byName   map[string]*family
 }
 
-// family is one metric name: scalar metrics have a single anonymous
-// child, vectors one child per label-value combination.
+// family is one metric name: counters and gauges have a single
+// anonymous child, histogram families one child per label-value
+// combination.
 type family struct {
 	name, help, typ string
 	statsKey        string
@@ -137,24 +138,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) *Func {
 	f := r.register(name, help, "gauge", nil)
 	f.fn = fn
 	return &Func{f: f}
-}
-
-// Histogram registers a histogram with fixed bucket upper bounds (must
-// be sorted ascending; the +Inf bucket is implicit).
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	checkBuckets(name, buckets)
-	h := newHistogram(r, buckets)
-	f := r.register(name, help, "histogram", &child{hist: h})
-	f.buckets = buckets
-	return h
-}
-
-// CounterVec registers a counter family with the given label names;
-// series materialize on first With.
-func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	f := r.register(name, help, "counter", nil)
-	f.labels = labels
-	return &CounterVec{r: r, f: f}
 }
 
 // HistogramVec registers a histogram family with the given label names.
@@ -285,21 +268,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // --- labeled vectors -----------------------------------------------------
-
-// CounterVec is a counter family; With resolves one series.
-type CounterVec struct {
-	r *Registry
-	f *family
-}
-
-// With returns the series for the given label values (created on first
-// use). The number of values must match the registered label names.
-func (v *CounterVec) With(values ...string) *Counter {
-	c := v.r.childFor(v.f, values, func(c *child) {
-		c.counter = &Counter{r: v.r, f: v.f}
-	})
-	return c.counter
-}
 
 // HistogramVec is a histogram family; With resolves one series.
 type HistogramVec struct {

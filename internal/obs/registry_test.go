@@ -19,14 +19,14 @@ func TestExposition(t *testing.T) {
 	g.Set(3)
 	g.Add(-1)
 	r.GaugeFunc("gcx_cache_entries", "Cached queries.", func() int64 { return 7 })
-	h := r.Histogram("gcx_response_size_bytes", "Response sizes.", []float64{10, 100})
+	r.CounterFunc("gcx_cache_hits_total", "Cache hits.", func() int64 { return 9 })
+	v := r.HistogramVec("gcx_response_size_bytes", "Response sizes.", []float64{10, 100}, "engine", "outcome")
+	h := v.With("gcx", "ok")
 	h.Observe(5)
 	h.Observe(50)
 	h.Observe(50)
 	h.Observe(1000)
-	v := r.CounterVec("gcx_outcomes_total", "Outcomes.", "engine", "outcome")
-	v.With("gcx", "ok").Add(9)
-	v.With("dom", "error").Inc()
+	v.With("dom", "error").Observe(100)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -41,17 +41,21 @@ gcx_inflight_requests 2
 # HELP gcx_cache_entries Cached queries.
 # TYPE gcx_cache_entries gauge
 gcx_cache_entries 7
+# HELP gcx_cache_hits_total Cache hits.
+# TYPE gcx_cache_hits_total counter
+gcx_cache_hits_total 9
 # HELP gcx_response_size_bytes Response sizes.
 # TYPE gcx_response_size_bytes histogram
-gcx_response_size_bytes_bucket{le="10"} 1
-gcx_response_size_bytes_bucket{le="100"} 3
-gcx_response_size_bytes_bucket{le="+Inf"} 4
-gcx_response_size_bytes_sum 1105
-gcx_response_size_bytes_count 4
-# HELP gcx_outcomes_total Outcomes.
-# TYPE gcx_outcomes_total counter
-gcx_outcomes_total{engine="dom",outcome="error"} 1
-gcx_outcomes_total{engine="gcx",outcome="ok"} 9
+gcx_response_size_bytes_bucket{engine="dom",outcome="error",le="10"} 0
+gcx_response_size_bytes_bucket{engine="dom",outcome="error",le="100"} 1
+gcx_response_size_bytes_bucket{engine="dom",outcome="error",le="+Inf"} 1
+gcx_response_size_bytes_sum{engine="dom",outcome="error"} 100
+gcx_response_size_bytes_count{engine="dom",outcome="error"} 1
+gcx_response_size_bytes_bucket{engine="gcx",outcome="ok",le="10"} 1
+gcx_response_size_bytes_bucket{engine="gcx",outcome="ok",le="100"} 3
+gcx_response_size_bytes_bucket{engine="gcx",outcome="ok",le="+Inf"} 4
+gcx_response_size_bytes_sum{engine="gcx",outcome="ok"} 1105
+gcx_response_size_bytes_count{engine="gcx",outcome="ok"} 4
 `
 	if got := b.String(); got != want {
 		t.Errorf("exposition drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
@@ -63,7 +67,7 @@ gcx_outcomes_total{engine="gcx",outcome="ok"} 9
 // the next.
 func TestHistogramBucketBoundaries(t *testing.T) {
 	r := New()
-	h := r.Histogram("gcx_test_seconds", "", []float64{1, 2, 4})
+	h := r.HistogramVec("gcx_test_seconds", "", []float64{1, 2, 4}, "outcome").With("ok")
 	for _, v := range []float64{1, 2, 2.0001, 4, 5} {
 		h.Observe(v)
 	}
@@ -72,11 +76,11 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, line := range []string{
-		`gcx_test_seconds_bucket{le="1"} 1`,
-		`gcx_test_seconds_bucket{le="2"} 2`,
-		`gcx_test_seconds_bucket{le="4"} 4`,
-		`gcx_test_seconds_bucket{le="+Inf"} 5`,
-		`gcx_test_seconds_count 5`,
+		`gcx_test_seconds_bucket{outcome="ok",le="1"} 1`,
+		`gcx_test_seconds_bucket{outcome="ok",le="2"} 2`,
+		`gcx_test_seconds_bucket{outcome="ok",le="4"} 4`,
+		`gcx_test_seconds_bucket{outcome="ok",le="+Inf"} 5`,
+		`gcx_test_seconds_count{outcome="ok"} 5`,
 	} {
 		if !strings.Contains(b.String(), line+"\n") {
 			t.Errorf("missing %q in:\n%s", line, b.String())
@@ -105,13 +109,13 @@ func TestLatencyBucketsSorted(t *testing.T) {
 // escaped per the exposition format.
 func TestLabelEscaping(t *testing.T) {
 	r := New()
-	v := r.CounterVec("gcx_errors_total", "", "message")
-	v.With("a\\b \"quoted\"\nnext").Inc()
+	v := r.HistogramVec("gcx_errors_seconds", "", []float64{1}, "message")
+	v.With("a\\b \"quoted\"\nnext").Observe(0.5)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `gcx_errors_total{message="a\\b \"quoted\"\nnext"} 1`
+	want := `gcx_errors_seconds_count{message="a\\b \"quoted\"\nnext"} 1`
 	if !strings.Contains(b.String(), want+"\n") {
 		t.Errorf("escaping drifted:\n got %s\nwant %s", b.String(), want)
 	}
@@ -235,9 +239,9 @@ func TestRegistrationPanics(t *testing.T) {
 	for name, fn := range map[string]func(r *Registry){
 		"invalid name":    func(r *Registry) { r.Counter("0bad", "") },
 		"duplicate":       func(r *Registry) { r.Counter("gcx_x_total", ""); r.Gauge("gcx_x_total", "") },
-		"empty buckets":   func(r *Registry) { r.Histogram("gcx_h", "", nil) },
-		"unsorted":        func(r *Registry) { r.Histogram("gcx_h", "", []float64{2, 1}) },
-		"label arity":     func(r *Registry) { r.CounterVec("gcx_v_total", "", "a").With("x", "y") },
+		"empty buckets":   func(r *Registry) { r.HistogramVec("gcx_h", "", nil) },
+		"unsorted":        func(r *Registry) { r.HistogramVec("gcx_h", "", []float64{2, 1}) },
+		"label arity":     func(r *Registry) { r.HistogramVec("gcx_hv", "", []float64{1}, "a").With("x", "y") },
 		"histogram arity": func(r *Registry) { r.HistogramVec("gcx_hv", "", []float64{1}, "a").With() },
 	} {
 		t.Run(name, func(t *testing.T) {

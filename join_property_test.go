@@ -128,6 +128,40 @@ func TestJoinBuildChainStaysOnItsVariable(t *testing.T) {
 	}
 }
 
+// TestJoinSingleStepProbe: a probe path of one step makes the probe
+// chain's head its innermost loop, which the operator runs as the probe
+// loop and then finalizes. The generated join queries all have longer
+// probe paths. A document has one root element, so at most one side
+// matches; the join run, the nested-loop plan and the DOM oracle agree
+// on bytes and on the reader backings.
+func TestJoinSingleStepProbe(t *testing.T) {
+	const src = `<out>{ for $p in /p return <m>{ $p/n, for $b in /b return if ($b/k = $p/k) then $b/v else () }</m> }</out>`
+	q := gcx.MustCompile(src)
+	if q.Report().Join == nil {
+		t.Fatalf("not detected as a join:\n%s", q.Explain())
+	}
+	for doc, probes := range map[string]int64{
+		`<p><k>1</k><n>x</n></p>`: 1,
+		`<b><k>1</k><v>y</v></b>`: 0,
+	} {
+		want, _, err := q.ExecuteString(doc, gcx.Options{Engine: gcx.EngineDOM})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nested, _, err := gcx.WithoutJoin(q).ExecuteString(doc, gcx.Options{}); err != nil || nested != want {
+			t.Fatalf("%s: nested-loop plan gives %q (%v), DOM %q", doc, nested, err, want)
+		}
+		got, res, err := q.ExecuteString(doc, gcx.Options{})
+		if err != nil || got != want {
+			t.Fatalf("%s: join run gives %q (%v), DOM %q", doc, got, err, want)
+		}
+		if res.JoinProbeTuples != probes {
+			t.Fatalf("%s: JoinProbeTuples = %d, want %d", doc, res.JoinProbeTuples, probes)
+		}
+		checkOnReaders(t, q, doc, want, doc, gcx.Options{})
+	}
+}
+
 // checkOnReaders runs q with opts over doc on the reader backing — in
 // 16–63-byte chunks and a byte at a time — and fails unless both
 // outputs are want.

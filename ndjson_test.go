@@ -3,6 +3,7 @@ package gcx_test
 import (
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"gcx"
 	"gcx/internal/event"
@@ -247,5 +248,64 @@ func TestNDJSONSkipCounters(t *testing.T) {
 	}
 	if res2.SubtreesSkipped == 0 || res2.BytesSkipped == 0 {
 		t.Fatalf("scalar-level skips count no bytes: subtrees=%d bytes=%d", res2.SubtreesSkipped, res2.BytesSkipped)
+	}
+}
+
+// TestNDJSONShardedBlankLines: a sharded NDJSON run fails wherever the
+// sequential run fails, and succeeds with the same output wherever it
+// succeeds. A line of whitespace the JSON tokenizer does not accept —
+// form feed, vertical tab, U+0085, U+00A0 — is a syntax error in one
+// engine and in N, on every backing; so is a long span of such lines
+// that starts exactly at a chunk boundary. Lines of the tokenizer's own
+// whitespace are nothing in either.
+func TestNDJSONShardedBlankLines(t *testing.T) {
+	q := gcx.MustCompile(`for $r in /root/record return $r/a`)
+	inputs := map[string]string{}
+	for name, blank := range map[string]string{
+		"ff": "\f", "vt": "\v", "nel": "\u0085", "nbsp": "\u00a0",
+		"space": " ", "tab-cr": "\t\r", "empty": "",
+	} {
+		inputs[name] = "{\"a\":1}\n" + blank + "\n{\"a\":2}\n"
+		// 64 KiB of records fill the first chunk exactly; the blank
+		// lines then make up the whole second chunk.
+		inputs[name+"-chunk"] = strings.Repeat("{\"a\":1}\n", 8192) + strings.Repeat(blank+"\n", 32768) + "{\"a\":2}\n"
+	}
+	fails := map[string]bool{"ff": true, "vt": true, "nel": true, "nbsp": true}
+
+	backings := map[string]func(doc string, out *strings.Builder, opts gcx.Options) error{
+		"bytes": func(doc string, out *strings.Builder, opts gcx.Options) error {
+			_, err := q.ExecuteBytes([]byte(doc), out, opts)
+			return err
+		},
+		"reader": func(doc string, out *strings.Builder, opts gcx.Options) error {
+			_, err := q.Execute(strings.NewReader(doc), out, opts)
+			return err
+		},
+		"one-byte": func(doc string, out *strings.Builder, opts gcx.Options) error {
+			_, err := q.Execute(iotest.OneByteReader(strings.NewReader(doc)), out, opts)
+			return err
+		},
+	}
+	for name, doc := range inputs {
+		for bname, run := range backings {
+			var want, got strings.Builder
+			wantErr := run(doc, &want, gcx.Options{Format: gcx.FormatNDJSON})
+			gotErr := run(doc, &got, gcx.Options{Format: gcx.FormatNDJSON, Shards: 2})
+			class := "ok"
+			if fails[strings.TrimSuffix(name, "-chunk")] {
+				class = "syntax"
+			}
+			if errClass(wantErr) != class {
+				t.Fatalf("%s/%s: the sequential run gives %v, want class %s", name, bname, wantErr, class)
+			}
+			if errClass(gotErr) != class {
+				t.Errorf("%s/%s: sharded run gives %v, sequential %v", name, bname, gotErr, wantErr)
+			}
+			// Output is compared only for complete runs: how much of it a
+			// failed run has written depends on which chunks finished.
+			if class == "ok" && got.String() != want.String() {
+				t.Errorf("%s/%s: sharded output differs from sequential", name, bname)
+			}
+		}
 	}
 }
