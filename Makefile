@@ -18,7 +18,7 @@
 
 GO ?= go
 
-.PHONY: all build test race check lint golden paper profile profile-allocs perf perf-build perf-compare perf-baseline perf-gate loc fuzz-smoke
+.PHONY: all build test race check lint golden paper profile profile-allocs perf perf-build perf-compare perf-baseline perf-gate perf-pairs loc fuzz-smoke
 
 all: build
 
@@ -143,6 +143,32 @@ perf-gate:
 	$(GO) run -C $(GATE_DIR)/base/gcxperf . run -n 3 -out $(abspath $(GATE_DIR))/base.json
 	$(GO) run -C gcxperf . run -n 3 -out $(abspath $(GATE_DIR))/head.json
 	$(GO) run -C gcxperf . compare $(abspath $(GATE_DIR))/base.json $(abspath $(GATE_DIR))/head.json
+
+# perf-pairs is the ten-pair protocol behind every speed claim: clone
+# BASE_REF as perf-gate does, then run one workload PAIRS times on each
+# side, alternating which side goes first (odd pairs base first, even
+# pairs head first), so drift of the host over minutes falls on both
+# sides alike. Each run is BENCHMARK.json's single-workload command; its
+# final JSON line is appended to $(GATE_DIR)/pairs.jsonl as
+# {"pair":i,"side":"base"|"head","result":<line>}.
+PAIRS ?= 10
+SEED ?= 1
+perf-pairs:
+	@test -n "$(BASE_REF)" -a -n "$(WORKLOAD)" || { echo "usage: make perf-pairs BASE_REF=<commit> WORKLOAD=<name> [PAIRS=10 SEED=1 GATE_DIR=dir]" >&2; exit 2; }
+	rm -rf $(GATE_DIR)/base
+	git clone -q . $(GATE_DIR)/base
+	git -C $(GATE_DIR)/base checkout -q --detach $$(git rev-parse --verify '$(BASE_REF)^{commit}')
+	@out=$(abspath $(GATE_DIR))/pairs.jsonl; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		if [ $$((i % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			if [ $$side = base ]; then dir=$(abspath $(GATE_DIR))/base/gcxperf; else dir=gcxperf; fi; \
+			run=$$($(GO) run -C $$dir . --workload $(WORKLOAD) --seed $(SEED)) || exit 1; \
+			line=$$(printf '%s\n' "$$run" | tail -n 1); \
+			echo "{\"pair\":$$i,\"side\":\"$$side\",\"result\":$$line}" >> $$out; \
+			echo "pair $$i $$side: $$line"; \
+		done; \
+	done
 
 # loc prints the size the "Quality of design" aim is measured by: Go
 # lines outside tests, the benchmark module and lint fixtures. CI prints

@@ -57,7 +57,9 @@ func TestBudgetTripStreaming(t *testing.T) {
 	input := budgetInput(t)
 	q := gcx.MustCompile(xmark.Queries["Q1"].Text)
 
-	res, err := q.Execute(strings.NewReader(input), io.Discard, gcx.Options{MaxBufferedNodes: 4})
+	// Q1 holds four nodes at its peak since its names stream through
+	// (DESIGN.md §3), so a budget of three trips.
+	res, err := q.Execute(strings.NewReader(input), io.Discard, gcx.Options{MaxBufferedNodes: 3})
 	if !errors.Is(err, gcx.ErrBufferBudget) {
 		t.Fatalf("want ErrBufferBudget, got %v", err)
 	}
@@ -71,7 +73,7 @@ func TestBudgetTripStreaming(t *testing.T) {
 	// A recorded, traced run that trips keeps its plot and its trace up
 	// to the breach.
 	res, err = q.Execute(strings.NewReader(input), io.Discard,
-		gcx.Options{MaxBufferedNodes: 4, RecordEvery: 1, EnableTrace: true})
+		gcx.Options{MaxBufferedNodes: 3, RecordEvery: 1, EnableTrace: true})
 	if !errors.Is(err, gcx.ErrBufferBudget) || res == nil {
 		t.Fatalf("recorded run: want ErrBufferBudget with a partial Result, got %v, %v", res, err)
 	}
@@ -117,7 +119,7 @@ func TestBudgetTripSharded(t *testing.T) {
 		t.Fatal("Q1 must be shardable")
 	}
 	_, err := q.Execute(strings.NewReader(input), io.Discard,
-		gcx.Options{Shards: 4, MaxBufferedNodes: 4})
+		gcx.Options{Shards: 4, MaxBufferedNodes: 3})
 	if !errors.Is(err, gcx.ErrBufferBudget) {
 		t.Fatalf("sharded run: want ErrBufferBudget, got %v", err)
 	}

@@ -38,6 +38,10 @@ type ExplainReport struct {
 	// Skipping reports whether projection-guided byte-level subtree
 	// skipping is available for this query.
 	Skipping SkipReport `json:"skipping"`
+	// Outputs are the stream-through verdicts of the output
+	// expressions, aggregates and attribute templates, in query order
+	// (DESIGN.md §3).
+	Outputs []OutputReport `json:"outputs,omitempty"`
 	// Sharding is the data-parallel execution verdict.
 	Sharding ShardReport `json:"sharding"`
 	// Join describes the streaming hash join plan of a detected
@@ -71,6 +75,16 @@ type SkipReport struct {
 	// Active reports whether runs skip dead subtrees. Every compiled
 	// query does; runs with RecordEvery set still tokenize every byte.
 	Active bool `json:"active"`
+}
+
+// OutputReport is one output expression's stream-through verdict.
+type OutputReport struct {
+	// Expr is the expression as the normalized query writes it.
+	Expr string `json:"expr"`
+	// Verdict is "stream" — on a binding that is still open, the
+	// expression writes its matches from the stream and buffers only
+	// what another use needs — or "buffered: <reason>".
+	Verdict string `json:"verdict"`
 }
 
 // ShardReport is the compile-time sharding verdict.
@@ -122,6 +136,9 @@ func (q *Query) Report() ExplainReport {
 		Rewritten:           xqast.Print(q.plan.Rewritten),
 		UsesAggregation:     q.plan.UsesAggregation,
 		Skipping:            SkipReport{Active: q.plan.Automaton != nil},
+	}
+	for _, v := range q.plan.Outputs {
+		r.Outputs = append(r.Outputs, OutputReport{Expr: v.Expr, Verdict: v.String()})
 	}
 	if st.Class != analysis.Unbounded {
 		r.StaticBound = &BoundReport{
@@ -175,6 +192,9 @@ func (r ExplainReport) Text() string {
 	if r.Skipping.Active {
 		b.WriteString("Skipping: byte-level subtree skipping active" +
 			" (off for runs with RecordEvery)\n")
+	}
+	for _, o := range r.Outputs {
+		b.WriteString("Output " + o.Expr + ": " + o.Verdict + "\n")
 	}
 	if r.Sharding.Partitionable {
 		b.WriteString("Sharding: partitionable on " + r.Sharding.PartitionPath)

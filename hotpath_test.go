@@ -75,15 +75,24 @@ func TestAllocCeilingReader(t *testing.T) {
 	for _, c := range []struct {
 		name, query, doc string
 		opts             gcx.Options
+		// bytes and reader are the exact counts at 1 MiB, checked
+		// outside the race detector. Q6's names stream through
+		// (DESIGN.md §3), so the reader backing copies no name text;
+		// it allocated 10 times when they were buffered.
+		bytes, reader float64
 	}{
-		{"Q6", xmark.Queries["Q6"].Text, xml, gcx.Options{}},
-		{"J1", xmark.NDJSONQueries["J1"].Text, ndjson, gcx.Options{Format: gcx.FormatNDJSON}},
+		{"Q6", xmark.Queries["Q6"].Text, xml, gcx.Options{}, 2, 8},
+		{"J1", xmark.NDJSONQueries["J1"].Text, ndjson, gcx.Options{Format: gcx.FormatNDJSON}, 1, 10},
 	} {
 		onBytes, _ := runAllocs(t, c.query, []byte(c.doc), c.opts, false)
 		onReader, res := runAllocs(t, c.query, []byte(c.doc), c.opts, true)
 		perToken := onReader / float64(res.TokensProcessed)
 		t.Logf("%s: %.0f allocations on the reader backing over %d tokens = %.4f per token; %.0f on bytes",
 			c.name, onReader, res.TokensProcessed, perToken, onBytes)
+		if !raceEnabled && (onBytes > c.bytes || onReader > c.reader) {
+			t.Errorf("%s allocates %.0f times on bytes and %.0f on the reader backing, ceilings %.0f and %.0f",
+				c.name, onBytes, onReader, c.bytes, c.reader)
+		}
 		if perToken > 0.05 {
 			t.Errorf("%s allocates %.4f times per delivered token on the reader backing, ceiling 0.05", c.name, perToken)
 		}
@@ -100,12 +109,15 @@ func TestAllocCeilingJ1(t *testing.T) {
 	}
 	records := bytes.Count([]byte(doc), []byte("\n"))
 	allocs, _ := runAllocs(t, xmark.NDJSONQueries["J1"].Text, []byte(doc), gcx.Options{Format: gcx.FormatNDJSON}, false)
-	perRecord := allocs / float64(records)
-	t.Logf("J1: %.0f allocations over %d records = %.2f per record", allocs, records, perRecord)
-	// A run allocates a fixed 50-odd times whatever the record count; one
-	// allocation a member, or a record, is 20 times the ceiling.
-	if perRecord > 0.05 {
-		t.Errorf("J1 allocates %.2f times per record, ceiling 0.05", perRecord)
+	t.Logf("J1: %.0f allocations over %d records", allocs, records)
+	// A warm run allocates its result record and nothing else, whatever
+	// the record count; the ceiling used to be 0.05 per record (107).
+	ceiling := 1.0
+	if raceEnabled {
+		ceiling = 0.05 * float64(records)
+	}
+	if allocs > ceiling {
+		t.Errorf("J1 allocates %.0f times over %d records, ceiling %.0f", allocs, records, ceiling)
 	}
 }
 
@@ -115,10 +127,16 @@ func TestAllocCeilingE1(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs, res := runAllocs(t, queryE1, []byte(doc), gcx.Options{}, false)
-	perNode := allocs / float64(res.TotalAppended)
-	t.Logf("E1: %.0f allocations over %d appended nodes = %.4f per node", allocs, res.TotalAppended, perNode)
-	if perNode > 0.05 {
-		t.Errorf("E1 allocates %.4f times per appended node, ceiling 0.05", perNode)
+	t.Logf("E1: %.0f allocations over %d appended nodes", allocs, res.TotalAppended)
+	// A warm run allocates twice whatever the item count; the ceiling
+	// used to be 0.05 per appended node (797 when every item node was
+	// appended, before they streamed through).
+	ceiling := 2.0
+	if raceEnabled {
+		ceiling = 0.05 * float64(res.TotalAppended)
+	}
+	if allocs > ceiling {
+		t.Errorf("E1 allocates %.0f times over %d appended nodes, ceiling %.0f", allocs, res.TotalAppended, ceiling)
 	}
 }
 
@@ -129,7 +147,7 @@ func TestAllocCeilingE1(t *testing.T) {
 // to be skipped there, the run allocated 117 and 138 times. A person
 // decided at its start tag prunes the name role (DESIGN.md §3), so no
 // name text is copied into the reader backing's arena; before that the
-// run allocated 90 and 111 times.
+// run allocated 90 and 111 times. The ceilings are the counts since.
 func TestAllocCeilingQ1(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation counts do not hold under the race detector")
@@ -138,7 +156,7 @@ func TestAllocCeilingQ1(t *testing.T) {
 	for _, c := range []struct {
 		reader  bool
 		ceiling float64
-	}{{false, 90}, {true, 103}} {
+	}{{false, 3}, {true, 15}} {
 		allocs, _ := runAllocs(t, xmark.Queries["Q1"].Text, doc, gcx.Options{}, c.reader)
 		t.Logf("Q1 (reader %v): %.0f allocations at 4 MiB", c.reader, allocs)
 		if allocs > c.ceiling {

@@ -94,6 +94,11 @@ type Plan struct {
 	// Roles are the projection paths, in discovery order (the paper's
 	// numbering).
 	Roles []Role
+	// Outputs are the stream-through verdicts of the query's output
+	// expressions, aggregates and attribute templates, in query order
+	// (DESIGN.md §3). A streaming one carries its sign-off in the
+	// rewritten query (xqast.VarRef.Forward, xqast.PathExpr.Forward).
+	Outputs []OutputVerdict
 	// UsesAggregation reports whether the query uses the aggregation extension.
 	UsesAggregation bool
 	// Automaton, when non-nil, means runs of the plan skip dead subtrees
@@ -121,6 +126,27 @@ type Plan struct {
 	// plan (ShardInfo.Inner) carries neither.
 	Shard       *ShardInfo
 	ShardReason string
+}
+
+// OutputVerdict says whether one output expression streams: evaluated
+// on a binding that is still open, it writes the matches the buffer
+// holds, signs them off and forwards the rest of the binding's matches
+// from the stream (DESIGN.md §3, "Stream-through output").
+type OutputVerdict struct {
+	// Expr is the expression as written in the normalized query.
+	Expr string
+	// Reason is why the expression is buffered; empty when it streams.
+	Reason string
+	// expr is the expression's node, for the join pass.
+	expr xqast.Expr
+}
+
+// String renders the verdict: "stream" or "buffered: <reason>".
+func (v OutputVerdict) String() string {
+	if v.Reason == "" {
+		return "stream"
+	}
+	return "buffered: " + v.Reason
 }
 
 // RolePaths returns the projection paths indexed by role id, the input
@@ -198,6 +224,7 @@ func analyze(q *xqast.Query, opts Options) (*Plan, error) {
 		Slots:           slots,
 		PruneSlots:      make([]bool, slots),
 		Roles:           ex.roles,
+		Outputs:         ex.outputs,
 		UsesAggregation: ex.usesAggregation,
 		Automaton:       &xpath.Automaton{},
 		Opts:            opts,
@@ -210,5 +237,33 @@ func analyze(q *xqast.Query, opts Options) (*Plan, error) {
 	})
 	plan.Stream = Streamability(plan)
 	plan.Join = DetectJoin(plan)
+	if plan.Join != nil {
+		bufferProbeOutputs(plan)
+	}
 	return plan, nil
+}
+
+// bufferProbeOutputs takes the stream verdict back from every output
+// expression in a detected join's probe body: the join operator
+// captures a probe binding's output and replays it after the build side
+// is complete, so nothing in it may be written from the stream.
+func bufferProbeOutputs(plan *Plan) {
+	xqast.Walk(plan.Join.ProbeHead.Body, func(e xqast.Expr) bool {
+		var forward **xqast.SignOff
+		switch e := e.(type) {
+		case *xqast.VarRef:
+			forward = &e.Forward
+		case *xqast.PathExpr:
+			forward = &e.Forward
+		default:
+			return true
+		}
+		*forward = nil
+		for i := range plan.Outputs {
+			if v := &plan.Outputs[i]; v.expr == e && v.Reason == "" {
+				v.Reason = "inside a join probe body, whose output is captured"
+			}
+		}
+		return true
+	})
 }

@@ -18,6 +18,9 @@ type placement struct {
 	// iteration-end preemption point).
 	afterStmt xqast.Expr
 	signOff   *xqast.SignOff
+	// hoisted marks a sign-off placed in a scope outside the one of the
+	// loop binding its anchor.
+	hoisted bool
 }
 
 // extractor walks the normalized query, derives roles and computes
@@ -25,6 +28,7 @@ type placement struct {
 type extractor struct {
 	roles           []Role
 	placements      []placement
+	outputs         []OutputVerdict
 	usesAggregation bool
 	opts            Options
 
@@ -108,6 +112,10 @@ func (ex *extractor) walk(e xqast.Expr) error {
 			if a.Expr != nil {
 				ex.valueRole(*a.Expr, RoleOutput,
 					fmt.Sprintf("attribute %s of <%s>", a.Name, e.Name))
+				ex.outputs = append(ex.outputs, OutputVerdict{
+					Expr:   fmt.Sprintf("%s=\"{%s}\"", a.Name, refString(*a.Expr)),
+					Reason: "attribute template",
+				})
 			}
 		}
 		return ex.walk(e.Content)
@@ -118,13 +126,16 @@ func (ex *extractor) walk(e xqast.Expr) error {
 			Path:       ex.varPath[e.Var].Append(xpath.DescendantOrSelfNodeStep()),
 			Provenance: fmt.Sprintf("output $%s", e.Var),
 		}, e.Var, xpath.Path{Steps: []xpath.Step{xpath.DescendantOrSelfNodeStep()}})
+		ex.streamVerdict(e, "$"+e.Var, e.Var, xpath.Path{}, &e.Forward)
 		return nil
 	case *xqast.PathExpr:
 		ex.usePathRole(*e, RoleOutput, fmt.Sprintf("output %s", refString(*e)))
+		ex.streamVerdict(e, refString(*e), e.Base, e.Path, &e.Forward)
 		return nil
 	case *xqast.AggExpr:
 		ex.usesAggregation = true
 		prov := fmt.Sprintf("%s(%s)", e.Fn, refString(e.Arg))
+		ex.outputs = append(ex.outputs, OutputVerdict{Expr: prov, Reason: "aggregate"})
 		if e.Fn == xqvalue.Count {
 			// count() needs the matched nodes only, not their values.
 			ex.usePathRole(e.Arg, RoleAgg, prov)
@@ -357,13 +368,55 @@ func (ex *extractor) addRole(r Role, anchor string, rel xpath.Path) {
 	pl := placement{
 		scope:   ex.stack[place].loop,
 		signOff: &xqast.SignOff{Base: signVar, Path: signPath, Role: r.ID, Prune: prunable(ex.varPath[signVar])},
+		hoisted: place != natural,
 	}
-	if place != natural || pl.scope == nil {
+	if pl.hoisted || pl.scope == nil {
 		// Hoisted (or top-level-anchored): insert right after the
 		// statement of the placement scope containing the occurrence.
 		pl.afterStmt = ex.stack[place].stmt
 	}
 	ex.placements = append(ex.placements, pl)
+}
+
+// streamVerdict records whether the output expression e — $anchor or
+// $anchor/rel, whose role is the last one added — streams, and if so
+// points *forward at the role's sign-off (DESIGN.md §3, "Stream-through
+// output"). Forwarding serializes the matches a binding already holds,
+// runs the sign-off on them at once and writes the rest of the binding's
+// matches as they arrive, so it needs three things. Each match is
+// written whole before the next one starts: child element steps only,
+// whose matches cannot nest. The expression runs at most once per
+// binding: it sits directly in the anchor's loop, not in a loop nested
+// there. And the sign-off it runs early is that binding's own: placed
+// at the end of the anchor's loop body (or after the top-level
+// statement), not hoisted out of it.
+func (ex *extractor) streamVerdict(e xqast.Expr, text, anchor string, rel xpath.Path, forward **xqast.SignOff) {
+	v := OutputVerdict{Expr: text, expr: e}
+	switch {
+	case rel.EndsWithAttribute():
+		// The attribute's element may not even have a role.
+		v.Reason = "attribute-final path"
+	case !childElementSteps(rel):
+		v.Reason = "not a path of child element steps: its matches may nest"
+	case ex.binder[anchor] != len(ex.stack)-1:
+		v.Reason = "inside a loop nested in its binding's: runs more than once per binding"
+	case ex.placements[len(ex.placements)-1].hoisted:
+		v.Reason = "its sign-off is hoisted out of its binding's loop"
+	default:
+		*forward = ex.placements[len(ex.placements)-1].signOff
+	}
+	ex.outputs = append(ex.outputs, v)
+}
+
+// childElementSteps reports whether every step of rel is a child step
+// with an element test and no first-witness predicate.
+func childElementSteps(rel xpath.Path) bool {
+	for _, s := range rel.Steps {
+		if s.Axis != xpath.Child || s.FirstOnly || (s.Test.Kind != xpath.TestName && s.Test.Kind != xpath.TestWildcard) {
+			return false
+		}
+	}
+	return true
 }
 
 // prunable is the verdict behind xqast.SignOff.Prune for a sign-off

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"gcx/internal/cursor"
 	"gcx/internal/event"
@@ -92,7 +91,7 @@ const slabSize = 256
 
 type nodeSlab [slabSize]Node
 
-var slabPool = sync.Pool{New: func() any { return new(nodeSlab) }}
+var slabPool = cursor.NewPool(func() *nodeSlab { return new(nodeSlab) })
 
 // newNode hands out a zeroed node: the most recently purged one if
 // there is any, else the next of the current slab.
@@ -106,7 +105,7 @@ func (b *Buffer) newNode() *Node {
 		return n
 	}
 	if b.slab == nil || b.slabUsed == slabSize {
-		b.slab = slabPool.Get().(*nodeSlab)
+		b.slab = slabPool.Get()
 		b.slabs = append(b.slabs, b.slab)
 		b.slabUsed = 0
 	}
@@ -467,7 +466,11 @@ func (b *Buffer) CheckBalance() error {
 }
 
 // Serialize writes the subtree of n to s (opening tag, content, closing
-// tag; text nodes as character data).
+// tag; text nodes as character data). Of an element still open it
+// writes what is buffered so far and no closing tag, which is still to
+// come from the stream: the open child of an open node is its last one,
+// so the output ends where the stream resumes (stream-through output,
+// DESIGN.md §3).
 func Serialize(n *Node, s event.Sink) {
 	n.assertLive()
 	switch n.Kind {
@@ -478,7 +481,9 @@ func Serialize(n *Node, s event.Sink) {
 		for c := n.FirstChild; c != nil; c = c.NextSib {
 			Serialize(c, s)
 		}
-		s.EndElement(n.Name)
+		if n.Closed {
+			s.EndElement(n.Name)
+		}
 	case KindRoot:
 		for c := n.FirstChild; c != nil; c = c.NextSib {
 			Serialize(c, s)

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -109,6 +108,11 @@ type Engine struct {
 	// paths is the scratch the plan's role paths are handed to the
 	// preprojector in.
 	paths []xpath.Path
+	// signedOff marks, per role, a stream output expression that has
+	// forwarded its binding and run the role's sign-off early; the
+	// sign-off statement that follows in the binding's iteration then
+	// has nothing left to do (DESIGN.md §3, "Stream-through output").
+	signedOff []bool
 	// released marks an engine handed back by Release (checked under
 	// go test, see live).
 	released bool
@@ -118,7 +122,7 @@ type Engine struct {
 // preprojector, so that a run — a shard worker's run over one chunk
 // above all — starts on scratch an earlier run grew instead of
 // allocating its own (DESIGN.md §6).
-var enginePool = sync.Pool{New: func() any { return new(Engine) }}
+var enginePool = cursor.NewPool(func() *Engine { return new(Engine) })
 
 // checkReleased turns on the use-after-Release checks under go test,
 // like the buffer's stale-reference checks.
@@ -130,7 +134,7 @@ var checkReleased = testing.Testing()
 // format and remains responsible for releasing them after the engine's
 // Release.
 func New(plan *analysis.Plan, src event.Source, sink event.Sink, cfg Config) *Engine {
-	e := enginePool.Get().(*Engine)
+	e := enginePool.Get()
 	if e.buf == nil {
 		e.buf, e.proj = buffer.New(), new(projection.Preprojector)
 	} else {
@@ -152,6 +156,7 @@ func New(plan *analysis.Plan, src event.Source, sink event.Sink, cfg Config) *En
 	}
 	e.plan, e.cfg, e.src, e.out = plan, cfg, src, sink
 	e.env = append(e.env[:0], make([]buffer.Handle, plan.Slots)...)
+	e.signedOff = append(e.signedOff[:0], make([]bool, len(plan.Roles))...)
 	e.env[0] = buffer.Hold(buf.Root)
 	// EnableSkipping installs no skipper for a plan that does not skip.
 	e.prune = cfg.Recorder == nil && plan.Automaton != nil && !cfg.DisableGC
@@ -275,13 +280,14 @@ func (e *Engine) Release() {
 	clear(e.attrs[:cap(e.attrs)])
 	clear(e.paths)
 	*e = Engine{
-		buf:      e.buf,
-		proj:     e.proj,
-		env:      e.env[:0],
-		vals:     cursor.Scratch(e.vals),
-		attrs:    cursor.Scratch(e.attrs),
-		paths:    e.paths[:0],
-		released: true,
+		buf:       e.buf,
+		proj:      e.proj,
+		env:       e.env[:0],
+		vals:      cursor.Scratch(e.vals),
+		attrs:     cursor.Scratch(e.attrs),
+		paths:     e.paths[:0],
+		signedOff: cursor.Scratch(e.signedOff),
+		released:  true,
 	}
 	enginePool.Put(e)
 }
@@ -391,14 +397,9 @@ func (e *Engine) eval(expr xqast.Expr) error {
 		e.out.EndElement(expr.Name)
 		return nil
 	case *xqast.VarRef:
-		n := e.node(expr.Slot)
-		if err := e.ensureClosed(n); err != nil {
-			return err
-		}
-		buffer.Serialize(n, e.out)
-		return nil
+		return e.emit(e.node(expr.Slot), xpath.Path{}, expr.Forward)
 	case *xqast.PathExpr:
-		return e.evalOutputPath(expr)
+		return e.emit(e.node(expr.Slot), expr.Path, expr.Forward)
 	case *xqast.ForExpr:
 		return e.evalFor(expr)
 	case *xqast.IfExpr:
@@ -419,6 +420,10 @@ func (e *Engine) eval(expr xqast.Expr) error {
 		// then the role stops matching inside the open binding, and the
 		// removal runs at once over what is buffered, which is all the
 		// role will ever hold there.
+		if e.signedOff[expr.Role] {
+			e.signedOff[expr.Role] = false
+			return nil
+		}
 		base := e.node(expr.Slot)
 		if expr.Prune && e.prune && !base.Closed && e.proj.Prune(base, expr.Role) {
 			e.buf.SignOffNow(base, expr.Path, expr.Role)
@@ -442,15 +447,32 @@ func splitAttr(p xpath.Path) (elems xpath.Path, attr string, ok bool) {
 	return xpath.Path{Steps: p.Steps[:last:last]}, p.Steps[last].Test.Name, true
 }
 
-// evalOutputPath emits the subtrees (or attribute values) selected by a
-// path expression, in document order. Serializing evaluates no path, so
-// the buffer's match scratch stays valid across the loop.
-func (e *Engine) evalOutputPath(pe *xqast.PathExpr) error {
-	base := e.node(pe.Slot)
-	if err := e.ensureClosed(base); err != nil {
-		return err
+// emit writes the subtrees (or attribute values) that path selects
+// from base, in document order: base's own subtree for an empty path, an
+// output variable. Any expression but a forwarded one waits for base's
+// close first. Serializing evaluates no path, so the buffer's match
+// scratch stays valid across the loop.
+//
+// A stream expression (forward, DESIGN.md §3 "Stream-through output")
+// is forwarded when the run prunes — so no recorder counts its tokens,
+// and the projection-only engine keeps the buffered path — and base is
+// still open. Then emit has the preprojector take the forwarding up,
+// writes what the buffer holds of the matches, an open one up to its
+// last buffered child; runs the output role's sign-off on that prefix
+// at once, and marks it done for the sign-off statement that follows in
+// the iteration; and pulls the rest of base, the preprojector writing
+// every later token of a match to the sink and buffering it only where
+// another role, or another derivation of this one, needs it.
+func (e *Engine) emit(base *buffer.Node, path xpath.Path, forward *xqast.SignOff) error {
+	forwarding := forward != nil && e.prune && !base.Closed
+	if forwarding {
+		e.proj.Forward(base, path, forward.Role, e.out)
+	} else {
+		if err := e.ensureClosed(base); err != nil {
+			return err
+		}
 	}
-	if elems, attr, ok := splitAttr(pe.Path); ok {
+	if elems, attr, ok := splitAttr(path); ok {
 		for _, m := range e.buf.Matches(base, elems) {
 			if v, ok := m.Node.Attr(attr); ok {
 				e.out.Text(v)
@@ -458,10 +480,17 @@ func (e *Engine) evalOutputPath(pe *xqast.PathExpr) error {
 		}
 		return nil
 	}
-	for _, m := range e.buf.Matches(base, pe.Path) {
+	for _, m := range e.buf.Matches(base, path) {
 		buffer.Serialize(m.Node, e.out)
 	}
-	return nil
+	if !forwarding {
+		return nil
+	}
+	e.buf.SignOffNow(base, forward.Path, forward.Role)
+	e.signedOff[forward.Role] = true
+	err := e.ensureClosed(base)
+	e.proj.StopForward()
+	return err
 }
 
 // evalFor runs a single-step for-loop: bindings are pulled one at a

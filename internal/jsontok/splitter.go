@@ -26,6 +26,9 @@ type Chunk struct {
 	// included, from one line start to a newline or the end of input.
 	// On the []byte path it is a zero-copy subslice of the input.
 	Data []byte
+	// Offset is the input offset of Data[0]. Chunks are verbatim, so a
+	// worker's error offset plus Offset is the offset in the input.
+	Offset int64
 }
 
 // Splitter cuts an NDJSON byte stream into record-aligned chunks for
@@ -42,7 +45,8 @@ type Chunk struct {
 // chunk whose every byte is insignificant whitespace is dropped, since
 // the tokenizer would read it as nothing; every other byte reaches a
 // worker, so a malformed record surfaces as the syntax error the
-// sequential run reports (at a chunk-relative offset).
+// sequential run reports, at the same input offset once the caller adds
+// the chunk's Offset.
 type Splitter struct {
 	cur    *cursor.Cursor
 	ctx    context.Context
@@ -88,6 +92,7 @@ func (sp *Splitter) Next() (Chunk, error) {
 			return Chunk{}, err
 		}
 		sp.cur.Mark()
+		offset := sp.cur.Offset()
 		size, records, blank := 0, 0, true
 		for {
 			w := sp.cur.Window()
@@ -129,7 +134,7 @@ func (sp *Splitter) Next() (Chunk, error) {
 		if !sp.cur.Fixed() {
 			data = bytes.Clone(data)
 		}
-		c := Chunk{Seq: sp.seq, Records: records, Data: data}
+		c := Chunk{Seq: sp.seq, Records: records, Data: data, Offset: offset}
 		sp.seq++
 		return c, nil
 	}

@@ -168,8 +168,8 @@ func FuzzNDJSONSplitter(f *testing.F) {
 				t.Fatalf("%s: %d chunks, bytes %d\ninput: %q", name, len(got), len(want), in)
 			}
 			for i, c := range got {
-				if w := want[i]; c.Seq != w.Seq || c.Records != w.Records || !bytes.Equal(c.Data, w.Data) {
-					t.Fatalf("%s: chunk %d = %d/%d/%q, bytes %d/%d/%q", name, i, c.Seq, c.Records, c.Data, w.Seq, w.Records, w.Data)
+				if w := want[i]; c.Seq != w.Seq || c.Records != w.Records || c.Offset != w.Offset || !bytes.Equal(c.Data, w.Data) {
+					t.Fatalf("%s: chunk %d = %d/%d/%d/%q, bytes %d/%d/%d/%q", name, i, c.Seq, c.Records, c.Offset, c.Data, w.Seq, w.Records, w.Offset, w.Data)
 				}
 			}
 		}
@@ -185,8 +185,8 @@ func FuzzNDJSONSplitter(f *testing.F) {
 				t.Fatalf("chunk %d %q does not start at a line at or after %d\ninput: %q", i, c.Data, pos, in)
 			}
 			end := start + len(c.Data)
-			if c.Seq != i || end > len(in) || !bytes.Equal(in[start:end], c.Data) {
-				t.Fatalf("chunk %d (seq %d) %q is not the input at %d\ninput: %q", i, c.Seq, c.Data, start, in)
+			if c.Seq != i || c.Offset != int64(start) || end > len(in) || !bytes.Equal(in[start:end], c.Data) {
+				t.Fatalf("chunk %d (seq %d, offset %d) %q is not the input at %d\ninput: %q", i, c.Seq, c.Offset, c.Data, start, in)
 			}
 			lines := bytes.SplitAfter(c.Data, []byte("\n"))
 			if last := lines[len(lines)-1]; len(last) == 0 {

@@ -43,7 +43,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
 
@@ -245,13 +244,13 @@ type Tokenizer struct {
 
 // tokenizerPool recycles Tokenizers — each carries a 64 KiB cursor
 // window, a key-interning map and a text scratch buffer.
-var tokenizerPool = sync.Pool{New: func() any { return new(Tokenizer) }}
+var tokenizerPool = cursor.NewPool(func() *Tokenizer { return new(Tokenizer) })
 
 // NewTokenizer returns a Tokenizer reading from r. Tokenizers come from
 // an internal pool; callers that finish with one may hand its buffers
 // back via Release.
 func NewTokenizer(r io.Reader) *Tokenizer {
-	t := tokenizerPool.Get().(*Tokenizer)
+	t := tokenizerPool.Get()
 	t.cur.ResetReader(r, cursor.DefaultSize)
 	t.reset()
 	return t
@@ -262,7 +261,7 @@ func NewTokenizer(r io.Reader) *Tokenizer {
 // literals borrow subslices of it. The caller must not mutate data
 // until it is done with the tokenizer and every event it produced.
 func NewTokenizerBytes(data []byte) *Tokenizer {
-	t := tokenizerPool.Get().(*Tokenizer)
+	t := tokenizerPool.Get()
 	t.cur.ResetBytes(data)
 	t.reset()
 	return t

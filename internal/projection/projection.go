@@ -58,6 +58,9 @@ type frame struct {
 	// latches is the length of Preprojector.latches when the frame was
 	// opened: the latches beyond it are the frame's own.
 	latches int
+	// fwd marks a frame at or below a match of the path being forwarded
+	// (Forward): its tokens go to the forwarding sink.
+	fwd bool
 }
 
 // matchesSelf applies a node test to the frame's own node.
@@ -107,6 +110,10 @@ type Preprojector struct {
 	// deeper frames, so the latches form a stack that endElement cuts
 	// back along with the frame stack.
 	latches []bool
+
+	// fwd is the forwarding state while a stream output expression pulls
+	// its binding (Forward); fwd.sink is nil otherwise.
+	fwd forwarding
 
 	// itemsFree recycles popped and dropped frames' items backing arrays
 	// for the next open. Descendant-axis items propagate to every child
@@ -296,6 +303,79 @@ func (p *Preprojector) Prune(base *buffer.Node, role int) bool {
 	return true
 }
 
+// forwarding is the state of one Forward: the base's frame, the child
+// element steps from it to the forwarded matches, their output role and
+// the sink the matches' tokens go to.
+type forwarding struct {
+	sink  event.Sink
+	base  int
+	steps []xpath.Step
+	role  int
+}
+
+// Forward starts writing the matches of rel — child element steps —
+// from the open element buffered as base straight to sink (DESIGN.md
+// §3, "Stream-through output"). From the next token on, every token of
+// such a match goes to sink, and one instance of role, the match's
+// output derivation through base, is no longer assigned to it: the
+// token is buffered only if another role, or another derivation of
+// role, completes there. The frames already open below base are marked
+// the same way; what the buffer holds of them is the caller's to write
+// first, and so is the role's sign-off on it. base must be open, so
+// its frame is on the stack. StopForward ends the forwarding.
+func (p *Preprojector) Forward(base *buffer.Node, rel xpath.Path, role int, sink event.Sink) {
+	i := len(p.stack) - 1
+	for i > 0 && p.stack[i].node.Node() != base {
+		i--
+	}
+	if p.stack[i].node.Node() != base {
+		panic("projection: forward from <" + base.Name + ">, which has no open frame")
+	}
+	p.fwd = forwarding{sink: sink, base: i, steps: rel.Steps, role: role}
+	for j := i; j < len(p.stack); j++ {
+		p.stack[j].fwd = p.forwarded(j, p.stack[j].name)
+	}
+}
+
+// StopForward ends a Forward once its base has closed, popping every
+// frame it marked. (A run that fails before leaves marked frames, which
+// Reset and Release discard.)
+func (p *Preprojector) StopForward() { p.fwd = forwarding{} }
+
+// forwarded reports whether the element named name, whose frame is or
+// will be at stack index i, lies at or below a match of the forwarded
+// path: its parent's frame does, or the element is a match itself — the
+// path's depth below the base, and the names on the way spell its steps.
+func (p *Preprojector) forwarded(i int, name string) bool {
+	d, k := i-p.fwd.base, len(p.fwd.steps)
+	switch {
+	case d > k:
+		return p.stack[i-1].fwd
+	case d < k:
+		return false
+	case k == 0:
+		return true
+	}
+	for j, s := range p.fwd.steps[:k-1] {
+		if !s.Test.MatchesElement(p.stack[p.fwd.base+1+j].name) {
+			return false
+		}
+	}
+	return p.fwd.steps[k-1].Test.MatchesElement(name)
+}
+
+// forwardStart writes the start tag of a forwarded element to the sink
+// and takes its output derivation out of the completion; it reports
+// whether nothing is left to buffer. Only a token that completes some
+// role is asked: every token of a match completes the output role.
+func (p *Preprojector) forwardStart(nf *frame, tok event.Token) bool {
+	if nf.fwd = p.forwarded(len(p.stack), tok.Name); !nf.fwd {
+		return false
+	}
+	p.fwd.sink.StartElement(tok.Name, tok.Attrs)
+	return p.done.take(p.fwd.role)
+}
+
 // TokensProcessed reports the number of input tokens consumed.
 func (p *Preprojector) TokensProcessed() int64 { return p.src.TokenCount() }
 
@@ -363,6 +443,21 @@ func (c *completion) add(role, count int) {
 	c.counts[role] += count
 }
 
+// take removes one instance of role, which the token completes, and
+// reports whether no role instance is left.
+func (c *completion) take(role int) bool {
+	if role >= len(c.counts) || c.counts[role] == 0 {
+		panic(fmt.Sprintf("projection: forwarded token does not complete its output role r%d", role+1))
+	}
+	c.counts[role]--
+	for _, r := range c.roles {
+		if c.counts[r] > 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func (c *completion) reset() {
 	for _, r := range c.roles {
 		c.counts[r] = 0
@@ -384,7 +479,7 @@ func (p *Preprojector) startElement(tok event.Token) {
 	}
 	nf := p.child
 	nf.attrs = tok.Attrs
-	if done := &p.done; len(done.roles) > 0 {
+	if done := &p.done; len(done.roles) > 0 && !(p.fwd.sink != nil && p.forwardStart(&nf, tok)) {
 		n := p.materialize(tok.Name, tok.Attrs)
 		nf.node = buffer.Hold(n)
 		for _, role := range done.roles {
@@ -496,6 +591,9 @@ func (p *Preprojector) endElement() {
 		// startElement.
 		p.itemsFree = append(p.itemsFree, top.items[:0])
 	}
+	if top.fwd {
+		p.fwd.sink.EndElement(top.name)
+	}
 	if n := top.node.Node(); n != nil {
 		p.buf.CloseNode(n)
 	}
@@ -528,6 +626,14 @@ func (p *Preprojector) text(tok event.Token) {
 	}
 	if len(done.roles) == 0 {
 		return
+	}
+	if top.fwd {
+		// Text below a forwarded match: written now, while a volatile
+		// source's view is still valid.
+		p.fwd.sink.Text(tok.Text)
+		if done.take(p.fwd.role) {
+			return
+		}
 	}
 	parent := p.materializeStack()
 	n := p.buf.AppendText(parent, tok.Text)

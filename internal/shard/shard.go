@@ -12,6 +12,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"sync"
 	"time"
@@ -47,14 +48,28 @@ const MaxWorkers = 64
 // steady state.
 type task struct {
 	data []byte
-	own  []byte
-	out  bytes.Buffer
-	res  stats.Run
-	err  error
-	done chan struct{}
+	// offset is the input offset of an NDJSON chunk's first byte, which
+	// rebases its worker's syntax error (XML chunks carry synthesized
+	// wrapper tags, so their offsets stay chunk-relative).
+	offset int64
+	own    []byte
+	out    bytes.Buffer
+	res    stats.Run
+	err    error
+	done   chan struct{}
 }
 
-var taskPool = sync.Pool{New: func() any { return &task{done: make(chan struct{}, 1)} }}
+var taskPool = cursor.NewPool(func() *task { return &task{done: make(chan struct{}, 1)} })
+
+// rebase moves an NDJSON worker's syntax error from its chunk-relative
+// offset to the input offset: the chunk starts at offset in the input
+// and is the input verbatim.
+func rebase(err error, offset int64) {
+	var se *jsontok.SyntaxError
+	if errors.As(err, &se) {
+		se.Offset += offset
+	}
+}
 
 // recycle hands a consumed task back to the pool, keeping its buffers
 // up to cursor.MaxScratch and nothing of the run: a chunk's bytes may
@@ -67,7 +82,7 @@ func (t *task) recycle() {
 		t.out = bytes.Buffer{}
 	}
 	t.out.Reset()
-	t.data, t.res, t.err = nil, stats.Run{}, nil
+	t.data, t.offset, t.res, t.err = nil, 0, stats.Run{}, nil
 	taskPool.Put(t)
 }
 
@@ -160,7 +175,7 @@ func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 		sp.SetTargetBytes(chunkTarget)
 		nextChunk = func(t *task) error {
 			c, err := sp.Next()
-			t.data = c.Data
+			t.data, t.offset = c.Data, c.Offset
 			return err
 		}
 	} else {
@@ -196,7 +211,7 @@ func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 		defer close(order)
 		defer close(work)
 		for {
-			t := taskPool.Get().(*task)
+			t := taskPool.Get()
 			if err := nextChunk(t); err != nil {
 				t.recycle()
 				if err != io.EOF {
@@ -238,6 +253,9 @@ func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 					wcfg.Timer = new(obs.Timer)
 				}
 				_, t.err = core.Run(cctx, info.Inner, chunk, &t.out, wcfg, &t.res)
+				if t.err != nil {
+					rebase(t.err, t.offset)
+				}
 				t.done <- struct{}{}
 			}
 		}()

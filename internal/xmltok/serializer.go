@@ -3,7 +3,6 @@ package xmltok
 import (
 	"io"
 	"strings"
-	"sync"
 
 	"gcx/internal/cursor"
 )
@@ -21,13 +20,13 @@ type Serializer struct {
 
 // serializerPool recycles Serializers and their 64 KiB write buffers
 // across executions.
-var serializerPool = sync.Pool{New: func() any { return new(Serializer) }}
+var serializerPool = cursor.NewPool(func() *Serializer { return new(Serializer) })
 
 // NewSerializer returns a Serializer writing to w. Serializers come from
 // an internal pool; callers that finish with one may hand its buffer
 // back via Release.
 func NewSerializer(w io.Writer) *Serializer {
-	s := serializerPool.Get().(*Serializer)
+	s := serializerPool.Get()
 	s.out.Reset(w)
 	s.released = false
 	return s

@@ -3,7 +3,6 @@ package xmltok
 import (
 	"bytes"
 	"io"
-	"sync"
 
 	"gcx/internal/cursor"
 	"gcx/internal/event"
@@ -83,13 +82,13 @@ type Tokenizer struct {
 // tokenizerPool recycles Tokenizers — each carries a 64 KiB cursor
 // window, its interned names and a text scratch buffer, which dominate
 // the per-execution allocation cost of short queries over hot streams.
-var tokenizerPool = sync.Pool{New: func() any { return new(Tokenizer) }}
+var tokenizerPool = cursor.NewPool(func() *Tokenizer { return new(Tokenizer) })
 
 // NewTokenizer returns a Tokenizer reading from r. Tokenizers come from
 // an internal pool; callers that finish with one may hand its buffers
 // back via Release.
 func NewTokenizer(r io.Reader) *Tokenizer {
-	t := tokenizerPool.Get().(*Tokenizer)
+	t := tokenizerPool.Get()
 	t.cur.ResetReader(r, cursor.DefaultSize)
 	t.reset()
 	return t
@@ -100,7 +99,7 @@ func NewTokenizer(r io.Reader) *Tokenizer {
 // attribute values borrow subslices of it. The caller must not mutate
 // data until it is done with the tokenizer and every token it produced.
 func NewTokenizerBytes(data []byte) *Tokenizer {
-	t := tokenizerPool.Get().(*Tokenizer)
+	t := tokenizerPool.Get()
 	t.cur.ResetBytes(data)
 	t.reset()
 	return t

@@ -54,19 +54,28 @@ type StringLit struct {
 // VarRef outputs the full subtree of the node bound to Var ("then $x" in
 // the paper's running example — the source of role r5). Slot is Var's
 // variable slot (see ForExpr).
+//
+// Forward is the sign-off of the expression's output role when the
+// analysis marked the expression stream (DESIGN.md §3, "Stream-through
+// output"): evaluated on a binding that is still open, it writes the
+// rest of its matches straight from the stream and runs this sign-off
+// at once. It is nil for a buffered output expression.
 type VarRef struct {
-	Var  string
-	Slot int
+	Var     string
+	Slot    int
+	Forward *SignOff
 }
 
 // PathExpr addresses nodes relative to a variable binding: $Base/Path.
 // In output position it serializes each selected node's subtree in
 // document order (or the attribute value, for attribute-final paths).
-// Slot is Base's variable slot (see ForExpr).
+// Slot is Base's variable slot (see ForExpr). Forward is as in VarRef,
+// and nil outside output position.
 type PathExpr struct {
-	Base string
-	Path xpath.Path
-	Slot int
+	Base    string
+	Path    xpath.Path
+	Slot    int
+	Forward *SignOff
 }
 
 // ForExpr is a for-loop "for $Var in $In.Base/In.Path return Body".

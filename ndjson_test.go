@@ -1,6 +1,7 @@
 package gcx_test
 
 import (
+	"io"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -305,6 +306,44 @@ func TestNDJSONShardedBlankLines(t *testing.T) {
 			// failed run has written depends on which chunks finished.
 			if class == "ok" && got.String() != want.String() {
 				t.Errorf("%s/%s: sharded output differs from sequential", name, bname)
+			}
+		}
+	}
+}
+
+// TestNDJSONShardedErrorOffset: a sharded NDJSON run reports a worker's
+// syntax error at its input offset, as the sequential run does — chunks
+// are the input verbatim, so the chunk's start offset rebases it
+// exactly (DESIGN.md §6). Before, `Shards: 2` said byte 4469 where the
+// sequential run said 70005.
+func TestNDJSONShardedErrorOffset(t *testing.T) {
+	q := gcx.MustCompile(`for $r in /root/record return $r/a`)
+	doc := strings.Repeat(`{"a":1}`+"\n", 8750) + `{"a":}` + "\n" + `{"a":2}` + "\n"
+	for _, c := range []struct {
+		name string
+		run  func(opts gcx.Options) error
+	}{
+		{"bytes", func(opts gcx.Options) error {
+			_, err := q.ExecuteBytes([]byte(doc), io.Discard, opts)
+			return err
+		}},
+		{"reader", func(opts gcx.Options) error {
+			_, err := q.Execute(strings.NewReader(doc), io.Discard, opts)
+			return err
+		}},
+		{"one-byte", func(opts gcx.Options) error {
+			_, err := q.Execute(iotest.OneByteReader(strings.NewReader(doc)), io.Discard, opts)
+			return err
+		}},
+	} {
+		want := c.run(gcx.Options{Format: gcx.FormatNDJSON})
+		if want == nil || !strings.Contains(want.Error(), "byte 70005") {
+			t.Fatalf("%s: the sequential run gives %v, want a syntax error at byte 70005", c.name, want)
+		}
+		for _, shards := range []int{2, 4} {
+			got := c.run(gcx.Options{Format: gcx.FormatNDJSON, Shards: shards})
+			if got == nil || got.Error() != want.Error() {
+				t.Errorf("%s at %d shards: %v, sequential: %v", c.name, shards, got, want)
 			}
 		}
 	}

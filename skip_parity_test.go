@@ -222,6 +222,10 @@ func FuzzSkipParity(f *testing.F) {
 	}
 	f.Add(latchQuery, latchDoc)
 	f.Add(chainQuery, chainDoc)
+	// Stream-through output over items nested two deep and empty
+	// elements written both ways (DESIGN.md §3).
+	f.Add(queryE1, nestedItems)
+	f.Add(`<r>{ for $i in /site//item return (<i>{ $i/name }</i>, $i/e) }</r>`, nestedItems)
 	f.Fuzz(func(t *testing.T, query, doc string) {
 		if len(query) > 1<<10 || len(doc) > 8<<10 || nestedWork(query, doc) > 1e6 {
 			return
