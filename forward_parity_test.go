@@ -35,6 +35,10 @@ const nestedItems = `<site><regions><x>` +
 	`<item/>` +
 	`</regions></site>`
 
+// nestedAs nests a two and three deep, with b children before, between
+// and after the nested ones.
+const nestedAs = `<r><a><b>1</b><a><b>2</b><a><b>3</b></a><b>4</b></a><b>5</b></a><a><b>6</b></a></r>`
+
 // TestForwardParity pins stream-through output (DESIGN.md §3): an
 // output expression marked stream, evaluated while its binding is open,
 // writes its matches from the stream, and the bytes must equal the DOM
@@ -44,6 +48,7 @@ const nestedItems = `<site><regions><x>` +
 // binding streams fewer nodes are appended.
 func TestForwardParity(t *testing.T) {
 	ndjson := `{"id":"1","item":{"name":"a\"b\\c","x":[]},"seller":"s1"}` + "\n" +
+		`{"name":{"name":["n",{"name":"m"}]}}` + "\n" +
 		`{"item":{"name":["n1",{"k":"v"},[],null,2]}}` + "\n" +
 		`{"item":{"x":1,"name":{}}}` + "\n" +
 		`{"item":[{"name":"first"},{"name":"second"}]}` + "\n" +
@@ -69,10 +74,16 @@ func TestForwardParity(t *testing.T) {
 		{"top-level path", `<r>{ /site/regions/x/item/name }</r>`, nestedItems, core.FormatXML, true},
 		{"matches before the witness", `<o>{ for $p in /site/people/person return if (exists $p/z) then $p/name else () }</o>`, witness, core.FormatXML, true},
 		{"an open match at the witness", `<o>{ for $p in /site/people/person return if (exists $p/name/w) then $p/name else "-" }</o>`, witness, core.FormatXML, true},
+		{"nested descendant matches", `<o>{ for $x in /r return $x//a }</o>`, nestedAs, core.FormatXML, true},
+		{"descendant then descendant", `<o>{ for $x in /r return ($x//a//b, "|") }</o>`, nestedAs, core.FormatXML, true},
+		{"descendant then child", `<o>{ for $x in /r return $x//a/b }</o>`, nestedAs, core.FormatXML, true},
+		{"nested matches open at the witness", `<o>{ for $x in /r return if (exists $x/a/a/a/b) then $x//a else "-" }</o>`, nestedAs, core.FormatXML, true},
+		{"nested items", `<r>{ for $s in /site return $s//item }</r>`, nestedItems, core.FormatXML, true},
 		{"start-tag decision", `<o>{ for $p in /site/people/person return if ($p/@id = "p1") then $p/name else () }</o>`, pruneDoc, core.FormatXML, true},
 		{"decided at the close", `<o>{ for $p in /site/people/person return if ($p/x/@k = "1") then $p/name else () }</o>`, pruneDoc, core.FormatXML, false},
 		{"ndjson record", `for $r in /root/record return $r`, ndjson, core.FormatNDJSON, true},
 		{"ndjson path", `for $r in /root/record return $r/item/name`, ndjson, core.FormatNDJSON, true},
+		{"ndjson nested names", `for $r in /root/record return $r//name`, ndjson, core.FormatNDJSON, true},
 		{"ndjson decided at the close", `for $r in /root/record return if ($r/seller = "s1") then $r/item else ()`, ndjson, core.FormatNDJSON, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -159,7 +170,7 @@ func TestForwardParityCatalog(t *testing.T) {
 	for id, q := range xmark.NDJSONQueries {
 		run(id, q.Text, ndjson, core.FormatNDJSON)
 	}
-	for i := int64(0); i < 60; i++ {
+	for i := int64(0); i < 300; i++ {
 		query := xqgen.Query(rand.New(rand.NewSource(i)), xqgen.DefaultOptions())
 		doc := xqgen.Document(rand.New(rand.NewSource(i*31 + 7)))
 		if nestedWork(query, doc) > 1e6 {

@@ -20,6 +20,14 @@ import (
 // emitted and signed off.
 const queryE1 = `<result>{ for $r in /site/regions return for $i in $r//item return $i }</result>`
 
+// arenaPhase is the slack of an exact count on the reader backing. A
+// run there copies what it keeps into arena blocks (cursor.Arena), and
+// the buffer's and the tokenizer's current block carries over from the
+// run before, so whether a run starts one block more or one fewer
+// depends on where that run left it: the count of otherwise identical
+// runs moves by one.
+const arenaPhase = 1
+
 // raceEnabled is set under the race detector (race_test.go), which
 // makes pooled objects vanish at random and allocation counts inexact.
 var raceEnabled bool
@@ -75,10 +83,11 @@ func TestAllocCeilingReader(t *testing.T) {
 	for _, c := range []struct {
 		name, query, doc string
 		opts             gcx.Options
-		// bytes and reader are the exact counts at 1 MiB, checked
-		// outside the race detector. Q6's names stream through
-		// (DESIGN.md §3), so the reader backing copies no name text;
-		// it allocated 10 times when they were buffered.
+		// bytes and reader are the counts at 1 MiB, checked exactly
+		// (the reader's up to arenaPhase) outside the race detector.
+		// Q6's names stream through (DESIGN.md §3), so the reader
+		// backing copies no name text; it allocated 10 times when they
+		// were buffered.
 		bytes, reader float64
 	}{
 		{"Q6", xmark.Queries["Q6"].Text, xml, gcx.Options{}, 2, 8},
@@ -89,9 +98,9 @@ func TestAllocCeilingReader(t *testing.T) {
 		perToken := onReader / float64(res.TokensProcessed)
 		t.Logf("%s: %.0f allocations on the reader backing over %d tokens = %.4f per token; %.0f on bytes",
 			c.name, onReader, res.TokensProcessed, perToken, onBytes)
-		if !raceEnabled && (onBytes > c.bytes || onReader > c.reader) {
+		if !raceEnabled && (onBytes > c.bytes || onReader > c.reader+arenaPhase) {
 			t.Errorf("%s allocates %.0f times on bytes and %.0f on the reader backing, ceilings %.0f and %.0f",
-				c.name, onBytes, onReader, c.bytes, c.reader)
+				c.name, onBytes, onReader, c.bytes, c.reader+arenaPhase)
 		}
 		if perToken > 0.05 {
 			t.Errorf("%s allocates %.4f times per delivered token on the reader backing, ceiling 0.05", c.name, perToken)
@@ -147,7 +156,8 @@ func TestAllocCeilingE1(t *testing.T) {
 // to be skipped there, the run allocated 117 and 138 times. A person
 // decided at its start tag prunes the name role (DESIGN.md §3), so no
 // name text is copied into the reader backing's arena; before that the
-// run allocated 90 and 111 times. The ceilings are the counts since.
+// run allocated 90 and 111 times. The ceilings are the counts since
+// (the reader's up to arenaPhase).
 func TestAllocCeilingQ1(t *testing.T) {
 	if raceEnabled {
 		t.Skip("exact allocation counts do not hold under the race detector")
@@ -159,6 +169,9 @@ func TestAllocCeilingQ1(t *testing.T) {
 	}{{false, 3}, {true, 15}} {
 		allocs, _ := runAllocs(t, xmark.Queries["Q1"].Text, doc, gcx.Options{}, c.reader)
 		t.Logf("Q1 (reader %v): %.0f allocations at 4 MiB", c.reader, allocs)
+		if c.reader {
+			c.ceiling += arenaPhase
+		}
 		if allocs > c.ceiling {
 			t.Errorf("Q1 (reader %v) allocates %.0f times at 4 MiB, ceiling %.0f", c.reader, allocs, c.ceiling)
 		}

@@ -383,9 +383,11 @@ func (ex *extractor) addRole(r Role, anchor string, rel xpath.Path) {
 // points *forward at the role's sign-off (DESIGN.md §3, "Stream-through
 // output"). Forwarding serializes the matches a binding already holds,
 // runs the sign-off on them at once and writes the rest of the binding's
-// matches as they arrive, so it needs three things. Each match is
-// written whole before the next one starts: child element steps only,
-// whose matches cannot nest. The expression runs at most once per
+// matches as they arrive, so it needs three things. The path has child
+// and descendant element steps only: a match is then an element, and
+// one nested in another is written again after it, from the buffer
+// (attribute values and text() matches are not subtrees to forward).
+// The expression runs at most once per
 // binding: it sits directly in the anchor's loop, not in a loop nested
 // there. And the sign-off it runs early is that binding's own: placed
 // at the end of the anchor's loop body (or after the top-level
@@ -396,8 +398,8 @@ func (ex *extractor) streamVerdict(e xqast.Expr, text, anchor string, rel xpath.
 	case rel.EndsWithAttribute():
 		// The attribute's element may not even have a role.
 		v.Reason = "attribute-final path"
-	case !childElementSteps(rel):
-		v.Reason = "not a path of child element steps: its matches may nest"
+	case !elementSteps(rel):
+		v.Reason = "not a path of child and descendant element steps"
 	case ex.binder[anchor] != len(ex.stack)-1:
 		v.Reason = "inside a loop nested in its binding's: runs more than once per binding"
 	case ex.placements[len(ex.placements)-1].hoisted:
@@ -408,11 +410,12 @@ func (ex *extractor) streamVerdict(e xqast.Expr, text, anchor string, rel xpath.
 	ex.outputs = append(ex.outputs, v)
 }
 
-// childElementSteps reports whether every step of rel is a child step
-// with an element test and no first-witness predicate.
-func childElementSteps(rel xpath.Path) bool {
+// elementSteps reports whether every step of rel is a child or
+// descendant step with an element test and no first-witness predicate.
+func elementSteps(rel xpath.Path) bool {
 	for _, s := range rel.Steps {
-		if s.Axis != xpath.Child || s.FirstOnly || (s.Test.Kind != xpath.TestName && s.Test.Kind != xpath.TestWildcard) {
+		if (s.Axis != xpath.Child && s.Axis != xpath.Descendant) || s.FirstOnly ||
+			(s.Test.Kind != xpath.TestName && s.Test.Kind != xpath.TestWildcard) {
 			return false
 		}
 	}

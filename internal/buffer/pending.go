@@ -38,6 +38,20 @@ func (b *Buffer) SignOffNow(base *Node, path xpath.Path, role int) int {
 	return total
 }
 
+// SignOffSubtree removes count instances of role from every node of n's
+// buffered subtree and garbage-collects: the sign-off of one match's
+// derivations of an output role (a forwarded match's, DESIGN.md §3). A
+// node's instances are removed after its children's, so no removal
+// purges a node still to be visited.
+func (b *Buffer) SignOffSubtree(n *Node, role, count int) {
+	for c := n.FirstChild; c != nil; {
+		next := c.NextSib
+		b.SignOffSubtree(c, role, count)
+		c = next
+	}
+	b.RemoveRole(n, role, count)
+}
+
 // QueueSignOff registers a sign-off for later execution. If base is
 // already closed it executes immediately.
 func (b *Buffer) QueueSignOff(base *Node, path xpath.Path, role int) {

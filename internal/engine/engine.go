@@ -108,6 +108,9 @@ type Engine struct {
 	// paths is the scratch the plan's role paths are handed to the
 	// preprojector in.
 	paths []xpath.Path
+	// held is the scratch a forwarded expression's buffered matches are
+	// copied into (forward).
+	held []buffer.Match
 	// signedOff marks, per role, a stream output expression that has
 	// forwarded its binding and run the role's sign-off early; the
 	// sign-off statement that follows in the binding's iteration then
@@ -287,6 +290,7 @@ func (e *Engine) Release() {
 		attrs:     cursor.Scratch(e.attrs),
 		paths:     e.paths[:0],
 		signedOff: cursor.Scratch(e.signedOff),
+		held:      cursor.Scratch(e.held),
 		released:  true,
 	}
 	enginePool.Put(e)
@@ -449,28 +453,17 @@ func splitAttr(p xpath.Path) (elems xpath.Path, attr string, ok bool) {
 
 // emit writes the subtrees (or attribute values) that path selects
 // from base, in document order: base's own subtree for an empty path, an
-// output variable. Any expression but a forwarded one waits for base's
-// close first. Serializing evaluates no path, so the buffer's match
+// output variable. A stream expression (forward set) on an open base is
+// forwarded when the run prunes — so no recorder counts its tokens, and
+// the projection-only engine keeps the buffered path; any other waits
+// for base's close. Serializing evaluates no path, so the buffer's match
 // scratch stays valid across the loop.
-//
-// A stream expression (forward, DESIGN.md §3 "Stream-through output")
-// is forwarded when the run prunes — so no recorder counts its tokens,
-// and the projection-only engine keeps the buffered path — and base is
-// still open. Then emit has the preprojector take the forwarding up,
-// writes what the buffer holds of the matches, an open one up to its
-// last buffered child; runs the output role's sign-off on that prefix
-// at once, and marks it done for the sign-off statement that follows in
-// the iteration; and pulls the rest of base, the preprojector writing
-// every later token of a match to the sink and buffering it only where
-// another role, or another derivation of this one, needs it.
 func (e *Engine) emit(base *buffer.Node, path xpath.Path, forward *xqast.SignOff) error {
-	forwarding := forward != nil && e.prune && !base.Closed
-	if forwarding {
-		e.proj.Forward(base, path, forward.Role, e.out)
-	} else {
-		if err := e.ensureClosed(base); err != nil {
-			return err
-		}
+	if forward != nil && e.prune && !base.Closed {
+		return e.forward(base, path, forward)
+	}
+	if err := e.ensureClosed(base); err != nil {
+		return err
 	}
 	if elems, attr, ok := splitAttr(path); ok {
 		for _, m := range e.buf.Matches(base, elems) {
@@ -483,12 +476,53 @@ func (e *Engine) emit(base *buffer.Node, path xpath.Path, forward *xqast.SignOff
 	for _, m := range e.buf.Matches(base, path) {
 		buffer.Serialize(m.Node, e.out)
 	}
-	if !forwarding {
-		return nil
+	return nil
+}
+
+// forward evaluates a stream output expression on its open binding base
+// (DESIGN.md §3, "Stream-through output"). It has the preprojector take
+// the forwarding up and writes what the buffer holds of the matches, in
+// document order: the closed ones, then the first open one up to its
+// last buffered child. Every match after that one lies inside it, so it
+// is written again after it closes and keeps its derivations; the
+// others' derivations of the output role through base are removed at
+// once, and the sign-off statement that follows in the iteration is
+// marked done. Then forward pulls the rest of base, the preprojector
+// writing every later token of an outermost match to the sink; each
+// time such a match closes with matches nested in it, those are written
+// from the buffer and their own derivations removed.
+func (e *Engine) forward(base *buffer.Node, path xpath.Path, so *xqast.SignOff) error {
+	e.proj.Forward(base, path, so.Role, e.out)
+	held := append(e.held[:0], e.buf.Matches(base, path)...)
+	e.held = held
+	written := len(held)
+	for i, m := range held {
+		buffer.Serialize(m.Node, e.out)
+		if !m.Node.Closed {
+			written = i + 1
+			break
+		}
 	}
-	e.buf.SignOffNow(base, forward.Path, forward.Role)
-	e.signedOff[forward.Role] = true
-	err := e.ensureClosed(base)
+	for _, m := range held[written:] {
+		e.proj.Defer(m.Node, m.Count)
+	}
+	for _, m := range held[:written] {
+		e.buf.SignOffSubtree(m.Node, so.Role, m.Count)
+	}
+	clear(held)
+	e.signedOff[so.Role] = true
+	var err error
+	for err == nil && !base.Closed {
+		if err = e.ensure(func() bool { return base.Closed || e.proj.Ready() }); err == nil && e.proj.Ready() {
+			nested := e.proj.TakeNested()
+			for _, m := range nested {
+				buffer.Serialize(m.Node.Node(), e.out)
+			}
+			for _, m := range nested {
+				e.buf.SignOffSubtree(m.Node.Node(), so.Role, m.Count)
+			}
+		}
+	}
 	e.proj.StopForward()
 	return err
 }

@@ -58,9 +58,12 @@ type frame struct {
 	// latches is the length of Preprojector.latches when the frame was
 	// opened: the latches beyond it are the frame's own.
 	latches int
-	// fwd marks a frame at or below a match of the path being forwarded
-	// (Forward): its tokens go to the forwarding sink.
-	fwd bool
+	// take is, for a frame at or below an outermost match of the path
+	// being forwarded (Forward), the match's derivation count from the
+	// base: its tokens go to the forwarding sink, and that many
+	// instances of the output role are not assigned to them. Zero
+	// elsewhere.
+	take int
 }
 
 // matchesSelf applies a node test to the frame's own node.
@@ -145,6 +148,7 @@ func (p *Preprojector) Reset(src event.Source, buf *buffer.Buffer, rolePaths []x
 		done:      completion{counts: p.done.counts[:0], roles: p.done.roles[:0]},
 		latches:   p.latches[:0],
 		itemsFree: p.itemsFree,
+		fwd:       forwarding{nested: p.fwd.nested[:0], dp: p.fwd.dp[:0]},
 	}
 	// Text is the one part of a token that a volatile source takes back;
 	// of all text tokens only those text() appends are kept.
@@ -191,6 +195,7 @@ func (p *Preprojector) Release() {
 	}
 	clear(p.stack[:cap(p.stack)])
 	clear(p.steps[:cap(p.steps)])
+	clear(p.fwd.nested[:cap(p.fwd.nested)])
 	*p = Preprojector{
 		steps:     p.steps[:0],
 		stack:     cursor.Scratch(p.stack),
@@ -198,6 +203,7 @@ func (p *Preprojector) Release() {
 		done:      completion{counts: cursor.Scratch(p.done.counts), roles: cursor.Scratch(p.done.roles)},
 		latches:   cursor.Scratch(p.latches),
 		itemsFree: free,
+		fwd:       forwarding{nested: cursor.Scratch(p.fwd.nested), dp: cursor.Scratch(p.fwd.dp)},
 	}
 }
 
@@ -303,26 +309,51 @@ func (p *Preprojector) Prune(base *buffer.Node, role int) bool {
 	return true
 }
 
-// forwarding is the state of one Forward: the base's frame, the child
-// element steps from it to the forwarded matches, their output role and
-// the sink the matches' tokens go to.
+// forwarding is the state of one Forward: the base's frame, the steps
+// from it to the forwarded matches, their output role, the sink the
+// matches' tokens go to, and the matches nested in the open outermost
+// one, which are buffered to be written again after it.
 type forwarding struct {
 	sink  event.Sink
 	base  int
 	steps []xpath.Step
 	role  int
+	// nests is set when the steps can match nested elements (a
+	// descendant step); only then is an element inside a forwarded match
+	// tested for being a match itself.
+	nests bool
+	// nested lists the matches nested in the open outermost match, in
+	// document order, with their derivation counts from the base; ready
+	// is set when that match has closed and nested is not empty. match
+	// is the derivation count of the element being delivered, when it is
+	// a nested match, until startElement has buffered it.
+	nested []Nested
+	ready  bool
+	match  int
+	// dp is the scratch of derivations.
+	dp []int
 }
 
-// Forward starts writing the matches of rel — child element steps —
-// from the open element buffered as base straight to sink (DESIGN.md
-// §3, "Stream-through output"). From the next token on, every token of
-// such a match goes to sink, and one instance of role, the match's
-// output derivation through base, is no longer assigned to it: the
-// token is buffered only if another role, or another derivation of
-// role, completes there. The frames already open below base are marked
-// the same way; what the buffer holds of them is the caller's to write
-// first, and so is the role's sign-off on it. base must be open, so
-// its frame is on the stack. StopForward ends the forwarding.
+// Nested is a match of a forwarded path nested in another match: the
+// engine writes it again after the outer one, from the buffer, and then
+// removes its Count derivations of the output role from its subtree.
+type Nested struct {
+	Node  buffer.Handle
+	Count int
+}
+
+// Forward starts writing the matches of rel — child and descendant
+// element steps — from the open element buffered as base straight to
+// sink (DESIGN.md §3, "Stream-through output"). From the next token on,
+// every token at or below an outermost match goes to sink, and the
+// match's derivations of role through base are not assigned to it: the
+// token is buffered only if another role, or another derivation of role,
+// completes there. A match nested in the forwarded one is such a token:
+// it is buffered and listed (Nested, Ready). The frames already open
+// below base are marked the same way; what the buffer holds of them is
+// the caller's to write first, and so is the role's sign-off on it.
+// base must be open, so its frame is on the stack. StopForward ends the
+// forwarding.
 func (p *Preprojector) Forward(base *buffer.Node, rel xpath.Path, role int, sink event.Sink) {
 	i := len(p.stack) - 1
 	for i > 0 && p.stack[i].node.Node() != base {
@@ -331,49 +362,110 @@ func (p *Preprojector) Forward(base *buffer.Node, rel xpath.Path, role int, sink
 	if p.stack[i].node.Node() != base {
 		panic("projection: forward from <" + base.Name + ">, which has no open frame")
 	}
-	p.fwd = forwarding{sink: sink, base: i, steps: rel.Steps, role: role}
-	for j := i; j < len(p.stack); j++ {
-		p.stack[j].fwd = p.forwarded(j, p.stack[j].name)
+	p.fwd = forwarding{sink: sink, base: i, steps: rel.Steps, role: role, nested: p.fwd.nested[:0], dp: p.fwd.dp}
+	for _, s := range rel.Steps {
+		p.fwd.nests = p.fwd.nests || s.Axis == xpath.Descendant
 	}
+	for j := i; j < len(p.stack); j++ {
+		f := &p.stack[j]
+		if f.take = 0; j > i && p.stack[j-1].take > 0 {
+			f.take = p.stack[j-1].take
+		} else {
+			f.take = p.derivations(j, f.name)
+		}
+	}
+}
+
+// Defer lists a match already buffered inside the open outermost match
+// at Forward: it is written again after that match, like a nested match
+// that arrives later.
+func (p *Preprojector) Defer(n *buffer.Node, count int) {
+	p.fwd.nested = append(p.fwd.nested, Nested{Node: buffer.Hold(n), Count: count})
+}
+
+// Ready reports whether an outermost match has closed with matches
+// nested in it, which the caller writes and signs off (TakeNested)
+// before the next token.
+func (p *Preprojector) Ready() bool { return p.fwd.ready }
+
+// TakeNested returns the nested matches and empties the list; the slice
+// is valid until the next Forward.
+func (p *Preprojector) TakeNested() []Nested {
+	nested := p.fwd.nested
+	p.fwd.nested, p.fwd.ready = nested[:0], false
+	return nested
 }
 
 // StopForward ends a Forward once its base has closed, popping every
 // frame it marked. (A run that fails before leaves marked frames, which
 // Reset and Release discard.)
-func (p *Preprojector) StopForward() { p.fwd = forwarding{} }
-
-// forwarded reports whether the element named name, whose frame is or
-// will be at stack index i, lies at or below a match of the forwarded
-// path: its parent's frame does, or the element is a match itself — the
-// path's depth below the base, and the names on the way spell its steps.
-func (p *Preprojector) forwarded(i int, name string) bool {
-	d, k := i-p.fwd.base, len(p.fwd.steps)
-	switch {
-	case d > k:
-		return p.stack[i-1].fwd
-	case d < k:
-		return false
-	case k == 0:
-		return true
-	}
-	for j, s := range p.fwd.steps[:k-1] {
-		if !s.Test.MatchesElement(p.stack[p.fwd.base+1+j].name) {
-			return false
-		}
-	}
-	return p.fwd.steps[k-1].Test.MatchesElement(name)
+func (p *Preprojector) StopForward() {
+	clear(p.fwd.nested)
+	p.fwd = forwarding{nested: p.fwd.nested[:0], dp: p.fwd.dp}
 }
 
-// forwardStart writes the start tag of a forwarded element to the sink
-// and takes its output derivation out of the completion; it reports
-// whether nothing is left to buffer. Only a token that completes some
-// role is asked: every token of a match completes the output role.
+// derivations counts the derivations of the forwarded path from the
+// base to the element named name whose frame is or will be at stack
+// index i: the ways its steps match the names on the way down, a child
+// step the next name, a descendant step any later one. The counts are
+// those buffer.Matches gives.
+func (p *Preprojector) derivations(i int, name string) int {
+	steps := p.fwd.steps
+	d, k := i-p.fwd.base, len(steps)
+	if d < k || (d > k && !p.fwd.nests) || (k > 0 && !steps[k-1].Test.MatchesElement(name)) {
+		return 0
+	}
+	if k == 0 {
+		return 1 // the base itself
+	}
+	// prev[pos] counts the ways the steps so far end at depth pos below
+	// the base (pos 0 is the base itself); cur is the next step's.
+	dp := append(p.fwd.dp[:0], make([]int, 2*(d+1))...)
+	p.fwd.dp = dp
+	prev, cur := dp[:d+1], dp[d+1:]
+	prev[0] = 1
+	for _, s := range steps {
+		sum := 0
+		cur[0] = 0
+		for pos := 1; pos <= d; pos++ {
+			sum += prev[pos-1]
+			n := name
+			if pos < d {
+				n = p.stack[p.fwd.base+pos].name
+			}
+			switch {
+			case !s.Test.MatchesElement(n):
+				cur[pos] = 0
+			case s.Axis == xpath.Child:
+				cur[pos] = prev[pos-1]
+			default:
+				cur[pos] = sum
+			}
+		}
+		prev, cur = cur, prev
+	}
+	return prev[d]
+}
+
+// forwardStart decides what forwarding does with a delivered element
+// that completes some role — every element of a match completes the
+// output role, so no other needs asking. At or below an outermost match
+// it writes the start tag to the sink and takes the match's derivations
+// out of the completion; a match nested in the forwarded one keeps its
+// own, and startElement lists it once buffered. It reports whether
+// anything is left to buffer.
 func (p *Preprojector) forwardStart(nf *frame, tok event.Token) bool {
-	if nf.fwd = p.forwarded(len(p.stack), tok.Name); !nf.fwd {
-		return false
+	i := len(p.stack)
+	if parent := p.stack[i-1].take; parent > 0 {
+		nf.take = parent
+		if p.fwd.nests {
+			p.fwd.match = p.derivations(i, tok.Name)
+		}
+	} else if nf.take = p.derivations(i, tok.Name); nf.take == 0 {
+		return true
 	}
 	p.fwd.sink.StartElement(tok.Name, tok.Attrs)
-	return p.done.take(p.fwd.role)
+	return !p.done.take(p.fwd.role, nf.take)
 }
 
 // TokensProcessed reports the number of input tokens consumed.
@@ -443,13 +535,13 @@ func (c *completion) add(role, count int) {
 	c.counts[role] += count
 }
 
-// take removes one instance of role, which the token completes, and
+// take removes n instances of role, which the token completes, and
 // reports whether no role instance is left.
-func (c *completion) take(role int) bool {
-	if role >= len(c.counts) || c.counts[role] == 0 {
-		panic(fmt.Sprintf("projection: forwarded token does not complete its output role r%d", role+1))
+func (c *completion) take(role, n int) bool {
+	if role >= len(c.counts) || c.counts[role] < n {
+		panic(fmt.Sprintf("projection: forwarded token does not complete its output role r%d %d times", role+1, n))
 	}
-	c.counts[role]--
+	c.counts[role] -= n
 	for _, r := range c.roles {
 		if c.counts[r] > 0 {
 			return false
@@ -479,13 +571,17 @@ func (p *Preprojector) startElement(tok event.Token) {
 	}
 	nf := p.child
 	nf.attrs = tok.Attrs
-	if done := &p.done; len(done.roles) > 0 && !(p.fwd.sink != nil && p.forwardStart(&nf, tok)) {
+	if done := &p.done; len(done.roles) > 0 && (p.fwd.sink == nil || p.forwardStart(&nf, tok)) {
 		n := p.materialize(tok.Name, tok.Attrs)
 		nf.node = buffer.Hold(n)
 		for _, role := range done.roles {
 			for i := 0; i < done.counts[role]; i++ {
 				p.buf.AssignRole(n, role)
 			}
+		}
+		if p.fwd.match > 0 {
+			p.Defer(n, p.fwd.match)
+			p.fwd.match = 0
 		}
 	}
 	p.stack = append(p.stack, nf)
@@ -591,8 +687,11 @@ func (p *Preprojector) endElement() {
 		// startElement.
 		p.itemsFree = append(p.itemsFree, top.items[:0])
 	}
-	if top.fwd {
+	if top.take > 0 {
 		p.fwd.sink.EndElement(top.name)
+		if p.stack[len(p.stack)-1].take == 0 && len(p.fwd.nested) > 0 {
+			p.fwd.ready = true
+		}
 	}
 	if n := top.node.Node(); n != nil {
 		p.buf.CloseNode(n)
@@ -627,11 +726,11 @@ func (p *Preprojector) text(tok event.Token) {
 	if len(done.roles) == 0 {
 		return
 	}
-	if top.fwd {
+	if top.take > 0 {
 		// Text below a forwarded match: written now, while a volatile
 		// source's view is still valid.
 		p.fwd.sink.Text(tok.Text)
-		if done.take(p.fwd.role) {
+		if done.take(p.fwd.role, top.take) {
 			return
 		}
 	}
