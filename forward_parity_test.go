@@ -81,10 +81,10 @@ func TestForwardParity(t *testing.T) {
 		{"nested items", `<r>{ for $s in /site return $s//item }</r>`, nestedItems, core.FormatXML, true},
 		{"start-tag decision", `<o>{ for $p in /site/people/person return if ($p/@id = "p1") then $p/name else () }</o>`, pruneDoc, core.FormatXML, true},
 		{"decided at the close", `<o>{ for $p in /site/people/person return if ($p/x/@k = "1") then $p/name else () }</o>`, pruneDoc, core.FormatXML, false},
-		{"ndjson record", `for $r in /root/record return $r`, ndjson, core.FormatNDJSON, true},
-		{"ndjson path", `for $r in /root/record return $r/item/name`, ndjson, core.FormatNDJSON, true},
-		{"ndjson nested names", `for $r in /root/record return $r//name`, ndjson, core.FormatNDJSON, true},
-		{"ndjson decided at the close", `for $r in /root/record return if ($r/seller = "s1") then $r/item else ()`, ndjson, core.FormatNDJSON, false},
+		{"ndjson record", `for $r in /*/record return $r`, ndjson, core.FormatNDJSON, true},
+		{"ndjson path", `for $r in /*/record return $r/item/name`, ndjson, core.FormatNDJSON, true},
+		{"ndjson nested names", `for $r in /*/record return $r//name`, ndjson, core.FormatNDJSON, true},
+		{"ndjson decided at the close", `for $r in /*/record return if ($r/seller = "s1") then $r/item else ()`, ndjson, core.FormatNDJSON, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			format := gcx.FormatXML
@@ -241,7 +241,7 @@ func TestForwardFailureLeavesPoolsClean(t *testing.T) {
 		good()
 	}
 	// The JSON sink and tokenizer pools as well.
-	jplan, err := core.Compile(`for $r in /root/record return $r`)
+	jplan, err := core.Compile(`for $r in /*/record return $r`)
 	if err != nil {
 		t.Fatal(err)
 	}
