@@ -121,6 +121,9 @@ type JoinReport struct {
 	// side's materialization counts against the run's node budget, so a
 	// budget trip surfaces before the table outgrows memory.
 	Budget string `json:"budget"`
+	// Released names the roles signed off on each build tuple at its
+	// close, once its key values are taken: those only the key reads.
+	Released []string `json:"released_at_tuple_close,omitempty"`
 }
 
 // Report returns the structured analyzer report of the compiled query.
@@ -165,7 +168,10 @@ func (q *Query) Report() ExplainReport {
 			BuildPath: j.BuildPath.String(),
 			ProbeKey:  j.ProbeKey.RelString(),
 			BuildKey:  j.BuildKey.RelString(),
-			Budget:    "build-side nodes stay buffered until end of input and count against MaxBufferedNodes; a breach returns ErrBufferBudget with partial statistics",
+			Budget:    "key nodes are released at each build tuple's close; payload nodes stay buffered until end of input; both count against MaxBufferedNodes, and a breach returns ErrBufferBudget with partial statistics",
+		}
+		for _, so := range j.KeyRelease {
+			r.Join.Released = append(r.Join.Released, q.plan.Roles[so.Role].Name())
 		}
 	}
 	return r
@@ -210,7 +216,11 @@ func (r ExplainReport) Text() string {
 	if r.Join != nil {
 		b.WriteString("Join: " + r.Join.Strategy +
 			" — probe " + r.Join.ProbePath + " key " + r.Join.ProbeKey +
-			" ⋈ build " + r.Join.BuildPath + " key " + r.Join.BuildKey + "\n")
+			" ⋈ build " + r.Join.BuildPath + " key " + r.Join.BuildKey)
+		if len(r.Join.Released) > 0 {
+			b.WriteString("; released at tuple close: " + strings.Join(r.Join.Released, ", "))
+		}
+		b.WriteString("\n")
 	}
 	if len(r.TracePhases) > 0 {
 		b.WriteString("Trace:\n")

@@ -68,6 +68,9 @@ type Role struct {
 	// Provenance describes the query fragment that created the role,
 	// for the role browser (-explain).
 	Provenance string
+	// operand is the comparison operand that created an operand role,
+	// for the join pass.
+	operand *xqast.Operand
 }
 
 // Name renders the paper-style role name r1, r2, …

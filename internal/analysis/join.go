@@ -45,6 +45,16 @@ type JoinInfo struct {
 	// events once per build tuple and replaying them per match is
 	// equivalent to nested re-evaluation.
 	Then xqast.Expr
+
+	// BuildRole is BuildVar's binding role: a node carrying it is a
+	// build tuple, which the engine takes into the join at its close.
+	BuildRole int
+	// KeyRelease are the sign-offs of the roles that only the build key
+	// reads, with Base BuildVar and paths relative to it. The engine runs
+	// them on each build tuple once it has taken the tuple's key values,
+	// and skips their hoisted top-level statements, which stay in the
+	// plan for the nested-loop evaluation (DESIGN.md §10).
+	KeyRelease []*xqast.SignOff
 }
 
 // Strategy names the runtime plan for explain output. Output order must
@@ -134,6 +144,13 @@ func DetectJoin(p *Plan) *JoinInfo {
 	if !usesOnly(j.Then, map[string]bool{j.BuildVar: true}, nil, false) {
 		return nil
 	}
+	key := &cmp.L
+	if cmp.L.Path.Base != j.BuildVar {
+		key = &cmp.R
+	}
+	if !j.buildSignOffs(p, key) {
+		return nil
+	}
 	// The rest of the probe body may use only the probe binding (plus
 	// local bindings); sign-offs are transparent.
 	if !usesOnly(j.ProbeLoop.Body, map[string]bool{j.ProbeVar: true}, j.BuildHead, true) {
@@ -146,6 +163,34 @@ func DetectJoin(p *Plan) *JoinInfo {
 		return nil
 	}
 	return j
+}
+
+// buildSignOffs finds, among the top-level statements, the hoisted
+// sign-offs of the build side that the join operator runs per tuple:
+// BuildVar's binding role, whose nodes are the tuples, and the roles of
+// the build key operand key, which nothing else reads (every use has a
+// role of its own). It reports false when the binding role's sign-off is
+// not there.
+func (j *JoinInfo) buildSignOffs(p *Plan, key *xqast.Operand) bool {
+	j.BuildRole = -1
+	n := len(j.BuildPath.Steps)
+	for _, s := range statements(p.Rewritten.Body) {
+		so, ok := s.(*xqast.SignOff)
+		if !ok || so.Base != xqast.RootVar || len(so.Path.Steps) < n ||
+			!(xpath.Path{Steps: so.Path.Steps[:n]}).Equal(j.BuildPath) {
+			continue
+		}
+		switch r := p.Roles[so.Role]; {
+		case r.Kind == RoleBinding && len(so.Path.Steps) == n:
+			j.BuildRole = so.Role
+		case r.operand == key:
+			j.KeyRelease = append(j.KeyRelease, &xqast.SignOff{
+				Base: j.BuildVar, Slot: j.BuildSlot, Role: so.Role,
+				Path: xpath.Path{Steps: so.Path.Steps[n:]},
+			})
+		}
+	}
+	return j.BuildRole >= 0
 }
 
 // findBuildHead returns the single root-based loop beneath e that is

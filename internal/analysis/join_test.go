@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gcx/internal/xmark"
+	"gcx/internal/xqast"
 )
 
 // TestDetectJoinQ8: the canonical XMark Q8 shape is recognized with the
@@ -108,5 +109,49 @@ func TestDetectJoinStreamabilityUnchanged(t *testing.T) {
 	p := mustAnalyze(t, xmark.Queries["Q8"].Text)
 	if p.Stream.Class != Unbounded {
 		t.Errorf("Q8 class = %v, want Unbounded", p.Stream.Class)
+	}
+}
+
+// TestDetectJoinKeyRelease: the join names the build binding role and
+// the roles only the build key reads, with paths relative to the build
+// variable; their hoisted statements stay in the plan, which the
+// nested-loop evaluation runs. A key the THEN branch also outputs has a
+// role of its own there, which is not released; a key that is an
+// attribute of the tuple itself has no role to release.
+func TestDetectJoinKeyRelease(t *testing.T) {
+	p := mustAnalyze(t, xmark.Queries["Q8"].Text)
+	j := p.Join
+	if r := p.Roles[j.BuildRole]; r.Kind != RoleBinding || r.Path.String() != "/site/closed_auctions/closed_auction" {
+		t.Errorf("build role %s: %v %s", r.Name(), r.Kind, r.Path)
+	}
+	if len(j.KeyRelease) != 1 {
+		t.Fatalf("key release %+v, want one sign-off", j.KeyRelease)
+	}
+	so := j.KeyRelease[0]
+	if r := p.Roles[so.Role]; r.Kind != RoleOperand || r.Provenance != "operand $t/buyer/@person" {
+		t.Errorf("released role %s: %v %q", r.Name(), r.Kind, r.Provenance)
+	}
+	if so.Base != j.BuildVar || so.Slot != j.BuildSlot || so.Path.RelString() != "buyer" {
+		t.Errorf("release sign-off on $%s (slot %d) path %s", so.Base, so.Slot, so.Path.RelString())
+	}
+	hoisted := false
+	for _, s := range statements(p.Rewritten.Body) {
+		if s, ok := s.(*xqast.SignOff); ok && s.Role == so.Role {
+			hoisted = true
+		}
+	}
+	if !hoisted {
+		t.Error("the key role's top-level sign-off left the plan")
+	}
+
+	p = mustAnalyze(t, `<out>{ for $p in /root/ps/p return
+		for $b in /root/bs/b return if ($b/k = $p/k) then $b/k else () }</out>`)
+	if len(p.Join.KeyRelease) != 1 || p.Roles[p.Join.KeyRelease[0].Role].Kind != RoleOperand {
+		t.Errorf("THEN outputs the key: released %+v", p.Join.KeyRelease)
+	}
+	p = mustAnalyze(t, `<out>{ for $p in /root/ps/p return
+		for $b in /root/bs/b return if ($b/@id = $p/@id) then $b/v else () }</out>`)
+	if len(p.Join.KeyRelease) != 0 {
+		t.Errorf("attribute key of the tuple: released %+v", p.Join.KeyRelease)
 	}
 }

@@ -46,6 +46,12 @@ type Buffer struct {
 	// pending holds deferred sign-offs (see PendingSignOffs).
 	pending []pendingSignOff
 
+	// Watched lists the nodes carrying the watched role (Watch) that
+	// closed since its holder last emptied it, in close order: the join
+	// operator's build tuples (DESIGN.md §10).
+	Watched []Handle
+	watch   int // the watched role + 1; 0 watches none
+
 	// DisableGC turns the purge step off. The projection-only baseline
 	// engine (static analysis without dynamic buffer minimization) runs
 	// with this set: roles are still tracked, nothing is ever freed.
@@ -132,6 +138,7 @@ func (b *Buffer) Release() {
 	b.Root = nil
 	b.root = Node{gen: b.root.gen + 1}
 	clear(b.pending[:cap(b.pending)])
+	clear(b.Watched[:cap(b.Watched)])
 	clear(b.matchA[:cap(b.matchA)])
 	clear(b.matchB[:cap(b.matchB)])
 }
@@ -154,6 +161,7 @@ func (b *Buffer) Reset() {
 		assigned: cursor.Scratch(b.assigned),
 		removed:  cursor.Scratch(b.removed),
 		pending:  cursor.Scratch(b.pending),
+		Watched:  cursor.Scratch(b.Watched),
 		matchA:   cursor.Scratch(b.matchA),
 		matchB:   cursor.Scratch(b.matchB),
 		texts:    b.texts,
@@ -322,6 +330,10 @@ func (b *Buffer) Unpin(n *Node) {
 	b.collect(n)
 }
 
+// Watch has CloseNode list in Watched every node that carries role when
+// it closes.
+func (b *Buffer) Watch(role int) { b.watch = role + 1 }
+
 // CloseNode records the arrival of n's end tag and releases its open
 // pin.
 func (b *Buffer) CloseNode(n *Node) {
@@ -329,6 +341,9 @@ func (b *Buffer) CloseNode(n *Node) {
 		return
 	}
 	n.Closed = true
+	if b.watch != 0 && n.RoleCount(b.watch-1) > 0 {
+		b.Watched = append(b.Watched, Hold(n))
+	}
 	b.Unpin(n)
 }
 

@@ -324,34 +324,6 @@ func TestFirstWitnessMatching(t *testing.T) {
 	}
 }
 
-func TestSelectDocOrder(t *testing.T) {
-	b := New()
-	a := b.AppendElement(b.Root, "a", nil)
-	b.AssignRole(a, 0)
-	var ids []*Node
-	for i := 0; i < 3; i++ {
-		c := b.AppendElement(a, "c", nil)
-		b.AssignRole(c, 0)
-		d := b.AppendElement(c, "d", nil)
-		b.AssignRole(d, 0)
-		b.CloseNode(d)
-		b.CloseNode(c)
-		ids = append(ids, c, d)
-	}
-	b.CloseNode(a)
-	dos := xpath.Path{Steps: []xpath.Step{xpath.DescendantOrSelfNodeStep()}}
-	got := b.SelectDocOrder(a, dos)
-	want := append([]*Node{a}, ids...)
-	if len(got) != len(want) {
-		t.Fatalf("got %d nodes, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("doc order violated at %d", i)
-		}
-	}
-}
-
 func TestNextMatchingChildAndDescendant(t *testing.T) {
 	b := New()
 	bib := b.AppendElement(b.Root, "bib", nil)
@@ -575,5 +547,41 @@ func TestExistsFirstWitnessSubtlety(t *testing.T) {
 	}
 	if len(b.Matches(x, path)) != 0 {
 		t.Fatal("Matches must agree")
+	}
+}
+
+// TestWatchListsClosedCarriers: with a role watched, CloseNode lists
+// each node carrying it as the node closes, in close order, and no
+// other node; Reset stops the watch.
+func TestWatchListsClosedCarriers(t *testing.T) {
+	b := New()
+	b.Watch(1)
+	r := b.AppendElement(b.Root, "r", nil)
+	b.AssignRole(r, 0)
+	var tuples []*Node
+	for i := 0; i < 3; i++ {
+		c := b.AppendElement(r, "c", nil)
+		b.AssignRole(c, 1)
+		k := b.AppendElement(c, "k", nil)
+		b.AssignRole(k, 0)
+		b.CloseNode(k)
+		b.CloseNode(c)
+		tuples = append(tuples, c)
+	}
+	b.CloseNode(r)
+	if len(b.Watched) != len(tuples) {
+		t.Fatalf("%d nodes listed, want %d", len(b.Watched), len(tuples))
+	}
+	for i, h := range b.Watched {
+		if h.Node() != tuples[i] {
+			t.Fatalf("entry %d is not the %d-th closed carrier", i, i)
+		}
+	}
+	b.Reset()
+	c := b.AppendElement(b.Root, "c", nil)
+	b.AssignRole(c, 1)
+	b.CloseNode(c)
+	if len(b.Watched) != 0 {
+		t.Fatalf("a reset buffer still watches: %d listed", len(b.Watched))
 	}
 }

@@ -16,8 +16,8 @@ type Match struct {
 // Matches evaluates path relative to base over the buffered tree and
 // returns the matched nodes with derivation multiplicities: each node
 // once, counts aggregated, in document order. The slice is the
-// buffer's scratch — it is valid until the next Matches,
-// SelectDocOrder or SignOffNow on this buffer.
+// buffer's scratch — it is valid until the next Matches or SignOffNow
+// on this buffer.
 //
 // Attribute steps are rejected: attributes are element properties in
 // this system and never appear in projection or sign-off paths.
@@ -141,18 +141,6 @@ func matchesNode(n *Node, test xpath.Test) bool {
 		return test.Kind == xpath.TestNode
 	}
 	return false
-}
-
-// SelectDocOrder evaluates path relative to base and returns the
-// distinct matched nodes in document order, in a slice the caller owns
-// — for the holder that keeps the list across further evaluations.
-func (b *Buffer) SelectDocOrder(base *Node, path xpath.Path) []*Node {
-	matches := b.Matches(base, path)
-	nodes := make([]*Node, len(matches))
-	for i, m := range matches {
-		nodes[i] = m.Node
-	}
-	return nodes
 }
 
 // Exists reports whether path has at least one match from base right

@@ -79,10 +79,11 @@ type Engine struct {
 	// done caches ctx.Done() so the per-step cancellation check in
 	// ensure is a lock-free channel poll.
 	done <-chan struct{}
-	// join is the streaming join operator's run state when the plan
-	// carries a detected join; nil otherwise (then every loop runs
+	// join is the streaming join operator's run state, &jr, when the
+	// plan carries a detected join; nil otherwise (then every loop runs
 	// nested).
 	join *joinRun
+	jr   joinRun
 	// inSpan marks that a trace span is open, so nested timed sections
 	// (ensure calls inside the join operator's scan) attribute to the
 	// enclosing phase instead of double-counting.
@@ -164,7 +165,9 @@ func New(plan *analysis.Plan, src event.Source, sink event.Sink, cfg Config) *En
 	// EnableSkipping installs no skipper for a plan that does not skip.
 	e.prune = cfg.Recorder == nil && plan.Automaton != nil && !cfg.DisableGC
 	if plan.Join != nil {
-		e.join = &joinRun{info: plan.Join}
+		e.jr.info = plan.Join
+		e.join = &e.jr
+		buf.Watch(plan.Join.BuildRole)
 	}
 	e.released = false
 	return e
@@ -282,9 +285,11 @@ func (e *Engine) Release() {
 	clear(e.vals[:cap(e.vals)])
 	clear(e.attrs[:cap(e.attrs)])
 	clear(e.paths)
+	e.jr.release()
 	*e = Engine{
 		buf:       e.buf,
 		proj:      e.proj,
+		jr:        e.jr,
 		env:       e.env[:0],
 		vals:      cursor.Scratch(e.vals),
 		attrs:     cursor.Scratch(e.attrs),
@@ -343,6 +348,11 @@ func (e *Engine) ensureLoop(pred func() bool) error {
 		// breach.
 		if err := e.buf.BudgetErr(); err != nil {
 			return err
+		}
+		// A build tuple closed: its keys are taken at once, so the
+		// nodes only they read go now, not at end of input.
+		if len(e.buf.Watched) != 0 {
+			e.takeTuples()
 		}
 		if !ok {
 			// input exhausted: the virtual root is now complete
@@ -770,18 +780,24 @@ func (e *Engine) appendPathValues(vals []string, pe *xqast.PathExpr) ([]string, 
 			return vals, err
 		}
 	}
-	if elems, attr, ok := splitAttr(pe.Path); ok {
+	return e.appendValues(vals, base, pe.Path), nil
+}
+
+// appendValues appends the value sequence of path from base as far as
+// it is buffered.
+func (e *Engine) appendValues(vals []string, base *buffer.Node, path xpath.Path) []string {
+	if elems, attr, ok := splitAttr(path); ok {
 		for _, m := range e.buf.Matches(base, elems) {
 			if v, ok := m.Node.Attr(attr); ok {
 				vals = append(vals, v)
 			}
 		}
-		return vals, nil
+		return vals
 	}
-	for _, m := range e.buf.Matches(base, pe.Path) {
+	for _, m := range e.buf.Matches(base, path) {
 		vals = append(vals, m.Node.StringValue())
 	}
-	return vals, nil
+	return vals
 }
 
 // pathValues evaluates a path expression's value sequence into the

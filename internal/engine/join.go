@@ -6,6 +6,7 @@ import (
 
 	"gcx/internal/analysis"
 	"gcx/internal/buffer"
+	"gcx/internal/cursor"
 	"gcx/internal/join"
 	"gcx/internal/obs"
 	"gcx/internal/xqast"
@@ -15,10 +16,13 @@ import (
 // (DESIGN.md §10). The engine's evalFor intercepts the plan's probe and
 // build loops: probe bindings stream through with their output events
 // captured into groups, the build loop is skipped during capture (only
-// its splice position is recorded), and at end of input the buffered
-// build side is scanned once into a keyed hash table whose payloads are
-// replayed into the groups — the nested-loop event sequence in
-// O(probe + build + matches).
+// its splice position is recorded), each build tuple's key values are
+// taken at its close, where the nodes only the key reads are signed
+// off, and at end of input the held tuples' payloads go with their keys
+// into a hash table and are replayed into the groups — the nested-loop
+// event sequence in O(probe + build + matches). The engine keeps one
+// joinRun across runs, so its slabs and table grow only past the
+// largest join they have held.
 type joinRun struct {
 	info *analysis.JoinInfo
 	// cap is the run's one capture: every probe body's events, then
@@ -29,9 +33,58 @@ type joinRun struct {
 	spliceAt int32
 	keys     []string // the key slab: probe join-key values back to back
 	groups   []join.Group
+	// tuples are the build tuples taken at their close, in document
+	// order, each with its key values, a range of bkeys.
+	tuples []buildTuple
+	bkeys  []string
+	table  join.Table
 
 	buildTuples int64
 	matches     int64
+}
+
+// buildTuple is a build tuple held for the table: the tuple's binding
+// role keeps it buffered until the end of the run.
+type buildTuple struct {
+	node         buffer.Handle
+	keyLo, keyHi int32
+}
+
+// release empties j for the next run, keeping its slabs within
+// cursor.MaxScratch and nothing of this run reachable.
+func (j *joinRun) release() {
+	j.cap.Reset()
+	j.table.Reset()
+	clear(j.keys[:cap(j.keys)])
+	clear(j.bkeys[:cap(j.bkeys)])
+	clear(j.tuples[:cap(j.tuples)])
+	*j = joinRun{
+		cap:    j.cap,
+		table:  j.table,
+		keys:   cursor.Scratch(j.keys),
+		bkeys:  cursor.Scratch(j.bkeys),
+		tuples: cursor.Scratch(j.tuples),
+		groups: cursor.Scratch(j.groups),
+	}
+}
+
+// takeTuples takes the build tuples that closed since the last call:
+// each one's key values go into the key slab, held with the tuple, and
+// the roles only the key reads are signed off on it. Their top-level
+// statements then have nothing left to do.
+func (e *Engine) takeTuples() {
+	j := e.join
+	for _, h := range e.buf.Watched {
+		t := h.Node()
+		lo := int32(len(j.bkeys))
+		j.bkeys = e.appendValues(j.bkeys, t, j.info.BuildKey)
+		j.tuples = append(j.tuples, buildTuple{node: h, keyLo: lo, keyHi: int32(len(j.bkeys))})
+		for _, so := range j.info.KeyRelease {
+			e.buf.SignOffNow(t, so.Path, so.Role)
+			e.signedOff[so.Role] = true
+		}
+	}
+	e.buf.Watched = e.buf.Watched[:0]
 }
 
 // interceptFor routes the plan's join loops away from nested
@@ -99,51 +152,38 @@ func (e *Engine) captureInto(expr xqast.Expr) error {
 
 // finalizeJoin runs once the probe chain is exhausted: pull to end of
 // input (the build side is complete only then — a later sibling of any
-// build ancestor could still contribute tuples), materialize the build
-// table, and emit the groups. Build nodes are still buffered here
-// because their hoisted sign-offs are top-level statements that execute
-// after the output wrapper.
+// build ancestor could still contribute tuples), capture each held
+// tuple's payload into the table, and emit the groups. The payload
+// nodes are still buffered here because their hoisted sign-offs are
+// top-level statements that execute after the output wrapper.
 func (e *Engine) finalizeJoin() error {
 	j := e.join
 	if err := e.ensureClosed(e.buf.Root); err != nil {
 		return err
 	}
 
-	var table *join.Table
 	if slices.ContainsFunc(j.groups, func(g join.Group) bool { return g.Splice }) {
 		// The build-side materialization is its own trace phase; the
-		// ensure calls inside appendPathValues find their subtrees already
-		// buffered, and the span guard keeps them out of PhaseStream.
+		// ensure calls inside the payload's evaluation find their
+		// subtrees already buffered, and the span guard keeps them out
+		// of PhaseStream.
 		err := e.span(obs.PhaseJoinBuild, func() error {
-			// The tuple list is held across the per-tuple evaluations
-			// below, which reuse the buffer's match scratch — hence a
-			// slice of its own. Nothing is purged while it is held: the
-			// payload expression contains no sign-offs and the deferred
-			// ones were drained when the root closed.
-			tuples := e.buf.SelectDocOrder(e.buf.Root, j.info.BuildPath)
-			table = join.NewTableSize(len(tuples))
-			buildKey := &xqast.PathExpr{Slot: j.info.BuildSlot, Path: j.info.BuildKey}
 			base := j.cap.Mark()
-			for _, t := range tuples {
+			for _, t := range j.tuples {
 				// A large build side is processed without pulling input,
 				// so the per-token poll inside ensure never runs here.
 				if err := e.poll(); err != nil {
 					return err
 				}
-				e.env[j.info.BuildSlot] = buffer.Hold(t)
+				e.env[j.info.BuildSlot] = t.node
 				if err := e.captureInto(j.info.Then); err != nil {
 					return err
 				}
-				// The table keeps the key strings, not the slice.
-				keys, err := e.pathValues(buildKey)
-				if err != nil {
-					return err
-				}
-				table.Add(keys, j.cap.Ops(base, j.cap.Mark()))
+				j.table.Add(j.bkeys[t.keyLo:t.keyHi], j.cap.Ops(base, j.cap.Mark()))
 				j.cap.Truncate(base)
 			}
 			e.env[j.info.BuildSlot] = buffer.Handle{}
-			j.buildTuples = int64(table.Len())
+			j.buildTuples = int64(j.table.Len())
 			return nil
 		})
 		if err != nil {
@@ -160,8 +200,8 @@ func (e *Engine) finalizeJoin() error {
 			}
 			j.cap.Replay(j.cap.Ops(g.Lo, g.Mid), e.out)
 			if g.Splice {
-				for _, ti := range table.Match(j.keys[g.KeyLo:g.KeyHi]) {
-					j.cap.Replay(table.Payload(ti), e.out)
+				for _, ti := range j.table.Match(j.keys[g.KeyLo:g.KeyHi]) {
+					j.cap.Replay(j.table.Payload(ti), e.out)
 					j.matches++
 				}
 			}

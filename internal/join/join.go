@@ -5,10 +5,11 @@
 //   - each probe binding's output events are captured into a Group —
 //     head events before the build loop's splice point, tail events
 //     after it — keyed by the probe side's join-key values;
-//   - the build side, still resident in the buffer at end of input
-//     (its hoisted sign-offs run only after the output wrapper), is
-//     scanned once into a Table: a keyed hash index over captured
-//     per-tuple payload events;
+//   - each build tuple's key values are taken at its close; at end of
+//     input its payload, still resident in the buffer (its hoisted
+//     sign-offs run only after the output wrapper), is captured, and
+//     keys and payloads go into a Table: a keyed hash index over
+//     captured per-tuple payload events;
 //   - the groups replay in probe document order with the matching
 //     payloads spliced in build document order — exactly the event
 //     sequence nested-loop evaluation would have produced, in
@@ -23,6 +24,7 @@ package join
 import (
 	"slices"
 
+	"gcx/internal/cursor"
 	"gcx/internal/event"
 )
 
@@ -61,6 +63,14 @@ func (c *Capture) Flush() error           { return nil }
 func (c *Capture) BytesWritten() int64    { return 0 }
 func (c *Capture) Release()               {}
 
+// Reset empties the capture for another run, keeping its slabs within
+// cursor.MaxScratch and dropping the strings they held.
+func (c *Capture) Reset() {
+	clear(c.ops[:cap(c.ops)])
+	clear(c.attrs[:cap(c.attrs)])
+	c.ops, c.attrs = cursor.Scratch(c.ops), cursor.Scratch(c.attrs)
+}
+
 // Mark returns the event count: where a group or payload starts, or a splice.
 func (c *Capture) Mark() int32 { return int32(len(c.ops)) }
 
@@ -96,7 +106,8 @@ type Group struct {
 
 // Table is the materialized build side: payload events back to back in
 // one slab, and a hash index from key value to a chain of entries, one
-// per (key value, tuple) pair — a multi-valued tuple is on several.
+// per (key value, tuple) pair — a multi-valued tuple is on several. Its
+// zero value is ready.
 type Table struct {
 	ops     []Op
 	bounds  []int32 // tuple i's payload is ops[bounds[i]:bounds[i+1]]
@@ -110,18 +121,40 @@ type (
 	entry struct{ tuple, next int32 } // next is -1 at a chain's end
 )
 
-// NewTable returns an empty build table.
-func NewTable() *Table { return NewTableSize(0) }
+// maxPooledKeys is the most key values whose index Reset keeps: about
+// cursor.MaxScratch at 32 bytes a map slot.
+const maxPooledKeys = cursor.MaxScratch / 32
 
-// NewTableSize returns an empty build table sized for n tuples.
-func NewTableSize(n int) *Table {
-	return &Table{bounds: make([]int32, 1, n+1), index: make(map[string]chain, n), entries: make([]entry, 0, n)}
+// NewTable returns an empty build table.
+func NewTable() *Table { return new(Table) }
+
+// Reset empties the table for another build side. The slabs keep their
+// capacity within cursor.MaxScratch and the index its buckets up to
+// maxPooledKeys values, so a table reused across runs grows only past
+// the largest build side it has held; no string of the last one stays
+// reachable.
+func (t *Table) Reset() {
+	clear(t.ops[:cap(t.ops)])
+	t.ops = cursor.Scratch(t.ops)
+	t.bounds = cursor.Scratch(t.bounds)
+	t.entries = cursor.Scratch(t.entries)
+	t.match = cursor.Scratch(t.match)
+	if len(t.index) > maxPooledKeys {
+		t.index = nil
+	}
+	clear(t.index)
 }
 
 // Add appends one build tuple with its key-value set, copying its
 // payload events into the table. Duplicate key values within one tuple
 // index it only once.
 func (t *Table) Add(keys []string, payload []Op) {
+	if len(t.bounds) == 0 { // a new or reset table
+		t.bounds = append(t.bounds, 0)
+		if t.index == nil {
+			t.index = make(map[string]chain)
+		}
+	}
 	i := int32(t.Len())
 	t.ops = append(t.ops, payload...)
 	t.bounds = append(t.bounds, int32(len(t.ops)))
@@ -140,7 +173,7 @@ func (t *Table) Add(keys []string, payload []Op) {
 }
 
 // Len reports the number of build tuples added.
-func (t *Table) Len() int { return len(t.bounds) - 1 }
+func (t *Table) Len() int { return max(len(t.bounds)-1, 0) }
 
 // Payload returns tuple i's events, to replay through their Capture.
 func (t *Table) Payload(i int) []Op { return t.ops[t.bounds[i]:t.bounds[i+1]:t.bounds[i+1]] }

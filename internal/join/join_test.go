@@ -224,3 +224,42 @@ func TestBudgetBreachMidProbeKeepsJoinStats(t *testing.T) {
 		t.Errorf("peak %d is more than one node past the budget of 30", res.PeakBufferedNodes)
 	}
 }
+
+// TestTableResetKeepsCapacity: a reset table is empty, and refilling it
+// with a build side no larger than the last — keys, entries, payloads
+// and the index's map — allocates nothing.
+func TestTableResetKeepsCapacity(t *testing.T) {
+	var c join.Capture
+	c.StartElement("v", nil)
+	c.Text("x")
+	c.EndElement("v")
+	payload := c.Ops(0, c.Mark())
+	keys := make([][]string, 500)
+	for i := range keys {
+		keys[i] = []string{fmt.Sprint("k", i%50), fmt.Sprint("k", i%7)}
+	}
+	var table join.Table
+	fill := func() {
+		table.Reset()
+		for _, k := range keys {
+			table.Add(k, payload)
+		}
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(5, fill); allocs != 0 {
+		t.Errorf("refilling a reset table allocates %.0f times", allocs)
+	}
+	want := 0
+	for i := range keys {
+		if i%50 == 3 || i%7 == 3 {
+			want++
+		}
+	}
+	if got := len(table.Match([]string{"k3"})); table.Len() != len(keys) || got != want {
+		t.Errorf("Len %d, k3 matches %d tuples, want %d", table.Len(), got, want)
+	}
+	table.Reset()
+	if table.Len() != 0 || len(table.Match([]string{"k3"})) != 0 {
+		t.Errorf("a reset table holds %d tuples", table.Len())
+	}
+}

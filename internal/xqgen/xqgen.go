@@ -81,14 +81,44 @@ func content(r *rand.Rand, sb *strings.Builder, depth int) {
 // by the engine). Exported so fuzz seeds and tests can reuse it.
 var JoinKeys = []string{"k0", "k1", "k2", "k1", "", "a&amp;b", "l&lt;r", "q&quot;e", " s p "}
 
-// JoinDocument produces a two-section document of the shape JoinQuery
-// queries: probe records under /root/ps/p (children n, k and an id
-// attribute) and build records under /root/bs/b (children k, v and an
-// id attribute). Key values come from JoinKeys; records occasionally
-// carry no key or a second key element, exercising empty-sequence and
-// multi-key existential comparisons.
-func JoinDocument(r *rand.Rand, probeN, buildN int) string {
-	var sb strings.Builder
+// JoinLayout orders the sections of a join document: where the build
+// tuples close relative to the probe bindings.
+type JoinLayout uint8
+
+const (
+	// ProbeFirst puts every probe record before every build tuple.
+	ProbeFirst JoinLayout = iota
+	// BuildFirst puts every build tuple before every probe record.
+	BuildFirst
+	// Alternating interleaves <bs> and <ps> sections of two records
+	// each, starting with tuples, so tuples close before, between and
+	// after probe bindings.
+	Alternating
+)
+
+// JoinLayouts lists every layout.
+var JoinLayouts = []JoinLayout{ProbeFirst, BuildFirst, Alternating}
+
+func (l JoinLayout) String() string {
+	switch l {
+	case ProbeFirst:
+		return "probe-first"
+	case BuildFirst:
+		return "build-first"
+	case Alternating:
+		return "alternating"
+	}
+	return fmt.Sprintf("JoinLayout(%d)", uint8(l))
+}
+
+// JoinDocument produces a document of the shape JoinQuery queries,
+// with its sections in the given layout: probe records under
+// /root/ps/p (children n, k and an id attribute) and build records
+// under /root/bs/b (children k, v and an id attribute). Key values come
+// from JoinKeys; records occasionally carry no key or a second key
+// element, exercising empty-sequence and multi-key existential
+// comparisons.
+func JoinDocument(r *rand.Rand, probeN, buildN int, layout JoinLayout) string {
 	key := func() string {
 		k := "<k>" + JoinKeys[r.Intn(len(JoinKeys))] + "</k>"
 		switch r.Intn(8) {
@@ -99,15 +129,47 @@ func JoinDocument(r *rand.Rand, probeN, buildN int) string {
 		}
 		return k
 	}
-	sb.WriteString("<root><ps>")
-	for i := 0; i < probeN; i++ {
-		fmt.Fprintf(&sb, `<p id="%d"><n>n%d</n>%s</p>`, i%5, i, key())
+	probes := make([]string, probeN)
+	for i := range probes {
+		probes[i] = fmt.Sprintf(`<p id="%d"><n>n%d</n>%s</p>`, i%5, i, key())
 	}
-	sb.WriteString("</ps><bs>")
-	for i := 0; i < buildN; i++ {
-		fmt.Fprintf(&sb, `<b id="%d">%s<v>v%d</v></b>`, i%4, key(), i)
+	builds := make([]string, buildN)
+	for i := range builds {
+		builds[i] = fmt.Sprintf(`<b id="%d">%s<v>v%d</v></b>`, i%4, key(), i)
 	}
-	sb.WriteString("</bs></root>")
+	return JoinSections(layout, probes, builds)
+}
+
+// JoinSections wraps probe records in <ps> and build records in <bs>
+// sections under <root>, in the given layout.
+func JoinSections(layout JoinLayout, probes, builds []string) string {
+	var sb strings.Builder
+	section := func(name string, records []string) {
+		sb.WriteString("<" + name + ">" + strings.Join(records, "") + "</" + name + ">")
+	}
+	sb.WriteString("<root>")
+	switch layout {
+	case BuildFirst:
+		section("bs", builds)
+		section("ps", probes)
+	case Alternating:
+		for len(probes) > 0 || len(builds) > 0 {
+			n := min(2, len(builds))
+			if n > 0 {
+				section("bs", builds[:n])
+			}
+			builds = builds[n:]
+			n = min(2, len(probes))
+			if n > 0 {
+				section("ps", probes[:n])
+			}
+			probes = probes[n:]
+		}
+	default:
+		section("ps", probes)
+		section("bs", builds)
+	}
+	sb.WriteString("</root>")
 	return sb.String()
 }
 

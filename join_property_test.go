@@ -42,72 +42,80 @@ func domOracle(t *testing.T, src, doc string) string {
 // reader backings. A run asking for 2 or 4 shards falls back to the
 // sequential join — no probe output is final before the build side is
 // complete — and produces the same bytes. Key values include
-// duplicates, empties and entity references (xqgen.JoinKeys).
+// duplicates, empties and entity references (xqgen.JoinKeys), and every
+// layout has build tuples close before, between or after the probe
+// bindings, where the operator takes their keys.
 func TestJoinDifferential(t *testing.T) {
 	sizes := []struct{ probe, build int }{{6, 8}, {40, 25}}
 	for _, seed := range []int64{1, 2} {
 		for _, sz := range sizes {
-			r := rand.New(rand.NewSource(seed))
-			doc := xqgen.JoinDocument(r, sz.probe, sz.build)
-			src := xqgen.JoinQuery(r)
-			label := fmt.Sprintf("seed %d size %dx%d query %s", seed, sz.probe, sz.build, src)
-
-			q, err := gcx.Compile(src)
-			if err != nil {
-				t.Fatalf("%s: compile: %v", label, err)
-			}
-			if q.Report().Join == nil {
-				t.Fatalf("%s: generated join query not detected as a join", label)
-			}
-			if q.Shardable() || !strings.Contains(q.Explain(), "Sharding: sequential only (detected join") {
-				t.Fatalf("%s: Explain does not name the join as the reason for sequential execution:\n%s", label, q.Explain())
-			}
-
-			want := domOracle(t, src, doc)
-
-			joinOut, jres, err := q.ExecuteString(doc, gcx.Options{})
-			if err != nil {
-				t.Fatalf("%s: join run: %v", label, err)
-			}
-			if jres.JoinProbeTuples != int64(sz.probe) {
-				t.Fatalf("%s: JoinProbeTuples = %d, want %d (operator did not run?)",
-					label, jres.JoinProbeTuples, sz.probe)
-			}
-			if joinOut != want {
-				t.Fatalf("%s: join output differs from DOM\ndoc: %s\n got: %q\nwant: %q",
-					label, doc, joinOut, want)
-			}
-			checkOnReaders(t, q, doc, want, label, gcx.Options{})
-
-			nestOut, nres, err := gcx.WithoutJoin(q).ExecuteString(doc, gcx.Options{})
-			if err != nil {
-				t.Fatalf("%s: nested run: %v", label, err)
-			}
-			if nres.JoinProbeTuples != 0 || nres.JoinMatches != 0 {
-				t.Fatalf("%s: the nested-loop plan still ran the operator: %+v", label, nres)
-			}
-			if nestOut != want {
-				t.Fatalf("%s: nested-loop output differs from DOM\ndoc: %s\n got: %q\nwant: %q",
-					label, doc, nestOut, want)
-			}
-
-			for _, shards := range []int{2, 4} {
-				opts := gcx.Options{Shards: shards}
-				shardOut, sres, err := q.ExecuteString(doc, opts)
-				if err != nil {
-					t.Fatalf("%s: shards=%d run: %v", label, shards, err)
-				}
-				if sres.ShardsUsed != 1 || sres.Chunks != 0 || sres.JoinProbeTuples != int64(sz.probe) {
-					t.Fatalf("%s: shards=%d: ShardsUsed = %d, Chunks = %d, JoinProbeTuples = %d; want the sequential join",
-						label, shards, sres.ShardsUsed, sres.Chunks, sres.JoinProbeTuples)
-				}
-				if shardOut != want {
-					t.Fatalf("%s: shards=%d output differs from DOM\ndoc: %s\n got: %q\nwant: %q",
-						label, shards, doc, shardOut, want)
-				}
-				checkOnReaders(t, q, doc, want, label, opts)
+			for _, layout := range xqgen.JoinLayouts {
+				testJoinDifferential(t, seed, sz.probe, sz.build, layout)
 			}
 		}
+	}
+}
+
+func testJoinDifferential(t *testing.T, seed int64, probe, build int, layout xqgen.JoinLayout) {
+	r := rand.New(rand.NewSource(seed))
+	doc := xqgen.JoinDocument(r, probe, build, layout)
+	src := xqgen.JoinQuery(r)
+	label := fmt.Sprintf("seed %d size %dx%d %s query %s", seed, probe, build, layout, src)
+
+	q, err := gcx.Compile(src)
+	if err != nil {
+		t.Fatalf("%s: compile: %v", label, err)
+	}
+	if q.Report().Join == nil {
+		t.Fatalf("%s: generated join query not detected as a join", label)
+	}
+	if q.Shardable() || !strings.Contains(q.Explain(), "Sharding: sequential only (detected join") {
+		t.Fatalf("%s: Explain does not name the join as the reason for sequential execution:\n%s", label, q.Explain())
+	}
+
+	want := domOracle(t, src, doc)
+
+	joinOut, jres, err := q.ExecuteString(doc, gcx.Options{})
+	if err != nil {
+		t.Fatalf("%s: join run: %v", label, err)
+	}
+	if jres.JoinProbeTuples != int64(probe) {
+		t.Fatalf("%s: JoinProbeTuples = %d, want %d (operator did not run?)",
+			label, jres.JoinProbeTuples, probe)
+	}
+	if joinOut != want {
+		t.Fatalf("%s: join output differs from DOM\ndoc: %s\n got: %q\nwant: %q",
+			label, doc, joinOut, want)
+	}
+	checkOnReaders(t, q, doc, want, label, gcx.Options{})
+
+	nestOut, nres, err := gcx.WithoutJoin(q).ExecuteString(doc, gcx.Options{})
+	if err != nil {
+		t.Fatalf("%s: nested run: %v", label, err)
+	}
+	if nres.JoinProbeTuples != 0 || nres.JoinMatches != 0 {
+		t.Fatalf("%s: the nested-loop plan still ran the operator: %+v", label, nres)
+	}
+	if nestOut != want {
+		t.Fatalf("%s: nested-loop output differs from DOM\ndoc: %s\n got: %q\nwant: %q",
+			label, doc, nestOut, want)
+	}
+
+	for _, shards := range []int{2, 4} {
+		opts := gcx.Options{Shards: shards}
+		shardOut, sres, err := q.ExecuteString(doc, opts)
+		if err != nil {
+			t.Fatalf("%s: shards=%d run: %v", label, shards, err)
+		}
+		if sres.ShardsUsed != 1 || sres.Chunks != 0 || sres.JoinProbeTuples != int64(probe) {
+			t.Fatalf("%s: shards=%d: ShardsUsed = %d, Chunks = %d, JoinProbeTuples = %d; want the sequential join",
+				label, shards, sres.ShardsUsed, sres.Chunks, sres.JoinProbeTuples)
+		}
+		if shardOut != want {
+			t.Fatalf("%s: shards=%d output differs from DOM\ndoc: %s\n got: %q\nwant: %q",
+				label, shards, doc, shardOut, want)
+		}
+		checkOnReaders(t, q, doc, want, label, opts)
 	}
 }
 
@@ -206,16 +214,19 @@ func (c *chunkedReader) Read(p []byte) (int, error) {
 // escapeXMLText renders an arbitrary string as XML character data.
 var escapeXMLText = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;").Replace
 
-// FuzzJoinKeys pins join/nested agreement, and the sequential fallback
-// of a run asking for shards, on adversarial key values: duplicates,
-// empty strings, entity references, whitespace — whatever the fuzzer
-// grows from the seeds below.
+// FuzzJoinKeys pins join/nested/DOM agreement, and the sequential
+// fallback of a run asking for shards, on adversarial key values:
+// duplicates, empty strings, entity references, whitespace — whatever
+// the fuzzer grows from the seeds below — in every section layout
+// (xqgen.JoinLayouts, picked by the layout byte). The join operator
+// holds at most what the nested-loop plan does: it keeps the same build
+// tuples but signs their key nodes off at each tuple's close.
 func FuzzJoinKeys(f *testing.F) {
-	f.Add("k1", "k1", "k2")
-	f.Add("", "", "x")
-	f.Add("a&b", "a&b", "<")
-	f.Add("dup", "dup", "dup")
-	f.Add(`q"e`, " s p ", "\tk\t")
+	f.Add(byte(0), "k1", "k1", "k2")
+	f.Add(byte(1), "", "", "x")
+	f.Add(byte(2), "a&b", "a&b", "<")
+	f.Add(byte(0), "dup", "dup", "dup")
+	f.Add(byte(2), `q"e`, " s p ", "\tk\t")
 	const src = `<out>{ for $p in /root/ps/p return <m>{ $p/n, for $b in /root/bs/b return if ($b/k = $p/k) then $b/v else () }</m> }</out>`
 	q, err := gcx.Compile(src)
 	if err != nil {
@@ -225,7 +236,7 @@ func FuzzJoinKeys(f *testing.F) {
 		f.Fatal("fuzz query not detected as a join")
 	}
 	nested := gcx.WithoutJoin(q)
-	f.Fuzz(func(t *testing.T, k1, k2, k3 string) {
+	f.Fuzz(func(t *testing.T, layout byte, k1, k2, k3 string) {
 		for _, k := range []string{k1, k2, k3} {
 			if !utf8.ValidString(k) {
 				t.Skip("not valid UTF-8")
@@ -236,21 +247,32 @@ func FuzzJoinKeys(f *testing.F) {
 				}
 			}
 		}
-		doc := fmt.Sprintf(`<root><ps><p><n>n0</n><k>%s</k></p><p><n>n1</n><k>%s</k></p></ps>`+
-			`<bs><b><k>%s</k><v>v0</v></b><b><k>%s</k><v>v1</v></b><b><k>%s</k><v>v2</v></b></bs></root>`,
-			escapeXMLText(k1), escapeXMLText(k2),
-			escapeXMLText(k2), escapeXMLText(k3), escapeXMLText(k1))
+		l := xqgen.JoinLayouts[int(layout)%len(xqgen.JoinLayouts)]
+		doc := xqgen.JoinSections(l,
+			[]string{
+				fmt.Sprintf(`<p><n>n0</n><k>%s</k></p>`, escapeXMLText(k1)),
+				fmt.Sprintf(`<p><n>n1</n><k>%s</k></p>`, escapeXMLText(k2)),
+			},
+			[]string{
+				fmt.Sprintf(`<b><k>%s</k><v>v0</v></b>`, escapeXMLText(k2)),
+				fmt.Sprintf(`<b><k>%s</k><v>v1</v></b>`, escapeXMLText(k3)),
+				fmt.Sprintf(`<b><k>%s</k><v>v2</v></b>`, escapeXMLText(k1)),
+			})
 
-		joinOut, _, jerr := q.ExecuteString(doc, gcx.Options{})
-		nestOut, _, nerr := nested.ExecuteString(doc, gcx.Options{})
-		if (jerr == nil) != (nerr == nil) {
-			t.Fatalf("error disagreement: join %v, nested %v\ndoc: %s", jerr, nerr, doc)
+		joinOut, jres, jerr := q.ExecuteString(doc, gcx.Options{})
+		nestOut, nres, nerr := nested.ExecuteString(doc, gcx.Options{})
+		domOut, _, derr := q.ExecuteString(doc, gcx.Options{Engine: gcx.EngineDOM})
+		if (jerr == nil) != (nerr == nil) || (jerr == nil) != (derr == nil) {
+			t.Fatalf("error disagreement: join %v, nested %v, DOM %v\ndoc: %s", jerr, nerr, derr, doc)
 		}
 		if jerr != nil {
-			return // both reject the document identically
+			return // all reject the document identically
 		}
-		if joinOut != nestOut {
-			t.Fatalf("join and nested outputs differ\ndoc: %s\njoin:   %q\nnested: %q", doc, joinOut, nestOut)
+		if joinOut != nestOut || joinOut != domOut {
+			t.Fatalf("join, nested and DOM outputs differ\ndoc: %s\njoin:   %q\nnested: %q\nDOM:    %q", doc, joinOut, nestOut, domOut)
+		}
+		if jres.PeakBufferedNodes > nres.PeakBufferedNodes {
+			t.Fatalf("join peak %d above the nested-loop plan's %d\ndoc: %s", jres.PeakBufferedNodes, nres.PeakBufferedNodes, doc)
 		}
 		checkOnReaders(t, q, doc, joinOut, "reader backing", gcx.Options{})
 		shardOut, _, serr := q.ExecuteString(doc, gcx.Options{Shards: 3})
