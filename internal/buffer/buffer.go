@@ -33,6 +33,12 @@ type Buffer struct {
 	// paper's Figure 5.
 	CurrentBytes int64
 	PeakBytes    int64
+	// HeldNodes and HeldBytes are what the run holds outside the tree,
+	// as SetHeld last reported it: the join operator's table and slabs
+	// (DESIGN.md §10). HeldNodes counts against MaxNodes, HeldBytes
+	// into PeakBytes; neither is part of CurrentNodes or CurrentBytes.
+	HeldNodes int64
+	HeldBytes int64
 	// TotalAppended counts every node ever buffered.
 	TotalAppended int64
 	// TotalPurged counts every node ever purged.
@@ -58,7 +64,8 @@ type Buffer struct {
 	DisableGC bool
 
 	// MaxNodes, when positive, is the node budget: the first allocation
-	// that would push CurrentNodes past it trips the sticky breached
+	// that would push CurrentNodes plus HeldNodes past it, or SetHeld
+	// doing so, trips the sticky breached
 	// flag (see BudgetErr). The allocation itself still succeeds — the
 	// engine checks BudgetErr at its next token boundary and aborts
 	// gracefully, so enforcement costs one compare per node, not an
@@ -102,7 +109,7 @@ var slabPool = cursor.NewPool(func() *nodeSlab { return new(nodeSlab) })
 // newNode hands out a zeroed node: the most recently purged one if
 // there is any, else the next of the current slab.
 func (b *Buffer) newNode() *Node {
-	if b.MaxNodes > 0 && b.CurrentNodes >= b.MaxNodes {
+	if b.MaxNodes > 0 && b.CurrentNodes+b.HeldNodes >= b.MaxNodes {
 		b.breached = true
 	}
 	if n := b.free; n != nil {
@@ -278,8 +285,20 @@ func (b *Buffer) link(parent, n *Node) {
 	if b.CurrentNodes > b.PeakNodes {
 		b.PeakNodes = b.CurrentNodes
 	}
-	if b.CurrentBytes > b.PeakBytes {
-		b.PeakBytes = b.CurrentBytes
+	if b.CurrentBytes+b.HeldBytes > b.PeakBytes {
+		b.PeakBytes = b.CurrentBytes + b.HeldBytes
+	}
+}
+
+// SetHeld records that the run now holds nodes and bytes outside the
+// tree, samples the byte peak and checks the node budget with them.
+func (b *Buffer) SetHeld(nodes, bytes int64) {
+	b.HeldNodes, b.HeldBytes = nodes, bytes
+	if b.CurrentBytes+bytes > b.PeakBytes {
+		b.PeakBytes = b.CurrentBytes + bytes
+	}
+	if b.MaxNodes > 0 && b.CurrentNodes+nodes > b.MaxNodes {
+		b.breached = true
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"gcx/internal/analysis"
 	"gcx/internal/buffer"
@@ -38,6 +39,8 @@ type joinRun struct {
 	tuples []buildTuple
 	bkeys  []string
 	table  join.Table
+	// slabBytes estimates the key slabs, groups and tuples (held).
+	slabBytes int64
 
 	buildTuples int64
 	matches     int64
@@ -79,12 +82,31 @@ func (e *Engine) takeTuples() {
 		lo := int32(len(j.bkeys))
 		j.bkeys = e.appendValues(j.bkeys, t, j.info.BuildKey)
 		j.tuples = append(j.tuples, buildTuple{node: h, keyLo: lo, keyHi: int32(len(j.bkeys))})
+		j.slabBytes += int64(unsafe.Sizeof(buildTuple{})) + keyBytes(j.bkeys[lo:])
 		for _, so := range j.info.KeyRelease {
 			e.buf.SignOffNow(t, so.Path, so.Role)
 			e.signedOff[so.Role] = true
 		}
 	}
 	e.buf.Watched = e.buf.Watched[:0]
+	e.holdJoin()
+}
+
+// keyBytes estimates what key values hold in a key slab: a string
+// header and the bytes of each.
+func keyBytes(keys []string) int64 {
+	n := int64(len(keys)) * int64(unsafe.Sizeof(""))
+	for _, k := range keys {
+		n += int64(len(k))
+	}
+	return n
+}
+
+// holdJoin reports what the join holds outside the buffer — its capture,
+// slabs and table — to the buffer's byte peak (DESIGN.md §10).
+func (e *Engine) holdJoin() {
+	j := e.join
+	e.buf.SetHeld(0, j.cap.Bytes()+j.table.Bytes()+j.slabBytes)
 }
 
 // interceptFor routes the plan's join loops away from nested
@@ -138,6 +160,8 @@ func (e *Engine) captureProbeBinding(f *xqast.ForExpr) error {
 		g.Mid = g.Hi
 	}
 	j.groups = append(j.groups, g)
+	j.slabBytes += int64(unsafe.Sizeof(g)) + keyBytes(keys[klo:])
+	e.holdJoin()
 	return nil
 }
 
@@ -180,6 +204,7 @@ func (e *Engine) finalizeJoin() error {
 					return err
 				}
 				j.table.Add(j.bkeys[t.keyLo:t.keyHi], j.cap.Ops(base, j.cap.Mark()))
+				e.holdJoin()
 				j.cap.Truncate(base)
 			}
 			e.env[j.info.BuildSlot] = buffer.Handle{}

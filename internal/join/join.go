@@ -23,6 +23,7 @@ package join
 
 import (
 	"slices"
+	"unsafe"
 
 	"gcx/internal/cursor"
 	"gcx/internal/event"
@@ -42,6 +43,26 @@ type Op struct {
 	s        string
 }
 
+// The sizes behind Capture.Bytes and Table.Bytes, which estimate what
+// the slabs hold as the buffer estimates a node: each element's struct
+// plus the bytes of the strings it keeps. An end event's name is its
+// start's, so it adds no string bytes.
+const (
+	opSize    = int64(unsafe.Sizeof(Op{}))
+	attrSize  = int64(unsafe.Sizeof(event.Attr{}))
+	entrySize = int64(unsafe.Sizeof(entry{}))
+	boundSize = int64(unsafe.Sizeof(int32(0)))
+	// keySize is an index key's map slot: its string header and chain.
+	keySize = int64(unsafe.Sizeof("") + unsafe.Sizeof(chain{}))
+)
+
+func opBytes(op Op) int64 {
+	if op.kind == opEnd {
+		return opSize
+	}
+	return opSize + int64(len(op.s))
+}
+
 // Capture is an event.Sink recording events into run-long slabs for
 // Replay (DESIGN.md §10 "The slab layout"); its zero value is ready.
 // Attribute lists are copied, being valid only for the call; strings are
@@ -49,19 +70,34 @@ type Op struct {
 type Capture struct {
 	ops   []Op
 	attrs []event.Attr
+	bytes int64
 }
 
 func (c *Capture) StartElement(name string, attrs []event.Attr) {
 	lo := int32(len(c.attrs))
 	c.attrs = append(c.attrs, attrs...)
-	c.ops = append(c.ops, Op{kind: opStart, s: name, alo: lo, ahi: int32(len(c.attrs))})
+	op := Op{kind: opStart, s: name, alo: lo, ahi: int32(len(c.attrs))}
+	c.ops = append(c.ops, op)
+	c.bytes += opBytes(op)
+	for _, a := range attrs {
+		c.bytes += attrSize + int64(len(a.Name)+len(a.Value))
+	}
 }
 
-func (c *Capture) EndElement(name string) { c.ops = append(c.ops, Op{kind: opEnd, s: name}) }
-func (c *Capture) Text(text string)       { c.ops = append(c.ops, Op{kind: opText, s: text}) }
+func (c *Capture) EndElement(name string) { c.add(Op{kind: opEnd, s: name}) }
+func (c *Capture) Text(text string)       { c.add(Op{kind: opText, s: text}) }
 func (c *Capture) Flush() error           { return nil }
 func (c *Capture) BytesWritten() int64    { return 0 }
 func (c *Capture) Release()               {}
+
+func (c *Capture) add(op Op) {
+	c.ops = append(c.ops, op)
+	c.bytes += opBytes(op)
+}
+
+// Bytes estimates what the capture holds: its events and every
+// attribute it has copied.
+func (c *Capture) Bytes() int64 { return c.bytes }
 
 // Reset empties the capture for another run, keeping its slabs within
 // cursor.MaxScratch and dropping the strings they held.
@@ -69,6 +105,7 @@ func (c *Capture) Reset() {
 	clear(c.ops[:cap(c.ops)])
 	clear(c.attrs[:cap(c.attrs)])
 	c.ops, c.attrs = cursor.Scratch(c.ops), cursor.Scratch(c.attrs)
+	c.bytes = 0
 }
 
 // Mark returns the event count: where a group or payload starts, or a splice.
@@ -78,7 +115,12 @@ func (c *Capture) Mark() int32 { return int32(len(c.ops)) }
 func (c *Capture) Ops(lo, hi int32) []Op { return c.ops[lo:hi:hi] }
 
 // Truncate drops the events from n on; their attributes stay for Table.Add's copies.
-func (c *Capture) Truncate(n int32) { c.ops = c.ops[:n] }
+func (c *Capture) Truncate(n int32) {
+	for _, op := range c.ops[n:] {
+		c.bytes -= opBytes(op)
+	}
+	c.ops = c.ops[:n]
+}
 
 // Replay feeds events recorded by c — through Ops or a Table — into sink.
 func (c *Capture) Replay(ops []Op, sink event.Sink) {
@@ -114,6 +156,7 @@ type Table struct {
 	index   map[string]chain
 	entries []entry
 	match   []int // Match's result, reused
+	bytes   int64 // Bytes
 }
 
 type (
@@ -139,6 +182,7 @@ func (t *Table) Reset() {
 	t.bounds = cursor.Scratch(t.bounds)
 	t.entries = cursor.Scratch(t.entries)
 	t.match = cursor.Scratch(t.match)
+	t.bytes = 0
 	if len(t.index) > maxPooledKeys {
 		t.index = nil
 	}
@@ -158,19 +202,31 @@ func (t *Table) Add(keys []string, payload []Op) {
 	i := int32(t.Len())
 	t.ops = append(t.ops, payload...)
 	t.bounds = append(t.bounds, int32(len(t.ops)))
+	t.bytes += boundSize
+	for _, op := range payload {
+		t.bytes += opBytes(op)
+	}
 	for ki, k := range keys {
 		if slices.Contains(keys[:ki], k) {
 			continue
 		}
 		e := int32(len(t.entries))
 		t.entries = append(t.entries, entry{tuple: i, next: -1})
+		t.bytes += entrySize
 		c := chain{e, e}
 		if prev, ok := t.index[k]; ok {
 			t.entries[prev.tail].next, c.head = e, prev.head
+		} else {
+			t.bytes += keySize + int64(len(k))
 		}
 		t.index[k] = c
 	}
 }
+
+// Bytes estimates what the table holds: its payload events, bounds,
+// entries and index keys. The payloads' attributes stay in the Capture
+// they were recorded by, and count there.
+func (t *Table) Bytes() int64 { return t.bytes }
 
 // Len reports the number of build tuples added.
 func (t *Table) Len() int { return max(len(t.bounds)-1, 0) }
