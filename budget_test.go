@@ -16,9 +16,10 @@ import (
 	"gcx/internal/xmark"
 )
 
-// TestJoinBudgetPartialStats: the join operator's build side counts
-// against the budget; a breach returns ErrBufferBudget together with
-// the partial Result, including the join counters accumulated so far.
+// TestJoinBudgetPartialStats: the join table's payload nodes count
+// against the budget; a breach in the build section returns
+// ErrBufferBudget together with the partial Result, including the join
+// counters accumulated so far: the tuples taken before the breach.
 func TestJoinBudgetPartialStats(t *testing.T) {
 	q := gcx.MustCompile(`<out>{ for $p in /root/ps/p return
 		for $b in /root/bs/b return if ($b/k = $p/k) then $b/v else () }</out>`)
@@ -38,6 +39,9 @@ func TestJoinBudgetPartialStats(t *testing.T) {
 	}
 	if res.JoinProbeTuples != 3 {
 		t.Errorf("partial JoinProbeTuples = %d, want 3 (probe section precedes the breach)", res.JoinProbeTuples)
+	}
+	if res.JoinBuildTuples <= 0 || res.JoinBuildTuples >= 50 {
+		t.Errorf("partial JoinBuildTuples = %d, want the tuples taken before the breach", res.JoinBuildTuples)
 	}
 	if res.PeakBufferedNodes == 0 || res.PeakBufferedNodes > 21 {
 		t.Errorf("peak %d not within one node of the budget", res.PeakBufferedNodes)

@@ -117,12 +117,13 @@ type JoinReport struct {
 	// relative to their binding variables.
 	ProbeKey string `json:"probe_key"`
 	BuildKey string `json:"build_key"`
-	// Budget notes how Options.MaxBufferedNodes applies: the build
-	// side's materialization counts against the run's node budget, so a
-	// budget trip surfaces before the table outgrows memory.
+	// Budget notes how Options.MaxBufferedNodes applies: the table's
+	// payload nodes count against the run's node budget, so a budget
+	// trip surfaces before the table outgrows memory.
 	Budget string `json:"budget"`
 	// Released names the roles signed off on each build tuple at its
-	// close, once its key values are taken: those only the key reads.
+	// close, once its keys and payload are in the table: every
+	// build-side role, the tuple's binding role last.
 	Released []string `json:"released_at_tuple_close,omitempty"`
 }
 
@@ -168,9 +169,9 @@ func (q *Query) Report() ExplainReport {
 			BuildPath: j.BuildPath.String(),
 			ProbeKey:  j.ProbeKey.RelString(),
 			BuildKey:  j.BuildKey.RelString(),
-			Budget:    "key nodes are released at each build tuple's close; payload nodes stay buffered until end of input; both count against MaxBufferedNodes, and a breach returns ErrBufferBudget with partial statistics",
+			Budget:    "each build tuple's keys and payload go into the table at its close, where all its nodes are released; the table's payload nodes count against MaxBufferedNodes, and a breach returns ErrBufferBudget with partial statistics",
 		}
-		for _, so := range j.KeyRelease {
+		for _, so := range j.Release {
 			r.Join.Released = append(r.Join.Released, q.plan.Roles[so.Role].Name())
 		}
 	}

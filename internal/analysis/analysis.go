@@ -68,9 +68,6 @@ type Role struct {
 	// Provenance describes the query fragment that created the role,
 	// for the role browser (-explain).
 	Provenance string
-	// operand is the comparison operand that created an operand role,
-	// for the join pass.
-	operand *xqast.Operand
 }
 
 // Name renders the paper-style role name r1, r2, …
@@ -238,8 +235,8 @@ func analyze(q *xqast.Query, opts Options) (*Plan, error) {
 		}
 		return true
 	})
-	plan.Stream = Streamability(plan)
 	plan.Join = DetectJoin(plan)
+	plan.Stream = Streamability(plan)
 	if plan.Join != nil {
 		bufferProbeOutputs(plan)
 	}

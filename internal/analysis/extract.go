@@ -251,13 +251,9 @@ func (ex *extractor) walkCond(c xqast.Cond) error {
 	case *xqast.BoolLit:
 		return nil
 	case *xqast.CompareCond:
-		for _, o := range []*xqast.Operand{&c.L, &c.R} {
+		for _, o := range []xqast.Operand{c.L, c.R} {
 			if o.Kind == xqast.OperandPath {
-				n := len(ex.roles)
 				ex.valueRole(o.Path, RoleOperand, fmt.Sprintf("operand %s", refString(o.Path)))
-				for i := n; i < len(ex.roles); i++ {
-					ex.roles[i].operand = o
-				}
 			}
 		}
 		return nil

@@ -49,12 +49,14 @@ type JoinInfo struct {
 	// BuildRole is BuildVar's binding role: a node carrying it is a
 	// build tuple, which the engine takes into the join at its close.
 	BuildRole int
-	// KeyRelease are the sign-offs of the roles that only the build key
-	// reads, with Base BuildVar and paths relative to it. The engine runs
-	// them on each build tuple once it has taken the tuple's key values,
-	// and skips their hoisted top-level statements, which stay in the
-	// plan for the nested-loop evaluation (DESIGN.md §10).
-	KeyRelease []*xqast.SignOff
+	// Release are the hoisted sign-offs of every build-side role — the
+	// build key's, Then's and, last, BuildRole — with Base BuildVar and
+	// paths relative to it. Once the engine has taken a tuple's keys and
+	// payload it runs them on the tuple, and skips their top-level
+	// statements, which stay in the plan for the nested-loop evaluation
+	// (DESIGN.md §10). BuildRole goes last because its removal purges
+	// the tuple.
+	Release []*xqast.SignOff
 }
 
 // Strategy names the runtime plan for explain output. Output order must
@@ -144,11 +146,7 @@ func DetectJoin(p *Plan) *JoinInfo {
 	if !usesOnly(j.Then, map[string]bool{j.BuildVar: true}, nil, false) {
 		return nil
 	}
-	key := &cmp.L
-	if cmp.L.Path.Base != j.BuildVar {
-		key = &cmp.R
-	}
-	if !j.buildSignOffs(p, key) {
+	if !j.buildSignOffs(p) {
 		return nil
 	}
 	// The rest of the probe body may use only the probe binding (plus
@@ -165,13 +163,13 @@ func DetectJoin(p *Plan) *JoinInfo {
 	return j
 }
 
-// buildSignOffs finds, among the top-level statements, the hoisted
-// sign-offs of the build side that the join operator runs per tuple:
-// BuildVar's binding role, whose nodes are the tuples, and the roles of
-// the build key operand key, which nothing else reads (every use has a
-// role of its own). It reports false when the binding role's sign-off is
-// not there.
-func (j *JoinInfo) buildSignOffs(p *Plan, key *xqast.Operand) bool {
+// buildSignOffs collects Release: among the top-level statements, the
+// hoisted sign-offs of the roles below the build path, which only the
+// build key and Then read — the probe side binds a disjoint subtree and
+// is the query's one dynamic item. BuildVar's binding role, whose nodes
+// are the tuples, goes last. It reports false when the binding role's
+// sign-off is not there.
+func (j *JoinInfo) buildSignOffs(p *Plan) bool {
 	j.BuildRole = -1
 	n := len(j.BuildPath.Steps)
 	for _, s := range statements(p.Rewritten.Body) {
@@ -180,17 +178,20 @@ func (j *JoinInfo) buildSignOffs(p *Plan, key *xqast.Operand) bool {
 			!(xpath.Path{Steps: so.Path.Steps[:n]}).Equal(j.BuildPath) {
 			continue
 		}
-		switch r := p.Roles[so.Role]; {
-		case r.Kind == RoleBinding && len(so.Path.Steps) == n:
+		if len(so.Path.Steps) == n && p.Roles[so.Role].Kind == RoleBinding {
 			j.BuildRole = so.Role
-		case r.operand == key:
-			j.KeyRelease = append(j.KeyRelease, &xqast.SignOff{
-				Base: j.BuildVar, Slot: j.BuildSlot, Role: so.Role,
-				Path: xpath.Path{Steps: so.Path.Steps[n:]},
-			})
+			continue
 		}
+		j.Release = append(j.Release, &xqast.SignOff{
+			Base: j.BuildVar, Slot: j.BuildSlot, Role: so.Role,
+			Path: xpath.Path{Steps: so.Path.Steps[n:]},
+		})
 	}
-	return j.BuildRole >= 0
+	if j.BuildRole < 0 {
+		return false
+	}
+	j.Release = append(j.Release, &xqast.SignOff{Base: j.BuildVar, Slot: j.BuildSlot, Role: j.BuildRole})
+	return true
 }
 
 // findBuildHead returns the single root-based loop beneath e that is

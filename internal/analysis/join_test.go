@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"gcx/internal/xmark"
@@ -112,46 +114,61 @@ func TestDetectJoinStreamabilityUnchanged(t *testing.T) {
 	}
 }
 
-// TestDetectJoinKeyRelease: the join names the build binding role and
-// the roles only the build key reads, with paths relative to the build
-// variable; their hoisted statements stay in the plan, which the
-// nested-loop evaluation runs. A key the THEN branch also outputs has a
-// role of its own there, which is not released; a key that is an
-// attribute of the tuple itself has no role to release.
+// TestDetectJoinKeyRelease: the join's release list holds the hoisted
+// sign-off of every build-side role — the key's, THEN's and, last, the
+// build binding role — with paths relative to the build variable; their
+// hoisted statements stay in the plan, which the nested-loop evaluation
+// runs. A key that THEN also outputs has two roles there, both released;
+// a key that is an attribute of the tuple itself has no role.
 func TestDetectJoinKeyRelease(t *testing.T) {
+	release := func(p *Plan) string {
+		var parts []string
+		for _, so := range p.Join.Release {
+			if so.Base != p.Join.BuildVar || so.Slot != p.Join.BuildSlot {
+				t.Errorf("%s released on $%s (slot %d)", p.Roles[so.Role].Name(), so.Base, so.Slot)
+			}
+			r := p.Roles[so.Role]
+			parts = append(parts, fmt.Sprintf("%s %s %q", r.Kind, so.Path.RelString(), r.Provenance))
+		}
+		return strings.Join(parts, "; ")
+	}
+
 	p := mustAnalyze(t, xmark.Queries["Q8"].Text)
 	j := p.Join
 	if r := p.Roles[j.BuildRole]; r.Kind != RoleBinding || r.Path.String() != "/site/closed_auctions/closed_auction" {
 		t.Errorf("build role %s: %v %s", r.Name(), r.Kind, r.Path)
 	}
-	if len(j.KeyRelease) != 1 {
-		t.Fatalf("key release %+v, want one sign-off", j.KeyRelease)
+	want := `operand buyer "operand $t/buyer/@person"; ` +
+		`output price/descendant-or-self::node() "output $t/price"; ` +
+		`binding . "for $t in $v4/closed_auction"`
+	if got := release(p); got != want {
+		t.Errorf("Q8 release list\n got %s\nwant %s", got, want)
 	}
-	so := j.KeyRelease[0]
-	if r := p.Roles[so.Role]; r.Kind != RoleOperand || r.Provenance != "operand $t/buyer/@person" {
-		t.Errorf("released role %s: %v %q", r.Name(), r.Kind, r.Provenance)
+	if last := j.Release[len(j.Release)-1]; last.Role != j.BuildRole {
+		t.Errorf("the binding role %d is not released last: %+v", j.BuildRole, last)
 	}
-	if so.Base != j.BuildVar || so.Slot != j.BuildSlot || so.Path.RelString() != "buyer" {
-		t.Errorf("release sign-off on $%s (slot %d) path %s", so.Base, so.Slot, so.Path.RelString())
-	}
-	hoisted := false
-	for _, s := range statements(p.Rewritten.Body) {
-		if s, ok := s.(*xqast.SignOff); ok && s.Role == so.Role {
-			hoisted = true
+	for _, so := range j.Release {
+		hoisted := false
+		for _, s := range statements(p.Rewritten.Body) {
+			if s, ok := s.(*xqast.SignOff); ok && s.Role == so.Role {
+				hoisted = true
+			}
 		}
-	}
-	if !hoisted {
-		t.Error("the key role's top-level sign-off left the plan")
+		if !hoisted {
+			t.Errorf("the top-level sign-off of r%d left the plan", so.Role+1)
+		}
 	}
 
 	p = mustAnalyze(t, `<out>{ for $p in /root/ps/p return
 		for $b in /root/bs/b return if ($b/k = $p/k) then $b/k else () }</out>`)
-	if len(p.Join.KeyRelease) != 1 || p.Roles[p.Join.KeyRelease[0].Role].Kind != RoleOperand {
-		t.Errorf("THEN outputs the key: released %+v", p.Join.KeyRelease)
+	want = `operand k/descendant-or-self::node() "operand $b/k"; output k/descendant-or-self::node() "output $b/k"; binding . "for $b in $v4/b"`
+	if got := release(p); got != want {
+		t.Errorf("THEN outputs the key: release list\n got %s\nwant %s", got, want)
 	}
 	p = mustAnalyze(t, `<out>{ for $p in /root/ps/p return
 		for $b in /root/bs/b return if ($b/@id = $p/@id) then $b/v else () }</out>`)
-	if len(p.Join.KeyRelease) != 0 {
-		t.Errorf("attribute key of the tuple: released %+v", p.Join.KeyRelease)
+	want = `output v/descendant-or-self::node() "output $b/v"; binding . "for $b in $v4/b"`
+	if got := release(p); got != want {
+		t.Errorf("attribute key of the tuple: release list\n got %s\nwant %s", got, want)
 	}
 }

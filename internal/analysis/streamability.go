@@ -236,11 +236,17 @@ func constNodes(p *Plan) int64 {
 // Streamability classifies a compiled plan into the streamability
 // lattice and, for the bounded classes, derives its static node budget.
 // The verdict is computed once at analysis time and stored as
-// Plan.Stream.
+// Plan.Stream. A detected join (Plan.Join, decided first) is Unbounded
+// for its hash table, not for its buffer.
 func Streamability(p *Plan) StreamInfo {
 	w := &streamWalk{varRefs: map[string]bool{}, wholeCmpVars: map[string]bool{}}
 	w.expr(p.Normalized.Body, 0)
 
+	if j := p.Join; j != nil {
+		return StreamInfo{Class: Unbounded, Reason: fmt.Sprintf(
+			"detected join: each build tuple under %s goes into the join's hash table at its close, so the buffer holds no build node past it, but the table grows with the build side",
+			j.BuildPath.String())}
+	}
 	if w.nestedAbs != nil {
 		return StreamInfo{Class: Unbounded, Reason: fmt.Sprintf(
 			"join: the loop over %s restarts for every binding of an outer loop, so its matches are parked in the buffer until the outer loop completes (hoisted sign-offs)",

@@ -187,6 +187,10 @@ func (b *Buffer) BudgetErr() error {
 	if !b.breached {
 		return nil
 	}
+	if b.HeldNodes > 0 {
+		return fmt.Errorf("%w: %d nodes buffered and %d held, budget %d (peak %d buffered)",
+			ErrBudget, b.CurrentNodes, b.HeldNodes, b.MaxNodes, b.PeakNodes)
+	}
 	return fmt.Errorf("%w: %d nodes buffered, budget %d (peak %d)",
 		ErrBudget, b.CurrentNodes, b.MaxNodes, b.PeakNodes)
 }

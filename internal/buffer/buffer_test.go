@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -583,5 +584,37 @@ func TestWatchListsClosedCarriers(t *testing.T) {
 	b.CloseNode(c)
 	if len(b.Watched) != 0 {
 		t.Fatalf("a reset buffer still watches: %d listed", len(b.Watched))
+	}
+}
+
+// TestSetHeld: what the run holds outside the tree joins the byte peak
+// when it is reported and whenever a node is appended, and counts
+// against the node budget both ways, without entering the node counts.
+func TestSetHeld(t *testing.T) {
+	b := New()
+	b.MaxNodes = 3
+	a := b.AppendElement(b.Root, "a", nil)
+	own := b.CurrentBytes
+	b.SetHeld(2, 1000)
+	if b.PeakBytes != own+1000 || b.CurrentBytes != own || b.CurrentNodes != 1 || b.PeakNodes != 1 {
+		t.Fatalf("after SetHeld: current %d/%d bytes, peak %d bytes, %d nodes", b.CurrentNodes, b.CurrentBytes, b.PeakBytes, b.PeakNodes)
+	}
+	if b.BudgetErr() != nil {
+		t.Fatal("1 buffered + 2 held nodes is within a budget of 3")
+	}
+	b.SetHeld(2, 0)
+	b.AppendElement(a, "c", nil)
+	if err := b.BudgetErr(); !errors.Is(err, ErrBudget) {
+		t.Fatalf("2 buffered + 2 held nodes against a budget of 3: %v", err)
+	}
+	if b.PeakBytes != own+1000 {
+		t.Errorf("peak %d bytes, want the sampled %d", b.PeakBytes, own+1000)
+	}
+
+	b = New()
+	b.MaxNodes = 3
+	b.AppendElement(b.Root, "a", nil)
+	if b.SetHeld(3, 0); !errors.Is(b.BudgetErr(), ErrBudget) {
+		t.Error("SetHeld pushing the population past the budget did not trip it")
 	}
 }

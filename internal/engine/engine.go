@@ -57,10 +57,10 @@ type Config struct {
 	Recorder *stats.Recorder
 	// Timer, if non-nil, accumulates per-phase wall time (DESIGN.md
 	// §11): ensure's pull loop into PhaseStream, the join operator's
-	// scan and replay into PhaseJoinBuild/PhaseJoinProbe; core.Run adds
-	// setup and the eval remainder and returns the phases as the run's
-	// Trace. A nil Timer is the default and costs nothing on the hot
-	// path.
+	// per-tuple capture and replay into PhaseJoinBuild/PhaseJoinProbe;
+	// core.Run adds setup and the eval remainder and returns the phases
+	// as the run's Trace. A nil Timer is the default and costs nothing
+	// on the hot path.
 	Timer *obs.Timer
 }
 
@@ -251,7 +251,7 @@ func (e *Engine) snapshot(res *stats.Run) {
 	}
 	if e.join != nil {
 		res.JoinProbeTuples = int64(len(e.join.groups))
-		res.JoinBuildTuples = e.join.buildTuples
+		res.JoinBuildTuples = int64(e.join.table.Len())
 		res.JoinMatches = e.join.matches
 	}
 	if e.cfg.Recorder != nil {
@@ -349,10 +349,12 @@ func (e *Engine) ensureLoop(pred func() bool) error {
 		if err := e.buf.BudgetErr(); err != nil {
 			return err
 		}
-		// A build tuple closed: its keys are taken at once, so the
-		// nodes only they read go now, not at end of input.
+		// A build tuple closed: it goes into the join's table at once,
+		// and its nodes go with it.
 		if len(e.buf.Watched) != 0 {
-			e.takeTuples()
+			if err := e.takeTuples(); err != nil {
+				return err
+			}
 		}
 		if !ok {
 			// input exhausted: the virtual root is now complete

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"slices"
+	"time"
 	"unsafe"
 
 	"gcx/internal/analysis"
@@ -16,41 +16,30 @@ import (
 // joinRun is the per-run state of the streaming join operator
 // (DESIGN.md §10). The engine's evalFor intercepts the plan's probe and
 // build loops: probe bindings stream through with their output events
-// captured into groups, the build loop is skipped during capture (only
-// its splice position is recorded), each build tuple's key values are
-// taken at its close, where the nodes only the key reads are signed
-// off, and at end of input the held tuples' payloads go with their keys
-// into a hash table and are replayed into the groups — the nested-loop
-// event sequence in O(probe + build + matches). The engine keeps one
-// joinRun across runs, so its slabs and table grow only past the
-// largest join they have held.
+// captured into groups, and the build loop is skipped during capture
+// (only its splice position is recorded). Each build tuple goes into a
+// hash table at its close, its key values with its payload events, and
+// every node it holds is signed off there; at end of input the groups
+// replay with the matching payloads spliced in — the nested-loop event
+// sequence in O(probe + build + matches). The engine keeps one joinRun
+// across runs, so its slabs and table grow only past the largest join
+// they have held.
 type joinRun struct {
 	info *analysis.JoinInfo
-	// cap is the run's one capture: every probe body's events, then
-	// each build tuple's payload in turn until the table has copied it.
-	// A body is being captured exactly while e.out is &cap; spliceAt is
-	// where it reached the build loop, -1 before it does.
+	// cap is the run's one capture: every probe body's events, and each
+	// build tuple's payload until the table has copied it. A probe body
+	// is being captured exactly while e.out is &cap; spliceAt is where
+	// it reached the build loop, -1 before it does.
 	cap      join.Capture
 	spliceAt int32
 	keys     []string // the key slab: probe join-key values back to back
 	groups   []join.Group
-	// tuples are the build tuples taken at their close, in document
-	// order, each with its key values, a range of bkeys.
-	tuples []buildTuple
-	bkeys  []string
-	table  join.Table
-	// slabBytes estimates the key slabs, groups and tuples (held).
+	bkeys    []string // the key values of the build tuple being taken
+	table    join.Table
+	// slabBytes estimates the key slab and the groups (holdJoin).
 	slabBytes int64
 
-	buildTuples int64
-	matches     int64
-}
-
-// buildTuple is a build tuple held for the table: the tuple's binding
-// role keeps it buffered until the end of the run.
-type buildTuple struct {
-	node         buffer.Handle
-	keyLo, keyHi int32
+	matches int64
 }
 
 // release empties j for the next run, keeping its slabs within
@@ -60,53 +49,59 @@ func (j *joinRun) release() {
 	j.table.Reset()
 	clear(j.keys[:cap(j.keys)])
 	clear(j.bkeys[:cap(j.bkeys)])
-	clear(j.tuples[:cap(j.tuples)])
 	*j = joinRun{
 		cap:    j.cap,
 		table:  j.table,
 		keys:   cursor.Scratch(j.keys),
 		bkeys:  cursor.Scratch(j.bkeys),
-		tuples: cursor.Scratch(j.tuples),
 		groups: cursor.Scratch(j.groups),
 	}
 }
 
-// takeTuples takes the build tuples that closed since the last call:
-// each one's key values go into the key slab, held with the tuple, and
-// the roles only the key reads are signed off on it. Their top-level
-// statements then have nothing left to do.
-func (e *Engine) takeTuples() {
+// takeTuples adds the build tuples that closed since the last call to
+// the table: each one's key values and the events of THEN evaluated on
+// it, which reads nothing but the tuple. Then it runs JoinInfo.Release
+// on the tuple, which frees every node of it, and marks the top-level
+// statements of those sign-offs done. With tracing on, this counts into
+// PhaseJoinBuild and out of the PhaseStream interval of the ensure that
+// pulled the closing token.
+func (e *Engine) takeTuples() error {
+	if t := e.cfg.Timer; t != nil {
+		defer func(start time.Time) {
+			d := time.Since(start)
+			t.Add(obs.PhaseJoinBuild, d)
+			t.Add(obs.PhaseStream, -d)
+		}(time.Now())
+	}
 	j := e.join
 	for _, h := range e.buf.Watched {
 		t := h.Node()
-		lo := int32(len(j.bkeys))
-		j.bkeys = e.appendValues(j.bkeys, t, j.info.BuildKey)
-		j.tuples = append(j.tuples, buildTuple{node: h, keyLo: lo, keyHi: int32(len(j.bkeys))})
-		j.slabBytes += int64(unsafe.Sizeof(buildTuple{})) + keyBytes(j.bkeys[lo:])
-		for _, so := range j.info.KeyRelease {
+		j.bkeys = e.appendValues(j.bkeys[:0], t, j.info.BuildKey)
+		e.env[j.info.BuildSlot] = h
+		base := j.cap.Mark()
+		if err := e.captureInto(j.info.Then); err != nil {
+			return err
+		}
+		j.table.Add(j.bkeys, j.cap.Ops(base, j.cap.Mark()))
+		j.cap.Truncate(base)
+		for _, so := range j.info.Release {
 			e.buf.SignOffNow(t, so.Path, so.Role)
 			e.signedOff[so.Role] = true
 		}
 	}
+	e.env[j.info.BuildSlot] = buffer.Handle{}
 	e.buf.Watched = e.buf.Watched[:0]
 	e.holdJoin()
+	return nil
 }
 
-// keyBytes estimates what key values hold in a key slab: a string
-// header and the bytes of each.
-func keyBytes(keys []string) int64 {
-	n := int64(len(keys)) * int64(unsafe.Sizeof(""))
-	for _, k := range keys {
-		n += int64(len(k))
-	}
-	return n
-}
-
-// holdJoin reports what the join holds outside the buffer — its capture,
-// slabs and table — to the buffer's byte peak (DESIGN.md §10).
+// holdJoin reports what the join holds outside the buffer to it
+// (DESIGN.md §10): the table's payload nodes count against the node
+// budget, and the capture, key slab, groups and table into the byte
+// peak.
 func (e *Engine) holdJoin() {
 	j := e.join
-	e.buf.SetHeld(0, j.cap.Bytes()+j.table.Bytes()+j.slabBytes)
+	e.buf.SetHeld(j.table.Nodes(), j.cap.Bytes()+j.table.Bytes()+j.slabBytes)
 }
 
 // interceptFor routes the plan's join loops away from nested
@@ -160,7 +155,11 @@ func (e *Engine) captureProbeBinding(f *xqast.ForExpr) error {
 		g.Mid = g.Hi
 	}
 	j.groups = append(j.groups, g)
-	j.slabBytes += int64(unsafe.Sizeof(g)) + keyBytes(keys[klo:])
+	// The group and, per key value, a string header and its bytes.
+	j.slabBytes += int64(unsafe.Sizeof(g)) + int64(len(keys)-int(klo))*int64(unsafe.Sizeof(""))
+	for _, k := range keys[klo:] {
+		j.slabBytes += int64(len(k))
+	}
 	e.holdJoin()
 	return nil
 }
@@ -175,47 +174,14 @@ func (e *Engine) captureInto(expr xqast.Expr) error {
 }
 
 // finalizeJoin runs once the probe chain is exhausted: pull to end of
-// input (the build side is complete only then — a later sibling of any
-// build ancestor could still contribute tuples), capture each held
-// tuple's payload into the table, and emit the groups. The payload
-// nodes are still buffered here because their hoisted sign-offs are
-// top-level statements that execute after the output wrapper.
+// input — the build side is complete only then, as a later sibling of
+// any build ancestor could still contribute tuples — and emit the
+// groups.
 func (e *Engine) finalizeJoin() error {
 	j := e.join
 	if err := e.ensureClosed(e.buf.Root); err != nil {
 		return err
 	}
-
-	if slices.ContainsFunc(j.groups, func(g join.Group) bool { return g.Splice }) {
-		// The build-side materialization is its own trace phase; the
-		// ensure calls inside the payload's evaluation find their
-		// subtrees already buffered, and the span guard keeps them out
-		// of PhaseStream.
-		err := e.span(obs.PhaseJoinBuild, func() error {
-			base := j.cap.Mark()
-			for _, t := range j.tuples {
-				// A large build side is processed without pulling input,
-				// so the per-token poll inside ensure never runs here.
-				if err := e.poll(); err != nil {
-					return err
-				}
-				e.env[j.info.BuildSlot] = t.node
-				if err := e.captureInto(j.info.Then); err != nil {
-					return err
-				}
-				j.table.Add(j.bkeys[t.keyLo:t.keyHi], j.cap.Ops(base, j.cap.Mark()))
-				e.holdJoin()
-				j.cap.Truncate(base)
-			}
-			e.env[j.info.BuildSlot] = buffer.Handle{}
-			j.buildTuples = int64(j.table.Len())
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-
 	// Replay in probe document order; matched payloads in build document
 	// order — exactly the nested-loop emission sequence.
 	return e.span(obs.PhaseJoinProbe, func() error {

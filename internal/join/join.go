@@ -156,6 +156,7 @@ type Table struct {
 	index   map[string]chain
 	entries []entry
 	match   []int // Match's result, reused
+	nodes   int64 // Nodes
 	bytes   int64 // Bytes
 }
 
@@ -182,7 +183,7 @@ func (t *Table) Reset() {
 	t.bounds = cursor.Scratch(t.bounds)
 	t.entries = cursor.Scratch(t.entries)
 	t.match = cursor.Scratch(t.match)
-	t.bytes = 0
+	t.nodes, t.bytes = 0, 0
 	if len(t.index) > maxPooledKeys {
 		t.index = nil
 	}
@@ -205,6 +206,9 @@ func (t *Table) Add(keys []string, payload []Op) {
 	t.bytes += boundSize
 	for _, op := range payload {
 		t.bytes += opBytes(op)
+		if op.kind != opEnd {
+			t.nodes++
+		}
 	}
 	for ki, k := range keys {
 		if slices.Contains(keys[:ki], k) {
@@ -222,6 +226,10 @@ func (t *Table) Add(keys []string, payload []Op) {
 		t.index[k] = c
 	}
 }
+
+// Nodes counts the payloads' start and text events: the nodes they
+// stand for.
+func (t *Table) Nodes() int64 { return t.nodes }
 
 // Bytes estimates what the table holds: its payload events, bounds,
 // entries and index keys. The payloads' attributes stay in the Capture

@@ -18,8 +18,9 @@ const (
 	// PhaseStream is time inside the engine's ensure loop: tokenizing,
 	// byte-level subtree skipping, projection and buffer maintenance.
 	PhaseStream
-	// PhaseJoinBuild is the join operator's build-side scan and hash
-	// table materialization (DESIGN.md §10).
+	// PhaseJoinBuild is the join operator's taking of each build tuple
+	// into its hash table at the tuple's close (DESIGN.md §10), kept out
+	// of the PhaseStream interval it happens in.
 	PhaseJoinBuild
 	// PhaseJoinProbe is the join operator's group replay.
 	PhaseJoinProbe

@@ -5,5 +5,5 @@ package xpath
 // children are dead (projection.Preprojector.Dead). A nil *Automaton on
 // a plan is the "never skip" seam of the reference runs in tests. It
 // stays a type only because the benchmark module passes the field to
-// EnableSkipping; ROADMAP item 5(a) retires it.
+// EnableSkipping; ROADMAP item 1(b) retires it.
 type Automaton struct{}

@@ -219,8 +219,9 @@ var escapeXMLText = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;").
 // duplicates, empty strings, entity references, whitespace — whatever
 // the fuzzer grows from the seeds below — in every section layout
 // (xqgen.JoinLayouts, picked by the layout byte). The join operator
-// holds at most what the nested-loop plan does: it keeps the same build
-// tuples but signs their key nodes off at each tuple's close.
+// holds at most what the nested-loop plan does, and no more when the
+// build records are written twice: it holds no build tuple past its
+// close, so its peak does not grow with the build side.
 func FuzzJoinKeys(f *testing.F) {
 	f.Add(byte(0), "k1", "k1", "k2")
 	f.Add(byte(1), "", "", "x")
@@ -248,16 +249,16 @@ func FuzzJoinKeys(f *testing.F) {
 			}
 		}
 		l := xqgen.JoinLayouts[int(layout)%len(xqgen.JoinLayouts)]
-		doc := xqgen.JoinSections(l,
-			[]string{
-				fmt.Sprintf(`<p><n>n0</n><k>%s</k></p>`, escapeXMLText(k1)),
-				fmt.Sprintf(`<p><n>n1</n><k>%s</k></p>`, escapeXMLText(k2)),
-			},
-			[]string{
-				fmt.Sprintf(`<b><k>%s</k><v>v0</v></b>`, escapeXMLText(k2)),
-				fmt.Sprintf(`<b><k>%s</k><v>v1</v></b>`, escapeXMLText(k3)),
-				fmt.Sprintf(`<b><k>%s</k><v>v2</v></b>`, escapeXMLText(k1)),
-			})
+		probes := []string{
+			fmt.Sprintf(`<p><n>n0</n><k>%s</k></p>`, escapeXMLText(k1)),
+			fmt.Sprintf(`<p><n>n1</n><k>%s</k></p>`, escapeXMLText(k2)),
+		}
+		builds := []string{
+			fmt.Sprintf(`<b><k>%s</k><v>v0</v></b>`, escapeXMLText(k2)),
+			fmt.Sprintf(`<b><k>%s</k><v>v1</v></b>`, escapeXMLText(k3)),
+			fmt.Sprintf(`<b><k>%s</k><v>v2</v></b>`, escapeXMLText(k1)),
+		}
+		doc := xqgen.JoinSections(l, probes, builds)
 
 		joinOut, jres, jerr := q.ExecuteString(doc, gcx.Options{})
 		nestOut, nres, nerr := nested.ExecuteString(doc, gcx.Options{})
@@ -273,6 +274,19 @@ func FuzzJoinKeys(f *testing.F) {
 		}
 		if jres.PeakBufferedNodes > nres.PeakBufferedNodes {
 			t.Fatalf("join peak %d above the nested-loop plan's %d\ndoc: %s", jres.PeakBufferedNodes, nres.PeakBufferedNodes, doc)
+		}
+		// Each build record is written twice in its place, so the
+		// sections, whose nodes stay buffered to the end, stay as they are.
+		doubled := make([]string, len(builds))
+		for i, b := range builds {
+			doubled[i] = b + b
+		}
+		twice := xqgen.JoinSections(l, probes, doubled)
+		if _, tres, err := q.ExecuteString(twice, gcx.Options{}); err != nil {
+			t.Fatalf("build records written twice: %v\ndoc: %s", err, twice)
+		} else if tres.PeakBufferedNodes != jres.PeakBufferedNodes {
+			t.Fatalf("join peak %d with the build records written twice, %d once\ndoc: %s",
+				tres.PeakBufferedNodes, jres.PeakBufferedNodes, twice)
 		}
 		checkOnReaders(t, q, doc, joinOut, "reader backing", gcx.Options{})
 		shardOut, _, serr := q.ExecuteString(doc, gcx.Options{Shards: 3})
