@@ -180,9 +180,9 @@ loc:
 
 # fuzz-smoke is the one list of fuzz targets; ci.yml calls it, so a new
 # target is added here and nowhere else.
-# FuzzSkipParity's inputs are whole queries and documents: minimizing
-# each new one for the default 60 s would use up the smoke's time, so
-# its minimization stops after 100 runs.
+# FuzzSkipParity's and FuzzDecisionParity's inputs are whole queries and
+# documents: minimizing each new one for the default 60 s would use up
+# the smoke's time, so their minimization stops after 100 runs.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzTokenizer -fuzztime 10s ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzSplitter -fuzztime 10s ./internal/xmltok
@@ -193,6 +193,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzStreamBound -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzJoinKeys -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzSkipParity -fuzztime 10s -fuzzminimizetime 100x .
+	$(GO) test -run xxx -fuzz FuzzDecisionParity -fuzztime 10s -fuzzminimizetime 100x .
 	$(GO) test -run xxx -fuzz FuzzCursor -fuzztime 10s ./internal/cursor
 	$(GO) test -run xxx -fuzz FuzzBytesReaderParity -fuzztime 10s ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzJSONBytesReaderParity -fuzztime 10s ./internal/jsontok

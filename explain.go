@@ -42,6 +42,9 @@ type ExplainReport struct {
 	// expressions, aggregates and attribute templates, in query order
 	// (DESIGN.md §3).
 	Outputs []OutputReport `json:"outputs,omitempty"`
+	// Decisions are the decision timings of the condition atoms, in
+	// query order (DESIGN.md §3, "Decision timing").
+	Decisions []DecisionReport `json:"decisions,omitempty"`
 	// Sharding is the data-parallel execution verdict.
 	Sharding ShardReport `json:"sharding"`
 	// Join describes the streaming hash join plan of a detected
@@ -84,6 +87,18 @@ type OutputReport struct {
 	// Verdict is "stream" — on a binding that is still open, the
 	// expression writes its matches from the stream and buffers only
 	// what another use needs — or "buffered: <reason>".
+	Verdict string `json:"verdict"`
+}
+
+// DecisionReport is one condition atom's decision timing: the first
+// event at which the engine decides it.
+type DecisionReport struct {
+	// Atom is the exists or comparison as the rewritten query writes it.
+	Atom string `json:"atom"`
+	// Verdict is "start tag", "first witness" (true at the first
+	// witness, false at the binding's close), "run end (JSON) or first
+	// witness" (on JSON input also either way once the run of the path's
+	// first step has ended) or "close: <reason>".
 	Verdict string `json:"verdict"`
 }
 
@@ -144,6 +159,9 @@ func (q *Query) Report() ExplainReport {
 	for _, v := range q.plan.Outputs {
 		r.Outputs = append(r.Outputs, OutputReport{Expr: v.Expr, Verdict: v.String()})
 	}
+	for _, v := range q.plan.Decisions {
+		r.Decisions = append(r.Decisions, DecisionReport{Atom: v.Atom, Verdict: v.String()})
+	}
 	if st.Class != analysis.Unbounded {
 		r.StaticBound = &BoundReport{
 			ConstNodes:   st.Bound.ConstNodes,
@@ -202,6 +220,9 @@ func (r ExplainReport) Text() string {
 	}
 	for _, o := range r.Outputs {
 		b.WriteString("Output " + o.Expr + ": " + o.Verdict + "\n")
+	}
+	for _, d := range r.Decisions {
+		b.WriteString("Decision " + d.Atom + ": " + d.Verdict + "\n")
 	}
 	if r.Sharding.Partitionable {
 		b.WriteString("Sharding: partitionable on " + r.Sharding.PartitionPath)

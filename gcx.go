@@ -41,6 +41,7 @@ import (
 	"gcx/internal/core"
 	"gcx/internal/engine"
 	"gcx/internal/obs"
+	"gcx/internal/projection"
 	"gcx/internal/shard"
 	"gcx/internal/stats"
 )
@@ -52,6 +53,13 @@ import (
 // errors.Is. For the sequential streaming engines the partial Result is
 // returned alongside the error.
 var ErrBufferBudget = buffer.ErrBudget
+
+// RepeatedKeyError is the error of a JSON or NDJSON run whose object
+// repeats a key after another member, once a condition was decided at
+// the end of that key's first run (DESIGN.md §3, "Decision timing"; §8,
+// "The dialect"). A repeated key that no such decision read runs as
+// encoding/json reads it. Match with errors.As; Key names the key.
+type RepeatedKeyError = projection.RepeatedKeyError
 
 // Engine selects the buffering discipline of Execute.
 type Engine int

@@ -88,9 +88,17 @@ type Plan struct {
 	Slots int
 	// PruneSlots says, per variable slot, whether the sign-offs on that
 	// loop's bindings prune (xqast.SignOff.Prune): the engine decides a
-	// condition at the binding's start tag only where the decision can
+	// condition before the binding's close only where the decision can
 	// prune, so that no sign-off queues behind an early decision.
 	PruneSlots []bool
+	// Decisions are the decision timings of the condition atoms, in
+	// query order (DESIGN.md §3, "Decision timing"); each is also set on
+	// its atom (xqast.ExistsCond.Decide, xqast.CompareCond.Decide).
+	Decisions []DecisionVerdict
+	// RunNames are the first-step names of the atoms decided at a run's
+	// end: the child names whose runs the preprojector watches on a
+	// source that states runs.
+	RunNames []string
 	// Roles are the projection paths, in discovery order (the paper's
 	// numbering).
 	Roles []Role
@@ -235,6 +243,7 @@ func analyze(q *xqast.Query, opts Options) (*Plan, error) {
 		}
 		return true
 	})
+	plan.Decisions, plan.RunNames = decisions(plan)
 	plan.Join = DetectJoin(plan)
 	plan.Stream = Streamability(plan)
 	if plan.Join != nil {

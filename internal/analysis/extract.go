@@ -38,6 +38,18 @@ type extractor struct {
 	varPath map[string]xpath.Path // variable → absolute binding path
 	baseOf  map[string]string     // variable → binding base variable
 	binder  map[string]int        // variable → stack index of its loop
+
+	// ifs records, per if-expression, its innermost loop and the roles
+	// its branches created, for xqast.IfExpr.Untaken.
+	ifs map[*xqast.IfExpr]ifRoles
+}
+
+// ifRoles are the roles an if-expression's branches created: ids
+// [then, els) in Then, [els, end) in Else. Roles are per use, so no
+// other expression reads them. scope is the if's innermost loop.
+type ifRoles struct {
+	scope          *xqast.ForExpr
+	then, els, end int
 }
 
 type scopeFrame struct {
@@ -58,6 +70,7 @@ func newExtractor() *extractor {
 		varPath: map[string]xpath.Path{xqast.RootVar: {}},
 		baseOf:  map[string]string{},
 		binder:  map[string]int{xqast.RootVar: 0},
+		ifs:     map[*xqast.IfExpr]ifRoles{},
 	}
 }
 
@@ -151,10 +164,14 @@ func (ex *extractor) walk(e xqast.Expr) error {
 		// Index (not pointer) access: walking the branches pushes loop
 		// frames and may reallocate the stack's backing array.
 		ex.stack[len(ex.stack)-1].guards++
+		r := ifRoles{scope: ex.stack[len(ex.stack)-1].loop, then: len(ex.roles)}
 		err := ex.walk(e.Then)
+		r.els = len(ex.roles)
 		if err == nil {
 			err = ex.walk(e.Else)
 		}
+		r.end = len(ex.roles)
+		ex.ifs[e] = r
 		ex.stack[len(ex.stack)-1].guards--
 		return err
 	case *xqast.ForExpr:

@@ -46,8 +46,32 @@ func (ex *extractor) rewriteExpr(e xqast.Expr) xqast.Expr {
 		}
 		return &xqast.Sequence{Items: items}
 	case *xqast.IfExpr:
-		return &xqast.IfExpr{Cond: e.Cond, Then: ex.rewriteExpr(e.Then), Else: ex.rewriteExpr(e.Else)}
+		return &xqast.IfExpr{Cond: e.Cond, Then: ex.rewriteExpr(e.Then), Else: ex.rewriteExpr(e.Else), Untaken: ex.untaken(e)}
 	default:
 		return e
 	}
+}
+
+// untaken collects xqast.IfExpr.Untaken: the prunable sign-offs that the
+// if's innermost loop runs at the end of each binding's body on roles
+// created in one branch. The if runs at most once per binding, so once
+// its condition is decided nothing reads the other branch's roles
+// inside that binding again. Sign-offs hoisted to an outer loop stay
+// where they are: that loop's binding outlives the decision.
+func (ex *extractor) untaken(e *xqast.IfExpr) (u [2][]*xqast.SignOff) {
+	r := ex.ifs[e]
+	if r.scope == nil {
+		return u
+	}
+	for _, pl := range ex.placements {
+		role := pl.signOff.Role
+		switch {
+		case pl.scope != r.scope || !pl.signOff.Prune:
+		case role >= r.then && role < r.els:
+			u[0] = append(u[0], pl.signOff)
+		case role >= r.els && role < r.end:
+			u[1] = append(u[1], pl.signOff)
+		}
+	}
+	return u
 }

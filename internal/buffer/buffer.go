@@ -43,6 +43,9 @@ type Buffer struct {
 	TotalAppended int64
 	// TotalPurged counts every node ever purged.
 	TotalPurged int64
+	// TotalClosed counts the buffered elements whose close tag has been
+	// read: a value that only a closed match has changes no sooner.
+	TotalClosed int64
 
 	// assigned/removed count role instances for the balance invariant,
 	// indexed by role id (role ids are dense: the plan's slice indexes).
@@ -364,6 +367,7 @@ func (b *Buffer) CloseNode(n *Node) {
 		return
 	}
 	n.Closed = true
+	b.TotalClosed++
 	if b.watch != 0 && n.RoleCount(b.watch-1) > 0 {
 		b.Watched = append(b.Watched, Hold(n))
 	}

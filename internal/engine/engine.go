@@ -100,11 +100,12 @@ type Engine struct {
 	vals  []string
 	attrs []event.Attr
 	// prune is set when the run skips dead children and collects
-	// garbage: then a condition that the start tag decides is decided
-	// there, and a prunable sign-off on an open binding stops its role
-	// from matching inside it (DESIGN.md §3). Recording runs, reference
-	// plans that do not skip and the projection-only engine keep the
-	// close-tag timing, so their per-token profiles do not move.
+	// garbage: then a condition is decided at the first event that makes
+	// it certain, and a prunable sign-off on an open binding stops its
+	// role from matching inside it (DESIGN.md §3). Recording runs,
+	// reference plans that do not skip and the projection-only engine
+	// keep the close-tag timing, so their per-token profiles do not
+	// move.
 	prune bool
 	// paths is the scratch the plan's role paths are handed to the
 	// preprojector in.
@@ -112,11 +113,17 @@ type Engine struct {
 	// held is the scratch a forwarded expression's buffered matches are
 	// copied into (forward).
 	held []buffer.Match
-	// signedOff marks, per role, a stream output expression that has
-	// forwarded its binding and run the role's sign-off early; the
-	// sign-off statement that follows in the binding's iteration then
-	// has nothing left to do (DESIGN.md §3, "Stream-through output").
+	// signedOff marks, per role, a sign-off run early — by a stream
+	// output expression that forwarded its binding (DESIGN.md §3,
+	// "Stream-through output"), or by a decision for the branch not
+	// taken ("Decision timing"); the sign-off statement that follows in
+	// the binding's iteration then has nothing left to do.
 	signedOff []bool
+	// pending are the if-expressions whose conditions are being decided,
+	// innermost last (decide); runs is set when the source states runs
+	// and the run prunes, so atoms decided at a run's end are.
+	pending []pending
+	runs    bool
 	// released marks an engine handed back by Release (checked under
 	// go test, see live).
 	released bool
@@ -168,6 +175,9 @@ func New(plan *analysis.Plan, src event.Source, sink event.Sink, cfg Config) *En
 		e.jr.info = plan.Join
 		e.join = &e.jr
 		buf.Watch(plan.Join.BuildRole)
+	}
+	if e.runs = e.prune && src.Runs() && len(plan.RunNames) != 0; e.runs {
+		proj.WatchRuns(plan.RunNames, e)
 	}
 	e.released = false
 	return e
@@ -285,6 +295,7 @@ func (e *Engine) Release() {
 	clear(e.vals[:cap(e.vals)])
 	clear(e.attrs[:cap(e.attrs)])
 	clear(e.paths)
+	clear(e.pending[:cap(e.pending)])
 	e.jr.release()
 	*e = Engine{
 		buf:       e.buf,
@@ -296,6 +307,7 @@ func (e *Engine) Release() {
 		paths:     e.paths[:0],
 		signedOff: cursor.Scratch(e.signedOff),
 		held:      cursor.Scratch(e.held),
+		pending:   cursor.Scratch(e.pending),
 		released:  true,
 	}
 	enginePool.Put(e)
@@ -419,7 +431,7 @@ func (e *Engine) eval(expr xqast.Expr) error {
 	case *xqast.ForExpr:
 		return e.evalFor(expr)
 	case *xqast.IfExpr:
-		holds, err := e.evalCond(expr.Cond)
+		holds, err := e.decide(expr)
 		if err != nil {
 			return err
 		}
@@ -662,60 +674,175 @@ func (e *Engine) evalAgg(c *xqast.AggExpr) error {
 
 // --- conditions ----------------------------------------------------------
 
-func (e *Engine) evalCond(c xqast.Cond) (bool, error) {
+// pending is an if-expression whose condition is being decided, and its
+// outcome once done. epoch is the count of the events that can decide
+// the condition (Engine.epoch) when it was last tried; appends marks a
+// condition that a newly buffered node can decide.
+type pending struct {
+	ifx                  *xqast.IfExpr
+	holds, done, appends bool
+	epoch                int64
+}
+
+// decide blocks until the condition of ifx is certain and returns it
+// (DESIGN.md §3, "Decision timing"). After every pulled token it tries
+// the condition (tryCond); while it pulls, the condition is also pending
+// for RunEnded, which the preprojector calls inside the source's pull
+// when a watched run ends at a dead child. Either way the decision runs
+// the sign-offs of the branch not taken at once (settle).
+func (e *Engine) decide(ifx *xqast.IfExpr) (bool, error) {
+	i := len(e.pending)
+	e.pending = append(e.pending, pending{ifx: ifx, appends: appendDecides(ifx.Cond), epoch: -1})
+	err := e.ensure(func() bool { return e.try(i) })
+	if err == nil {
+		// The pull stops at the end of input without asking again; all
+		// is closed there, the virtual root without a close tag.
+		e.pending[i].epoch = -1
+		e.try(i)
+	}
+	d := e.pending[i]
+	e.pending = e.pending[:i]
+	return d.holds, err
+}
+
+// RunEnded implements projection.Decider: a watched run has ended at a
+// dead child, and the next sibling may be live, so every pending
+// condition that is certain now is decided before it is answered.
+func (e *Engine) RunEnded() {
+	for i := range e.pending {
+		e.try(i)
+	}
+}
+
+// try decides the i-th pending condition if it is certain now, and
+// reports whether it is decided. It tries the condition again only when
+// an event that can decide it happened since the last try.
+func (e *Engine) try(i int) bool {
+	d := &e.pending[i]
+	if epoch := e.epoch(d.appends); !d.done && epoch != d.epoch {
+		d.epoch = epoch
+		if holds, ok := e.tryCond(d.ifx.Cond); ok {
+			d.holds, d.done = holds, true
+			e.settle(d.ifx, holds)
+		}
+	}
+	return d.done
+}
+
+// epoch counts the events that can decide a pending condition: a
+// buffered element closing — a comparison's witness, or a binding whose
+// value sequences are then whole — a watched run ending, and, with
+// appends set, a node being buffered — an exists's witness, or an
+// element with a compared attribute or a compared text node.
+func (e *Engine) epoch(appends bool) int64 {
+	n := e.buf.TotalClosed + e.proj.RunEnds()
+	if appends {
+		n += e.buf.TotalAppended
+	}
+	return n
+}
+
+// appendDecides reports whether a newly buffered node can decide c: it
+// has an exists, or compares attribute values or text nodes, which are
+// whole when buffered.
+func appendDecides(c xqast.Cond) bool {
+	switch c := c.(type) {
+	case *xqast.NotCond:
+		return appendDecides(c.C)
+	case *xqast.AndCond:
+		return appendDecides(c.L) || appendDecides(c.R)
+	case *xqast.OrCond:
+		return appendDecides(c.L) || appendDecides(c.R)
+	case *xqast.ExistsCond:
+		return true
+	case *xqast.CompareCond:
+		return appendOperandDecides(c.L) || appendOperandDecides(c.R)
+	}
+	return false
+}
+
+func appendOperandDecides(o xqast.Operand) bool {
+	return o.Kind == xqast.OperandPath && (o.Path.Path.EndsWithAttribute() || o.Path.Path.EndsWithText())
+}
+
+// settle runs, on the open bindings of a pruning run, the sign-offs of
+// the roles that only the branch not taken reads (xqast.IfExpr.Untaken):
+// the roles stop matching inside the binding, as a prunable sign-off's
+// do, and the statements that follow have nothing left to do.
+func (e *Engine) settle(ifx *xqast.IfExpr, holds bool) {
+	if !e.prune {
+		return
+	}
+	untaken := ifx.Untaken[0]
+	if holds {
+		untaken = ifx.Untaken[1]
+	}
+	for _, so := range untaken {
+		base := e.node(so.Slot)
+		if !base.Closed && e.proj.Prune(base, so.Role) {
+			e.buf.SignOffNow(base, so.Path, so.Role)
+			e.signedOff[so.Role] = true
+		}
+	}
+}
+
+// tryCond evaluates c in three values: ok is false while c is not yet
+// certain. Each atom is decided at the first event its timing allows
+// (xqast.Decision). A pruning run decides a conjunction or disjunction
+// as soon as either decided side settles it; any other run reads its
+// sides left to right, each once decided, and keeps the close timing of
+// its per-token profile.
+func (e *Engine) tryCond(c xqast.Cond) (holds, ok bool) {
 	switch c := c.(type) {
 	case *xqast.BoolLit:
-		return c.Value, nil
+		return c.Value, true
 	case *xqast.NotCond:
-		v, err := e.evalCond(c.C)
-		return !v, err
+		v, ok := e.tryCond(c.C)
+		return !v, ok
 	case *xqast.AndCond:
-		l, err := e.evalCond(c.L)
-		if err != nil || !l {
-			return false, err
+		l, lok := e.tryCond(c.L)
+		if lok && !l {
+			return false, true
 		}
-		return e.evalCond(c.R)
+		if !lok && !e.prune {
+			return false, false
+		}
+		r, rok := e.tryCond(c.R)
+		if rok && !r {
+			return false, true
+		}
+		return true, lok && rok
 	case *xqast.OrCond:
-		l, err := e.evalCond(c.L)
-		if err != nil || l {
-			return l, err
+		l, lok := e.tryCond(c.L)
+		if lok && l {
+			return true, true
 		}
-		return e.evalCond(c.R)
+		if !lok && !e.prune {
+			return false, false
+		}
+		r, rok := e.tryCond(c.R)
+		if rok && r {
+			return true, true
+		}
+		return false, lok && rok
 	case *xqast.ExistsCond:
-		return e.evalExists(c)
+		return e.tryExists(c)
 	case *xqast.CompareCond:
-		return e.evalCompare(c)
+		return e.tryCompare(c)
 	default:
-		return false, fmt.Errorf("engine: unknown condition %T", c)
+		panic(fmt.Sprintf("engine: unknown condition %T", c))
 	}
 }
 
-// evalExists blocks until a witness appears or the base subtree is
-// complete. The witness is guaranteed buffered by the condition's
-// first-witness projection path (the paper's r4).
-func (e *Engine) evalExists(c *xqast.ExistsCond) (bool, error) {
-	base := e.node(c.Arg.Slot)
-	if c.Arg.Path.IsEmpty() {
-		return true, nil
+// tryExists decides exists(path) true at its first witness, which the
+// condition's first-witness projection path (the paper's r4) buffers,
+// and false once path's value sequence is final.
+func (e *Engine) tryExists(c *xqast.ExistsCond) (holds, ok bool) {
+	pe := &c.Arg
+	if pe.Path.IsEmpty() || e.witness(e.node(pe.Slot), pe.Path) {
+		return true, true
 	}
-	if e.startTagged(&c.Arg) {
-		return e.witness(base, c.Arg.Path), nil
-	}
-	if err := e.ensure(func() bool { return e.witness(base, c.Arg.Path) || base.Closed }); err != nil {
-		return false, err
-	}
-	return e.witness(base, c.Arg.Path), nil
-}
-
-// startTagged reports whether pe is to be read at its binding's start
-// tag: it names an attribute of the binding itself, which arrived with
-// the start tag (a JSON source delivers none, which is as complete), and
-// the decision can prune — the run prunes and the binding's sign-offs
-// are prunable. Anywhere else a decision made before the close tag would
-// only queue the binding's sign-offs, which then run at the next
-// binding instead of at the close.
-func (e *Engine) startTagged(pe *xqast.PathExpr) bool {
-	return e.prune && e.plan.PruneSlots[pe.Slot] && len(pe.Path.Steps) == 1 && pe.Path.EndsWithAttribute()
+	return false, e.final(pe, c.Decide)
 }
 
 // witness reports whether path — element path or attribute-final — has
@@ -733,24 +860,75 @@ func (e *Engine) witness(base *buffer.Node, path xpath.Path) bool {
 	return false
 }
 
-// evalCompare implements XPath-1.0-style existential general comparison
+// tryCompare implements XPath-1.0-style existential general comparison
 // over string values, switching to numeric comparison when a numeric
 // literal is involved or the operator is an ordering. Both operands'
 // value sequences are built back to back in the one scratch slice; a
-// literal is simply a sequence of one.
-func (e *Engine) evalCompare(c *xqast.CompareCond) (bool, error) {
-	vals, err := e.appendOperand(e.vals[:0], &c.L)
+// literal is simply a sequence of one. A pair that holds among the
+// values already final decides it true; it is false once both
+// sequences are whole.
+func (e *Engine) tryCompare(c *xqast.CompareCond) (holds, ok bool) {
+	witnesses := e.prune && c.Decide >= xqast.DecideWitness
+	vals := e.appendOperand(e.vals[:0], &c.L, witnesses)
 	nl := len(vals)
-	if err == nil {
-		vals, err = e.appendOperand(vals, &c.R)
-	}
+	vals = e.appendOperand(vals, &c.R, witnesses)
 	e.vals = vals[:0]
-	if err != nil {
-		return false, err
-	}
 	numeric := c.L.Kind == xqast.OperandNumber || c.R.Kind == xqast.OperandNumber ||
 		c.Op == xqast.CmpLt || c.Op == xqast.CmpLe || c.Op == xqast.CmpGt || c.Op == xqast.CmpGe
-	return xqvalue.ExistsPair(cmpOp(c.Op), vals[:nl], vals[nl:], numeric), nil
+	if xqvalue.ExistsPair(cmpOp(c.Op), vals[:nl], vals[nl:], numeric) {
+		return true, true
+	}
+	return false, e.operandFinal(&c.L, c.Decide) && e.operandFinal(&c.R, c.Decide)
+}
+
+// appendOperand appends the values of one comparison operand that are
+// final now: a literal, all of a path's once its sequence is final (at
+// its binding's close, or at the start tag for the binding's own
+// attribute), and before that, with witnesses set, those of its matches
+// (appendValues).
+func (e *Engine) appendOperand(vals []string, o *xqast.Operand, witnesses bool) []string {
+	if o.Kind != xqast.OperandPath {
+		return append(vals, o.Str)
+	}
+	base := e.node(o.Path.Slot)
+	switch {
+	case e.final(&o.Path, xqast.DecideStartTag):
+		return e.appendValues(vals, base, o.Path.Path, false)
+	case witnesses:
+		return e.appendValues(vals, base, o.Path.Path, true)
+	}
+	return vals
+}
+
+// operandFinal reports whether a comparison operand's value sequence is
+// whole.
+func (e *Engine) operandFinal(o *xqast.Operand, d xqast.Decision) bool {
+	return o.Kind != xqast.OperandPath || e.final(&o.Path, d)
+}
+
+// final is the decision-time function (DESIGN.md §3, "Decision timing"):
+// it reports whether pe's value sequence is whole now, for a use whose
+// plan timing is d. It is once pe's binding has closed. Before that only
+// where a decision can prune — the run prunes and the binding's
+// sign-offs are prunable — because anywhere else an early decision
+// would only queue the binding's sign-offs, which then run at the next
+// binding instead of at the close: at the start tag for an attribute of
+// the binding itself, which arrived with it (a JSON source delivers
+// none, which is as whole), and for d = DecideRunEnd on a source that
+// states runs once the run of the path's first step has ended.
+func (e *Engine) final(pe *xqast.PathExpr, d xqast.Decision) bool {
+	base := e.node(pe.Slot)
+	switch {
+	case base.Closed:
+		return true
+	case !e.prune || !e.plan.PruneSlots[pe.Slot]:
+		return false
+	case len(pe.Path.Steps) == 1 && pe.Path.EndsWithAttribute():
+		return true
+	case d == xqast.DecideRunEnd && e.runs:
+		return e.proj.RunEnded(base, pe.Path.Steps[0].Test.Name)
+	}
+	return false
 }
 
 // cmpOp maps syntax-level operators to the shared value semantics.
@@ -773,21 +951,24 @@ func cmpOp(op xqast.CmpOp) xqvalue.CmpOp {
 
 // appendPathValues appends a path expression's value sequence to vals:
 // present attribute values for attribute-final paths, string values of
-// the selected nodes otherwise. It blocks until the base subtree is
-// fully buffered, unless the start tag decides the sequence (startTagged).
+// the selected nodes otherwise. It blocks until the sequence is whole
+// (final).
 func (e *Engine) appendPathValues(vals []string, pe *xqast.PathExpr) ([]string, error) {
 	base := e.node(pe.Slot)
-	if !e.startTagged(pe) {
+	if !e.final(pe, xqast.DecideStartTag) {
 		if err := e.ensureClosed(base); err != nil {
 			return vals, err
 		}
 	}
-	return e.appendValues(vals, base, pe.Path), nil
+	return e.appendValues(vals, base, pe.Path, false), nil
 }
 
 // appendValues appends the value sequence of path from base as far as
-// it is buffered.
-func (e *Engine) appendValues(vals []string, base *buffer.Node, path xpath.Path) []string {
+// it is buffered; with closed set, only the values that are final while
+// base is open: the attributes of matched elements, which came with
+// their start tags, and the string values of the matches that have
+// closed.
+func (e *Engine) appendValues(vals []string, base *buffer.Node, path xpath.Path, closed bool) []string {
 	if elems, attr, ok := splitAttr(path); ok {
 		for _, m := range e.buf.Matches(base, elems) {
 			if v, ok := m.Node.Attr(attr); ok {
@@ -797,7 +978,9 @@ func (e *Engine) appendValues(vals []string, base *buffer.Node, path xpath.Path)
 		return vals
 	}
 	for _, m := range e.buf.Matches(base, path) {
-		vals = append(vals, m.Node.StringValue())
+		if !closed || m.Node.Closed {
+			vals = append(vals, m.Node.StringValue())
+		}
 	}
 	return vals
 }
@@ -809,16 +992,4 @@ func (e *Engine) pathValues(pe *xqast.PathExpr) ([]string, error) {
 	vals, err := e.appendPathValues(e.vals[:0], pe)
 	e.vals = vals[:0]
 	return vals, err
-}
-
-// appendOperand appends one comparison operand's value sequence.
-func (e *Engine) appendOperand(vals []string, o *xqast.Operand) ([]string, error) {
-	switch o.Kind {
-	case xqast.OperandString, xqast.OperandNumber:
-		return append(vals, o.Str), nil
-	case xqast.OperandPath:
-		return e.appendPathValues(vals, &o.Path)
-	default:
-		return vals, fmt.Errorf("engine: unknown operand kind %d", o.Kind)
-	}
 }

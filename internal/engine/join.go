@@ -76,7 +76,7 @@ func (e *Engine) takeTuples() error {
 	j := e.join
 	for _, h := range e.buf.Watched {
 		t := h.Node()
-		j.bkeys = e.appendValues(j.bkeys[:0], t, j.info.BuildKey)
+		j.bkeys = e.appendValues(j.bkeys[:0], t, j.info.BuildKey, false)
 		e.env[j.info.BuildSlot] = h
 		base := j.cap.Mark()
 		if err := e.captureInto(j.info.Then); err != nil {

@@ -157,6 +157,15 @@ type Source interface {
 	// Volatile reports, once for the whole stream, whether Text views
 	// expire at the next pull (see above).
 	Volatile() bool
+	// Runs reports, once for the whole stream, whether the children of
+	// an element that share a name form one contiguous run: true for
+	// JSON, where a member k is the run of k elements its value maps to
+	// (DESIGN.md §8), false for XML. Once a sibling of another name has
+	// started, the run has ended, and a consumer may decide from it.
+	// The fact is the format's, not the document's: JSON accepts a
+	// repeated key, and a consumer that decided from the run reports the
+	// repeat (projection.RepeatedKeyError) rather than read on.
+	Runs() bool
 	// SetContext attaches a cancellation context checked at every pull.
 	SetContext(ctx context.Context)
 	// Release hands pooled buffers back; the Source is unusable after.

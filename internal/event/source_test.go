@@ -197,6 +197,9 @@ func TestSourceContract(t *testing.T) {
 			if src.Volatile() != s.volatile {
 				t.Errorf("Volatile() = %v, want %v", src.Volatile(), s.volatile)
 			}
+			if runs := strings.HasPrefix(s.name, "json"); src.Runs() != runs {
+				t.Errorf("Runs() = %v, want %v", src.Runs(), runs)
+			}
 			got, err := pull(t, src, func(int) bool { return false })
 			if err != io.EOF || fmt.Sprint(got) != fmt.Sprint(wantStream) {
 				t.Fatalf("stream = %v, %v\nwant     %v, EOF", got, err, wantStream)

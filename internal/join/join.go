@@ -16,7 +16,7 @@
 //     O(probe + build + matches) instead of O(probe × build).
 //
 // Comparison semantics are the engine's existential string equality
-// (evalCompare with two path operands and no numeric literal): a probe
+// (tryCompare with two path operands and no numeric literal): a probe
 // binding matches a build tuple iff their key-value sets intersect, so
 // a hash table over exact string keys is precise, not approximate.
 package join

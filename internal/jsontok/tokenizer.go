@@ -311,6 +311,11 @@ func (t *Tokenizer) Release() {
 // SkipSubtree: true on the reader backing, false over a []byte.
 func (t *Tokenizer) Volatile() bool { return !t.cur.Fixed() }
 
+// Runs reports that a member's elements form one contiguous run: a
+// member k maps to the elements of its value, and the next member
+// starts after them (event.Source.Runs).
+func (*Tokenizer) Runs() bool { return true }
+
 // TokenCount reports how many events have been delivered so far.
 func (t *Tokenizer) TokenCount() int64 { return t.count }
 

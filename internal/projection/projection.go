@@ -64,6 +64,14 @@ type frame struct {
 	// instances of the output role are not assigned to them. Zero
 	// elsewhere.
 	take int
+	// run is the run state of the frame's children, kept while runs are
+	// watched (WatchRuns): 1 + the runNames index of the last child
+	// committed to the frame — answered dead or delivered — or 0 when
+	// that child's name is not watched. seen and read are sets over
+	// runNames: the names a committed child had, and the names whose
+	// ended run a decision read (RunEnded).
+	run        uint8
+	seen, read uint64
 }
 
 // matchesSelf applies a node test to the frame's own node.
@@ -123,6 +131,38 @@ type Preprojector struct {
 	// frame, so without recycling each element start pays one slice
 	// allocation — the dominant allocator on //-axis queries.
 	itemsFree [][]item
+
+	// runNames are the child names whose runs decide conditions
+	// (WatchRuns), empty when no run is watched; decider is told when
+	// one of them ends at a dead child. err is a repeated key that ended
+	// the run (RepeatedKeyError), returned by the Step that found it.
+	runNames []string
+	decider  Decider
+	err      error
+	// runEnds counts the watched runs that have ended.
+	runEnds int64
+}
+
+// Decider is told when a watched run ends at a dead child (WatchRuns).
+// That happens inside the source's pull, and the next sibling the source
+// asks about may be live: the engine decides its pending conditions in
+// RunEnded, so that a branch not taken is pruned before that sibling is
+// answered (DESIGN.md §3, "Decision timing").
+type Decider interface {
+	RunEnded()
+}
+
+// RepeatedKeyError reports a JSON member whose key appears again after
+// another member of the same object, once a condition was decided from
+// the end of the key's first run (DESIGN.md §8, "The dialect"): the
+// decision relied on the run being the key's only one, so the run fails
+// instead of answering differently from a reading of the whole object.
+type RepeatedKeyError struct {
+	Key string
+}
+
+func (e *RepeatedKeyError) Error() string {
+	return fmt.Sprintf("projection: key %q repeats after another member of its object, and a condition was decided at the end of its first run", e.Key)
 }
 
 // New builds a preprojector for the given role projection paths (role id
@@ -246,15 +286,95 @@ func (p *Preprojector) EnableSkipping(a *xpath.Automaton) {
 // startElement. It committed nothing, so when the source asks again
 // before delivering the child — jsontok asks at an array's '[' and
 // again at its first item — Dead drops it and computes the same frame.
+// A dead answer is final, so it commits the child to the frame's run
+// state; when that ends a watched run, the decider decides there.
 func (p *Preprojector) Dead(name string) bool {
 	p.drop()
 	p.open(name)
 	p.pending = true
 	if len(p.child.items) == 0 && len(p.done.roles) == 0 && len(p.flips) == 0 {
 		p.drop()
+		if len(p.runNames) != 0 && p.commit(name) && p.decider != nil {
+			p.decider.RunEnded()
+		}
 		return true
 	}
 	return false
+}
+
+// WatchRuns has the preprojector keep the run state of every frame's
+// children over names, on a source that states runs
+// (event.Source.Runs), and tell d when one of their runs ends at a dead
+// child. It must be called before the first Step.
+func (p *Preprojector) WatchRuns(names []string, d Decider) {
+	p.runNames, p.decider = names, d
+}
+
+// runIndex is 1 + name's index in runNames, 0 when it is not watched.
+func (p *Preprojector) runIndex(name string) uint8 {
+	for i, n := range p.runNames {
+		if n == name {
+			return uint8(i + 1)
+		}
+	}
+	return 0
+}
+
+// commit records a child named name, answered dead or delivered, in the
+// innermost frame's run state, and reports whether it ended a watched
+// run. A watched name that starts a second run after a decision read its
+// first one is a repeated key: the run fails with RepeatedKeyError.
+func (p *Preprojector) commit(name string) bool {
+	top := &p.stack[len(p.stack)-1]
+	i := p.runIndex(name)
+	if i == top.run {
+		return false
+	}
+	ended := top.run != 0
+	if ended {
+		p.runEnds++
+	}
+	if i != 0 {
+		bit := uint64(1) << (i - 1)
+		if top.read&bit != 0 && p.err == nil {
+			p.err = &RepeatedKeyError{Key: name}
+		}
+		top.seen |= bit
+	}
+	top.run = i
+	return ended
+}
+
+// RunEnds reports how many watched runs have ended so far.
+func (p *Preprojector) RunEnds() int64 { return p.runEnds }
+
+// RunEnded reports whether the run of base's children named name has
+// ended: a child of that name was committed, and a later sibling of
+// another name after it. Everything the run holds is then complete. It
+// records that a decision read the run, so that a later child named
+// name fails the run with RepeatedKeyError. It reports false when name
+// is not watched or base has no open frame.
+func (p *Preprojector) RunEnded(base *buffer.Node, name string) bool {
+	i, j := p.runIndex(name), p.frameIndex(base)
+	if i == 0 || j <= 0 {
+		return false
+	}
+	f, bit := &p.stack[j], uint64(1)<<(i-1)
+	if f.seen&bit == 0 || f.run == i {
+		return false
+	}
+	f.read |= bit
+	return true
+}
+
+// frameIndex returns the stack index of the open frame of the element
+// buffered as base — 0 for the virtual root — or -1 when it has none.
+func (p *Preprojector) frameIndex(base *buffer.Node) int {
+	i := len(p.stack) - 1
+	for i >= 0 && p.stack[i].node.Node() != base {
+		i--
+	}
+	return i
 }
 
 // drop discards the pending child frame, if any: the latches its items
@@ -287,11 +407,8 @@ func (p *Preprojector) Prune(base *buffer.Node, role int) bool {
 	if !p.skipping {
 		return false
 	}
-	i := len(p.stack) - 1
-	for i > 0 && p.stack[i].node.Node() != base {
-		i--
-	}
-	if i == 0 {
+	i := p.frameIndex(base)
+	if i <= 0 {
 		return false
 	}
 	if checkPrune {
@@ -355,11 +472,8 @@ type Nested struct {
 // base must be open, so its frame is on the stack. StopForward ends the
 // forwarding.
 func (p *Preprojector) Forward(base *buffer.Node, rel xpath.Path, role int, sink event.Sink) {
-	i := len(p.stack) - 1
-	for i > 0 && p.stack[i].node.Node() != base {
-		i--
-	}
-	if p.stack[i].node.Node() != base {
+	i := p.frameIndex(base)
+	if i < 0 {
 		panic("projection: forward from <" + base.Name + ">, which has no open frame")
 	}
 	p.fwd = forwarding{sink: sink, base: i, steps: rel.Steps, role: role, nested: p.fwd.nested[:0], dp: p.fwd.dp}
@@ -481,6 +595,9 @@ func (p *Preprojector) Step() (bool, error) {
 		return false, nil
 	}
 	tok, err := p.src.Next()
+	if p.err != nil {
+		return false, p.err
+	}
 	if err == io.EOF {
 		p.eof = true
 		return false, nil
@@ -498,6 +615,9 @@ func (p *Preprojector) Step() (bool, error) {
 	}
 	if p.OnToken != nil {
 		p.OnToken()
+	}
+	if p.err != nil {
+		return false, p.err
 	}
 	return true, nil
 }
@@ -566,6 +686,11 @@ func (p *Preprojector) startElement(tok event.Token) {
 		p.open(tok.Name)
 	}
 	p.pending = false
+	if len(p.runNames) != 0 {
+		// A run this ends is decided by the engine after the Step, once
+		// the child's frame is on the stack for a prune to reach.
+		p.commit(tok.Name)
+	}
 	for _, l := range p.flips {
 		p.latches[l] = true
 	}

@@ -157,6 +157,10 @@ func (t *Tokenizer) Release() {
 // SkipSubtree: true on the reader backing, false over a []byte.
 func (t *Tokenizer) Volatile() bool { return !t.cur.Fixed() }
 
+// Runs reports that XML states no run fact: siblings of one name may
+// be interleaved with others (event.Source.Runs).
+func (*Tokenizer) Runs() bool { return false }
+
 // TokenCount reports how many tokens have been delivered so far. This is
 // the x-axis of the paper's buffer plots ("number of tokens processed").
 func (t *Tokenizer) TokenCount() int64 { return t.count }

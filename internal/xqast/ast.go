@@ -96,10 +96,18 @@ type ForExpr struct {
 }
 
 // IfExpr is "if (Cond) then Then else Else".
+//
+// Untaken is the analysis's list, per outcome (index 0 false, 1 true),
+// of the prunable sign-offs of the roles that only the other branch
+// reads: sign-offs at the end of the body of the if's innermost loop,
+// which runs the if once per binding. The engine runs them as soon as
+// the condition is decided on an open binding (DESIGN.md §3, "Decision
+// timing"), so the branch not taken stops buffering at once.
 type IfExpr struct {
-	Cond Cond
-	Then Expr
-	Else Expr
+	Cond    Cond
+	Then    Expr
+	Else    Expr
+	Untaken [2][]*SignOff
 }
 
 // AggExpr is an aggregation in output position: count, sum, min, max or
@@ -145,10 +153,34 @@ func (*SignOff) isExpr()   {}
 // Cond is a condition of an if-expression.
 type Cond interface{ isCond() }
 
+// Decision is the first event at which the analysis lets the engine
+// decide a condition atom (DESIGN.md §3, "Decision timing"). Until the
+// analysis sets it, an atom waits for its bindings' close.
+type Decision uint8
+
+const (
+	// DecideClose decides the atom at the close of its operands'
+	// bindings.
+	DecideClose Decision = iota
+	// DecideStartTag decides it at the binding's start tag: it reads
+	// only attributes of the binding itself (or nothing at all).
+	DecideStartTag
+	// DecideWitness decides it true at its first witness — a closed
+	// match whose value satisfies a comparison, any match of an exists —
+	// and false at the close.
+	DecideWitness
+	// DecideRunEnd is DecideWitness, and on a source that states runs
+	// (event.Source.Runs, JSON) it also decides the atom either way once
+	// the run of each path's first step has ended.
+	DecideRunEnd
+)
+
 // ExistsCond is "exists($x/path)" — satisfied by a first witness
-// (projection predicate [1], role r4 in the paper).
+// (projection predicate [1], role r4 in the paper). Decide is the
+// analysis's decision timing.
 type ExistsCond struct {
-	Arg PathExpr
+	Arg    PathExpr
+	Decide Decision
 }
 
 // NotCond negates a condition.
@@ -229,10 +261,12 @@ func NumberOperand(n float64) Operand {
 	return Operand{Kind: OperandNumber, Num: n, Str: xqvalue.FormatNumber(n)}
 }
 
-// CompareCond is a general comparison "L op R".
+// CompareCond is a general comparison "L op R". Decide is the
+// analysis's decision timing.
 type CompareCond struct {
-	Op   CmpOp
-	L, R Operand
+	Op     CmpOp
+	L, R   Operand
+	Decide Decision
 }
 
 func (*ExistsCond) isCond()  {}

@@ -53,7 +53,8 @@ func CloneCond(c Cond) Cond {
 	case nil:
 		return nil
 	case *ExistsCond:
-		return &ExistsCond{Arg: c.Arg}
+		cp := *c
+		return &cp
 	case *NotCond:
 		return &NotCond{C: CloneCond(c.C)}
 	case *AndCond:
@@ -63,7 +64,8 @@ func CloneCond(c Cond) Cond {
 	case *BoolLit:
 		return &BoolLit{Value: c.Value}
 	case *CompareCond:
-		return &CompareCond{Op: c.Op, L: c.L, R: c.R}
+		cp := *c
+		return &cp
 	default:
 		panic("xqast: unknown condition type in CloneCond")
 	}

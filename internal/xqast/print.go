@@ -111,6 +111,9 @@ func (p *printer) expr(e Expr, level int) {
 	}
 }
 
+// PrintCond renders a condition as the printed query writes it.
+func PrintCond(c Cond) string { return condString(c) }
+
 func condString(c Cond) string {
 	switch c := c.(type) {
 	case *ExistsCond:

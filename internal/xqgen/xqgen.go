@@ -10,6 +10,7 @@ package xqgen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -319,4 +320,162 @@ func (g *gen) cond(depth int) string {
 	default:
 		return fmt.Sprintf("%s = %s", g.pathRef(true, false), g.pathRef(true, false))
 	}
+}
+
+// Records produces n NDJSON records, one per line, in the shape
+// J-shaped queries (RecordQuery) read and decisions at a run's end
+// (DESIGN.md §3, "Decision timing") care about: members over three
+// names in a random order, some absent, values that are numbers,
+// strings, null, arrays (empty ones included) or nested objects. With
+// repeats set, a record often repeats a key after another member — a
+// non-contiguous run (RepeatedKeys names them).
+func Records(r *rand.Rand, n int, repeats bool) string {
+	var sb strings.Builder
+	for i := 0; i < n; i++ {
+		object(r, &sb, 0, repeats)
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// object writes one JSON object of up to five members.
+func object(r *rand.Rand, sb *strings.Builder, depth int, repeats bool) {
+	keys := r.Perm(len(recordNames))[:r.Intn(len(recordNames)+1)]
+	var members []string
+	for _, k := range keys {
+		members = append(members, recordNames[k])
+	}
+	if repeats && len(members) > 1 && r.Intn(4) != 0 {
+		// Repeat an earlier key after a later member.
+		at := 2 + r.Intn(len(members)-1)
+		members = append(members[:at], append([]string{members[r.Intn(at-1)]}, members[at:]...)...)
+	}
+	sb.WriteByte('{')
+	for i, m := range members {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(sb, "%q:", m)
+		jsonValue(r, sb, depth)
+	}
+	sb.WriteByte('}')
+}
+
+// jsonValue writes a scalar, an array or, above the nesting limit, an
+// object.
+func jsonValue(r *rand.Rand, sb *strings.Builder, depth int) {
+	switch roll := r.Intn(10); {
+	case roll < 3:
+		fmt.Fprintf(sb, "%d", r.Intn(3))
+	case roll < 6:
+		fmt.Fprintf(sb, `"%d"`, r.Intn(3))
+	case roll < 7:
+		sb.WriteString("null")
+	case roll < 9 || depth > 0:
+		sb.WriteByte('[')
+		for i, n := 0, r.Intn(3); i < n; i++ {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			fmt.Fprintf(sb, `"%d"`, r.Intn(3))
+		}
+		sb.WriteByte(']')
+	default:
+		object(r, sb, depth+1, false)
+	}
+}
+
+// RepeatedKeys returns the top-level keys that some record of an NDJSON
+// document repeats after another member.
+func RepeatedKeys(doc string) map[string]bool {
+	keys := map[string]bool{}
+	for _, line := range strings.Split(doc, "\n") {
+		var seen []string
+		last := ""
+		depth := 0
+		for i := 0; i < len(line); i++ {
+			switch c := line[i]; {
+			case c == '{' || c == '[':
+				depth++
+			case c == '}' || c == ']':
+				depth--
+			case c == '"':
+				end := stringEnd(line, i)
+				if k := line[i+1 : end]; depth == 1 && (line[i-1] == '{' || line[i-1] == ',') && k != last {
+					if slices.Contains(seen, k) {
+						keys[k] = true
+					}
+					seen = append(seen, k)
+					last = k
+				}
+				i = end
+			}
+		}
+	}
+	return keys
+}
+
+// stringEnd returns the index of the quote that closes the JSON string
+// opening at line[i].
+func stringEnd(line string, i int) int {
+	for i++; i < len(line) && line[i] != '"'; i++ {
+		if line[i] == '\\' {
+			i++
+		}
+	}
+	return i
+}
+
+// RecordQuery produces a random J-shaped query over Records-shaped
+// inputs: one loop over the records whose body is an if-expression
+// built from =, !=, <, exists and not(exists …), joined by and and or,
+// over paths of one or two member names, with outputs of the record's
+// members in either branch.
+func RecordQuery(r *rand.Rand) string {
+	g := &gen{r: r}
+	return fmt.Sprintf("for $r in /root/record return if (%s) then %s else %s",
+		g.recordCond(0), g.recordOut(), g.recordOut())
+}
+
+// recordNames is the member alphabet of Records and RecordQuery: three
+// names, so that conditions and outputs often read the members present.
+var recordNames = Names[:3]
+
+// recordPath is $r/name or $r/name/name.
+func (g *gen) recordPath() string {
+	p := "$r/" + recordNames[g.r.Intn(len(recordNames))]
+	if g.r.Intn(4) == 0 {
+		p += "/" + recordNames[g.r.Intn(len(recordNames))]
+	}
+	return p
+}
+
+func (g *gen) recordCond(depth int) string {
+	v := g.r.Intn(3)
+	switch roll := g.r.Intn(9); {
+	case roll < 2 && depth < 2:
+		return fmt.Sprintf("(%s and %s)", g.recordCond(depth+1), g.recordCond(depth+1))
+	case roll < 4 && depth < 2:
+		return fmt.Sprintf("(%s or %s)", g.recordCond(depth+1), g.recordCond(depth+1))
+	case roll < 5:
+		return fmt.Sprintf(`%s = "%d"`, g.recordPath(), v)
+	case roll < 6:
+		return fmt.Sprintf(`%s != "%d"`, g.recordPath(), v)
+	case roll < 7:
+		return fmt.Sprintf("%s < %d", g.recordPath(), v)
+	case roll < 8:
+		return "exists " + g.recordPath()
+	default:
+		return "not(exists " + g.recordPath() + ")"
+	}
+}
+
+func (g *gen) recordOut() string {
+	switch g.r.Intn(4) {
+	case 0:
+		return "()"
+	case 1:
+		return "(" + g.recordPath() + ", " + g.recordPath() + ")"
+	}
+	return g.recordPath()
 }

@@ -1,6 +1,7 @@
 package xqgen
 
 import (
+	"encoding/json"
 	"io"
 	"math/rand"
 	"strings"
@@ -93,6 +94,49 @@ func TestOptionsRespected(t *testing.T) {
 		}
 		if strings.Count(src, "for $") > 2 {
 			t.Fatalf("seed %d: more than MaxLoops loops:\n%s", seed, src)
+		}
+	}
+}
+
+// TestRecordsAndRecordQueries: every generated record is one line of
+// valid JSON, RepeatedKeys finds exactly the keys a record repeats
+// after another member, and every generated J-shaped query parses and
+// analyzes.
+func TestRecordsAndRecordQueries(t *testing.T) {
+	repeats := 0
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		doc := Records(r, 4, true)
+		for _, line := range strings.Split(strings.TrimSuffix(doc, "\n"), "\n") {
+			if !json.Valid([]byte(line)) {
+				t.Fatalf("seed %d: invalid record %s", seed, line)
+			}
+		}
+		repeats += len(RepeatedKeys(doc))
+		src := RecordQuery(r)
+		q, err := xqparse.Parse(src)
+		if err == nil {
+			_, err = analysis.Analyze(q)
+		}
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, src)
+		}
+	}
+	if repeats == 0 {
+		t.Error("no generated record repeats a key")
+	}
+	for doc, want := range map[string]string{
+		`{"a":1,"b":[],"a":2}` + "\n":            "a",
+		`{"a":[1,2],"b":{"b":1,"c":2,"b":3}}`:    "",
+		`{"a":"x\"b","b":1,"c":{"a":1},"b":2}`:   "b",
+		`{"a":1,"a":2}` + "\n" + `{"c":1,"b":1}`: "",
+	} {
+		got := ""
+		for k := range RepeatedKeys(doc) {
+			got += k
+		}
+		if got != want {
+			t.Errorf("RepeatedKeys(%s) = %q, want %q", doc, got, want)
 		}
 	}
 }
