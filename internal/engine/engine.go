@@ -120,8 +120,8 @@ type Engine struct {
 	// the binding's iteration then has nothing left to do.
 	signedOff []bool
 	// pending are the if-expressions whose conditions are being decided,
-	// innermost last (decide); runs is set when the source states runs
-	// and the run prunes, so atoms decided at a run's end are.
+	// innermost last (decide). runs is set when the run prunes and the
+	// source states runs: only then is an atom decided at a run's end.
 	pending []pending
 	runs    bool
 	// released marks an engine handed back by Release (checked under

@@ -349,8 +349,8 @@ func (p *Preprojector) commit(name string) bool {
 func (p *Preprojector) RunEnds() int64 { return p.runEnds }
 
 // RunEnded reports whether the run of base's children named name has
-// ended: a child of that name was committed, and a later sibling of
-// another name after it. Everything the run holds is then complete. It
+// ended: a child of that name was committed, and after it a sibling of
+// another name. Everything the run holds is then complete. It
 // records that a decision read the run, so that a later child named
 // name fails the run with RepeatedKeyError. It reports false when name
 // is not watched or base has no open frame.
