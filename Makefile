@@ -195,6 +195,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSkipParity -fuzztime 10s -fuzzminimizetime 100x .
 	$(GO) test -run xxx -fuzz FuzzDecisionParity -fuzztime 10s -fuzzminimizetime 100x .
 	$(GO) test -run xxx -fuzz FuzzCursor -fuzztime 10s ./internal/cursor
+	$(GO) test -run xxx -fuzz FuzzResume -fuzztime 10s ./internal/buffer
 	$(GO) test -run xxx -fuzz FuzzBytesReaderParity -fuzztime 10s ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzJSONBytesReaderParity -fuzztime 10s ./internal/jsontok
 	$(GO) test -run xxx -fuzz FuzzNDJSONSplitter -fuzztime 10s ./internal/jsontok

@@ -61,9 +61,11 @@ func TestBudgetTripStreaming(t *testing.T) {
 	input := budgetInput(t)
 	q := gcx.MustCompile(xmark.Queries["Q1"].Text)
 
-	// Q1 holds four nodes at its peak since its names stream through
-	// (DESIGN.md §3), so a budget of three trips.
-	res, err := q.Execute(strings.NewReader(input), io.Discard, gcx.Options{MaxBufferedNodes: 3})
+	// Q1 holds three nodes at its peak — site, people and one person,
+	// since its names stream through (DESIGN.md §3) and a finished
+	// person is purged before the next is buffered — so a budget of two
+	// trips.
+	res, err := q.Execute(strings.NewReader(input), io.Discard, gcx.Options{MaxBufferedNodes: 2})
 	if !errors.Is(err, gcx.ErrBufferBudget) {
 		t.Fatalf("want ErrBufferBudget, got %v", err)
 	}
@@ -77,7 +79,7 @@ func TestBudgetTripStreaming(t *testing.T) {
 	// A recorded, traced run that trips keeps its plot and its trace up
 	// to the breach.
 	res, err = q.Execute(strings.NewReader(input), io.Discard,
-		gcx.Options{MaxBufferedNodes: 3, RecordEvery: 1, EnableTrace: true})
+		gcx.Options{MaxBufferedNodes: 2, RecordEvery: 1, EnableTrace: true})
 	if !errors.Is(err, gcx.ErrBufferBudget) || res == nil {
 		t.Fatalf("recorded run: want ErrBufferBudget with a partial Result, got %v, %v", res, err)
 	}
@@ -122,8 +124,9 @@ func TestBudgetTripSharded(t *testing.T) {
 	if !q.Shardable() {
 		t.Fatal("Q1 must be shardable")
 	}
+	// Each worker's Q1 holds three nodes, as the sequential run does.
 	_, err := q.Execute(strings.NewReader(input), io.Discard,
-		gcx.Options{Shards: 4, MaxBufferedNodes: 3})
+		gcx.Options{Shards: 4, MaxBufferedNodes: 2})
 	if !errors.Is(err, gcx.ErrBufferBudget) {
 		t.Fatalf("sharded run: want ErrBufferBudget, got %v", err)
 	}

@@ -69,7 +69,7 @@ type BoundReport struct {
 	// RecordPath is the absolute path whose matches are the records;
 	// empty when RecordFactor is 0.
 	RecordPath string `json:"record_path,omitempty"`
-	// Expr is the human-readable form, e.g. "132 + 3·nodes(/site/people/person)".
+	// Expr is the human-readable form, e.g. "148 + 2·nodes(/site/people/person)".
 	Expr string `json:"expr"`
 }
 

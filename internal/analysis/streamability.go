@@ -86,9 +86,9 @@ type Bound struct {
 	// witness per first-witness ([1]) projection path.
 	ConstNodes int64
 	// RecordFactor is the number of record subtrees that can be wholly
-	// or partly buffered at once: the record in flight, the next record
-	// already streaming in, and a record whose deferred sign-offs have
-	// not yet fired. Zero for loop-free queries.
+	// or partly buffered at once: the record in flight, and the one
+	// before it, whose deferred sign-offs fire only when the pull that
+	// buffered the next binding stops. Zero for loop-free queries.
 	RecordFactor int64
 	// RecordPath is the absolute path whose matches are the records of
 	// the bound; empty when RecordFactor is zero.
@@ -217,9 +217,12 @@ func (w *streamWalk) operand(o xqast.Operand) {
 }
 
 // recordFactor is the number of record subtrees a bounded pipeline can
-// hold at once: the record being evaluated, the next one already
-// streaming in, and one whose deferred sign-offs await its close tag.
-const recordFactor = 3
+// hold at once: the record being evaluated, and the closed one before
+// it, whose deferred sign-offs the engine runs when the pull that
+// buffered the next binding stops. A loop pins no finished binding
+// while it pulls the next (DESIGN.md §13), so no third record waits
+// for a cursor to move on.
+const recordFactor = 2
 
 // constNodes derives the input-independent term of the bound from the
 // projection roles: a fixed allowance for the virtual root and open

@@ -289,6 +289,7 @@ func (b *Buffer) link(parent, n *Node) {
 	b.CurrentNodes++
 	b.CurrentBytes += n.bytes
 	b.TotalAppended++
+	n.seq = uint64(b.TotalAppended)
 	if b.CurrentNodes > b.PeakNodes {
 		b.PeakNodes = b.CurrentNodes
 	}

@@ -618,3 +618,97 @@ func TestSetHeld(t *testing.T) {
 		t.Error("SetHeld pushing the population past the budget did not trip it")
 	}
 }
+
+// TestResume walks a loop cursor on past a binding that is gone: the
+// cursor continues from the last node still buffered before it, found
+// by append ordinal, and reaches the binding the pinned cursor would
+// have reached.
+func TestResume(t *testing.T) {
+	person := xpath.Test{Kind: xpath.TestName, Name: "person"}
+	item := xpath.Test{Kind: xpath.TestName, Name: "item"}
+
+	t.Run("child axis, earlier sibling held", func(t *testing.T) {
+		b := New()
+		people := b.AppendElement(b.Root, "people", nil)
+		p1 := b.AppendElement(people, "person", nil)
+		b.AssignRole(p1, 1) // another role keeps the first person
+		b.CloseNode(p1)
+		p2 := b.AppendElement(people, "person", nil)
+		seq := p2.Seq()
+		b.CloseNode(p2) // the finished binding, role-less: purged
+		p3 := b.AppendElement(people, "person", nil)
+		if r := Resume(people, seq, false); r != p1 {
+			t.Fatalf("resumed at %s, want the held first person", r.label(nil))
+		}
+		if n := NextMatchingChild(people, Resume(people, seq, false), person); n != p3 {
+			t.Fatal("the cursor must go on to the third person")
+		}
+		b.RemoveRole(p1, 1, 1) // nothing earlier is left
+		if r := Resume(people, seq, false); r != people {
+			t.Fatalf("resumed at %s, want the base", r.label(nil))
+		}
+		if n := NextMatchingChild(people, people, person); n != p3 {
+			t.Fatal("from the base the cursor starts at the first child")
+		}
+		mustInvariants(t, b)
+	})
+
+	t.Run("descendant axis across a purged ancestor", func(t *testing.T) {
+		b := New()
+		site := b.AppendElement(b.Root, "site", nil)
+		regions := b.AppendElement(site, "regions", nil)
+		b.AssignRole(regions, 1)
+		africa := b.AppendElement(regions, "africa", nil)
+		i1 := b.AppendElement(africa, "item", nil)
+		seq := i1.Seq()
+		b.CloseNode(i1)
+		b.CloseNode(africa) // role-less and closed: purged
+		if africa.InBuffer() {
+			t.Fatal("test premise: africa is purged")
+		}
+		asia := b.AppendElement(regions, "asia", nil)
+		i2 := b.AppendElement(asia, "item", nil)
+		if r := Resume(site, seq, true); r != regions {
+			t.Fatalf("resumed at %s, want regions", r.label(nil))
+		}
+		if n := NextMatchingDescendant(site, Resume(site, seq, true), item, false); n != i2 {
+			t.Fatal("the cursor must go on to asia's item")
+		}
+		mustInvariants(t, b)
+	})
+
+	t.Run("descendant-or-self", func(t *testing.T) {
+		b := New()
+		a := b.AppendElement(b.Root, "a", nil)
+		a1 := b.AppendElement(a, "a", nil)
+		seq := a1.Seq()
+		b.CloseNode(a1)
+		a2 := b.AppendElement(a, "a", nil)
+		self := xpath.Test{Kind: xpath.TestName, Name: "a"}
+		r := Resume(a, seq, true)
+		if r != a {
+			t.Fatalf("resumed at %s, want the base", r.label(nil))
+		}
+		if n := NextMatchingDescendant(a, r, self, true); n != a2 {
+			t.Fatal("resuming at the base must not bind the base again")
+		}
+	})
+
+	t.Run("stale handle on a reused struct", func(t *testing.T) {
+		b := New()
+		people := b.AppendElement(b.Root, "people", nil)
+		p1 := b.AppendElement(people, "person", nil)
+		h, seq := Hold(p1), p1.Seq()
+		b.CloseNode(p1)
+		p2 := b.AppendElement(people, "person", nil)
+		if p2 != p1 || h.Live() {
+			t.Fatal("test premise: the next person reuses the purged struct")
+		}
+		if p2.Seq() <= seq {
+			t.Fatalf("reused struct carries ordinal %d, not after %d", p2.Seq(), seq)
+		}
+		if n := NextMatchingChild(people, Resume(people, seq, false), person); n != p2 {
+			t.Fatal("the cursor must bind the struct's new tenant")
+		}
+	})
+}

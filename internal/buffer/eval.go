@@ -197,12 +197,12 @@ func existsFrom(n *Node, steps []xpath.Step) bool {
 }
 
 // NextMatchingChild returns the first child of parent after cur (or the
-// very first child if cur is nil) that satisfies test. It is the
-// iteration step of child-axis for-loops.
+// very first child if cur is nil or parent itself, as Resume returns it)
+// that satisfies test. It is the iteration step of child-axis for-loops.
 func NextMatchingChild(parent, cur *Node, test xpath.Test) *Node {
 	parent.assertLive()
 	c := parent.FirstChild
-	if cur != nil {
+	if cur != nil && cur != parent {
 		cur.assertLive()
 		c = cur.NextSib
 	}
@@ -238,6 +238,34 @@ func NextMatchingDescendant(base, cur *Node, test xpath.Test, includeSelf bool) 
 		if matchesNode(n, test) {
 			return n
 		}
+	}
+}
+
+// Resume returns where a loop cursor continues whose last binding, the
+// node with append ordinal seq in base's subtree, may have been purged:
+// the last node still buffered no later than it in document order —
+// among base's children, or with descend anywhere below base — or base
+// itself when none is left. NextMatchingChild and NextMatchingDescendant
+// continue from there exactly as from the binding: everything buffered
+// after the result in document order was buffered after the binding.
+// It walks back from each level's last child and descends into the
+// last one that is early enough, so it costs the depth of the result
+// plus the siblings buffered after the binding on the way.
+func Resume(base *Node, seq uint64, descend bool) *Node {
+	base.assertLive()
+	n := base
+	for {
+		c := n.LastChild
+		for c != nil && c.seq > seq {
+			c = c.PrevSib
+		}
+		if c == nil {
+			return n
+		}
+		if !descend {
+			return c
+		}
+		n = c
 	}
 }
 

@@ -399,3 +399,125 @@ func TestPendingSignOffOnPurgedBase(t *testing.T) {
 		t.Fatalf("pending %d, role count %d: stale sign-off kept or executed", b.PendingCount(), c.RoleCount(7))
 	}
 }
+
+// resumeTrial buffers a random tree, purges a random set of its nodes,
+// buffers a second tree behind it into the recycled structs, and then
+// holds Resume and the cursor steps from its result to a document-order
+// scan of what is left: from every node of the first tree as a loop's
+// last binding, under every ancestor of it still buffered as the loop's
+// base, the cursor must land on the last remaining node no later than
+// the binding and go on to the first match after it.
+func resumeTrial(t testing.TB, rng *rand.Rand) {
+	b := New()
+	nodes := randomTree(b, rng)
+	type orig struct {
+		h      Handle
+		seq    uint64
+		parent int // index in nodes, -1 for the root
+	}
+	info := make([]orig, len(nodes))
+	index := make(map[*Node]int, len(nodes))
+	for i, n := range nodes {
+		index[n] = i
+		info[i] = orig{h: Hold(n), seq: n.Seq(), parent: -1}
+		if n.Parent != nil {
+			info[i].parent = index[n.Parent]
+		}
+	}
+	for i := len(nodes) - 1; i > 0; i-- {
+		if rng.Intn(3) != 0 && info[i].h.Live() {
+			b.RemoveRole(nodes[i], 0, 1)
+		}
+	}
+	randomTree(b, rng)
+	if err := b.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	tests := []xpath.Test{
+		{Kind: xpath.TestName, Name: "a"},
+		{Kind: xpath.TestWildcard},
+		{Kind: xpath.TestNode},
+		{Kind: xpath.TestText},
+	}
+	// scan lists base's buffered subtree without base, or its children
+	// only, in document order.
+	scan := func(base *Node, descend bool) []*Node {
+		var out []*Node
+		var rec func(n *Node)
+		rec = func(n *Node) {
+			for c := n.FirstChild; c != nil; c = c.NextSib {
+				out = append(out, c)
+				if descend {
+					rec(c)
+				}
+			}
+		}
+		rec(base)
+		return out
+	}
+	for i := 1; i < len(nodes); i++ {
+		seq := info[i].seq
+		for a := info[i].parent; a >= 0; a = info[a].parent {
+			if !info[a].h.Live() {
+				continue
+			}
+			base := info[a].h.Node()
+			for _, descend := range []bool{false, true} {
+				if !descend && a != info[i].parent {
+					continue // a child-axis binding is a child of its base
+				}
+				where := fmt.Sprintf("binding %d (seq %d), base %s, descend %v\n%s", i, seq, base.label(nil), descend, b.Dump(nil))
+				want, after := base, []*Node(nil)
+				for j, n := range scan(base, descend) {
+					if n.Seq() > seq {
+						after = scan(base, descend)[j:]
+						break
+					}
+					want = n
+				}
+				got := Resume(base, seq, descend)
+				if got != want {
+					t.Fatalf("Resume = %s (seq %d), document-order scan %s (seq %d)\n%s", got.label(nil), got.Seq(), want.label(nil), want.Seq(), where)
+				}
+				for _, test := range tests {
+					var next *Node
+					for _, n := range after {
+						if matchesNode(n, test) {
+							next = n
+							break
+						}
+					}
+					if descend {
+						for _, self := range []bool{false, true} {
+							if n := NextMatchingDescendant(base, got, test, self); n != next {
+								t.Fatalf("%v (self %v): cursor went to %p, scan %p\n%s", test, self, n, next, where)
+							}
+						}
+					} else if n := NextMatchingChild(base, got, test); n != next {
+						t.Fatalf("%v: cursor went to %p, scan %p\n%s", test, n, next, where)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestResumeAgainstScan runs resumeTrial over random trees and purge
+// sets.
+func TestResumeAgainstScan(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		resumeTrial(t, rand.New(rand.NewSource(seed)))
+	}
+}
+
+// FuzzResume is resumeTrial with the fuzzer choosing the tree, the purge
+// set and the tree buffered after it.
+func FuzzResume(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		resumeTrial(t, rand.New(rand.NewSource(seed)))
+	})
+}

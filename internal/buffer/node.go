@@ -97,6 +97,11 @@ type Node struct {
 	// link time; see nodeBytes).
 	bytes int64
 
+	// seq is the node's append ordinal within the run (set at link time,
+	// the first node is 1, the virtual root 0). The stream buffers nodes
+	// in document order, so seq is document order too (Resume).
+	seq uint64
+
 	// pins counts temporary protections: one while the node is open
 	// (its close tag has not arrived) and one per evaluator reference
 	// (current loop binding). Pins contribute to subtreeWeight.
@@ -173,6 +178,10 @@ func (n *Node) dropRole(role, count int) bool {
 	}
 	return false
 }
+
+// Seq returns n's append ordinal: of two nodes of one run, the one
+// with the smaller Seq comes first in document order.
+func (n *Node) Seq() uint64 { return n.seq }
 
 // InBuffer reports whether the node is still linked into the buffer.
 // A purge marks every node of the purged subtree, so no parent walk is

@@ -90,9 +90,10 @@ type Engine struct {
 	inSpan bool
 	// env is the variable environment, indexed by the slots the analysis
 	// resolved every variable to (xqast.ForExpr.Slot): slot 0 is the
-	// document root, a loop's slot holds its current binding. Bindings
-	// are pinned, so the handles only assert (under go test) that the
-	// pin really kept the node.
+	// document root, a loop's slot holds its current binding while the
+	// body runs and is cleared when the binding is unpinned (loop). A
+	// binding is pinned for as long as its slot holds it, so the handles
+	// only assert (under go test) that the pin really kept the node.
 	env []buffer.Handle
 	// vals is the scratch the value sequences of conditions, aggregates
 	// and attribute templates are built in; attrs is the one a
@@ -552,8 +553,8 @@ func (e *Engine) forward(base *buffer.Node, path xpath.Path, so *xqast.SignOff) 
 }
 
 // evalFor runs a single-step for-loop: bindings are pulled one at a
-// time; the previous binding is unpinned (and thereby GC-eligible)
-// before the body of the next one runs.
+// time, and each is unpinned (and thereby GC-eligible) as soon as its
+// body has run, before the next one is pulled.
 func (e *Engine) evalFor(f *xqast.ForExpr) error {
 	if handled, err := e.interceptFor(f); handled {
 		return err
@@ -563,74 +564,87 @@ func (e *Engine) evalFor(f *xqast.ForExpr) error {
 
 // loop is the cursor loop behind evalFor. With capture set — the join
 // operator's probe loop — each binding's body is evaluated into a
-// capture sink (captureProbeBinding) instead of the live one.
+// capture sink (captureProbeBinding) instead of the live one. A binding
+// is pinned only while its body runs: then it is purged at once if
+// nothing else holds it, or at its close tag if that is still to come,
+// and the cursor goes on from its position.
 func (e *Engine) loop(f *xqast.ForExpr, capture bool) error {
 	base := e.node(f.In.Slot)
 	step := f.In.Path.Steps[0]
-
-	cur, err := e.pullBinding(base, nil, step)
-	if err != nil {
-		return err
-	}
-	if cur != nil {
+	var pos position
+	for {
+		cur, err := e.pullBinding(base, pos, step)
+		if err != nil || cur == nil {
+			return err
+		}
 		e.buf.Pin(cur)
-	}
-	for cur != nil {
 		// Evaluation over already-buffered bindings pulls no tokens (a
 		// blocking join like XMark Q8 can spend seconds here), so ensure's
 		// cancellation check never fires; poll once per binding to keep
 		// the abort latency bounded by one loop body.
-		err := e.poll()
-		if err == nil {
+		if err = e.poll(); err == nil {
 			e.env[f.Slot] = buffer.Hold(cur)
 			if capture {
 				err = e.captureProbeBinding(f)
 			} else {
 				err = e.eval(f.Body)
 			}
+			e.env[f.Slot] = buffer.Handle{}
 		}
-		var nxt *buffer.Node
-		if err == nil {
-			nxt, err = e.pullBinding(base, cur, step)
-		}
+		pos = position{at: buffer.Hold(cur), seq: cur.Seq()}
+		e.buf.Unpin(cur)
 		if err != nil {
-			e.buf.Unpin(cur)
 			return err
 		}
-		if nxt != nil {
-			e.buf.Pin(nxt)
-		}
-		e.buf.Unpin(cur)
-		cur = nxt
 	}
-	e.env[f.Slot] = buffer.Handle{}
-	return nil
 }
 
-// pullBinding blocks until the loop cursor can advance past prev (nil
-// starts the loop) or base's subtree is complete, and returns the next
-// binding, nil when there is none.
-func (e *Engine) pullBinding(base, prev *buffer.Node, step xpath.Step) (*buffer.Node, error) {
+// position is a loop cursor's place: its last binding, which is not
+// pinned and may be purged, and that binding's append ordinal, from
+// which buffer.Resume finds the place once it is. The zero position is
+// before the first binding.
+type position struct {
+	at  buffer.Handle
+	seq uint64
+}
+
+// from returns the node the cursor continues from: nil before the first
+// binding, the last binding while it is buffered, and else the last
+// node still buffered before it (base when there is none).
+func (p position) from(base *buffer.Node, descend bool) *buffer.Node {
+	switch {
+	case p.at == buffer.Handle{}:
+		return nil
+	case p.at.Live():
+		return p.at.Node()
+	}
+	return buffer.Resume(base, p.seq, descend)
+}
+
+// pullBinding blocks until the loop cursor can advance past pos or
+// base's subtree is complete, and returns the next binding, nil when
+// there is none.
+func (e *Engine) pullBinding(base *buffer.Node, pos position, step xpath.Step) (*buffer.Node, error) {
 	var nxt *buffer.Node
 	err := e.ensure(func() bool {
-		nxt = e.nextBinding(base, prev, step)
+		nxt = e.nextBinding(base, pos, step)
 		return nxt != nil || base.Closed
 	})
 	return nxt, err
 }
 
 // nextBinding advances a loop cursor over the buffered tree.
-func (e *Engine) nextBinding(base, prev *buffer.Node, step xpath.Step) *buffer.Node {
-	if step.FirstOnly && prev != nil {
+func (e *Engine) nextBinding(base *buffer.Node, pos position, step xpath.Step) *buffer.Node {
+	if step.FirstOnly && pos.at != (buffer.Handle{}) {
 		return nil
 	}
 	switch step.Axis {
 	case xpath.Child:
-		return buffer.NextMatchingChild(base, prev, step.Test)
+		return buffer.NextMatchingChild(base, pos.from(base, false), step.Test)
 	case xpath.Descendant:
-		return buffer.NextMatchingDescendant(base, prev, step.Test, false)
+		return buffer.NextMatchingDescendant(base, pos.from(base, true), step.Test, false)
 	case xpath.DescendantOrSelf:
-		return buffer.NextMatchingDescendant(base, prev, step.Test, true)
+		return buffer.NextMatchingDescendant(base, pos.from(base, true), step.Test, true)
 	default:
 		return nil
 	}

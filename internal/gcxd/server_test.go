@@ -457,10 +457,12 @@ func TestServerBudget(t *testing.T) {
 		t.Errorf("missing peak trailers: %+v", resp.Trailer)
 	}
 
-	// A tiny budget trips at runtime. Depending on whether output hit
-	// the wire first, that surfaces as a 413 status or as an X-Gcx-Error
-	// trailer — either way the run aborts instead of buffering on.
-	resp, body = postQuery(t, ts.URL, testQuery, doc, "max_nodes=2")
+	// A tiny budget trips at runtime: the query holds two nodes at its
+	// peak (bib and one book; the title streams through), so a budget of
+	// one trips. Depending on whether output hit the wire first, that
+	// surfaces as a 413 status or as an X-Gcx-Error trailer — either way
+	// the run aborts instead of buffering on.
+	resp, body = postQuery(t, ts.URL, testQuery, doc, "max_nodes=1")
 	tripped := resp.StatusCode == http.StatusRequestEntityTooLarge ||
 		strings.Contains(resp.Trailer.Get("X-Gcx-Error"), "budget")
 	if !tripped {
@@ -524,9 +526,10 @@ func TestServerBudgetPartialStats(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Config{CacheSize: 8}))
 	defer ts.Close()
 
-	// Twenty dead subtrees the engine skips, then the books that breach.
+	// Twenty dead subtrees the engine skips, then the books that breach
+	// a budget of one node (the query peaks at two).
 	doc := "<bib>" + strings.Repeat("<misc><x>1</x></misc>", 20) + testDoc(0, 10)[len("<bib>"):]
-	resp, body := postQuery(t, ts.URL, testQuery, doc, "max_nodes=2")
+	resp, body := postQuery(t, ts.URL, testQuery, doc, "max_nodes=1")
 	if resp.StatusCode != http.StatusRequestEntityTooLarge && !strings.Contains(resp.Trailer.Get("X-Gcx-Error"), "budget") {
 		t.Fatalf("tiny budget did not trip: status %d, trailers %+v, body %q", resp.StatusCode, resp.Trailer, body)
 	}

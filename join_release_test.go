@@ -24,7 +24,7 @@ import (
 // 1 and 4 MiB on both backings. The runs balance, leave nothing
 // buffered and, at 1 MiB, write what the nested-loop plan writes.
 func TestJoinKeysReleasedAtClose(t *testing.T) {
-	const limit = 10
+	const limit = 6
 	for _, id := range []string{"Q8", "Q9"} {
 		plan, err := core.Compile(xmark.Queries[id].Text)
 		if err != nil {
