@@ -341,11 +341,18 @@ func BenchmarkSubstrateTokenizer(b *testing.B) {
 	}
 }
 
+// skipQ1Every is BenchmarkSkipQ1's Options.RecordEvery: the cost of
+// recording a buffer plot is the difference between runs with and
+// without it (EXPERIMENTS.md, "Recording only observes").
+var skipQ1Every = flag.Int64("skipq1.every", 0, "BenchmarkSkipQ1's RecordEvery (0 records nothing)")
+
 // BenchmarkSkipQ1 is gcxperf's xml-skip workload as a Go benchmark
 // (`make profile BENCH=SkipQ1`): XMark Q1 over 16 MiB on the zero-copy
 // path. Nearly every byte is raw-skipped, and every person but person0
 // is decided at its start tag, so tokens/op and appended/op count what
-// still reaches the preprojector and the buffer.
+// still reaches the preprojector and the buffer; peak_nodes,
+// bytes_skipped/op and series/op show that a recording run
+// (-skipq1.every) is the same run.
 func BenchmarkSkipQ1(b *testing.B) {
 	doc := []byte(xmarkDoc(b, 16<<20))
 	q, err := gcx.Compile(xmark.Queries["Q1"].Text)
@@ -357,12 +364,15 @@ func BenchmarkSkipQ1(b *testing.B) {
 	b.ResetTimer()
 	var res *gcx.Result
 	for i := 0; i < b.N; i++ {
-		if res, err = q.ExecuteBytes(doc, io.Discard, gcx.Options{}); err != nil {
+		if res, err = q.ExecuteBytes(doc, io.Discard, gcx.Options{RecordEvery: *skipQ1Every}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(res.TokensProcessed), "tokens/op")
 	b.ReportMetric(float64(res.TotalAppended), "appended/op")
+	b.ReportMetric(float64(res.PeakBufferedNodes), "peak_nodes")
+	b.ReportMetric(float64(res.BytesSkipped), "bytes_skipped/op")
+	b.ReportMetric(float64(len(res.Series)), "series/op")
 }
 
 // BenchmarkEmitE1 is gcxperf's xml-emit workload as a Go benchmark, so

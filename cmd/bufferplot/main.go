@@ -1,6 +1,9 @@
 // Command bufferplot regenerates the buffer plots of the paper's
-// Figures 3 and 4: for each processed input token it emits the number
+// Figures 3 and 4: for each input token delivered it emits the number
 // of buffered XML nodes, as "token<TAB>nodes" lines ready for gnuplot.
+// The plot is the run the engine serves: recording only observes, so
+// dead subtrees are skipped (their tokens are not delivered and have
+// no line) and decided branches pruned, as in every run.
 //
 //	bufferplot -fig 3b          # 9×article + 1×book (Fig. 3(b))
 //	bufferplot -fig 3c          # 9×book + 1×article (Fig. 3(c))
@@ -19,7 +22,6 @@ import (
 	"gcx"
 	"gcx/internal/plotsvg"
 	"gcx/internal/sizeparse"
-	"gcx/internal/stats"
 	"gcx/internal/xmark"
 )
 
@@ -114,19 +116,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		points := make([]stats.Point, len(res.Series))
-		for i, p := range res.Series {
-			points[i] = stats.Point{Token: p.Token, Nodes: p.Nodes, Bytes: p.Bytes}
-		}
 		title := "GCX buffer plot"
 		if *fig != "" {
 			title = "Figure " + *fig
 		}
 		err = plotsvg.Render(f, plotsvg.Config{
 			Title:  title,
-			XLabel: "number of tokens processed",
+			XLabel: "number of tokens delivered",
 			YLabel: "number of XML nodes buffered",
-		}, plotsvg.Series{Points: points})
+		}, plotsvg.Series{Points: res.Series})
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

@@ -57,7 +57,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		strict      = fs.Bool("strict", false, "reject statically unbounded queries at compile time")
 		showStats   = fs.Bool("stats", false, "print run statistics to stderr")
 		showTrace   = fs.Bool("trace", false, "print the per-phase execution trace to stderr")
-		plotEvery   = fs.Int64("plot", 0, "emit a buffer plot sample to stderr every N tokens")
+		plotEvery   = fs.Int64("plot", 0, "emit a buffer plot sample (tokens delivered, nodes buffered) to stderr every N tokens delivered")
 		shards      = fs.Int("shards", 1, "parallel engine instances for partitionable queries (0/1 = sequential)")
 		useMmap     = fs.Bool("mmap", false, "memory-map the -i file and run the zero-copy byte path (falls back to reading the file where mmap is unavailable)")
 		timeout     = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")

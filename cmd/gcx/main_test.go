@@ -3,8 +3,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -239,6 +241,46 @@ func TestRunMaxNodes(t *testing.T) {
 	}
 	if want := "<out><title>A</title></out>\n"; out != want {
 		t.Fatalf("stdout = %q, want %q", out, want)
+	}
+}
+
+// TestRunPlotSharded: -plot records the run -stats describes, sharded
+// too. The series lines' token column increases strictly, and their
+// largest node count is the stats line's peak_nodes.
+func TestRunPlotSharded(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString("<bib>")
+	for i := 0; i < 8000; i++ {
+		fmt.Fprintf(&doc, "<book><title>t%d</title><price>%d</price></book>", i, i%100)
+	}
+	doc.WriteString("</bib>")
+	query := `<out>{ for $b in /bib/book return $b/title }</out>`
+	code, _, stderr := runCmd(t, []string{"-q", query, "-plot", "1", "-stats", "-shards", "2"}, doc.String())
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %.300s", code, stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n")
+	statsLine := lines[len(lines)-1]
+	counters := map[string]int64{}
+	for _, kv := range strings.Fields(statsLine) {
+		label, v, _ := strings.Cut(kv, "=")
+		counters[label], _ = strconv.ParseInt(v, 10, 64)
+	}
+	if counters["shards"] != 2 || counters["chunks"] < 2 {
+		t.Fatalf("run did not shard: %s", statsLine)
+	}
+	var last, peak int64
+	for i, line := range lines[:len(lines)-1] {
+		token, nodes, ok := strings.Cut(line, "\t")
+		tok, terr := strconv.ParseInt(token, 10, 64)
+		n, nerr := strconv.ParseInt(nodes, 10, 64)
+		if !ok || terr != nil || nerr != nil || tok <= last {
+			t.Fatalf("series line %d = %q after token %d", i+1, line, last)
+		}
+		last, peak = tok, max(peak, n)
+	}
+	if peak != counters["peak_nodes"] || last != counters["tokens"] {
+		t.Fatalf("series peaks at %d and ends at token %d, stats line: %s", peak, last, statsLine)
 	}
 }
 

@@ -1,8 +1,12 @@
-// xmarkjoin reproduces the paper's Figure 4(b): the value-based join
-// XMark Q8 is inherently blocking, so the buffer grows through three
-// characteristic phases — the diagonal (people section loads), the
-// plane (open_auctions contributes nothing), and the final rise
-// (closed_auctions join partners arrive).
+// xmarkjoin runs the paper's Figure 4(b) query, the value-based join
+// XMark Q8, and charts what it holds over the stream. In the paper the
+// join partners stay in the buffer, so its node count grows with the
+// input. Here the streaming hash join (DESIGN.md §10) captures each
+// person's key and output as the probe side streams past, and puts
+// each closed auction's key and payload into its table at the
+// auction's close, signing its nodes off there. So the buffer's node
+// count stays constant, and what grows is the join's memory: the
+// series' byte column and PeakBufferedBytes count it with the buffer.
 package main
 
 import (
@@ -26,28 +30,30 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, res, err := q.ExecuteString(doc, gcx.Options{RecordEvery: 500})
+	_, res, err := q.ExecuteString(doc, gcx.Options{RecordEvery: 250})
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Println("buffer growth over the stream (Fig. 4(b)):")
-	step := len(res.Series) / 24
-	if step == 0 {
-		step = 1
+	fmt.Println("memory held over the stream (buffer and join table, Fig. 4(b)'s query):")
+	step := max(len(res.Series)/24, 1)
+	peak := res.PeakBufferedBytes
+	var maxNodes int64
+	for i, p := range res.Series {
+		maxNodes = max(maxNodes, p.Nodes)
+		if i%step != 0 {
+			continue
+		}
+		bar := int(float64(p.Bytes) / float64(peak) * 50)
+		fmt.Printf("%7d tokens |%-50s| %7.1f KB %2d nodes\n", p.Token, repeat('█', bar), float64(p.Bytes)/1024, p.Nodes)
 	}
-	peak := res.PeakBufferedNodes
-	for i := 0; i < len(res.Series); i += step {
-		p := res.Series[i]
-		bar := int(float64(p.Nodes) / float64(peak) * 58)
-		fmt.Printf("%9d tokens |%-58s| %6d nodes\n", p.Token, repeat('█', bar), p.Nodes)
-	}
-	fmt.Printf("\npeak: %d nodes (~%.1f KB); final: %d — join partners are parked\n",
+	fmt.Printf("\n%d tokens delivered; %d probe tuples captured, %d build tuples in the table, %d matches.\n",
+		res.TokensProcessed, res.JoinProbeTuples, res.JoinBuildTuples, res.JoinMatches)
+	fmt.Printf("peak: %d nodes buffered, %.1f KB held; final: %d nodes.\n",
 		res.PeakBufferedNodes, float64(res.PeakBufferedBytes)/1024, res.FinalBufferedNodes)
-	fmt.Println("until the outer people-loop finishes (hoisted sign-offs), then freed.")
-	fmt.Println("\nPhases visible above: the people diagonal, the open_auctions")
-	fmt.Println("plateau, and the closed_auctions rise — memory is linear in the")
-	fmt.Println("input for this query class, for any engine (paper §3).")
+	fmt.Printf("No sample held more than %d nodes: no join partner is parked in the\n", maxNodes)
+	fmt.Println("buffer. The bytes grow because the join keeps every captured person and")
+	fmt.Println("build tuple to the end: its memory is linear in the input, the buffer constant.")
 }
 
 func repeat(r rune, n int) string {

@@ -76,7 +76,7 @@ type BoundReport struct {
 // SkipReport is the compile-time subtree-skipping status.
 type SkipReport struct {
 	// Active reports whether runs skip dead subtrees. Every compiled
-	// query does; runs with RecordEvery set still tokenize every byte.
+	// query does.
 	Active bool `json:"active"`
 }
 
@@ -215,8 +215,7 @@ func (r ExplainReport) Text() string {
 		b.WriteString("Static bound: none (rejected by strict compilation; a runtime node budget can only trip)\n")
 	}
 	if r.Skipping.Active {
-		b.WriteString("Skipping: byte-level subtree skipping active" +
-			" (off for runs with RecordEvery)\n")
+		b.WriteString("Skipping: byte-level subtree skipping active\n")
 	}
 	for _, o := range r.Outputs {
 		b.WriteString("Output " + o.Expr + ": " + o.Verdict + "\n")

@@ -151,11 +151,13 @@ type Options struct {
 	// FormatJSON input makes no line-framing promise and always runs
 	// sequentially.
 	Format Format
-	// RecordEvery samples (tokens processed → nodes buffered) every N
-	// tokens for buffer plots like the paper's Figures 3 and 4;
-	// 0 disables recording. Recording runs tokenize every input byte —
-	// byte-level subtree skipping (DESIGN.md §7) is off for them — so
-	// the plots keep the paper's per-token x-axis.
+	// RecordEvery samples (tokens delivered → nodes buffered) every N
+	// tokens into Result.Series, for buffer plots like the paper's
+	// Figures 3 and 4; 0 disables recording. Recording only observes:
+	// the run skips, prunes, forwards and shards as it would without
+	// it, so the plot is the run the counters describe. Tokens inside
+	// skipped subtrees are not delivered and have no sample; the
+	// paper's per-token curves are those of WithoutSkip's plan.
 	RecordEvery int64
 	// Shards requests sharded data-parallel execution (DESIGN.md §6):
 	// the input is partitioned at the query's outermost for-loop path
@@ -165,9 +167,9 @@ type Options struct {
 	// MaxShards are clamped. Queries that are not partitionable
 	// (whole-input aggregation, correlated loops, detected joins — no
 	// probe output is final before the build side is complete; see
-	// Query.Shardable and Explain), input that FormatAuto sniffs as
-	// JSON, and runs with RecordEvery set fall back to sequential
-	// execution transparently, with Result.ShardsUsed = 1.
+	// Query.Shardable and Explain) and input that FormatAuto sniffs as
+	// JSON fall back to sequential execution transparently, with
+	// Result.ShardsUsed = 1.
 	Shards int
 	// MaxBufferedNodes, when positive, is the run's node budget
 	// (DESIGN.md §9): the first buffered node pushing the population
@@ -376,15 +378,13 @@ func (q *Query) config(opts Options) (engine.Config, error) {
 		Oracle:           opts.Engine == EngineDOM,
 		DisableGC:        opts.Engine == EngineProjectionOnly,
 		MaxBufferedNodes: opts.MaxBufferedNodes,
+		RecordEvery:      opts.RecordEvery,
 	}
 	if opts.Engine < EngineGCX || opts.Engine > EngineDOM {
 		return cfg, fmt.Errorf("gcx: unknown engine %d (want EngineGCX, EngineProjectionOnly or EngineDOM)", opts.Engine)
 	}
 	if opts.Shards < 0 {
 		return cfg, fmt.Errorf("gcx: negative shard count %d", opts.Shards)
-	}
-	if opts.RecordEvery > 0 {
-		cfg.Recorder = stats.NewRecorder(opts.RecordEvery)
 	}
 	if opts.EnableTrace {
 		cfg.Timer = new(obs.Timer)
@@ -394,10 +394,10 @@ func (q *Query) config(opts Options) (engine.Config, error) {
 
 // shardCount resolves how many workers a run over input of the
 // resolved format f should use: 0 for the sequential path
-// (non-shardable query, ineligible format, recording runs or
-// Shards ≤ 1), the clamped worker count otherwise.
+// (non-shardable query, ineligible format or Shards ≤ 1), the clamped
+// worker count otherwise.
 func (q *Query) shardCount(opts Options, f Format) int {
-	if opts.Shards > 1 && q.plan.Shard != nil && opts.RecordEvery == 0 && formatShardable(f, q.plan.Shard) {
+	if opts.Shards > 1 && q.plan.Shard != nil && formatShardable(f, q.plan.Shard) {
 		return min(opts.Shards, MaxShards)
 	}
 	return 0

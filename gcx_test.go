@@ -75,7 +75,7 @@ func TestPublicEngineSelection(t *testing.T) {
 }
 
 func TestPublicSeriesRecording(t *testing.T) {
-	q := gcx.MustCompile(xmark.PaperQuery)
+	q := gcx.WithoutSkip(gcx.MustCompile(xmark.PaperQuery))
 	_, res, err := q.ExecuteString(xmark.BibDocument(xmark.Fig3cKinds()),
 		gcx.Options{RecordEvery: 1})
 	if err != nil {

@@ -113,8 +113,7 @@ type Plan struct {
 	// (DESIGN.md §7): the engine installs its preprojector as the
 	// source's skipper, whose item matching decides every child. Analysis
 	// always sets it, so every plan skips; only the reference plans of
-	// the parity tests clear it, and runs that record a buffer plot
-	// (RecordEvery) skip nothing whatever it holds.
+	// the parity tests clear it.
 	Automaton *xpath.Automaton
 	// Opts are the analysis switches the plan was compiled with, kept so
 	// derived plans (sharding) reuse the same analysis.

@@ -68,7 +68,7 @@ func TestRunRecordsSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	res, err := Run(context.Background(), plan, Input{Data: []byte(doc)}, &out, engine.Config{Recorder: stats.NewRecorder(1)}, new(stats.Run))
+	res, err := Run(context.Background(), plan, Input{Data: []byte(doc)}, &out, engine.Config{RecordEvery: 1}, new(stats.Run))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRunRecordsSeries(t *testing.T) {
 		t.Fatal("series not recorded")
 	}
 	// recording is a streaming-engine feature; DOM ignores it
-	res, err = Run(context.Background(), plan, Input{Data: []byte(doc)}, &out, engine.Config{Oracle: true, Recorder: stats.NewRecorder(1)}, new(stats.Run))
+	res, err = Run(context.Background(), plan, Input{Data: []byte(doc)}, &out, engine.Config{Oracle: true, RecordEvery: 1}, new(stats.Run))
 	if err != nil {
 		t.Fatal(err)
 	}

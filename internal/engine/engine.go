@@ -50,11 +50,10 @@ type Config struct {
 	// within one token, returning an error wrapping buffer.ErrBudget
 	// together with the partial statistics. Zero means unlimited.
 	MaxBufferedNodes int64
-	// Recorder, if non-nil, samples the buffer size per input token; the
-	// samples are returned as the run's Series. A recording run does not
-	// skip subtrees (DESIGN.md §7): skipped tokens would be missing from
-	// the per-token plot.
-	Recorder *stats.Recorder
+	// RecordEvery, when positive, samples the buffer size every
+	// RecordEvery delivered tokens into the run's Series. Recording only
+	// observes: the run skips, prunes and forwards as it would without it.
+	RecordEvery int64
 	// Timer, if non-nil, accumulates per-phase wall time (DESIGN.md
 	// §11): ensure's pull loop into PhaseStream, the join operator's
 	// per-tuple capture and replay into PhaseJoinBuild/PhaseJoinProbe;
@@ -103,11 +102,13 @@ type Engine struct {
 	// prune is set when the run skips dead children and collects
 	// garbage: then a condition is decided at the first event that makes
 	// it certain, and a prunable sign-off on an open binding stops its
-	// role from matching inside it (DESIGN.md §3). Recording runs,
-	// reference plans that do not skip and the projection-only engine
-	// keep the close-tag timing, so their per-token profiles do not
-	// move.
+	// role from matching inside it (DESIGN.md §3). Reference plans that
+	// do not skip and the projection-only engine keep the close-tag
+	// timing, so their per-token profiles do not move.
 	prune bool
+	// series is the buffer plot sampled so far (Config.RecordEvery); the
+	// run's record takes it over.
+	series []stats.Point
 	// paths is the scratch the plan's role paths are handed to the
 	// preprojector in.
 	paths []xpath.Path
@@ -159,19 +160,13 @@ func New(plan *analysis.Plan, src event.Source, sink event.Sink, cfg Config) *En
 		e.paths = append(e.paths, r.Path)
 	}
 	proj.Reset(src, buf, e.paths)
-	if rec := cfg.Recorder; rec != nil {
-		proj.OnToken = func() {
-			rec.Record(proj.TokensProcessed(), buf.CurrentNodes, buf.CurrentBytes)
-		}
-	} else {
-		proj.EnableSkipping(plan.Automaton)
-	}
+	proj.EnableSkipping(plan.Automaton)
 	e.plan, e.cfg, e.src, e.out = plan, cfg, src, sink
 	e.env = append(e.env[:0], make([]buffer.Handle, plan.Slots)...)
 	e.signedOff = append(e.signedOff[:0], make([]bool, len(plan.Roles))...)
 	e.env[0] = buffer.Hold(buf.Root)
 	// EnableSkipping installs no skipper for a plan that does not skip.
-	e.prune = cfg.Recorder == nil && plan.Automaton != nil && !cfg.DisableGC
+	e.prune = plan.Automaton != nil && !cfg.DisableGC
 	if plan.Join != nil {
 		e.jr.info = plan.Join
 		e.join = &e.jr
@@ -265,9 +260,7 @@ func (e *Engine) snapshot(res *stats.Run) {
 		res.JoinBuildTuples = int64(e.join.table.Len())
 		res.JoinMatches = e.join.matches
 	}
-	if e.cfg.Recorder != nil {
-		res.Series = e.cfg.Recorder.Points
-	}
+	res.Series = e.series
 }
 
 // CheckBalance verifies the role assignment/removal balance after Run
@@ -354,6 +347,10 @@ func (e *Engine) ensureLoop(pred func() bool) error {
 		ok, err := e.proj.Step()
 		if err != nil {
 			return err
+		}
+		if n := e.cfg.RecordEvery; n > 0 && ok && e.src.TokenCount()%n == 0 {
+			e.series = append(e.series, stats.Point{Token: e.src.TokenCount(),
+				Nodes: e.buf.CurrentNodes, Bytes: e.buf.CurrentBytes + e.buf.HeldBytes})
 		}
 		// The budget flag is tripped inside the buffer's node allocator;
 		// checking it once per pulled token keeps enforcement off the

@@ -114,25 +114,33 @@ func TestPaperExampleWithPrices(t *testing.T) {
 	}
 }
 
+// noSkip compiles src into the reference plan that does not skip: the
+// paper's engine, whose per-token curves the Figure 3 tests assert.
+func noSkip(t *testing.T, src string) *analysis.Plan {
+	t.Helper()
+	plan := *compile(t, src)
+	plan.Automaton = nil
+	return &plan
+}
+
 // TestFig3bBufferProfile reproduces the paper's Figure 3(b):
 // 9×article + 1×book. Articles are processed one at a time, so the
 // buffer oscillates and stays bounded (peak 6: bib + article subtree +
 // next article's open tag overlap).
 func TestFig3bBufferProfile(t *testing.T) {
 	doc := fig3Doc(repeatKinds("article", 9, "book"))
-	rec := stats.NewRecorder(1)
-	_, res, _ := run(t, PaperQuery, doc, Config{Recorder: rec})
+	_, res, _ := runPlan(t, noSkip(t, PaperQuery), doc, Config{RecordEvery: 1})
 	if res.PeakBufferedNodes > 6 {
 		t.Fatalf("Fig 3(b): peak buffered = %d, want <= 6 (bounded oscillation)", res.PeakBufferedNodes)
 	}
-	if len(rec.Points) != 82 {
-		t.Fatalf("recorded %d points, want 82", len(rec.Points))
+	if len(res.Series) != 82 {
+		t.Fatalf("recorded %d points, want 82", len(res.Series))
 	}
 	// Oscillation: after each article is closed and its sign-offs drain,
 	// the buffer returns to 1 (just bib).
 	drops := 0
-	for i := 1; i < len(rec.Points); i++ {
-		if rec.Points[i].Nodes < rec.Points[i-1].Nodes {
+	for i := 1; i < len(res.Series); i++ {
+		if res.Series[i].Nodes < res.Series[i-1].Nodes {
 			drops++
 		}
 	}
@@ -144,13 +152,14 @@ func TestFig3bBufferProfile(t *testing.T) {
 // TestFig3cBufferProfile reproduces Figure 3(c): 9×book + 1×article.
 // Books retain book{r6} and title{r7} for the second loop, so the
 // buffer grows; the paper reports 23 buffered nodes when </bib> is
-// read (deferred sign-off timing).
+// read (deferred sign-off timing). The pruning plan peaks at the same
+// 23, three tokens earlier: it signs off the decided article before
+// its close.
 func TestFig3cBufferProfile(t *testing.T) {
 	doc := fig3Doc(repeatKinds("book", 9, "article"))
-	rec := stats.NewRecorder(1)
-	_, res, _ := run(t, PaperQuery, doc, Config{Recorder: rec})
+	_, res, _ := runPlan(t, noSkip(t, PaperQuery), doc, Config{RecordEvery: 1})
 	// The 82nd token is </bib>.
-	atBibClose := rec.Points[81]
+	atBibClose := res.Series[81]
 	if atBibClose.Token != 82 {
 		t.Fatalf("point 82 is token %d", atBibClose.Token)
 	}
@@ -162,6 +171,14 @@ func TestFig3cBufferProfile(t *testing.T) {
 	}
 	if res.FinalBufferedNodes != 0 {
 		t.Fatalf("final = %d, want 0", res.FinalBufferedNodes)
+	}
+	_, res, _ = run(t, PaperQuery, doc, Config{RecordEvery: 1})
+	var peak int64
+	for _, p := range res.Series {
+		peak = max(peak, p.Nodes)
+	}
+	if res.PeakBufferedNodes != 23 || peak != 23 {
+		t.Fatalf("pruning plan: peak %d, series peak %d, want 23", res.PeakBufferedNodes, peak)
 	}
 }
 
@@ -412,13 +429,18 @@ func TestMultipleSequentialLoops(t *testing.T) {
 	}
 }
 
-// TestRecorderSampling: sampled recording bounds series size.
-func TestRecorderSampling(t *testing.T) {
+// TestRecordEverySampling: a point is taken at every RecordEvery-th
+// delivered token, so sampling bounds the series size.
+func TestRecordEverySampling(t *testing.T) {
 	doc := fig3Doc(repeatKinds("book", 9, "article"))
-	rec := stats.NewRecorder(10)
-	_, _, _ = run(t, PaperQuery, doc, Config{Recorder: rec})
-	if len(rec.Points) != 8 {
-		t.Fatalf("sampled %d points, want 8 (82 tokens / 10)", len(rec.Points))
+	_, res, _ := runPlan(t, noSkip(t, PaperQuery), doc, Config{RecordEvery: 10})
+	if len(res.Series) != 8 {
+		t.Fatalf("sampled %d points, want 8 (82 tokens / 10)", len(res.Series))
+	}
+	for i, p := range res.Series {
+		if p.Token != int64(10*(i+1)) {
+			t.Fatalf("point %d at token %d, want %d", i, p.Token, 10*(i+1))
+		}
 	}
 }
 

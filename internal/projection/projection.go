@@ -107,10 +107,6 @@ type Preprojector struct {
 	pending bool
 	flips   []int32
 
-	// OnToken, if set, is invoked after every processed token — the
-	// hook used to record the paper's buffer plots.
-	OnToken func()
-
 	// done is the per-token completion scratch, reused across tokens so
 	// completing a role costs no allocation.
 	done completion
@@ -612,9 +608,6 @@ func (p *Preprojector) Step() (bool, error) {
 		p.endElement()
 	case event.Text:
 		p.text(tok)
-	}
-	if p.OnToken != nil {
-		p.OnToken()
 	}
 	if p.err != nil {
 		return false, p.err

@@ -113,6 +113,22 @@ func wrap(w io.Writer, toks []event.Token, agg *stats.Run) error {
 	return err
 }
 
+// onGrid keeps the points of a chunk's every-token series that fall on
+// the run's sampling grid, every tokens apart, once its tokens are
+// counted after the base tokens of the chunks before it.
+func onGrid(series []stats.Point, base, every int64) []stats.Point {
+	if every <= 1 {
+		return series
+	}
+	kept := series[:0]
+	for _, p := range series {
+		if (base+p.Token)%every == 0 {
+			kept = append(kept, p)
+		}
+	}
+	return kept
+}
+
 // Run evaluates info over in with workers parallel engine instances,
 // writing the merged output to output. A streamed input is cut by the
 // reader splitters; an in-memory one is scanned in place (NDJSON chunks
@@ -123,9 +139,8 @@ func wrap(w io.Writer, toks []event.Token, agg *stats.Run) error {
 // size.
 //
 // The caller decides that the run shards, and with how many workers:
-// Run requires 2 ≤ workers ≤ MaxWorkers and a nil cfg.Recorder
-// (buffer-plot recording is a sequential-run feature), and gcx's
-// Query.run routes every other run to the sequential core.Run. cfg is
+// Run requires 2 ≤ workers ≤ MaxWorkers, and gcx's Query.run routes
+// every other run to the sequential core.Run. cfg is
 // handed to every worker; a non-nil cfg.Timer turns tracing on and
 // collects the shard-level phases, while each chunk run gets a timer of
 // its own.
@@ -136,7 +151,9 @@ func wrap(w io.Writer, toks []event.Token, agg *stats.Run) error {
 // the static bound are stated in; at most workers engines hold a buffer
 // at once. TokensProcessed counts chunk-document
 // tokens, which differ slightly from the sequential token count
-// (synthesized wrapper tags; skipped non-record content).
+// (synthesized wrapper tags; skipped non-record content). A recording
+// run's series samples that count: a point every cfg.RecordEvery
+// tokens, as a sequential run takes them.
 func Run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io.Writer, workers int, cfg engine.Config) (*stats.Run, error) {
 	return run(ctx, info, in, output, workers, 0, cfg)
 }
@@ -244,6 +261,12 @@ func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 		go func() {
 			defer running.Done()
 			wcfg := cfg
+			if cfg.RecordEvery > 0 {
+				// A chunk does not know how many tokens the chunks
+				// before it deliver: it records every token, and the
+				// merge keeps those on the run's grid (onGrid).
+				wcfg.RecordEvery = 1
+			}
 			for t := range work {
 				// Chunk bytes are immutable once handed out (the task's
 				// own buffer from the XML splitters, input subslices from
@@ -296,6 +319,7 @@ func run(ctx context.Context, info *analysis.ShardInfo, in core.Input, output io
 				firstErr = err
 				cancel()
 			} else {
+				t.res.Series = onGrid(t.res.Series, agg.TokensProcessed, cfg.RecordEvery)
 				agg.Merge(&t.res)
 				agg.Chunks++
 			}

@@ -21,8 +21,8 @@ type Run struct {
 	// engine. With subtree skipping active (the default, DESIGN.md §7)
 	// tokens inside skipped subtrees are not produced and therefore not
 	// counted — see BytesSkipped/TagsSkipped for what was
-	// fast-forwarded. Runs with RecordEvery set, and runs of a reference
-	// plan that does not skip, count every token of the document.
+	// fast-forwarded. Runs of a reference plan that does not skip count
+	// every token of the document.
 	TokensProcessed int64
 	// PeakBufferedNodes is the buffer high watermark in nodes. A sharded
 	// run reports the largest watermark of any one engine instance (one
@@ -45,9 +45,9 @@ type Run struct {
 	// BytesSkipped is the number of input bytes the engine
 	// fast-forwarded past at byte level without tokenizing, because the
 	// preprojector found them dead: no projection path could observe
-	// them (DESIGN.md §7). Zero on the DOM engine, in recording runs,
-	// for a reference plan that does not skip, and when the query
-	// observes the whole document.
+	// them (DESIGN.md §7). Zero on the DOM engine, for a reference plan
+	// that does not skip, and when the query observes the whole
+	// document.
 	BytesSkipped int64
 	// TagsSkipped counts element tags inside skipped subtrees — a lower
 	// bound on the tokens the run did not have to produce (text runs in
@@ -67,8 +67,10 @@ type Run struct {
 	// whoever ran the clock (core for a sequential run, shard for a
 	// sharded one) and is not merged.
 	Duration time.Duration
-	// Series is the recorded buffer plot (empty unless
-	// Options.RecordEvery was set).
+	// Series is the recorded buffer plot: empty unless
+	// Options.RecordEvery was set, and on the DOM engine. A sharded run's
+	// series joins its chunks' in input order (Merge); at RecordEvery 1
+	// its largest node count is PeakBufferedNodes, sharded or not.
 	Series []Point
 	// ShardsUsed is the number of parallel engine instances the run
 	// used: 1 for the sequential path (including fallbacks from
@@ -162,11 +164,16 @@ func (f *Field) Get(r *Run) int64 {
 	return reflect.ValueOf(r).Elem().Field(f.index).Int()
 }
 
-// Merge folds o into r, field by field as the table says, and sums the
-// traces phase by phase. Duration and Series are left alone: the merged
-// run's wall time is its caller's to measure, and recording runs are
-// never sharded.
+// Merge folds o into r, field by field as the table says, sums the
+// traces phase by phase and appends o's series with its tokens counted
+// after r's, so merging chunk records in input order keeps a sharded
+// series' token column increasing. Duration is left alone: the merged
+// run's wall time is its caller's to measure.
 func (r *Run) Merge(o *Run) {
+	for _, p := range o.Series {
+		p.Token += r.TokensProcessed
+		r.Series = append(r.Series, p)
+	}
 	rv, ov := reflect.ValueOf(r).Elem(), reflect.ValueOf(o).Elem()
 	for i := range Fields {
 		f := &Fields[i]

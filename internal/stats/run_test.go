@@ -50,10 +50,11 @@ func TestTableIsTheRecord(t *testing.T) {
 }
 
 // TestMergeProperty: merging N copies of a record multiplies every Sum
-// row by N, leaves every Max row alone and sums the trace phase by
-// phase; Duration and Series stay the receiver's.
+// row by N, leaves every Max row alone, sums the trace phase by phase
+// and appends the series with its tokens counted after the receiver's;
+// Duration stays the receiver's.
 func TestMergeProperty(t *testing.T) {
-	one := &Run{Duration: time.Second, Series: []Point{{Token: 1}}}
+	one := &Run{Duration: time.Second, Series: []Point{{Token: 1, Nodes: 2}, {Token: 3, Nodes: 1}}}
 	rv := reflect.ValueOf(one).Elem()
 	for i, f := range Fields {
 		rv.FieldByName(f.Name).SetInt(int64(3 + i)) // distinct per field
@@ -79,8 +80,21 @@ func TestMergeProperty(t *testing.T) {
 	if !reflect.DeepEqual(agg.Trace, want) {
 		t.Errorf("trace = %+v, want %+v", agg.Trace, want)
 	}
-	if agg.Duration != 0 || agg.Series != nil {
-		t.Errorf("Merge touched Duration (%v) or Series (%v)", agg.Duration, agg.Series)
+	if agg.Duration != 0 {
+		t.Errorf("Merge touched Duration (%v)", agg.Duration)
+	}
+	if len(agg.Series) != n*len(one.Series) {
+		t.Fatalf("merged series has %d points, want %d", len(agg.Series), n*len(one.Series))
+	}
+	tokens := one.TokensProcessed
+	for i, p := range agg.Series {
+		src := one.Series[i%len(one.Series)]
+		if want := src.Token + int64(i/len(one.Series))*tokens; p.Token != want || p.Nodes != src.Nodes {
+			t.Errorf("series[%d] = %+v, want token %d nodes %d", i, p, want, src.Nodes)
+		}
+	}
+	if one.Series[0].Token != 1 {
+		t.Error("Merge changed the merged record's series")
 	}
 }
 

@@ -83,17 +83,8 @@ func TestShardedFallbacks(t *testing.T) {
 		t.Fatalf("fallback broken: used=%d chunks=%d identical=%v", res.ShardsUsed, res.Chunks, got == want)
 	}
 
-	// Buffer-plot recording is a sequential feature.
-	q1 := gcx.MustCompile(xmark.Queries["Q1"].Text)
-	_, res, err = q1.ExecuteString(doc, gcx.Options{Shards: 4, RecordEvery: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ShardsUsed != 1 || len(res.Series) == 0 {
-		t.Fatalf("RecordEvery fallback broken: used=%d series=%d", res.ShardsUsed, len(res.Series))
-	}
-
 	// Negative shard counts are a caller bug, not a silent fallback.
+	q1 := gcx.MustCompile(xmark.Queries["Q1"].Text)
 	if _, _, err := q1.ExecuteString(doc, gcx.Options{Shards: -1}); err == nil {
 		t.Fatal("negative Shards accepted")
 	}

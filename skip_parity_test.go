@@ -107,27 +107,59 @@ func TestSkipParitySharded(t *testing.T) {
 	}
 }
 
-// TestSkipDisabledWhenRecording: RecordEvery runs keep the paper's
-// per-token x-axis, so they must not skip.
-func TestSkipDisabledWhenRecording(t *testing.T) {
-	doc, _, err := xmark.GenerateString(xmark.Config{TargetBytes: 64 << 10, Seed: 1})
+// TestRecordingObserves: a recording run is the run the counters
+// describe. On 1 MiB of XMark it writes the same bytes and reports the
+// same statistics as the run that does not record, sequential and at
+// four shards: Q1 still peaks at 3 and Q6 at 4, and both skip the same
+// bytes. Its series has a point every RecordEvery tokens of the run's
+// count, increasing, sharded too, and at RecordEvery 1 it peaks at the
+// run's peak.
+func TestRecordingObserves(t *testing.T) {
+	doc, _, err := xmark.GenerateString(xmark.Config{TargetBytes: 1 << 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := gcx.Compile(xmark.Queries["Q1"].Text)
-	if err != nil {
-		t.Fatal(err)
+	for id, peak := range map[string]int64{"Q1": 3, "Q6": 4} {
+		q := gcx.MustCompile(xmark.Queries[id].Text)
+		for _, shards := range []int{0, 4} {
+			want, plain, err := q.ExecuteString(doc, gcx.Options{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shards == 0 && (plain.PeakBufferedNodes != peak || plain.BytesSkipped == 0) || shards > 0 && plain.ShardsUsed < 2 {
+				t.Fatalf("%s shards=%d: %s", id, shards, statsRow(plain))
+			}
+			for _, every := range []int64{1, 1000} {
+				got, res, err := q.ExecuteString(doc, gcx.Options{Shards: shards, RecordEvery: every})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want || statsRow(res) != statsRow(plain) {
+					t.Errorf("%s shards=%d every=%d: recording moved the run (identical output %v)\n got: %s\nwant: %s",
+						id, shards, every, got == want, statsRow(res), statsRow(plain))
+				}
+				if n := int64(len(res.Series)); n == 0 || n != res.TokensProcessed/every {
+					t.Errorf("%s shards=%d every=%d: %d points over %d tokens", id, shards, every, n, res.TokensProcessed)
+				}
+				var top int64
+				for i, p := range res.Series {
+					if p.Token != int64(i+1)*every {
+						t.Fatalf("%s shards=%d every=%d: point %d at token %d", id, shards, every, i, p.Token)
+					}
+					top = max(top, p.Nodes)
+				}
+				if every == 1 && top != res.PeakBufferedNodes {
+					t.Errorf("%s shards=%d: series peaks at %d, the run at %d", id, shards, top, res.PeakBufferedNodes)
+				}
+			}
+		}
 	}
-	res, err := q.Execute(strings.NewReader(doc), discardWriter{}, gcx.Options{RecordEvery: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BytesSkipped != 0 {
-		t.Fatalf("recording run skipped %d bytes", res.BytesSkipped)
-	}
-	if len(res.Series) == 0 {
-		t.Fatal("no series recorded")
-	}
+}
+
+// statsRow is the `gcx -stats` line without its wall time.
+func statsRow(res *gcx.Result) string {
+	row, _, _ := strings.Cut(res.String(), " time=")
+	return row
 }
 
 type discardWriter struct{}

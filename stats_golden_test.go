@@ -22,6 +22,11 @@ import (
 // leave testdata/stats.golden byte-identical; regenerate it with
 // `make golden` only when a counter's meaning changes on purpose.
 //
+// Every cell also runs with RecordEvery 1, and recording must only
+// observe: the recorded run writes the same bytes and reports the same
+// row but for its series, which on the streaming engines holds one
+// point per token and peaks at the run's peak.
+//
 // It also pins the fallback rule: a run that asked for shards and ran
 // on one engine (ShardsUsed = 1) reports exactly what the shards=0 run
 // of the same cell reports, so a fallback is indistinguishable from a
@@ -73,35 +78,49 @@ func TestStatsGolden(t *testing.T) {
 					}
 					for _, shards := range []int{0, 2, 4} {
 						for _, reader := range []bool{false, true} {
-							opts := gcx.Options{Engine: eng.e, Format: w.format, Shards: shards, EnableTrace: true}
-							var res *gcx.Result
-							if reader {
-								res, err = v.Execute(strings.NewReader(w.doc), discardWriter{}, opts)
-							} else {
-								res, err = v.ExecuteBytes([]byte(w.doc), discardWriter{}, opts)
+							execute := func(recordEvery int64) (string, *gcx.Result, error) {
+								opts := gcx.Options{Engine: eng.e, Format: w.format, Shards: shards, EnableTrace: true, RecordEvery: recordEvery}
+								var out bytes.Buffer
+								var res *gcx.Result
+								var err error
+								if reader {
+									res, err = v.Execute(strings.NewReader(w.doc), &out, opts)
+								} else {
+									res, err = v.ExecuteBytes([]byte(w.doc), &out, opts)
+								}
+								return out.String(), res, err
 							}
+							out, res, err := execute(0)
 							cell := fmt.Sprintf("%s engine=%s noskip=%t nojoin=%t reader=%t", w.id, eng.name, noSkip, noJoin, reader)
 							fmt.Fprintf(&got, "%s engine=%s noskip=%t nojoin=%t shards=%d reader=%t: ",
 								w.id, eng.name, noSkip, noJoin, shards, reader)
-							var row string
-							if err != nil {
-								row = fmt.Sprintf("error: %v\n", err)
-							} else {
-								var phases []string
-								for _, p := range res.Trace {
-									phases = append(phases, p.Phase)
-								}
-								row = fmt.Sprintf(
-									"tokens=%d peak_nodes=%d peak_bytes=%d final_nodes=%d appended=%d purged=%d output_bytes=%d "+
-										"bytes_skipped=%d tags_skipped=%d subtrees_skipped=%d join_probe=%d join_build=%d join_matches=%d "+
-										"shards_used=%d chunks=%d series=%d trace=%s\n",
-									res.TokensProcessed, res.PeakBufferedNodes, res.PeakBufferedBytes, res.FinalBufferedNodes,
-									res.TotalAppended, res.TotalPurged, res.OutputBytes,
-									res.BytesSkipped, res.TagsSkipped, res.SubtreesSkipped,
-									res.JoinProbeTuples, res.JoinBuildTuples, res.JoinMatches,
-									res.ShardsUsed, res.Chunks, len(res.Series), strings.Join(phases, ","))
-							}
+							row := statsGoldenRow(res, err)
 							got.WriteString(row)
+							// The recorded sibling: the same bytes and the same
+							// row but for series=, a point per token on the
+							// streaming engines, none on the DOM oracle.
+							rout, rres, rerr := execute(1)
+							var series []gcx.SeriesPoint
+							if rres != nil {
+								rcopy := *rres
+								series, rcopy.Series = rres.Series, nil
+								rres = &rcopy
+							}
+							if rrow := statsGoldenRow(rres, rerr); rrow != row || rout != out {
+								t.Errorf("%s shards=%d: recording moved the run (identical output %v)\n got: %s want: %s", cell, shards, rout == out, rrow, row)
+							}
+							var peak int64
+							for _, p := range series {
+								peak = max(peak, p.Nodes)
+							}
+							switch {
+							case rerr != nil:
+							case eng.e == gcx.EngineDOM && len(series) != 0:
+								t.Errorf("%s shards=%d: the DOM oracle recorded %d points", cell, shards, len(series))
+							case eng.e != gcx.EngineDOM && (int64(len(series)) != rres.TokensProcessed || peak != rres.PeakBufferedNodes):
+								t.Errorf("%s shards=%d: %d points peaking at %d, want %d peaking at %d",
+									cell, shards, len(series), peak, rres.TokensProcessed, rres.PeakBufferedNodes)
+							}
 							switch {
 							case shards == 0:
 								sequential[cell] = row
@@ -119,6 +138,27 @@ func TestStatsGolden(t *testing.T) {
 	}
 	t.Logf("%d fallback rows equal their shards=0 sibling", fallbacks)
 	compareGolden(t, "testdata/stats.golden", got.Bytes())
+}
+
+// statsGoldenRow renders one run of TestStatsGolden: every counter,
+// the series length and the trace's phase names, or the error.
+func statsGoldenRow(res *gcx.Result, err error) string {
+	if err != nil {
+		return fmt.Sprintf("error: %v\n", err)
+	}
+	var phases []string
+	for _, p := range res.Trace {
+		phases = append(phases, p.Phase)
+	}
+	return fmt.Sprintf(
+		"tokens=%d peak_nodes=%d peak_bytes=%d final_nodes=%d appended=%d purged=%d output_bytes=%d "+
+			"bytes_skipped=%d tags_skipped=%d subtrees_skipped=%d join_probe=%d join_build=%d join_matches=%d "+
+			"shards_used=%d chunks=%d series=%d trace=%s\n",
+		res.TokensProcessed, res.PeakBufferedNodes, res.PeakBufferedBytes, res.FinalBufferedNodes,
+		res.TotalAppended, res.TotalPurged, res.OutputBytes,
+		res.BytesSkipped, res.TagsSkipped, res.SubtreesSkipped,
+		res.JoinProbeTuples, res.JoinBuildTuples, res.JoinMatches,
+		res.ShardsUsed, res.Chunks, len(res.Series), strings.Join(phases, ","))
 }
 
 // compareGolden fails the test when got differs from the golden file,

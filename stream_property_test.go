@@ -10,6 +10,7 @@ package gcx_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -59,6 +60,65 @@ func maxRecordNodes(t *testing.T, input string, format gcx.Format, recPath xpath
 	return max
 }
 
+// boundCase is one query over one input of TestStaticBoundProperty.
+type boundCase struct {
+	name, query string
+	format      gcx.Format
+	input       string
+}
+
+// largeRecords are inputs whose peak is about one large record. The
+// catalogs' peaks (2–17 nodes) sit far under the bound's constant term
+// (72–352), so only records larger than it show a record factor that
+// is too low: here a record holds 2 000 items, and the records around
+// it are small or as large.
+func largeRecords() []boundCase {
+	items := func(n int, xml bool) string {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			if xml {
+				fmt.Fprintf(&b, "<v>%d</v>", i)
+			} else {
+				if i > 0 {
+					b.WriteByte(',')
+				}
+				fmt.Fprintf(&b, "%d", i)
+			}
+		}
+		return b.String()
+	}
+	ndjson := func(sizes ...int) string {
+		var b strings.Builder
+		for _, n := range sizes {
+			fmt.Fprintf(&b, "{\"k\":\"x\",\"v\":[%s]}\n", items(n, false))
+		}
+		return b.String()
+	}
+	xml := func(sizes ...int) string {
+		var b strings.Builder
+		b.WriteString("<root>")
+		for _, n := range sizes {
+			fmt.Fprintf(&b, "<record><k>x</k>%s</record>", items(n, true))
+		}
+		b.WriteString("</root>")
+		return b.String()
+	}
+	queries := map[string]string{
+		"whole": `for $r in /root/record return if (not(exists $r/zzz)) then $r else ()`,
+		"part":  `<out>{ for $r in /root/record return if ($r/k = "x") then <r>{ $r/v }</r> else () }</out>`,
+	}
+	var cases []boundCase
+	for qname, q := range queries {
+		for _, sizes := range [][]int{{2000}, {2000, 2000, 2000}, {1, 2000, 1, 2000, 1}} {
+			name := fmt.Sprintf("large/%s/%v", qname, sizes)
+			cases = append(cases,
+				boundCase{name + "/ndjson", q, gcx.FormatNDJSON, ndjson(sizes...)},
+				boundCase{name + "/xml", q, gcx.FormatXML, xml(sizes...)})
+		}
+	}
+	return cases
+}
+
 func TestStaticBoundProperty(t *testing.T) {
 	type catalog struct {
 		queries map[string]xmark.Query
@@ -72,60 +132,72 @@ func TestStaticBoundProperty(t *testing.T) {
 	sizes := []int64{64 << 10, 192 << 10}
 	seeds := []int64{1, 7}
 
+	var cases []boundCase
 	for _, cat := range catalogs {
-		for id, q := range cat.queries {
-			plan, err := core.CompileWithOptions(q.Text, analysis.Options{})
-			if err != nil {
-				t.Fatalf("%s: compile: %v", id, err)
-			}
-			st := plan.Stream
-
-			// The public report must agree with the internal verdict —
-			// gcxd admission control trusts the string form.
-			query := gcx.MustCompile(q.Text)
-			if rep := query.Report(); rep.Streamability != st.Class.String() {
-				t.Errorf("%s: report says %q, analyzer says %q", id, rep.Streamability, st.Class)
-			}
-			if st.Class == analysis.Unbounded {
-				continue
-			}
-
-			for _, size := range sizes {
-				for _, seed := range seeds {
-					input, _, err := cat.gen(xmark.Config{TargetBytes: size, Seed: seed})
-					if err != nil {
-						t.Fatalf("generate: %v", err)
-					}
-					var rec int64
-					if st.Bound.RecordFactor > 0 {
-						rec = maxRecordNodes(t, input, cat.format, st.Bound.RecordPath)
-					}
-					bound := st.Bound.Eval(rec)
-
-					for _, variant := range []struct {
-						name  string
-						query *gcx.Query
-						opts  gcx.Options
-					}{
-						{"plain", query, gcx.Options{Format: cat.format}},
-						{"noskip", gcx.WithoutSkip(query), gcx.Options{Format: cat.format}},
-						{"sharded", query, gcx.Options{Format: cat.format, Shards: 4}},
-					} {
-						res, err := variant.query.Execute(strings.NewReader(input), io.Discard, variant.opts)
-						if err != nil {
-							t.Fatalf("%s/%s size=%d seed=%d: execute: %v", id, variant.name, size, seed, err)
-						}
-						// A sharded run's peak is its largest engine's,
-						// the unit the bound is stated in.
-						if res.PeakBufferedNodes > bound {
-							t.Errorf("%s/%s size=%d seed=%d: peak %d exceeds static bound %d (%s, class %s, record %d)",
-								id, variant.name, size, seed, res.PeakBufferedNodes, bound, st.Bound, st.Class, rec)
-						}
-					}
+		for _, size := range sizes {
+			for _, seed := range seeds {
+				input, _, err := cat.gen(xmark.Config{TargetBytes: size, Seed: seed})
+				if err != nil {
+					t.Fatalf("generate: %v", err)
+				}
+				for id, q := range cat.queries {
+					cases = append(cases, boundCase{fmt.Sprintf("%s size=%d seed=%d", id, size, seed), q.Text, cat.format, input})
 				}
 			}
 		}
 	}
+	cases = append(cases, largeRecords()...)
+
+	// ratio is the largest peak per record node over the inputs whose
+	// record outweighs the constant term.
+	var ratio float64
+	for _, c := range cases {
+		plan, err := core.CompileWithOptions(c.query, analysis.Options{})
+		if err != nil {
+			t.Fatalf("%s: compile: %v", c.name, err)
+		}
+		st := plan.Stream
+
+		// The public report must agree with the internal verdict —
+		// gcxd admission control trusts the string form.
+		query := gcx.MustCompile(c.query)
+		if rep := query.Report(); rep.Streamability != st.Class.String() {
+			t.Errorf("%s: report says %q, analyzer says %q", c.name, rep.Streamability, st.Class)
+		}
+		if st.Class == analysis.Unbounded {
+			continue
+		}
+		var rec int64
+		if st.Bound.RecordFactor > 0 {
+			rec = maxRecordNodes(t, c.input, c.format, st.Bound.RecordPath)
+		}
+		bound := st.Bound.Eval(rec)
+
+		for _, variant := range []struct {
+			name  string
+			query *gcx.Query
+			opts  gcx.Options
+		}{
+			{"plain", query, gcx.Options{Format: c.format}},
+			{"noskip", gcx.WithoutSkip(query), gcx.Options{Format: c.format}},
+			{"sharded", query, gcx.Options{Format: c.format, Shards: 4}},
+		} {
+			res, err := variant.query.Execute(strings.NewReader(c.input), io.Discard, variant.opts)
+			if err != nil {
+				t.Fatalf("%s/%s: execute: %v", c.name, variant.name, err)
+			}
+			// A sharded run's peak is its largest engine's,
+			// the unit the bound is stated in.
+			if res.PeakBufferedNodes > bound {
+				t.Errorf("%s/%s: peak %d exceeds static bound %d (%s, class %s, record %d)",
+					c.name, variant.name, res.PeakBufferedNodes, bound, st.Bound, st.Class, rec)
+			}
+			if rec > st.Bound.ConstNodes {
+				ratio = max(ratio, float64(res.PeakBufferedNodes)/float64(rec))
+			}
+		}
+	}
+	t.Logf("largest peak per record node, records above the constant term: %.4f", ratio)
 }
 
 // TestStaticBoundScaling makes the linearity claim concrete for the two
