@@ -114,9 +114,9 @@ func TestPaperExampleWithPrices(t *testing.T) {
 	}
 }
 
-// noSkip compiles src into the reference plan that does not skip: the
+// noSkipPlan compiles src into the reference plan that does not skip: the
 // paper's engine, whose per-token curves the Figure 3 tests assert.
-func noSkip(t *testing.T, src string) *analysis.Plan {
+func noSkipPlan(t *testing.T, src string) *analysis.Plan {
 	t.Helper()
 	plan := *compile(t, src)
 	plan.Automaton = nil
@@ -129,7 +129,7 @@ func noSkip(t *testing.T, src string) *analysis.Plan {
 // next article's open tag overlap).
 func TestFig3bBufferProfile(t *testing.T) {
 	doc := fig3Doc(repeatKinds("article", 9, "book"))
-	_, res, _ := runPlan(t, noSkip(t, PaperQuery), doc, Config{RecordEvery: 1})
+	_, res, _ := runPlan(t, noSkipPlan(t, PaperQuery), doc, Config{RecordEvery: 1})
 	if res.PeakBufferedNodes > 6 {
 		t.Fatalf("Fig 3(b): peak buffered = %d, want <= 6 (bounded oscillation)", res.PeakBufferedNodes)
 	}
@@ -157,7 +157,7 @@ func TestFig3bBufferProfile(t *testing.T) {
 // its close.
 func TestFig3cBufferProfile(t *testing.T) {
 	doc := fig3Doc(repeatKinds("book", 9, "article"))
-	_, res, _ := runPlan(t, noSkip(t, PaperQuery), doc, Config{RecordEvery: 1})
+	_, res, _ := runPlan(t, noSkipPlan(t, PaperQuery), doc, Config{RecordEvery: 1})
 	// The 82nd token is </bib>.
 	atBibClose := res.Series[81]
 	if atBibClose.Token != 82 {
@@ -433,7 +433,7 @@ func TestMultipleSequentialLoops(t *testing.T) {
 // delivered token, so sampling bounds the series size.
 func TestRecordEverySampling(t *testing.T) {
 	doc := fig3Doc(repeatKinds("book", 9, "article"))
-	_, res, _ := runPlan(t, noSkip(t, PaperQuery), doc, Config{RecordEvery: 10})
+	_, res, _ := runPlan(t, noSkipPlan(t, PaperQuery), doc, Config{RecordEvery: 10})
 	if len(res.Series) != 8 {
 		t.Fatalf("sampled %d points, want 8 (82 tokens / 10)", len(res.Series))
 	}
