@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"gcx/internal/analysis"
-	"gcx/internal/baseline"
+	"gcx/internal/dom"
 	"gcx/internal/engine"
 	"gcx/internal/obs"
 	"gcx/internal/stats"
@@ -76,9 +76,9 @@ func Run(ctx context.Context, plan *analysis.Plan, in Input, output io.Writer, c
 		cfg.Timer.Add(obs.PhaseSetup, time.Since(start))
 	}
 	if cfg.Oracle {
-		var dom *stats.Run
-		if dom, err = baseline.RunDOMSource(ctx, plan, src, sink, cfg); dom != nil {
-			*res = *dom
+		var full *stats.Run
+		if full, err = dom.Run(ctx, plan, src, sink, cfg.MaxBufferedNodes); full != nil {
+			*res = *full
 		} else {
 			res = nil
 		}

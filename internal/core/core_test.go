@@ -1,9 +1,12 @@
 package core
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"gcx/internal/engine"
 	"gcx/internal/stats"
@@ -100,6 +103,60 @@ func TestRunSniffsAuto(t *testing.T) {
 		}
 		if got, want := strings.TrimSpace(out.String()), `{"a":["1"]}`; got != want {
 			t.Fatalf("output = %q, want %q (the JSON front end)", got, want)
+		}
+	}
+}
+
+// TestRunSniffsPastLeadingWhitespace: FormatAuto resolves the format the
+// bytes backing resolves whatever the run of leading whitespace and
+// however small the reader's buffer, and a syntax error names the same
+// offset on every backing.
+func TestRunSniffsPastLeadingWhitespace(t *testing.T) {
+	plan, err := Compile(`for $r in /root/record return $r/a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := []struct{ name, doc, want string }{
+		{"xml", `<root><record><a>1</a></record></root>`, `<a>1</a>`},
+		{"json", `{"a":1}`, `{"a":["1"]}`},
+		{"xml-error", `<root><record><a>1</b></record></root>`, ""},
+		{"json-error", `{"a":1,}`, ""},
+	}
+	backings := []struct {
+		name string
+		in   func(data []byte) Input
+	}{
+		{"bytes", func(data []byte) Input { return Input{Data: data} }},
+		{"reader", func(data []byte) Input { return Input{Reader: bytes.NewReader(data)} }},
+		{"bufio16", func(data []byte) Input { return Input{Reader: bufio.NewReaderSize(bytes.NewReader(data), 16)} }},
+		{"onebyte", func(data []byte) Input { return Input{Reader: iotest.OneByteReader(bytes.NewReader(data))} }},
+	}
+	run := func(in Input) string {
+		var out strings.Builder
+		if _, err := Run(context.Background(), plan, in, &out, engine.Config{}, new(stats.Run)); err != nil {
+			return "error: " + err.Error()
+		}
+		return strings.TrimSpace(out.String())
+	}
+	for _, n := range []int{0, 4095, 4096, 4097, 1 << 20} {
+		ws := make([]byte, n)
+		for i := range ws {
+			ws[i] = " \t\r\n"[i%4]
+		}
+		for _, d := range docs {
+			data := append(ws[:n:n], d.doc...)
+			want := run(backings[0].in(data))
+			if d.want != "" && want != d.want {
+				t.Fatalf("%s after %d whitespace bytes on bytes: %q, want %q", d.name, n, want, d.want)
+			}
+			if d.want == "" && !strings.HasPrefix(want, "error: ") {
+				t.Fatalf("%s after %d whitespace bytes on bytes: %q, want an error", d.name, n, want)
+			}
+			for _, b := range backings[1:] {
+				if got := run(b.in(data)); got != want {
+					t.Errorf("%s after %d whitespace bytes on %s: %q, bytes read %q", d.name, n, b.name, got, want)
+				}
+			}
 		}
 	}
 }

@@ -1,7 +1,8 @@
-// Input/output format selection (DESIGN.md §8): the engine itself is
-// format-neutral — it consumes an event.Source and writes an
-// event.Sink — and this file is the single place where a Format value
-// resolves to concrete front ends (internal/xmltok, internal/jsontok).
+// Input/output format selection (DESIGN.md §8): the evaluators are
+// format-neutral — they consume an event.Source and write an
+// event.Sink — and this file resolves a Format value to the source and
+// sink of its front end (internal/xmltok, internal/jsontok).
+// internal/shard picks the splitters.
 package core
 
 import (
@@ -94,11 +95,14 @@ type Input struct {
 }
 
 // Resolved materializes FormatAuto by sniffing the input's first
-// non-whitespace byte: '<' means XML, anything else JSON. A stream is
-// re-wrapped so the sniffed bytes are not consumed. Explicit formats
-// pass through untouched. Empty or whitespace-only input resolves to
-// XML, the historical default; either front end reports its own syntax
-// error on it.
+// non-whitespace byte: '<' means XML, anything else JSON. Explicit
+// formats pass through untouched. Empty or whitespace-only input
+// resolves to XML, the historical default; either front end reports its
+// own syntax error on it. A stream keeps the sniffed byte unread, and
+// however long the leading whitespace, it is read past in bounded
+// memory and replayed as the same number of spaces: both front ends drop
+// whitespace before the first element or value, so tokens and error
+// offsets are those of the original bytes.
 func (in Input) Resolved() Input {
 	if in.Format != FormatAuto {
 		return in
@@ -118,16 +122,33 @@ func (in Input) Resolved() Input {
 		br = bufio.NewReaderSize(in.Reader, 4096)
 	}
 	in.Reader = br
-	for n := 1; ; n++ {
-		b, err := br.Peek(n)
+	var ws int64
+	for {
+		c, err := br.ReadByte()
 		if err != nil {
-			return in
+			break
 		}
-		if f, ok := sniff(b[n-1]); ok {
+		if f, ok := sniff(c); ok {
+			_ = br.UnreadByte() // cannot fail right after a ReadByte
 			in.Format = f
-			return in
+			break
 		}
+		ws++
 	}
+	if ws > 0 {
+		in.Reader = io.MultiReader(io.LimitReader(spaces{}, ws), br)
+	}
+	return in
+}
+
+// spaces is an endless run of ' '.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
 }
 
 // sniff classifies one leading input byte; ok is false for whitespace,

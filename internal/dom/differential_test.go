@@ -1,7 +1,8 @@
-package baseline
+package dom
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -41,7 +42,11 @@ func runAll(t *testing.T, src, doc string) (oracle string, streaming map[string]
 	}
 
 	var out bytes.Buffer
-	if _, err := RunDOM(plan, strings.NewReader(doc), &out); err != nil {
+	tz, sink := xmltok.NewTokenizer(strings.NewReader(doc)), xmltok.NewSerializer(&out)
+	_, err = Run(context.Background(), plan, tz, sink, 0)
+	tz.Release()
+	sink.Release()
+	if err != nil {
 		t.Fatalf("DOM run: %v\nquery: %s\ndoc: %s", err, src, doc)
 	}
 	oracle = out.String()

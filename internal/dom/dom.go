@@ -1,9 +1,16 @@
-// Package dom is the full-buffering substrate for the reference
-// engines of the Fig. 5 comparison: it parses the complete input into an
-// in-memory tree before any evaluation, the strategy of the
-// non-streaming systems the paper compares against (Galax, Saxon,
-// QizX; MonetDB with forced reloads). It also serves as the independent
-// correctness oracle for differential testing of the GCX engine.
+// Package dom is the full-buffering reference engine of the paper's
+// Figure 5 comparison: it parses the complete input into an in-memory
+// tree before any evaluation, the strategy of the non-streaming systems
+// the paper compares against (Galax, Saxon, QizX; MonetDB with forced
+// reloads). The figure's other reference, static projection without
+// dynamic buffer minimization, is the streaming engine with
+// engine.Config.DisableGC.
+//
+// Run evaluates the same normalized query with the same value semantics
+// as the streaming engine, so outputs are byte-identical, which makes
+// it the oracle of the differential tests. It shares no evaluation code
+// with the streaming engine, on purpose, and reads any event.Source, so
+// it knows no input format.
 package dom
 
 import (
@@ -14,7 +21,6 @@ import (
 
 	"gcx/internal/buffer"
 	"gcx/internal/event"
-	"gcx/internal/xmltok"
 	"gcx/internal/xpath"
 )
 
@@ -53,34 +59,14 @@ type Document struct {
 	Tokens int64
 }
 
-// Parse reads the entire stream into a Document.
-func Parse(r io.Reader) (*Document, error) {
-	return ParseContext(context.Background(), r)
-}
-
-// ParseContext reads the entire XML stream into a Document, aborting
-// with ctx.Err() at the first token pulled after ctx is cancelled.
-func ParseContext(ctx context.Context, r io.Reader) (*Document, error) {
-	tz := xmltok.NewTokenizer(r)
-	defer tz.Release()
-	return ParseSource(ctx, tz)
-}
-
-// ParseSource reads an entire event stream into a Document. It is the
-// format-neutral core of Parse: any event.Source (XML tokenizer, JSON
-// tokenizer) can back the DOM baseline. The caller keeps ownership of
-// src and releases it.
-func ParseSource(ctx context.Context, tz event.Source) (*Document, error) {
-	return ParseSourceBudget(ctx, tz, 0)
-}
-
-// ParseSourceBudget is ParseSource under a node budget: the full-
-// buffering baseline's population is the whole document, so a document
-// growing past maxNodes element+text nodes aborts the parse with an
-// error wrapping buffer.ErrBudget instead of buffering the rest.
-// maxNodes 0 means unlimited. Every token is kept, so text from a
-// volatile source is cloned.
-func ParseSourceBudget(ctx context.Context, tz event.Source, maxNodes int64) (*Document, error) {
+// ParseSource reads an entire event stream into a Document under a
+// node budget: the full-buffering engine's population is the whole
+// document, so a document growing past maxNodes element and text nodes
+// aborts the parse with an error wrapping buffer.ErrBudget instead of
+// buffering the rest. maxNodes 0 means unlimited. Every token is kept,
+// so text from a volatile source is cloned. The caller keeps ownership
+// of tz and releases it.
+func ParseSource(ctx context.Context, tz event.Source, maxNodes int64) (*Document, error) {
 	tz.SetContext(ctx)
 	volatile := tz.Volatile()
 	root := &Node{Kind: Root}

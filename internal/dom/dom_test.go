@@ -2,6 +2,7 @@ package dom
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -11,9 +12,15 @@ import (
 
 const testDoc = `<root><a id="1">x<b>y</b></a><a id="2"><b/><c>z</c></a><d><a id="3"/></d></root>`
 
+func parseString(doc string) (*Document, error) {
+	tz := xmltok.NewTokenizer(strings.NewReader(doc))
+	defer tz.Release()
+	return ParseSource(context.Background(), tz, 0)
+}
+
 func parse(t *testing.T, doc string) *Document {
 	t.Helper()
-	d, err := Parse(strings.NewReader(doc))
+	d, err := parseString(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +45,7 @@ func TestParseCounts(t *testing.T) {
 }
 
 func TestParseError(t *testing.T) {
-	if _, err := Parse(strings.NewReader(`<a><b></a>`)); err == nil {
+	if _, err := parseString(`<a><b></a>`); err == nil {
 		t.Fatal("malformed input must error")
 	}
 }

@@ -1,58 +1,29 @@
-// Package baseline implements the DOM reference engine of the paper's
-// Figure 5 comparison: buffer the complete input, then evaluate — the
-// non-streaming class (Galax, Saxon, QizX, MonetDB-with-reload). The
-// figure's other reference, static projection without dynamic buffer
-// minimization (Marian&Siméon projection, FluXQuery without schema
-// knowledge), is the GCX engine itself with engine.Config.DisableGC.
-//
-// The DOM engine evaluates the same normalized query with the same value
-// semantics as the GCX engine, so outputs are byte-identical — which
-// makes it the oracle of the differential property tests. It shares no
-// evaluation code with the streaming engine, on purpose.
-package baseline
+package dom
 
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"gcx/internal/analysis"
-	"gcx/internal/dom"
-	"gcx/internal/engine"
 	"gcx/internal/event"
 	"gcx/internal/stats"
-	"gcx/internal/xmltok"
 	"gcx/internal/xpath"
 	"gcx/internal/xqast"
 	"gcx/internal/xqvalue"
 )
 
-// RunDOM evaluates the plan's normalized query over a fully buffered
-// XML document (convenience wrapper over RunDOMSource for tests and
-// callers with plain readers).
-func RunDOM(plan *analysis.Plan, input io.Reader, output io.Writer) (*stats.Run, error) {
-	src := xmltok.NewTokenizer(input)
-	sink := xmltok.NewSerializer(output)
-	defer src.Release()
-	defer sink.Release()
-	return RunDOMSource(context.Background(), plan, src, sink, engine.Config{})
-}
-
-// RunDOMSource evaluates the plan's normalized query over a fully
-// buffered document read from an arbitrary event source, under a
-// cancellation context: parsing aborts at token-pull boundaries,
-// evaluation between loop iterations. Of cfg it reads MaxBufferedNodes:
-// when positive, it is the node budget of the parse (the DOM engine's
-// buffer population is the whole document); a breach aborts with an
-// error wrapping buffer.ErrBudget. The caller owns src and sink and
+// Run evaluates the plan's normalized query over the document read from
+// src, fully buffered, under a cancellation context: parsing aborts at
+// token-pull boundaries, evaluation between loop iterations. maxNodes
+// is ParseSource's node budget. The caller owns src and out and
 // releases them after the call.
-func RunDOMSource(ctx context.Context, plan *analysis.Plan, src event.Source, out event.Sink, cfg engine.Config) (*stats.Run, error) {
-	doc, err := dom.ParseSourceBudget(ctx, src, cfg.MaxBufferedNodes)
+func Run(ctx context.Context, plan *analysis.Plan, src event.Source, out event.Sink, maxNodes int64) (*stats.Run, error) {
+	doc, err := ParseSource(ctx, src, maxNodes)
 	if err != nil {
 		return nil, err
 	}
 	ev := &domEval{out: out, ctx: ctx}
-	env := map[string]*dom.Node{xqast.RootVar: doc.Root}
+	env := map[string]*Node{xqast.RootVar: doc.Root}
 	if err := ev.eval(plan.Normalized.Body, env); err != nil {
 		return nil, err
 	}
@@ -78,7 +49,7 @@ type domEval struct {
 	ctx context.Context
 }
 
-func (ev *domEval) eval(expr xqast.Expr, env map[string]*dom.Node) error {
+func (ev *domEval) eval(expr xqast.Expr, env map[string]*Node) error {
 	switch expr := expr.(type) {
 	case *xqast.Empty:
 		return nil
@@ -112,7 +83,7 @@ func (ev *domEval) eval(expr xqast.Expr, env map[string]*dom.Node) error {
 		ev.out.EndElement(expr.Name)
 		return nil
 	case *xqast.VarRef:
-		dom.Serialize(env[expr.Var], ev.out)
+		Serialize(env[expr.Var], ev.out)
 		return nil
 	case *xqast.PathExpr:
 		base := env[expr.Base]
@@ -125,17 +96,15 @@ func (ev *domEval) eval(expr xqast.Expr, env map[string]*dom.Node) error {
 			}
 			return nil
 		}
-		for _, n := range dom.Select(base, expr.Path) {
-			dom.Serialize(n, ev.out)
+		for _, n := range Select(base, expr.Path) {
+			Serialize(n, ev.out)
 		}
 		return nil
 	case *xqast.ForExpr:
 		base := env[expr.In.Base]
-		for _, n := range dom.Select(base, expr.In.Path) {
-			if ev.ctx != nil {
-				if err := ev.ctx.Err(); err != nil {
-					return err
-				}
+		for _, n := range Select(base, expr.In.Path) {
+			if err := ev.ctx.Err(); err != nil {
+				return err
 			}
 			env[expr.Var] = n
 			err := ev.eval(expr.Body, env)
@@ -164,20 +133,20 @@ func (ev *domEval) eval(expr xqast.Expr, env map[string]*dom.Node) error {
 		}
 		return nil
 	case *xqast.SignOff:
-		return fmt.Errorf("baseline: sign-offs have no meaning in the DOM engine")
+		return fmt.Errorf("dom: sign-offs have no meaning in the DOM engine")
 	default:
-		return fmt.Errorf("baseline: unknown expression %T", expr)
+		return fmt.Errorf("dom: unknown expression %T", expr)
 	}
 }
 
-func selectElems(base *dom.Node, path xpath.Path) []*dom.Node {
+func selectElems(base *Node, path xpath.Path) []*Node {
 	if path.IsEmpty() {
-		return []*dom.Node{base}
+		return []*Node{base}
 	}
-	return dom.Select(base, path)
+	return Select(base, path)
 }
 
-func (ev *domEval) cond(c xqast.Cond, env map[string]*dom.Node) (bool, error) {
+func (ev *domEval) cond(c xqast.Cond, env map[string]*Node) (bool, error) {
 	switch c := c.(type) {
 	case *xqast.BoolLit:
 		return c.Value, nil
@@ -210,7 +179,7 @@ func (ev *domEval) cond(c xqast.Cond, env map[string]*dom.Node) (bool, error) {
 			}
 			return false, nil
 		}
-		return len(dom.Select(base, c.Arg.Path)) > 0, nil
+		return len(Select(base, c.Arg.Path)) > 0, nil
 	case *xqast.CompareCond:
 		lv, err := ev.operand(c.L, env)
 		if err != nil {
@@ -224,7 +193,7 @@ func (ev *domEval) cond(c xqast.Cond, env map[string]*dom.Node) (bool, error) {
 			c.Op == xqast.CmpLt || c.Op == xqast.CmpLe || c.Op == xqast.CmpGt || c.Op == xqast.CmpGe
 		return xqvalue.ExistsPair(cmpOp(c.Op), lv, rv, numeric), nil
 	default:
-		return false, fmt.Errorf("baseline: unknown condition %T", c)
+		return false, fmt.Errorf("dom: unknown condition %T", c)
 	}
 }
 
@@ -248,7 +217,7 @@ func cmpOp(op xqast.CmpOp) xqvalue.CmpOp {
 
 // pathValues evaluates a path expression to its value sequence,
 // mirroring the streaming engine exactly.
-func (ev *domEval) pathValues(pe xqast.PathExpr, env map[string]*dom.Node) ([]string, error) {
+func (ev *domEval) pathValues(pe xqast.PathExpr, env map[string]*Node) ([]string, error) {
 	base := env[pe.Base]
 	if pe.Path.EndsWithAttribute() {
 		attr := pe.Path.LastStep().Test.Name
@@ -268,7 +237,7 @@ func (ev *domEval) pathValues(pe xqast.PathExpr, env map[string]*dom.Node) ([]st
 	return vals, nil
 }
 
-func (ev *domEval) operand(o xqast.Operand, env map[string]*dom.Node) ([]string, error) {
+func (ev *domEval) operand(o xqast.Operand, env map[string]*Node) ([]string, error) {
 	switch o.Kind {
 	case xqast.OperandString:
 		return []string{o.Str}, nil
@@ -277,6 +246,6 @@ func (ev *domEval) operand(o xqast.Operand, env map[string]*dom.Node) ([]string,
 	case xqast.OperandPath:
 		return ev.pathValues(o.Path, env)
 	default:
-		return nil, fmt.Errorf("baseline: unknown operand kind %d", o.Kind)
+		return nil, fmt.Errorf("dom: unknown operand kind %d", o.Kind)
 	}
 }

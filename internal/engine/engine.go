@@ -33,7 +33,7 @@ import (
 // Config tunes a run. It is the one options record between gcx.Options
 // and the evaluators: internal/core and internal/shard pass it through
 // unchanged. The streaming engine reads all of it; the DOM oracle
-// (internal/baseline) reads MaxBufferedNodes. Whether a run skips
+// (internal/dom) reads MaxBufferedNodes. Whether a run skips
 // subtrees and whether it runs the join operator are the plan's
 // verdicts (analysis.Plan.Automaton, Plan.Join), not settings here.
 type Config struct {

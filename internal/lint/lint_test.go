@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -207,6 +208,34 @@ entries:
 		}
 		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 			t.Errorf("allow-list entry %s names no directory of this module", pkg)
+		}
+	}
+}
+
+// TestAllowListEntriesNeeded: every package eventboundary lets import a
+// tokenizer does so in a non-test file — an entry kept after its
+// package stopped would let the next import back in unnoticed. The
+// tokenizers themselves and gcxperf/rawsplit, which Load skips, are
+// exempt.
+func TestAllowListEntriesNeeded(t *testing.T) {
+	files, err := Load("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	importers := map[string]bool{}
+	for _, f := range files {
+		if f.Test {
+			continue
+		}
+		for _, imp := range f.AST.Imports {
+			if path, err := strconv.Unquote(imp.Path.Value); err == nil && tokenizerPkgs[path] {
+				importers[f.PkgPath] = true
+			}
+		}
+	}
+	for _, pkg := range sortedKeys(tokenizerImporters) {
+		if !tokenizerPkgs[pkg] && pkg != "gcx/gcxperf/rawsplit" && !importers[pkg] {
+			t.Errorf("eventboundary allows %s, whose non-test files import no tokenizer", pkg)
 		}
 	}
 }

@@ -12,13 +12,6 @@ func NewTokenizerWindow(r io.Reader, size int) *Tokenizer {
 	return t
 }
 
-// For the parity test in the external test package (it imports
-// internal/xmark, which reaches this package through internal/schema).
-var (
-	TokenPathEdges = tokenPathEdges
-	SameToken      = sameToken
-)
-
 // DeadNames is a name-set event.Skipper: the elements it names are dead
 // wherever they occur.
 type DeadNames map[string]bool

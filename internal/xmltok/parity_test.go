@@ -1,4 +1,4 @@
-package xmltok_test
+package xmltok
 
 import (
 	"fmt"
@@ -9,19 +9,18 @@ import (
 
 	"gcx/internal/event"
 	"gcx/internal/xmark"
-	"gcx/internal/xmltok"
 )
 
 // tokenRun is everything a consumer can observe of one tokenization.
 type tokenRun struct {
-	toks    []xmltok.Token
+	toks    []Token
 	count   int64
 	skipped event.SkipStats
 	err     string // message and offset; "" at a clean EOF
 }
 
 // runTokens drains tz, with dead installed as its skipper unless nil.
-func runTokens(tz *xmltok.Tokenizer, dead xmltok.DeadNames) tokenRun {
+func runTokens(tz *Tokenizer, dead DeadNames) tokenRun {
 	defer tz.Release()
 	if dead != nil {
 		tz.SetSkipper(dead)
@@ -67,19 +66,19 @@ func TestTokenPathParity(t *testing.T) {
 				backing, len(got.toks), got.count, got.skipped, got.err, len(want.toks), want.count, want.skipped, want.err, name)
 		}
 		for i, w := range want.toks {
-			if g := got.toks[i]; !xmltok.SameToken(g, w) {
+			if g := got.toks[i]; !sameToken(g, w) {
 				t.Fatalf("%s: token %d is %+v, on the bytes backing %+v\ninput: %q", backing, i, g, w, name)
 			}
 		}
 	}
 	// The dead names cover edge-table tags (self-closing, with
 	// attributes, names ending at a window edge) and XMark subtrees.
-	dead := xmltok.DeadNames{"b": true, "d": true, "description": true, "mailbox": true, "bidder": true}
+	dead := DeadNames{"b": true, "d": true, "description": true, "mailbox": true, "bidder": true}
 	for _, n := range []int{12, 28, 59} {
 		dead[strings.Repeat("n", n)] = true
 	}
-	for _, skipper := range []xmltok.DeadNames{nil, dead} {
-		for _, doc := range append([]string{xm}, xmltok.TokenPathEdges...) {
+	for _, skipper := range []DeadNames{nil, dead} {
+		for _, doc := range append([]string{xm}, tokenPathEdges...) {
 			// A short tag can lie whole inside even a 16-byte window, so
 			// each document is also shifted by leading blanks: over the
 			// shifts and sizes every tag is cut by a refill in some run,
@@ -93,20 +92,20 @@ func TestTokenPathParity(t *testing.T) {
 			}
 			for pad := 0; pad < pads; pad++ {
 				doc := strings.Repeat(" ", pad) + doc
-				want := runTokens(xmltok.NewTokenizerBytes([]byte(doc)), skipper)
-				check(doc, "default reader", want, runTokens(xmltok.NewTokenizer(strings.NewReader(doc)), skipper))
-				check(doc, "one-byte reader", want, runTokens(xmltok.NewTokenizer(iotest.OneByteReader(strings.NewReader(doc))), skipper))
+				want := runTokens(NewTokenizerBytes([]byte(doc)), skipper)
+				check(doc, "default reader", want, runTokens(NewTokenizer(strings.NewReader(doc)), skipper))
+				check(doc, "one-byte reader", want, runTokens(NewTokenizer(iotest.OneByteReader(strings.NewReader(doc))), skipper))
 				for size := 16; size < 64; size += step {
-					got := runTokens(xmltok.NewTokenizerWindow(strings.NewReader(doc), size), skipper)
+					got := runTokens(NewTokenizerWindow(strings.NewReader(doc), size), skipper)
 					check(doc, fmt.Sprintf("reader window %d", size), want, got)
 				}
 			}
 		}
 	}
-	if want := runTokens(xmltok.NewTokenizerBytes([]byte(xm)), nil); want.err != "" || want.count < 40_000 {
+	if want := runTokens(NewTokenizerBytes([]byte(xm)), nil); want.err != "" || want.count < 40_000 {
 		t.Fatalf("XMark document: %d tokens, error %q", want.count, want.err)
 	}
-	if want := runTokens(xmltok.NewTokenizerBytes([]byte(xm)), dead); want.err != "" || want.skipped.SubtreesSkipped < 1_000 {
+	if want := runTokens(NewTokenizerBytes([]byte(xm)), dead); want.err != "" || want.skipped.SubtreesSkipped < 1_000 {
 		t.Fatalf("XMark document with a skipper: %+v, error %q", want.skipped, want.err)
 	}
 }

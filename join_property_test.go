@@ -11,26 +11,19 @@ import (
 	"unicode/utf8"
 
 	"gcx"
-	"gcx/internal/analysis"
-	"gcx/internal/baseline"
 	"gcx/internal/xqgen"
-	"gcx/internal/xqparse"
 )
 
-// domOracle runs the DOM baseline engine on the query, independent of
-// the streaming, join and sharded paths under test.
+// domOracle runs the DOM engine on the query, independent of the
+// streaming, join and sharded paths under test.
 func domOracle(t *testing.T, src, doc string) string {
 	t.Helper()
-	q, err := xqparse.Parse(src)
+	q, err := gcx.Compile(src)
 	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, src)
-	}
-	plan, err := analysis.Analyze(q)
-	if err != nil {
-		t.Fatalf("analyze: %v\n%s", err, src)
+		t.Fatalf("compile: %v\n%s", err, src)
 	}
 	var out bytes.Buffer
-	if _, err := baseline.RunDOM(plan, strings.NewReader(doc), &out); err != nil {
+	if _, err := q.Execute(strings.NewReader(doc), &out, gcx.Options{Engine: gcx.EngineDOM, Format: gcx.FormatXML}); err != nil {
 		t.Fatalf("DOM run: %v\nquery: %s\ndoc: %s", err, src, doc)
 	}
 	return out.String()

@@ -6,7 +6,7 @@ package gcx_test
 // analyzer derived at compile time — peak ≤ ConstNodes +
 // RecordFactor·nodes(recordPath) — across input sizes, generator seeds,
 // skip settings, and sharded execution. The record term is measured on
-// the ground truth: the input fully materialized by the DOM baseline.
+// the ground truth: the input fully materialized by the DOM engine.
 
 import (
 	"context"
@@ -36,24 +36,38 @@ func subtreeNodes(n *dom.Node) int64 {
 	return c
 }
 
-// maxRecordNodes measures nodes(recPath) for one input: the node count
-// of the largest subtree matching the bound's record path.
-func maxRecordNodes(t *testing.T, input string, format gcx.Format, recPath xpath.Path) int64 {
+// parseDOM materializes one input as the DOM engine's tree.
+func parseDOM(t *testing.T, input string, format gcx.Format) *dom.Document {
 	t.Helper()
 	src, err := core.NewSourceBytes(format, []byte(input))
 	if err != nil {
 		t.Fatalf("source: %v", err)
 	}
-	doc, err := dom.ParseSource(context.Background(), src)
+	doc, err := dom.ParseSource(context.Background(), src, 0)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
+	return doc
+}
+
+// largestRecord is nodes(recPath) on a parsed input: the node count of
+// the largest subtree matching the bound's record path, 0 when none
+// does.
+func largestRecord(doc *dom.Document, recPath xpath.Path) int64 {
 	var max int64
 	for _, n := range dom.Select(doc.Root, recPath) {
 		if c := subtreeNodes(n); c > max {
 			max = c
 		}
 	}
+	return max
+}
+
+// maxRecordNodes measures nodes(recPath) for one input whose record
+// path matches.
+func maxRecordNodes(t *testing.T, input string, format gcx.Format, recPath xpath.Path) int64 {
+	t.Helper()
+	max := largestRecord(parseDOM(t, input, format), recPath)
 	if max == 0 {
 		t.Fatalf("record path %s matches nothing in the input", recPath.String())
 	}
