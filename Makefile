@@ -10,7 +10,11 @@
 # and ndjson-filter workloads in that form, BenchmarkShardQ6 xml-shard's
 # (sequential and at two shards), BenchmarkStreamQ6 the engine half of
 # serve-stream, BenchmarkJoinQ8 xml-join's query Q8 over 4 MiB without
-# the DOM cells).
+# the DOM cells). Below the engine, `go test -run xxx -bench
+# 'SkipSubtree|Seek' ./internal/xmltok` times the raw scans alone:
+# BenchmarkSkipSubtree the plain skip every dead child takes, and
+# BenchmarkSeek the seek of serve-stream's item bodies against a plain
+# skip of the same bytes.
 # `make profile-allocs BENCH=<regexp>` answers "who allocates": the same
 # benchmarks, 5 iterations with every allocation sampled, then pprof's
 # top 30 by allocated objects (FOCUS=<regexp> keeps only stacks through a
@@ -187,6 +191,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzTokenizer -fuzztime 10s ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzSplitter -fuzztime 10s ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzSkipSubtree -fuzztime 10s ./internal/xmltok
+	$(GO) test -run xxx -fuzz FuzzSeek -fuzztime 10s ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzJSONTokenizer -fuzztime 10s ./internal/jsontok
 	$(GO) test -run xxx -fuzz FuzzJSONSkipSubtree -fuzztime 10s ./internal/jsontok
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s ./internal/xqparse

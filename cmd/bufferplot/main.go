@@ -9,7 +9,10 @@
 //	bufferplot -fig 3c          # 9×book + 1×article (Fig. 3(c))
 //	bufferplot -fig 4a -size 10MB   # XMark Q6 (Fig. 4(a))
 //	bufferplot -fig 4b -size 10MB   # XMark Q8 (Fig. 4(b))
-//	bufferplot -q query.xq -i doc.xml -every 100   # custom
+//
+// Figure 3 samples every token, Figure 4 every 200th. A plot of any
+// other query and document is `gcx -plot N`, which writes the same
+// series to stderr.
 package main
 
 import (
@@ -35,13 +38,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bufferplot", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		fig       = fs.String("fig", "", "paper figure to regenerate: 3b, 3c, 4a or 4b")
-		queryFile = fs.String("q", "", "custom query file")
-		inputFile = fs.String("i", "", "custom input document")
-		size      = fs.String("size", "10MB", "XMark document size for figures 4a/4b")
-		seed      = fs.Int64("seed", 1, "XMark generator seed")
-		every     = fs.Int64("every", 0, "sampling interval in tokens (default: 1 for fig 3, 200 for fig 4)")
-		svgOut    = fs.String("svg", "", "also render the plot as an SVG image to this file")
+		fig    = fs.String("fig", "", "paper figure to regenerate: 3b, 3c, 4a or 4b")
+		size   = fs.String("size", "10MB", "XMark document size for figures 4a/4b")
+		seed   = fs.Int64("seed", 1, "XMark generator seed")
+		svgOut = fs.String("svg", "", "also render the plot as an SVG image to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -59,13 +59,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var querySrc, doc string
+	every := int64(1)
 	switch *fig {
 	case "3b":
 		querySrc, doc = xmark.PaperQuery, xmark.BibDocument(xmark.Fig3bKinds())
-		setDefault(every, 1)
 	case "3c":
 		querySrc, doc = xmark.PaperQuery, xmark.BibDocument(xmark.Fig3cKinds())
-		setDefault(every, 1)
 	case "4a", "4b":
 		bytes, err := sizeparse.Parse(*size)
 		if err != nil {
@@ -81,21 +80,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		} else {
 			querySrc = xmark.Queries["Q8"].Text
 		}
-		setDefault(every, 200)
+		every = 200
 	case "":
-		if *queryFile == "" || *inputFile == "" {
-			return usage("need -fig, or both -q and -i")
-		}
-		qdata, err := os.ReadFile(*queryFile)
-		if err != nil {
-			return fail(err)
-		}
-		ddata, err := os.ReadFile(*inputFile)
-		if err != nil {
-			return fail(err)
-		}
-		querySrc, doc = string(qdata), string(ddata)
-		setDefault(every, 1)
+		return usage("need -fig (a plot of another query is gcx -plot)")
 	default:
 		return usage(fmt.Sprintf("unknown figure %q (want 3b, 3c, 4a or 4b)", *fig))
 	}
@@ -104,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	_, res, err := q.ExecuteString(doc, gcx.Options{RecordEvery: *every})
+	_, res, err := q.ExecuteString(doc, gcx.Options{RecordEvery: every})
 	if err != nil {
 		return fail(err)
 	}
@@ -116,12 +103,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		title := "GCX buffer plot"
-		if *fig != "" {
-			title = "Figure " + *fig
-		}
 		err = plotsvg.Render(f, plotsvg.Config{
-			Title:  title,
+			Title:  "Figure " + *fig,
 			XLabel: "number of tokens delivered",
 			YLabel: "number of XML nodes buffered",
 		}, plotsvg.Series{Points: res.Series})
@@ -136,10 +119,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		res.TokensProcessed, res.PeakBufferedNodes,
 		float64(res.PeakBufferedBytes)/1024, res.FinalBufferedNodes)
 	return 0
-}
-
-func setDefault(p *int64, v int64) {
-	if *p == 0 {
-		*p = v
-	}
 }

@@ -80,13 +80,14 @@ func TestSVG(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: an unknown figure or a custom plot without both -q
-// and -i is a usage error.
+// TestUsageErrors: an unknown figure or none is a usage error, and so
+// are the flags of the former custom plot, -q, -i and -every, whose
+// work is gcx -plot's.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-fig", "5"},
-		{"-q", "query.xq"},
-		{"-i", "doc.xml"},
+		{"-q", "query.xq", "-i", "doc.xml"},
+		{"-fig", "3b", "-every", "10"},
 		{},
 		{"-nope"},
 	} {

@@ -95,24 +95,47 @@ type SkipStats struct {
 	SubtreesSkipped int64
 }
 
-// Skipper is the dead-child test a Source consults before it delivers a
+// Verdict is a Skipper's answer about one child element.
+type Verdict uint8
+
+const (
+	// Live: the Source delivers the child.
+	Live Verdict = iota
+	// Dead: nothing at or below the child can match. The Source
+	// fast-forwards past it as SkipSubtree would and delivers none of
+	// it.
+	Dead
+	// Seek: only a start tag below the child named in the sought set
+	// can match, or change anything else. A Source that can raw-scan
+	// for one (xmltok) passes over everything before it: if there is
+	// none, the child is dropped as a dead one is; if there is, the
+	// Source delivers the child, then the open elements between it and
+	// that tag — unasked, with their attributes — then asks about the
+	// tag as about any child. After the tag closes, later children are
+	// asked again. A Source that cannot (jsontok) takes Seek as Live.
+	Seek
+)
+
+// Skipper is the child test a Source consults before it delivers a
 // StartElement (DESIGN.md §7): the preprojector, answering from its
 // items.
 //
 // A Source may ask about one child more than once, and an answer may be
 // followed by no StartElement at all: jsontok asks at an array's '[',
 // for the whole array, and again at each item, and an empty array
-// delivers none. So no answer commits anything: the Skipper answers a
-// repeated question as it answered the first, and only the delivery of
-// the StartElement makes a live answer take effect. A dead answer is
-// final (the child, or the whole array, is skipped), so a child whose
-// delivery would change the Skipper's state — a first-witness latch its
-// match flips — is alive.
+// delivers none; a Seek that finds no sought tag delivers none either.
+// So no answer commits anything: the Skipper answers a repeated
+// question as it answered the first, and only the delivery of the
+// StartElement makes a live or seek answer take effect. A dead answer
+// is final (the child, or the whole array, is skipped), so a child
+// whose delivery would change the Skipper's state — a first-witness
+// latch its match flips — is alive.
 type Skipper interface {
-	// Dead reports whether a child element named name of the innermost
-	// open element is dead: nothing at or below it can match. Each call
-	// is about the StartElement the Source is about to deliver or drop.
-	Dead(name string) bool
+	// Child answers about a child element named name of the innermost
+	// open element, the StartElement the Source is about to deliver or
+	// drop: one question per start tag. With Seek, sought is the set of
+	// names sought below the child, valid until the next call.
+	Child(name string) (v Verdict, sought []string)
 }
 
 // Source is a pull-based producer of tree events — the format boundary
@@ -134,8 +157,9 @@ type Source interface {
 	// Next or SkipSubtree has returned one, Next returns it again.
 	//
 	// With a Skipper installed, Next asks it about every StartElement
-	// before delivering it; a dead one is fast-forwarded as SkipSubtree
-	// would and never delivered, and Next goes on to the event after it.
+	// before delivering it, but for those a seek delivers unasked (see
+	// Seek); a dead one is fast-forwarded as SkipSubtree would and never
+	// delivered, and Next goes on to the event after it.
 	Next() (Token, error)
 	// SkipSubtree fast-forwards past the subtree of the StartElement
 	// most recently returned by Next, without producing its events: the
@@ -143,7 +167,7 @@ type Source interface {
 	// It must only be called immediately after Next returned a
 	// StartElement.
 	SkipSubtree() error
-	// SetSkipper installs the dead-child test Next consults; nil removes
+	// SetSkipper installs the child test Next consults; nil removes
 	// it. Release removes it too, so a pooled Source keeps no consumer
 	// alive.
 	SetSkipper(s Skipper)
@@ -152,7 +176,9 @@ type Source interface {
 	// included, do not count.
 	TokenCount() int64
 	// SkipStats reports the byte-level skip counters: those of
-	// SkipSubtree calls and of the dead children Next dropped.
+	// SkipSubtree calls, of the dead children Next dropped and of the
+	// bytes and tags its seeks passed over. A seek that found nothing
+	// counts as one skipped subtree.
 	SkipStats() SkipStats
 	// Volatile reports, once for the whole stream, whether Text views
 	// expire at the next pull (see above).

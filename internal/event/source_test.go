@@ -153,7 +153,12 @@ func without(stream []string, start int) []string {
 // wherever they occur.
 type deadNames map[string]bool
 
-func (d deadNames) Dead(name string) bool { return d[name] }
+func (d deadNames) Child(name string) (event.Verdict, []string) {
+	if d[name] {
+		return event.Dead, nil
+	}
+	return event.Live, nil
+}
 
 // skipRun is what a consumer observes of a stream drained with a
 // skipper installed.
@@ -164,9 +169,23 @@ type skipRun struct {
 	err     error
 }
 
+// seekNames is a name-set Skipper that seeks: the children it names
+// are sought with the set sought wherever they occur, the rest live.
+type seekNames struct {
+	seek   map[string]bool
+	sought []string
+}
+
+func (s seekNames) Child(name string) (event.Verdict, []string) {
+	if s.seek[name] {
+		return event.Seek, s.sought
+	}
+	return event.Live, nil
+}
+
 // pullDead drains src with dead as its skipper, checking on the way that
 // TokenCount is the number of tokens Next has delivered.
-func pullDead(t *testing.T, src event.Source, dead deadNames) skipRun {
+func pullDead(t *testing.T, src event.Source, dead event.Skipper) skipRun {
 	t.Helper()
 	defer src.Release()
 	src.SetSkipper(dead)
@@ -280,6 +299,47 @@ func TestSourceContract(t *testing.T) {
 					}
 					if got := pullDead(t, s.open(s.doc, chunk), c.dead); fmt.Sprint(got) != fmt.Sprint(want) {
 						t.Errorf("dead %v, %d-byte reads: %+v\nslice backing: %+v", c.dead, chunk, got, want)
+					}
+				}
+			}
+
+			// With a seeking skipper, XML passes over everything in a sought
+			// child before the first start tag of the set, delivering the
+			// open elements on the way, and drops a child that holds none
+			// as a dead one; JSON delivers a sought child as a live one.
+			// The counters are the slice backing's at every window size.
+			for _, c := range []struct {
+				seek     seekNames
+				want     string
+				subtrees int64
+			}{
+				{seekNames{map[string]bool{"record": true}, []string{"c"}}, `<root> <record> <b> <c> x </c> <c> y </c> </b> <d> 2 </d> </record> </root>`, 1},
+				{seekNames{map[string]bool{"root": true}, []string{"d", "x"}}, `<root> <record> <d> 2 </d> </record> <record> <a> 3 </a> </record> </root>`, 0},
+				{seekNames{map[string]bool{"root": true}, []string{"zzz"}}, ``, 1},
+			} {
+				want := pullDead(t, ref.open(ref.doc, 0), c.seek)
+				stream, subtrees := strings.Fields(c.want), c.subtrees
+				if !xml {
+					stream, subtrees = wantStream, 0
+				}
+				if want.err != io.EOF || fmt.Sprint(want.stream) != fmt.Sprint(stream) {
+					t.Errorf("seek %v: %v, %v\nwant %s, EOF", c.seek, want.stream, want.err, stream)
+				}
+				tags := want.skipped.TagsSkipped
+				for _, w := range want.stream {
+					if strings.HasPrefix(w, "<") {
+						tags++
+					}
+				}
+				if xml && tags != 18 || want.skipped.SubtreesSkipped != subtrees || !xml && want.skipped != (event.SkipStats{}) {
+					t.Errorf("seek %v: %d element tags delivered or skipped of 18, SkipStats %+v", c.seek, tags, want.skipped)
+				}
+				for chunk := range 64 {
+					if chunk > 1 && chunk < 16 {
+						continue
+					}
+					if got := pullDead(t, s.open(s.doc, chunk), c.seek); fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Errorf("seek %v, %d-byte reads: %+v\nslice backing: %+v", c.seek, chunk, got, want)
 					}
 				}
 			}

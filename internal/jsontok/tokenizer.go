@@ -284,8 +284,8 @@ func (t *Tokenizer) SetContext(ctx context.Context) {
 	}
 }
 
-// SetSkipper installs the dead-child test Next consults before it
-// delivers a StartElement; nil removes it.
+// SetSkipper installs the child test Next consults before it delivers
+// a StartElement; nil removes it.
 func (t *Tokenizer) SetSkipper(s event.Skipper) { t.skipper = s }
 
 // Release returns the tokenizer's buffers to the pool. The tokenizer
@@ -435,11 +435,15 @@ func (t *Tokenizer) Next() (event.Token, error) {
 				t.scalarPending, t.name = true, name
 			}
 		}
-		if t.skipper != nil && t.skipper.Dead(name) {
-			if err := t.skipDead(array); err != nil {
-				return t.fail(err)
+		if t.skipper != nil {
+			// A Seek answer is delivered as Live: no raw scan here looks
+			// for a sought member.
+			if v, _ := t.skipper.Child(name); v == event.Dead {
+				if err := t.skipDead(array); err != nil {
+					return t.fail(err)
+				}
+				continue
 			}
-			continue
 		}
 		if array {
 			continue // its items are the elements

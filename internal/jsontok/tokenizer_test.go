@@ -593,7 +593,12 @@ func TestReleaseDropsLargeScratch(t *testing.T) {
 // wherever they occur.
 type deadNames map[string]bool
 
-func (d deadNames) Dead(name string) bool { return d[name] }
+func (d deadNames) Child(name string) (event.Verdict, []string) {
+	if d[name] {
+		return event.Dead, nil
+	}
+	return event.Live, nil
+}
 
 // TestReleaseDropsSkipper: the skipper is a run's preprojector, and
 // through it the run's whole buffer, so neither a released tokenizer

@@ -4,7 +4,7 @@
 // nodes — annotated with roles — into the buffer. Unmatched tokens are
 // discarded on the fly, with a lookahead of one token. With skipping on
 // (EnableSkipping) even that lookahead is not paid for a dead child:
-// the preprojector is the source's event.Skipper, and Dead is the one
+// the preprojector is the source's event.Skipper, and Child is the one
 // place a child is found dead — it would carry no item, complete no
 // role and flip no latch — so the source raw-skips it before it becomes
 // a token; only live elements arrive here.
@@ -98,14 +98,17 @@ type Preprojector struct {
 
 	// child is the frame of the StartElement the source delivers next,
 	// and done the roles it completes, as open computed them. pending
-	// marks a live answer of Dead not yet delivered: startElement pushes
-	// the frame, and the next Dead or an endElement drops it. flips are
+	// marks a live or seek answer of Child not yet delivered:
+	// startElement pushes the frame, and the next Child, text or
+	// endElement drops it. flips are
 	// the parent-side first-witness latches child's matches set;
 	// startElement applies them, so an undelivered child changes
 	// nothing.
 	child   frame
 	pending bool
 	flips   []int32
+	// sought is the name set of the last Seek answer (Child).
+	sought []string
 
 	// done is the per-token completion scratch, reused across tokens so
 	// completing a role costs no allocation.
@@ -181,6 +184,7 @@ func (p *Preprojector) Reset(src event.Source, buf *buffer.Buffer, rolePaths []x
 		steps:     append(p.steps[:0], make([][]xpath.Step, len(rolePaths))...),
 		stack:     p.stack[:0],
 		flips:     p.flips[:0],
+		sought:    p.sought[:0],
 		done:      completion{counts: p.done.counts[:0], roles: p.done.roles[:0]},
 		latches:   p.latches[:0],
 		itemsFree: p.itemsFree,
@@ -232,10 +236,12 @@ func (p *Preprojector) Release() {
 	clear(p.stack[:cap(p.stack)])
 	clear(p.steps[:cap(p.steps)])
 	clear(p.fwd.nested[:cap(p.fwd.nested)])
+	clear(p.sought[:cap(p.sought)])
 	*p = Preprojector{
 		steps:     p.steps[:0],
 		stack:     cursor.Scratch(p.stack),
 		flips:     cursor.Scratch(p.flips),
+		sought:    cursor.Scratch(p.sought),
 		done:      completion{counts: cursor.Scratch(p.done.counts), roles: cursor.Scratch(p.done.roles)},
 		latches:   cursor.Scratch(p.latches),
 		itemsFree: free,
@@ -268,34 +274,64 @@ func (p *Preprojector) EnableSkipping(a *xpath.Automaton) {
 	p.src.SetSkipper(p)
 }
 
-// Dead implements event.Skipper for a child named name of the innermost
-// open frame: it runs the child's item matching, and the child is dead
-// when it would carry no item, complete no role and flip no first-witness
-// latch. Nothing at or below such a child can match, and skipping it
-// changes no matcher state. A child whose only effect is a latch flip
-// (d under $a/*[1]/self::c) is alive: the flip must happen, and a dead
-// answer may not commit it, because jsontok asks at an array's '[' and
-// an empty array has no element to flip anything. Its own children carry
-// no items and go dead one level down.
+// Child implements event.Skipper for a child named name of the
+// innermost open frame: it runs the child's item matching. The child is
+// dead when it would carry no item, complete no role and flip no
+// first-witness latch. Nothing at or below such a child can match, and
+// skipping it changes no matcher state. A child whose only effect is a
+// latch flip (d under $a/*[1]/self::c) is alive: the flip must happen,
+// and a dead answer may not commit it, because jsontok asks at an
+// array's '[' and an empty array has no element to flip anything. Its
+// own children carry no items and go dead one level down.
 //
-// For a live child the frame open computed stays pending for
+// A child that is not dead only because of descendant steps is sought
+// (DESIGN.md §7, "Seeking below descendant steps"): it completes no
+// role, flips no latch, lies outside every forwarded match (Forward),
+// and each of its items sits at a descendant or descendant-or-self step
+// with a name test. Inside it only an element named by one of those
+// steps can match, and until one does its frame, and every frame below
+// it, carries just these items again, so the answer is Seek with their
+// names. Neither text nor the elements a seek passes over could have
+// matched anything. A forwarded match writes every token below it to
+// the sink, so no seek starts there; outside the matches a Forward
+// changes nothing a seek passes over, since a match the seek would
+// reach completes a role, which takes an item with the match's name.
+//
+// For a live or sought child the frame open computed stays pending for
 // startElement. It committed nothing, so when the source asks again
 // before delivering the child — jsontok asks at an array's '[' and
-// again at its first item — Dead drops it and computes the same frame.
-// A dead answer is final, so it commits the child to the frame's run
+// again at its first item — Child drops it and computes the same frame;
+// a seek that finds nothing leaves it for the next token to drop. A
+// dead answer is final, so it commits the child to the frame's run
 // state; when that ends a watched run, the decider decides there.
-func (p *Preprojector) Dead(name string) bool {
+func (p *Preprojector) Child(name string) (event.Verdict, []string) {
 	p.drop()
 	p.open(name)
 	p.pending = true
-	if len(p.child.items) == 0 && len(p.done.roles) == 0 && len(p.flips) == 0 {
+	if len(p.done.roles) != 0 || len(p.flips) != 0 {
+		return event.Live, nil
+	}
+	if len(p.child.items) == 0 {
 		p.drop()
 		if len(p.runNames) != 0 && p.commit(name) && p.decider != nil {
 			p.decider.RunEnded()
 		}
-		return true
+		return event.Dead, nil
 	}
-	return false
+	if p.stack[len(p.stack)-1].take > 0 {
+		return event.Live, nil
+	}
+	p.sought = p.sought[:0]
+	for _, it := range p.child.items {
+		step := p.steps[it.role][it.step]
+		if step.Axis != xpath.Descendant && step.Axis != xpath.DescendantOrSelf || step.Test.Kind != xpath.TestName {
+			return event.Live, nil
+		}
+		if !slices.Contains(p.sought, step.Test.Name) {
+			p.sought = append(p.sought, step.Test.Name)
+		}
+	}
+	return event.Seek, p.sought
 }
 
 // WatchRuns has the preprojector keep the run state of every frame's
@@ -671,9 +707,9 @@ func (c *completion) reset() {
 }
 
 // startElement pushes the frame of a delivered StartElement. With
-// skipping on, the source has asked Dead about it, which computed the
-// frame; a source without a skipper (a recording run) asked nobody, so
-// the frame is computed here.
+// skipping on, the source has asked Child about it, which computed the
+// frame; a source without a skipper asked nobody, and a seek delivers
+// its chain unasked, so then the frame is computed here.
 func (p *Preprojector) startElement(tok event.Token) {
 	if !p.pending {
 		p.open(tok.Name)
@@ -793,8 +829,8 @@ func (p *Preprojector) advance(nf *frame, it item, done *completion) {
 }
 
 func (p *Preprojector) endElement() {
-	// A live child that never came: an empty JSON array, asked about at
-	// its '['.
+	// A live child that never came — an empty JSON array, asked about at
+	// its '[' — or a sought one whose seek found nothing.
 	p.drop()
 	top := p.stack[len(p.stack)-1]
 	p.stack = p.stack[:len(p.stack)-1]
@@ -817,6 +853,8 @@ func (p *Preprojector) endElement() {
 }
 
 func (p *Preprojector) text(tok event.Token) {
+	// A sought child whose seek found nothing.
+	p.drop()
 	top := &p.stack[len(p.stack)-1]
 	done := &p.done
 	done.reset()

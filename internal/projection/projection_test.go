@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gcx/internal/buffer"
+	"gcx/internal/event"
 	"gcx/internal/xmltok"
 	"gcx/internal/xpath"
 )
@@ -390,33 +391,38 @@ func TestPrune(t *testing.T) {
 	mustPanic("a queued sign-off of the role inside the base", func() { p.Prune(book, 4) })
 	p, buf = start(true, 2)
 	book = findChild(findChild(buf.Root, "bib", 0), "book", 0)
-	p.Dead("title")
+	p.Child("title")
 	mustPanic("a pending child frame", func() { p.Prune(book, 4) })
 }
 
 // deadRecorder is the source's Skipper in TestDead: it asks the
 // preprojector and records each answer with the child's element path,
-// "+" for alive and "-" for dead.
+// "+" for alive, "-" for dead and "~" for sought, followed by the sought
+// names in braces.
 type deadRecorder struct {
 	p   *Preprojector
 	got []string
 }
 
-func (r *deadRecorder) Dead(name string) bool {
-	dead := r.p.Dead(name)
+func (r *deadRecorder) Child(name string) (event.Verdict, []string) {
+	v, sought := r.p.Child(name)
 	path := name
 	for i := len(r.p.stack) - 1; i > 0; i-- {
 		path = r.p.stack[i].name + "/" + path
 	}
-	mark := "+"
-	if dead {
-		mark = "-"
+	switch v {
+	case event.Live:
+		path = "+" + path
+	case event.Dead:
+		path = "-" + path
+	case event.Seek:
+		path = "~" + path + "{" + strings.Join(sought, ",") + "}"
 	}
-	r.got = append(r.got, mark+path)
-	return dead
+	r.got = append(r.got, path)
+	return v, sought
 }
 
-// TestDead pins Dead's verdict on every start tag the tokenizer asks
+// TestDead pins Child's verdict on every start tag the tokenizer asks
 // about, for the path sets of the paper's projection shapes. A dead
 // child is skipped, so nothing below it is asked.
 func TestDead(t *testing.T) {
@@ -456,12 +462,44 @@ func TestDead(t *testing.T) {
 		doc:   `<other><site/></other>`,
 		want:  "-other",
 	}, {
-		// /site/regions//item keeps the whole regions subtree alive, at
-		// any depth, and lets the sibling people section go dead.
-		name:  "descendant item keeps regions",
+		// /site/regions//item seeks item in regions: x, y and z are
+		// passed over, africa arrives unasked on the way to the item, and
+		// the sibling people section goes dead.
+		name:  "descendant name seeks",
 		roles: paths(steps{c("site"), c("regions"), desc("item")}),
 		doc:   `<site><people><person/></people><regions><africa><x><y><z/></y></x><item/></africa></regions></site>`,
-		want:  "+site -site/people +site/regions +site/regions/africa +site/regions/africa/x +site/regions/africa/x/y +site/regions/africa/x/y/z +site/regions/africa/item",
+		want:  "+site -site/people ~site/regions{item} +site/regions/africa/item",
+	}, {
+		// Nested descendant steps: r is sought for a, x arrives unasked,
+		// and the match a is sought again, for a and b.
+		name:  "nested descendant names",
+		roles: paths(steps{c("r"), desc("a"), desc("b")}),
+		doc:   `<r><x><a><y><b/></y></a></x></r>`,
+		want:  "~r{a} ~r/x/a{a,b} +r/x/a/y/b",
+	}, {
+		// /r//item[1]: the seek stops at the first item, whose latch flip
+		// makes it alive and the second item dead.
+		name:  "descendant first witness",
+		roles: paths(steps{c("r"), {Axis: xpath.Descendant, Test: xpath.Test{Kind: xpath.TestName, Name: "item"}, FirstOnly: true}}),
+		doc:   `<r><x><y/><item/></x><item/></r>`,
+		want:  "~r{item} +r/x/item -r/item",
+	}, {
+		// //* matches every element, so a frame that carries it is live.
+		name:  "descendant wildcard",
+		roles: paths(steps{c("a"), {Axis: xpath.Descendant, Test: xpath.Test{Kind: xpath.TestWildcard}}, desc("b")}),
+		doc:   `<a><x><y/></x></a>`,
+		want:  "+a +a/x +a/x/y",
+	}, {
+		name:  "descendant text",
+		roles: paths(steps{c("a"), {Axis: xpath.Descendant, Test: xpath.Test{Kind: xpath.TestText}}}),
+		doc:   `<a><x>t</x></a>`,
+		want:  "+a +a/x",
+	}, {
+		// /a/descendant-or-self::node()/c: node() matches every element.
+		name:  "descendant-or-self node",
+		roles: paths(steps{c("a"), xpath.DescendantOrSelfNodeStep(), c("c")}),
+		doc:   `<a><x><c/></x></a>`,
+		want:  "+a +a/x +a/x/c",
 	}, {
 		// /a/b/descendant-or-self::node(), the output-role shape.
 		name:  "descendant-or-self output tail",
@@ -510,4 +548,34 @@ func TestDead(t *testing.T) {
 			}
 		})
 	}
+
+	// An active Forward: below the forwarded match b every child
+	// completes the output role and is live, and the written tokens
+	// reach the sink; x, outside every match, is sought as without it.
+	t.Run("forward", func(t *testing.T) {
+		tok := xmltok.NewTokenizer(strings.NewReader(`<r><x><y/></x><b><x><y/></x></b></r>`))
+		buf := buffer.New()
+		p := New(tok, buf, paths(steps{c("r")}, steps{c("r"), desc("b"), xpath.DescendantOrSelfNodeStep()}))
+		p.EnableSkipping(&xpath.Automaton{})
+		rec := &deadRecorder{p: p}
+		tok.SetSkipper(rec)
+		if _, err := p.Step(); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		sink := xmltok.NewSerializer(&out)
+		p.Forward(findChild(buf.Root, "r", 0), xpath.Path{Steps: steps{desc("b")}}, 1, sink)
+		if err := p.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := strings.Join(rec.got, " "), "+r ~r/x{b} +r/b +r/b/x +r/b/x/y"; got != want {
+			t.Errorf("answers\n got %s\nwant %s", got, want)
+		}
+		if got, want := out.String(), "<b><x><y></y></x></b>"; got != want {
+			t.Errorf("forwarded %q, want %q", got, want)
+		}
+	})
 }

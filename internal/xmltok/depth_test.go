@@ -71,7 +71,8 @@ func walkSkippingAt(doc string, fixed bool, skipAt int) error {
 	}
 }
 
-// TestDepthCeiling: nesting of exactly event.MaxDepth is accepted, one
+// TestDepthCeiling: nesting of exactly event.MaxDepth is accepted, with
+// a comment, a PI and a CDATA section in the deepest element too; one
 // level more is a SyntaxError naming the ceiling — also when the last
 // element is self-closing — and a million unclosed levels fail the same
 // way having allocated next to nothing: the open-element stacks never
@@ -79,6 +80,8 @@ func walkSkippingAt(doc string, fixed bool, skipAt int) error {
 func TestDepthCeiling(t *testing.T) {
 	nested := func(n int) string { return strings.Repeat("<a>", n) + strings.Repeat("</a>", n) }
 	atLimit := nested(event.MaxDepth)
+	// Markup that opens no element is no level deeper.
+	markupAtLimit := strings.Repeat("<a>", event.MaxDepth) + "<!-- c --><?p?><![CDATA[x]]>" + strings.Repeat("</a>", event.MaxDepth)
 	over := nested(event.MaxDepth + 1)
 	overEmpty := strings.Repeat("<a>", event.MaxDepth) + "<a/>" + strings.Repeat("</a>", event.MaxDepth)
 	hostile := strings.Repeat("<a>", 1<<20)
@@ -89,8 +92,10 @@ func TestDepthCeiling(t *testing.T) {
 				name = p.name + "/bytes"
 			}
 			t.Run(name, func(t *testing.T) {
-				if err := p.run(atLimit, fixed); err != nil {
-					t.Errorf("depth %d rejected: %v", event.MaxDepth, err)
+				for _, doc := range []string{atLimit, markupAtLimit} {
+					if err := p.run(doc, fixed); err != nil {
+						t.Errorf("depth %d rejected: %v", event.MaxDepth, err)
+					}
 				}
 				for _, doc := range []string{over, overEmpty} {
 					var se *SyntaxError

@@ -1,6 +1,10 @@
 package xmltok
 
-import "io"
+import (
+	"io"
+
+	"gcx/internal/event"
+)
 
 // NewTokenizerWindow is NewTokenizer with a reader window of size bytes
 // instead of the 64 KiB default: a window of a few dozen bytes puts a
@@ -16,4 +20,9 @@ func NewTokenizerWindow(r io.Reader, size int) *Tokenizer {
 // wherever they occur.
 type DeadNames map[string]bool
 
-func (d DeadNames) Dead(name string) bool { return d[name] }
+func (d DeadNames) Child(name string) (event.Verdict, []string) {
+	if d[name] {
+		return event.Dead, nil
+	}
+	return event.Live, nil
+}

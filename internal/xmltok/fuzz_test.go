@@ -2,6 +2,7 @@ package xmltok
 
 import (
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -326,6 +327,240 @@ func FuzzSkipSubtree(f *testing.F) {
 			}
 		}
 	})
+}
+
+// seekOnce is FuzzSeek's skipper: it answers Seek with sought for the
+// at-th question and Live for every other.
+type seekOnce struct {
+	at, asked int
+	sought    []string
+}
+
+func (s *seekOnce) Child(string) (event.Verdict, []string) {
+	s.asked++
+	if s.asked-1 == s.at {
+		return event.Seek, s.sought
+	}
+	return event.Live, nil
+}
+
+// FuzzSeek pins the seek (DESIGN.md §7, "Seeking below descendant
+// steps") against full tokenization, on random documents and random
+// sought sets: a subset of the document's element names, picked by the
+// bits of pick, and extra. The at-th start tag is answered Seek, every
+// other Live. If the element holds a start tag named in the set, the
+// stream must be the full one without the tokens between the element's
+// start tag and the first such tag, but for the start tags of the
+// elements still open there — the chain, with its attributes — and
+// bytes_skipped must be the distance from the element's start tag to
+// that tag's '<'. If it holds none, the element must be dropped as
+// SkipSubtree drops it. With thenSkip set, the consumer calls
+// SkipSubtree on the element as soon as it is delivered, which must
+// land after its end as without the seek. The bytes backing and a
+// 16–63-byte reader
+// window must agree on everything, errors included; errors are
+// one-sided, as in FuzzSkipSubtree.
+func FuzzSeek(f *testing.F) {
+	seeds := []string{
+		`<a><b><c/></b></a>`,
+		`<a x="1"><skel1 k="v"><skel2 q='&amp;&#x41;'><c/></skel2></skel1><c>t</c></a>`,
+		`<r><a><x><a><b>1</b></a></x><b>2</b></a><b/></r>`,
+		`<site><regions><africa><item id="i1"><name>n</name><description><item/></description></item></africa></regions></site>`,
+		`<a><!-- <c> --><?pi <c/>?><![CDATA[<c>]]><b q="<c>" r='>'><c/></b></a>`,
+		`<a><b><bb/><b/></b></a>`,
+		`<a>` + strings.Repeat("t", 13) + `<bbbbbbbbbbbbbbbbbbbb k="v"><c/></bbbbbbbbbbbbbbbbbbbb></a>`,
+		`<a><b><c x="1"`,
+		`<a><b x="&bogus;"><c/></b></a>`,
+		`<a><b x="1"y="2"><c/></b></a>`,
+	}
+	for _, s := range seeds {
+		f.Add(s, uint8(0), uint8(0), "c", uint8(0), false)
+		f.Add(s, uint8(0), uint8(0), "c", uint8(0), true)
+		f.Add(s, uint8(0), uint8(0xff), "c", uint8(0), false)
+		f.Add(s, uint8(1), uint8(0x04), "", uint8(69), false)
+	}
+	f.Fuzz(func(t *testing.T, doc string, at, pick uint8, extra string, sizeSeed uint8, thenSkip bool) {
+		keepWS := sizeSeed&64 != 0
+		// Reference: full tokenization, with the offset after each token.
+		var full []Token
+		var after []int64
+		accepted := true
+		ref := NewTokenizerBytes([]byte(doc))
+		ref.KeepWhitespace = keepWS
+		for {
+			tok, err := ref.Next()
+			if err != nil {
+				accepted = err == io.EOF
+				break
+			}
+			full = append(full, tok)
+			after = append(after, ref.cur.Offset())
+			if len(full) > len(doc)+16 {
+				t.Fatal("runaway reference tokenizer")
+			}
+		}
+		ref.Release()
+
+		var starts []int
+		var sought []string
+		for i, tok := range full {
+			if tok.Kind != StartElement {
+				continue
+			}
+			starts = append(starts, i)
+			if !slices.Contains(sought, tok.Name) {
+				sought = append(sought, tok.Name)
+			}
+		}
+		if accepted && len(starts) == 0 {
+			return
+		}
+		held := 0
+		if len(starts) > 0 {
+			held = int(at) % len(starts)
+		}
+		sought = slices.DeleteFunc(sought, func(string) bool { pick = pick>>1 | pick<<7; return pick&1 == 0 })
+		if extra != "" {
+			sought = append(sought, extra)
+		}
+		if len(sought) == 0 {
+			return // a skipper never answers Seek with nothing to seek
+		}
+
+		type result struct {
+			toks    []Token
+			count   int64
+			skipped event.SkipStats
+			err     string
+		}
+		run := func(tz *Tokenizer) (r result) {
+			defer tz.Release()
+			tz.KeepWhitespace = keepWS
+			seeker := &seekOnce{at: held, sought: sought}
+			tz.SetSkipper(seeker)
+			for skip := thenSkip; ; {
+				tok, err := tz.Next()
+				if err == nil && skip && seeker.asked > held {
+					// The first token after the seek is the element if the
+					// seek found a sought tag.
+					if skip = false; seeker.asked == held+1 && tok.Kind == StartElement {
+						err = tz.SkipSubtree()
+					}
+				}
+				if err != nil {
+					if err != io.EOF {
+						r.err = err.Error()
+					}
+					r.count, r.skipped = tz.TokenCount(), tz.SkipStats()
+					return r
+				}
+				r.toks = append(r.toks, tok.Clone())
+				if len(r.toks) > len(doc)+16 {
+					t.Fatal("runaway seeking tokenizer")
+				}
+			}
+		}
+		b := run(NewTokenizerBytes([]byte(doc)))
+		w := run(NewTokenizerWindow(strings.NewReader(doc), 16+int(sizeSeed)%48))
+		if b.err != w.err || b.count != w.count || b.skipped != w.skipped || len(b.toks) != len(w.toks) {
+			t.Fatalf("bytes and window disagree: %d tokens, count %d, %+v, %q; window %d, %d, %+v, %q\ninput: %q seek@%d %q",
+				len(b.toks), b.count, b.skipped, b.err, len(w.toks), w.count, w.skipped, w.err, doc, held, sought)
+		}
+		for i := range b.toks {
+			if !sameToken(b.toks[i], w.toks[i]) {
+				t.Fatalf("token %d: bytes %+v window %+v\ninput: %q seek@%d %q", i, b.toks[i], w.toks[i], doc, held, sought)
+			}
+		}
+		if !accepted {
+			return // superset acceptance carries no stream obligations
+		}
+		if b.err != "" {
+			t.Fatalf("seeking run rejected an accepted document: %s\ninput: %q seek@%d %q", b.err, doc, held, sought)
+		}
+
+		// Expected: h is the seeked element's start tag, e its end tag,
+		// m the first sought start tag between them (or e), chain the
+		// start tags open at m.
+		h := starts[held]
+		e, m := h+1, -1
+		var chain []int
+		for depth := 1; ; e++ {
+			switch tok := full[e]; tok.Kind {
+			case StartElement:
+				if m < 0 && slices.Contains(sought, tok.Name) {
+					m = e
+				}
+				if m < 0 {
+					chain = append(chain, e)
+				}
+				depth++
+			case EndElement:
+				if m < 0 && len(chain) > 0 {
+					chain = chain[:len(chain)-1]
+				}
+				depth--
+			}
+			if depth == 0 {
+				break
+			}
+		}
+		tags := func(toks []Token) (n int64) {
+			for _, tok := range toks {
+				if tok.Kind != Text {
+					n++
+				}
+			}
+			return n
+		}
+		want := append([]Token{}, full[:h]...)
+		var skipped event.SkipStats
+		switch {
+		case m < 0:
+			want = append(want, full[e+1:]...)
+			skipped = event.SkipStats{BytesSkipped: after[e] - after[h], TagsSkipped: tags(full[h : e+1]), SubtreesSkipped: 1}
+		case thenSkip:
+			want = append(append(want, full[h]), full[e+1:]...)
+			skipped = event.SkipStats{BytesSkipped: after[e] - after[h], TagsSkipped: tags(full[h+1 : e+1]), SubtreesSkipped: 1}
+		default:
+			want = append(want, full[h])
+			for _, c := range chain {
+				want = append(want, full[c])
+			}
+			want = append(want, full[m:]...)
+			lt := startTagAt(doc, after[m-1])
+			skipped = event.SkipStats{BytesSkipped: lt - after[h], TagsSkipped: tags(full[h+1:m]) - int64(len(chain))}
+		}
+		if b.skipped != skipped || b.count != int64(len(want)) || len(b.toks) != len(want) {
+			t.Fatalf("got %d tokens, count %d, %+v; want %d, %+v\ninput: %q seek@%d %q\ngot:  %+v\nwant: %+v",
+				len(b.toks), b.count, b.skipped, len(want), skipped, doc, held, sought, b.toks, want)
+		}
+		for i := range want {
+			if !sameToken(b.toks[i], want[i]) {
+				t.Fatalf("token %d: got %+v want %+v\ninput: %q seek@%d %q", i, b.toks[i], want[i], doc, held, sought)
+			}
+		}
+	})
+}
+
+// startTagAt returns the offset of the '<' of the first start tag of
+// the accepted document doc at or after off, where no token but one
+// start tag follows: only character data, comments, PIs and
+// declarations lie before it.
+func startTagAt(doc string, off int64) int64 {
+	p := int(off)
+	for {
+		p += strings.IndexByte(doc[p:], '<')
+		switch rest := doc[p:]; {
+		case strings.HasPrefix(rest, "<!--"):
+			p += 4 + strings.Index(rest[4:], "-->") + 3
+		case strings.HasPrefix(rest, "<?"):
+			p += 2 + strings.Index(rest[2:], "?>") + 2
+		case strings.HasPrefix(rest, "<!"):
+			p += 2 + strings.IndexByte(rest[2:], '>') + 1
+		default:
+			return int64(p)
+		}
+	}
 }
 
 // FuzzBytesReaderParity is the cursor-parity target: a slice-backed

@@ -40,13 +40,19 @@ type rawScanner struct {
 	ctxDone <-chan struct{}
 
 	// tag is scratch for tag bodies spanning window boundaries; nameBuf
-	// and nameLen are skipElement's open-element stack, names stored
-	// back to back (no allocations, no interning). All three keep their
-	// growth so repeated scans amortize, up to cursor.MaxScratch across
-	// a pooled Tokenizer's Release.
+	// and nameLen are skipElement's and seekElement's open-element
+	// stack, names stored back to back (no allocations, no interning);
+	// restBuf and restEnd are a seek's stack of the open tags' attribute
+	// bytes (keep). All keep their growth so repeated scans amortize, up
+	// to cursor.MaxScratch across a pooled Tokenizer's Release.
 	tag     []byte
 	nameBuf []byte
 	nameLen []int
+	restBuf []byte
+	restEnd []int
+	// soughtAt is the input offset of the '<' of the start tag the last
+	// seek stopped at.
+	soughtAt int64
 
 	// tags counts the element tokens skipElement passed over: start and
 	// end tags, self-closing tags counting as two.
@@ -91,9 +97,10 @@ const (
 // It is the only loop that walks nested tags without building tokens:
 // Tokenizer.SkipSubtree discards what it covers, the Splitter skips
 // off-path subtrees with it and keeps (Mark/Take) the ones that are
-// records. Tag imbalance and truncated input are reported as the
-// Tokenizer would report them; the context is polled once per cursor
-// block, so cancellation latency does not depend on the backing.
+// records; seekElement is its variant for a seek. Tag imbalance and
+// truncated input are reported as the Tokenizer would report them; the
+// context is polled once per cursor block, so cancellation latency does
+// not depend on the backing.
 //
 // The loop takes one block snapshot and parses plain start/end tags
 // lying entirely inside it — the overwhelming majority in dense markup
@@ -206,6 +213,10 @@ func (rs *rawScanner) skipElement(name []byte, depth int) error {
 					return rs.leave(nb, nl, tags, err)
 				}
 				w, end = nil, 0
+				if kind == noTag {
+					pos = end
+					continue // it opens nothing, so it sits at no depth
+				}
 			}
 			// Errors and the final end tag are reported with the cursor
 			// just past the tag's '>', where markup leaves it.
@@ -239,10 +250,169 @@ func (rs *rawScanner) skipElement(name []byte, depth int) error {
 	}
 }
 
-// leave hands skipElement's locals back to the scanner.
+// leave hands skipElement's and seekElement's locals back to the
+// scanner.
 func (rs *rawScanner) leave(nb []byte, nl []int, tags int64, err error) error {
 	rs.nameBuf, rs.nameLen, rs.tags = nb, nl, tags
 	return err
+}
+
+// seekElement is skipElement's variant for a seek (DESIGN.md §7,
+// "Seeking below descendant steps"): it walks the element whose start
+// tag <name ...> has just been consumed as skipElement does, but stops
+// at the first start tag below it named in sought, consumed, and
+// returns that tag's kind, openTag or emptyTag. Then the element, the
+// open elements between it and that tag (the chain) and the tag itself
+// are on the name stack, the attribute bytes of all but the element on
+// the rest stack (keep), and soughtAt is the offset of the tag's '<'. A
+// seek that meets no such tag ends where skipElement ends and returns
+// noTag. It stops at the same tag on every backing and window size,
+// and a sought tag that would sit deeper than event.MaxDepth is the
+// depth error, not a stop. Keeping its own loop leaves skipElement's,
+// which every plain skip and the Splitter run, without a test per tag.
+func (rs *rawScanner) seekElement(name []byte, depth int, sought []string) (tagKind, error) {
+	nb := append(rs.nameBuf[:0], name...)
+	nl := append(rs.nameLen[:0], len(name))
+	rs.restBuf, rs.restEnd = rs.restBuf[:0], append(rs.restEnd[:0], 0) // the element's own tag is not kept
+	tags := rs.tags
+	room := event.MaxDepth - depth + 1 // the most names nl may hold
+	for {
+		if err := rs.poll(); err != nil {
+			return noTag, rs.leave(nb, nl, tags, err)
+		}
+		if err := rs.cur.Fill(); err != nil {
+			return noTag, rs.leave(nb, nl, tags, rs.errf("unexpected end of input inside <%s>", nb[len(nb)-nl[len(nl)-1]:]))
+		}
+		w := rs.cur.Block()
+		pos := 0
+		for pos < len(w) {
+			if w[pos] != '<' {
+				i := bytes.IndexByte(w[pos:], '<')
+				if i < 0 {
+					pos = len(w)
+					break
+				}
+				pos += i
+			}
+			kind, nameAt := openTag, pos+1
+			if nameAt < len(w) && w[nameAt] == '/' {
+				kind, nameAt = closeTag, nameAt+1
+				ln := nl[len(nl)-1]
+				if e := nameAt + ln; e < len(w) && w[e] == '>' &&
+					string(nb[len(nb)-ln:]) == string(w[nameAt:e]) {
+					tags++
+					nb, nl = nb[:len(nb)-ln], nl[:len(nl)-1]
+					pos = e + 1
+					if len(nl) == 0 {
+						rs.cur.Advance(pos)
+						return noTag, rs.leave(nb, nl, tags, nil)
+					}
+					continue
+				}
+			}
+			n := scanName(w[nameAt:])
+			tagName := w[nameAt : nameAt+n]
+			end := nameAt + n
+			inBlock := n > 0 && end < len(w)
+			if inBlock {
+				switch c := w[end]; {
+				case c == '>':
+					end++
+				case isWSByte(c):
+					gt := bytes.IndexByte(w[end:], '>')
+					if gt < 0 || scanQuotes(0, w[end:end+gt]) != 0 {
+						inBlock = false
+						break
+					}
+					rest := w[end : end+gt]
+					end += gt + 1
+					if kind == closeTag && !allWhitespace(rest) {
+						rs.cur.Advance(end)
+						return noTag, rs.leave(nb, nl, tags, rs.errf("malformed end tag </%s", tagName))
+					}
+					if kind == openTag && rest[gt-1] == '/' {
+						kind = emptyTag
+					}
+				case c == '/' && kind == openTag && end+1 < len(w) && w[end+1] == '>':
+					kind = emptyTag
+					end += 2
+				default:
+					inBlock = false
+				}
+			}
+			// rest is what follows a start tag's name up to its '>' (or
+			// "/>"), and at the offset of its '<'.
+			var rest []byte
+			at := rs.cur.Offset() + int64(pos)
+			if inBlock {
+				rest = w[nameAt+n : end-1]
+			} else {
+				rs.cur.Advance(pos + 1)
+				var body []byte
+				var err error
+				if kind, tagName, body, err = rs.markup(); err != nil {
+					return noTag, rs.leave(nb, nl, tags, err)
+				}
+				w, end = nil, 0
+				if kind == noTag {
+					pos = end
+					continue
+				}
+				rest = body[len(tagName):]
+			}
+			if kind != closeTag && len(nl) >= room {
+				rs.cur.Advance(end)
+				return noTag, rs.leave(nb, nl, tags, rs.errf(tooDeep, event.MaxDepth))
+			}
+			if kind != closeTag && rs.keep(len(nl), kind, tagName, rest, sought, at) {
+				rs.cur.Advance(end)
+				return kind, rs.leave(append(nb, tagName...), append(nl, len(tagName)), tags, nil)
+			}
+			switch kind {
+			case openTag:
+				tags++
+				nb = append(nb, tagName...)
+				nl = append(nl, len(tagName))
+			case emptyTag:
+				tags += 2
+			case closeTag:
+				tags++
+				ln := nl[len(nl)-1]
+				if top := nb[len(nb)-ln:]; string(top) != string(tagName) {
+					rs.cur.Advance(end)
+					return noTag, rs.leave(nb, nl, tags, rs.errf("mismatched </%s>, expected </%s>", tagName, top))
+				}
+				nb, nl = nb[:len(nb)-ln], nl[:len(nl)-1]
+				if len(nl) == 0 {
+					rs.cur.Advance(end)
+					return noTag, rs.leave(nb, nl, tags, nil)
+				}
+			}
+			pos = end
+		}
+		rs.cur.Advance(pos)
+	}
+}
+
+// keep is seekElement's step at a start tag of the given kind whose
+// '<' is at offset at, which would be the d-th element on the name
+// stack: it keeps rest, what follows the name up to the tag's '>' (or
+// "/>"), as the d-th entry of the rest stack — restBuf holds the
+// entries back to back, restEnd[i] is where the i-th ends — and
+// reports whether name is sought, noting at in soughtAt if so.
+func (rs *rawScanner) keep(d int, kind tagKind, name, rest []byte, sought []string, at int64) bool {
+	if kind == emptyTag {
+		rest = rest[:len(rest)-1] // the '/'
+	}
+	rs.restBuf = append(rs.restBuf[:rs.restEnd[d-1]], rest...)
+	rs.restEnd = append(rs.restEnd[:d], len(rs.restBuf))
+	for _, s := range sought {
+		if string(name) == s {
+			rs.soughtAt = at
+			return true
+		}
+	}
+	return false
 }
 
 // markup consumes one markup construct with the cursor standing just

@@ -53,6 +53,13 @@ type Tokenizer struct {
 	// delivers it (SetSkipper).
 	skipper event.Skipper
 
+	// queue holds the start tags a seek stopped at (queueChain), of
+	// which Next delivers queue[head] next: the chain unasked, the last
+	// one, self-closing when queueEmpty is set, as a start tag just read.
+	queue      []Token
+	head       int
+	queueEmpty bool
+
 	count    int64
 	started  bool
 	released bool
@@ -113,6 +120,7 @@ func (t *Tokenizer) reset() {
 	t.ctxDone = nil
 	t.KeepWhitespace = false
 	t.skipper = nil
+	t.queue, t.head = t.queue[:0], 0
 	t.count = 0
 	t.started = false
 	t.released = false
@@ -137,8 +145,10 @@ func (t *Tokenizer) Release() {
 	clear(rest) // an abandoned fast accept may have written there
 	t.attrChunk = rest[:0]
 	// The skipper is the run's preprojector, and through it the run's
-	// whole buffer.
+	// whole buffer. The queue, no longer than event.MaxDepth, is kept
+	// without the tokens' names and attributes.
 	t.skipper = nil
+	clear(t.queue[:cap(t.queue)])
 	// One huge text node, tag or skipped name must not pin its scratch
 	// in the pool for every later run.
 	if cap(t.textBuf) > cursor.MaxScratch {
@@ -149,6 +159,9 @@ func (t *Tokenizer) Release() {
 	}
 	if cap(t.nameBuf) > cursor.MaxScratch {
 		t.nameBuf, t.nameLen = nil, nil
+	}
+	if cap(t.restBuf) > cursor.MaxScratch {
+		t.restBuf = nil
 	}
 	tokenizerPool.Put(t)
 }
@@ -165,8 +178,9 @@ func (*Tokenizer) Runs() bool { return false }
 // the x-axis of the paper's buffer plots ("number of tokens processed").
 func (t *Tokenizer) TokenCount() int64 { return t.count }
 
-// Depth reports the current element nesting depth (number of open tags).
-func (t *Tokenizer) Depth() int { return len(t.stack) }
+// Depth reports the current element nesting depth: the open elements
+// delivered, not those a seek has queued.
+func (t *Tokenizer) Depth() int { return len(t.stack) - (len(t.queue) - t.head) }
 
 // Next returns the next token of the stream. At end of input it returns
 // io.EOF; if the input ends with unclosed elements, a SyntaxError is
@@ -186,7 +200,9 @@ func (t *Tokenizer) Depth() int { return len(t.stack) }
 //
 // Both shapes hand a start tag to one check before it is delivered: a
 // child the skipper finds dead is dropped there (dropDead) and the loop
-// reads on.
+// reads on, and one it answers Seek for is seeked (seekChild): dropped
+// too, or delivered with the start tags the seek stopped at queued
+// behind it.
 func (t *Tokenizer) Next() (Token, error) {
 	if t.err != nil {
 		return Token{}, t.err
@@ -204,8 +220,14 @@ func (t *Tokenizer) Next() (Token, error) {
 		// tok is a local so that both shapes build their tokens straight
 		// into the result.
 		var tok Token
-		w := t.cur.Window()
-		if len(w) > 2 && w[0] == '<' {
+		if t.head < len(t.queue) {
+			tok = t.queue[t.head]
+			if t.head++; t.head < len(t.queue) {
+				t.count++ // a chain element
+				return tok, nil
+			}
+			t.emptyOpen = t.queueEmpty
+		} else if w := t.cur.Window(); len(w) > 2 && w[0] == '<' {
 			if w[1] == '/' {
 				// One bounded compare against the name that must close
 				// next settles a well-formed end tag: no name scan, no
@@ -240,11 +262,20 @@ func (t *Tokenizer) Next() (Token, error) {
 				continue
 			}
 		}
-		if tok.Kind == StartElement && t.skipper != nil && t.skipper.Dead(tok.Name) {
-			if err := t.dropDead(tok.Attrs); err != nil {
-				return Token{}, err
+		if tok.Kind == StartElement && t.skipper != nil {
+			switch v, sought := t.skipper.Child(tok.Name); v {
+			case event.Dead:
+				if err := t.dropDead(tok.Attrs); err != nil {
+					return Token{}, err
+				}
+				continue
+			case event.Seek:
+				if found, err := t.seekChild(tok.Attrs, sought); err != nil {
+					return Token{}, err
+				} else if !found {
+					continue
+				}
 			}
-			continue
 		}
 		t.count++
 		return tok, nil

@@ -4,6 +4,9 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"gcx/internal/event"
+	"gcx/internal/xmark"
 )
 
 // BenchmarkTokenizerWhitespace regression-benches the whitespace fast
@@ -120,4 +123,62 @@ func BenchmarkSkipSubtree(b *testing.B) {
 			tz.Release()
 		}
 	})
+}
+
+// bodySkipper answers as a run of XMark Q6 does: the item bodies'
+// elements get body, Dead or Seek for item, the sections beside the
+// regions are dead, and the rest is live.
+type bodySkipper struct {
+	body, other map[string]bool
+	v           event.Verdict
+}
+
+func (s bodySkipper) Child(name string) (event.Verdict, []string) {
+	switch {
+	case s.body[name]:
+		return s.v, []string{"item"}
+	case s.other[name]:
+		return event.Dead, nil
+	}
+	return event.Live, nil
+}
+
+// BenchmarkSeek times a seek (DESIGN.md §7, "Seeking below descendant
+// steps") against a plain skip over the same bytes: 16 MiB of XMark
+// whose item bodies — everything in an item but its name — are found
+// dead (skip, through SkipSubtree's loop) or sought for item, of which
+// they hold none (seek). Both deliver the same tokens. Besides
+// BenchmarkSkipSubtree, which times the plain skip alone, it shows what
+// a seek adds to the scan.
+func BenchmarkSeek(b *testing.B) {
+	doc, _, err := xmark.GenerateString(xmark.Config{TargetBytes: 16 << 20, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := []byte(doc)
+	body := map[string]bool{"location": true, "quantity": true, "payment": true, "description": true, "shipping": true, "incategory": true, "mailbox": true}
+	other := map[string]bool{"categories": true, "catgraph": true, "people": true, "open_auctions": true, "closed_auctions": true}
+	for _, mode := range []struct {
+		name string
+		v    event.Verdict
+	}{{"skip", event.Dead}, {"seek", event.Seek}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for range b.N {
+				tz := NewTokenizerBytes(data)
+				tz.SetSkipper(bodySkipper{body, other, mode.v})
+				for {
+					_, err := tz.Next()
+					if err == io.EOF {
+						break
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+				tz.Release()
+			}
+		})
+	}
 }
