@@ -100,10 +100,9 @@ type Preprojector struct {
 	// and done the roles it completes, as open computed them. pending
 	// marks a live or seek answer of Child not yet delivered:
 	// startElement pushes the frame, and the next Child, text or
-	// endElement drops it. flips are
-	// the parent-side first-witness latches child's matches set;
-	// startElement applies them, so an undelivered child changes
-	// nothing.
+	// endElement drops it. flips are the parent-side first-witness
+	// latches child's matches set; startElement applies them, so an
+	// undelivered child changes nothing.
 	child   frame
 	pending bool
 	flips   []int32
