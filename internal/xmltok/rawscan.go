@@ -94,10 +94,10 @@ const (
 // skipElement consumes the rest of an element whose start tag <name ...>
 // has just been consumed, through its matching end tag, landing exactly
 // where full tokenization would land after that element's EndElement.
-// It is the only loop that walks nested tags without building tokens:
-// Tokenizer.SkipSubtree discards what it covers, the Splitter skips
-// off-path subtrees with it and keeps (Mark/Take) the ones that are
-// records; seekElement is its variant for a seek. Tag imbalance and
+// It and its variant for a seek, seekElement, are the only loops that
+// walk nested tags without building tokens: Tokenizer.SkipSubtree
+// discards what it covers, the Splitter skips off-path subtrees with it
+// and keeps (Mark/Take) the ones that are records. Tag imbalance and
 // truncated input are reported as the Tokenizer would report them; the
 // context is polled once per cursor block, so cancellation latency does
 // not depend on the backing.
