@@ -216,18 +216,15 @@ func (t *Tokenizer) Next() (Token, error) {
 		t.count++
 		return Token{Kind: EndElement, Name: t.pop()}, nil
 	}
+	if t.head < len(t.queue) {
+		return t.dequeue()
+	}
 	for {
 		// tok is a local so that both shapes build their tokens straight
 		// into the result.
 		var tok Token
-		if t.head < len(t.queue) {
-			tok = t.queue[t.head]
-			if t.head++; t.head < len(t.queue) {
-				t.count++ // a chain element
-				return tok, nil
-			}
-			t.emptyOpen = t.queueEmpty
-		} else if w := t.cur.Window(); len(w) > 2 && w[0] == '<' {
+		w := t.cur.Window()
+		if len(w) > 2 && w[0] == '<' {
 			if w[1] == '/' {
 				// One bounded compare against the name that must close
 				// next settles a well-formed end tag: no name scan, no
@@ -263,23 +260,45 @@ func (t *Tokenizer) Next() (Token, error) {
 			}
 		}
 		if tok.Kind == StartElement && t.skipper != nil {
-			switch v, sought := t.skipper.Child(tok.Name); v {
-			case event.Dead:
-				if err := t.dropDead(tok.Attrs); err != nil {
-					return Token{}, err
-				}
+			if keep, err := t.ask(tok); err != nil {
+				return Token{}, err
+			} else if !keep {
 				continue
-			case event.Seek:
-				if found, err := t.seekChild(tok.Attrs, sought); err != nil {
-					return Token{}, err
-				} else if !found {
-					continue
-				}
 			}
 		}
 		t.count++
 		return tok, nil
 	}
+}
+
+// ask consults the skipper about the start tag tok just read and acts
+// on the answer: a dead child is dropped (dropDead), a sought one
+// seeked (seekChild). It reports whether tok is still to be delivered.
+func (t *Tokenizer) ask(tok Token) (bool, error) {
+	switch v, sought := t.skipper.Child(tok.Name); v {
+	case event.Dead:
+		return false, t.dropDead(tok.Attrs)
+	case event.Seek:
+		return t.seekChild(tok.Attrs, sought)
+	}
+	return true, nil
+}
+
+// dequeue delivers the next start tag a seek queued (queueChain): a
+// chain element as it is, the sought tag, the last, as a start tag just
+// read, asked about first. Next reads on if that one is dropped.
+func (t *Tokenizer) dequeue() (Token, error) {
+	tok := t.queue[t.head]
+	if t.head++; t.head == len(t.queue) {
+		t.emptyOpen = t.queueEmpty
+		if keep, err := t.ask(tok); err != nil {
+			return Token{}, err
+		} else if !keep {
+			return t.Next()
+		}
+	}
+	t.count++
+	return tok, nil
 }
 
 // pop closes the innermost open element and returns its name.
