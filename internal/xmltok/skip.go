@@ -211,15 +211,12 @@ func (t *Tokenizer) attrValue(raw []byte) (string, error) {
 		t.textBuf = append(t.textBuf, raw[:j]...)
 		raw = raw[j+1:]
 		k := bytes.IndexByte(raw, ';')
-		switch {
-		case k < 0:
+		if k < 0 {
 			return "", t.errf("unterminated entity reference")
-		case k > 12:
-			return "", t.errf("entity reference too long")
 		}
-		r, ok := resolveEntityBytes(raw[:k])
-		if !ok {
-			return "", t.errf("unknown entity &%s;", raw[:k])
+		r, err := t.entity(raw[:k])
+		if err != nil {
+			return "", err
 		}
 		t.textBuf = append(t.textBuf, r...)
 		raw = raw[k+1:]

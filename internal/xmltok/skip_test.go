@@ -2,6 +2,7 @@ package xmltok
 
 import (
 	"context"
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -286,6 +287,39 @@ func checkSkipAt(t *testing.T, doc string, full []Token, at int) {
 	for i := range want {
 		if !sameToken(got[i], want[i]) {
 			t.Fatalf("doc %q skip@%d token %d: got %+v want %+v", doc, at, i, got[i], want[i])
+		}
+	}
+}
+
+// TestSeekEntityErrors: a seek resolves the references in the attribute
+// values of the chain and of the sought tag by readEntity's rules, so a
+// bad reference fails with the message full tokenization gives.
+func TestSeekEntityErrors(t *testing.T) {
+	for _, ref := range []string{"&#zz;", "&#;", "&bogus;", "&abcdefghijklm;"} {
+		for _, doc := range []string{
+			`<a><b x="` + ref + `"><c/></b></a>`,
+			`<a><c x="` + ref + `"/></a>`,
+		} {
+			msg := func(tz *Tokenizer) string {
+				defer tz.Release()
+				for {
+					_, err := tz.Next()
+					var se *SyntaxError
+					if errors.As(err, &se) {
+						return se.Msg
+					}
+					if err != nil {
+						return err.Error()
+					}
+				}
+			}
+			want := msg(NewTokenizerBytes([]byte(doc)))
+			for _, tz := range []*Tokenizer{NewTokenizerBytes([]byte(doc)), NewTokenizerWindow(strings.NewReader(doc), 16)} {
+				tz.SetSkipper(&seekOnce{sought: []string{"c"}})
+				if got := msg(tz); got != want {
+					t.Errorf("%s: seeking fails with %q, full tokenization with %q", doc, got, want)
+				}
+			}
 		}
 	}
 }

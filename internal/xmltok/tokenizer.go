@@ -698,14 +698,17 @@ func allWhitespaceString(s string) bool {
 	return true
 }
 
+// maxEntityName is the longest reference name between '&' and ';'.
+const maxEntityName = 12
+
 // readEntity resolves an entity reference after '&' has been consumed.
 // The reference name is collected into a fixed scratch and resolved
 // without intermediate allocations (built-ins and character references
 // in the ASCII range are the overwhelmingly common cases).
 func (t *Tokenizer) readEntity() (string, error) {
-	var name [13]byte
+	var name [maxEntityName + 1]byte
 	n := 0
-	for {
+	for n < len(name) {
 		b, err := t.cur.Byte()
 		if err != nil {
 			return "", t.errf("unterminated entity reference")
@@ -713,19 +716,26 @@ func (t *Tokenizer) readEntity() (string, error) {
 		if b == ';' {
 			break
 		}
-		if n >= 12 {
-			return "", t.errf("entity reference too long")
-		}
 		name[n] = b
 		n++
 	}
-	r, ok := resolveEntityBytes(name[:n])
+	return t.entity(name[:n])
+}
+
+// entity resolves the reference name between '&' and ';' for readEntity
+// and for a seek's attribute values, so both apply one length limit and
+// word their errors alike. A name longer than maxEntityName is too long.
+func (t *Tokenizer) entity(name []byte) (string, error) {
+	if len(name) > maxEntityName {
+		return "", t.errf("entity reference too long")
+	}
+	r, ok := resolveEntityBytes(name)
 	if !ok {
 		// Copy the name out of the scratch for the error message; the
-		// conversion keeps the array itself off the heap on the hot
+		// conversion keeps readEntity's array off the heap on the hot
 		// (error-free) path.
-		s := string(name[:n])
-		if n > 0 && name[0] == '#' {
+		s := string(name)
+		if len(name) > 0 && name[0] == '#' {
 			return "", t.errf("malformed character reference &%s;", s)
 		}
 		return "", t.errf("unknown entity &%s;", s)
