@@ -185,7 +185,8 @@ loc:
 # fuzz-smoke is the one list of fuzz targets; ci.yml calls it, so a new
 # target is added here and nowhere else.
 # FuzzSkipParity's and FuzzDecisionParity's inputs are whole queries and
-# documents: minimizing each new one for the default 60 s would use up
+# documents, and FuzzRecordFilter's include a record larger than one
+# cursor block: minimizing each new one for the default 60 s would use up
 # the smoke's time, so their minimization stops after 100 runs.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzTokenizer -fuzztime 10s ./internal/xmltok
@@ -194,6 +195,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzSeek -fuzztime 10s ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzJSONTokenizer -fuzztime 10s ./internal/jsontok
 	$(GO) test -run xxx -fuzz FuzzJSONSkipSubtree -fuzztime 10s ./internal/jsontok
+	$(GO) test -run xxx -fuzz FuzzRecordFilter -fuzztime 10s -fuzzminimizetime 100x ./internal/jsontok
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s ./internal/xqparse
 	$(GO) test -run xxx -fuzz FuzzStreamBound -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzJoinKeys -fuzztime 10s .

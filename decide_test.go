@@ -106,11 +106,15 @@ func TestRepeatedKey(t *testing.T) {
 	}
 }
 
-// TestDecisionPeakJ1 pins J1's decision at the end of bidder's run
-// (DESIGN.md §3, "Decision timing"): a rejected record's amount is
-// pruned before the source asks about it, so every record buffers only
-// itself, its bidder and the bidder's text — three nodes, four with
-// the /root element — and an accepted one streams its amount.
+// TestDecisionPeakJ1 pins J1's two decisions (DESIGN.md §3, "Decision
+// timing"). A record the source reads whole is rejected from its bytes,
+// with no token and no node, so the run appends the /root element and
+// each accepted record's three nodes: itself, its bidder and the
+// bidder's text (its amount streams). A record the source leaves to the
+// token path — here every one, as its seller key holds an escape — is
+// decided at the end of bidder's run: a rejected one's amount is pruned
+// before the source asks about it, so every record buffers three nodes,
+// four with /root. Both peak at 4.
 func TestDecisionPeakJ1(t *testing.T) {
 	q := gcx.MustCompile(xmark.NDJSONQueries["J1"].Text)
 	for _, mib := range []int64{1, 4} {
@@ -118,14 +122,24 @@ func TestDecisionPeakJ1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range backings[:2] {
-			_, res, err := b.run(q, doc, gcx.Options{Format: gcx.FormatNDJSON})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.PeakBufferedNodes != 4 || res.TotalAppended != 3*int64(st.Items)+1 {
-				t.Errorf("%d MiB, %s: peak %d, %d nodes appended over %d records; want peak 4 and 3 per record + 1",
-					mib, b.name, res.PeakBufferedNodes, res.TotalAppended, st.Items)
+		accepted := int64(strings.Count(doc, `"bidder":"person0",`))
+		kept := strings.ReplaceAll(doc, `"seller":`, `"sell\u0065r":`)
+		for _, c := range []struct {
+			name, doc string
+			appended  int64
+		}{
+			{"read from the bytes", doc, 3*accepted + 1},
+			{"left to the token path", kept, 3*int64(st.Items) + 1},
+		} {
+			for _, b := range backings[:2] {
+				_, res, err := b.run(q, c.doc, gcx.Options{Format: gcx.FormatNDJSON})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.PeakBufferedNodes != 4 || res.TotalAppended != c.appended {
+					t.Errorf("%d MiB, %s, %s: peak %d, %d nodes appended over %d records, %d accepted; want peak 4 and %d appended",
+						mib, c.name, b.name, res.PeakBufferedNodes, res.TotalAppended, st.Items, accepted, c.appended)
+				}
 			}
 		}
 	}
@@ -138,17 +152,23 @@ var conditionKeys = regexp.MustCompile(`\$r/(\w+)`)
 // TestDecisionProperty runs generated J-shaped queries (xqgen.RecordQuery)
 // over generated records — permuted members, arrays, absent members and,
 // in every other document, keys repeated after another member — on every
-// backing at 1, 2 and 4 shards. Each run must give the DOM engine's
-// output, or fail with a RepeatedKeyError on a key that some record
-// repeats and the condition reads. The same records as an XML document,
-// where a repeated key is siblings interleaved with others, never take
-// the run-end path: every run there gives the DOM engine's output.
+// backing at 1, 2 and 4 shards, with the record scan on (the plan's
+// filter, when it has one) and off (WithoutSkip). Each run must give the
+// DOM engine's output, or fail with a RepeatedKeyError on a key that some
+// record repeats and the condition reads. The same records as an XML
+// document, where a repeated key is siblings interleaved with others,
+// never take the run-end path: every run there gives the DOM engine's
+// output.
 func TestDecisionProperty(t *testing.T) {
+	filtered := 0
 	for seed := int64(0); seed < 500; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		doc := xqgen.Records(r, 2+r.Intn(6), seed%2 == 0)
 		query := xqgen.RecordQuery(r)
 		q := gcx.MustCompile(query)
+		if recordFiltered(q) {
+			filtered++
+		}
 		cond := query[strings.Index(query, "if ("):strings.Index(query, ") then")]
 		allowed := map[string]bool{}
 		for key := range xqgen.RepeatedKeys(doc) {
@@ -167,21 +187,52 @@ func TestDecisionProperty(t *testing.T) {
 				t.Fatalf("seed %d: DOM engine: %v", seed, err)
 			}
 			for _, b := range backings {
-				for _, shards := range decisionShards {
-					got, _, err := b.run(q, in, gcx.Options{Format: f, Shards: shards})
-					var rk *gcx.RepeatedKeyError
-					switch {
-					case errors.As(err, &rk) && f == gcx.FormatNDJSON && allowed[rk.Key]:
-					case err != nil:
-						t.Fatalf("seed %d, %s, %s, %d shards: %v\nquery: %s\ndoc: %s", seed, f, b.name, shards, err, query, in)
-					case got != want:
-						t.Fatalf("seed %d, %s, %s, %d shards: output differs from the DOM engine\n got: %s\nwant: %s\nquery: %s\ndoc: %s",
-							seed, f, b.name, shards, got, want, query, in)
+				for _, scan := range scanRows(q) {
+					for _, shards := range decisionShards {
+						got, _, err := b.run(scan.q, in, gcx.Options{Format: f, Shards: shards})
+						var rk *gcx.RepeatedKeyError
+						switch {
+						case errors.As(err, &rk) && f == gcx.FormatNDJSON && allowed[rk.Key]:
+						case err != nil:
+							t.Fatalf("seed %d, %s, %s, %s, %d shards: %v\nquery: %s\ndoc: %s", seed, f, b.name, scan.name, shards, err, query, in)
+						case got != want:
+							t.Fatalf("seed %d, %s, %s, %s, %d shards: output differs from the DOM engine\n got: %s\nwant: %s\nquery: %s\ndoc: %s",
+								seed, f, b.name, scan.name, shards, got, want, query, in)
+						}
 					}
 				}
 			}
 		}
 	}
+	// The record scan must be reached: a generated query qualifies when
+	// its else branch is empty and its atoms read one member each.
+	t.Logf("%d of 500 generated queries have a record filter", filtered)
+	if filtered < 10 {
+		t.Errorf("%d of 500 generated queries have a record filter, want at least 10", filtered)
+	}
+}
+
+// scanRow is a query run with the record scan on or off.
+type scanRow struct {
+	name string
+	q    *gcx.Query
+}
+
+// scanRows are q with the record scan on, as compiled, and off: its
+// WithoutSkip copy, whose runs neither skip nor decide before a close.
+func scanRows(q *gcx.Query) []scanRow {
+	return []scanRow{{"scan on", q}, {"scan off", gcx.WithoutSkip(q)}}
+}
+
+// recordFiltered reports whether q's plan has a record filter: some
+// decision's verdict names the record's bytes.
+func recordFiltered(q *gcx.Query) bool {
+	for _, d := range q.Report().Decisions {
+		if strings.HasPrefix(d.Verdict, "record bytes") {
+			return true
+		}
+	}
+	return false
 }
 
 // FuzzDecisionParity checks decisions taken before a binding's close
@@ -197,6 +248,9 @@ func FuzzDecisionParity(f *testing.F) {
 		f.Add(xqgen.RecordQuery(r), xqgen.Records(r, 4, i%2 == 0))
 	}
 	f.Add(xmark.NDJSONQueries["J1"].Text, `{"bidder":"person1","seller":"s","bidder":"person0","amount":"5"}`)
+	// Records the scan drops, keeps and leaves to the token path.
+	f.Add(xmark.NDJSONQueries["J1"].Text, "{\"bidder\":\"person1\",\"item\":{\"a\":[1]}}\n{\"bidder\":\"person0\",\"amount\":\"5\"}\n{\"bidder\":\"person\\u0030\",\"amount\":\"6\"}\n")
+	f.Add(xmark.NDJSONQueries["J3"].Text, "{\"seller\":\"s1\",\"reserve\":\"1\"}\n{\"seller\":\"s2\"}\n{\"seller\":{\"x\":1},\"reserve\":null}\n")
 	f.Fuzz(func(t *testing.T, query, doc string) {
 		if len(query) > 1<<10 || len(doc) > 8<<10 || nestedWork(query, doc) > 1e6 {
 			return
@@ -208,20 +262,22 @@ func FuzzDecisionParity(f *testing.F) {
 		opts := gcx.Options{Format: gcx.FormatNDJSON}
 		want, _, werr := q.ExecuteString(doc, gcx.Options{Format: gcx.FormatNDJSON, Engine: gcx.EngineDOM})
 		for _, b := range []backing{backings[0], backings[2]} {
-			got, _, err := b.run(q, doc, opts)
-			var rk *gcx.RepeatedKeyError
-			switch {
-			case errors.As(err, &rk):
-				if strings.Count(doc, `"`+rk.Key+`"`) < 2 {
-					t.Fatalf("%s: repeated key %q, which the document holds once\nquery: %s\ndoc: %q", b.name, rk.Key, query, doc)
+			for _, scan := range scanRows(q) {
+				got, _, err := b.run(scan.q, doc, opts)
+				var rk *gcx.RepeatedKeyError
+				switch {
+				case errors.As(err, &rk):
+					if strings.Count(doc, `"`+rk.Key+`"`) < 2 {
+						t.Fatalf("%s, %s: repeated key %q, which the document holds once\nquery: %s\ndoc: %q", b.name, scan.name, rk.Key, query, doc)
+					}
+				case werr != nil && err == nil:
+					// The raw scan's superset dialect inside a dead subtree
+					// (DESIGN.md §7), as in FuzzSkipParity.
+				case errClass(err) != errClass(werr):
+					t.Fatalf("%s, %s: error %v, DOM engine %v\nquery: %s\ndoc: %q", b.name, scan.name, err, werr, query, doc)
+				case err == nil && got != want:
+					t.Fatalf("%s, %s: output differs from the DOM engine\n got: %s\nwant: %s\nquery: %s\ndoc: %q", b.name, scan.name, got, want, query, doc)
 				}
-			case werr != nil && err == nil:
-				// The raw scan's superset dialect inside a dead subtree
-				// (DESIGN.md §7), as in FuzzSkipParity.
-			case errClass(err) != errClass(werr):
-				t.Fatalf("%s: error %v, DOM engine %v\nquery: %s\ndoc: %q", b.name, err, werr, query, doc)
-			case err == nil && got != want:
-				t.Fatalf("%s: output differs from the DOM engine\n got: %s\nwant: %s\nquery: %s\ndoc: %q", b.name, got, want, query, doc)
 			}
 		}
 	})

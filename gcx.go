@@ -122,7 +122,11 @@ const (
 	// document shape.
 	FormatJSON = core.FormatJSON
 	// FormatNDJSON is newline-delimited JSON — exactly one record per
-	// line, the boundary record-aligned stream sharding cuts at.
+	// line, the boundary record-aligned stream sharding cuts at. The
+	// caller promises it: a record that spans lines breaks the promise,
+	// which sequential runs accept and sharded runs may fail with a
+	// syntax error, at an input offset inside the record, where a
+	// shard's cut falls inside it (DESIGN.md §8).
 	FormatNDJSON = core.FormatNDJSON
 )
 

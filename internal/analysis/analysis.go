@@ -12,6 +12,7 @@ package analysis
 import (
 	"fmt"
 
+	"gcx/internal/event"
 	"gcx/internal/xpath"
 	"gcx/internal/xqast"
 )
@@ -99,6 +100,11 @@ type Plan struct {
 	// end: the child names whose runs the preprojector watches on a
 	// source that states runs.
 	RunNames []string
+	// Filter is the condition of a loop over the NDJSON records whose
+	// whole body is `if (C) then T else ()`, compiled for the source to
+	// decide from a record's bytes, or nil (recordFilter; DESIGN.md §3,
+	// "Decision timing"). The engine installs it when the run prunes.
+	Filter *event.RecordFilter
 	// Roles are the projection paths, in discovery order (the paper's
 	// numbering).
 	Roles []Role
@@ -243,6 +249,7 @@ func analyze(q *xqast.Query, opts Options) (*Plan, error) {
 		return true
 	})
 	plan.Decisions, plan.RunNames = decisions(plan)
+	plan.Filter = recordFilter(plan, plan.Decisions)
 	plan.Join = DetectJoin(plan)
 	plan.Stream = Streamability(plan)
 	if plan.Join != nil {

@@ -16,11 +16,21 @@ type DecisionVerdict struct {
 	// Reason says why the atom waits for its bindings' close; empty
 	// otherwise.
 	Reason string
+	// Bytes is set when the atom is part of the plan's record filter
+	// (Plan.Filter): a JSON source decides it from the record's bytes,
+	// and the engine at the run's end when the source declines.
+	Bytes bool
+	// cond is the atom, for recordFilter.
+	cond xqast.Cond
 }
 
 // String renders the verdict: "start tag", "first witness", "run end
-// (JSON) or first witness" or "close: <reason>".
+// (JSON) or first witness", "record bytes (JSON), else run end or first
+// witness" or "close: <reason>".
 func (v DecisionVerdict) String() string {
+	if v.Bytes {
+		return "record bytes (JSON), else run end or first witness"
+	}
 	switch v.Decide {
 	case xqast.DecideStartTag:
 		return "start tag"
@@ -55,7 +65,7 @@ func decisions(p *Plan) ([]DecisionVerdict, []string) {
 			return true
 		}
 		xqast.WalkConds(ifx.Cond, func(c xqast.Cond) {
-			v := DecisionVerdict{Atom: xqast.PrintCond(c)}
+			v := DecisionVerdict{Atom: xqast.PrintCond(c), cond: c}
 			var paths []*xqast.PathExpr
 			var decide *xqast.Decision
 			switch c := c.(type) {

@@ -114,6 +114,13 @@ const (
 	// tag as about any child. After the tag closes, later children are
 	// asked again. A Source that cannot (jsontok) takes Seek as Live.
 	Seek
+	// Filter: the child is a record of the stream whose fate a condition
+	// over its top-level members settles (RecordFilter, which the
+	// Skipper hands over as a Filterer). A Source that can read the
+	// condition from the record's bytes (jsontok) drops a record the
+	// condition rejects as a dead one, with no event; any other record,
+	// and every record on a Source that cannot (xmltok), is Live.
+	Filter
 )
 
 // Skipper is the child test a Source consults before it delivers a
@@ -123,13 +130,14 @@ const (
 // A Source may ask about one child more than once, and an answer may be
 // followed by no StartElement at all: jsontok asks at an array's '[',
 // for the whole array, and again at each item, and an empty array
-// delivers none; a Seek that finds no sought tag delivers none either.
-// So no answer commits anything: the Skipper answers a repeated
-// question as it answered the first, and only the delivery of the
-// StartElement makes a live or seek answer take effect. A dead answer
-// is final (the child, or the whole array, is skipped), so a child
-// whose delivery would change the Skipper's state — a first-witness
-// latch its match flips — is alive.
+// delivers none; a Seek that finds no sought tag delivers none either,
+// nor does a Filter whose condition rejects the record. So no answer
+// commits anything: the Skipper answers a repeated question as it
+// answered the first, and only the delivery of the StartElement makes a
+// live, seek or filter answer take effect. A dead answer is final (the
+// child, or the whole array, is skipped), so a child whose delivery
+// would change the Skipper's state — a first-witness latch its match
+// flips — is alive.
 type Skipper interface {
 	// Child answers about a child element named name of the innermost
 	// open element, the StartElement the Source is about to deliver or
@@ -158,7 +166,8 @@ type Source interface {
 	//
 	// With a Skipper installed, Next asks it about every StartElement
 	// before delivering it, but for those a seek delivers unasked (see
-	// Seek); a dead one is fast-forwarded as SkipSubtree would and never
+	// Seek); a dead one, and a record its Filter answer let the Source
+	// reject, is fast-forwarded as SkipSubtree would and never
 	// delivered, and Next goes on to the event after it.
 	Next() (Token, error)
 	// SkipSubtree fast-forwards past the subtree of the StartElement
@@ -176,9 +185,9 @@ type Source interface {
 	// included, do not count.
 	TokenCount() int64
 	// SkipStats reports the byte-level skip counters: those of
-	// SkipSubtree calls, of the dead children Next dropped and of the
-	// bytes and tags its seeks passed over. A seek that found nothing
-	// counts as one skipped subtree.
+	// SkipSubtree calls, of the dead children and rejected records Next
+	// dropped and of the bytes and tags its seeks passed over. A seek
+	// that found nothing counts as one skipped subtree.
 	SkipStats() SkipStats
 	// Volatile reports, once for the whole stream, whether Text views
 	// expire at the next pull (see above).

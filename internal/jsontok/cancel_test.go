@@ -53,3 +53,58 @@ func TestSkipCancelledMidScan(t *testing.T) {
 		}
 	}
 }
+
+// The record scan must notice cancellation too, on both backings: a
+// 32 MiB stream of records the filter rejects is dropped inside one
+// Next, which polls once per record, and one 32 MiB record, which no
+// block holds, is left to the token path, whose raw skip of its dead
+// member — escaped quotes, the string scan's slowest input — polls once
+// per block.
+func TestRecordFilterCancelled(t *testing.T) {
+	f := &event.RecordFilter{
+		Cond: &event.FilterCond{Op: event.FilterEq, Key: 0, Lit: "x"},
+		Keys: []string{"a"},
+	}
+	for _, c := range []struct {
+		shape string
+		doc   []byte
+		// starts are the StartElements delivered before the cancellation.
+		starts []string
+	}{
+		{"rejected records", bytes.Repeat([]byte(`{"e":[1,2],"a":"1"}`+"\n"), 32<<20/20), []string{event.RootName}},
+		{"one large record", append(append([]byte(`{"e":"`), bytes.Repeat([]byte(`\"`), 16<<20)...), `","a":"1"}`...),
+			[]string{event.RootName, event.RecordName}},
+	} {
+		doc := c.doc
+		backings := map[string]func() *Tokenizer{
+			"bytes":  func() *Tokenizer { return NewTokenizerBytes(doc) },
+			"reader": func() *Tokenizer { return NewTokenizer(bytes.NewReader(doc)) },
+		}
+		for backing, open := range backings {
+			t.Run(c.shape+"/"+backing, func(t *testing.T) {
+				tz := open()
+				defer tz.Release()
+				s := &filterSkipper{f: f, on: true}
+				tz.SetSkipper(s)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				tz.SetContext(ctx)
+				for _, want := range c.starts {
+					tok, err := tz.Next()
+					if err != nil || tok.Kind != event.StartElement || tok.Name != want {
+						t.Fatalf("Next = %+v, %v; want <%s>", tok, err, want)
+					}
+					s.depth++
+				}
+				time.AfterFunc(time.Millisecond, cancel)
+				start := time.Now()
+				if _, err := tz.Next(); !errors.Is(err, context.Canceled) {
+					t.Fatalf("Next = %v after %d of %d bytes, want context.Canceled", err, tz.SkipStats().BytesSkipped, len(doc))
+				}
+				if n := tz.SkipStats().BytesSkipped; n > int64(len(doc)/2) {
+					t.Fatalf("the scan ran %d of %d bytes, for %v, past a cancellation 1 ms in", n, len(doc), time.Since(start))
+				}
+			})
+		}
+	}
+}

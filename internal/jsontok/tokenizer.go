@@ -227,8 +227,13 @@ type Tokenizer struct {
 	ctxDone <-chan struct{}
 
 	// skipper, when set, is asked about every value before Next delivers
-	// its StartElement (SetSkipper).
-	skipper event.Skipper
+	// its StartElement (SetSkipper); filterer is the same skipper when it
+	// hands over a record filter with its Filter answers.
+	skipper  event.Skipper
+	filterer event.Filterer
+	// vals is the scratch of filterRecord: the value of each key the
+	// filter reads.
+	vals [][]byte
 
 	count    int64 // events delivered; 0 until the root's StartElement
 	done     bool  // the root's EndElement is out, or the root was skipped
@@ -271,7 +276,7 @@ func NewTokenizerBytes(data []byte) *Tokenizer {
 // armed, and the buffers a pooled tokenizer carries over.
 func (t *Tokenizer) reset() {
 	t.names.Reset()
-	*t = Tokenizer{cur: t.cur, names: t.names, stack: t.stack[:0], textBuf: t.textBuf[:0]}
+	*t = Tokenizer{cur: t.cur, names: t.names, stack: t.stack[:0], textBuf: t.textBuf[:0], vals: t.vals[:0]}
 }
 
 // SetContext attaches a cancellation context. Next fails with ctx.Err()
@@ -286,7 +291,10 @@ func (t *Tokenizer) SetContext(ctx context.Context) {
 
 // SetSkipper installs the child test Next consults before it delivers
 // a StartElement; nil removes it.
-func (t *Tokenizer) SetSkipper(s event.Skipper) { t.skipper = s }
+func (t *Tokenizer) SetSkipper(s event.Skipper) {
+	t.skipper = s
+	t.filterer, _ = s.(event.Filterer)
+}
 
 // Release returns the tokenizer's buffers to the pool. The tokenizer
 // must not be used afterwards; counters read before Release stay valid.
@@ -299,8 +307,9 @@ func (t *Tokenizer) Release() {
 	t.cur.ResetBytes(nil) // drop the reader / input-slice reference
 	t.ctx, t.ctxDone = nil, nil
 	// The skipper is the run's preprojector, and through it the run's
-	// whole buffer.
-	t.skipper = nil
+	// whole buffer; the filter's values are views of the input.
+	t.skipper, t.filterer = nil, nil
+	clear(t.vals)
 	if cap(t.textBuf) > cursor.MaxScratch {
 		t.textBuf = nil
 	}
@@ -438,11 +447,20 @@ func (t *Tokenizer) Next() (event.Token, error) {
 		if t.skipper != nil {
 			// A Seek answer is delivered as Live: no raw scan here looks
 			// for a sought member.
-			if v, _ := t.skipper.Child(name); v == event.Dead {
+			switch v, _ := t.skipper.Child(name); v {
+			case event.Dead:
 				if err := t.skipDead(array); err != nil {
 					return t.fail(err)
 				}
 				continue
+			case event.Filter:
+				dropped, err := t.filterRecord()
+				if err != nil {
+					return t.fail(err)
+				}
+				if dropped {
+					continue
+				}
 			}
 		}
 		if array {
@@ -594,6 +612,221 @@ func (t *Tokenizer) SkipSubtree() error {
 		}
 	}
 	return t.err
+}
+
+// filterRecord decides the record Next has just opened, its '{'
+// consumed, from its bytes (DESIGN.md §3, "Decision timing"): when the
+// record ends within one cursor block, scanRecord reads it and the
+// filter's condition (event.Filterer) rejects it, the record is consumed
+// by one Advance, counted as raw-skipped, and filterRecord reports true.
+// In every other case it leaves the cursor untouched, and the record is
+// tokenized. Only an object directly in the stream is filtered. On the
+// reader backing a record the window cuts short is looked at once more
+// after a refill.
+func (t *Tokenizer) filterRecord() (bool, error) {
+	var f *event.RecordFilter
+	if t.filterer != nil {
+		f = t.filterer.RecordFilter()
+	}
+	if f == nil || len(t.stack) != 2 || t.stack[1].kind != frameObject {
+		return false, nil
+	}
+	if err := t.poll(); err != nil {
+		return false, err
+	}
+	if cap(t.vals) < len(f.Keys) {
+		t.vals = make([][]byte, len(f.Keys))
+	}
+	t.vals = t.vals[:len(f.Keys)]
+	w := t.cur.Block()
+	n, colons, outcome := scanRecord(w, f, t.vals)
+	if outcome == recordShort && !t.cur.Fixed() && len(w) < cursor.DefaultSize {
+		if _, err := t.cur.Peek(len(w) + 1); err == nil {
+			n, colons, outcome = scanRecord(t.cur.Block(), f, t.vals)
+		}
+	}
+	if outcome != recordDropped {
+		return false, nil
+	}
+	t.cur.Advance(n)
+	t.stack = t.stack[:1]
+	t.skipped.TagsSkipped += 1 + colons
+	t.skipped.SubtreesSkipped++
+	t.skipped.BytesSkipped += int64(n)
+	return true, nil
+}
+
+// Outcomes of scanRecord.
+const (
+	recordKept    uint8 = iota // the token path reads the record
+	recordShort                // the record does not end in the bytes given
+	recordDropped              // the filter rejects the record
+)
+
+// scanRecord reads a record from w, which starts after its '{', and
+// reports whether f rejects it, with the length through its closing '}'
+// and the ':' outside strings in it. It reads only what the token path
+// would read without error or raw-skip as that does, and keeps the
+// record for it whenever the bytes say otherwise:
+//   - keys, colons and commas are checked as memberPrefix checks them;
+//     a key with an escape or a control byte keeps the record;
+//   - the value of a member the filter reads, or one that some role
+//     steps into (RecordFilter.Live), must be an escape-free string; a
+//     key the filter reads must not come twice;
+//   - any other value is passed over as skipDead passes over it: a
+//     container with rawSkip's checks, a string to its closing quote, a
+//     number as far as its bytes may be a number's, and a keyword only
+//     when it is spelt right.
+//
+// vals has one entry per key of f and takes the values read.
+func scanRecord(w []byte, f *event.RecordFilter, vals [][]byte) (end int, colons int64, outcome uint8) {
+	var present uint64
+	p := spaceEnd(w, 0)
+	for p == len(w) || w[p] != '}' {
+		if p == len(w) {
+			return 0, 0, recordShort
+		}
+		if w[p] != '"' {
+			return 0, 0, recordKept
+		}
+		n, _ := stringEnd(w[p+1:], false)
+		if n < 0 {
+			return 0, 0, recordShort
+		}
+		key := w[p+1 : p+1+n]
+		if plainLen(key) != n {
+			return 0, 0, recordKept
+		}
+		if p = spaceEnd(w, p+n+2); p == len(w) {
+			return 0, 0, recordShort
+		}
+		if w[p] != ':' {
+			return 0, 0, recordKept
+		}
+		colons++
+		if p = spaceEnd(w, p+1); p == len(w) {
+			return 0, 0, recordShort
+		}
+		k := nameIndex(f.Keys, key)
+		if k >= 0 || f.LiveAll || nameIndex(f.Live, key) >= 0 {
+			if w[p] != '"' {
+				return 0, 0, recordKept
+			}
+			m, _ := stringEnd(w[p+1:], false)
+			if m < 0 {
+				return 0, 0, recordShort
+			}
+			v := w[p+1 : p+1+m]
+			if plainLen(v) != m || k >= 0 && present&(1<<k) != 0 {
+				return 0, 0, recordKept
+			}
+			if k >= 0 {
+				present |= 1 << k
+				vals[k] = v
+			}
+			p += m + 2
+		} else {
+			var c int64
+			if p, c, outcome = skipValue(w, p); outcome != recordDropped {
+				return 0, 0, outcome
+			}
+			colons += c
+		}
+		if p = spaceEnd(w, p); p == len(w) {
+			return 0, 0, recordShort
+		}
+		if w[p] == '}' {
+			break
+		}
+		if w[p] != ',' {
+			return 0, 0, recordKept
+		}
+		// A '}' after the comma is a trailing one: a key must follow.
+		if p = spaceEnd(w, p+1); p < len(w) && w[p] != '"' {
+			return 0, 0, recordKept
+		}
+	}
+	if f.Cond.Accepts(present, vals) {
+		return 0, 0, recordKept
+	}
+	return p + 1, colons, recordDropped
+}
+
+// skipValue passes over the value of a member no role reads at w[p], as
+// skipDead would, and returns the index after it and the ':' outside
+// strings in it; outcome is recordDropped when it did.
+func skipValue(w []byte, p int) (end int, colons int64, outcome uint8) {
+	b := w[p]
+	switch c := class[b]; {
+	case c == cQuote:
+		n, _ := stringEnd(w[p+1:], false)
+		if n < 0 {
+			return 0, 0, recordShort
+		}
+		return p + n + 2, 0, recordDropped
+	case c == cOpen:
+		// Two frames are open below it, the stream's and the record's.
+		depth, inStr, esc := 2, false, false
+		for i := p + 1; i < len(w); {
+			if inStr {
+				var n int
+				if n, esc = stringEnd(w[i:], esc); n < 0 {
+					break
+				}
+				inStr, i = false, i+n+1
+				continue
+			}
+			switch class[w[i]] {
+			case cQuote:
+				inStr = true
+			case cColon:
+				colons++
+			case cOpen:
+				if depth++; depth > event.MaxDepth {
+					return 0, 0, recordKept
+				}
+			case cClose:
+				if depth--; depth == 1 {
+					return i + 1, colons, recordDropped
+				}
+			}
+			i++
+		}
+		return 0, 0, recordShort
+	case b == 't' || b == 'f' || b == 'n':
+		lit := keywords[b]
+		n := min(len(lit), len(w)-p)
+		if string(w[p:p+n]) != lit[:n] {
+			return 0, 0, recordKept
+		}
+		if n < len(lit) {
+			return 0, 0, recordShort
+		}
+		return p + n, 0, recordDropped
+	case c&cScalar != 0:
+		i := p
+		for i < len(w) && class[w[i]]&cNumber != 0 {
+			i++
+		}
+		if i == len(w) {
+			return 0, 0, recordShort
+		}
+		return i, 0, recordDropped
+	}
+	return 0, 0, recordKept
+}
+
+// keywords are the literals by their first byte.
+var keywords = [256]string{'t': "true", 'f': "false", 'n': "null"}
+
+// nameIndex returns the index of b in names, or -1.
+func nameIndex(names []string, b []byte) int {
+	for i, n := range names {
+		if n == string(b) {
+			return i
+		}
+	}
+	return -1
 }
 
 // skipDead raw-skips the value Next has just opened and the skipper

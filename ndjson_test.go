@@ -1,6 +1,7 @@
 package gcx_test
 
 import (
+	"errors"
 	"io"
 	"strings"
 	"testing"
@@ -346,5 +347,28 @@ func TestNDJSONShardedErrorOffset(t *testing.T) {
 				t.Errorf("%s at %d shards: %v, sequential: %v", c.name, shards, got, want)
 			}
 		}
+	}
+}
+
+// TestNDJSONSpanningRecord pins what happens to a record that spans
+// lines, which breaks FormatNDJSON's one-record-per-line promise
+// (DESIGN.md §8): the sequential run reads it whole, and a sharded run,
+// whose 64 KiB cut falls inside it, fails with a syntax error at an
+// offset inside the record, counted from the start of the input.
+func TestNDJSONSpanningRecord(t *testing.T) {
+	q := gcx.MustCompile(`for $r in /root/record return $r/a`)
+	head := strings.Repeat(`{"a":1}`+"\n", 65528/8)
+	doc := head + "{\"a\":\n\n\n2}\n"
+	if _, _, err := q.ExecuteString(doc, gcx.Options{Format: gcx.FormatNDJSON}); err != nil {
+		t.Fatalf("sequential run: %v", err)
+	}
+	_, _, err := q.ExecuteString(doc, gcx.Options{Format: gcx.FormatNDJSON, Shards: 2})
+	var se *jsontok.SyntaxError
+	if !errors.As(err, &se) {
+		t.Fatalf("2 shards: %v, want a *jsontok.SyntaxError", err)
+	}
+	t.Logf("2 shards: %v", err)
+	if se.Offset < int64(len(head)) || se.Offset > int64(len(doc)) {
+		t.Errorf("2 shards: %v at byte %d, want an offset inside the record at bytes %d–%d", err, se.Offset, len(head), len(doc))
 	}
 }
