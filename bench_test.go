@@ -15,6 +15,7 @@
 //	BenchmarkSkipQ1                      — gcxperf's xml-skip, for `make profile`
 //	BenchmarkEmitE1                      — gcxperf's xml-emit, likewise
 //	BenchmarkFilterJ1                    — gcxperf's ndjson-filter, likewise
+//	BenchmarkRecordFilter                — J1-style filters by the share they reject
 //	BenchmarkStreamQ6                    — the engine half of gcxperf's serve-stream
 //	BenchmarkJoinQ8                      — gcxperf's xml-join query alone, likewise
 //
@@ -23,6 +24,7 @@
 package gcx_test
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -418,6 +420,56 @@ func BenchmarkFilterJ1(b *testing.B) {
 		if _, err := q.ExecuteBytes(data, io.Discard, gcx.Options{Format: gcx.FormatNDJSON}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRecordFilter times record loops whose condition jsontok
+// reads from each record's bytes (DESIGN.md §3, "Decision timing") over
+// BenchmarkFilterJ1's 16 MiB bid log, from J1, which rejects nearly
+// every record, to its negation, which rejects nearly none. The record
+// scan pays off by the records it drops and costs a pass over every
+// record it keeps, so the share the condition rejects is the property
+// these cases span; each reports it as rejected_share.
+func BenchmarkRecordFilter(b *testing.B) {
+	doc, _, err := xmark.GenerateNDJSONString(xmark.Config{TargetBytes: 16 << 20, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, cond, out string
+		rejects         func(map[string]any) bool
+	}{
+		{"J1", `$r/bidder = "person0"`, "amount", func(m map[string]any) bool { return m["bidder"] != "person0" }},
+		{"J3", `not(exists $r/reserve)`, "seller", func(m map[string]any) bool { return m["reserve"] != nil }},
+		{"J3-negated", `exists $r/reserve`, "seller", func(m map[string]any) bool { return m["reserve"] == nil }},
+		{"J1-negated", `$r/bidder != "person0"`, "amount", func(m map[string]any) bool { return m["bidder"] == "person0" }},
+	} {
+		var records, rejected int
+		for _, line := range strings.Split(strings.TrimSpace(doc), "\n") {
+			var m map[string]any
+			if err := json.Unmarshal([]byte(line), &m); err != nil {
+				b.Fatal(err)
+			}
+			records++
+			if c.rejects(m) {
+				rejected++
+			}
+		}
+		q, err := gcx.Compile(fmt.Sprintf(`for $r in /root/record return if (%s) then $r/%s else ()`, c.cond, c.out))
+		if err != nil {
+			b.Fatal(err)
+		}
+		data := []byte(doc)
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := q.ExecuteBytes(data, io.Discard, gcx.Options{Format: gcx.FormatNDJSON}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(rejected)/float64(records), "rejected_share")
+		})
 	}
 }
 

@@ -175,8 +175,8 @@ func New(plan *analysis.Plan, src event.Source, sink event.Sink, cfg Config) *En
 	if e.runs = e.prune && src.Runs() && len(plan.RunNames) != 0; e.runs {
 		proj.WatchRuns(plan.RunNames, e)
 	}
-	if e.prune && plan.Filter != nil {
-		proj.FilterRecords(plan.Filter)
+	if f, ok := src.(event.Filtered); ok && e.prune && plan.Filter != nil {
+		f.SetFilter(plan.Filter)
 	}
 	e.released = false
 	return e

@@ -114,13 +114,6 @@ const (
 	// tag as about any child. After the tag closes, later children are
 	// asked again. A Source that cannot (jsontok) takes Seek as Live.
 	Seek
-	// Filter: the child is a record of the stream whose fate a condition
-	// over its top-level members settles (RecordFilter, which the
-	// Skipper hands over as a Filterer). A Source that can read the
-	// condition from the record's bytes (jsontok) drops a record the
-	// condition rejects as a dead one, with no event; any other record,
-	// and every record on a Source that cannot (xmltok), is Live.
-	Filter
 )
 
 // Skipper is the child test a Source consults before it delivers a
@@ -131,13 +124,13 @@ const (
 // followed by no StartElement at all: jsontok asks at an array's '[',
 // for the whole array, and again at each item, and an empty array
 // delivers none; a Seek that finds no sought tag delivers none either,
-// nor does a Filter whose condition rejects the record. So no answer
-// commits anything: the Skipper answers a repeated question as it
-// answered the first, and only the delivery of the StartElement makes a
-// live, seek or filter answer take effect. A dead answer is final (the
-// child, or the whole array, is skipped), so a child whose delivery
-// would change the Skipper's state — a first-witness latch its match
-// flips — is alive.
+// nor does a live record that a Source's record filter rejects
+// (Filtered). So no answer commits anything: the Skipper answers a
+// repeated question as it answered the first, and only the delivery of
+// the StartElement makes a live or seek answer take effect. A dead answer
+// is final (the child, or the whole array, is skipped), so a child
+// whose delivery would change the Skipper's state — a first-witness
+// latch its match flips — is alive.
 type Skipper interface {
 	// Child answers about a child element named name of the innermost
 	// open element, the StartElement the Source is about to deliver or
@@ -166,8 +159,8 @@ type Source interface {
 	//
 	// With a Skipper installed, Next asks it about every StartElement
 	// before delivering it, but for those a seek delivers unasked (see
-	// Seek); a dead one, and a record its Filter answer let the Source
-	// reject, is fast-forwarded as SkipSubtree would and never
+	// Seek); a dead one, and a record its record filter rejects
+	// (Filtered), is fast-forwarded as SkipSubtree would and never
 	// delivered, and Next goes on to the event after it.
 	Next() (Token, error)
 	// SkipSubtree fast-forwards past the subtree of the StartElement

@@ -3,9 +3,9 @@ package event
 // RecordFilter is a condition over the top-level members of a record of
 // the stream (DESIGN.md §3, "Decision timing"). For a loop over the
 // records whose whole body is `if (C) then T else ()`, the analysis
-// compiles C into one (analysis.Plan.Filter), the preprojector answers
-// Filter about each record, and a Source that reads the condition from
-// the record's bytes drops a record it rejects: no token, no node.
+// compiles C into one (analysis.Plan.Filter), the engine installs it on
+// a Source that is Filtered, and that Source drops a live record whose
+// bytes C rejects: no token, no node.
 type RecordFilter struct {
 	// Cond is the condition.
 	Cond *FilterCond
@@ -70,8 +70,11 @@ func (c *FilterCond) Accepts(present uint64, vals [][]byte) bool {
 	return c.Args[0].Accepts(present, vals) || c.Args[1].Accepts(present, vals)
 }
 
-// Filterer is implemented by a Skipper that answers Filter: the
-// condition its Filter answers stand for.
-type Filterer interface {
-	RecordFilter() *RecordFilter
+// Filtered is implemented by a Source that can read a RecordFilter from
+// a record's bytes (jsontok; xmltok cannot). SetFilter installs f, nil
+// removes it, and so does Release. With f installed, a record the
+// Skipper answers Live about, and f rejects, may be dropped as a dead
+// child is: with no event. Any other record is delivered as before.
+type Filtered interface {
+	SetFilter(f *RecordFilter)
 }

@@ -84,8 +84,9 @@ func TestRecordFilterCancelled(t *testing.T) {
 			t.Run(c.shape+"/"+backing, func(t *testing.T) {
 				tz := open()
 				defer tz.Release()
-				s := &filterSkipper{f: f, on: true}
+				s := &filterSkipper{f: f}
 				tz.SetSkipper(s)
+				tz.SetFilter(f)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				tz.SetContext(ctx)

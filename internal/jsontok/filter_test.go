@@ -10,28 +10,22 @@ import (
 	"gcx/internal/event"
 )
 
-// filterSkipper answers as the preprojector does for a record loop with
-// a record filter (projection.Preprojector.FilterRecords): Filter about
-// every record when on, Live otherwise, and about the records' members
-// Live when the filter reads them or a role steps into them, Dead
-// otherwise. The harness keeps depth, the number of open elements.
+// filterSkipper answers as the preprojector does for a record loop
+// whose condition is f: Live about every record, and about the records'
+// members Live when the filter reads them or a role steps into them,
+// Dead otherwise. The harness keeps depth, the number of open elements.
 type filterSkipper struct {
 	f     *event.RecordFilter
-	on    bool
 	depth int
 }
 
 func (s *filterSkipper) Child(name string) (event.Verdict, []string) {
 	switch {
-	case s.depth == 1 && s.on:
-		return event.Filter, nil
 	case s.depth == 2 && !s.f.LiveAll && !slices.Contains(s.f.Keys, name) && !slices.Contains(s.f.Live, name):
 		return event.Dead, nil
 	}
 	return event.Live, nil
 }
-
-func (s *filterSkipper) RecordFilter() *event.RecordFilter { return s.f }
 
 // filterKeys and filterLits are the alphabet of randomFilter; records in
 // the seeds use them, "d" as a member a role steps into and "e" as one no
@@ -81,8 +75,11 @@ type segment struct {
 // segments; err is the error that ended the stream, nil at its end.
 func filterEvents(t *testing.T, tz *Tokenizer, f *event.RecordFilter, on bool, doc string) (segs []segment, err error) {
 	defer tz.Release()
-	s := &filterSkipper{f: f, on: on}
+	s := &filterSkipper{f: f}
 	tz.SetSkipper(s)
+	if on {
+		tz.SetFilter(f)
+	}
 	for n := 0; ; n++ {
 		tok, err := tz.Next()
 		if err == io.EOF {
@@ -174,6 +171,9 @@ var filterSeeds = []string{
 	// Dead values as skipDead passes over them.
 	`{"e":tru,"a":"x"} {"e":-,"a":"1"} {"e":[1,{"q":2}],"a":"x"} {"e":{"q":[}],"a":"1"} {"e":nul}`,
 	`{"e":` + strings.Repeat("[", event.MaxDepth) + strings.Repeat("]", event.MaxDepth) + `,"a":"x"}`,
+	// Nesting past the ceiling, the deepest bracket right before a '}'
+	// that would end the record.
+	`{"e":` + strings.Repeat("[", event.MaxDepth) + `}` + "\n" + `{"a":"x"}`,
 	// Separators the token path rejects.
 	`{"a":"x",} {"a" "x"} {"a":"x" "b":"1"} {,"a":"x"}`,
 	// An unterminated string.
@@ -250,8 +250,9 @@ func TestRecordFilterDrops(t *testing.T) {
 		if name != "bytes" {
 			tz = NewTokenizer(strings.NewReader(doc))
 		}
-		s := &filterSkipper{f: j1, on: true}
+		s := &filterSkipper{f: j1}
 		tz.SetSkipper(s)
+		tz.SetFilter(j1)
 		var records int
 		for {
 			tok, err := tz.Next()
@@ -281,6 +282,51 @@ func TestRecordFilterDrops(t *testing.T) {
 		}
 		if records != 1 || got != want {
 			t.Errorf("%s: %d records delivered, skip stats %+v; want 1 and %+v", name, records, got, want)
+		}
+	}
+}
+
+// TestRecordScanSampling pins when the scan reads a record (scanPays):
+// every record while at least a quarter of the recent ones were
+// dropped, and only every scanProbe-th once fewer were, until the
+// probes find the share back above a quarter.
+func TestRecordScanSampling(t *testing.T) {
+	f := &event.RecordFilter{
+		Cond: &event.FilterCond{Op: event.FilterEq, Key: 0, Lit: "x"},
+		Keys: []string{"a"},
+	}
+	const kept, dropped = `{"a":"x"}` + "\n", `{"a":"1"}` + "\n"
+	for _, c := range []struct {
+		name string
+		doc  string
+		// lo and hi bound the records dropped.
+		lo, hi int64
+	}{
+		// Every other record rejected, or every third: each one is
+		// dropped.
+		{"half rejected", strings.Repeat(kept+dropped, 800), 800, 800},
+		{"a third rejected", strings.Repeat(kept+kept+dropped, 800), 800, 800},
+		// One in ten: past the warm-up only the probes read, so most
+		// rejected records are tokenized.
+		{"a tenth rejected", strings.Repeat(strings.Repeat(kept, 9)+dropped, 160), 1, 60},
+		// Accepted records first: the probes that meet the rejected ones
+		// turn the scan back on within a few of them.
+		{"accepted then rejected", strings.Repeat(kept, 1000) + strings.Repeat(dropped, 1000), 800, 1000},
+	} {
+		tz := NewTokenizerBytes([]byte(c.doc))
+		tz.SetSkipper(&filterSkipper{f: f})
+		tz.SetFilter(f)
+		for {
+			if _, err := tz.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := tz.SkipStats().SubtreesSkipped
+		tz.Release()
+		if got < c.lo || got > c.hi {
+			t.Errorf("%s: %d records dropped, want %d to %d", c.name, got, c.lo, c.hi)
 		}
 	}
 }

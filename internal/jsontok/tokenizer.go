@@ -227,13 +227,18 @@ type Tokenizer struct {
 	ctxDone <-chan struct{}
 
 	// skipper, when set, is asked about every value before Next delivers
-	// its StartElement (SetSkipper); filterer is the same skipper when it
-	// hands over a record filter with its Filter answers.
-	skipper  event.Skipper
-	filterer event.Filterer
-	// vals is the scratch of filterRecord: the value of each key the
-	// filter reads.
-	vals [][]byte
+	// its StartElement (SetSkipper).
+	skipper event.Skipper
+	// filter, when set, is read from each live record's bytes before the
+	// record is tokenized (SetFilter, filterRecord); vals is its scratch:
+	// the value of each key the filter reads.
+	filter *event.RecordFilter
+	vals   [][]byte
+	// scanned and dropped count the records filterRecord read and those
+	// it dropped, both halved when scanned reaches scanWindow, so that
+	// their ratio follows the recent records; unread counts the records
+	// tokenized without a scan since the last one (scanPays).
+	scanned, dropped, unread int
 
 	count    int64 // events delivered; 0 until the root's StartElement
 	done     bool  // the root's EndElement is out, or the root was skipped
@@ -291,10 +296,11 @@ func (t *Tokenizer) SetContext(ctx context.Context) {
 
 // SetSkipper installs the child test Next consults before it delivers
 // a StartElement; nil removes it.
-func (t *Tokenizer) SetSkipper(s event.Skipper) {
-	t.skipper = s
-	t.filterer, _ = s.(event.Filterer)
-}
+func (t *Tokenizer) SetSkipper(s event.Skipper) { t.skipper = s }
+
+// SetFilter installs the record filter Next reads from a live record's
+// bytes (event.Filtered, filterRecord); nil removes it.
+func (t *Tokenizer) SetFilter(f *event.RecordFilter) { t.filter = f }
 
 // Release returns the tokenizer's buffers to the pool. The tokenizer
 // must not be used afterwards; counters read before Release stay valid.
@@ -308,7 +314,7 @@ func (t *Tokenizer) Release() {
 	t.ctx, t.ctxDone = nil, nil
 	// The skipper is the run's preprojector, and through it the run's
 	// whole buffer; the filter's values are views of the input.
-	t.skipper, t.filterer = nil, nil
+	t.skipper, t.filter = nil, nil
 	clear(t.vals)
 	if cap(t.textBuf) > cursor.MaxScratch {
 		t.textBuf = nil
@@ -447,20 +453,21 @@ func (t *Tokenizer) Next() (event.Token, error) {
 		if t.skipper != nil {
 			// A Seek answer is delivered as Live: no raw scan here looks
 			// for a sought member.
-			switch v, _ := t.skipper.Child(name); v {
-			case event.Dead:
+			if v, _ := t.skipper.Child(name); v == event.Dead {
 				if err := t.skipDead(array); err != nil {
 					return t.fail(err)
 				}
 				continue
-			case event.Filter:
-				dropped, err := t.filterRecord()
-				if err != nil {
-					return t.fail(err)
-				}
-				if dropped {
-					continue
-				}
+			}
+		}
+		// A live record: an object opened directly in the stream.
+		if t.filter != nil && len(t.stack) == 2 && !array && !t.scalarPending && t.scanPays() {
+			dropped, err := t.filterRecord()
+			if err != nil {
+				return t.fail(err)
+			}
+			if dropped {
+				continue
 			}
 		}
 		if array {
@@ -489,10 +496,11 @@ func (t *Tokenizer) valueStarts(b byte) bool {
 // parse position and the next value of the frame f: whitespace, the
 // comma if one is due, and in an object an escape-free key and its
 // colon. It returns the index of the value's first byte and the key —
-// or, with closes set, the index of the bracket that closes f. p is -1,
-// and nothing is decided, when the window ends first or holds anything
-// else: a key with an escape or a control byte, a missing or trailing
-// comma, any other malformation.
+// or, with closes set, the index of the bracket that closes f. Nothing
+// is decided when p is negative: prefixShort when the window ends
+// first, prefixBad when it holds anything else — a key with an escape
+// or a control byte, a missing or trailing comma, any other
+// malformation.
 func memberPrefix(w []byte, f *frame) (p int, key []byte, closes bool) {
 	p = spaceEnd(w, 0)
 	if f.kind != frameStream && f.state != afterKey && p < len(w) {
@@ -501,30 +509,45 @@ func memberPrefix(w []byte, f *frame) (p int, key []byte, closes bool) {
 		}
 		if f.state == afterValue {
 			if w[p] != ',' {
-				return -1, nil, false
+				return prefixBad, nil, false
 			}
 			p = spaceEnd(w, p+1)
 		}
 		if f.kind == frameObject {
-			n := -1
-			if p < len(w) && w[p] == '"' {
-				n, _ = stringEnd(w[p+1:], false)
+			if p == len(w) {
+				return prefixShort, nil, false
 			}
-			if n < 0 || plainLen(w[p+1:p+1+n]) != n {
-				return -1, nil, false
+			if w[p] != '"' {
+				return prefixBad, nil, false
+			}
+			n, _ := stringEnd(w[p+1:], false)
+			if n < 0 {
+				return prefixShort, nil, false
+			}
+			if plainLen(w[p+1:p+1+n]) != n {
+				return prefixBad, nil, false
 			}
 			key = w[p+1 : p+1+n]
-			if p = spaceEnd(w, p+n+2); p == len(w) || w[p] != ':' {
-				return -1, nil, false
+			if p = spaceEnd(w, p+n+2); p == len(w) {
+				return prefixShort, nil, false
+			}
+			if w[p] != ':' {
+				return prefixBad, nil, false
 			}
 			p = spaceEnd(w, p+1)
 		}
 	}
 	if p == len(w) {
-		return -1, nil, false
+		return prefixShort, nil, false
 	}
 	return p, key, false
 }
+
+// memberPrefix's undecided results.
+const (
+	prefixBad   = -1
+	prefixShort = -2
+)
 
 // step is the careful path: through the cursor, a refill at a time, it
 // consumes the one construct the accept stopped at — whitespace, a
@@ -614,26 +637,19 @@ func (t *Tokenizer) SkipSubtree() error {
 	return t.err
 }
 
-// filterRecord decides the record Next has just opened, its '{'
+// filterRecord decides the live record Next has just opened, its '{'
 // consumed, from its bytes (DESIGN.md §3, "Decision timing"): when the
 // record ends within one cursor block, scanRecord reads it and the
-// filter's condition (event.Filterer) rejects it, the record is consumed
-// by one Advance, counted as raw-skipped, and filterRecord reports true.
-// In every other case it leaves the cursor untouched, and the record is
-// tokenized. Only an object directly in the stream is filtered. On the
-// reader backing a record the window cuts short is looked at once more
-// after a refill.
+// filter's condition rejects it, the record is consumed by one Advance,
+// counted as raw-skipped, and filterRecord reports true. In every other
+// case it leaves the cursor untouched, and the record is tokenized. On
+// the reader backing a record the window cuts short is looked at once
+// more after a refill.
 func (t *Tokenizer) filterRecord() (bool, error) {
-	var f *event.RecordFilter
-	if t.filterer != nil {
-		f = t.filterer.RecordFilter()
-	}
-	if f == nil || len(t.stack) != 2 || t.stack[1].kind != frameObject {
-		return false, nil
-	}
 	if err := t.poll(); err != nil {
 		return false, err
 	}
+	f := t.filter
 	if cap(t.vals) < len(f.Keys) {
 		t.vals = make([][]byte, len(f.Keys))
 	}
@@ -645,9 +661,13 @@ func (t *Tokenizer) filterRecord() (bool, error) {
 			n, colons, outcome = scanRecord(t.cur.Block(), f, t.vals)
 		}
 	}
+	if t.scanned++; t.scanned == scanWindow {
+		t.scanned, t.dropped = scanWindow/2, t.dropped/2
+	}
 	if outcome != recordDropped {
 		return false, nil
 	}
+	t.dropped++
 	t.cur.Advance(n)
 	t.stack = t.stack[:1]
 	t.skipped.TagsSkipped += 1 + colons
@@ -655,6 +675,30 @@ func (t *Tokenizer) filterRecord() (bool, error) {
 	t.skipped.BytesSkipped += int64(n)
 	return true, nil
 }
+
+// scanPays reports whether filterRecord should read the record about to
+// open. The scan saves the token path's work on a record it drops and
+// adds a pass over one it keeps, which pays while about a quarter of
+// the records are dropped (EXPERIMENTS.md, "Deciding a record from its
+// bytes"). So every record is read while fewer than scanWindow/2 have
+// been or at least a quarter of the recent ones were dropped, and
+// otherwise every scanProbe-th, which keeps the share current.
+func (t *Tokenizer) scanPays() bool {
+	if t.scanned < scanWindow/2 || 4*t.dropped >= t.scanned {
+		return true
+	}
+	if t.unread++; t.unread < scanProbe {
+		return false
+	}
+	t.unread = 0
+	return true
+}
+
+// The record scan's sampling (scanPays).
+const (
+	scanWindow = 128
+	scanProbe  = 8
+)
 
 // Outcomes of scanRecord.
 const (
@@ -665,26 +709,50 @@ const (
 
 // scanRecord reads a record from w, which starts after its '{', and
 // reports whether f rejects it, with the length through its closing '}'
-// and the ':' outside strings in it. It reads only what the token path
-// would read without error or raw-skip as that does, and keeps the
-// record for it whenever the bytes say otherwise:
-//   - keys, colons and commas are checked as memberPrefix checks them;
-//     a key with an escape or a control byte keeps the record;
+// and the ':' outside strings in it. It takes what stands between the
+// record's members as Next does, with memberPrefix over the record's
+// frame, and keeps the record for the token path wherever that would
+// not take it:
 //   - the value of a member the filter reads, or one that some role
 //     steps into (RecordFilter.Live), must be an escape-free string; a
 //     key the filter reads must not come twice;
 //   - any other value is passed over as skipDead passes over it: a
-//     container with rawSkip's checks, a string to its closing quote, a
-//     number as far as its bytes may be a number's, and a keyword only
-//     when it is spelt right.
+//     container or a string with rawSkip's walk, a number as far as its
+//     bytes may be a number's, and a keyword only when it is spelt
+//     right.
+//
+// Once every key f reads is present and f accepts, the record is kept
+// without reading on: the rest could only keep it too.
 //
 // vals has one entry per key of f and takes the values read.
 func scanRecord(w []byte, f *event.RecordFilter, vals [][]byte) (end int, colons int64, outcome uint8) {
 	var present uint64
-	p := spaceEnd(w, 0)
-	for p == len(w) || w[p] != '}' {
-		if p == len(w) {
+	all := uint64(1)<<len(f.Keys) - 1
+	record := frame{kind: frameObject}
+	for q := 0; ; {
+		p, key, closes := memberPrefix(w[q:], &record)
+		switch {
+		case p == prefixShort:
 			return 0, 0, recordShort
+		case p < 0:
+			return 0, 0, recordKept
+		case closes:
+			if f.Cond.Accepts(present, vals) {
+				return 0, 0, recordKept
+			}
+			return q + p + 1, colons, recordDropped
+		}
+		p += q
+		record.state = afterValue
+		colons++
+		k := nameIndex(f.Keys, key)
+		if k < 0 && !f.LiveAll && nameIndex(f.Live, key) < 0 {
+			var c int64
+			if q, c, outcome = skipValue(w, p); outcome != recordDropped {
+				return 0, 0, outcome
+			}
+			colons += c
+			continue
 		}
 		if w[p] != '"' {
 			return 0, 0, recordKept
@@ -693,106 +761,37 @@ func scanRecord(w []byte, f *event.RecordFilter, vals [][]byte) (end int, colons
 		if n < 0 {
 			return 0, 0, recordShort
 		}
-		key := w[p+1 : p+1+n]
-		if plainLen(key) != n {
+		v := w[p+1 : p+1+n]
+		if plainLen(v) != n || k >= 0 && present&(1<<k) != 0 {
 			return 0, 0, recordKept
 		}
-		if p = spaceEnd(w, p+n+2); p == len(w) {
-			return 0, 0, recordShort
-		}
-		if w[p] != ':' {
-			return 0, 0, recordKept
-		}
-		colons++
-		if p = spaceEnd(w, p+1); p == len(w) {
-			return 0, 0, recordShort
-		}
-		k := nameIndex(f.Keys, key)
-		if k >= 0 || f.LiveAll || nameIndex(f.Live, key) >= 0 {
-			if w[p] != '"' {
+		if k >= 0 {
+			present |= 1 << k
+			vals[k] = v
+			if present == all && f.Cond.Accepts(present, vals) {
 				return 0, 0, recordKept
 			}
-			m, _ := stringEnd(w[p+1:], false)
-			if m < 0 {
-				return 0, 0, recordShort
-			}
-			v := w[p+1 : p+1+m]
-			if plainLen(v) != m || k >= 0 && present&(1<<k) != 0 {
-				return 0, 0, recordKept
-			}
-			if k >= 0 {
-				present |= 1 << k
-				vals[k] = v
-			}
-			p += m + 2
-		} else {
-			var c int64
-			if p, c, outcome = skipValue(w, p); outcome != recordDropped {
-				return 0, 0, outcome
-			}
-			colons += c
 		}
-		if p = spaceEnd(w, p); p == len(w) {
-			return 0, 0, recordShort
-		}
-		if w[p] == '}' {
-			break
-		}
-		if w[p] != ',' {
-			return 0, 0, recordKept
-		}
-		// A '}' after the comma is a trailing one: a key must follow.
-		if p = spaceEnd(w, p+1); p < len(w) && w[p] != '"' {
-			return 0, 0, recordKept
-		}
+		q = p + n + 2
 	}
-	if f.Cond.Accepts(present, vals) {
-		return 0, 0, recordKept
-	}
-	return p + 1, colons, recordDropped
 }
 
 // skipValue passes over the value of a member no role reads at w[p], as
 // skipDead would, and returns the index after it and the ':' outside
 // strings in it; outcome is recordDropped when it did.
 func skipValue(w []byte, p int) (end int, colons int64, outcome uint8) {
-	b := w[p]
-	switch c := class[b]; {
-	case c == cQuote:
-		n, _ := stringEnd(w[p+1:], false)
+	switch b := w[p]; {
+	case class[b]&(cQuote|cOpen) != 0:
+		// One container is open, the record's, as the stack counts them.
+		s := walk{depth: 1}
+		n, deep := s.scan(w[p:], 1)
+		if deep {
+			return 0, 0, recordKept
+		}
 		if n < 0 {
 			return 0, 0, recordShort
 		}
-		return p + n + 2, 0, recordDropped
-	case c == cOpen:
-		// Two frames are open below it, the stream's and the record's.
-		depth, inStr, esc := 2, false, false
-		for i := p + 1; i < len(w); {
-			if inStr {
-				var n int
-				if n, esc = stringEnd(w[i:], esc); n < 0 {
-					break
-				}
-				inStr, i = false, i+n+1
-				continue
-			}
-			switch class[w[i]] {
-			case cQuote:
-				inStr = true
-			case cColon:
-				colons++
-			case cOpen:
-				if depth++; depth > event.MaxDepth {
-					return 0, 0, recordKept
-				}
-			case cClose:
-				if depth--; depth == 1 {
-					return i + 1, colons, recordDropped
-				}
-			}
-			i++
-		}
-		return 0, 0, recordShort
+		return p + n, s.colons, recordDropped
 	case b == 't' || b == 'f' || b == 'n':
 		lit := keywords[b]
 		n := min(len(lit), len(w)-p)
@@ -803,15 +802,11 @@ func skipValue(w []byte, p int) (end int, colons int64, outcome uint8) {
 			return 0, 0, recordShort
 		}
 		return p + n, 0, recordDropped
-	case c&cScalar != 0:
-		i := p
-		for i < len(w) && class[w[i]]&cNumber != 0 {
-			i++
-		}
-		if i == len(w) {
+	case class[b]&cScalar != 0:
+		if end = classEnd(w, p, cNumber, cNumber); end == len(w) {
 			return 0, 0, recordShort
 		}
-		return i, 0, recordDropped
+		return end, 0, recordDropped
 	}
 	return 0, 0, recordKept
 }
@@ -911,13 +906,10 @@ const noOuter = -1 << 31
 // stack does, so the nesting ceiling holds inside a skipped value too)
 // through the byte that brings the count down to outer: a closing
 // bracket — or, where depth is outer to begin with, the closing quote
-// of the string scalar the scan starts at. Strings are jumped with
-// stringEnd, its parity carried from block to block; between them the
-// loop walks bytes by class and counts ':' — one per object member,
-// each of which would have produced an element: the lower bound that
-// mirrors the XML tokenizer's tags-skipped counter.
+// of the string scalar the scan starts at. It walks a block at a time
+// (walk.scan) and counts ':' as skipped tags.
 func (t *Tokenizer) rawSkip(depth, outer int) error {
-	inStr, esc := false, false
+	s := walk{depth: depth}
 	for {
 		buf, err := t.skipBlock()
 		if err == io.EOF && outer == noOuter {
@@ -926,43 +918,78 @@ func (t *Tokenizer) rawSkip(depth, outer int) error {
 		if err != nil {
 			return t.unexpectedEOF(err, "inside skipped value")
 		}
-		for i := 0; i < len(buf); {
-			if inStr {
-				var end int
-				if end, esc = stringEnd(buf[i:], esc); end < 0 {
-					break
-				}
-				inStr, i = false, i+end+1
-				if depth != outer {
-					continue
-				}
-			} else {
-				c := class[buf[i]]
-				i++
-				switch c {
-				case cQuote:
-					inStr = true
-				case cColon:
-					t.skipped.TagsSkipped++
-				case cOpen:
-					if depth++; depth > event.MaxDepth {
-						t.cur.Advance(i - 1)
-						return t.errf(tooDeep, event.MaxDepth)
-					}
-				case cClose:
-					depth--
-				}
-				if c != cClose || depth != outer {
-					continue
-				}
-			}
-			t.cur.Advance(i)
-			t.skipped.BytesSkipped += int64(i)
+		end, deep := s.scan(buf, outer)
+		t.skipped.TagsSkipped += s.colons
+		s.colons = 0
+		if deep {
+			t.cur.Advance(end - 1)
+			return t.errf(tooDeep, event.MaxDepth)
+		}
+		if end >= 0 {
+			t.cur.Advance(end)
+			t.skipped.BytesSkipped += int64(end)
 			return nil
 		}
 		t.cur.Advance(len(buf))
 		t.skipped.BytesSkipped += int64(len(buf))
 	}
+}
+
+// walk is a raw skip's state between the blocks it walks: the open
+// containers, whether it stands in a string and, if so, whether the
+// next byte is escaped, and the ':' outside strings passed so far — one
+// per object member, each of which would have produced an element: the
+// lower bound that mirrors the XML tokenizer's tags-skipped counter.
+type walk struct {
+	depth      int
+	inStr, esc bool
+	colons     int64
+}
+
+// scan walks buf, the input after what s has walked, to the byte that
+// brings the depth down to outer, and returns the index after it, or -1
+// when buf ends first. Strings are jumped with stringEnd, its parity
+// carried from block to block; between them the loop walks bytes by
+// class. deep reports a bracket, at buf[end-1], that opens more than
+// event.MaxDepth containers.
+func (s *walk) scan(buf []byte, outer int) (end int, deep bool) {
+	depth, inStr, esc, colons := s.depth, s.inStr, s.esc, s.colons
+	end = -1
+walk:
+	for i := 0; i < len(buf); {
+		if inStr {
+			var n int
+			if n, esc = stringEnd(buf[i:], esc); n < 0 {
+				break
+			}
+			inStr, i = false, i+n+1
+			if depth == outer {
+				end = i
+				break
+			}
+			continue
+		}
+		c := class[buf[i]]
+		i++
+		switch c {
+		case cQuote:
+			inStr = true
+		case cColon:
+			colons++
+		case cOpen:
+			if depth++; depth > event.MaxDepth {
+				end, deep = i, true
+				break walk
+			}
+		case cClose:
+			if depth--; depth == outer {
+				end = i
+				break walk
+			}
+		}
+	}
+	s.depth, s.inStr, s.esc, s.colons = depth, inStr, esc, colons
+	return end, deep
 }
 
 // run advances over the bytes b with class[b]&mask == want, a block at
@@ -977,16 +1004,22 @@ func (t *Tokenizer) run(mask, want uint8) (n int64, err error) {
 		if err != nil {
 			return n, err
 		}
-		i := 0
-		for i < len(w) && class[w[i]]&mask == want {
-			i++
-		}
+		i := classEnd(w, 0, mask, want)
 		t.cur.Advance(i)
 		n += int64(i)
 		if i < len(w) {
 			return n, nil
 		}
 	}
+}
+
+// classEnd returns the index of the first byte b at or after p in w with
+// class[b]&mask != want, or len(w).
+func classEnd(w []byte, p int, mask, want uint8) int {
+	for p < len(w) && class[w[p]]&mask == want {
+		p++
+	}
+	return p
 }
 
 // skipSpace advances past insignificant whitespace and returns the next

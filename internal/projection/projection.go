@@ -139,8 +139,6 @@ type Preprojector struct {
 	err      error
 	// runEnds counts the watched runs that have ended.
 	runEnds int64
-	// filter is the record filter Child hands the source (FilterRecords).
-	filter *event.RecordFilter
 }
 
 // Decider is told when a watched run ends at a dead child (WatchRuns).
@@ -298,18 +296,12 @@ func (p *Preprojector) EnableSkipping(a *xpath.Automaton) {
 // changes nothing a seek passes over, since a match the seek would
 // reach completes a role, which takes an item with the match's name.
 //
-// With a record filter installed (FilterRecords), a record of the
-// stream — a child named event.RecordName of the root element, which
-// completes the loop's binding role — is answered Filter: the source
-// may drop it whole when the filter rejects its bytes, and otherwise
-// delivers it as a live child.
-//
-// For a live, sought or filtered child the frame open computed stays
-// pending for startElement. It committed nothing, so when the source
-// asks again before delivering the child — jsontok asks at an array's
-// '[' and again at its first item — Child drops it and computes the same
-// frame; a seek that finds nothing, or a record the source drops, leaves
-// it for the next token to drop. A
+// For a live or sought child the frame open computed stays pending for
+// startElement. It committed nothing, so when the source asks again
+// before delivering the child — jsontok asks at an array's '[' and
+// again at its first item — Child drops it and computes the same frame;
+// a seek that finds nothing, or a record the source's record filter
+// drops (event.Filtered), leaves it for the next token to drop. A
 // dead answer is final, so it commits the child to the frame's run
 // state; when that ends a watched run, the decider decides there.
 func (p *Preprojector) Child(name string) (event.Verdict, []string) {
@@ -317,10 +309,6 @@ func (p *Preprojector) Child(name string) (event.Verdict, []string) {
 	p.open(name)
 	p.pending = true
 	if len(p.done.roles) != 0 || len(p.flips) != 0 {
-		if p.filter != nil && len(p.flips) == 0 && len(p.stack) == 2 &&
-			name == event.RecordName && p.stack[1].take == 0 {
-			return event.Filter, nil
-		}
 		return event.Live, nil
 	}
 	if len(p.child.items) == 0 {
@@ -345,18 +333,6 @@ func (p *Preprojector) Child(name string) (event.Verdict, []string) {
 	}
 	return event.Seek, p.sought
 }
-
-// FilterRecords has Child answer Filter, with f as the condition
-// (RecordFilter), about each record of the stream: each child named
-// event.RecordName of the root element, which is a binding of the loop
-// whose condition f is (analysis.Plan.Filter). A record the source
-// drops leaves its pending frame to the next token, as a seek that finds
-// nothing does, and commits nothing. It must be called before the first
-// Step.
-func (p *Preprojector) FilterRecords(f *event.RecordFilter) { p.filter = f }
-
-// RecordFilter implements event.Filterer.
-func (p *Preprojector) RecordFilter() *event.RecordFilter { return p.filter }
 
 // WatchRuns has the preprojector keep the run state of every frame's
 // children over names, on a source that states runs

@@ -397,8 +397,8 @@ func TestPrune(t *testing.T) {
 
 // deadRecorder is the source's Skipper in TestDead: it asks the
 // preprojector and records each answer with the child's element path,
-// "+" for alive, "-" for dead, "?" for filtered and "~" for sought,
-// followed by the sought names in braces.
+// "+" for alive, "-" for dead and "~" for sought, followed by the sought
+// names in braces.
 type deadRecorder struct {
 	p   *Preprojector
 	got []string
@@ -417,8 +417,6 @@ func (r *deadRecorder) Child(name string) (event.Verdict, []string) {
 		path = "-" + path
 	case event.Seek:
 		path = "~" + path + "{" + strings.Join(sought, ",") + "}"
-	case event.Filter:
-		path = "?" + path
 	}
 	r.got = append(r.got, path)
 	return v, sought
@@ -550,24 +548,6 @@ func TestDead(t *testing.T) {
 			}
 		})
 	}
-
-	// With a record filter, each child named record of the root element
-	// is answered Filter (xmltok takes it as Live), and no other child is.
-	t.Run("record filter", func(t *testing.T) {
-		tok := xmltok.NewTokenizer(strings.NewReader(`<root><record><a/><record/></record><record/><b/></root>`))
-		buf := buffer.New()
-		p := New(tok, buf, paths(steps{c("root"), c("record")}, steps{c("root"), c("record"), c("a")}, steps{c("root"), c("record"), c("record")}))
-		p.EnableSkipping(&xpath.Automaton{})
-		p.FilterRecords(&event.RecordFilter{Cond: &event.FilterCond{Op: event.FilterExists}, Keys: []string{"a"}})
-		rec := &deadRecorder{p: p}
-		tok.SetSkipper(rec)
-		if err := p.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := strings.Join(rec.got, " "), "+root ?root/record +root/record/a +root/record/record ?root/record -root/b"; got != want {
-			t.Errorf("answers\n got %s\nwant %s", got, want)
-		}
-	})
 
 	// An active Forward: below the forwarded match b every child
 	// completes the output role and is live, and the written tokens
