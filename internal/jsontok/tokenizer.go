@@ -373,7 +373,8 @@ func (t *Tokenizer) fail(err error) (event.Token, error) {
 // Every value that opens — the virtual root, a member, an array item,
 // an array itself — meets the skipper in one place before its
 // StartElement is delivered: a dead one is raw-skipped whole (skipDead)
-// and the loop reads on.
+// and the loop reads on. With a record filter installed, a live record
+// may then be read from its bytes and dropped whole (filterRecord).
 func (t *Tokenizer) Next() (event.Token, error) {
 	if t.err != nil {
 		return event.Token{}, t.err
