@@ -860,8 +860,9 @@ func (t *Tokenizer) skipSubtree() error {
 }
 
 // skipScalar raw-scans the scalar at the head of the window as far as
-// reading it would go, unvalidated: a string to its closing quote, a
-// number while its bytes may be a number's, a keyword by its length.
+// reading it would go: a string to its closing quote and a number while
+// its bytes may be a number's, both unvalidated, and a keyword while its
+// bytes match, failing where reading it would.
 func (t *Tokenizer) skipScalar() error {
 	b := t.cur.Window()[0]
 	if b == '"' {
@@ -872,11 +873,16 @@ func (t *Tokenizer) skipScalar() error {
 		t.skipped.BytesSkipped += n
 		return err
 	}
-	n := len("true")
-	if b == 'f' {
-		n = len("false")
+	lit := keywords[b]
+	w, err := t.cur.Peek(len(lit))
+	for i := range w {
+		if w[i] != lit[i] {
+			// The byte that reading the literal would stop at.
+			t.cur.Advance(i)
+			t.skipped.BytesSkipped += int64(i)
+			return t.unexpectedSep(nil, w[i], fmt.Sprintf("literal %q", lit))
+		}
 	}
-	w, err := t.cur.Peek(n)
 	t.cur.Advance(len(w))
 	t.skipped.BytesSkipped += int64(len(w))
 	if err == io.EOF {

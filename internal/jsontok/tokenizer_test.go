@@ -628,3 +628,42 @@ func TestReleaseDropsSkipper(t *testing.T) {
 		t.Error("Release kept the skipper")
 	}
 }
+
+// TestDeadKeywordMismatch: a dead member's keyword is checked as the
+// token path reads it, so a misspelt one fails where reading it would,
+// with the token path's message, rather than being passed over by its
+// length into whatever follows — here the next record — on both
+// backings.
+func TestDeadKeywordMismatch(t *testing.T) {
+	for _, doc := range []string{
+		`{"x":t}` + "\n" + `{"a":"1"}`,
+		`{"x":nul,"a":"1"}`,
+		`{"a":"1","x":fals}`,
+		`[{"x":trUe}]`,
+	} {
+		failure := func(tz *Tokenizer, dead deadNames) string {
+			defer tz.Release()
+			if dead != nil {
+				tz.SetSkipper(dead)
+			}
+			for {
+				if _, err := tz.Next(); err != nil {
+					return err.Error()
+				}
+			}
+		}
+		want := failure(NewTokenizerBytes([]byte(doc)), nil)
+		if !strings.Contains(want, "expected literal") {
+			t.Fatalf("%s: token path fails with %q", doc, want)
+		}
+		for name, open := range map[string]func() *Tokenizer{
+			"bytes":     func() *Tokenizer { return NewTokenizerBytes([]byte(doc)) },
+			"reader":    func() *Tokenizer { return NewTokenizer(strings.NewReader(doc)) },
+			"window 16": func() *Tokenizer { return NewTokenizerWindow(strings.NewReader(doc), 16) },
+		} {
+			if got := failure(open(), deadNames{"x": true}); got != want {
+				t.Errorf("%s on %s: dead keyword fails with %q, the token path with %q", doc, name, got, want)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package xmltok
 
 import (
+	"bytes"
 	"io"
 	"slices"
 	"strings"
@@ -357,9 +358,10 @@ func (s *seekOnce) Child(string) (event.Verdict, []string) {
 // SkipSubtree drops it. With thenSkip set, the consumer calls
 // SkipSubtree on the element as soon as it is delivered, which must
 // land after its end as without the seek. The bytes backing and a
-// 16–63-byte reader
-// window must agree on everything, errors included; errors are
-// one-sided, as in FuzzSkipSubtree.
+// 16–63-byte reader window must agree on everything, errors included.
+// Errors in the bytes the seek passes over are one-sided, as in
+// FuzzSkipSubtree; when full tokenization fails in a start tag the seek
+// delivers, the seek must fail with the same error.
 func FuzzSeek(f *testing.F) {
 	seeds := []string{
 		`<a><b><c/></b></a>`,
@@ -379,18 +381,30 @@ func FuzzSeek(f *testing.F) {
 		f.Add(s, uint8(0), uint8(0xff), "c", uint8(0), false)
 		f.Add(s, uint8(1), uint8(0x04), "", uint8(69), false)
 	}
+	// TestTagErrors' tags, as the chain tag and as the sought tag of a
+	// seek from b.
+	for _, row := range tagErrors {
+		if row.eof {
+			f.Add(`<a><b><d `+row.attrs, uint8(1), uint8(0), "c", uint8(0), false)
+			continue
+		}
+		f.Add(`<a><b><d `+row.attrs+`><c/></d></b></a>`, uint8(1), uint8(0), "c", uint8(0), false)
+		f.Add(`<a><b><d `+row.attrs+`><e/></d></b></a>`, uint8(1), uint8(0), "d", uint8(3), false)
+	}
 	f.Fuzz(func(t *testing.T, doc string, at, pick uint8, extra string, sizeSeed uint8, thenSkip bool) {
 		keepWS := sizeSeed&64 != 0
 		// Reference: full tokenization, with the offset after each token.
 		var full []Token
 		var after []int64
-		accepted := true
+		var fullErr string
 		ref := NewTokenizerBytes([]byte(doc))
 		ref.KeepWhitespace = keepWS
 		for {
 			tok, err := ref.Next()
 			if err != nil {
-				accepted = err == io.EOF
+				if err != io.EOF {
+					fullErr = err.Error()
+				}
 				break
 			}
 			full = append(full, tok)
@@ -400,6 +414,7 @@ func FuzzSeek(f *testing.F) {
 			}
 		}
 		ref.Release()
+		accepted := fullErr == ""
 
 		var starts []int
 		var sought []string
@@ -472,6 +487,9 @@ func FuzzSeek(f *testing.F) {
 			}
 		}
 		if !accepted {
+			if b.err != fullErr && len(starts) > 0 && failsInDelivered(doc, full, after, starts[held], sought, keepWS) {
+				t.Fatalf("seeking run fails with %q in a tag it delivers, full tokenization with %q\ninput: %q seek@%d %q", b.err, fullErr, doc, held, sought)
+			}
 			return // superset acceptance carries no stream obligations
 		}
 		if b.err != "" {
@@ -540,6 +558,54 @@ func FuzzSeek(f *testing.F) {
 			}
 		}
 	})
+}
+
+// failsInDelivered reports whether full tokenization, which read the
+// tokens full of doc (after[i] the offset past full[i]) and then failed,
+// failed in one of the start tags a seek for sought from the element of
+// start tag full[h] delivers: the chain and the sought tag the raw scan
+// stops at (seekElement, pinned on accepted documents by FuzzSeek), one
+// whose attributes, blanked, let full tokenization read on past it.
+func failsInDelivered(doc string, full []Token, after []int64, h int, sought []string, keepWS bool) bool {
+	if h+1 < len(full) && full[h+1].Kind == EndElement && after[h+1] == after[h] {
+		return false // self-closing: nothing to seek in
+	}
+	depth := 0
+	for _, tok := range full[:h+1] {
+		switch tok.Kind {
+		case StartElement:
+			depth++
+		case EndElement:
+			depth--
+		}
+	}
+	var rs rawScanner
+	rs.cur.ResetBytes([]byte(doc))
+	rs.cur.Advance(int(after[h]))
+	if kind, err := rs.seekElement([]byte(full[h].Name), depth, sought); kind == noTag || err != nil {
+		return false
+	}
+	for _, k := range rs.kept[1:] {
+		n := len(k.rest) - 1 // up to the '>'
+		if n > 0 && k.rest[n-1] == '/' {
+			n--
+		}
+		blank := []byte(doc)
+		copy(blank[k.at:], bytes.Repeat([]byte(" "), n))
+		tz := NewTokenizerBytes(blank)
+		tz.KeepWhitespace = keepWS
+		read := 0
+		for ; ; read++ {
+			if _, err := tz.Next(); err != nil {
+				break
+			}
+		}
+		tz.Release()
+		if read > len(full) {
+			return true
+		}
+	}
+	return false
 }
 
 // startTagAt returns the offset of the '<' of the first start tag of

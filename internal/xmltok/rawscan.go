@@ -24,7 +24,11 @@ const tooDeep = "elements nested deeper than %d"
 // Whoever wants the bytes a scan covered brackets it with the cursor's
 // Mark and Take; nothing here copies input on a caller's behalf.
 //
-// It deliberately accepts a superset of the Tokenizer's dialect
+// Beside the scan it holds the attribute grammar (attrList) and its
+// state, so that the tags either client reads itself are read by one
+// set of rules.
+//
+// The scan deliberately accepts a superset of the Tokenizer's dialect
 // (attribute internals and entity references are not validated); users
 // rely on one-sided parity only: the raw scan never rejects input the
 // Tokenizer accepts, and on accepted input both advance over exactly
@@ -42,21 +46,52 @@ type rawScanner struct {
 	// tag is scratch for tag bodies spanning window boundaries; nameBuf
 	// and nameLen are skipElement's and seekElement's open-element
 	// stack, names stored back to back (no allocations, no interning);
-	// restBuf and restEnd are a seek's stack of the open tags' attribute
-	// bytes (keep). All keep their growth so repeated scans amortize, up
-	// to cursor.MaxScratch across a pooled Tokenizer's Release.
+	// kept is a seek's stack of the open tags' bytes past their names
+	// (keep), and restBuf holds them on the reader backing. All keep
+	// their growth so repeated scans amortize, up to cursor.MaxScratch
+	// across a pooled Tokenizer's Release.
 	tag     []byte
 	nameBuf []byte
 	nameLen []int
+	kept    []keptTag
 	restBuf []byte
-	restEnd []int
 	// soughtAt is the input offset of the '<' of the start tag the last
 	// seek stopped at.
 	soughtAt int64
 
+	// names interns element and attribute names so that repeated tags in
+	// large documents share one string allocation, and outlives the
+	// input across pooled reuses (cursor.Names' ownership rule).
+	names cursor.Names
+
+	// textBuf is scratch for decoded text and attribute values.
+	textBuf []byte
+
+	// attrChunk is the block attribute lists are carved from: each start
+	// tag's list is a capacity-clipped subslice, so a document's tags
+	// share a few allocations instead of making one each. A token owns
+	// its list for good — the part of a chunk handed out is left to its
+	// holders, never rewritten — and Release keeps only the rest, cleared,
+	// for the next run to carve from. attrSize is the capacity of the last
+	// fresh chunk, which the next one doubles: it outlives Release, so a
+	// pooled tokenizer running one short chunk document after another
+	// does not restart at the smallest size each time.
+	attrChunk []Attr
+	attrSize  int
+
 	// tags counts the element tokens skipElement passed over: start and
 	// end tags, self-closing tags counting as two.
 	tags int64
+}
+
+// keptTag is an entry of a seek's rest stack: the bytes of a start tag
+// from just past its name through its '>', which lie at input offset
+// at — the input itself on the fixed backing, a copy in restBuf ending
+// at end on the reader backing.
+type keptTag struct {
+	rest []byte
+	at   int64
+	end  int
 }
 
 // SetContext attaches a cancellation context: Tokenizer.Next and
@@ -263,8 +298,8 @@ func (rs *rawScanner) leave(nb []byte, nl []int, tags int64, err error) error {
 // at the first start tag below it named in sought, consumed, and
 // returns that tag's kind, openTag or emptyTag. Then the element, the
 // open elements between it and that tag (the chain) and the tag itself
-// are on the name stack, the attribute bytes of all but the element on
-// the rest stack (keep), and soughtAt is the offset of the tag's '<'. A
+// are on the name stack, the bytes past the names of all but the element
+// on the rest stack (keep), and soughtAt is the offset of the tag's '<'. A
 // seek that meets no such tag ends where skipElement ends and returns
 // noTag. It stops at the same tag on every backing and window size,
 // and a sought tag that would sit deeper than event.MaxDepth is the
@@ -273,7 +308,7 @@ func (rs *rawScanner) leave(nb []byte, nl []int, tags int64, err error) error {
 func (rs *rawScanner) seekElement(name []byte, depth int, sought []string) (tagKind, error) {
 	nb := append(rs.nameBuf[:0], name...)
 	nl := append(rs.nameLen[:0], len(name))
-	rs.restBuf, rs.restEnd = rs.restBuf[:0], append(rs.restEnd[:0], 0) // the element's own tag is not kept
+	rs.kept = append(rs.kept[:0], keptTag{}) // the element's own tag is not kept
 	tags := rs.tags
 	room := event.MaxDepth - depth + 1 // the most names nl may hold
 	for {
@@ -340,12 +375,12 @@ func (rs *rawScanner) seekElement(name []byte, depth int, sought []string) (tagK
 					inBlock = false
 				}
 			}
-			// rest is what follows a start tag's name up to its '>' (or
-			// "/>"), and at the offset of its '<'.
+			// rest is what follows a start tag's name through its '>',
+			// and at the offset of its '<'.
 			var rest []byte
 			at := rs.cur.Offset() + int64(pos)
 			if inBlock {
-				rest = w[nameAt+n : end-1]
+				rest = w[nameAt+n : end]
 			} else {
 				rs.cur.Advance(pos + 1)
 				var body []byte
@@ -364,7 +399,7 @@ func (rs *rawScanner) seekElement(name []byte, depth int, sought []string) (tagK
 				rs.cur.Advance(end)
 				return noTag, rs.leave(nb, nl, tags, rs.errf(tooDeep, event.MaxDepth))
 			}
-			if kind != closeTag && rs.keep(len(nl), kind, tagName, rest, sought, at) {
+			if kind != closeTag && rs.keep(len(nl), tagName, rest, sought, at) {
 				rs.cur.Advance(end)
 				return kind, rs.leave(append(nb, tagName...), append(nl, len(tagName)), tags, nil)
 			}
@@ -394,18 +429,21 @@ func (rs *rawScanner) seekElement(name []byte, depth int, sought []string) (tagK
 	}
 }
 
-// keep is seekElement's step at a start tag of the given kind whose
-// '<' is at offset at, which would be the d-th element on the name
-// stack: it keeps rest, what follows the name up to the tag's '>' (or
-// "/>"), as the d-th entry of the rest stack — restBuf holds the
-// entries back to back, restEnd[i] is where the i-th ends — and
-// reports whether name is sought, noting at in soughtAt if so.
-func (rs *rawScanner) keep(d int, kind tagKind, name, rest []byte, sought []string, at int64) bool {
-	if kind == emptyTag {
-		rest = rest[:len(rest)-1] // the '/'
+// keep is seekElement's step at a start tag whose '<' is at offset at,
+// which would be the d-th element on the name stack: it keeps rest,
+// what follows the name through the tag's '>', as the d-th entry of the
+// rest stack, and reports whether name is sought, noting at in soughtAt
+// if so. On the fixed backing the entry is rest itself; on the reader
+// backing, whose window the next refill overwrites, a copy that takes
+// the place of the popped entries' copies in restBuf.
+func (rs *rawScanner) keep(d int, name, rest []byte, sought []string, at int64) bool {
+	end := 0
+	if !rs.cur.Fixed() {
+		from := rs.kept[d-1].end
+		rs.restBuf = append(rs.restBuf[:from], rest...)
+		rest, end = rs.restBuf[from:], len(rs.restBuf)
 	}
-	rs.restBuf = append(rs.restBuf[:rs.restEnd[d-1]], rest...)
-	rs.restEnd = append(rs.restEnd[:d], len(rs.restBuf))
+	rs.kept = append(rs.kept[:d], keptTag{rest, at + 1 + int64(len(name)), end})
 	for _, s := range sought {
 		if string(name) == s {
 			rs.soughtAt = at
@@ -417,7 +455,7 @@ func (rs *rawScanner) keep(d int, kind tagKind, name, rest []byte, sought []stri
 
 // markup consumes one markup construct with the cursor standing just
 // past its '<' and says what it was. For a tag it returns the element
-// name and the body — everything between "<" or "</" and the closing
+// name and the body — everything after "<" or "</" through the closing
 // '>' — both valid until the next refill.
 func (rs *rawScanner) markup() (kind tagKind, name, body []byte, err error) {
 	b, err := rs.cur.Byte()
@@ -442,15 +480,15 @@ func (rs *rawScanner) markup() (kind tagKind, name, body []byte, err error) {
 	if body, err = rs.readTagBody(); err != nil {
 		return kind, nil, nil, err
 	}
-	nameSrc := body
-	if kind == openTag && len(body) > 0 && body[len(body)-1] == '/' {
-		kind, nameSrc = emptyTag, body[:len(body)-1]
+	nameSrc := body[:len(body)-1]
+	if kind == openTag && len(nameSrc) > 0 && nameSrc[len(nameSrc)-1] == '/' {
+		kind, nameSrc = emptyTag, nameSrc[:len(nameSrc)-1]
 	}
 	n := scanName(nameSrc)
 	if n == 0 {
 		return kind, nil, nil, rs.errf("expected name")
 	}
-	if kind == closeTag && !allWhitespace(body[n:]) {
+	if kind == closeTag && !allWhitespace(nameSrc[n:]) {
 		return kind, nil, nil, rs.errf("malformed end tag </%s", body[:n])
 	}
 	return kind, body[:n], body, nil
@@ -534,13 +572,13 @@ func indexPat(w []byte, pat string) int {
 	}
 }
 
-// readTagBody returns the bytes between '<' (already consumed, along
-// with any '/' marker handled by the caller) and the matching unquoted
-// '>', excluding the terminator. In the common case — the whole tag
-// inside the current window with no quoted '>' — the returned slice
-// aliases the window (valid until the next refill; on the []byte path,
-// for the cursor's whole life); tags spanning window boundaries fall
-// back to the rs.tag scratch.
+// readTagBody returns the bytes after '<' (already consumed, along with
+// any '/' marker or name handled by the caller) through the first '>'
+// outside quotes, which is where every reader of this package ends a
+// tag (DESIGN.md §8). In the common case — the whole tag inside the
+// current window — the returned slice aliases the window (valid until
+// the next refill; on the []byte path, for the cursor's whole life);
+// tags spanning window boundaries fall back to the rs.tag scratch.
 func (rs *rawScanner) readTagBody() ([]byte, error) {
 	var quote byte
 	first := true
@@ -560,9 +598,9 @@ func (rs *rawScanner) readTagBody() ([]byte, error) {
 			if quote == 0 {
 				rs.cur.Advance(gt + 1)
 				if first {
-					return w[:gt], nil
+					return w[:gt+1], nil
 				}
-				rs.tag = append(rs.tag, w[:gt]...)
+				rs.tag = append(rs.tag, w[:gt+1]...)
 				return rs.tag, nil
 			}
 			// the '>' was inside an attribute value: keep it, continue
@@ -631,9 +669,15 @@ func scanName(b []byte) int {
 	return i
 }
 
+// errf reports a syntax error at the cursor, errAt one at input offset
+// off; a pending read error is reported as itself.
 func (rs *rawScanner) errf(format string, args ...any) error {
+	return rs.errAt(rs.cur.Offset(), format, args...)
+}
+
+func (rs *rawScanner) errAt(off int64, format string, args ...any) error {
 	if ioErr := rs.cur.IOErr(); ioErr != nil {
 		return fmt.Errorf("xmltok: read error at byte %d: %w", rs.cur.Offset(), ioErr)
 	}
-	return &SyntaxError{Offset: rs.cur.Offset(), Msg: fmt.Sprintf(format, args...)}
+	return &SyntaxError{Offset: off, Msg: fmt.Sprintf(format, args...)}
 }

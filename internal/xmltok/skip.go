@@ -1,10 +1,6 @@
 package xmltok
 
-import (
-	"bytes"
-
-	"gcx/internal/event"
-)
+import "gcx/internal/event"
 
 // SkipSubtree fast-forwards the input past the remainder of the
 // innermost open element — the StartElement most recently returned by
@@ -121,106 +117,38 @@ func (t *Tokenizer) seekChild(attrs []Attr, sought []string) (bool, error) {
 		t.tags++
 		return false, nil
 	}
-	return true, t.queueChain(stop == emptyTag)
+	return true, t.queueChain()
 }
 
 // queueChain turns what a seek stopped at into queued StartElements, in
 // document order: the chain — the open elements between the seeked
-// element and the sought tag — and the sought tag last. Each is built
-// from the bytes the scan kept, as readStartTag would read it, and its
-// name goes on the stack at once. Next delivers the chain unasked: none
-// of its names is sought, so the skipper would answer Seek again, with
-// the same set. The sought tag it asks about like a start tag just
-// read; empty says it was self-closing. The chain's start tags were
-// counted as skipped ones by the scan, and are not.
-func (t *Tokenizer) queueChain(empty bool) error {
-	t.queue, t.head, t.queueEmpty = t.queue[:0], 0, empty
+// element and the sought tag — and the sought tag last. Each is read
+// from the bytes the scan kept, at their input offset, by the attribute
+// grammar, as readStartTag would read it, and its name goes on the
+// stack at once. Next delivers the chain unasked: none of its names is
+// sought, so the skipper would answer Seek again, with the same set.
+// The sought tag it asks about like a start tag just read, self-closing
+// when the grammar says so. The chain's start tags were counted as
+// skipped ones by the scan, and are not.
+func (t *Tokenizer) queueChain() error {
+	t.queue, t.head = t.queue[:0], 0
 	off := t.nameLen[0]
 	for i := 1; i < len(t.nameLen); i++ {
 		n := t.nameLen[i]
 		name := t.names.Intern(t.nameBuf[off : off+n])
 		off += n
-		attrs, err := t.tagAttrs(name, t.restBuf[t.restEnd[i-1]:t.restEnd[i]])
+		k := t.kept[i]
+		_, empty, attrs, err := t.attrList(name, k.rest, k.at, true)
 		if err != nil {
 			t.err = err
 			return err
 		}
 		t.queue = append(t.queue, Token{Kind: StartElement, Name: name, Attrs: attrs})
 		t.stack = append(t.stack, name)
+		t.queueEmpty = empty
 	}
 	t.tags -= int64(len(t.queue) - 1)
 	return nil
-}
-
-// tagAttrs reads the attribute list of the start tag of elem from rest,
-// the bytes between its name and its '>' (or "/>"), accepting exactly
-// what readStartTag accepts. Values are kept (Cursor.Keep): rest is the
-// scan's scratch.
-func (t *Tokenizer) tagAttrs(elem string, rest []byte) ([]Attr, error) {
-	first := len(t.attrChunk)
-	for p := 0; ; {
-		for p < len(rest) && isWSByte(rest[p]) {
-			p++
-		}
-		if p == len(rest) {
-			return t.attrsFrom(first), nil
-		}
-		n := scanName(rest[p:])
-		if n == 0 {
-			return nil, t.errf("malformed attribute in <%s>", elem)
-		}
-		name := t.names.Intern(rest[p : p+n])
-		for p += n; p < len(rest) && isWSByte(rest[p]); p++ {
-		}
-		if p == len(rest) || rest[p] != '=' {
-			return nil, t.errf("attribute %s in <%s> missing '='", name, elem)
-		}
-		for p++; p < len(rest) && isWSByte(rest[p]); p++ {
-		}
-		if p == len(rest) || (rest[p] != '"' && rest[p] != '\'') {
-			return nil, t.errf("attribute %s in <%s> missing quote", name, elem)
-		}
-		q := bytes.IndexByte(rest[p+1:], rest[p])
-		if q < 0 {
-			return nil, t.errf("unterminated attribute value for %s", name)
-		}
-		val, err := t.attrValue(rest[p+1 : p+1+q])
-		if err != nil {
-			return nil, err
-		}
-		p += q + 2
-		first = t.appendAttr(first, Attr{Name: name, Value: val})
-	}
-}
-
-// attrValue resolves the entity references of a raw attribute value, as
-// readAttrValue does, and keeps the result. A reference never holds a
-// quote, so one that readAttrValue would read past the closing quote
-// is one both reject.
-func (t *Tokenizer) attrValue(raw []byte) (string, error) {
-	if bytes.IndexByte(raw, '&') < 0 {
-		return t.cur.Keep(raw, false), nil
-	}
-	t.textBuf = t.textBuf[:0]
-	for {
-		j := bytes.IndexByte(raw, '&')
-		if j < 0 {
-			t.textBuf = append(t.textBuf, raw...)
-			return t.cur.Keep(t.textBuf, false), nil
-		}
-		t.textBuf = append(t.textBuf, raw[:j]...)
-		raw = raw[j+1:]
-		k := bytes.IndexByte(raw, ';')
-		if k < 0 {
-			return "", t.errf("unterminated entity reference")
-		}
-		r, err := t.entity(raw[:k])
-		if err != nil {
-			return "", err
-		}
-		t.textBuf = append(t.textBuf, r...)
-		raw = raw[k+1:]
-	}
 }
 
 // SkipStats reports the bytes SkipSubtree, dropDead and seekChild

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // collectAfterSkip tokenizes doc, calling SkipSubtree on the first
@@ -292,8 +293,8 @@ func checkSkipAt(t *testing.T, doc string, full []Token, at int) {
 }
 
 // TestSeekEntityErrors: a seek resolves the references in the attribute
-// values of the chain and of the sought tag by readEntity's rules, so a
-// bad reference fails with the message full tokenization gives.
+// values of the chain and of the sought tag by the entity rule (ref), so
+// a bad reference fails with the message full tokenization gives.
 func TestSeekEntityErrors(t *testing.T) {
 	for _, ref := range []string{"&#zz;", "&#;", "&bogus;", "&abcdefghijklm;"} {
 		for _, doc := range []string{
@@ -321,5 +322,40 @@ func TestSeekEntityErrors(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSeekBorrowsValues: on the bytes backing, the attribute grammar reads
+// a seek's chain and sought tags from the input itself, so their
+// entity-free values are borrowed from it, as any other start tag's
+// are, and only a decoded one is copied.
+func TestSeekBorrowsValues(t *testing.T) {
+	doc := []byte(`<a><b><d x="1" y='two'><e z="&amp;" v="4"><c w="3"/></e></d></b></a>`)
+	lo := uintptr(unsafe.Pointer(&doc[0]))
+	inside := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return p >= lo && p+uintptr(len(s)) <= lo+uintptr(len(doc))
+	}
+	tz := NewTokenizerBytes(doc)
+	defer tz.Release()
+	tz.SetSkipper(&seekOnce{at: 1, sought: []string{"c"}})
+	values := 0
+	for {
+		tok, err := tz.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range tok.Attrs {
+			values++
+			if decoded := a.Value == "&"; inside(a.Value) == decoded {
+				t.Errorf("<%s %s=%q>: borrowed from the input %v, want %v", tok.Name, a.Name, a.Value, decoded, !decoded)
+			}
+		}
+	}
+	if values != 5 || tz.SkipStats().BytesSkipped == 0 {
+		t.Fatalf("%d values, %+v: the seek did not run", values, tz.SkipStats())
 	}
 }

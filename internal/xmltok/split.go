@@ -181,7 +181,7 @@ func (s *Splitter) scan() error {
 		if err == nil {
 			text = text[:len(text)-1] // the '<'
 		}
-		if !resolvesToWhitespace(text) {
+		if !s.resolvesToWhitespace(text) {
 			msg := "character data outside document element"
 			if s.rootSeen {
 				msg = "content after document element"
@@ -195,39 +195,21 @@ func (s *Splitter) scan() error {
 	return s.construct()
 }
 
-func allWhitespace(b []byte) bool {
-	for _, c := range b {
-		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			return false
-		}
-	}
-	return true
-}
-
 // resolvesToWhitespace reports whether character data is whitespace-only
 // after entity resolution. The tokenizer resolves references before its
 // whitespace test, so text like "&#32;" outside the document element is
-// accepted there; the splitter must agree (FuzzSplitter parity). The
-// entity grammar mirrors the tokenizer's: ';'-terminated, at most 12
-// name bytes.
-func resolvesToWhitespace(b []byte) bool {
-	for i := 0; i < len(b); {
+// accepted there; the splitter reads them by the same entity rule, ref
+// (FuzzSplitter parity).
+func (s *Splitter) resolvesToWhitespace(b []byte) bool {
+	for i := 0; i < len(b); i++ {
 		switch c := b[i]; {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
+		case isWSByte(c):
 		case c == '&':
-			j := i + 1
-			for j < len(b) && b[j] != ';' {
-				j++
-			}
-			if j >= len(b) || j-i-1 > 12 {
+			r, n, err := s.ref(b[i+1:], 0)
+			if err != nil || !allWhitespace(r) {
 				return false
 			}
-			r, ok := resolveEntity(string(b[i+1 : j]))
-			if !ok || !allWhitespace([]byte(r)) {
-				return false
-			}
-			i = j + 1
+			i += n
 		default:
 			return false
 		}
@@ -272,6 +254,14 @@ func (s *Splitter) construct() error {
 	if d >= event.MaxDepth {
 		return s.errf(tooDeep, event.MaxDepth)
 	}
+	// A start tag the splitter reads itself goes through the attribute
+	// grammar, so a sharded run fails on it as full tokenization does,
+	// at the same input offset, where a worker would report a record's
+	// tag at a chunk offset.
+	rest := body[len(name):]
+	if _, _, _, err := s.attrList(cursor.Borrow(name), rest, s.cur.Offset()-int64(len(rest)), false); err != nil {
+		return err
+	}
 	last := len(s.path) - 1
 	isRecord, descend := false, false
 	switch {
@@ -293,7 +283,7 @@ func (s *Splitter) construct() error {
 			s.beginChunk()
 		}
 		s.records++
-		s.buf = appendTag(s.buf, "<", body)
+		s.buf = append(append(s.buf, '<'), body...)
 	}
 	if kind == openTag {
 		if isRecord {

@@ -34,10 +34,6 @@ type Tokenizer struct {
 
 	// stack of currently open element names.
 	stack []string
-	// names interns element and attribute names so that repeated tags in
-	// large documents share one string allocation, and outlives the
-	// input across pooled reuses (cursor.Names' ownership rule).
-	names cursor.Names
 
 	// emptyOpen is set between the two tokens of a self-closing tag: its
 	// StartElement has been returned, its name is on the stack, and the
@@ -67,23 +63,9 @@ type Tokenizer struct {
 	// Next returns it again rather than read on from where it struck.
 	err error
 
-	textBuf []byte
-
 	// SkipSubtree counters (skip.go); rawScanner.tags is the third.
 	bytesSkipped    int64
 	subtreesSkipped int64
-
-	// attrChunk is the block attribute lists are carved from: each start
-	// tag's list is a capacity-clipped subslice, so a document's tags
-	// share a few allocations instead of making one each. A token owns
-	// its list for good — the part of a chunk handed out is left to its
-	// holders, never rewritten — and Release keeps only the rest, cleared,
-	// for the next run to carve from. attrSize is the capacity of the last
-	// fresh chunk, which the next one doubles: it outlives Release, so a
-	// pooled tokenizer running one short chunk document after another
-	// does not restart at the smallest size each time.
-	attrChunk []Attr
-	attrSize  int
 }
 
 // tokenizerPool recycles Tokenizers — each carries a 64 KiB cursor
@@ -149,6 +131,7 @@ func (t *Tokenizer) Release() {
 	// without the tokens' names and attributes.
 	t.skipper = nil
 	clear(t.queue[:cap(t.queue)])
+	clear(t.kept[:cap(t.kept)]) // on the fixed backing, slices of the input
 	// One huge text node, tag or skipped name must not pin its scratch
 	// in the pool for every later run.
 	if cap(t.textBuf) > cursor.MaxScratch {
@@ -193,10 +176,11 @@ func (t *Tokenizer) Depth() int { return len(t.stack) - (len(t.queue) - t.head) 
 // ">", and a start tag lying whole inside the current window — are
 // recognised on one window snapshot with index arithmetic and consumed
 // by a single Advance. Everything else, and every malformed input, goes
-// through the careful per-construct code below it, which is the only
-// place errors are produced: a fast accept either takes a well-formed
-// tag whole or leaves the cursor untouched, so tokens, errors and
-// offsets are the same on every backing and window size.
+// through the careful per-construct code below it, which reports the
+// errors: a fast accept either takes a well-formed tag whole or leaves
+// the cursor untouched, and both read attributes through one grammar
+// (attrList), so tokens, errors and offsets are the same on every
+// backing and window size.
 //
 // Both shapes hand a start tag to one check before it is delivered: a
 // child the skipper finds dead is dropped there (dropDead) and the loop
@@ -239,10 +223,12 @@ func (t *Tokenizer) Next() (Token, error) {
 				}
 			} else if n := scanName(w[1:]); n > 0 && (len(t.stack) > 0 || !t.started) && len(t.stack) < event.MaxDepth {
 				// A start tag in the right place; what remains is to find
-				// it whole inside the window.
-				if end, empty, attrs := t.acceptTagRest(w, 1+n); end > 0 {
-					tok = Token{Kind: StartElement, Name: t.names.Intern(w[1 : 1+n]), Attrs: attrs}
-					t.cur.Advance(end)
+				// it whole inside the window. The name is borrowed for an
+				// error message, which only the careful path reports.
+				name, rest := w[1:1+n], w[1+n:]
+				if end, empty, attrs, _ := t.attrList(cursor.Borrow(name), rest, t.cur.Offset()+int64(1+n), true); end > 0 {
+					tok = Token{Kind: StartElement, Name: t.names.Intern(name), Attrs: attrs}
+					t.cur.Advance(1 + n + end)
 					t.stack = append(t.stack, tok.Name)
 					t.emptyOpen = empty
 				}
@@ -310,62 +296,6 @@ func (t *Tokenizer) pop() string {
 		t.started = true // the document element is complete
 	}
 	return name
-}
-
-// acceptTagRest is the fast accept for what follows a start tag's name:
-// w is the window with the tag's '<' at w[0], p the index just past the
-// name. When the rest of the tag lies inside the window and is nothing
-// but name="value" pairs with entity-free values, it returns the index
-// just past the tag's '>', whether the tag is self-closing, and the
-// attribute list. Otherwise end is 0 and nothing has been consumed or
-// kept: the careful path reads the tag again from its '<'.
-func (t *Tokenizer) acceptTagRest(w []byte, p int) (end int, empty bool, attrs []Attr) {
-	first := len(t.attrChunk)
-scan:
-	for {
-		for p < len(w) && isWSByte(w[p]) {
-			p++
-		}
-		if p >= len(w) {
-			break
-		}
-		switch w[p] {
-		case '>':
-			return p + 1, false, t.attrsFrom(first)
-		case '/':
-			if p+1 >= len(w) || w[p+1] != '>' {
-				break scan
-			}
-			return p + 2, true, t.attrsFrom(first)
-		}
-		n := scanName(w[p:])
-		if n == 0 {
-			break
-		}
-		name := w[p : p+n]
-		for p += n; p < len(w) && isWSByte(w[p]); p++ {
-		}
-		if p >= len(w) || w[p] != '=' {
-			break
-		}
-		for p++; p < len(w) && isWSByte(w[p]); p++ {
-		}
-		if p >= len(w) || (w[p] != '"' && w[p] != '\'') {
-			break
-		}
-		q := bytes.IndexByte(w[p+1:], w[p])
-		if q < 0 {
-			break
-		}
-		val := w[p+1 : p+1+q]
-		if bytes.IndexByte(val, '&') >= 0 {
-			break
-		}
-		p += q + 2
-		first = t.appendAttr(first, Attr{Name: t.names.Intern(name), Value: t.cur.Keep(val, true)})
-	}
-	t.attrChunk = t.attrChunk[:first]
-	return 0, false, nil
 }
 
 // readCareful reads one construct — a run of character data or one
@@ -450,7 +380,10 @@ func (t *Tokenizer) readEndTag() (string, error) {
 	return t.pop(), nil
 }
 
-// readStartTag reads a start tag after '<' and opens the element.
+// readStartTag reads a start tag after '<' and opens the element: its
+// name, then the rest of the tag through the first '>' outside quotes,
+// gathered across refills by readTagBody, which the attribute grammar
+// reads.
 func (t *Tokenizer) readStartTag() (string, []Attr, error) {
 	if t.started && len(t.stack) == 0 {
 		return "", nil, t.errf("content after document element")
@@ -462,150 +395,32 @@ func (t *Tokenizer) readStartTag() (string, []Attr, error) {
 	if len(t.stack) >= event.MaxDepth {
 		return "", nil, t.errf(tooDeep, event.MaxDepth)
 	}
-	first := len(t.attrChunk) // this tag's attributes are attrChunk[first:]
-	for {
-		t.skipSpace()
-		b, err := t.cur.Byte()
-		if err != nil {
-			return "", nil, t.errf("unexpected end of input in <%s>", name)
-		}
-		switch b {
-		case '>':
-			t.stack = append(t.stack, name)
-			return name, t.attrsFrom(first), nil
-		case '/':
-			b2, err := t.cur.Byte()
-			if err != nil || b2 != '>' {
-				return "", nil, t.errf("malformed self-closing tag <%s", name)
-			}
-			t.stack = append(t.stack, name)
-			t.emptyOpen = true
-			return name, t.attrsFrom(first), nil
-		default:
-			t.cur.Unread()
-			a, err := t.readAttr(name)
-			if err != nil {
-				return "", nil, err
-			}
-			first = t.appendAttr(first, a)
-		}
-	}
-}
-
-// appendAttr appends a to the attribute list attrChunk[first:] and
-// returns the list's start, which moves when a full chunk makes the
-// list migrate to a fresh one.
-func (t *Tokenizer) appendAttr(first int, a Attr) int {
-	if len(t.attrChunk) == cap(t.attrChunk) {
-		held := t.attrChunk[first:]
-		t.attrSize = max(attrChunkSize, min(2*t.attrSize, maxAttrChunk), 2*len(held))
-		t.attrChunk = append(make([]Attr, 0, t.attrSize), held...)
-		first = 0
-	}
-	t.attrChunk = append(t.attrChunk, a)
-	return first
-}
-
-// attrChunkSize is the capacity of the smallest attribute chunk (2 KiB).
-// Each fresh chunk doubles the one before it, up to maxAttrChunk (32
-// KiB), so a document's attribute lists cost a few allocations, not one
-// per 64 attributes.
-const (
-	attrChunkSize = 64
-	maxAttrChunk  = 1024
-)
-
-// attrsFrom returns the attribute list attrChunk[first:], clipped so an
-// append by the holder cannot reach the next tag's entries; nil when the
-// tag has no attributes.
-func (t *Tokenizer) attrsFrom(first int) []Attr {
-	n := len(t.attrChunk)
-	if n == first {
-		return nil
-	}
-	return t.attrChunk[first:n:n]
-}
-
-func (t *Tokenizer) readAttr(elem string) (Attr, error) {
-	name, err := t.readName()
+	rest, err := t.readTagBody()
 	if err != nil {
-		return Attr{}, t.errf("malformed attribute in <%s>", elem)
+		return "", nil, err
 	}
-	t.skipSpace()
-	b, err := t.cur.Byte()
-	if err != nil || b != '=' {
-		return Attr{}, t.errf("attribute %s in <%s> missing '='", name, elem)
-	}
-	t.skipSpace()
-	q, err := t.cur.Byte()
-	if err != nil || (q != '"' && q != '\'') {
-		return Attr{}, t.errf("attribute %s in <%s> missing quote", name, elem)
-	}
-	val, err := t.readAttrValue(name, q)
+	_, empty, attrs, err := t.attrList(name, rest, t.cur.Offset()-int64(len(rest)), true)
 	if err != nil {
-		return Attr{}, err
+		return "", nil, err
 	}
-	return Attr{Name: name, Value: val}, nil
-}
-
-// readAttrValue consumes the attribute value through the closing quote
-// q. On the []byte path an entity-free value is borrowed from the input
-// without allocating. Entity references go through readEntity byte by
-// byte on both paths — a reference swallows any quote inside its name
-// (e.g. `&a"b;`), so the borrow fast path only fires when no '&'
-// precedes the first candidate closing quote. Every other value is
-// copied out of textBuf (Cursor.Keep): a tag's values are read through
-// the same scratch one after the other, and the list outlives the token.
-func (t *Tokenizer) readAttrValue(name string, q byte) (string, error) {
-	if t.cur.Fixed() {
-		w := t.cur.Window()
-		qi := bytes.IndexByte(w, q)
-		if qi < 0 {
-			// Unterminated value — but an '&' before EOF means the
-			// general loop ends inside the entity machinery instead, so
-			// only short-circuit entity-free tails (error parity).
-			if bytes.IndexByte(w, '&') < 0 {
-				t.cur.Advance(len(w))
-				return "", t.errf("unterminated attribute value for %s", name)
-			}
-		} else if bytes.IndexByte(w[:qi], '&') < 0 {
-			t.cur.Advance(qi + 1)
-			return cursor.Borrow(w[:qi]), nil
-		}
-	}
-	t.textBuf = t.textBuf[:0]
-	for {
-		if err := t.cur.Fill(); err != nil {
-			return "", t.errf("unterminated attribute value for %s", name)
-		}
-		w := t.cur.Window()
-		stop := len(w)
-		hitQ := false
-		if i := bytes.IndexByte(w, q); i >= 0 {
-			stop, hitQ = i, true
-		}
-		if j := bytes.IndexByte(w[:stop], '&'); j >= 0 {
-			t.textBuf = append(t.textBuf, w[:j]...)
-			t.cur.Advance(j + 1)
-			r, err := t.readEntity()
-			if err != nil {
-				return "", err
-			}
-			t.textBuf = append(t.textBuf, r...)
-			continue
-		}
-		t.textBuf = append(t.textBuf, w[:stop]...)
-		t.cur.Advance(stop)
-		if hitQ {
-			t.cur.Advance(1)
-			return t.cur.Keep(t.textBuf, false), nil
-		}
-	}
+	t.stack = append(t.stack, name)
+	t.emptyOpen = empty
+	return name, attrs, nil
 }
 
 // isWSByte reports whether b is literal XML whitespace.
 func isWSByte(b byte) bool {
 	return b == ' ' || b == '\t' || b == '\n' || b == '\r'
+}
+
+// allWhitespace reports whether s is nothing but literal XML whitespace.
+func allWhitespace[S string | []byte](s S) bool {
+	for i := 0; i < len(s); i++ {
+		if !isWSByte(s[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // readText accumulates character data up to (not including) the next
@@ -641,9 +456,8 @@ func (t *Tokenizer) readText() (text string, keep bool, err error) {
 		}
 		if j := bytes.IndexByte(w[:bound], '&'); j >= 0 {
 			// Entity reference before the next '<': decode. The reference
-			// is consumed byte by byte (shared with the reader path) and
-			// may legitimately swallow bytes past bound on malformed
-			// names, matching per-byte semantics exactly.
+			// is read from what follows it, on both paths alike, and may
+			// legitimately reach past bound on malformed names.
 			seg := w[:j]
 			if ws {
 				ws = allWhitespace(seg)
@@ -654,7 +468,7 @@ func (t *Tokenizer) readText() (text string, keep bool, err error) {
 			if err != nil {
 				return "", false, err
 			}
-			if ws && !allWhitespaceString(r) {
+			if ws && !allWhitespace(r) {
 				ws = false
 			}
 			t.textBuf = append(t.textBuf, r...)
@@ -689,120 +503,15 @@ func (t *Tokenizer) readText() (text string, keep bool, err error) {
 	return t.cur.View(t.textBuf, false), true, nil
 }
 
-func allWhitespaceString(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if !isWSByte(s[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// maxEntityName is the longest reference name between '&' and ';'.
-const maxEntityName = 12
-
-// readEntity resolves an entity reference after '&' has been consumed.
-// The reference name is collected into a fixed scratch and resolved
-// without intermediate allocations (built-ins and character references
-// in the ASCII range are the overwhelmingly common cases).
+// readEntity resolves an entity reference in character data after '&'
+// has been consumed, by the entity rule (ref) over the most a reference
+// may take, without intermediate allocations.
 func (t *Tokenizer) readEntity() (string, error) {
-	var name [maxEntityName + 1]byte
-	n := 0
-	for n < len(name) {
-		b, err := t.cur.Byte()
-		if err != nil {
-			return "", t.errf("unterminated entity reference")
-		}
-		if b == ';' {
-			break
-		}
-		name[n] = b
-		n++
-	}
-	return t.entity(name[:n])
-}
-
-// entity resolves the reference name between '&' and ';' for readEntity
-// and for a seek's attribute values, so both apply one length limit and
-// word their errors alike. A name longer than maxEntityName is too long.
-func (t *Tokenizer) entity(name []byte) (string, error) {
-	if len(name) > maxEntityName {
-		return "", t.errf("entity reference too long")
-	}
-	r, ok := resolveEntityBytes(name)
-	if !ok {
-		// Copy the name out of the scratch for the error message; the
-		// conversion keeps readEntity's array off the heap on the hot
-		// (error-free) path.
-		s := string(name)
-		if len(name) > 0 && name[0] == '#' {
-			return "", t.errf("malformed character reference &%s;", s)
-		}
-		return "", t.errf("unknown entity &%s;", s)
-	}
-	return r, nil
-}
-
-// resolveEntity resolves the reference name between '&' and ';' — the
-// five XML built-ins or a numeric character reference. Shared with the
-// Splitter so both agree on what resolves (FuzzSplitter parity).
-func resolveEntity(s string) (string, bool) {
-	return resolveEntityBytes([]byte(s))
-}
-
-// resolveEntityBytes is resolveEntity over a byte scratch. The switch
-// comparison and the manual digit parse do not allocate, so resolving
-// a built-in entity costs no heap traffic at all.
-func resolveEntityBytes(s []byte) (string, bool) {
-	switch string(s) { // compiled to comparisons; no allocation
-	case "lt":
-		return "<", true
-	case "gt":
-		return ">", true
-	case "amp":
-		return "&", true
-	case "apos":
-		return "'", true
-	case "quot":
-		return `"`, true
-	}
-	if len(s) > 1 && s[0] == '#' {
-		digits := s[1:]
-		base := uint64(10)
-		if digits[0] == 'x' || digits[0] == 'X' {
-			base, digits = 16, digits[1:]
-		}
-		if len(digits) == 0 {
-			return "", false
-		}
-		// Manual parse, matching strconv.ParseUint(digits, base, 32):
-		// no sign, no underscores, no 0x prefix, range-checked at 32
-		// bits. The name length cap (12 bytes) rules out uint64
-		// overflow before the range check fires.
-		var n uint64
-		for _, c := range digits {
-			var d uint64
-			switch {
-			case c >= '0' && c <= '9':
-				d = uint64(c - '0')
-			case c >= 'a' && c <= 'f':
-				d = uint64(c-'a') + 10
-			case c >= 'A' && c <= 'F':
-				d = uint64(c-'A') + 10
-			default:
-				return "", false
-			}
-			if d >= base {
-				return "", false
-			}
-			n = n*base + d
-		}
-		if n > 1<<32-1 {
-			return "", false
-		}
-		return string(rune(n)), true
-	}
-	return "", false
+	at := t.cur.Offset()
+	b, _ := t.cur.Peek(maxEntityName + 1)
+	r, n, err := t.ref(b, at)
+	t.cur.Advance(n)
+	return r, err
 }
 
 // readName reads an XML name (simplified NCName: letters, digits, '.',
