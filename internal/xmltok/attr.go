@@ -67,10 +67,12 @@ func (rs *rawScanner) attrList(elem string, b []byte, base int64, build bool) (e
 		if q < 0 {
 			break
 		}
-		val, input, verr := rs.value(b[p+1:p+1+q], base+int64(p+1))
-		if verr != nil {
-			err = verr
-			break
+		val := b[p+1 : p+1+q]
+		input := bytes.IndexByte(val, '&') < 0
+		if !input {
+			if val, err = rs.decode(val, base+int64(p+1)); err != nil {
+				break
+			}
 		}
 		p += q + 2
 		if build {
@@ -81,26 +83,21 @@ func (rs *rawScanner) attrList(elem string, b []byte, base int64, build bool) (e
 	return 0, false, nil, err
 }
 
-// value resolves the entity references of the attribute value raw, at
-// input offset base: raw itself (input) when it holds none, else the
-// result in textBuf. A reference ends inside its value, so one that
-// reaches the closing quote is unterminated there.
-func (rs *rawScanner) value(raw []byte, base int64) (val []byte, input bool, err error) {
-	j := bytes.IndexByte(raw, '&')
-	if j < 0 {
-		return raw, true, nil
-	}
+// decode resolves the entity references of the attribute value raw, at
+// input offset base, into textBuf. A reference ends inside its value,
+// so one that reaches the closing quote is unterminated there.
+func (rs *rawScanner) decode(raw []byte, base int64) ([]byte, error) {
 	rs.textBuf = rs.textBuf[:0]
-	for ; j >= 0; j = bytes.IndexByte(raw, '&') {
+	for j := bytes.IndexByte(raw, '&'); j >= 0; j = bytes.IndexByte(raw, '&') {
 		r, n, err := rs.ref(raw[j+1:], base+int64(j+1))
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		rs.textBuf = append(append(rs.textBuf, raw[:j]...), r...)
 		raw, base = raw[j+1+n:], base+int64(j+1+n)
 	}
 	rs.textBuf = append(rs.textBuf, raw...)
-	return rs.textBuf, false, nil
+	return rs.textBuf, nil
 }
 
 // maxEntityName is the longest reference name between '&' and ';'.

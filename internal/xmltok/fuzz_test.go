@@ -585,13 +585,14 @@ func failsInDelivered(doc string, full []Token, after []int64, h int, sought []s
 	if kind, err := rs.seekElement([]byte(full[h].Name), depth, sought); kind == noTag || err != nil {
 		return false
 	}
-	for _, k := range rs.kept[1:] {
+	for i := 1; i < len(rs.kept); i++ {
+		k := rs.kept[i]
 		n := len(k.rest) - 1 // up to the '>'
 		if n > 0 && k.rest[n-1] == '/' {
 			n--
 		}
 		blank := []byte(doc)
-		copy(blank[k.at:], bytes.Repeat([]byte(" "), n))
+		copy(blank[k.at+1+int64(rs.nameLen[i]):], bytes.Repeat([]byte(" "), n))
 		tz := NewTokenizerBytes(blank)
 		tz.KeepWhitespace = keepWS
 		read := 0

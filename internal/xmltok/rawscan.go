@@ -85,9 +85,9 @@ type rawScanner struct {
 }
 
 // keptTag is an entry of a seek's rest stack: the bytes of a start tag
-// from just past its name through its '>', which lie at input offset
-// at — the input itself on the fixed backing, a copy in restBuf ending
-// at end on the reader backing.
+// from just past its name through its '>', where the tag's '<' is at
+// input offset at — the input itself on the fixed backing, a copy in
+// restBuf ending at end on the reader backing.
 type keptTag struct {
 	rest []byte
 	at   int64
@@ -443,7 +443,7 @@ func (rs *rawScanner) keep(d int, name, rest []byte, sought []string, at int64) 
 		rs.restBuf = append(rs.restBuf[:from], rest...)
 		rest, end = rs.restBuf[from:], len(rs.restBuf)
 	}
-	rs.kept = append(rs.kept[:d], keptTag{rest, at + 1 + int64(len(name)), end})
+	rs.kept = append(rs.kept[:d], keptTag{rest, at, end})
 	for _, s := range sought {
 		if string(name) == s {
 			rs.soughtAt = at

@@ -138,7 +138,7 @@ func (t *Tokenizer) queueChain() error {
 		name := t.names.Intern(t.nameBuf[off : off+n])
 		off += n
 		k := t.kept[i]
-		_, empty, attrs, err := t.attrList(name, k.rest, k.at, true)
+		_, empty, attrs, err := t.attrList(name, k.rest, k.at+1+int64(n), true)
 		if err != nil {
 			t.err = err
 			return err
